@@ -9,9 +9,10 @@
 //! `compare` pairs the latest record per `(workload, backend, parts)`
 //! configuration in both files and fails (exit 1) when any tracked
 //! metric — elapsed wall, trial mean, total `w`, total `l`, total
-//! `h`-bytes — grew past `old * (1 + threshold) + slack`.  The slack
-//! floors absorb timer noise near zero so a 2 ms workload cannot fail
-//! CI for becoming 3 ms.  Exit 2 on usage or malformed documents.
+//! `h`-bytes — grew past `old * (1 + threshold) + slack`, or when the
+//! run's `rpcs` count (exact for a pinned workload) grew at all.  The
+//! slack floors absorb timer noise near zero so a 2 ms workload cannot
+//! fail CI for becoming 3 ms.  Exit 2 on usage or malformed documents.
 //!
 //! `pushdown-gate` reads one trajectory holding both legs of the
 //! combiner-pushdown A/B (`table1 --store net` with and without

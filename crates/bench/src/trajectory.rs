@@ -387,15 +387,20 @@ pub struct CompareReport {
     pub missing: Vec<String>,
 }
 
-/// Tracked metrics: key path into the record, display name, and the
-/// absolute slack added on top of the relative threshold (absorbs timer
-/// noise near zero — a 2 ms step must not fail CI for becoming 3 ms).
-const TRACKED: &[(&str, &str, f64)] = &[
-    ("elapsed_secs", "elapsed", 5e-3),
-    ("trial_mean_secs", "trial-mean", 5e-3),
-    ("totals.w_us", "w", 5e3),
-    ("totals.l_us", "l", 5e3),
-    ("totals.h_bytes", "h-bytes", 1024.0),
+/// Tracked metrics: key path into the record, display name, the absolute
+/// slack added on top of the relative threshold (absorbs timer noise near
+/// zero — a 2 ms step must not fail CI for becoming 3 ms), and whether
+/// the threshold applies at all.  Round trips are an exact count for a
+/// pinned workload (steps × parts × a constant, whatever the graph size),
+/// so the baseline's `rpcs` is a *ceiling*: no threshold, no slack
+/// (backends without a wire report 0 on both sides).
+const TRACKED: &[(&str, &str, f64, bool)] = &[
+    ("elapsed_secs", "elapsed", 5e-3, true),
+    ("trial_mean_secs", "trial-mean", 5e-3, true),
+    ("totals.w_us", "w", 5e3, true),
+    ("totals.l_us", "l", 5e3, true),
+    ("totals.h_bytes", "h-bytes", 1024.0, true),
+    ("run.rpcs", "rpcs", 0.0, false),
 ];
 
 fn lookup(record: &Json, path: &str) -> Option<f64> {
@@ -436,7 +441,8 @@ fn latest_by_key(doc: &Json) -> Result<Vec<(String, Json)>, String> {
 
 /// Compares two trajectory documents: for every configuration present in
 /// both, each tracked metric regresses when
-/// `new > old * (1 + threshold) + slack`.
+/// `new > old * (1 + threshold) + slack`, and the round-trip count when
+/// `new > old`.
 ///
 /// # Errors
 ///
@@ -451,11 +457,12 @@ pub fn compare(old: &Json, new: &Json, threshold: f64) -> Result<CompareReport, 
             continue;
         };
         let mut cells = Vec::new();
-        for (path, name, slack) in TRACKED {
+        for (path, name, slack, thresholded) in TRACKED {
             let (Some(o), Some(n)) = (lookup(old_record, path), lookup(new_record, path)) else {
                 continue;
             };
-            let regressed = n > o * (1.0 + threshold) + slack;
+            let factor = if *thresholded { 1.0 + threshold } else { 1.0 };
+            let regressed = n > o * factor + slack;
             let ratio = if o > 0.0 { n / o } else { 1.0 };
             cells.push(format!(
                 "{name} {o:.3}->{n:.3} ({ratio:+.0}%{})",
@@ -707,6 +714,17 @@ mod tests {
         let traj = doc(&[&ab_rec(PUSHDOWN_WORKLOAD, "net", 90_000, 300)]);
         let err = pushdown_gate(&traj).expect_err("no pair");
         assert!(err.contains("both"), "{err}");
+    }
+
+    #[test]
+    fn rpc_count_is_a_ceiling_not_a_threshold() {
+        let base = &ab_rec("a", "net", 0, 156);
+        let report = compare(&doc(&[base]), &doc(&[&ab_rec("a", "net", 0, 156)]), 2.0).unwrap();
+        assert!(report.regressions.is_empty(), "{:?}", report.regressions);
+        // One extra round trip fails even under a 200% threshold.
+        let report = compare(&doc(&[base]), &doc(&[&ab_rec("a", "net", 0, 157)]), 2.0).unwrap();
+        assert_eq!(report.regressions.len(), 1);
+        assert_eq!(report.regressions[0].metric, "rpcs");
     }
 
     #[test]

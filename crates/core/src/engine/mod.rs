@@ -2,6 +2,7 @@
 
 pub(crate) mod anywhere;
 pub(crate) mod nosync;
+pub(crate) mod plane;
 pub(crate) mod sync;
 
 use std::collections::HashMap;
@@ -39,8 +40,11 @@ impl<S: KvStore, J: Job> JobEnv<S, J> {
     }
 }
 
-/// Collocated state access for pinned execution.  Transient store faults
-/// are absorbed by the run's [`FaultRetry`] before they surface.
+/// Collocated, pass-through state access for pinned execution: one store
+/// call per operation.  The unsynchronized engine uses it as is; the
+/// synchronized engine wraps it in a [`plane::StatePlane`].  Transient
+/// store faults are absorbed by the run's [`FaultRetry`] before they
+/// surface.
 pub(crate) struct LocalStateOps<'a> {
     pub(crate) view: &'a dyn PartView,
     pub(crate) tables: &'a [String],
@@ -292,28 +296,7 @@ pub(crate) fn build_inbox_at_part<J: Job>(
         *list = combined;
     }
 
-    // Apply state creations, merging conflicts.
-    for (tab, key, state) in creates {
-        let idx = tab as usize;
-        let name = table_names.get(idx).ok_or(EbspError::StateTableIndex {
-            index: idx,
-            tables: table_names.len(),
-        })?;
-        let routed = key_to_routed(&key);
-        let part = view.part().0;
-        let existing = kv_with_retry(retry, part, || view.get(name, &routed))?;
-        let merged = match existing {
-            Some(existing) => {
-                let old: J::State = from_wire(&existing)?;
-                job.combine_states(&key, old, state)
-            }
-            None => state,
-        };
-        let value = to_wire(&merged);
-        kv_with_retry(retry, part, || {
-            view.put(name, routed.clone(), value.clone()).map(|_| ())
-        })?;
-    }
+    apply_creates(job, view, table_names, retry, creates)?;
 
     // Audit the post-combine delivery counts — the `one-msg` contract is
     // about what arrives per (key, step) after combining, not about how
@@ -349,6 +332,89 @@ pub(crate) fn build_inbox_at_part<J: Job>(
     kv_with_retry(retry, part, || view.put_batch(inbox_name, records.clone()))?;
     let recorded = if record { records } else { Vec::new() };
     Ok((enabled, counters, recorded))
+}
+
+/// The creations one key of one state table received, in arrival order.
+struct Creations<J: Job> {
+    routed: RoutedKey,
+    key: J::Key,
+    states: Vec<J::State>,
+}
+
+/// Applies the state creations delivered to this part, merging each with
+/// the resident state (and with other creations of the same key, in
+/// arrival order) through the job's `combine_states`.  Resident states are
+/// read one `get_batch` per window of distinct keys and the merged states
+/// written behind, so creations cost bulk transfers, not a get and a put
+/// each.
+fn apply_creates<J: Job>(
+    job: &J,
+    view: &dyn PartView,
+    table_names: &[String],
+    retry: Option<&FaultRetry>,
+    creates: Vec<(u16, J::Key, J::State)>,
+) -> Result<(), EbspError> {
+    if creates.is_empty() {
+        return Ok(());
+    }
+    let part = view.part().0;
+    // Per table, the distinct keys in first-seen order with their states.
+    let mut slots: HashMap<(usize, RoutedKey), usize> = HashMap::new();
+    let mut by_table: Vec<Vec<Creations<J>>> = table_names.iter().map(|_| Vec::new()).collect();
+    for (tab, key, state) in creates {
+        let tab = tab as usize;
+        let targets = by_table.get_mut(tab).ok_or(EbspError::StateTableIndex {
+            index: tab,
+            tables: table_names.len(),
+        })?;
+        let routed = key_to_routed(&key);
+        let slot = *slots.entry((tab, routed.clone())).or_insert_with(|| {
+            targets.push(Creations {
+                routed,
+                key,
+                states: Vec::new(),
+            });
+            targets.len() - 1
+        });
+        targets[slot].states.push(state);
+    }
+    let put_batch = |tab: usize, records: Vec<(RoutedKey, Bytes)>| {
+        kv_with_retry(retry, part, || {
+            view.put_batch(&table_names[tab], records.clone())
+        })
+    };
+    let mut writes = plane::WriteBehind::new(table_names.len());
+    for (tab, mut targets) in by_table.into_iter().enumerate() {
+        let mut rest = targets.as_mut_slice();
+        let mut next = plane::READ_AHEAD_KEYS;
+        while !rest.is_empty() {
+            let (window, tail) = rest.split_at_mut(next.min(rest.len()));
+            rest = tail;
+            let keys: Vec<RoutedKey> = window.iter().map(|c| c.routed.clone()).collect();
+            let resident = kv_with_retry(retry, part, || view.get_batch(&table_names[tab], &keys))?;
+            next = plane::next_window(&resident);
+            for (creations, resident) in window.iter_mut().zip(resident) {
+                let mut merged: Option<J::State> = match resident {
+                    Some(bytes) => Some(from_wire(&bytes)?),
+                    None => None,
+                };
+                for state in creations.states.drain(..) {
+                    merged = Some(match merged {
+                        Some(old) => job.combine_states(&creations.key, old, state),
+                        None => state,
+                    });
+                }
+                let merged = merged.expect("every slot holds at least one creation");
+                if let Some(full) = writes.push(tab, creations.routed.clone(), to_wire(&merged)) {
+                    put_batch(tab, full)?;
+                }
+            }
+        }
+    }
+    for (tab, records) in writes.take_all() {
+        put_batch(tab, records)?;
+    }
+    Ok(())
 }
 
 /// Runs the compute invocations of one part for one step: drains the
@@ -430,16 +496,23 @@ pub(crate) fn compute_at_part<T: Table, J: Job>(
         decoded.sort_by(|a, b| a.0.cmp(&b.0));
     }
 
-    let ops = LocalStateOps {
-        view,
-        tables: table_names,
-        broadcast: broadcast_name,
-        retry,
-    };
+    let ops = plane::StatePlane::new(
+        LocalStateOps {
+            view,
+            tables: table_names,
+            broadcast: broadcast_name,
+            retry,
+        },
+        decoded
+            .iter()
+            .map(|(_, routed, _)| routed.clone())
+            .collect(),
+    );
     let no_continue = job.properties().no_continue;
     let part = view.part();
     let mut out = Outbox::<J>::new();
-    for (key, routed, messages) in decoded {
+    for (at, (key, routed, messages)) in decoded.into_iter().enumerate() {
+        ops.begin(at);
         out.metrics.invocations += 1;
         // Keep the encoded key on hand for the post-compute probe calls;
         // `routed` itself moves into the context.
@@ -478,6 +551,9 @@ pub(crate) fn compute_at_part<T: Table, J: Job>(
         }
     }
 
+    // State before messages: once this step's spills are visible, the
+    // states that produced them are too.
+    ops.flush()?;
     let envelopes = std::mem::take(&mut out.envelopes);
     if suppress {
         // Replaying a completed step: its messages were already delivered
@@ -562,29 +638,65 @@ impl<J: Job> LoadBuffer<J> {
     }
 }
 
-/// The engine-side [`LoadSink`]: initial states go straight to the state
-/// tables (retried through the run's policy, since against a networked
-/// store a load-time put can fail transiently like any other operation);
-/// messages and enables buffer as step-0 envelopes.
+/// The engine-side [`LoadSink`]: initial states are written behind to the
+/// state tables (one `put_batch` per full buffer, retried through the
+/// run's policy, since against a networked store a load-time write can
+/// fail transiently like any other operation); messages and enables
+/// buffer as step-0 envelopes.
 pub(crate) struct EngineLoadSink<'a, S: KvStore, J: Job> {
-    pub(crate) tables: &'a [S::Table],
-    pub(crate) registry: &'a AggregatorRegistry,
-    pub(crate) buffer: &'a mut LoadBuffer<J>,
-    pub(crate) retry: Option<&'a crate::retry::FaultRetry>,
+    tables: &'a [S::Table],
+    registry: &'a AggregatorRegistry,
+    buffer: &'a mut LoadBuffer<J>,
+    retry: Option<&'a FaultRetry>,
+    writes: plane::WriteBehind,
+}
+
+impl<'a, S: KvStore, J: Job> EngineLoadSink<'a, S, J> {
+    pub(crate) fn new(
+        tables: &'a [S::Table],
+        registry: &'a AggregatorRegistry,
+        buffer: &'a mut LoadBuffer<J>,
+        retry: Option<&'a FaultRetry>,
+    ) -> Self {
+        Self {
+            tables,
+            registry,
+            buffer,
+            retry,
+            writes: plane::WriteBehind::new(tables.len()),
+        }
+    }
+
+    /// Writes out the states still buffered; the loaders are done.
+    pub(crate) fn finish(mut self) -> Result<(), EbspError> {
+        for (tab, records) in self.writes.take_all() {
+            self.put_batch(tab, records)?;
+        }
+        Ok(())
+    }
+
+    /// A batch spans parts, so retries are attributed to the controller
+    /// pseudo-part like the loader's spills.
+    fn put_batch(&self, tab: usize, records: Vec<(RoutedKey, Bytes)>) -> Result<(), EbspError> {
+        kv_with_retry(self.retry, u32::MAX, || {
+            self.tables[tab].put_batch(records.clone())
+        })?;
+        Ok(())
+    }
 }
 
 impl<S: KvStore, J: Job> LoadSink<J> for EngineLoadSink<'_, S, J> {
     fn state(&mut self, tab: usize, key: J::Key, state: J::State) -> Result<(), EbspError> {
-        let table = self.tables.get(tab).ok_or(EbspError::StateTableIndex {
-            index: tab,
-            tables: self.tables.len(),
-        })?;
-        let routed = key_to_routed(&key);
-        let value = to_wire(&state);
-        crate::retry::kv_with_retry(self.retry, routed.part_for(table.part_count()).0, || {
-            table.put(routed.clone(), value.clone())
-        })?;
-        Ok(())
+        if tab >= self.tables.len() {
+            return Err(EbspError::StateTableIndex {
+                index: tab,
+                tables: self.tables.len(),
+            });
+        }
+        match self.writes.push(tab, key_to_routed(&key), to_wire(&state)) {
+            Some(full) => self.put_batch(tab, full),
+            None => Ok(()),
+        }
     }
 
     fn message(&mut self, to: J::Key, msg: J::Message) -> Result<(), EbspError> {

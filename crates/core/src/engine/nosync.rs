@@ -184,15 +184,12 @@ fn drive<S: KvStore, J: Job, Q: QueueSet>(
     // ----- Initial condition ------------------------------------------------
     let mut buffer = LoadBuffer::new();
     {
-        let mut sink = EngineLoadSink::<S, J> {
-            tables: &env.tables,
-            registry: &env.registry,
-            buffer: &mut buffer,
-            retry: Some(&retry),
-        };
+        let mut sink =
+            EngineLoadSink::<S, J>::new(&env.tables, &env.registry, &mut buffer, Some(&retry));
         for loader in loaders {
             loader.load(&mut sink)?;
         }
+        sink.finish()?;
     }
     let mut seeded = 0u64;
     for envelope in buffer.envelopes {

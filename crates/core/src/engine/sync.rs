@@ -274,15 +274,16 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
         // ----- Initial condition --------------------------------------------
         let mut buffer = LoadBuffer::new();
         {
-            let mut sink = EngineLoadSink::<S, J> {
-                tables: &env.tables,
-                registry: &env.registry,
-                buffer: &mut buffer,
-                retry: Some(&fault_retry),
-            };
+            let mut sink = EngineLoadSink::<S, J>::new(
+                &env.tables,
+                &env.registry,
+                &mut buffer,
+                Some(&fault_retry),
+            );
             for loader in loaders {
                 loader.load(&mut sink)?;
             }
+            sink.finish()?;
         }
         let mut initial_counters = PartCounters::default();
         write_spills(

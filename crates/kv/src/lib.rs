@@ -28,7 +28,6 @@
 //!   with [`KvStore::run_at`]; inside that code, operations against locally
 //!   placed data skip marshalling while remote operations pay it.
 
-mod batch;
 mod combine;
 mod consumer;
 mod durable;
@@ -44,7 +43,6 @@ mod store;
 mod table;
 mod task;
 
-pub use batch::{BatchSink, MessageBatch};
 pub use combine::{CombineFn, CombinerRegistry, CombinerSpec, VEC_CONCAT};
 pub use consumer::{FnPairConsumer, PairConsumer, PartConsumer, ScanControl};
 pub use durable::{DurableStore, SyncPolicy};

@@ -113,6 +113,22 @@ pub trait PartView {
     /// with the reference table of the dispatch, or [`KvError::NoSuchTable`].
     fn get(&self, table: &str, key: &RoutedKey) -> Result<Option<Bytes>, KvError>;
 
+    /// Reads many keys from the local slice of `table` in one call — the
+    /// bulk counterpart of [`PartView::get`].  The result holds one entry
+    /// per key, in `keys` order.
+    ///
+    /// The default loops over [`PartView::get`], which is what the
+    /// in-process stores use: inside a part task their gets are already
+    /// collocated.  Only `store-net`'s remote view overrides it, as one RPC
+    /// per owning slot.
+    ///
+    /// # Errors
+    ///
+    /// As for [`PartView::get`].
+    fn get_batch(&self, table: &str, keys: &[RoutedKey]) -> Result<Vec<Option<Bytes>>, KvError> {
+        keys.iter().map(|key| self.get(table, key)).collect()
+    }
+
     /// Writes a key into the local slice of `table`, returning the previous
     /// value if any.
     ///

@@ -875,6 +875,46 @@ impl PartView for RemotePartView {
         decode(&resp)
     }
 
+    /// One [`proto::REQ_GET_BATCH`] round trip per owning slot instead of
+    /// one `REQ_GET` per key.
+    fn get_batch(&self, table: &str, keys: &[RoutedKey]) -> Result<Vec<Option<Bytes>>, KvError> {
+        let meta = self.resolve(table, false)?;
+        let mut groups: Vec<(Vec<usize>, Vec<&RoutedKey>)> =
+            vec![Default::default(); self.shared.servers()];
+        for (i, key) in keys.iter().enumerate() {
+            let group = &mut groups[self.server_for(meta, key)];
+            group.0.push(i);
+            group.1.push(key);
+        }
+        let mut values: Vec<Option<Bytes>> = vec![None; keys.len()];
+        for (slot, (positions, group)) in groups.into_iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
+            // Every key is one data-plane op; `call` charges the first.
+            NetCounters::add(&self.shared.metrics.remote_ops, group.len() as u64 - 1);
+            let payload = to_wire_ref(&(table, &group));
+            let resp = self.shared.call(
+                Rpc::data(proto::REQ_GET_BATCH, Routing::Slot(slot)),
+                &payload,
+            )?;
+            let got: Vec<Option<Bytes>> = decode(&resp)?;
+            if got.len() != positions.len() {
+                return Err(KvError::Backend {
+                    detail: format!(
+                        "get_batch answered {} values for {} keys",
+                        got.len(),
+                        positions.len()
+                    ),
+                });
+            }
+            for (i, value) in positions.into_iter().zip(got) {
+                values[i] = value;
+            }
+        }
+        Ok(values)
+    }
+
     fn put(&self, table: &str, key: RoutedKey, value: Bytes) -> Result<Option<Bytes>, KvError> {
         let meta = self.resolve(table, true)?;
         let server = self.server_for(meta, &key);
@@ -953,8 +993,7 @@ impl PartView for RemotePartView {
         // nothing is removed server-side until the stream has arrived
         // intact, so a connection lost mid-drain loses no data — the
         // caller sees a transient error and the retried drain starts
-        // clean.  (The destructive `REQ_DRAIN` would drop the part's
-        // pairs on the floor if the stream died under it.)
+        // clean.
         let pending = self
             .shared
             .pool

@@ -26,10 +26,10 @@
 //! | [`REQ_CLEAR`] | → | `table` |
 //! | [`REQ_PART_LEN`] | → | `(table, part)` |
 //! | [`REQ_SCAN`] | → | `(table, part)` — streamed response |
-//! | [`REQ_DRAIN`] | → | `(table, part)` — streamed response |
-//! | [`REQ_APPLY`] | → | `(table, Vec<(op, key, value)>)` — batched writes |
+//! | [`REQ_APPLY`] | → | `(table, Vec<(op, key, value)>)` — batched writes, one part-task per touched part |
 //! | [`REQ_PUT_BATCH`] | → | `(table, combiner, Vec<(key, value)>)` — coalesced puts; `RESP_OK` carries the record count applied |
 //! | [`REQ_BIND_COMBINER`] | → | `(table, combiner)` — binds a registered combiner for server-side folding |
+//! | [`REQ_GET_BATCH`] | → | `(table, Vec<key>)` — batched reads; `RESP_OK` carries `Vec<Option<value>>` in key order |
 //! | [`REQ_RUN_TASK`] | → | `(reference, part, task, arg)` |
 //! | [`REQ_HELLO`] | → | `epoch` — fencing handshake; `RESP_OK` echoes the server epoch |
 //! | [`REQ_PING`] | → | `()` — liveness probe; `RESP_OK` carries the server epoch |
@@ -38,9 +38,10 @@
 //! | [`RESP_CHUNK`] | ← | `Vec<(key, value)>` — one slice of a stream |
 //! | [`RESP_END`] | ← | `()` — terminates a stream |
 //!
-//! Unary requests get exactly one `RESP_OK`/`RESP_ERR`.  Streamed requests
-//! (scan, drain) get zero or more `RESP_CHUNK` frames followed by
-//! `RESP_END` (or `RESP_ERR`, which also terminates the stream).
+//! Unary requests get exactly one `RESP_OK`/`RESP_ERR`.  The streamed
+//! request (scan — a client drain is a scan plus one [`REQ_APPLY`] of
+//! deletes) gets zero or more `RESP_CHUNK` frames followed by `RESP_END`
+//! (or `RESP_ERR`, which also terminates the stream).
 
 use bytes::Bytes;
 use ripple_kv::{KvError, RoutedKey};
@@ -72,8 +73,6 @@ pub const REQ_CLEAR: u8 = 0x14;
 pub const REQ_PART_LEN: u8 = 0x15;
 /// Stream the pairs of one part.
 pub const REQ_SCAN: u8 = 0x20;
-/// Stream *and remove* the pairs of one part.
-pub const REQ_DRAIN: u8 = 0x21;
 /// Apply a batch of puts/deletes in one round trip.
 pub const REQ_APPLY: u8 = 0x30;
 /// Coalesced put batch: `(table, Option<combiner>, Vec<(key, value)>)`.
@@ -84,6 +83,9 @@ pub const REQ_PUT_BATCH: u8 = 0x31;
 /// Bind a registered combiner to a table for server-side folding:
 /// `(table, combiner)`.
 pub const REQ_BIND_COMBINER: u8 = 0x32;
+/// Read many keys of one table in one round trip: `(table, Vec<key>)`;
+/// the response is one `Option<value>` per key, in request order.
+pub const REQ_GET_BATCH: u8 = 0x33;
 /// Dispatch a registered named task adjacent to a part.
 pub const REQ_RUN_TASK: u8 = 0x40;
 /// Fencing handshake: the client announces the replica-group epoch it is
@@ -98,7 +100,7 @@ pub const REQ_PING: u8 = 0x51;
 pub const RESP_OK: u8 = 0x80;
 /// Failure response; payload is an encoded [`KvError`].
 pub const RESP_ERR: u8 = 0x81;
-/// One slice of a streamed scan/drain: `Vec<(RoutedKey, Bytes)>`.
+/// One slice of a streamed scan: `Vec<(RoutedKey, Bytes)>`.
 pub const RESP_CHUNK: u8 = 0x82;
 /// End of a streamed response.
 pub const RESP_END: u8 = 0x83;
@@ -151,7 +153,7 @@ impl TableMeta {
 /// Encodes a chunk of key/value pairs for a [`RESP_CHUNK`] frame.
 #[must_use]
 pub fn encode_pairs(pairs: &[(RoutedKey, Bytes)]) -> Bytes {
-    to_wire(&pairs.to_vec())
+    to_wire(pairs)
 }
 
 /// Decodes a [`RESP_CHUNK`] payload.

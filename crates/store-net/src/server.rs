@@ -365,10 +365,9 @@ fn serve_conn<S: KvStore>(server: &PartServer<S>, state: &Arc<ServerState>, mut 
                 };
                 let _ = send(&writer, proto::RESP_ERR, frame.id, &proto::encode_err(&err));
             }
-            proto::REQ_SCAN | proto::REQ_DRAIN => {
+            proto::REQ_SCAN => {
                 let _guard = InflightGuard::enter(state);
-                let drain = frame.kind == proto::REQ_DRAIN;
-                match enumerate(&server.store, &frame.payload, drain) {
+                match enumerate(&server.store, &frame.payload) {
                     Ok(pairs) => stream_pairs(&writer, frame.id, &pairs),
                     Err(e) => {
                         let _ = send(&writer, proto::RESP_ERR, frame.id, &proto::encode_err(&e));
@@ -492,22 +491,99 @@ fn unary<S: KvStore>(store: &S, kind: u8, payload: &[u8]) -> Result<Bytes, KvErr
                 .join()??;
             Ok(ripple_wire::to_wire(&(n as u64)))
         }
+        proto::REQ_APPLY | proto::REQ_GET_BATCH => part_batch(store, kind, payload),
+        proto::REQ_PUT_BATCH | proto::REQ_BIND_COMBINER => batch_unary(store, kind, payload),
+        other => Err(KvError::Backend {
+            detail: format!("unknown request kind {other:#04x}"),
+        }),
+    }
+}
+
+/// Splits `items` by the part their key routes to, keeping arrival order
+/// within each part; parts nothing routes to are left out.
+fn group_by_part<T>(
+    parts: u32,
+    items: Vec<T>,
+    key: impl Fn(&T) -> &RoutedKey,
+) -> Vec<(PartId, Vec<T>)> {
+    let mut groups: Vec<Vec<T>> = (0..parts).map(|_| Vec::new()).collect();
+    for item in items {
+        let part = key(&item).part_for(parts);
+        groups[part.index()].push(item);
+    }
+    (0..parts)
+        .map(PartId)
+        .zip(groups)
+        .filter(|(_, group)| !group.is_empty())
+        .collect()
+}
+
+/// The multi-record arms of [`unary`].  A table handle charges one
+/// partition-boundary crossing per *call*, so a batch replayed through it
+/// pays one per record; these arms instead dispatch one placed task per
+/// touched part and run that part's records against its local view.
+fn part_batch<S: KvStore>(store: &S, kind: u8, payload: &[u8]) -> Result<Bytes, KvError> {
+    match kind {
         proto::REQ_APPLY => {
             let (table, ops): (String, Vec<(u8, RoutedKey, Bytes)>) = decode(payload)?;
             let t = store.lookup_table(&table)?;
             let count = ops.len() as u64;
-            for (op, key, value) in ops {
-                if op == proto::APPLY_PUT {
-                    t.put(key, value)?;
-                } else {
-                    t.delete(&key)?;
+            if t.is_ubiquitous() {
+                // Part views refuse ubiquitous writes; the handle path is
+                // local on every replica, so there is no crossing to save.
+                for (op, key, value) in ops {
+                    if op == proto::APPLY_PUT {
+                        t.put(key, value)?;
+                    } else {
+                        t.delete(&key)?;
+                    }
                 }
+                return Ok(ripple_wire::to_wire(&count));
+            }
+            let tasks: Vec<_> = group_by_part(t.part_count(), ops, |(_, key, _)| key)
+                .into_iter()
+                .map(|(part, group)| {
+                    let table = table.clone();
+                    store.run_at(&t, part, move |view| -> Result<(), KvError> {
+                        for (op, key, value) in group {
+                            if op == proto::APPLY_PUT {
+                                view.put(&table, key, value)?;
+                            } else {
+                                view.delete(&table, &key)?;
+                            }
+                        }
+                        Ok(())
+                    })
+                })
+                .collect();
+            for task in tasks {
+                task.join()??;
             }
             Ok(ripple_wire::to_wire(&count))
         }
-        proto::REQ_PUT_BATCH | proto::REQ_BIND_COMBINER => batch_unary(store, kind, payload),
+        proto::REQ_GET_BATCH => {
+            let (table, keys): (String, Vec<RoutedKey>) = decode(payload)?;
+            let t = store.lookup_table(&table)?;
+            let mut values: Vec<Option<Bytes>> = vec![None; keys.len()];
+            let indexed: Vec<(usize, RoutedKey)> = keys.into_iter().enumerate().collect();
+            let tasks: Vec<_> = group_by_part(t.part_count(), indexed, |(_, key)| key)
+                .into_iter()
+                .map(|(part, group)| {
+                    let table = table.clone();
+                    let (slots, keys): (Vec<usize>, Vec<RoutedKey>) = group.into_iter().unzip();
+                    let task = store.run_at(&t, part, move |view| view.get_batch(&table, &keys));
+                    (slots, task)
+                })
+                .collect();
+            for (slots, task) in tasks {
+                for (slot, value) in slots.into_iter().zip(task.join()??) {
+                    values[slot] = value;
+                }
+            }
+            Ok(ripple_wire::to_wire(&values))
+        }
         other => Err(KvError::Backend {
-            detail: format!("unknown request kind {other:#04x}"),
+            detail: format!("request kind {other:#04x} is not a part-batch op"),
         }),
     }
 }
@@ -559,29 +635,18 @@ fn check_part(t: &impl Table, part: u32) -> Result<(), KvError> {
     }
 }
 
-/// Collects the pairs of one part for a scan or drain stream.
-fn enumerate<S: KvStore>(
-    store: &S,
-    payload: &[u8],
-    drain: bool,
-) -> Result<Vec<(RoutedKey, Bytes)>, KvError> {
+/// Collects the pairs of one part for a scan stream.
+fn enumerate<S: KvStore>(store: &S, payload: &[u8]) -> Result<Vec<(RoutedKey, Bytes)>, KvError> {
     let (table, part): (String, u32) = decode(payload)?;
     let t = store.lookup_table(&table)?;
     check_part(&t, part)?;
     store
         .run_at(&t, PartId(part), move |view| {
             let mut out: Vec<(RoutedKey, Bytes)> = Vec::new();
-            if drain {
-                view.drain(&table, &mut |k, v| {
-                    out.push((k, v));
-                    ScanControl::Continue
-                })?;
-            } else {
-                view.scan(&table, &mut |k, v| {
-                    out.push((k.clone(), Bytes::copy_from_slice(v)));
-                    ScanControl::Continue
-                })?;
-            }
+            view.scan(&table, &mut |k, v| {
+                out.push((k.clone(), Bytes::copy_from_slice(v)));
+                ScanControl::Continue
+            })?;
             Ok(out)
         })
         .join()?
@@ -590,23 +655,18 @@ fn enumerate<S: KvStore>(
 /// Sends `pairs` as size-bounded `RESP_CHUNK` frames followed by
 /// `RESP_END`.
 fn stream_pairs(writer: &Mutex<TcpStream>, id: u64, pairs: &[(RoutedKey, Bytes)]) {
-    let mut chunk: Vec<(RoutedKey, Bytes)> = Vec::new();
+    let mut chunk_start = 0usize;
     let mut chunk_bytes = 0usize;
-    for (k, v) in pairs {
+    for (i, (k, v)) in pairs.iter().enumerate() {
         chunk_bytes += k.body().len() + v.len() + 16;
-        chunk.push((k.clone(), v.clone()));
-        if chunk_bytes >= proto::CHUNK_TARGET_BYTES {
-            if send(writer, proto::RESP_CHUNK, id, &proto::encode_pairs(&chunk)).is_err() {
+        if chunk_bytes >= proto::CHUNK_TARGET_BYTES || i + 1 == pairs.len() {
+            let chunk = proto::encode_pairs(&pairs[chunk_start..=i]);
+            if send(writer, proto::RESP_CHUNK, id, &chunk).is_err() {
                 return;
             }
-            chunk.clear();
+            chunk_start = i + 1;
             chunk_bytes = 0;
         }
-    }
-    if !chunk.is_empty()
-        && send(writer, proto::RESP_CHUNK, id, &proto::encode_pairs(&chunk)).is_err()
-    {
-        return;
     }
     let _ = send(writer, proto::RESP_END, id, &[]);
 }

@@ -35,10 +35,10 @@ const FRAME_KINDS: &[u8] = &[
     proto::REQ_CLEAR,
     proto::REQ_PART_LEN,
     proto::REQ_SCAN,
-    proto::REQ_DRAIN,
     proto::REQ_APPLY,
     proto::REQ_PUT_BATCH,
     proto::REQ_BIND_COMBINER,
+    proto::REQ_GET_BATCH,
     proto::REQ_RUN_TASK,
     proto::REQ_HELLO,
     proto::REQ_PING,

@@ -2,11 +2,14 @@
 //! [`NetStore`] over loopback TCP part servers produces **byte-identical**
 //! output to the same job on the in-process `MemStore`, and the run's
 //! step profiles report real network activity (`rpcs`, `net_bytes_in`,
-//! `net_bytes_out`).
+//! `net_bytes_out`) — in a number of round trips set by steps × parts,
+//! not by the size of the graph.
 
 use ripple::ebsp::step_profiles_json;
 use ripple::graph::generate::power_law_graph;
-use ripple::graph::pagerank::{read_ranks, run_direct, run_direct_on, PageRankConfig};
+use ripple::graph::pagerank::{
+    read_ranks, run_direct, run_direct_on, run_mapreduce_variant, PageRankConfig,
+};
 use ripple::prelude::*;
 
 /// Sorted (vertex, bit-exact rank) pairs — equality means byte-identical.
@@ -71,4 +74,71 @@ fn pagerank_over_loopback_matches_memstore_byte_for_byte() {
     // Whole-store totals agree with the claim too.
     let m = cluster.store.metrics();
     assert!(m.rpcs > 0 && m.net_bytes_in > 0 && m.net_bytes_out > 0);
+}
+
+/// The state-heavy variant: MapReduce-style PageRank round-trips every
+/// vertex through the state table each iteration (33 000 reads and as many
+/// writes here), all of it through the engine's read-ahead/write-behind
+/// state plane — over the wire as batch frames, in process as batch calls,
+/// byte-identical either way.
+#[test]
+fn mapreduce_pagerank_over_loopback_matches_memstore_byte_for_byte() {
+    let parts = 4u32;
+    let graph = power_law_graph(3300, 20_000, 0.8, 0xA11CE);
+    let config = PageRankConfig {
+        damping: 0.85,
+        iterations: 10,
+    };
+
+    let local_store = MemStore::builder().default_parts(parts).build();
+    let local = run_mapreduce_variant(&local_store, "pr", &graph, config).expect("local run");
+    assert_eq!(local.metrics.state_reads, 33_000);
+    assert_eq!(local.metrics.state_writes, 33_000);
+
+    let cluster = LoopbackCluster::spawn(parts as usize, parts);
+    let remote = run_mapreduce_variant(&cluster.store, "pr", &graph, config).expect("remote run");
+
+    assert_eq!(remote.steps, local.steps);
+    assert_eq!(remote.metrics.invocations, local.metrics.invocations);
+    assert_eq!(remote.metrics.state_reads, local.metrics.state_reads);
+    assert_eq!(remote.metrics.state_writes, local.metrics.state_writes);
+    let local_ranks = rank_bits(&local_store, "pr");
+    assert_eq!(local_ranks.len(), 3300);
+    assert_eq!(
+        rank_bits(&cluster.store, "pr"),
+        local_ranks,
+        "ranks diverged across the wire"
+    );
+}
+
+/// The RPC budget: every store operation of a superstep is part-granular,
+/// so a run costs round trips in proportion to steps × parts, whatever the
+/// vertex count — as long as a part's states fit one read-ahead window and
+/// one write-behind buffer, the count is *identical* across graph sizes.
+#[test]
+fn pagerank_rpc_count_is_set_by_steps_and_parts_not_by_vertices() {
+    let parts = 4u32;
+    let config = PageRankConfig {
+        damping: 0.85,
+        iterations: 3,
+    };
+    let rpcs_for = |vertices: u32| {
+        let graph = power_law_graph(vertices, u64::from(vertices) * 8, 0.8, 0xA11CE);
+        let cluster = LoopbackCluster::spawn(parts as usize, parts);
+        let outcome = run_direct(&cluster.store, "pr", &graph, config).expect("run");
+        assert_eq!(outcome.metrics.state_reads, u64::from(vertices));
+        assert_eq!(outcome.metrics.state_writes, u64::from(vertices));
+        (outcome.steps, outcome.metrics.store.rpcs)
+    };
+    let (steps, small) = rpcs_for(400);
+    let (_, large) = rpcs_for(1600);
+    assert_eq!(small, large, "rpcs grew with the vertex count");
+    // Per part and step: two drains (a scan and its delete ack each), the
+    // inbox batch, spills to at most `parts` servers, plus one state batch
+    // either way at the ends of the run; DDL and the loader on top.
+    let ceiling = u64::from(steps) * u64::from(parts) * 12;
+    assert!(
+        large <= ceiling && large < 200,
+        "{large} rpcs for {steps} steps x {parts} parts (ceiling {ceiling})"
+    );
 }

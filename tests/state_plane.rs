@@ -1,0 +1,529 @@
+//! The synchronized engine's part-granular state plane, seen from outside:
+//! write-behind and read-ahead must be invisible to a job (read-your-write,
+//! delete-after-write), must keep state ahead of the messages it produced,
+//! must heal through the retry policy like the point operations they
+//! replace — and must actually be part-granular: the number of store calls
+//! a part task issues does not grow with the number of components.
+
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
+
+use bytes::Bytes;
+use ripple::kv::{KvError, PartView, ScanControl, StoreMetrics, TaskHandle};
+use ripple::prelude::*;
+use ripple::store::{FaultKind, FaultOp, FaultPlan};
+use ripple::store_simple::SimpleStore;
+
+// ---------------------------------------------------------------------------
+// A store decorator that logs which SPI calls reach the inner store
+// ---------------------------------------------------------------------------
+
+/// One logged call: the calling thread, the operation, the table, and how
+/// many records the call carried.
+type Call = (ThreadId, &'static str, String, usize);
+
+#[derive(Clone)]
+struct Logged<S> {
+    inner: S,
+    log: Arc<Mutex<Vec<Call>>>,
+}
+
+#[derive(Clone)]
+struct LoggedTable<T> {
+    inner: T,
+    log: Arc<Mutex<Vec<Call>>>,
+}
+
+struct LoggedView<'a> {
+    inner: &'a dyn PartView,
+    log: &'a Mutex<Vec<Call>>,
+}
+
+fn record(log: &Mutex<Vec<Call>>, op: &'static str, table: &str, records: usize) {
+    log.lock()
+        .unwrap()
+        .push((std::thread::current().id(), op, table.to_owned(), records));
+}
+
+impl<S: KvStore> Logged<S> {
+    fn new(inner: S) -> Self {
+        Self {
+            inner,
+            log: Arc::default(),
+        }
+    }
+
+    fn wrap(&self, inner: S::Table) -> LoggedTable<S::Table> {
+        LoggedTable {
+            inner,
+            log: Arc::clone(&self.log),
+        }
+    }
+
+    fn calls(&self) -> Vec<Call> {
+        self.log.lock().unwrap().clone()
+    }
+}
+
+impl<T: Table> Table for LoggedTable<T> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn part_count(&self) -> u32 {
+        self.inner.part_count()
+    }
+    fn is_ubiquitous(&self) -> bool {
+        self.inner.is_ubiquitous()
+    }
+    fn partitioning_id(&self) -> u64 {
+        self.inner.partitioning_id()
+    }
+    fn get(&self, key: &RoutedKey) -> Result<Option<Bytes>, KvError> {
+        record(&self.log, "table.get", self.name(), 1);
+        self.inner.get(key)
+    }
+    fn put(&self, key: RoutedKey, value: Bytes) -> Result<Option<Bytes>, KvError> {
+        record(&self.log, "table.put", self.name(), 1);
+        self.inner.put(key, value)
+    }
+    fn put_batch(&self, pairs: Vec<(RoutedKey, Bytes)>) -> Result<(), KvError> {
+        record(&self.log, "table.put_batch", self.name(), pairs.len());
+        self.inner.put_batch(pairs)
+    }
+    fn delete(&self, key: &RoutedKey) -> Result<bool, KvError> {
+        record(&self.log, "table.delete", self.name(), 1);
+        self.inner.delete(key)
+    }
+    fn len(&self) -> Result<usize, KvError> {
+        self.inner.len()
+    }
+    fn clear(&self) -> Result<(), KvError> {
+        self.inner.clear()
+    }
+}
+
+impl PartView for LoggedView<'_> {
+    fn part(&self) -> PartId {
+        self.inner.part()
+    }
+    fn get(&self, table: &str, key: &RoutedKey) -> Result<Option<Bytes>, KvError> {
+        record(self.log, "get", table, 1);
+        self.inner.get(table, key)
+    }
+    fn get_batch(&self, table: &str, keys: &[RoutedKey]) -> Result<Vec<Option<Bytes>>, KvError> {
+        record(self.log, "get_batch", table, keys.len());
+        self.inner.get_batch(table, keys)
+    }
+    fn put(&self, table: &str, key: RoutedKey, value: Bytes) -> Result<Option<Bytes>, KvError> {
+        record(self.log, "put", table, 1);
+        self.inner.put(table, key, value)
+    }
+    fn put_batch(&self, table: &str, pairs: Vec<(RoutedKey, Bytes)>) -> Result<(), KvError> {
+        record(self.log, "put_batch", table, pairs.len());
+        self.inner.put_batch(table, pairs)
+    }
+    fn delete(&self, table: &str, key: &RoutedKey) -> Result<bool, KvError> {
+        record(self.log, "delete", table, 1);
+        self.inner.delete(table, key)
+    }
+    fn scan(
+        &self,
+        table: &str,
+        f: &mut dyn FnMut(&RoutedKey, &[u8]) -> ScanControl,
+    ) -> Result<(), KvError> {
+        self.inner.scan(table, f)
+    }
+    fn drain(
+        &self,
+        table: &str,
+        f: &mut dyn FnMut(RoutedKey, Bytes) -> ScanControl,
+    ) -> Result<(), KvError> {
+        record(self.log, "drain", table, 0);
+        self.inner.drain(table, f)
+    }
+    fn len(&self, table: &str) -> Result<usize, KvError> {
+        self.inner.len(table)
+    }
+}
+
+impl<S: KvStore> KvStore for Logged<S> {
+    type Table = LoggedTable<S::Table>;
+
+    fn create_table(&self, spec: &TableSpec) -> Result<Self::Table, KvError> {
+        self.inner.create_table(spec).map(|t| self.wrap(t))
+    }
+    fn create_table_like(&self, name: &str, like: &Self::Table) -> Result<Self::Table, KvError> {
+        self.inner
+            .create_table_like(name, &like.inner)
+            .map(|t| self.wrap(t))
+    }
+    fn lookup_table(&self, name: &str) -> Result<Self::Table, KvError> {
+        self.inner.lookup_table(name).map(|t| self.wrap(t))
+    }
+    fn drop_table(&self, name: &str) -> Result<(), KvError> {
+        self.inner.drop_table(name)
+    }
+    fn table_names(&self) -> Vec<String> {
+        self.inner.table_names()
+    }
+    fn run_at<R, F>(&self, reference: &Self::Table, part: PartId, task: F) -> TaskHandle<R>
+    where
+        R: Send + 'static,
+        F: FnOnce(&dyn PartView) -> R + Send + 'static,
+    {
+        let log = Arc::clone(&self.log);
+        self.inner.run_at(&reference.inner, part, move |view| {
+            task(&LoggedView {
+                inner: view,
+                log: &log,
+            })
+        })
+    }
+    fn metrics(&self) -> StoreMetrics {
+        self.inner.metrics()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Jobs
+// ---------------------------------------------------------------------------
+
+const TABLE: &str = "plane";
+
+/// Every component exercises the plane's read/write/delete interplay on
+/// its own state inside single invocations, and panics on the first
+/// observation a pass-through store would not have produced.
+struct ReadYourWrite;
+
+impl Job for ReadYourWrite {
+    type Key = u32;
+    type State = u64;
+    type Message = ();
+    type OutKey = ();
+    type OutValue = ();
+
+    fn state_tables(&self) -> Vec<String> {
+        vec![TABLE.to_owned()]
+    }
+
+    fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
+        let k = *ctx.key();
+        let loaded = u64::from(k) * 10;
+        match ctx.step() {
+            1 => {
+                assert_eq!(ctx.read_state(0)?, Some(loaded), "the loaded state");
+                ctx.write_state(0, &(loaded + 1))?;
+                assert_eq!(ctx.read_state(0)?, Some(loaded + 1), "read-your-write");
+                ctx.write_state(0, &(loaded + 2))?;
+                assert_eq!(ctx.read_state(0)?, Some(loaded + 2), "the later write wins");
+                if k % 2 == 1 {
+                    assert!(ctx.delete_state(0)?, "a buffered write counts as existing");
+                    assert_eq!(ctx.read_state(0)?, None, "deleted means gone");
+                    assert!(!ctx.delete_state(0)?, "nothing left to delete");
+                }
+                if k.is_multiple_of(3) {
+                    ctx.write_state(0, &(loaded + 3))?;
+                    assert_eq!(ctx.read_state(0)?, Some(loaded + 3), "write after delete");
+                }
+                Ok(true)
+            }
+            _ => {
+                // What step 1 left is what step 2 finds in the store.
+                assert_eq!(
+                    ctx.read_state(0)?,
+                    final_state(k),
+                    "state across the barrier"
+                );
+                Ok(false)
+            }
+        }
+    }
+}
+
+fn final_state(k: u32) -> Option<u64> {
+    let loaded = u64::from(k) * 10;
+    if k.is_multiple_of(3) {
+        Some(loaded + 3)
+    } else if k % 2 == 1 {
+        None
+    } else {
+        Some(loaded + 2)
+    }
+}
+
+/// A ring of counters: every step each component adds what it received to
+/// its state and passes its new state on — state read, state write and a
+/// message per invocation.
+struct Ring {
+    n: u32,
+    steps: u32,
+}
+
+impl Job for Ring {
+    type Key = u32;
+    type State = u64;
+    type Message = u64;
+    type OutKey = ();
+    type OutValue = ();
+
+    fn state_tables(&self) -> Vec<String> {
+        vec![TABLE.to_owned()]
+    }
+
+    fn properties(&self) -> JobProperties {
+        JobProperties {
+            deterministic: true,
+            ..JobProperties::default()
+        }
+    }
+
+    fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
+        let received: u64 = ctx.messages().iter().sum();
+        let state = ctx.read_state(0)?.unwrap_or(0) + received + 1;
+        ctx.write_state(0, &state)?;
+        if ctx.step() < self.steps {
+            ctx.send((*ctx.key() + 1) % self.n, state);
+        }
+        Ok(false)
+    }
+}
+
+fn load_keys<J: Job<Key = u32, State = u64>>(n: u32) -> Box<dyn Loader<J>> {
+    Box::new(FnLoader::new(move |sink: &mut dyn LoadSink<J>| {
+        for k in 0..n {
+            sink.state(0, k, u64::from(k) * 10)?;
+            sink.enable(k)?;
+        }
+        Ok(())
+    }))
+}
+
+fn raw_table<S: KvStore>(store: &S) -> Vec<(RoutedKey, Bytes)> {
+    let table = store.lookup_table(TABLE).expect("state table");
+    store
+        .snapshot_table(&table)
+        .expect("snapshot")
+        .entries()
+        .to_vec()
+}
+
+// ---------------------------------------------------------------------------
+// Tests
+// ---------------------------------------------------------------------------
+
+#[test]
+fn reads_see_buffered_writes_and_deletes_inside_one_invocation() {
+    let n = 60u32;
+    let store = MemStore::builder().default_parts(3).build();
+    let outcome = JobRunner::new(store.clone())
+        .launch(
+            Arc::new(ReadYourWrite),
+            RunOptions::new().loader(load_keys(n)),
+        )
+        .expect("run");
+    assert_eq!(outcome.steps, 2);
+
+    let table = store.lookup_table(TABLE).unwrap();
+    let exporter = Arc::new(CollectingExporter::<u32, u64>::new());
+    export_state_table(&store, &table, Arc::clone(&exporter)).unwrap();
+    let mut got = exporter.take();
+    got.sort_unstable();
+    let want: Vec<(u32, u64)> = (0..n)
+        .filter_map(|k| final_state(k).map(|s| (k, s)))
+        .collect();
+    assert_eq!(got, want);
+
+    // And the pass-through reference store ends byte-identical.
+    let simple = SimpleStore::new(3);
+    JobRunner::new(simple.clone())
+        .launch(
+            Arc::new(ReadYourWrite),
+            RunOptions::new().loader(load_keys(n)),
+        )
+        .expect("reference run");
+    assert_eq!(raw_table(&store), raw_table(&simple));
+}
+
+#[test]
+fn state_is_flushed_before_the_spills_it_produced() {
+    let store = Logged::new(MemStore::builder().default_parts(3).build());
+    JobRunner::new(store.clone())
+        .launch(
+            Arc::new(Ring { n: 90, steps: 4 }),
+            RunOptions::new().loader(load_keys(90)),
+        )
+        .expect("run");
+
+    // Per store thread (one compute task at a time runs on each): between
+    // the inbox drain that opens a compute task and the transport write
+    // that ends it, the state flush comes first — and never after.
+    let calls = store.calls();
+    let threads: std::collections::HashSet<ThreadId> = calls.iter().map(|c| c.0).collect();
+    let mut checked = 0;
+    for thread in threads {
+        let mut flushed_since_drain = false;
+        let mut spilled = false;
+        for (_, op, table, _) in calls.iter().filter(|c| c.0 == thread) {
+            match (*op, table.as_str()) {
+                ("drain", t) if t.starts_with("__ebsp_inbox") => {
+                    flushed_since_drain = false;
+                    spilled = false;
+                }
+                ("put_batch", TABLE) => {
+                    assert!(!spilled, "state written after the step's spills");
+                    flushed_since_drain = true;
+                }
+                ("table.put_batch", t) if t.starts_with("__ebsp_xport") => {
+                    if flushed_since_drain {
+                        checked += 1;
+                    }
+                    spilled = true;
+                }
+                _ => {}
+            }
+        }
+    }
+    assert!(
+        checked >= 9,
+        "3 parts × 3 sending steps spill after a flush"
+    );
+}
+
+#[test]
+fn store_calls_per_part_task_do_not_grow_with_the_component_count() {
+    let budget = |n: u32| {
+        let store = Logged::new(MemStore::builder().default_parts(3).build());
+        let outcome = JobRunner::new(store.clone())
+            .launch(
+                Arc::new(Ring { n, steps: 4 }),
+                RunOptions::new().loader(load_keys(n)),
+            )
+            .expect("run");
+        assert_eq!(outcome.metrics.state_reads, u64::from(n) * 4);
+        assert_eq!(outcome.metrics.state_writes, u64::from(n) * 4);
+        let calls = store.calls();
+        for (_, op, table, _) in &calls {
+            assert!(
+                !matches!(*op, "get" | "put" | "table.put" | "table.get"),
+                "per-record {op} on {table}"
+            );
+        }
+        let read: usize = calls
+            .iter()
+            .filter(|c| c.1 == "get_batch")
+            .map(|c| c.3)
+            .sum();
+        assert_eq!(read, n as usize * 4, "every state read came from a batch");
+        // The exact count the benchmark's decorator test pins per record
+        // (`benchmark/tests/traced_store.rs`), restated per batch: every
+        // loaded state and every state write reached the store, once.
+        let written: usize = calls
+            .iter()
+            .filter(|c| matches!(c.1, "put_batch" | "table.put_batch") && c.2 == TABLE)
+            .map(|c| c.3)
+            .sum();
+        assert_eq!(written as u64, u64::from(n) + outcome.metrics.state_writes);
+        calls.len()
+    };
+    // 30 and 300 components per part both fit one read-ahead window and
+    // one write-behind buffer: the same calls, ten times the records.
+    assert_eq!(budget(90), budget(900));
+}
+
+/// Components whose state is a 4 KiB block, read once.
+struct Blocks;
+
+const BLOCK: usize = 4 << 10;
+
+impl Job for Blocks {
+    type Key = u32;
+    type State = String;
+    type Message = ();
+    type OutKey = ();
+    type OutValue = ();
+
+    fn state_tables(&self) -> Vec<String> {
+        vec![TABLE.to_owned()]
+    }
+
+    fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
+        assert_eq!(ctx.read_state(0)?.map(|s| s.len()), Some(BLOCK));
+        Ok(false)
+    }
+}
+
+#[test]
+fn read_ahead_windows_shrink_to_a_byte_budget_for_large_states() {
+    let n = 700u32;
+    let store = Logged::new(MemStore::builder().default_parts(1).build());
+    let loader = FnLoader::new(move |sink: &mut dyn LoadSink<Blocks>| {
+        for k in 0..n {
+            sink.state(0, k, "b".repeat(BLOCK))?;
+            sink.enable(k)?;
+        }
+        Ok(())
+    });
+    JobRunner::new(store.clone())
+        .launch(Arc::new(Blocks), RunOptions::new().loader(Box::new(loader)))
+        .expect("run");
+
+    let windows: Vec<usize> = store
+        .calls()
+        .iter()
+        .filter(|c| c.1 == "get_batch" && c.2 == TABLE)
+        .map(|c| c.3)
+        .collect();
+    assert_eq!(windows.iter().sum::<usize>(), n as usize);
+    // The first window knows no state size and is bounded by key count;
+    // every later one holds at most the 256 KiB the write side buffers.
+    assert_eq!(windows[0], 512);
+    assert!(windows.len() > 2, "{windows:?}");
+    for window in &windows[1..] {
+        assert!(window * BLOCK <= 256 << 10, "{windows:?}");
+    }
+}
+
+#[test]
+fn transient_faults_on_state_batches_heal_to_the_reference_output() {
+    let n = 90u32;
+    let job = || Arc::new(Ring { n, steps: 6 });
+
+    let simple = SimpleStore::new(3);
+    JobRunner::new(simple.clone())
+        .launch(job(), RunOptions::new().loader(load_keys(n)))
+        .expect("reference run");
+
+    // Part views fail one get in fifty (a read-ahead batch loops over
+    // ~30) and two flushes in five.
+    let plan = FaultPlan::seeded(0x5EED)
+        .transient_gets(0.02)
+        .transient_puts(0.4);
+    let store = MemStore::builder()
+        .default_parts(3)
+        .fault_plan(plan)
+        .build();
+    let mut runner = JobRunner::new(store.clone());
+    runner.retry_policy(
+        RetryPolicy::default()
+            .max_attempts(16)
+            .base_delay(std::time::Duration::from_micros(10)),
+    );
+    let outcome = runner
+        .launch(job(), RunOptions::new().loader(load_keys(n)))
+        .expect("faulted run heals");
+
+    let trace = store.fault_trace();
+    let injected = |op: FaultOp| {
+        trace
+            .iter()
+            .filter(|r| r.kind == FaultKind::Transient && r.op == op)
+            .count()
+    };
+    assert!(
+        injected(FaultOp::Get) >= 1,
+        "no read-ahead fault: {trace:?}"
+    );
+    assert!(injected(FaultOp::Put) >= 1, "no flush fault: {trace:?}");
+    assert!(outcome.metrics.retries >= 2);
+    assert_eq!(raw_table(&store), raw_table(&simple));
+}
