@@ -3,7 +3,6 @@
 //! ```text
 //! ripple-bench compare <baseline.json> <candidate.json> [--threshold 0.30]
 //! ripple-bench show <trajectory.json>
-//! ripple-bench pushdown-gate <trajectory.json>
 //! ```
 //!
 //! `compare` pairs the latest record per `(workload, backend, parts)`
@@ -13,21 +12,15 @@
 //! run's `rpcs` count (exact for a pinned workload) grew at all.  The
 //! slack floors absorb timer noise near zero so a 2 ms workload cannot
 //! fail CI for becoming 3 ms.  Exit 2 on usage or malformed documents.
-//!
-//! `pushdown-gate` reads one trajectory holding both legs of the
-//! combiner-pushdown A/B (`table1 --store net` with and without
-//! `--no-pushdown`) and fails (exit 1) unless the pushdown leg shipped
-//! strictly fewer `net_bytes_out` and no more `rpcs`.
 
 use std::process::ExitCode;
 
 use ripple_bench::json::Json;
-use ripple_bench::trajectory::{compare, pushdown_gate, SCHEMA_VERSION};
+use ripple_bench::trajectory::{compare, SCHEMA_VERSION};
 
 fn usage() -> ExitCode {
     eprintln!("usage: ripple-bench compare <baseline.json> <candidate.json> [--threshold 0.30]");
     eprintln!("       ripple-bench show <trajectory.json>");
-    eprintln!("       ripple-bench pushdown-gate <trajectory.json>");
     ExitCode::from(2)
 }
 
@@ -41,35 +34,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("compare") => run_compare(&args[1..]),
         Some("show") => run_show(&args[1..]),
-        Some("pushdown-gate") => run_pushdown_gate(&args[1..]),
         _ => usage(),
-    }
-}
-
-fn run_pushdown_gate(args: &[String]) -> ExitCode {
-    let [path] = args else {
-        return usage();
-    };
-    let doc = match load(path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("ripple-bench: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match pushdown_gate(&doc) {
-        Ok(lines) => {
-            println!("pushdown gate over {path}:");
-            for line in &lines {
-                println!("  {line}");
-            }
-            println!("OK: combiner pushdown cuts wire traffic");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("PUSHDOWN GATE FAILED: {e}");
-            ExitCode::FAILURE
-        }
     }
 }
 

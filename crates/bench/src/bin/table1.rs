@@ -21,7 +21,7 @@
 //! Usage: `cargo run --release -p ripple-bench --bin table1 --
 //! [--scale 100] [--trials 5] [--iterations 10] [--parts 6]
 //! [--store mem|simple|disk|net] [--data-dir path] [--profile steps.json]
-//! [--bench-out BENCH_<date>.json] [--audit] [--no-pushdown]`
+//! [--bench-out BENCH_<date>.json] [--audit]`
 //!
 //! `--profile <path>` additionally runs one profiled direct ranking of the
 //! first graph shape and writes its per-step profiles (per-part compute
@@ -37,11 +37,6 @@
 //! variants (on the first graph shape) before timing anything and prints
 //! each report: declared vs. observed properties, violations, inferred
 //! stronger properties, and the execution-plan features they would unlock.
-//!
-//! `--no-pushdown` disables the engine's source-side combiner pushdown
-//! (`JobRunner::pushdown(false)`) for the timed trials and the profiled
-//! run, and tags the trajectory workload `table1/pagerank-direct-nopush`
-//! — the A/B leg the CI pushdown gate compares traffic against.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -88,7 +83,6 @@ fn run<S: KvStore>(
     let trials = args.get("trials", 5usize);
     let iterations = args.get("iterations", 10u32);
     let profile_path = args.get_opt::<String>("profile");
-    let pushdown = !args.has("no-pushdown");
     let bench_out = BenchOut::from_args(args, choice.name(), parts);
     let config = PageRankConfig {
         damping: 0.85,
@@ -169,8 +163,7 @@ fn run<S: KvStore>(
         let mut mr_io = 0;
 
         let direct_times = timed_trials(trials, |_| {
-            let mut runner = JobRunner::new(make_store());
-            runner.pushdown(pushdown);
+            let runner = JobRunner::new(make_store());
             let out = run_direct_on(&runner, "pr", &graph, config).expect("direct variant");
             direct_barriers = out.metrics.barriers;
             direct_io = out.metrics.state_reads + out.metrics.state_writes;
@@ -214,7 +207,7 @@ fn run<S: KvStore>(
         let graph = power_law_graph(vertices, edges, 0.8, 0xA11CE);
         let store = make_store();
         let mut runner = JobRunner::new(store);
-        runner.profile(true).pushdown(pushdown);
+        runner.profile(true);
         let out = run_direct_on(&runner, "pr_profiled", &graph, config).expect("profiled run");
         let profiles = out.profiles.as_deref().unwrap_or(&[]);
         if let Some(path) = profile_path {
@@ -229,15 +222,7 @@ fn run<S: KvStore>(
             );
         }
         if let Some(bench_out) = bench_out {
-            // The no-pushdown leg records under its own workload key, so
-            // one trajectory file holds both sides of the A/B and the CI
-            // pushdown gate can compare their traffic.
-            let workload = if pushdown {
-                "table1/pagerank-direct"
-            } else {
-                "table1/pagerank-direct-nopush"
-            };
-            bench_out.record(workload, trials, first_direct_mean, &out);
+            bench_out.record("table1/pagerank-direct", trials, first_direct_mean, &out);
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Shared harness for the experiment regenerators: one binary per table or
-//! figure of the paper's evaluation (see `DESIGN.md` §5 and
+//! figure of the paper's evaluation (see `DESIGN.md` §8 and
 //! `EXPERIMENTS.md`), plus small statistics and CLI helpers.
 //!
 //! Absolute numbers will not match the paper's 2013 testbed; the harness

@@ -483,73 +483,6 @@ pub fn compare(old: &Json, new: &Json, threshold: f64) -> Result<CompareReport, 
     Ok(report)
 }
 
-/// The workload key of the pushdown A/B's on leg.
-pub const PUSHDOWN_WORKLOAD: &str = "table1/pagerank-direct";
-/// The workload key of the pushdown A/B's off leg (`--no-pushdown`).
-pub const NOPUSH_WORKLOAD: &str = "table1/pagerank-direct-nopush";
-
-/// Gates the combiner-pushdown A/B inside one trajectory document: for
-/// every `(backend, parts)` configuration where both the pushdown leg
-/// ([`PUSHDOWN_WORKLOAD`]) and the `--no-pushdown` leg
-/// ([`NOPUSH_WORKLOAD`]) are present, the pushdown leg must ship
-/// strictly fewer `net_bytes_out` and no more `rpcs` — otherwise the
-/// pushdown machinery is dead weight and the gate fails.
-///
-/// Returns human-readable comparison lines on success.
-///
-/// # Errors
-///
-/// On malformed documents, when no configuration has both legs, or when
-/// a configuration's pushdown leg fails the traffic comparison.
-pub fn pushdown_gate(doc: &Json) -> Result<Vec<String>, String> {
-    let latest = latest_by_key(doc)?;
-    let run_num = |record: &Json, field: &str| -> Result<f64, String> {
-        record
-            .get("run")
-            .and_then(|r| r.num(field))
-            .ok_or_else(|| format!("record missing run.{field}"))
-    };
-    let mut lines = Vec::new();
-    for (key, on) in &latest {
-        let Some(config) = key.strip_prefix(&format!("{PUSHDOWN_WORKLOAD}|")) else {
-            continue;
-        };
-        let off_key = format!("{NOPUSH_WORKLOAD}|{config}");
-        let Some((_, off)) = latest.iter().find(|(k, _)| *k == off_key) else {
-            continue;
-        };
-        let (on_bytes, off_bytes) = (
-            run_num(on, "net_bytes_out")?,
-            run_num(off, "net_bytes_out")?,
-        );
-        let (on_rpcs, off_rpcs) = (run_num(on, "rpcs")?, run_num(off, "rpcs")?);
-        lines.push(format!(
-            "{config}: net_bytes_out {off_bytes:.0} -> {on_bytes:.0}, \
-             rpcs {off_rpcs:.0} -> {on_rpcs:.0}"
-        ));
-        // A backend with no wire (mem) reports zero bytes on both legs;
-        // only gate configurations that actually shipped traffic.
-        if off_bytes > 0.0 && on_bytes >= off_bytes {
-            return Err(format!(
-                "pushdown did not cut traffic on {config}: \
-                 net_bytes_out {on_bytes:.0} (on) vs {off_bytes:.0} (off)"
-            ));
-        }
-        if on_rpcs > off_rpcs {
-            return Err(format!(
-                "pushdown added round trips on {config}: \
-                 rpcs {on_rpcs:.0} (on) vs {off_rpcs:.0} (off)"
-            ));
-        }
-    }
-    if lines.is_empty() {
-        return Err(format!(
-            "no configuration carries both {PUSHDOWN_WORKLOAD} and {NOPUSH_WORKLOAD} legs"
-        ));
-    }
-    Ok(lines)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,62 +600,18 @@ mod tests {
         assert!(compare(&old, &doc(&[]), 0.25).is_err());
     }
 
-    fn ab_rec(workload: &str, backend: &str, bytes: u64, rpcs: u64) -> String {
-        format!(
-            "{{\"schema\":1,\"workload\":\"{workload}\",\"backend\":\"{backend}\",\"parts\":4,\
-             \"run\":{{\"net_bytes_out\":{bytes},\"rpcs\":{rpcs}}}}}"
-        )
-    }
-
-    #[test]
-    fn pushdown_gate_passes_when_traffic_drops() {
-        let traj = doc(&[
-            &ab_rec(PUSHDOWN_WORKLOAD, "net", 90_000, 300),
-            &ab_rec(NOPUSH_WORKLOAD, "net", 140_000, 300),
-        ]);
-        let lines = pushdown_gate(&traj).expect("gate passes");
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("net|4"), "{lines:?}");
-    }
-
-    #[test]
-    fn pushdown_gate_fails_when_traffic_grows() {
-        let traj = doc(&[
-            &ab_rec(PUSHDOWN_WORKLOAD, "net", 150_000, 300),
-            &ab_rec(NOPUSH_WORKLOAD, "net", 140_000, 300),
-        ]);
-        let err = pushdown_gate(&traj).expect_err("gate fails");
-        assert!(err.contains("did not cut traffic"), "{err}");
-
-        let traj = doc(&[
-            &ab_rec(PUSHDOWN_WORKLOAD, "net", 90_000, 400),
-            &ab_rec(NOPUSH_WORKLOAD, "net", 140_000, 300),
-        ]);
-        let err = pushdown_gate(&traj).expect_err("gate fails");
-        assert!(err.contains("added round trips"), "{err}");
-    }
-
-    #[test]
-    fn pushdown_gate_ignores_wireless_backends_but_needs_one_pair() {
-        // mem records carry zero net bytes on both legs: not a failure.
-        let traj = doc(&[
-            &ab_rec(PUSHDOWN_WORKLOAD, "mem", 0, 0),
-            &ab_rec(NOPUSH_WORKLOAD, "mem", 0, 0),
-        ]);
-        assert!(pushdown_gate(&traj).is_ok());
-        // But a document with no A/B pair at all is an error, not a pass.
-        let traj = doc(&[&ab_rec(PUSHDOWN_WORKLOAD, "net", 90_000, 300)]);
-        let err = pushdown_gate(&traj).expect_err("no pair");
-        assert!(err.contains("both"), "{err}");
-    }
-
     #[test]
     fn rpc_count_is_a_ceiling_not_a_threshold() {
-        let base = &ab_rec("a", "net", 0, 156);
-        let report = compare(&doc(&[base]), &doc(&[&ab_rec("a", "net", 0, 156)]), 2.0).unwrap();
+        let with_rpcs = |rpcs: u64| {
+            doc(&[&format!(
+                "{{\"schema\":1,\"workload\":\"a\",\"backend\":\"net\",\"parts\":4,\
+                 \"run\":{{\"net_bytes_out\":0,\"rpcs\":{rpcs}}}}}"
+            )])
+        };
+        let report = compare(&with_rpcs(156), &with_rpcs(156), 2.0).unwrap();
         assert!(report.regressions.is_empty(), "{:?}", report.regressions);
         // One extra round trip fails even under a 200% threshold.
-        let report = compare(&doc(&[base]), &doc(&[&ab_rec("a", "net", 0, 157)]), 2.0).unwrap();
+        let report = compare(&with_rpcs(156), &with_rpcs(157), 2.0).unwrap();
         assert_eq!(report.regressions.len(), 1);
         assert_eq!(report.regressions[0].metric, "rpcs");
     }

@@ -13,18 +13,15 @@
 //! runs*, reaching state through ordinary table handles (paying remote
 //! marshalling where non-local — cheap by the `rare-state` assumption).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
-use ripple_kv::{KvStore, PartId, RoutedKey};
+use ripple_kv::{KvStore, PartId, Table};
 use ripple_wire::from_wire;
 
-use crate::context::Outbox;
-use crate::engine::{write_spills, GlobalStateOps, JobEnv};
+use crate::engine::{GlobalStateOps, JobEnv, PartOutput, PartTask, Records};
 use crate::metrics::PartCounters;
-use crate::{AggValue, AggregateSnapshot, EbspError, Job};
+use crate::{AggregateSnapshot, EbspError, ExecMode, Job};
 
 /// How many inbox entries a worker steals per lock acquisition.
 const STEAL_BATCH: usize = 16;
@@ -33,137 +30,77 @@ const STEAL_BATCH: usize = 16;
 /// parts, returning merged aggregates and counters.
 pub(crate) fn run_compute_phase_anywhere<S: KvStore, J: Job>(
     env: &JobEnv<S, J>,
+    task: &Arc<PartTask<S::Table, J>>,
     step: u32,
     prev_agg: &AggregateSnapshot,
-    transport: &S::Table,
-    inbox_name: &str,
-    probe: Option<Arc<dyn crate::AuditProbe>>,
-    precombine: bool,
-) -> Result<(HashMap<String, AggValue>, PartCounters), EbspError> {
-    let parts = env.parts();
-
+) -> Result<PartOutput, EbspError> {
     // Phase A: every part drains its inbox and ships the entries to the
     // controller (this is the "distant from the state" traffic the
     // rare-state property declares cheap).
-    let drained: Vec<Vec<(RoutedKey, Bytes)>> = {
-        let inbox = inbox_name.to_owned();
+    let drained = {
+        let task = Arc::clone(task);
         env.store.run_at_all(&env.reference, move |view| {
-            let mut entries = Vec::new();
-            let _ = view.drain(&inbox, &mut |k, v| {
-                entries.push((k, v));
-                ripple_kv::ScanControl::Continue
-            });
-            entries
+            task.drain(view, task.temps().inbox.name())
         })?
     };
-    let mut queue: Vec<(RoutedKey, Bytes)> = drained.into_iter().flatten().collect();
+    let mut queue = Records::new();
+    for entries in drained {
+        queue.extend(entries?);
+    }
     // Deterministic stealing order (matters for deterministic replay).
     queue.sort_by(|a, b| a.0.cmp(&b.0));
     let queue = Arc::new(Mutex::new(queue));
 
     // Phase B: one stealing worker per part.
-    let handles: Vec<_> = (0..parts)
+    let handles: Vec<_> = (0..task.parts)
         .map(|p| {
-            let job = Arc::clone(&env.job);
+            let task = Arc::clone(task);
             let queue = Arc::clone(&queue);
-            let transport = transport.clone();
-            let registry = env.registry.clone();
             let prev = prev_agg.clone();
-            let direct = env.direct.clone();
-            let probe = probe.clone();
-            let ops = GlobalStateOps::<S> {
+            let ops = GlobalStateOps {
                 tables: env.tables.clone(),
                 broadcast: env
                     .broadcast_name
                     .as_ref()
                     .and_then(|n| env.store.lookup_table(n).ok()),
             };
-            env.store.run_at(
-                &env.reference,
-                PartId(p),
-                move |view| -> Result<(HashMap<String, AggValue>, PartCounters), EbspError> {
-                    let part = view.part();
-                    let mut out = Outbox::<J>::new();
-                    loop {
-                        let batch: Vec<(RoutedKey, Bytes)> = {
-                            let mut q = queue.lock();
-                            let take = q.len().min(STEAL_BATCH);
-                            if take == 0 {
-                                break;
-                            }
-                            let at = q.len() - take;
-                            q.split_off(at)
-                        };
-                        for (routed, bytes) in batch {
-                            let key: J::Key = from_wire(routed.body())?;
-                            let messages: Vec<J::Message> = from_wire(&bytes)?;
-                            out.metrics.invocations += 1;
-                            let key_bytes = probe.as_deref().map(|p| {
-                                p.on_invocation(step, part.0, routed.body());
-                                routed.body().clone()
-                            });
-                            let mut ctx = crate::ComputeContext {
-                                step,
-                                mode: crate::ExecMode::Synchronized,
-                                part,
-                                key: key.clone(),
-                                routed,
-                                messages,
-                                ops: &ops,
-                                out: &mut out,
-                                registry: &registry,
-                                prev_agg: &prev,
-                                direct: direct.as_deref(),
-                                probe: probe.as_deref(),
-                            };
-                            let cont = job.compute(&mut ctx)?;
-                            if let (Some(p), Some(kb)) = (probe.as_deref(), &key_bytes) {
-                                p.on_continue(step, part.0, kb, cont);
-                            }
-                            if cont {
-                                // run-anywhere implies no-collect implies
-                                // no-continue; the plan guaranteed this.
-                                return Err(EbspError::PropertyViolation {
-                                    property: "no-continue",
-                                    detail: "compute returned the positive continue signal"
-                                        .to_owned(),
-                                });
-                            }
+            env.store.run_at(&env.reference, PartId(p), move |view| {
+                let part = view.part();
+                // run-anywhere implies no-collect implies no-continue, so
+                // the invocation core rejects every positive continue signal.
+                let mut invoker = task.invoker(ExecMode::Synchronized, part, &ops, &prev);
+                loop {
+                    let batch: Records = {
+                        let mut q = queue.lock();
+                        let take = q.len().min(STEAL_BATCH);
+                        if take == 0 {
+                            break;
                         }
+                        let at = q.len() - take;
+                        q.split_off(at)
+                    };
+                    for (routed, bytes) in batch {
+                        let key: J::Key = from_wire(routed.body())?;
+                        let messages: Vec<J::Message> = from_wire(&bytes)?;
+                        invoker.invoke(step, key, routed, messages)?;
                     }
-                    let envelopes = std::mem::take(&mut out.envelopes);
-                    write_spills(
-                        &*job,
-                        &transport,
-                        parts,
-                        step,
-                        part.0,
-                        envelopes,
-                        &mut out.metrics,
-                        None,
-                        precombine,
-                    )?;
-                    Ok((out.agg, out.metrics))
-                },
-            )
+                }
+                task.finish_compute(step, part.0, invoker.out)
+            })
         })
         .collect();
 
-    let mut aggs = env.registry.identities();
-    let mut counters = PartCounters::default();
+    let mut output = (env.registry.identities(), PartCounters::default());
     let mut first_err: Option<EbspError> = None;
     for handle in handles {
-        match handle.join() {
-            Ok(Ok((partial, c))) => {
-                env.registry.merge(&mut aggs, partial);
-                counters.merge(&c);
-            }
-            Ok(Err(e)) => first_err = Some(first_err.unwrap_or(e)),
-            Err(e) => first_err = Some(first_err.unwrap_or(EbspError::Kv(e))),
+        match handle
+            .join()
+            .map_err(EbspError::Kv)
+            .and_then(|result| result)
+        {
+            Ok(part) => task.merge_output(&mut output, part),
+            Err(e) => first_err = first_err.or(Some(e)),
         }
     }
-    match first_err {
-        None => Ok((aggs, counters)),
-        Some(e) => Err(e),
-    }
+    first_err.map_or(Ok(output), Err)
 }

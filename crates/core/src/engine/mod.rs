@@ -1,4 +1,18 @@
-//! The K/V EBSP execution engines and their shared plumbing.
+//! The K/V EBSP execution engines and the part-task plumbing they share.
+//!
+//! An engine is a scheduling policy: *when and where* the same `compute`
+//! invocation runs.  Everything else lives here, once:
+//!
+//! * [`PartTask`] — the one context a part task carries: every value that
+//!   is constant for a run.  Its methods are the message plane (spill,
+//!   inbox build, state creations, aggregator partials) and take only what
+//!   varies per call.
+//! * [`Invoker`] — the one invocation core: context construction, audit
+//!   probes, `Job::compute`, continue-signal enforcement.
+//!
+//! [`sync`] adds the barrier, checkpoints, rollback and fast recovery;
+//! [`anywhere`] the steal queue; [`nosync`] queue sets, termination
+//! weights and worker self-healing.
 
 pub(crate) mod anywhere;
 pub(crate) mod nosync;
@@ -9,19 +23,19 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use ripple_kv::{KvError, KvStore, PartView, RoutedKey, Table};
+use ripple_kv::{KvError, KvStore, PartId, PartView, RoutedKey, ScanControl, Table};
 use ripple_wire::{from_wire, to_wire, Encode};
 
 use crate::context::{Outbox, StateOps};
 use crate::metrics::PartCounters;
 use crate::retry::{kv_with_retry, FaultRetry};
 use crate::{
-    key_to_routed, AggValue, AggregatorRegistry, EbspError, Envelope, ExecutionPlan, Exporter, Job,
-    LoadSink,
+    key_to_routed, AggValue, AggregateSnapshot, AggregatorRegistry, AuditProbe, EbspError,
+    Envelope, ExecMode, ExecutionPlan, Exporter, Job, LoadSink, Loader, TaskGate,
 };
 
-/// Everything about one job run that both engines (and every part task)
-/// need: the store, job, plan, table handles, registry, and exporters.
+/// Everything about one job run that the controller side of an engine
+/// needs: the store, job, plan, table handles, registry, and exporters.
 pub(crate) struct JobEnv<S: KvStore, J: Job> {
     pub(crate) store: S,
     pub(crate) job: Arc<J>,
@@ -40,6 +54,590 @@ impl<S: KvStore, J: Job> JobEnv<S, J> {
     }
 }
 
+/// Encoded `(key, value)` records as the store hands them over.
+pub(crate) type Records = Vec<(RoutedKey, Bytes)>;
+
+/// What one compute part task hands back to the controller: aggregator
+/// partials and work counters.
+pub(crate) type PartOutput = (HashMap<String, AggValue>, PartCounters);
+
+/// The temporary tables of a synchronized run.
+pub(crate) struct TempTables<T> {
+    /// Spill batches keyed `(step, src, seq)`, routed to their destination.
+    pub(crate) transport: T,
+    /// The next step's per-component message lists.
+    pub(crate) inbox: T,
+    /// Large-aggregator path (§IV-A): per-part partials, merged results.
+    pub(crate) agg: Option<(T, T)>,
+}
+
+/// The inputs of a fast-recovery replay of one part through one step.
+pub(crate) struct Replay {
+    /// The step's recorded inbox at the part, computed in place of the
+    /// inbox table.
+    pub(crate) entries: Records,
+    /// Replays a *past* step purely for its state effects: its sends,
+    /// aggregator partials and direct outputs already happened in the
+    /// original execution and are dropped so they cannot duplicate.
+    pub(crate) suppress: bool,
+}
+
+/// The part-task context: everything that is constant for one run, shared
+/// (behind an `Arc`) by every part task of every phase under every
+/// scheduler.  A value a part task newly needs is one field here.
+pub(crate) struct PartTask<T: Table, J: Job> {
+    pub(crate) job: Arc<J>,
+    pub(crate) plan: ExecutionPlan,
+    pub(crate) table_names: Arc<Vec<String>>,
+    pub(crate) broadcast_name: Option<String>,
+    pub(crate) registry: AggregatorRegistry,
+    pub(crate) direct: Option<Arc<dyn Exporter<J::OutKey, J::OutValue>>>,
+    pub(crate) parts: u32,
+    /// Absorbs transient store faults on every store call a task makes.
+    pub(crate) retry: Arc<FaultRetry>,
+    /// Audit instrumentation ([`RunOptions::audit`](crate::RunOptions::audit)).
+    pub(crate) probe: Option<Arc<dyn AuditProbe>>,
+    /// Replaces invocation ordering with a seeded permutation
+    /// ([`RunOptions::shuffle_delivery`](crate::RunOptions::shuffle_delivery)).
+    pub(crate) shuffle: Option<u64>,
+    /// Permit gate bracketing every synchronized part task
+    /// ([`JobRunner::task_gate`](crate::JobRunner::task_gate)).
+    pub(crate) gate: Option<Arc<dyn TaskGate>>,
+    /// Set by the synchronized engine; unsynchronized runs exchange
+    /// messages through a queue set instead.
+    pub(crate) temps: Option<TempTables<T>>,
+}
+
+impl<T: Table, J: Job> PartTask<T, J> {
+    /// The context of a run over `env`: no temporaries, shuffle or gate.
+    pub(crate) fn new<S: KvStore<Table = T>>(
+        env: &JobEnv<S, J>,
+        retry: Arc<FaultRetry>,
+        probe: Option<Arc<dyn AuditProbe>>,
+    ) -> Self {
+        Self {
+            job: Arc::clone(&env.job),
+            plan: env.plan,
+            table_names: Arc::clone(&env.table_names),
+            broadcast_name: env.broadcast_name.clone(),
+            registry: env.registry.clone(),
+            direct: env.direct.clone(),
+            parts: env.parts(),
+            retry,
+            probe,
+            shuffle: None,
+            gate: None,
+            temps: None,
+        }
+    }
+
+    pub(crate) fn temps(&self) -> &TempTables<T> {
+        self.temps
+            .as_ref()
+            .expect("a synchronized run creates its temporaries before any part task")
+    }
+
+    /// Runs `op` under the run's retry policy, attributing retries to `part`.
+    pub(crate) fn retried<R>(
+        &self,
+        part: u32,
+        op: impl FnMut() -> Result<R, KvError>,
+    ) -> Result<R, KvError> {
+        kv_with_retry(&self.retry, part, op)
+    }
+
+    /// Drains this part's slice of `table`.  The accumulator lives inside
+    /// the retry closure so a drain that fails transiently (e.g. a severed
+    /// connection mid-stream) starts each attempt from a clean slate — no
+    /// pair is delivered twice.
+    pub(crate) fn drain(&self, view: &dyn PartView, table: &str) -> Result<Records, KvError> {
+        self.retried(view.part().0, || {
+            let mut acc = Records::new();
+            view.drain(table, &mut |key, value| {
+                acc.push((key, value));
+                ScanControl::Continue
+            })?;
+            Ok(acc)
+        })
+    }
+
+    /// Collocated state access through `view`.
+    pub(crate) fn local_ops<'a>(&'a self, view: &'a dyn PartView) -> LocalStateOps<'a> {
+        LocalStateOps {
+            view,
+            tables: &self.table_names,
+            broadcast: self.broadcast_name.as_deref(),
+            retry: &self.retry,
+        }
+    }
+
+    /// An invocation core for one part task (or one worker round) running
+    /// at `part` with state access through `ops`.
+    pub(crate) fn invoker<'a>(
+        &'a self,
+        mode: ExecMode,
+        part: PartId,
+        ops: &'a dyn StateOps,
+        prev_agg: &'a AggregateSnapshot,
+    ) -> Invoker<'a, J> {
+        Invoker {
+            job: &self.job,
+            registry: &self.registry,
+            no_continue: self.job.properties().no_continue,
+            mode,
+            part,
+            ops,
+            prev_agg,
+            direct: self.direct.as_deref(),
+            probe: self.probe.as_deref(),
+            out: Outbox::new(),
+        }
+    }
+
+    /// Folds one part task's output into the phase's running total.
+    pub(crate) fn merge_output(&self, into: &mut PartOutput, (partial, counters): PartOutput) {
+        self.registry.merge(&mut into.0, partial);
+        into.1.merge(&counters);
+    }
+
+    /// Groups `envelopes` by destination part and writes one spill batch
+    /// per non-empty destination into the transport table, keyed
+    /// `(step, src, seq)` and routed to the destination part.  Same-key
+    /// messages are first folded at the source ([`precombine_envelopes`]),
+    /// and all destination records flush through a single
+    /// [`Table::put_batch`] call, so a batching store ships one coalesced
+    /// frame per destination server instead of one RPC per destination part.
+    pub(crate) fn write_spills(
+        &self,
+        step: u32,
+        src: u32,
+        envelopes: Vec<Envelope<J>>,
+        counters: &mut PartCounters,
+    ) -> Result<(), EbspError> {
+        let envelopes = precombine_envelopes(&*self.job, envelopes, counters);
+        if envelopes.is_empty() {
+            return Ok(());
+        }
+        let mut by_dst: Vec<Vec<Envelope<J>>> = (0..self.parts).map(|_| Vec::new()).collect();
+        for env in envelopes {
+            let dst = dst_part(env.key(), self.parts) as usize;
+            by_dst[dst].push(env);
+        }
+        let mut records = Records::new();
+        for (dst, batch) in by_dst.into_iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            let body = to_wire(&(step, src, counters.spill_batches));
+            let key = RoutedKey::with_route(dst as u64, body.to_vec().into());
+            records.push((key, to_wire(&batch)));
+            counters.spill_batches += 1;
+        }
+        // Keys are unique per (step, src, seq), so replaying the whole batch
+        // after a transient failure is idempotent.
+        let transport = &self.temps().transport;
+        self.retried(src, || transport.put_batch(records.clone()))?;
+        Ok(())
+    }
+
+    /// Drains this part's slice of the transport table and builds the inbox
+    /// for the next step: per-component message lists (combined pairwise where
+    /// the job's combiner applies), continue-enabled components, and applied
+    /// state creations.  Returns the number of enabled components, the
+    /// counters, and — when `record` is set — the materialized inbox entries,
+    /// which the synchronized engine keeps controller-side as the replay log
+    /// for fast single-part recovery.
+    pub(crate) fn build_inbox(
+        &self,
+        view: &dyn PartView,
+        record: bool,
+    ) -> Result<(u64, PartCounters, Records), EbspError> {
+        let temps = self.temps();
+        let part = view.part().0;
+        let mut counters = PartCounters::default();
+        // Order spills deterministically by (step, src, seq) so that replay
+        // after recovery sees identical message orders.
+        let mut batches: Vec<((u32, u32, u64), Bytes)> = self
+            .drain(view, temps.transport.name())?
+            .into_iter()
+            .filter_map(|(key, value)| Some((from_wire(key.body()).ok()?, value)))
+            .collect();
+        batches.sort_by_key(|(tag, _)| *tag);
+        // Spills tagged with step s are delivered for step s + 1; loader
+        // spills (tagged 0) feed step 1.
+        let deliver_step = batches
+            .iter()
+            .map(|((s, _, _), _)| s + 1)
+            .max()
+            .unwrap_or(1);
+
+        // Fold envelopes into per-component inboxes, preserving arrival order
+        // and applying the pairwise combiner opportunistically.
+        let mut inbox: HashMap<J::Key, Vec<J::Message>> = HashMap::new();
+        let mut creates: Vec<(u16, J::Key, J::State)> = Vec::new();
+        for (_, bytes) in batches {
+            let envelopes: Vec<Envelope<J>> = from_wire(&bytes)?;
+            for env in envelopes {
+                match env {
+                    Envelope::Message { to, msg } => {
+                        inbox.entry(to).or_default().push(msg);
+                    }
+                    Envelope::Continue { key } => {
+                        inbox.entry(key).or_default();
+                    }
+                    Envelope::Create { tab, key, state } => creates.push((tab, key, state)),
+                }
+            }
+        }
+
+        // Apply the pairwise combiner per component.  "The platform may combine
+        // some of them by one or more invocations (at arbitrary times and
+        // places)"; a single adjacent-pair pass over the arrival-ordered list
+        // is one such choice.
+        for (key, list) in inbox.iter_mut() {
+            if list.len() < 2 {
+                continue;
+            }
+            let mut combined: Vec<J::Message> = Vec::with_capacity(list.len());
+            for msg in list.drain(..) {
+                match combined.last_mut() {
+                    Some(last) => match self.job.combine_messages(key, last, &msg) {
+                        Some(merged) => {
+                            *last = merged;
+                            counters.messages_combined += 1;
+                        }
+                        None => combined.push(msg),
+                    },
+                    None => combined.push(msg),
+                }
+            }
+            *list = combined;
+        }
+
+        self.apply_creates(view, creates)?;
+
+        // Audit the post-combine delivery counts — the `one-msg` contract is
+        // about what arrives per (key, step) after combining, not about how
+        // many raw sends targeted the key.
+        if let Some(probe) = &self.probe {
+            for (key, list) in &inbox {
+                probe.on_deliver(deliver_step, part, &to_wire(key), list.len() as u32);
+            }
+        }
+
+        // Enforce one-msg when the plan dropped collection.
+        if !self.plan.collect {
+            for (_key, list) in inbox.iter() {
+                if list.len() > 1 {
+                    return Err(EbspError::PropertyViolation {
+                        property: "one-msg",
+                        detail: format!("{} messages arrived for one key in one step", list.len()),
+                    });
+                }
+            }
+        }
+
+        // Materialize the inbox table: one entry per enabled component, all
+        // flushed through one batched write (keys are unique, so a retried
+        // batch is idempotent).
+        let enabled = inbox.len() as u64;
+        let mut records = Records::with_capacity(inbox.len());
+        for (key, msgs) in inbox {
+            records.push((key_to_routed(&key), to_wire(&msgs)));
+        }
+        self.retried(part, || view.put_batch(temps.inbox.name(), records.clone()))?;
+        let recorded = if record { records } else { Vec::new() };
+        Ok((enabled, counters, recorded))
+    }
+
+    /// Applies the state creations delivered to this part, merging each with
+    /// the resident state (and with other creations of the same key, in
+    /// arrival order) through the job's `combine_states`.  Resident states are
+    /// read one `get_batch` per window of distinct keys and the merged states
+    /// written behind, so creations cost bulk transfers, not a get and a put
+    /// each.
+    pub(crate) fn apply_creates(
+        &self,
+        view: &dyn PartView,
+        creates: Vec<(u16, J::Key, J::State)>,
+    ) -> Result<(), EbspError> {
+        if creates.is_empty() {
+            return Ok(());
+        }
+        let table_names = &self.table_names[..];
+        let part = view.part().0;
+        // Per table, the distinct keys in first-seen order with their states.
+        let mut slots: HashMap<(usize, RoutedKey), usize> = HashMap::new();
+        let mut by_table: Vec<Vec<Creations<J>>> = table_names.iter().map(|_| Vec::new()).collect();
+        for (tab, key, state) in creates {
+            let tab = tab as usize;
+            let targets = by_table.get_mut(tab).ok_or(EbspError::StateTableIndex {
+                index: tab,
+                tables: table_names.len(),
+            })?;
+            let routed = key_to_routed(&key);
+            let slot = *slots.entry((tab, routed.clone())).or_insert_with(|| {
+                targets.push(Creations {
+                    routed,
+                    key,
+                    states: Vec::new(),
+                });
+                targets.len() - 1
+            });
+            targets[slot].states.push(state);
+        }
+        let put_batch = |tab: usize, records: Records| {
+            self.retried(part, || view.put_batch(&table_names[tab], records.clone()))
+        };
+        let mut writes = plane::WriteBehind::new(table_names.len());
+        for (tab, mut targets) in by_table.into_iter().enumerate() {
+            let mut rest = targets.as_mut_slice();
+            let mut next = plane::READ_AHEAD_KEYS;
+            while !rest.is_empty() {
+                let (window, tail) = rest.split_at_mut(next.min(rest.len()));
+                rest = tail;
+                let keys: Vec<RoutedKey> = window.iter().map(|c| c.routed.clone()).collect();
+                let resident = self.retried(part, || view.get_batch(&table_names[tab], &keys))?;
+                next = plane::next_window(&resident);
+                for (creations, resident) in window.iter_mut().zip(resident) {
+                    let mut merged: Option<J::State> = match resident {
+                        Some(bytes) => Some(from_wire(&bytes)?),
+                        None => None,
+                    };
+                    for state in creations.states.drain(..) {
+                        merged = Some(match merged {
+                            Some(old) => self.job.combine_states(&creations.key, old, state),
+                            None => state,
+                        });
+                    }
+                    let merged = merged.expect("every slot holds at least one creation");
+                    if let Some(full) = writes.push(tab, creations.routed.clone(), to_wire(&merged))
+                    {
+                        put_batch(tab, full)?;
+                    }
+                }
+            }
+        }
+        for (tab, records) in writes.take_all() {
+            put_batch(tab, records)?;
+        }
+        Ok(())
+    }
+
+    /// Runs the pinned compute invocations of one part for one step: drains
+    /// the inbox (or takes the `replay` entries of a fast recovery), invokes
+    /// the enabled components — sorted by key iff the plan says so — and
+    /// spills what they sent.
+    pub(crate) fn compute(
+        &self,
+        view: &dyn PartView,
+        step: u32,
+        prev_agg: &AggregateSnapshot,
+        replay: Option<Replay>,
+    ) -> Result<PartOutput, EbspError> {
+        let part = view.part();
+        let replaying = replay.is_some();
+        let (entries, suppress) = match replay {
+            Some(replay) => (replay.entries, replay.suppress),
+            None => (self.drain(view, self.temps().inbox.name())?, false),
+        };
+        let mut decoded: Vec<(J::Key, RoutedKey, Vec<J::Message>)> =
+            Vec::with_capacity(entries.len());
+        for (routed, bytes) in entries {
+            let key: J::Key = from_wire(routed.body())?;
+            let msgs: Vec<J::Message> = from_wire(&bytes)?;
+            decoded.push((key, routed, msgs));
+        }
+        if let Some(seed) = self.shuffle {
+            // Audit mode: a deterministic Fisher–Yates permutation keyed by
+            // (seed, step, part) *replaces* the plan's ordering, so a job whose
+            // output survives several seeds demonstrably does not depend on
+            // invocation order.  Sort first: the permutation must be a pure
+            // function of (seed, step, part), not of the store's iteration
+            // order, or same-seed runs would not be comparable.
+            decoded.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut state = seed
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(u64::from(step) << 32)
+                .wrapping_add(u64::from(part.0))
+                | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            for i in (1..decoded.len()).rev() {
+                let j = (next() % (i as u64 + 1)) as usize;
+                decoded.swap(i, j);
+            }
+        } else if self.plan.sort {
+            decoded.sort_by(|a, b| a.0.cmp(&b.0));
+        }
+
+        let ops = plane::StatePlane::new(
+            self.local_ops(view),
+            decoded
+                .iter()
+                .map(|(_, routed, _)| routed.clone())
+                .collect(),
+        );
+        let mut invoker = self.invoker(ExecMode::Synchronized, part, &ops, prev_agg);
+        if replaying {
+            // Replay never re-fires audit probes: it would double-count
+            // observations.
+            invoker.probe = None;
+        }
+        if suppress {
+            invoker.direct = None;
+        }
+        for (at, (key, routed, messages)) in decoded.into_iter().enumerate() {
+            ops.begin(at);
+            invoker.invoke(step, key, routed, messages)?;
+        }
+        let out = invoker.out;
+        // State before messages: once this step's spills are visible, the
+        // states that produced them are too.
+        ops.flush()?;
+        if suppress {
+            return Ok((HashMap::new(), out.metrics));
+        }
+        self.finish_compute(step, part.0, out)
+    }
+
+    /// Ends a compute task at `part`: spills the envelopes its invocations
+    /// produced and hands back its aggregator partials and counters.
+    pub(crate) fn finish_compute(
+        &self,
+        step: u32,
+        part: u32,
+        mut out: Outbox<J>,
+    ) -> Result<PartOutput, EbspError> {
+        let envelopes = std::mem::take(&mut out.envelopes);
+        self.write_spills(step, part, envelopes, &mut out.metrics)?;
+        // Large-aggregator path (§IV-A): rather than returning partials to the
+        // table client, write them into an auxiliary table keyed (and routed)
+        // by aggregator name; a later enumeration round merges them.
+        if let Some((partials, _)) = &self.temps().agg {
+            let records: Records = std::mem::take(&mut out.agg)
+                .into_iter()
+                .map(|(name, value)| {
+                    let route = key_to_routed(&name).route();
+                    let body = to_wire(&(name, part));
+                    (
+                        RoutedKey::with_route(route, body.to_vec().into()),
+                        to_wire(&value),
+                    )
+                })
+                .collect();
+            // Keys `(name, part)` are unique, so resending the whole batch
+            // after a transient failure is idempotent.
+            self.retried(part, || partials.put_batch(records.clone()))?;
+        }
+        Ok((out.agg, out.metrics))
+    }
+
+    /// The merge-and-redistribute round of the large-aggregator path: every
+    /// part folds the partials whose aggregator names route to it, records the
+    /// merged value in the second auxiliary table, and reports it back.
+    pub(crate) fn merge_aggregates(
+        &self,
+        view: &dyn PartView,
+    ) -> Result<Vec<(String, AggValue)>, EbspError> {
+        let (partials, results) = self
+            .temps()
+            .agg
+            .as_ref()
+            .expect("only the large-aggregator path runs a merge round");
+        let mut merged: HashMap<String, AggValue> = HashMap::new();
+        for (key, value_bytes) in self.drain(view, partials.name())? {
+            let (name, _src): (String, u32) = from_wire(key.body())?;
+            let value: AggValue = from_wire(&value_bytes)?;
+            self.registry.fold(&mut merged, &name, value)?;
+        }
+        for (name, value) in &merged {
+            self.retried(view.part().0, || {
+                view.put(results.name(), key_to_routed(name), to_wire(value))
+                    .map(|_| ())
+            })?;
+        }
+        Ok(merged.into_iter().collect())
+    }
+}
+
+/// The one invocation core.  A part task (or an unsynchronized worker
+/// round) builds one through [`PartTask::invoker`], calls
+/// [`Invoker::invoke`] per enabled component, and takes the accumulated
+/// [`Outbox`] — envelopes, aggregator partials, counters — when done.
+pub(crate) struct Invoker<'a, J: Job> {
+    job: &'a J,
+    registry: &'a AggregatorRegistry,
+    no_continue: bool,
+    mode: ExecMode,
+    part: PartId,
+    ops: &'a dyn StateOps,
+    prev_agg: &'a AggregateSnapshot,
+    direct: Option<&'a dyn Exporter<J::OutKey, J::OutValue>>,
+    probe: Option<&'a dyn AuditProbe>,
+    pub(crate) out: Outbox<J>,
+}
+
+impl<J: Job> Invoker<'_, J> {
+    /// Invokes the component `key` with `messages`.  A positive continue
+    /// signal violates a declared `no-continue`; otherwise it re-enables
+    /// the component for the next step — which only exists under barriers,
+    /// so without them it is ignored (components re-run when messages
+    /// arrive).
+    pub(crate) fn invoke(
+        &mut self,
+        step: u32,
+        key: J::Key,
+        routed: RoutedKey,
+        messages: Vec<J::Message>,
+    ) -> Result<(), EbspError> {
+        let part = self.part;
+        self.out.metrics.invocations += 1;
+        // Keep the encoded key on hand for the post-compute probe call;
+        // `routed` itself moves into the context.
+        let key_bytes = self.probe.map(|p| {
+            p.on_invocation(step, part.0, routed.body());
+            routed.body().clone()
+        });
+        let mut ctx = crate::ComputeContext {
+            step,
+            mode: self.mode,
+            part,
+            key: key.clone(),
+            routed,
+            messages,
+            ops: self.ops,
+            out: &mut self.out,
+            registry: self.registry,
+            prev_agg: self.prev_agg,
+            direct: self.direct,
+            probe: self.probe,
+        };
+        let cont = self.job.compute(&mut ctx)?;
+        if let (Some(p), Some(kb)) = (self.probe, &key_bytes) {
+            // Before the no-continue enforcement below, so the audit
+            // recorder holds the evidence when the engine aborts the run.
+            p.on_continue(step, part.0, kb, cont);
+        }
+        if cont {
+            if self.no_continue {
+                return Err(EbspError::PropertyViolation {
+                    property: "no-continue",
+                    detail: "compute returned the positive continue signal".to_owned(),
+                });
+            }
+            if self.mode == ExecMode::Synchronized {
+                self.out.envelopes.push(Envelope::Continue { key });
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Collocated, pass-through state access for pinned execution: one store
 /// call per operation.  The unsynchronized engine uses it as is; the
 /// synchronized engine wraps it in a [`plane::StatePlane`].  Transient
@@ -49,7 +647,7 @@ pub(crate) struct LocalStateOps<'a> {
     pub(crate) view: &'a dyn PartView,
     pub(crate) tables: &'a [String],
     pub(crate) broadcast: Option<&'a str>,
-    pub(crate) retry: Option<&'a FaultRetry>,
+    pub(crate) retry: &'a FaultRetry,
 }
 
 impl LocalStateOps<'_> {
@@ -93,12 +691,12 @@ impl StateOps for LocalStateOps<'_> {
 /// invocation may run at any part, so state operations go through the
 /// ordinary table handles and pay marshalling when non-local — cheap by
 /// assumption (`rare-state`).
-pub(crate) struct GlobalStateOps<S: KvStore> {
-    pub(crate) tables: Vec<S::Table>,
-    pub(crate) broadcast: Option<S::Table>,
+pub(crate) struct GlobalStateOps<T> {
+    pub(crate) tables: Vec<T>,
+    pub(crate) broadcast: Option<T>,
 }
 
-impl<S: KvStore> StateOps for GlobalStateOps<S> {
+impl<T: Table> StateOps for GlobalStateOps<T> {
     fn get(&self, tab: usize, key: &RoutedKey) -> Result<Option<Bytes>, KvError> {
         self.tables[tab].get(key)
     }
@@ -161,466 +759,11 @@ fn precombine_envelopes<J: Job>(
     out
 }
 
-/// Groups `envelopes` by destination part and writes one spill batch per
-/// non-empty destination into the transport table, keyed `(step, src, seq)`
-/// and routed to the destination part.  All destination records flush
-/// through a single [`Table::put_batch`] call, so a batching store ships
-/// one coalesced frame per destination server instead of one RPC per
-/// destination part.  With `precombine` set, same-key messages are first
-/// folded at the source via [`precombine_envelopes`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn write_spills<T: Table, J: Job>(
-    job: &J,
-    transport: &T,
-    parts: u32,
-    step: u32,
-    src: u32,
-    envelopes: Vec<Envelope<J>>,
-    counters: &mut PartCounters,
-    retry: Option<&FaultRetry>,
-    precombine: bool,
-) -> Result<(), EbspError> {
-    let envelopes = if precombine {
-        precombine_envelopes(job, envelopes, counters)
-    } else {
-        envelopes
-    };
-    if envelopes.is_empty() {
-        return Ok(());
-    }
-    let mut by_dst: Vec<Vec<Envelope<J>>> = (0..parts).map(|_| Vec::new()).collect();
-    for env in envelopes {
-        let dst = dst_part(env.key(), parts) as usize;
-        by_dst[dst].push(env);
-    }
-    let mut records: Vec<(RoutedKey, Bytes)> = Vec::new();
-    for (dst, batch) in by_dst.into_iter().enumerate() {
-        if batch.is_empty() {
-            continue;
-        }
-        let body = to_wire(&(step, src, counters.spill_batches));
-        let key = RoutedKey::with_route(dst as u64, body.to_vec().into());
-        records.push((key, to_wire(&batch)));
-        counters.spill_batches += 1;
-    }
-    // Keys are unique per (step, src, seq), so replaying the whole batch
-    // after a transient failure is idempotent.
-    kv_with_retry(retry, src, || transport.put_batch(records.clone()))?;
-    Ok(())
-}
-
-/// Drains this part's slice of the transport table and builds the inbox
-/// for the next step: per-component message lists (combined pairwise where
-/// the job's combiner applies), continue-enabled components, and applied
-/// state creations.  Returns the number of enabled components, the
-/// counters, and — when `record` is set — the materialized inbox entries,
-/// which the synchronized engine keeps controller-side as the replay log
-/// for fast single-part recovery.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub(crate) fn build_inbox_at_part<J: Job>(
-    job: &J,
-    plan: &ExecutionPlan,
-    view: &dyn PartView,
-    transport_name: &str,
-    inbox_name: &str,
-    table_names: &[String],
-    retry: Option<&FaultRetry>,
-    record: bool,
-    probe: Option<&dyn crate::AuditProbe>,
-) -> Result<(u64, PartCounters, Vec<(RoutedKey, Bytes)>), EbspError> {
-    let mut counters = PartCounters::default();
-    // Drain spills; order deterministically by (step, src, seq) so that
-    // replay after recovery sees identical message orders.  The
-    // accumulator lives inside the retry closure so a drain that fails
-    // transiently (e.g. a severed connection mid-stream) starts each
-    // attempt from a clean slate — no pair is delivered twice.
-    let mut batches = kv_with_retry(retry, view.part().0, || {
-        let mut acc: Vec<((u32, u32, u64), Bytes)> = Vec::new();
-        view.drain(transport_name, &mut |key, value| {
-            if let Ok(tag) = from_wire::<(u32, u32, u64)>(key.body()) {
-                acc.push((tag, value));
-            }
-            ripple_kv::ScanControl::Continue
-        })?;
-        Ok(acc)
-    })?;
-    batches.sort_by_key(|(tag, _)| *tag);
-    // Spills tagged with step s are delivered for step s + 1; loader
-    // spills (tagged 0) feed step 1.
-    let deliver_step = batches
-        .iter()
-        .map(|((s, _, _), _)| s + 1)
-        .max()
-        .unwrap_or(1);
-
-    // Fold envelopes into per-component inboxes, preserving arrival order
-    // and applying the pairwise combiner opportunistically.
-    let mut inbox: HashMap<J::Key, Vec<J::Message>> = HashMap::new();
-    let mut creates: Vec<(u16, J::Key, J::State)> = Vec::new();
-    for (_, bytes) in batches {
-        let envelopes: Vec<Envelope<J>> = from_wire(&bytes)?;
-        for env in envelopes {
-            match env {
-                Envelope::Message { to, msg } => {
-                    inbox.entry(to).or_default().push(msg);
-                }
-                Envelope::Continue { key } => {
-                    inbox.entry(key).or_default();
-                }
-                Envelope::Create { tab, key, state } => creates.push((tab, key, state)),
-            }
-        }
-    }
-
-    // Apply the pairwise combiner per component.  "The platform may combine
-    // some of them by one or more invocations (at arbitrary times and
-    // places)"; a single adjacent-pair pass over the arrival-ordered list
-    // is one such choice.
-    for (key, list) in inbox.iter_mut() {
-        if list.len() < 2 {
-            continue;
-        }
-        let mut combined: Vec<J::Message> = Vec::with_capacity(list.len());
-        for msg in list.drain(..) {
-            match combined.last_mut() {
-                Some(last) => match job.combine_messages(key, last, &msg) {
-                    Some(merged) => {
-                        *last = merged;
-                        counters.messages_combined += 1;
-                    }
-                    None => combined.push(msg),
-                },
-                None => combined.push(msg),
-            }
-        }
-        *list = combined;
-    }
-
-    apply_creates(job, view, table_names, retry, creates)?;
-
-    // Audit the post-combine delivery counts — the `one-msg` contract is
-    // about what arrives per (key, step) after combining, not about how
-    // many raw sends targeted the key.
-    if let Some(probe) = probe {
-        let part = view.part().0;
-        for (key, list) in &inbox {
-            probe.on_deliver(deliver_step, part, &to_wire(key), list.len() as u32);
-        }
-    }
-
-    // Enforce one-msg when the plan dropped collection.
-    if !plan.collect {
-        for (_key, list) in inbox.iter() {
-            if list.len() > 1 {
-                return Err(EbspError::PropertyViolation {
-                    property: "one-msg",
-                    detail: format!("{} messages arrived for one key in one step", list.len()),
-                });
-            }
-        }
-    }
-
-    // Materialize the inbox table: one entry per enabled component, all
-    // flushed through one batched write (keys are unique, so a retried
-    // batch is idempotent).
-    let enabled = inbox.len() as u64;
-    let part = view.part().0;
-    let mut records: Vec<(RoutedKey, Bytes)> = Vec::with_capacity(inbox.len());
-    for (key, msgs) in inbox {
-        records.push((key_to_routed(&key), to_wire(&msgs)));
-    }
-    kv_with_retry(retry, part, || view.put_batch(inbox_name, records.clone()))?;
-    let recorded = if record { records } else { Vec::new() };
-    Ok((enabled, counters, recorded))
-}
-
 /// The creations one key of one state table received, in arrival order.
 struct Creations<J: Job> {
     routed: RoutedKey,
     key: J::Key,
     states: Vec<J::State>,
-}
-
-/// Applies the state creations delivered to this part, merging each with
-/// the resident state (and with other creations of the same key, in
-/// arrival order) through the job's `combine_states`.  Resident states are
-/// read one `get_batch` per window of distinct keys and the merged states
-/// written behind, so creations cost bulk transfers, not a get and a put
-/// each.
-fn apply_creates<J: Job>(
-    job: &J,
-    view: &dyn PartView,
-    table_names: &[String],
-    retry: Option<&FaultRetry>,
-    creates: Vec<(u16, J::Key, J::State)>,
-) -> Result<(), EbspError> {
-    if creates.is_empty() {
-        return Ok(());
-    }
-    let part = view.part().0;
-    // Per table, the distinct keys in first-seen order with their states.
-    let mut slots: HashMap<(usize, RoutedKey), usize> = HashMap::new();
-    let mut by_table: Vec<Vec<Creations<J>>> = table_names.iter().map(|_| Vec::new()).collect();
-    for (tab, key, state) in creates {
-        let tab = tab as usize;
-        let targets = by_table.get_mut(tab).ok_or(EbspError::StateTableIndex {
-            index: tab,
-            tables: table_names.len(),
-        })?;
-        let routed = key_to_routed(&key);
-        let slot = *slots.entry((tab, routed.clone())).or_insert_with(|| {
-            targets.push(Creations {
-                routed,
-                key,
-                states: Vec::new(),
-            });
-            targets.len() - 1
-        });
-        targets[slot].states.push(state);
-    }
-    let put_batch = |tab: usize, records: Vec<(RoutedKey, Bytes)>| {
-        kv_with_retry(retry, part, || {
-            view.put_batch(&table_names[tab], records.clone())
-        })
-    };
-    let mut writes = plane::WriteBehind::new(table_names.len());
-    for (tab, mut targets) in by_table.into_iter().enumerate() {
-        let mut rest = targets.as_mut_slice();
-        let mut next = plane::READ_AHEAD_KEYS;
-        while !rest.is_empty() {
-            let (window, tail) = rest.split_at_mut(next.min(rest.len()));
-            rest = tail;
-            let keys: Vec<RoutedKey> = window.iter().map(|c| c.routed.clone()).collect();
-            let resident = kv_with_retry(retry, part, || view.get_batch(&table_names[tab], &keys))?;
-            next = plane::next_window(&resident);
-            for (creations, resident) in window.iter_mut().zip(resident) {
-                let mut merged: Option<J::State> = match resident {
-                    Some(bytes) => Some(from_wire(&bytes)?),
-                    None => None,
-                };
-                for state in creations.states.drain(..) {
-                    merged = Some(match merged {
-                        Some(old) => job.combine_states(&creations.key, old, state),
-                        None => state,
-                    });
-                }
-                let merged = merged.expect("every slot holds at least one creation");
-                if let Some(full) = writes.push(tab, creations.routed.clone(), to_wire(&merged)) {
-                    put_batch(tab, full)?;
-                }
-            }
-        }
-    }
-    for (tab, records) in writes.take_all() {
-        put_batch(tab, records)?;
-    }
-    Ok(())
-}
-
-/// Runs the compute invocations of one part for one step: drains the
-/// inbox, invokes enabled components (sorted by key iff the plan says so),
-/// appends continue signals, and spills outgoing envelopes.
-///
-/// When `replay_entries` is supplied (fast recovery), the inbox table is
-/// ignored and the given entries are computed instead; `suppress` replays
-/// a *past* step purely for its state effects — sends, aggregator partials
-/// and direct outputs already happened in the original execution and are
-/// dropped so they cannot duplicate.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_at_part<T: Table, J: Job>(
-    job: &J,
-    plan: &ExecutionPlan,
-    view: &dyn PartView,
-    step: u32,
-    transport: &T,
-    inbox_name: &str,
-    table_names: &[String],
-    broadcast_name: Option<&str>,
-    registry: &AggregatorRegistry,
-    prev_agg: &crate::AggregateSnapshot,
-    direct: Option<&dyn Exporter<J::OutKey, J::OutValue>>,
-    parts: u32,
-    agg_table: Option<&T>,
-    retry: Option<&FaultRetry>,
-    replay_entries: Option<Vec<(RoutedKey, Bytes)>>,
-    suppress: bool,
-    probe: Option<&dyn crate::AuditProbe>,
-    shuffle: Option<u64>,
-    precombine: bool,
-) -> Result<(HashMap<String, AggValue>, PartCounters), EbspError> {
-    // Collect this step's enabled components at this part.  As with the
-    // transport drain, the accumulator is per-attempt so a transient
-    // drain failure retries without duplicating entries.
-    let entries: Vec<(RoutedKey, Bytes)> = match replay_entries {
-        Some(replayed) => replayed,
-        None => kv_with_retry(retry, view.part().0, || {
-            let mut acc: Vec<(RoutedKey, Bytes)> = Vec::new();
-            view.drain(inbox_name, &mut |key, value| {
-                acc.push((key, value));
-                ripple_kv::ScanControl::Continue
-            })?;
-            Ok(acc)
-        })?,
-    };
-
-    let mut decoded: Vec<(J::Key, RoutedKey, Vec<J::Message>)> = Vec::with_capacity(entries.len());
-    for (routed, bytes) in entries {
-        let key: J::Key = from_wire(routed.body())?;
-        let msgs: Vec<J::Message> = from_wire(&bytes)?;
-        decoded.push((key, routed, msgs));
-    }
-    if let Some(seed) = shuffle {
-        // Audit mode: a deterministic Fisher–Yates permutation keyed by
-        // (seed, step, part) *replaces* the plan's ordering, so a job whose
-        // output survives several seeds demonstrably does not depend on
-        // invocation order.  Sort first: the permutation must be a pure
-        // function of (seed, step, part), not of the store's iteration
-        // order, or same-seed runs would not be comparable.
-        decoded.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut state = seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(u64::from(step) << 32)
-            .wrapping_add(u64::from(view.part().0))
-            | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for i in (1..decoded.len()).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            decoded.swap(i, j);
-        }
-    } else if plan.sort {
-        decoded.sort_by(|a, b| a.0.cmp(&b.0));
-    }
-
-    let ops = plane::StatePlane::new(
-        LocalStateOps {
-            view,
-            tables: table_names,
-            broadcast: broadcast_name,
-            retry,
-        },
-        decoded
-            .iter()
-            .map(|(_, routed, _)| routed.clone())
-            .collect(),
-    );
-    let no_continue = job.properties().no_continue;
-    let part = view.part();
-    let mut out = Outbox::<J>::new();
-    for (at, (key, routed, messages)) in decoded.into_iter().enumerate() {
-        ops.begin(at);
-        out.metrics.invocations += 1;
-        // Keep the encoded key on hand for the post-compute probe calls;
-        // `routed` itself moves into the context.
-        let key_bytes = probe.map(|p| {
-            p.on_invocation(step, part.0, routed.body());
-            routed.body().clone()
-        });
-        let mut ctx = crate::ComputeContext {
-            step,
-            mode: crate::ExecMode::Synchronized,
-            part,
-            key: key.clone(),
-            routed,
-            messages,
-            ops: &ops,
-            out: &mut out,
-            registry,
-            prev_agg,
-            direct: if suppress { None } else { direct },
-            probe,
-        };
-        let cont = job.compute(&mut ctx)?;
-        if let (Some(p), Some(kb)) = (probe, &key_bytes) {
-            // Before the no-continue enforcement below, so the audit
-            // recorder holds the evidence when the engine aborts the run.
-            p.on_continue(step, part.0, kb, cont);
-        }
-        if cont {
-            if no_continue {
-                return Err(EbspError::PropertyViolation {
-                    property: "no-continue",
-                    detail: "compute returned the positive continue signal".to_owned(),
-                });
-            }
-            out.envelopes.push(Envelope::Continue { key });
-        }
-    }
-
-    // State before messages: once this step's spills are visible, the
-    // states that produced them are too.
-    ops.flush()?;
-    let envelopes = std::mem::take(&mut out.envelopes);
-    if suppress {
-        // Replaying a completed step: its messages were already delivered
-        // and its aggregator contribution already merged.
-        drop(envelopes);
-        out.agg.clear();
-        return Ok((out.agg, out.metrics));
-    }
-    write_spills(
-        job,
-        transport,
-        parts,
-        step,
-        part.0,
-        envelopes,
-        &mut out.metrics,
-        retry,
-        precombine,
-    )?;
-
-    // Large-aggregator path (§IV-A): rather than returning partials to the
-    // table client, write them into an auxiliary table keyed (and routed)
-    // by aggregator name; a later enumeration round merges them.
-    if let Some(aux) = agg_table {
-        for (name, value) in std::mem::take(&mut out.agg) {
-            let route = key_to_routed(&name).route();
-            let body = to_wire(&(name, part.0));
-            aux.put(
-                RoutedKey::with_route(route, body.to_vec().into()),
-                to_wire(&value),
-            )?;
-        }
-    }
-    Ok((out.agg, out.metrics))
-}
-
-/// The merge-and-redistribute round of the large-aggregator path: every
-/// part folds the partials whose aggregator names route to it, records the
-/// merged value in the second auxiliary table, and reports it back.
-pub(crate) fn merge_aggregates_at_part(
-    registry: &AggregatorRegistry,
-    view: &dyn PartView,
-    agg1_name: &str,
-    agg2_name: &str,
-    retry: Option<&FaultRetry>,
-) -> Result<Vec<(String, AggValue)>, EbspError> {
-    let raw = kv_with_retry(retry, view.part().0, || {
-        let mut acc: Vec<(Bytes, Bytes)> = Vec::new();
-        view.drain(agg1_name, &mut |key, value| {
-            acc.push((key.body().clone(), value));
-            ripple_kv::ScanControl::Continue
-        })?;
-        Ok(acc)
-    })?;
-    let mut merged: HashMap<String, AggValue> = HashMap::new();
-    for (key_body, value_bytes) in raw {
-        let (name, _src): (String, u32) = from_wire(&key_body)?;
-        let value: AggValue = from_wire(&value_bytes)?;
-        registry.fold(&mut merged, &name, value)?;
-    }
-    for (name, value) in &merged {
-        kv_with_retry(retry, view.part().0, || {
-            view.put(agg2_name, key_to_routed(name), to_wire(value))
-                .map(|_| ())
-        })?;
-    }
-    Ok(merged.into_iter().collect())
 }
 
 /// Loader output buffered at the controller before the run starts.
@@ -629,13 +772,30 @@ pub(crate) struct LoadBuffer<J: Job> {
     pub(crate) agg: HashMap<String, AggValue>,
 }
 
-impl<J: Job> LoadBuffer<J> {
-    pub(crate) fn new() -> Self {
-        Self {
+/// Runs the loaders of a job: initial states go straight to the state
+/// tables, everything else comes back buffered.
+pub(crate) fn run_loaders<S: KvStore, J: Job>(
+    env: &JobEnv<S, J>,
+    loaders: Vec<Box<dyn Loader<J>>>,
+    retry: &FaultRetry,
+) -> Result<LoadBuffer<J>, EbspError> {
+    let mut sink = EngineLoadSink {
+        tables: &env.tables,
+        registry: &env.registry,
+        buffer: LoadBuffer {
             envelopes: Vec::new(),
             agg: HashMap::new(),
-        }
+        },
+        retry,
+        writes: plane::WriteBehind::new(env.tables.len()),
+    };
+    for loader in loaders {
+        loader.load(&mut sink)?;
     }
+    for (tab, records) in sink.writes.take_all() {
+        sink.put_batch(tab, records)?;
+    }
+    Ok(sink.buffer)
 }
 
 /// The engine-side [`LoadSink`]: initial states are written behind to the
@@ -643,41 +803,18 @@ impl<J: Job> LoadBuffer<J> {
 /// run's policy, since against a networked store a load-time write can
 /// fail transiently like any other operation); messages and enables
 /// buffer as step-0 envelopes.
-pub(crate) struct EngineLoadSink<'a, S: KvStore, J: Job> {
-    tables: &'a [S::Table],
+struct EngineLoadSink<'a, T: Table, J: Job> {
+    tables: &'a [T],
     registry: &'a AggregatorRegistry,
-    buffer: &'a mut LoadBuffer<J>,
-    retry: Option<&'a FaultRetry>,
+    buffer: LoadBuffer<J>,
+    retry: &'a FaultRetry,
     writes: plane::WriteBehind,
 }
 
-impl<'a, S: KvStore, J: Job> EngineLoadSink<'a, S, J> {
-    pub(crate) fn new(
-        tables: &'a [S::Table],
-        registry: &'a AggregatorRegistry,
-        buffer: &'a mut LoadBuffer<J>,
-        retry: Option<&'a FaultRetry>,
-    ) -> Self {
-        Self {
-            tables,
-            registry,
-            buffer,
-            retry,
-            writes: plane::WriteBehind::new(tables.len()),
-        }
-    }
-
-    /// Writes out the states still buffered; the loaders are done.
-    pub(crate) fn finish(mut self) -> Result<(), EbspError> {
-        for (tab, records) in self.writes.take_all() {
-            self.put_batch(tab, records)?;
-        }
-        Ok(())
-    }
-
+impl<T: Table, J: Job> EngineLoadSink<'_, T, J> {
     /// A batch spans parts, so retries are attributed to the controller
     /// pseudo-part like the loader's spills.
-    fn put_batch(&self, tab: usize, records: Vec<(RoutedKey, Bytes)>) -> Result<(), EbspError> {
+    fn put_batch(&self, tab: usize, records: Records) -> Result<(), EbspError> {
         kv_with_retry(self.retry, u32::MAX, || {
             self.tables[tab].put_batch(records.clone())
         })?;
@@ -685,7 +822,7 @@ impl<'a, S: KvStore, J: Job> EngineLoadSink<'a, S, J> {
     }
 }
 
-impl<S: KvStore, J: Job> LoadSink<J> for EngineLoadSink<'_, S, J> {
+impl<T: Table, J: Job> LoadSink<J> for EngineLoadSink<'_, T, J> {
     fn state(&mut self, tab: usize, key: J::Key, state: J::State) -> Result<(), EbspError> {
         if tab >= self.tables.len() {
             return Err(EbspError::StateTableIndex {

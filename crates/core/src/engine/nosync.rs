@@ -30,21 +30,19 @@
 //! with the typed [`EbspError::Unrecoverable`].
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use ripple_kv::{KvError, PartId};
-use ripple_kv::{KvStore, PartView};
+use ripple_kv::{KvError, KvStore, PartId, PartView, Table};
 use ripple_mq::{ChannelQueueSet, QueueReceiver, QueueSet, TableQueueSet};
 use ripple_wire::{from_wire, to_wire, ByteReader, ByteWriter, Decode, Encode, WireError};
 
-use crate::context::Outbox;
-use crate::engine::{dst_part, EngineLoadSink, JobEnv, LoadBuffer, LocalStateOps};
+use crate::engine::{dst_part, run_loaders, JobEnv, PartTask};
 use crate::metrics::PartCounters;
-use crate::retry::{kv_with_retry, FaultRetry};
+use crate::retry::FaultRetry;
 use crate::{
     AggregateSnapshot, EbspError, Envelope, ExecMode, Job, Loader, QueueKind, RetryPolicy,
     RunMetrics, RunOutcome, WeightThrow, WorkerProfile,
@@ -176,33 +174,26 @@ fn drive<S: KvStore, J: Job, Q: QueueSet>(
 ) -> Result<RunOutcome, EbspError> {
     let started = Instant::now();
     let store_before = env.store.metrics();
-    let parts = env.parts();
     let detector = Arc::new(WeightThrow::new());
     let failure: Arc<Mutex<Option<EbspError>>> = Arc::new(Mutex::new(None));
     let retry = Arc::new(FaultRetry::new(opts.retry, opts.observer.clone()));
 
+    let worker_env = Arc::new(WorkerEnv {
+        task: PartTask::new(env, Arc::clone(&retry), opts.probe.clone()),
+        started,
+        detector: Arc::clone(&detector),
+        failure: Arc::clone(&failure),
+        idle: opts.idle_timeout,
+        batch_limit: opts.batch_limit,
+        heal: opts.heal.clone(),
+        recoveries: AtomicU32::new(0),
+    });
+
     // ----- Initial condition ------------------------------------------------
-    let mut buffer = LoadBuffer::new();
-    {
-        let mut sink =
-            EngineLoadSink::<S, J>::new(&env.tables, &env.registry, &mut buffer, Some(&retry));
-        for loader in loaders {
-            loader.load(&mut sink)?;
-        }
-        sink.finish()?;
-    }
-    let mut seeded = 0u64;
+    let buffer = run_loaders(env, loaders, &retry)?;
+    let seeded = buffer.envelopes.len() as u64;
     for envelope in buffer.envelopes {
-        let dst = dst_part(envelope.key(), parts);
-        let weight = detector.mint(1);
-        qs.put(
-            PartId(dst),
-            to_wire(&NosyncMsg::<J>::Env {
-                weight,
-                env: envelope,
-            }),
-        )?;
-        seeded += 1;
+        send(&worker_env, qs, envelope)?;
     }
 
     // ----- Quiescence watcher -----------------------------------------------
@@ -234,24 +225,6 @@ fn drive<S: KvStore, J: Job, Q: QueueSet>(
     };
 
     // ----- Workers ------------------------------------------------------
-    let worker_env = Arc::new(WorkerEnv {
-        started,
-        job: Arc::clone(&env.job),
-        table_names: Arc::clone(&env.table_names),
-        broadcast: env.broadcast_name.clone(),
-        direct: env.direct.clone(),
-        detector: Arc::clone(&detector),
-        failure: Arc::clone(&failure),
-        parts,
-        idle: opts.idle_timeout,
-        batch_limit: opts.batch_limit,
-        prev_agg: AggregateSnapshot::default(),
-        registry: env.registry.clone(),
-        retry: Arc::clone(&retry),
-        heal: opts.heal.clone(),
-        recoveries: std::sync::atomic::AtomicU32::new(0),
-        probe: opts.probe.clone(),
-    });
     let results = {
         let worker_env = Arc::clone(&worker_env);
         let qs_inner = qs.clone();
@@ -295,25 +268,40 @@ fn drive<S: KvStore, J: Job, Q: QueueSet>(
     })
 }
 
-struct WorkerEnv<J: Job> {
+/// What every worker of a run shares.
+struct WorkerEnv<T: Table, J: Job> {
+    task: PartTask<T, J>,
     /// When the run started — the shared timeline origin worker profiles
     /// anchor their first-activity offsets to.
     started: Instant,
-    job: Arc<J>,
-    table_names: Arc<Vec<String>>,
-    broadcast: Option<String>,
-    direct: Option<Arc<dyn crate::Exporter<J::OutKey, J::OutValue>>>,
     detector: Arc<WeightThrow>,
     failure: Arc<Mutex<Option<EbspError>>>,
-    parts: u32,
     idle: Duration,
     batch_limit: usize,
-    prev_agg: AggregateSnapshot,
-    registry: crate::AggregatorRegistry,
-    retry: Arc<FaultRetry>,
     heal: Option<Arc<HealFn>>,
-    recoveries: std::sync::atomic::AtomicU32,
-    probe: Option<Arc<dyn crate::AuditProbe>>,
+    recoveries: AtomicU32,
+}
+
+impl<T: Table, J: Job> WorkerEnv<T, J> {
+    /// Records the run's first fatal error and wakes the watcher so it
+    /// broadcasts Stop without waiting out the quiescence deadline.
+    fn fail(&self, error: EbspError) {
+        self.failure.lock().get_or_insert(error);
+        self.detector.notify();
+    }
+}
+
+/// What one worker keeps *outside* its panic boundary, so it survives a
+/// crash of the round in flight.
+struct WorkerState<J: Job> {
+    /// The weighted envelopes of the round in flight, as received, so they
+    /// can be redelivered.
+    ledger: Vec<Bytes>,
+    counters: PartCounters,
+    /// Per-component invocation counter: it feeds `ctx.step`, which must
+    /// stay monotone for a component across heal-respawns, not reset to 1.
+    invocation_seq: HashMap<J::Key, u32>,
+    profile: WorkerProfile,
 }
 
 /// Whether a worker failure is worth healing the part and respawning for:
@@ -328,39 +316,28 @@ fn recoverable_failure(err: &EbspError, own_part: u32) -> bool {
 /// One part's worker: runs [`worker_inner`] under a panic boundary and
 /// supervises it — healing the part and redelivering the in-flight ledger
 /// on recoverable failures, recording the failure otherwise.
-fn worker_loop<J: Job, Q: QueueSet>(
-    wenv: &WorkerEnv<J>,
+fn worker_loop<T: Table, J: Job, Q: QueueSet>(
+    wenv: &WorkerEnv<T, J>,
     qs: &Q,
     view: &dyn PartView,
     rx: &mut dyn QueueReceiver,
 ) -> Option<(PartCounters, WorkerProfile)> {
     let own_part = view.part().0;
-    let mut counters = PartCounters::default();
-    let mut profile = WorkerProfile {
-        part: own_part,
-        ..WorkerProfile::default()
+    let mut state = WorkerState::<J> {
+        ledger: Vec::new(),
+        counters: PartCounters::default(),
+        invocation_seq: HashMap::new(),
+        profile: WorkerProfile {
+            part: own_part,
+            ..WorkerProfile::default()
+        },
     };
-    // The round in flight, outside the panic boundary so it survives a
-    // crash and can be redelivered.  The per-component invocation counter
-    // lives out here too: it feeds `ctx.step`, which must stay monotone
-    // for a component across heal-respawns, not reset to 1.
-    let ledger: Mutex<Vec<Bytes>> = Mutex::new(Vec::new());
-    let mut invocation_seq: HashMap<J::Key, u32> = HashMap::new();
     let mut respawns = 0u32;
     loop {
         // Contain application panics so the watcher learns of the failure
         // immediately instead of waiting out the quiescence timeout.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            worker_inner(
-                wenv,
-                qs,
-                view,
-                rx,
-                &ledger,
-                &mut counters,
-                &mut invocation_seq,
-                &mut profile,
-            )
+            worker_inner(wenv, qs, view, rx, &mut state)
         }))
         .unwrap_or_else(|panic| {
             Err(EbspError::Kv(KvError::TaskPanicked {
@@ -369,7 +346,7 @@ fn worker_loop<J: Job, Q: QueueSet>(
             }))
         });
         let error = match result {
-            Ok(()) => return Some((counters, profile)),
+            Ok(()) => return Some((state.counters, state.profile)),
             Err(e) => e,
         };
 
@@ -387,32 +364,17 @@ fn worker_loop<J: Job, Q: QueueSet>(
             Some(heal) => heal(PartId(own_part)).ok(),
         };
         if healed.is_none() {
-            let fatal = if recoverable && wenv.heal.is_some() {
+            wenv.fail(if recoverable && wenv.heal.is_some() {
                 EbspError::Unrecoverable { part: own_part }
             } else {
                 error
-            };
-            {
-                let mut slot = wenv.failure.lock();
-                if slot.is_none() {
-                    *slot = Some(fatal);
-                }
-            }
-            // Wake the watcher so it broadcasts Stop without waiting out
-            // the quiescence deadline.
-            wenv.detector.notify();
+            });
             return None;
         }
         respawns += 1;
         wenv.recoveries.fetch_add(1, Ordering::Relaxed);
-        if redeliver_ledger::<J, Q>(wenv, qs, &ledger).is_err() {
-            {
-                let mut slot = wenv.failure.lock();
-                if slot.is_none() {
-                    *slot = Some(EbspError::Unrecoverable { part: own_part });
-                }
-            }
-            wenv.detector.notify();
+        if redeliver_ledger(wenv, qs, std::mem::take(&mut state.ledger)).is_err() {
+            wenv.fail(EbspError::Unrecoverable { part: own_part });
             return None;
         }
     }
@@ -422,21 +384,18 @@ fn worker_loop<J: Job, Q: QueueSet>(
 /// *before* the old held weight goes home, so the detector's outstanding
 /// total never dips to zero mid-recovery (a spurious quiescence would stop
 /// the run with work still pending).
-fn redeliver_ledger<J: Job, Q: QueueSet>(
-    wenv: &WorkerEnv<J>,
+fn redeliver_ledger<T: Table, J: Job, Q: QueueSet>(
+    wenv: &WorkerEnv<T, J>,
     qs: &Q,
-    ledger: &Mutex<Vec<Bytes>>,
+    held: Vec<Bytes>,
 ) -> Result<(), EbspError> {
-    let held = std::mem::take(&mut *ledger.lock());
     let mut old_weight = 0u64;
     for bytes in held {
         match from_wire::<NosyncMsg<J>>(&bytes)? {
             NosyncMsg::Stop => {}
             NosyncMsg::Env { weight, env } => {
                 old_weight += weight;
-                let dst = dst_part(env.key(), wenv.parts);
-                let fresh = wenv.detector.mint(1);
-                qs.put(PartId(dst), to_wire(&NosyncMsg::Env { weight: fresh, env }))?;
+                send(wenv, qs, env)?;
             }
         }
     }
@@ -444,24 +403,28 @@ fn redeliver_ledger<J: Job, Q: QueueSet>(
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_inner<J: Job, Q: QueueSet>(
-    wenv: &WorkerEnv<J>,
+/// Enqueues `env` at its destination part under freshly minted weight.
+fn send<T: Table, J: Job, Q: QueueSet>(
+    wenv: &WorkerEnv<T, J>,
+    qs: &Q,
+    env: Envelope<J>,
+) -> Result<(), EbspError> {
+    let dst = dst_part(env.key(), wenv.task.parts);
+    let weight = wenv.detector.mint(1);
+    qs.put(PartId(dst), to_wire(&NosyncMsg::Env { weight, env }))?;
+    Ok(())
+}
+
+fn worker_inner<T: Table, J: Job, Q: QueueSet>(
+    wenv: &WorkerEnv<T, J>,
     qs: &Q,
     view: &dyn PartView,
     rx: &mut dyn QueueReceiver,
-    ledger: &Mutex<Vec<Bytes>>,
-    counters: &mut PartCounters,
-    invocation_seq: &mut HashMap<J::Key, u32>,
-    profile: &mut WorkerProfile,
+    state: &mut WorkerState<J>,
 ) -> Result<(), EbspError> {
-    let ops = LocalStateOps {
-        view,
-        tables: &wenv.table_names,
-        broadcast: wenv.broadcast.as_deref(),
-        retry: Some(&wenv.retry),
-    };
-    let part = view.part();
+    let ops = wenv.task.local_ops(view);
+    let no_aggregates = AggregateSnapshot::default();
+    let profile = &mut state.profile;
 
     'main: loop {
         let wait_started = Instant::now();
@@ -484,7 +447,7 @@ fn worker_inner<J: Job, Q: QueueSet>(
         match from_wire::<NosyncMsg<J>>(&first)? {
             NosyncMsg::Stop => break 'main,
             NosyncMsg::Env { weight, env } => {
-                ledger.lock().push(first);
+                state.ledger.push(first);
                 batch.push((weight, env));
             }
         }
@@ -497,7 +460,7 @@ fn worker_inner<J: Job, Q: QueueSet>(
                         break;
                     }
                     NosyncMsg::Env { weight, env } => {
-                        ledger.lock().push(bytes);
+                        state.ledger.push(bytes);
                         batch.push((weight, env));
                     }
                 },
@@ -507,76 +470,46 @@ fn worker_inner<J: Job, Q: QueueSet>(
         // Group per component, preserving arrival order within each.
         let batch_len = batch.len() as u64;
         let mut order: Vec<J::Key> = Vec::new();
-        let mut grouped: HashMap<J::Key, (Vec<J::Message>, bool)> = HashMap::new();
+        let mut grouped: HashMap<J::Key, Vec<J::Message>> = HashMap::new();
+        let mut creates: Vec<(u16, J::Key, J::State)> = Vec::new();
         let mut hold = 0u64;
         for (weight, envelope) in batch {
             hold += weight;
-            match envelope {
-                Envelope::Message { to, msg } => {
-                    let entry = grouped.entry(to.clone()).or_insert_with(|| {
-                        order.push(to);
-                        (Vec::new(), true)
-                    });
-                    entry.0.push(msg);
-                }
-                Envelope::Continue { key } => {
-                    grouped.entry(key.clone()).or_insert_with(|| {
-                        order.push(key);
-                        (Vec::new(), true)
-                    });
-                }
+            let (key, msg) = match envelope {
+                Envelope::Message { to, msg } => (to, Some(msg)),
+                Envelope::Continue { key } => (key, None),
                 Envelope::Create { tab, key, state } => {
-                    apply_create(wenv, view, tab, key, state)?;
+                    creates.push((tab, key, state));
+                    continue;
                 }
-            }
-        }
-
-        let mut out = Outbox::<J>::new();
-        for key in order {
-            let (messages, _) = grouped.remove(&key).expect("grouped by the same keys");
-            let seq = invocation_seq.entry(key.clone()).or_insert(0);
-            *seq += 1;
-            let step = *seq;
-            out.metrics.invocations += 1;
-            let routed = crate::key_to_routed(&key);
-            if let Some(probe) = wenv.probe.as_deref() {
-                probe.on_invocation(step, part.0, routed.body());
-            }
-            let mut ctx = crate::ComputeContext {
-                step,
-                mode: crate::ExecMode::Unsynchronized,
-                part,
-                key: key.clone(),
-                routed,
-                messages,
-                ops: &ops,
-                out: &mut out,
-                registry: &wenv.registry,
-                prev_agg: &wenv.prev_agg,
-                direct: wenv.direct.as_deref(),
-                probe: wenv.probe.as_deref(),
             };
-            // The continue signal is step-scheduling machinery; without
-            // steps it is ignored (components re-run when messages arrive).
-            let _ = wenv.job.compute(&mut ctx)?;
+            let list = grouped.entry(key.clone()).or_insert_with(|| {
+                order.push(key);
+                Vec::new()
+            });
+            list.extend(msg);
+        }
+        wenv.task.apply_creates(view, creates)?;
+
+        let mut invoker =
+            wenv.task
+                .invoker(ExecMode::Unsynchronized, view.part(), &ops, &no_aggregates);
+        for key in order {
+            let messages = grouped.remove(&key).expect("grouped by the same keys");
+            let seq = state.invocation_seq.entry(key.clone()).or_insert(0);
+            *seq += 1;
+            let routed = crate::key_to_routed(&key);
+            invoker.invoke(*seq, key, routed, messages)?;
             // Forward this invocation's output immediately (pipelining).
-            for envelope in out.envelopes.drain(..) {
-                let dst = dst_part(envelope.key(), wenv.parts);
-                let weight = wenv.detector.mint(1);
-                qs.put(
-                    PartId(dst),
-                    to_wire(&NosyncMsg::Env {
-                        weight,
-                        env: envelope,
-                    }),
-                )?;
+            for envelope in invoker.out.envelopes.drain(..) {
+                send(wenv, qs, envelope)?;
             }
         }
-        counters.merge(&out.metrics);
+        state.counters.merge(&invoker.out.metrics);
         // All sends of this round are visible; now the consumed weight may
         // go home, and the round is off the books.
         wenv.detector.give_back(hold);
-        ledger.lock().clear();
+        state.ledger.clear();
         profile.busy += busy_started.elapsed();
         profile.batches += 1;
         profile.envelopes += batch_len;
@@ -585,37 +518,5 @@ fn worker_inner<J: Job, Q: QueueSet>(
             break 'main;
         }
     }
-    Ok(())
-}
-
-fn apply_create<J: Job>(
-    wenv: &WorkerEnv<J>,
-    view: &dyn PartView,
-    tab: u16,
-    key: J::Key,
-    state: J::State,
-) -> Result<(), EbspError> {
-    let idx = tab as usize;
-    let name = wenv
-        .table_names
-        .get(idx)
-        .ok_or(EbspError::StateTableIndex {
-            index: idx,
-            tables: wenv.table_names.len(),
-        })?;
-    let routed = crate::key_to_routed(&key);
-    let part = view.part().0;
-    let existing = kv_with_retry(Some(&wenv.retry), part, || view.get(name, &routed))?;
-    let merged = match existing {
-        Some(existing) => {
-            let old: J::State = from_wire(&existing)?;
-            wenv.job.combine_states(&key, old, state)
-        }
-        None => state,
-    };
-    let value = to_wire(&merged);
-    kv_with_retry(Some(&wenv.retry), part, || {
-        view.put(name, routed.clone(), value.clone()).map(|_| ())
-    })?;
     Ok(())
 }

@@ -9,11 +9,14 @@
 //!    constructs the next step's per-component message lists (ordered,
 //!    combined, one-msg-checked per the plan) plus state creations.
 //!
-//! Aggregator partials merge at the barrier; the aborter runs between
-//! steps; execution ends when no component is enabled.  With recovery
-//! hooks, every part is checkpointed at configured barriers and a part
-//! failure rolls the whole group back to the last checkpoint and replays —
-//! the shard-transaction discipline of §IV-A at simulation fidelity.
+//! What the part tasks *do* is [`PartTask`]'s; this module is the policy:
+//! when they run, what a barrier commits, and what happens when a part
+//! fails.  Aggregator partials merge at the barrier; the aborter runs
+//! between steps; execution ends when no component is enabled.  With
+//! recovery hooks, every part is checkpointed at configured barriers and a
+//! part failure rolls the whole group back to the last checkpoint and
+//! replays — the shard-transaction discipline of §IV-A at simulation
+//! fidelity.
 //!
 //! # Fast single-part recovery
 //!
@@ -36,19 +39,17 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use ripple_kv::{KvError, KvStore, PartId, RoutedKey, StoreMetrics, Table};
+use ripple_kv::{KvError, KvStore, PartId, PartView, ScanControl, StoreMetrics, Table};
 
 use crate::engine::{
-    build_inbox_at_part, compute_at_part, write_spills, EngineLoadSink, JobEnv, LoadBuffer,
-    TableGuard,
+    anywhere, run_loaders, JobEnv, PartOutput, PartTask, Records, Replay, TableGuard, TempTables,
 };
 use crate::metrics::PartCounters;
 use crate::profile::{PartStepProfile, StepCounters, StepProfile};
 use crate::retry::{kv_with_retry, FaultRetry};
 use crate::{
-    AggValue, AggregateSnapshot, EbspError, ExecMode, Job, Loader, RetryPolicy, RunMetrics,
-    RunObserver, RunOutcome,
+    AggValue, AggregateSnapshot, EbspError, ExecMode, GatePermit, Job, Loader, RetryPolicy,
+    RunMetrics, RunOutcome,
 };
 
 /// Options for a synchronized run.
@@ -79,9 +80,6 @@ pub(crate) struct SyncOptions {
     /// ([`JobRunner::task_gate`](crate::JobRunner::task_gate)) — the
     /// worker-sharing hook for a resident multi-tenant job service.
     pub(crate) task_gate: Option<Arc<dyn crate::TaskGate>>,
-    /// Combiner pushdown ([`JobRunner::pushdown`](crate::JobRunner::pushdown)):
-    /// fold same-destination messages at the source part before spilling.
-    pub(crate) pushdown: bool,
 }
 
 /// A captured, type-erased shard checkpoint.
@@ -107,19 +105,23 @@ pub(crate) struct RecoveryHooks {
     pub(crate) promote: Box<PromoteFn>,
 }
 
-/// The journalled consistent cut a durable run resumes from: the barrier
-/// at `step`, with the inbox for `step + 1` already built and durable.
-pub(crate) struct ResumePoint {
+/// A consistent cut of a run: the barrier at `step`, with the inbox for
+/// `step + 1` already built.  The step loop advances one, a checkpoint
+/// captures one, a rollback returns to one, and a durable run journals one
+/// and resumes from it.
+#[derive(Clone)]
+pub(crate) struct Cut {
     pub(crate) step: u32,
+    /// Components enabled for `step + 1`.
     pub(crate) enabled: u64,
+    /// The aggregates `step + 1` observes.
     pub(crate) agg: AggregateSnapshot,
 }
 
 /// A barrier-epoch durability callback (`commit` / `compact`).
 pub(crate) type EpochFn = Box<dyn Fn(u64) -> Result<(), EbspError> + Send + Sync>;
-/// Persists the cut descriptor `(step, enabled, aggregates)` durably.
-pub(crate) type JournalFn =
-    Box<dyn Fn(u32, u64, &AggregateSnapshot) -> Result<(), EbspError> + Send + Sync>;
+/// Persists the cut descriptor durably.
+pub(crate) type JournalFn = Box<dyn Fn(&Cut) -> Result<(), EbspError> + Send + Sync>;
 /// Removes the journal at a successful finish.
 pub(crate) type ClearFn = Box<dyn Fn() -> Result<(), EbspError> + Send + Sync>;
 
@@ -139,23 +141,150 @@ pub(crate) struct DurableOpts {
     pub(crate) journal: JournalFn,
     pub(crate) compact: EpochFn,
     pub(crate) clear: ClearFn,
-    pub(crate) resume: Option<ResumePoint>,
+    /// The journalled cut to resume from, if an earlier run left one.
+    pub(crate) resume: Option<Cut>,
     /// Restart-stable token for temporary table names: a resumed run must
     /// find the same transport/inbox tables the interrupted run wrote.
     pub(crate) nonce: String,
 }
 
-/// A consistent cut the run can rewind to.
+/// A cut the run can rewind to, with every part captured at it.
 struct CheckRecord {
-    step: u32,
-    enabled: u64,
-    agg: AggregateSnapshot,
+    cut: Cut,
     parts: Vec<AnyCheckpoint>,
 }
 
-/// The controller-side inputs needed to replay one part through one step:
-/// its recorded inbox entries per part, per step fed.
-type ReplayLog = HashMap<u32, Vec<Vec<(RoutedKey, Bytes)>>>;
+/// The start and finish instants of one part task.
+type Span = (Instant, Instant);
+
+/// One part task's result and its span (absent when the dispatch failed).
+type Timed<R> = (Result<R, EbspError>, Option<Span>);
+
+/// When one phase of a step ran, on the whole and per part.
+struct PhaseTimes {
+    begin: Instant,
+    wall: Duration,
+    parts: Vec<Option<Span>>,
+}
+
+/// What one inbox-build phase produced.
+#[derive(Default)]
+struct InboxBuilt {
+    /// Components enabled for the next step.
+    enabled: u64,
+    counters: PartCounters,
+    /// Every part's materialized inbox entries, by part, when recording.
+    recorded: Vec<Records>,
+    times: Vec<Option<Span>>,
+}
+
+/// The step profiles of a run and the store baselines their deltas
+/// telescope from: each emitted step's interval starts where the previous
+/// one ended (the first at the run's own baseline), so the emitted deltas
+/// sum to the run-level delta — checkpoint traffic between steps lands in
+/// the step that follows it, and a final checkpoint after the last step
+/// stays run-level only.
+struct ProfileLog {
+    started: Instant,
+    /// Whether compute tasks have a home part to attribute to.
+    per_part: bool,
+    profiles: Vec<StepProfile>,
+    /// The whole-store and per-part metrics at the run's start, then after
+    /// each emitted profile; the last entry is the next step's baseline.
+    bases: Vec<(StoreMetrics, Vec<StoreMetrics>)>,
+}
+
+impl ProfileLog {
+    /// Assembles one step's profile from the phase timings, charging each
+    /// part its store delta since the previous emitted step.
+    fn record<S: KvStore>(
+        &mut self,
+        store: &S,
+        cut: &Cut,
+        compute: &PhaseTimes,
+        inbox: &PhaseTimes,
+        counters: &PartCounters,
+    ) -> &StepProfile {
+        let started = self.started;
+        let now = (store.metrics(), store.part_metrics());
+        let (base, part_base) = self
+            .bases
+            .last()
+            .expect("the run's baseline is never popped");
+        let finishes: Vec<Instant> = compute.parts.iter().flatten().map(|&(_, f)| f).collect();
+        let barrier_skew = match (finishes.iter().min(), finishes.iter().max()) {
+            (Some(first), Some(last)) => last.duration_since(*first),
+            _ => Duration::ZERO,
+        };
+        let span = |times: &PhaseTimes, p: usize| match times.parts.get(p).copied().flatten() {
+            Some((from, to)) => (from.duration_since(started), to.duration_since(from)),
+            None => (Duration::ZERO, Duration::ZERO),
+        };
+        // Work-stealing compute has no per-part home to attribute to.
+        let homes = if self.per_part {
+            compute.parts.len().max(inbox.parts.len())
+        } else {
+            0
+        };
+        let parts = (0..homes)
+            .map(|p| {
+                let (compute_start, compute) = span(compute, p);
+                let (inbox_start, inbox_build) = span(inbox, p);
+                let part_now = now.1.get(p).copied().unwrap_or_default();
+                let base = part_base.get(p).copied().unwrap_or_default();
+                PartStepProfile {
+                    part: p as u32,
+                    compute_start,
+                    compute,
+                    inbox_start,
+                    inbox_build,
+                    store: part_now - base,
+                }
+            })
+            .collect();
+        self.profiles.push(StepProfile {
+            step: cut.step,
+            start: compute.begin.duration_since(started),
+            compute_wall: compute.wall,
+            inbox_wall: inbox.wall,
+            barrier_skew,
+            enabled_next: cut.enabled,
+            parts,
+            counters: StepCounters::from_part_counters(counters),
+            store: now.0 - *base,
+        });
+        self.bases.push(now);
+        self.profiles.last().expect("just pushed")
+    }
+
+    /// Discards profiles of steps a rollback undid and rewinds the
+    /// telescoping baseline to the last surviving emission, so the
+    /// rolled-back work's store cost folds into the re-execution's deltas
+    /// instead of vanishing from the per-step sum.
+    fn rewind(&mut self, step: u32) {
+        while self.profiles.last().is_some_and(|p| p.step > step) {
+            self.profiles.pop();
+            self.bases.pop();
+        }
+    }
+}
+
+/// The controller of one synchronized run.
+struct SyncRun<'a, S: KvStore, J: Job> {
+    env: &'a JobEnv<S, J>,
+    opts: &'a SyncOptions,
+    task: Arc<PartTask<S::Table, J>>,
+    recovery: Option<RecoveryHooks>,
+    /// Whether a sole crashed part is healed alone (see the module docs).
+    fast: bool,
+    metrics: RunMetrics,
+    checkpoint: Option<CheckRecord>,
+    /// The controller-side inputs needed to replay one part through one
+    /// step, per step fed: every part's recorded inbox entries and the
+    /// aggregate snapshot the step's compute observed.
+    replay_log: HashMap<u32, (Vec<Records>, AggregateSnapshot)>,
+    profile: Option<ProfileLog>,
+}
 
 pub(crate) fn run_sync<S: KvStore, J: Job>(
     env: &JobEnv<S, J>,
@@ -164,10 +293,16 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
     recovery: Option<RecoveryHooks>,
     durable: Option<DurableOpts>,
 ) -> Result<RunOutcome, EbspError> {
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let store_before = env.store.metrics();
+    let profile = opts.profile.then(|| ProfileLog {
+        started,
+        per_part: !env.plan.run_anywhere,
+        profiles: Vec::new(),
+        bases: vec![(store_before, env.store.part_metrics())],
+    });
     let parts = env.parts();
-    let fault_retry = Arc::new(FaultRetry::new(opts.retry, opts.observer.clone()));
+    let retry = Arc::new(FaultRetry::new(opts.retry, opts.observer.clone()));
     // Fast recovery needs determinism (the plan), a checkpoint to rewind
     // state tables to, and pinned execution.
     let fast = opts.fast_recovery
@@ -183,434 +318,118 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
     // Temp-table DDL is retried like every other store operation: against
     // a networked store a transient fault here would otherwise kill the
     // run before the first step.
-    let make_table = |name: &str| {
-        kv_with_retry(Some(&fault_retry), 0, || {
+    let make_table = |kind: &str| {
+        let name = format!("__ebsp_{kind}_{nonce}");
+        kv_with_retry(&retry, 0, || {
             if resuming {
                 // The interrupted run's durable temporaries carry the
                 // messages the resume continues from; rewind has already
                 // cut them to the journalled barrier.
-                if let Ok(t) = env.store.lookup_table(name) {
+                if let Ok(t) = env.store.lookup_table(&name) {
                     return Ok(t);
                 }
             }
             if fast {
                 // Replicated, so a crashed part's transport/inbox slices
                 // can be promoted back to their crash-instant contents.
-                env.store.create_table_like_replicated(name, &env.reference)
+                env.store
+                    .create_table_like_replicated(&name, &env.reference)
             } else {
-                env.store.create_table_like(name, &env.reference)
+                env.store.create_table_like(&name, &env.reference)
             }
         })
     };
-    let transport_name = format!("__ebsp_xport_{nonce}");
-    let inbox_name = format!("__ebsp_inbox_{nonce}");
-    let transport = make_table(&transport_name)?;
-    let _inbox = make_table(&inbox_name)?;
     let large_aggs = env.registry.names().count() >= opts.agg_table_threshold.max(1)
         && !env.registry.is_empty()
         && !env.plan.run_anywhere;
-    let agg_tables = if large_aggs {
-        let a1 = format!("__ebsp_agg1_{nonce}");
-        let a2 = format!("__ebsp_agg2_{nonce}");
-        let t1 = make_table(&a1)?;
-        let t2 = make_table(&a2)?;
-        Some(((a1, t1), (a2, t2)))
-    } else {
-        None
+    let temps = TempTables {
+        transport: make_table("xport")?,
+        inbox: make_table("inbox")?,
+        agg: if large_aggs {
+            Some((make_table("agg1")?, make_table("agg2")?))
+        } else {
+            None
+        },
     };
-    let mut guard_names = vec![transport_name.clone(), inbox_name.clone()];
-    if let Some(((a1, _), (a2, _))) = &agg_tables {
-        guard_names.push(a1.clone());
-        guard_names.push(a2.clone());
+    let mut temp_names = vec![
+        temps.transport.name().to_owned(),
+        temps.inbox.name().to_owned(),
+    ];
+    if let Some((partials, merged)) = &temps.agg {
+        temp_names.extend([partials.name().to_owned(), merged.name().to_owned()]);
     }
     // Durable runs keep their temporaries on failure — they *are* the
     // resume state — and clean up manually at a successful finish.
-    let temp_names = guard_names.clone();
-    let _guard = if durable.is_some() {
-        None
-    } else {
-        Some(TableGuard {
-            store: env.store.clone(),
-            names: guard_names,
-        })
+    let _guard = durable.is_none().then(|| TableGuard {
+        store: env.store.clone(),
+        names: temp_names.clone(),
+    });
+
+    let mut run = SyncRun {
+        env,
+        opts,
+        task: Arc::new(PartTask {
+            shuffle: opts.shuffle,
+            gate: opts.task_gate.clone(),
+            temps: Some(temps),
+            ..PartTask::new(env, retry, opts.probe.clone())
+        }),
+        recovery,
+        fast,
+        metrics: RunMetrics::default(),
+        checkpoint: None,
+        replay_log: HashMap::new(),
+        profile,
     };
-
-    let mut metrics = RunMetrics::default();
-
-    // ----- Step profiling ---------------------------------------------------
-    // Per-step store deltas telescope: each emitted step's interval starts
-    // where the previous one ended (the first at the run's own baseline),
-    // so the emitted deltas sum to the run-level delta — checkpoint
-    // traffic between steps lands in the step that follows it, and a final
-    // checkpoint after the last step stays run-level only.
-    let profiling = opts.profile;
-    let mut profiles: Vec<StepProfile> = Vec::new();
-    // Snapshots at each emitted profile, so a rollback can rewind the
-    // telescoping baseline in lockstep with `profiles`.
-    let mut profile_snaps: Vec<(StoreMetrics, Vec<StoreMetrics>)> = Vec::new();
-    let initial_part_base: Vec<StoreMetrics> = if profiling {
-        env.store.part_metrics()
-    } else {
-        Vec::new()
-    };
-    let mut store_base = store_before;
-    let mut part_base = initial_part_base.clone();
-
-    let mut replay_log: ReplayLog = HashMap::new();
-    let mut agg_history: HashMap<u32, AggregateSnapshot> = HashMap::new();
-    let mut enabled: u64;
-    let mut agg_snapshot: AggregateSnapshot;
-    let mut step: u32;
-    if let Some(rp) = durable.as_ref().and_then(|d| d.resume.as_ref()) {
-        // ----- Resume from a journalled barrier -----------------------------
-        // The store was rewound to the barrier at `rp.step`: state tables
+    let mut cut = match durable.as_ref().and_then(|d| d.resume.clone()) {
+        // The store was rewound to the journalled barrier: state tables
         // hold that step's committed contents and the inbox for the next
         // step is already built and durable.  Loaders must not run again —
         // their effects are part of the rewound state.
-        enabled = rp.enabled;
-        agg_snapshot = rp.agg.clone();
-        step = rp.step;
-    } else {
-        // ----- Initial condition --------------------------------------------
-        let mut buffer = LoadBuffer::new();
-        {
-            let mut sink = EngineLoadSink::<S, J>::new(
-                &env.tables,
-                &env.registry,
-                &mut buffer,
-                Some(&fault_retry),
-            );
-            for loader in loaders {
-                loader.load(&mut sink)?;
-            }
-            sink.finish()?;
-        }
-        let mut initial_counters = PartCounters::default();
-        write_spills(
-            &*env.job,
-            &transport,
-            parts,
-            0,
-            u32::MAX, // the controller as a pseudo-source
-            buffer.envelopes,
-            &mut initial_counters,
-            Some(&fault_retry),
-            opts.pushdown,
-        )?;
-        metrics.absorb(&initial_counters);
+        Some(journalled) => journalled,
+        None => run.initial_cut(loaders)?,
+    };
 
-        let mut agg_values = env.registry.identities();
-        env.registry.merge(&mut agg_values, buffer.agg);
-        for (name, value) in env.job.initial_aggregates() {
-            env.registry.fold(&mut agg_values, &name, value)?;
-        }
-        agg_snapshot = AggregateSnapshot::new(agg_values);
-
-        // ----- Inbox for step 1 ---------------------------------------------
-        // Nothing to recover to yet if this fails.
-        let (n, _, recorded, _) = run_inbox_phase(
-            env,
-            &transport_name,
-            &inbox_name,
-            &mut metrics,
-            &fault_retry,
-            fast,
-            opts.probe.clone(),
-            opts.task_gate.clone(),
-        )?;
-        enabled = n;
-        if fast {
-            replay_log.insert(1, recorded);
-            agg_history.insert(1, agg_snapshot.clone());
-        }
-        step = 0;
-    }
-
-    let mut aborted = false;
-    let mut checkpoint: Option<CheckRecord> = None;
-    if let (Some(hooks), Some(_)) = (&recovery, opts.checkpoint_interval) {
-        checkpoint = Some(take_checkpoint(hooks, parts, step, enabled, &agg_snapshot)?);
+    if let (Some(hooks), Some(_)) = (&run.recovery, opts.checkpoint_interval) {
+        run.checkpoint = Some(take_checkpoint(hooks, parts, &cut)?);
     }
     if let Some(d) = &durable {
         if d.resume.is_none() {
             // The step-0 commit gives the very first in-flight step a
             // barrier to rewind to; a resume already has one.
-            commit_durable(d, step, enabled, &agg_snapshot, &mut metrics)?;
+            commit_durable(d, &cut, &mut run.metrics)?;
         }
     }
 
-    // ----- Step loop ----------------------------------------------------
-    loop {
-        if enabled == 0 {
-            break;
-        }
-        if step >= opts.max_steps {
+    let mut aborted = false;
+    while cut.enabled > 0 {
+        if cut.step >= opts.max_steps {
             return Err(EbspError::StepLimitExceeded {
                 limit: opts.max_steps,
             });
         }
-        let next_step = step + 1;
-        if env.job.has_aborter() && env.job.aborter(&agg_snapshot, next_step) {
+        if env.job.has_aborter() && env.job.aborter(&cut.agg, cut.step + 1) {
             aborted = true;
             break;
         }
-
-        // Compute phase: pinned to each component's part, or stealing
-        // from a shared queue when the plan allows run-anywhere.
-        let compute_begin = Instant::now();
-        let mut compute_times: Vec<Option<(Instant, Instant)>> = Vec::new();
-        let compute_result = if env.plan.run_anywhere {
-            crate::engine::anywhere::run_compute_phase_anywhere(
-                env,
-                next_step,
-                &agg_snapshot,
-                &transport,
-                &inbox_name,
-                opts.probe.clone(),
-                opts.pushdown,
-            )
-        } else {
-            let per_part = run_compute_phase(
-                env,
-                next_step,
-                &agg_snapshot,
-                &transport,
-                &inbox_name,
-                agg_tables.as_ref().map(|((_, t), _)| t),
-                &fault_retry,
-                opts.probe.clone(),
-                opts.shuffle,
-                opts.task_gate.clone(),
-                opts.pushdown,
-            );
-            let mut aggs = env.registry.identities();
-            let mut counters = PartCounters::default();
-            let mut failures: Vec<(u32, EbspError)> = Vec::new();
-            for (p, (result, timing)) in per_part.into_iter().enumerate() {
-                compute_times.push(timing);
-                match result {
-                    Ok((partial, c)) => {
-                        env.registry.merge(&mut aggs, partial);
-                        counters.merge(&c);
-                    }
-                    Err(e) => failures.push((p as u32, e)),
-                }
-            }
-            if failures.is_empty() {
-                Ok((aggs, counters))
-            } else {
-                // Fast path: exactly one part failed, it failed *as
-                // itself* (no survivor tripped over it), and the replay
-                // inputs are on hand.
-                let sole_crash = failures.len() == 1
-                    && matches!(
-                        &failures[0].1,
-                        EbspError::Kv(KvError::PartFailed { part }) if *part == failures[0].0
-                    );
-                let mut recovered = false;
-                if fast && sole_crash {
-                    if let (Some(hooks), Some(record)) = (&recovery, &checkpoint) {
-                        if let Some((replayed_aggs, replayed_counters)) = fast_recover(
-                            env,
-                            hooks,
-                            record,
-                            failures[0].0,
-                            next_step,
-                            &replay_log,
-                            &agg_history,
-                            &transport,
-                            &inbox_name,
-                            agg_tables.as_ref().map(|((_, t), _)| t),
-                            &fault_retry,
-                            &mut metrics,
-                            &opts.observer,
-                            opts.shuffle,
-                            opts.pushdown,
-                        ) {
-                            env.registry.merge(&mut aggs, replayed_aggs);
-                            counters.merge(&replayed_counters);
-                            recovered = true;
-                        }
-                    }
-                }
-                if recovered {
-                    Ok((aggs, counters))
-                } else {
-                    Err(failures.swap_remove(0).1)
-                }
-            }
-        };
-        let compute_wall = compute_begin.elapsed();
-        let (step_aggs, mut step_counters) = match compute_result {
-            Ok((aggs, counters)) => {
-                metrics.absorb(&counters);
-                let aggs = match &agg_tables {
-                    None => aggs,
-                    Some(((a1, _), (a2, t2))) => {
-                        // The extra enumeration round of the large path.
-                        let _ = t2.clear();
-                        match run_agg_merge_phase(env, a1, a2, &fault_retry) {
-                            Ok(merged) => merged,
-                            Err(e) => {
-                                recover_or_fail(
-                                    env,
-                                    &recovery,
-                                    &checkpoint,
-                                    e,
-                                    next_step,
-                                    &mut step,
-                                    &mut enabled,
-                                    &mut agg_snapshot,
-                                    &mut metrics,
-                                )?;
-                                if profiling {
-                                    rewind_profiles(
-                                        step,
-                                        &mut profiles,
-                                        &mut profile_snaps,
-                                        &mut store_base,
-                                        &mut part_base,
-                                        store_before,
-                                        &initial_part_base,
-                                    );
-                                }
-                                if let Some(observer) = &opts.observer {
-                                    observer.on_recovery(step);
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                };
-                (aggs, counters)
-            }
-            Err(e) => {
-                recover_or_fail(
-                    env,
-                    &recovery,
-                    &checkpoint,
-                    e,
-                    next_step,
-                    &mut step,
-                    &mut enabled,
-                    &mut agg_snapshot,
-                    &mut metrics,
-                )?;
-                if profiling {
-                    rewind_profiles(
-                        step,
-                        &mut profiles,
-                        &mut profile_snaps,
-                        &mut store_base,
-                        &mut part_base,
-                        store_before,
-                        &initial_part_base,
-                    );
-                }
-                if let Some(observer) = &opts.observer {
-                    observer.on_recovery(step);
-                }
-                continue;
-            }
-        };
-
-        // Barrier: merge aggregates.
-        let mut merged = env.registry.identities();
-        env.registry.merge(&mut merged, step_aggs);
-        let next_snapshot = AggregateSnapshot::new(merged);
-
-        // Inbox build phase.
-        let inbox_begin = Instant::now();
-        match run_inbox_phase(
-            env,
-            &transport_name,
-            &inbox_name,
-            &mut metrics,
-            &fault_retry,
-            fast,
-            opts.probe.clone(),
-            opts.task_gate.clone(),
-        ) {
-            Ok((n, inbox_counters, recorded, inbox_times)) => {
-                let inbox_wall = inbox_begin.elapsed();
-                enabled = n;
-                agg_snapshot = next_snapshot;
-                step = next_step;
-                if fast {
-                    replay_log.insert(step + 1, recorded);
-                    agg_history.insert(step + 1, agg_snapshot.clone());
-                }
-                if let Some(observer) = &opts.observer {
-                    observer.on_step(step, enabled, &agg_snapshot);
-                }
-                if profiling {
-                    step_counters.merge(&inbox_counters);
-                    let profile = build_step_profile(
-                        &env.store,
-                        started,
-                        step,
-                        enabled,
-                        compute_begin,
-                        compute_wall,
-                        inbox_wall,
-                        &compute_times,
-                        &inbox_times,
-                        &step_counters,
-                        !env.plan.run_anywhere,
-                        &mut store_base,
-                        &mut part_base,
-                    );
-                    profile_snaps.push((store_base, part_base.clone()));
-                    if let Some(observer) = &opts.observer {
-                        observer.on_step_profile(&profile);
-                    }
-                    profiles.push(profile);
-                }
-            }
-            Err(e) => {
-                recover_or_fail(
-                    env,
-                    &recovery,
-                    &checkpoint,
-                    e,
-                    next_step,
-                    &mut step,
-                    &mut enabled,
-                    &mut agg_snapshot,
-                    &mut metrics,
-                )?;
-                if profiling {
-                    rewind_profiles(
-                        step,
-                        &mut profiles,
-                        &mut profile_snaps,
-                        &mut store_base,
-                        &mut part_base,
-                        store_before,
-                        &initial_part_base,
-                    );
-                }
-                if let Some(observer) = &opts.observer {
-                    observer.on_recovery(step);
-                }
+        match run.step(&cut) {
+            Ok(next) => cut = next,
+            Err(error) => {
+                run.rollback(error, &mut cut)?;
                 continue;
             }
         }
-
-        if let (Some(hooks), Some(interval)) = (&recovery, opts.checkpoint_interval) {
-            if step.is_multiple_of(interval.max(1)) {
-                checkpoint = Some(take_checkpoint(hooks, parts, step, enabled, &agg_snapshot)?);
-                if fast {
-                    // Steps at or before the checkpoint can never be
-                    // replayed again.
-                    replay_log.retain(|s, _| *s > step);
-                    agg_history.retain(|s, _| *s > step);
-                }
+        if let (Some(hooks), Some(interval)) = (&run.recovery, opts.checkpoint_interval) {
+            if cut.step.is_multiple_of(interval.max(1)) {
+                run.checkpoint = Some(take_checkpoint(hooks, parts, &cut)?);
+                // Steps at or before the checkpoint can never be replayed
+                // again.
+                run.replay_log.retain(|s, _| *s > cut.step);
                 if let Some(d) = &durable {
-                    commit_durable(d, step, enabled, &agg_snapshot, &mut metrics)?;
+                    commit_durable(d, &cut, &mut run.metrics)?;
                 }
                 if let Some(observer) = &opts.observer {
-                    observer.on_checkpoint(step);
+                    observer.on_checkpoint(cut.step);
                 }
             }
         }
@@ -626,493 +445,338 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
         }
     }
 
-    metrics.steps = step;
-    metrics.barriers = step;
-    metrics.retries = fault_retry.count();
+    let mut metrics = run.metrics;
+    metrics.steps = cut.step;
+    metrics.barriers = cut.step;
+    metrics.retries = run.task.retry.count();
     metrics.store = env.store.metrics() - store_before;
     metrics.elapsed = started.elapsed();
     Ok(RunOutcome {
-        steps: step,
+        steps: cut.step,
         aborted,
-        aggregates: agg_snapshot,
+        aggregates: cut.agg,
         metrics,
         mode: ExecMode::Synchronized,
-        profiles: profiling.then_some(profiles),
+        profiles: run.profile.map(|log| log.profiles),
         worker_profiles: None,
     })
 }
 
-/// Assembles one step's profile from the phase timings, charging each part
-/// its store delta since the previous emitted step, and advances the
-/// telescoping baselines.
-#[allow(clippy::too_many_arguments)]
-fn build_step_profile<S: KvStore>(
-    store: &S,
-    started: Instant,
-    step: u32,
-    enabled_next: u64,
-    compute_begin: Instant,
-    compute_wall: Duration,
-    inbox_wall: Duration,
-    compute_times: &[Option<(Instant, Instant)>],
-    inbox_times: &[Option<(Instant, Instant)>],
-    counters: &PartCounters,
-    per_part_homes: bool,
-    store_base: &mut StoreMetrics,
-    part_base: &mut Vec<StoreMetrics>,
-) -> StepProfile {
-    let store_now = store.metrics();
-    let part_now = store.part_metrics();
-    let finishes: Vec<Instant> = compute_times.iter().flatten().map(|&(_, f)| f).collect();
-    let barrier_skew = match (finishes.iter().min(), finishes.iter().max()) {
-        (Some(first), Some(last)) => last.duration_since(*first),
-        _ => Duration::ZERO,
-    };
-    let span = |timing: Option<(Instant, Instant)>| match timing {
-        Some((from, to)) => (from.duration_since(started), to.duration_since(from)),
-        None => (Duration::ZERO, Duration::ZERO),
-    };
-    let parts = if per_part_homes {
-        (0..compute_times.len().max(inbox_times.len()))
+impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
+    /// The initial condition: runs the loaders, spills what they sent as
+    /// step 0, and builds the inbox for step 1.
+    fn initial_cut(&mut self, loaders: Vec<Box<dyn Loader<J>>>) -> Result<Cut, EbspError> {
+        let registry = &self.env.registry;
+        let buffer = run_loaders(self.env, loaders, &self.task.retry)?;
+        let mut counters = PartCounters::default();
+        // The controller spills as a pseudo-source.
+        self.task
+            .write_spills(0, u32::MAX, buffer.envelopes, &mut counters)?;
+        self.metrics.absorb(&counters);
+
+        let mut agg_values = registry.identities();
+        registry.merge(&mut agg_values, buffer.agg);
+        for (name, value) in self.env.job.initial_aggregates() {
+            registry.fold(&mut agg_values, &name, value)?;
+        }
+        let agg = AggregateSnapshot::new(agg_values);
+
+        // Nothing to recover to yet if this fails.
+        let built = self.inbox_phase()?;
+        if self.fast {
+            self.replay_log.insert(1, (built.recorded, agg.clone()));
+        }
+        Ok(Cut {
+            step: 0,
+            enabled: built.enabled,
+            agg,
+        })
+    }
+
+    /// Runs the step after `cut` — compute phase, barrier, inbox build —
+    /// and returns the cut it ends at.  Any error leaves the step undone
+    /// for [`SyncRun::rollback`] to judge.
+    fn step(&mut self, cut: &Cut) -> Result<Cut, EbspError> {
+        let registry = &self.env.registry;
+        let step = cut.step + 1;
+
+        let begin = Instant::now();
+        let (computed, part_times) = self.compute_phase(step, &cut.agg);
+        let compute = PhaseTimes {
+            begin,
+            wall: begin.elapsed(),
+            parts: part_times,
+        };
+        let (mut aggs, mut counters) = computed?;
+        self.metrics.absorb(&counters);
+        if let Some((_, results)) = &self.task.temps().agg {
+            // The extra enumeration round of the large path.
+            self.task.retried(u32::MAX, || results.clear())?;
+            aggs = self.agg_merge_phase()?;
+        }
+
+        // Barrier: merge aggregates.
+        let mut merged = registry.identities();
+        registry.merge(&mut merged, aggs);
+        let agg = AggregateSnapshot::new(merged);
+
+        let begin = Instant::now();
+        let built = self.inbox_phase()?;
+        let inbox = PhaseTimes {
+            begin,
+            wall: begin.elapsed(),
+            parts: built.times,
+        };
+        let next = Cut {
+            step,
+            enabled: built.enabled,
+            agg,
+        };
+        if self.fast {
+            self.replay_log
+                .insert(step + 1, (built.recorded, next.agg.clone()));
+        }
+        if let Some(observer) = &self.opts.observer {
+            observer.on_step(step, next.enabled, &next.agg);
+        }
+        if let Some(log) = &mut self.profile {
+            counters.merge(&built.counters);
+            let profile = log.record(&self.env.store, &next, &compute, &inbox, &counters);
+            if let Some(observer) = &self.opts.observer {
+                observer.on_step_profile(profile);
+            }
+        }
+        Ok(next)
+    }
+
+    /// Dispatches `work` to every part, each task bracketed by the task
+    /// gate, and joins — the barrier.  Returns each part's result, so the
+    /// caller can recover a single failed part without discarding the
+    /// survivors' work.
+    fn run_phase<R, F>(&self, work: F) -> Vec<Timed<R>>
+    where
+        R: Send + 'static,
+        F: Fn(&PartTask<S::Table, J>, &dyn PartView) -> Result<R, EbspError>
+            + Clone
+            + Send
+            + 'static,
+    {
+        let handles: Vec<_> = (0..self.task.parts)
             .map(|p| {
-                let (compute_start, compute) = span(compute_times.get(p).copied().flatten());
-                let (inbox_start, inbox_build) = span(inbox_times.get(p).copied().flatten());
-                let now = part_now.get(p).copied().unwrap_or_default();
-                let base = part_base.get(p).copied().unwrap_or_default();
-                PartStepProfile {
-                    part: p as u32,
-                    compute_start,
-                    compute,
-                    inbox_start,
-                    inbox_build,
-                    store: now - base,
-                }
+                let task = Arc::clone(&self.task);
+                let work = work.clone();
+                self.env
+                    .store
+                    .run_at(&self.env.reference, PartId(p), move |view| {
+                        // Acquire before the timed span: per-part walls then
+                        // measure actual work, while scheduler queueing shows
+                        // up in the gate's own accounting (and as barrier
+                        // skew).
+                        let _permit = task.gate.as_ref().map(GatePermit::acquire);
+                        let begun = Instant::now();
+                        let result = work(&task, view);
+                        (begun, Instant::now(), result)
+                    })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| match handle.join() {
+                Ok((begun, finished, result)) => (result, Some((begun, finished))),
+                Err(e) => (Err(EbspError::Kv(e)), None),
             })
             .collect()
-    } else {
-        // Work-stealing compute has no per-part home to attribute to.
-        Vec::new()
-    };
-    let profile = StepProfile {
-        step,
-        start: compute_begin.duration_since(started),
-        compute_wall,
-        inbox_wall,
-        barrier_skew,
-        enabled_next,
-        parts,
-        counters: StepCounters::from_part_counters(counters),
-        store: store_now - *store_base,
-    };
-    *store_base = store_now;
-    *part_base = part_now;
-    profile
-}
-
-/// Discards profiles of steps a rollback undid and rewinds the telescoping
-/// store baseline to the last surviving emission, so the rolled-back
-/// work's store cost folds into the re-execution's deltas instead of
-/// vanishing from the per-step sum.
-fn rewind_profiles(
-    step: u32,
-    profiles: &mut Vec<StepProfile>,
-    snaps: &mut Vec<(StoreMetrics, Vec<StoreMetrics>)>,
-    store_base: &mut StoreMetrics,
-    part_base: &mut Vec<StoreMetrics>,
-    store_before: StoreMetrics,
-    initial_part_base: &[StoreMetrics],
-) {
-    while profiles.last().is_some_and(|p| p.step > step) {
-        profiles.pop();
-        snaps.pop();
     }
-    match snaps.last() {
-        Some((whole, parts)) => {
-            *store_base = *whole;
-            *part_base = parts.clone();
-        }
-        None => {
-            *store_base = store_before;
-            *part_base = initial_part_base.to_vec();
-        }
-    }
-}
 
-/// Dispatches the compute task to every part and joins (the barrier);
-/// returns each part's result — so the caller can recover a single failed
-/// part without discarding the survivors' work — alongside the part task's
-/// start/finish instants (absent when the dispatch itself failed).
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn run_compute_phase<S: KvStore, J: Job>(
-    env: &JobEnv<S, J>,
-    step: u32,
-    prev_agg: &AggregateSnapshot,
-    transport: &S::Table,
-    inbox_name: &str,
-    agg_table: Option<&S::Table>,
-    retry: &Arc<FaultRetry>,
-    probe: Option<Arc<dyn crate::AuditProbe>>,
-    shuffle: Option<u64>,
-    gate: Option<Arc<dyn crate::TaskGate>>,
-    pushdown: bool,
-) -> Vec<(
-    Result<(HashMap<String, AggValue>, PartCounters), EbspError>,
-    Option<(Instant, Instant)>,
-)> {
-    let parts = env.parts();
-    let agg_table = agg_table.cloned();
-    let handles: Vec<_> = (0..parts)
-        .map(|p| {
-            let job = Arc::clone(&env.job);
-            let plan = env.plan;
-            let table_names = Arc::clone(&env.table_names);
-            let broadcast = env.broadcast_name.clone();
-            let registry = env.registry.clone();
-            let prev = prev_agg.clone();
-            let transport = transport.clone();
-            let inbox = inbox_name.to_owned();
-            let direct = env.direct.clone();
-            let agg_table = agg_table.clone();
-            let retry = Arc::clone(retry);
-            let probe = probe.clone();
-            let gate = gate.clone();
-            env.store.run_at(&env.reference, PartId(p), move |view| {
-                // Acquire before the timed span: per-part compute walls then
-                // measure actual work, while scheduler queueing shows up in
-                // the gate's own accounting (and as barrier skew).
-                let _permit = gate.as_ref().map(crate::GatePermit::acquire);
-                let begun = Instant::now();
-                let result = compute_at_part::<S::Table, J>(
-                    &job,
-                    &plan,
-                    view,
-                    step,
-                    &transport,
-                    &inbox,
-                    &table_names,
-                    broadcast.as_deref(),
-                    &registry,
-                    &prev,
-                    direct.as_deref(),
-                    parts,
-                    agg_table.as_ref(),
-                    Some(&retry),
-                    None,
-                    false,
-                    probe.as_deref(),
-                    shuffle,
-                    pushdown,
-                );
-                (begun, Instant::now(), result)
+    /// The compute phase: pinned to each component's part, or stealing from
+    /// a shared queue when the plan allows run-anywhere.  A sole crashed
+    /// part is healed in place when fast recovery applies.
+    fn compute_phase(
+        &mut self,
+        step: u32,
+        prev_agg: &AggregateSnapshot,
+    ) -> (Result<PartOutput, EbspError>, Vec<Option<Span>>) {
+        if self.env.plan.run_anywhere {
+            let output = anywhere::run_compute_phase_anywhere(self.env, &self.task, step, prev_agg);
+            return (output, Vec::new());
+        }
+        let prev = prev_agg.clone();
+        let per_part = self.run_phase(move |task, view| task.compute(view, step, &prev, None));
+        let mut output = (self.env.registry.identities(), PartCounters::default());
+        let mut failures: Vec<(u32, EbspError)> = Vec::new();
+        let mut times = Vec::with_capacity(per_part.len());
+        for (p, (result, span)) in per_part.into_iter().enumerate() {
+            times.push(span);
+            match result {
+                Ok(part) => self.task.merge_output(&mut output, part),
+                Err(e) => failures.push((p as u32, e)),
+            }
+        }
+        if failures.is_empty() {
+            return (Ok(output), times);
+        }
+        // Fast path: exactly one part failed, it failed *as itself* (no
+        // survivor tripped over it), and the replay inputs are on hand.
+        let sole_crash = failures.len() == 1
+            && matches!(
+                &failures[0].1,
+                EbspError::Kv(KvError::PartFailed { part }) if *part == failures[0].0
+            );
+        if self.fast && sole_crash {
+            if let Some(replayed) = self.fast_recover(failures[0].0, step) {
+                self.task.merge_output(&mut output, replayed);
+                return (Ok(output), times);
+            }
+        }
+        (Err(failures.swap_remove(0).1), times)
+    }
+
+    /// The inbox-build phase; its counters are absorbed into the run's
+    /// metrics whether or not every part succeeded.
+    fn inbox_phase(&mut self) -> Result<InboxBuilt, EbspError> {
+        let record = self.fast;
+        let per_part = self.run_phase(move |task, view| task.build_inbox(view, record));
+        let mut built = InboxBuilt::default();
+        let mut first_err = None;
+        for (result, span) in per_part {
+            built.times.push(span);
+            match result {
+                Ok((enabled, counters, entries)) => {
+                    built.enabled += enabled;
+                    built.counters.merge(&counters);
+                    built.recorded.push(entries);
+                }
+                Err(e) => first_err = first_err.or(Some(e)),
+            }
+        }
+        self.metrics.absorb(&built.counters);
+        first_err.map_or(Ok(built), Err)
+    }
+
+    /// The large-aggregator merge round: every part folds the partials
+    /// routed to it and records them in the second auxiliary table.
+    fn agg_merge_phase(&self) -> Result<HashMap<String, AggValue>, EbspError> {
+        let task = Arc::clone(&self.task);
+        let results = self
+            .env
+            .store
+            .run_at_all(&self.env.reference, move |view| task.merge_aggregates(view))?;
+        let mut merged = self.env.registry.identities();
+        for part_result in results {
+            // Each name routes to exactly one part, so inserting never
+            // double-counts.
+            merged.extend(part_result?);
+        }
+        Ok(merged)
+    }
+
+    /// Restores and replays a single failed part from the last checkpoint
+    /// while every surviving part keeps its state.  Returns the replayed
+    /// part's output for the failed step, or `None` if anything about the
+    /// fast path is not satisfiable — the caller then falls back to
+    /// whole-group rollback, which overwrites any partial work done here.
+    fn fast_recover(&mut self, part: u32, failed_step: u32) -> Option<PartOutput> {
+        let (hooks, record) = (self.recovery.as_ref()?, self.checkpoint.as_ref()?);
+        let from = record.cut.step;
+        // Every replayed step needs its recorded inbox and the aggregate
+        // snapshot its compute observed.
+        let mut inputs = Vec::new();
+        for s in (from + 1)..=failed_step {
+            let (entries, prev) = self.replay_log.get(&s)?;
+            inputs.push((s, entries.get(part as usize)?.clone(), prev.clone()));
+        }
+        let captured = record.parts.get(part as usize)?;
+
+        // Heal: promote surviving replicas (the replicated temporaries come
+        // back at their crash-instant contents), then rewind only this part's
+        // state tables to the checkpoint.
+        (hooks.promote)(PartId(part)).ok()?;
+        (hooks.restore_tables)(captured.as_ref(), &self.env.table_names).ok()?;
+
+        // The promoted inbox replica may hold entries the failed compute was
+        // mid-drain over; replay feeds from the controller-side log instead.
+        let (store, reference) = (&self.env.store, &self.env.reference);
+        let task = Arc::clone(&self.task);
+        let drained = store.run_at(reference, PartId(part), move |view| {
+            view.drain(task.temps().inbox.name(), &mut |_k, _v| {
+                ScanControl::Continue
             })
-        })
-        .collect();
+        });
+        drained.join().ok()?.ok()?;
 
-    handles
-        .into_iter()
-        .map(|handle| match handle.join() {
-            Ok((begun, finished, result)) => (result, Some((begun, finished))),
-            Err(e) => (Err(EbspError::Kv(e)), None),
-        })
-        .collect()
-}
-
-/// Dispatches the inbox-build task to every part and joins; returns the
-/// total enabled component count for the next step, the phase's merged
-/// work counters (also absorbed into `metrics`), the per-part task
-/// timings, and — when `record` is set — every part's materialized inbox
-/// entries, indexed by part.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn run_inbox_phase<S: KvStore, J: Job>(
-    env: &JobEnv<S, J>,
-    transport_name: &str,
-    inbox_name: &str,
-    metrics: &mut RunMetrics,
-    retry: &Arc<FaultRetry>,
-    record: bool,
-    probe: Option<Arc<dyn crate::AuditProbe>>,
-    gate: Option<Arc<dyn crate::TaskGate>>,
-) -> Result<
-    (
-        u64,
-        PartCounters,
-        Vec<Vec<(RoutedKey, Bytes)>>,
-        Vec<Option<(Instant, Instant)>>,
-    ),
-    EbspError,
-> {
-    let handles: Vec<_> = (0..env.parts())
-        .map(|p| {
-            let job = Arc::clone(&env.job);
-            let plan = env.plan;
-            let table_names = Arc::clone(&env.table_names);
-            let transport = transport_name.to_owned();
-            let inbox = inbox_name.to_owned();
-            let retry = Arc::clone(retry);
-            let probe = probe.clone();
-            let gate = gate.clone();
-            env.store.run_at(&env.reference, PartId(p), move |view| {
-                let _permit = gate.as_ref().map(crate::GatePermit::acquire);
-                let begun = Instant::now();
-                let result = build_inbox_at_part::<J>(
-                    &job,
-                    &plan,
-                    view,
-                    &transport,
-                    &inbox,
-                    &table_names,
-                    Some(&retry),
-                    record,
-                    probe.as_deref(),
-                );
-                (begun, Instant::now(), result)
-            })
-        })
-        .collect();
-
-    let mut enabled = 0u64;
-    let mut phase_counters = PartCounters::default();
-    let mut recorded = Vec::with_capacity(handles.len());
-    let mut timings = Vec::with_capacity(handles.len());
-    let mut first_err: Option<EbspError> = None;
-    for handle in handles {
-        match handle.join() {
-            Ok((begun, finished, Ok((n, counters, entries)))) => {
-                enabled += n;
-                phase_counters.merge(&counters);
-                recorded.push(entries);
-                timings.push(Some((begun, finished)));
-            }
-            Ok((_, _, Err(e))) => {
-                recorded.push(Vec::new());
-                timings.push(None);
-                first_err = Some(first_err.unwrap_or(e));
-            }
-            Err(e) => {
-                recorded.push(Vec::new());
-                timings.push(None);
-                first_err = Some(first_err.unwrap_or(EbspError::Kv(e)));
-            }
+        let mut output = (self.env.registry.identities(), PartCounters::default());
+        for (s, entries, prev) in inputs {
+            // Past steps replay purely for their state effects; the failed
+            // step replays in full (its sends and partials never happened).
+            let suppress = s < failed_step;
+            let task = Arc::clone(&self.task);
+            let replayed = store.run_at(reference, PartId(part), move |view| {
+                task.compute(view, s, &prev, Some(Replay { entries, suppress }))
+            });
+            self.task
+                .merge_output(&mut output, replayed.join().ok()?.ok()?);
         }
-    }
-    metrics.absorb(&phase_counters);
-    match first_err {
-        None => Ok((enabled, phase_counters, recorded, timings)),
-        Some(e) => Err(e),
-    }
-}
 
-/// The large-aggregator merge round: every part folds the partials routed
-/// to it and records them in the second auxiliary table.
-fn run_agg_merge_phase<S: KvStore, J: Job>(
-    env: &JobEnv<S, J>,
-    agg1_name: &str,
-    agg2_name: &str,
-    retry: &Arc<FaultRetry>,
-) -> Result<HashMap<String, AggValue>, EbspError> {
-    let results = {
-        let registry = env.registry.clone();
-        let a1 = agg1_name.to_owned();
-        let a2 = agg2_name.to_owned();
-        let retry = Arc::clone(retry);
-        env.store.run_at_all(&env.reference, move |view| {
-            crate::engine::merge_aggregates_at_part(&registry, view, &a1, &a2, Some(&retry))
-        })?
-    };
-    let mut merged = env.registry.identities();
-    for part_result in results {
-        for (name, value) in part_result? {
-            // Each name routes to exactly one part, so this never
-            // double-counts; fold is still the right merge.
-            merged.insert(name, value);
+        let replayed = failed_step - from;
+        self.metrics.recoveries += 1;
+        self.metrics.replayed_part_steps += u64::from(replayed);
+        if let Some(observer) = &self.opts.observer {
+            observer.on_fast_recovery(part, replayed);
         }
+        Some(output)
     }
-    Ok(merged)
+
+    /// Rolls the whole group back to the last checkpoint if `error` — what
+    /// the step after `cut` failed with — is a part failure; otherwise
+    /// propagates it.  Every part re-executes from the checkpoint through
+    /// the failed step, which is what
+    /// [`RunMetrics::replayed_part_steps`] records.
+    fn rollback(&mut self, error: EbspError, cut: &mut Cut) -> Result<(), EbspError> {
+        let part = match &error {
+            EbspError::Kv(KvError::PartFailed { part }) => *part,
+            _ => return Err(error),
+        };
+        let (Some(hooks), Some(record)) = (&self.recovery, &self.checkpoint) else {
+            return Err(EbspError::Unrecoverable { part });
+        };
+        for captured in &record.parts {
+            (hooks.restore)(captured.as_ref())?;
+        }
+        let undone = (cut.step + 1).saturating_sub(record.cut.step);
+        self.metrics.recoveries += 1;
+        self.metrics.replayed_part_steps += u64::from(self.task.parts) * u64::from(undone);
+        *cut = record.cut.clone();
+        if let Some(log) = &mut self.profile {
+            log.rewind(cut.step);
+        }
+        if let Some(observer) = &self.opts.observer {
+            observer.on_recovery(cut.step);
+        }
+        Ok(())
+    }
 }
 
-/// Runs the durable commit protocol for the barrier at `step`: markers,
+/// Runs the durable commit protocol for the barrier at `cut`: markers,
 /// journal, compaction — in that order, which is what makes the journalled
 /// epoch always rewindable.
-fn commit_durable(
-    d: &DurableOpts,
-    step: u32,
-    enabled: u64,
-    agg: &AggregateSnapshot,
-    metrics: &mut RunMetrics,
-) -> Result<(), EbspError> {
-    let epoch = u64::from(step);
+fn commit_durable(d: &DurableOpts, cut: &Cut, metrics: &mut RunMetrics) -> Result<(), EbspError> {
+    let epoch = u64::from(cut.step);
     (d.commit)(epoch)?;
-    (d.journal)(step, enabled, agg)?;
+    (d.journal)(cut)?;
     (d.compact)(epoch)?;
     metrics.durable_barriers += 1;
     Ok(())
 }
 
-fn take_checkpoint(
-    hooks: &RecoveryHooks,
-    parts: u32,
-    step: u32,
-    enabled: u64,
-    agg: &AggregateSnapshot,
-) -> Result<CheckRecord, EbspError> {
+fn take_checkpoint(hooks: &RecoveryHooks, parts: u32, cut: &Cut) -> Result<CheckRecord, EbspError> {
     let mut captured = Vec::with_capacity(parts as usize);
     for p in 0..parts {
         captured.push((hooks.checkpoint)(PartId(p))?);
     }
     Ok(CheckRecord {
-        step,
-        enabled,
-        agg: agg.clone(),
+        cut: cut.clone(),
         parts: captured,
     })
-}
-
-/// Restores and replays a single failed part from the last checkpoint
-/// while every surviving part keeps its state.  Returns the replayed
-/// part's aggregator partials and counters for the failed step, or `None`
-/// if anything about the fast path is not satisfiable — the caller then
-/// falls back to whole-group rollback, which overwrites any partial work
-/// done here.
-#[allow(clippy::too_many_arguments)]
-fn fast_recover<S: KvStore, J: Job>(
-    env: &JobEnv<S, J>,
-    hooks: &RecoveryHooks,
-    record: &CheckRecord,
-    part: u32,
-    next_step: u32,
-    replay_log: &ReplayLog,
-    agg_history: &HashMap<u32, AggregateSnapshot>,
-    transport: &S::Table,
-    inbox_name: &str,
-    agg_table: Option<&S::Table>,
-    retry: &Arc<FaultRetry>,
-    metrics: &mut RunMetrics,
-    observer: &Option<Arc<dyn RunObserver>>,
-    shuffle: Option<u64>,
-    pushdown: bool,
-) -> Option<(HashMap<String, AggValue>, PartCounters)> {
-    let from = record.step;
-    // Every replayed step needs its recorded inbox and the aggregate
-    // snapshot its compute observed.
-    for s in (from + 1)..=next_step {
-        replay_log.get(&s)?.get(part as usize)?;
-        agg_history.get(&s)?;
-    }
-    let captured = record.parts.get(part as usize)?;
-
-    // Heal: promote surviving replicas (the replicated temporaries come
-    // back at their crash-instant contents), then rewind only this part's
-    // state tables to the checkpoint.
-    (hooks.promote)(PartId(part)).ok()?;
-    (hooks.restore_tables)(captured.as_ref(), &env.table_names).ok()?;
-
-    // The promoted inbox replica may hold entries the failed compute was
-    // mid-drain over; replay feeds from the controller-side log instead.
-    {
-        let inbox = inbox_name.to_owned();
-        let handle = env.store.run_at(&env.reference, PartId(part), move |view| {
-            view.drain(&inbox, &mut |_k, _v| ripple_kv::ScanControl::Continue)
-        });
-        handle.join().ok()?.ok()?;
-    }
-
-    let mut aggs = env.registry.identities();
-    let mut counters = PartCounters::default();
-    for s in (from + 1)..=next_step {
-        let entries = replay_log.get(&s)?.get(part as usize)?.clone();
-        let prev = agg_history.get(&s)?.clone();
-        // Past steps replay purely for their state effects; the failed
-        // step replays in full (its sends and partials never happened).
-        let suppress = s < next_step;
-        let job = Arc::clone(&env.job);
-        let plan = env.plan;
-        let table_names = Arc::clone(&env.table_names);
-        let broadcast = env.broadcast_name.clone();
-        let registry = env.registry.clone();
-        let transport = transport.clone();
-        let inbox = inbox_name.to_owned();
-        let direct = env.direct.clone();
-        let agg_table = agg_table.cloned();
-        let retry = Arc::clone(retry);
-        let parts = env.parts();
-        let handle = env.store.run_at(&env.reference, PartId(part), move |view| {
-            compute_at_part::<S::Table, J>(
-                &job,
-                &plan,
-                view,
-                s,
-                &transport,
-                &inbox,
-                &table_names,
-                broadcast.as_deref(),
-                &registry,
-                &prev,
-                direct.as_deref(),
-                parts,
-                agg_table.as_ref(),
-                Some(&retry),
-                Some(entries),
-                suppress,
-                // Replay never re-fires audit probes (it would double-count
-                // observations), but must keep the original invocation
-                // order, so the shuffle seed (and the pushdown choice, which
-                // shapes the replayed spills) carries over.
-                None,
-                shuffle,
-                pushdown,
-            )
-        });
-        match handle.join() {
-            Ok(Ok((partial, c))) => {
-                env.registry.merge(&mut aggs, partial);
-                counters.merge(&c);
-            }
-            _ => return None,
-        }
-    }
-
-    let replayed = next_step - from;
-    metrics.recoveries += 1;
-    metrics.replayed_part_steps += u64::from(replayed);
-    if let Some(observer) = observer {
-        observer.on_fast_recovery(part, replayed);
-    }
-    Some((aggs, counters))
-}
-
-/// Rolls the whole group back to the last checkpoint if the failure is a
-/// recoverable part failure; otherwise propagates.  `failed_step` is the
-/// step whose phase failed — every part re-executes from the checkpoint
-/// through it, which is what [`RunMetrics::replayed_part_steps`] records.
-#[allow(clippy::too_many_arguments)]
-fn recover_or_fail<S: KvStore, J: Job>(
-    env: &JobEnv<S, J>,
-    recovery: &Option<RecoveryHooks>,
-    checkpoint: &Option<CheckRecord>,
-    error: EbspError,
-    failed_step: u32,
-    step: &mut u32,
-    enabled: &mut u64,
-    agg: &mut AggregateSnapshot,
-    metrics: &mut RunMetrics,
-) -> Result<(), EbspError> {
-    let part = match &error {
-        EbspError::Kv(KvError::PartFailed { part }) => *part,
-        _ => return Err(error),
-    };
-    let (Some(hooks), Some(record)) = (recovery, checkpoint) else {
-        return Err(EbspError::Unrecoverable { part });
-    };
-    for captured in &record.parts {
-        (hooks.restore)(captured.as_ref())?;
-    }
-    *step = record.step;
-    *enabled = record.enabled;
-    *agg = record.agg.clone();
-    metrics.recoveries += 1;
-    metrics.replayed_part_steps +=
-        u64::from(env.parts()) * u64::from(failed_step.saturating_sub(record.step));
-    Ok(())
 }
 
 fn run_nonce() -> u64 {

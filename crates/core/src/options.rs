@@ -118,7 +118,6 @@ pub struct RunOptions<J: Job, M = Basic> {
     loaders: Vec<Box<dyn Loader<J>>>,
     audit_probe: Option<Arc<dyn AuditProbe>>,
     shuffle_seed: Option<u64>,
-    op_deadline: Option<std::time::Duration>,
     _mode: PhantomData<M>,
 }
 
@@ -129,7 +128,6 @@ impl<J: Job> RunOptions<J, Basic> {
             loaders: Vec::new(),
             audit_probe: None,
             shuffle_seed: None,
-            op_deadline: None,
             _mode: PhantomData,
         }
     }
@@ -174,21 +172,6 @@ impl<J: Job, M> RunOptions<J, M> {
         self
     }
 
-    /// Bounds every store operation issued during the run: a silent peer
-    /// surfaces as a transient fault after `deadline` instead of blocking
-    /// the worker indefinitely.  Forwarded to the store via
-    /// [`KvStore::set_op_deadline`](ripple_kv::KvStore::set_op_deadline);
-    /// in-process stores ignore it.
-    pub fn op_deadline(mut self, deadline: std::time::Duration) -> Self {
-        self.op_deadline = Some(deadline);
-        self
-    }
-
-    /// The per-operation store deadline configured for this run, if any.
-    pub(crate) fn op_deadline_opt(&self) -> Option<std::time::Duration> {
-        self.op_deadline
-    }
-
     /// Splits the options into loaders and audit configuration, consumed
     /// at launch.
     pub(crate) fn into_parts(self) -> (Vec<Box<dyn Loader<J>>>, AuditOpts) {
@@ -206,7 +189,6 @@ impl<J: Job, M> RunOptions<J, M> {
             loaders: self.loaders,
             audit_probe: self.audit_probe,
             shuffle_seed: self.shuffle_seed,
-            op_deadline: self.op_deadline,
             _mode: PhantomData,
         }
     }
@@ -247,7 +229,6 @@ impl<J: Job, M> std::fmt::Debug for RunOptions<J, M> {
             .field("extra_loaders", &self.loaders.len())
             .field("audit", &self.audit_probe.is_some())
             .field("shuffle_seed", &self.shuffle_seed)
-            .field("op_deadline", &self.op_deadline)
             .finish()
     }
 }

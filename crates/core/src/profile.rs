@@ -20,13 +20,12 @@
 //! [`WorkerProfile`] — busy/idle split and batch-shape counters over the
 //! whole run.
 //!
-//! Profiles are collected only when [`JobRunner::profile`] (or
-//! [`JobRunner::trace_to`]) is enabled, stream through
+//! Profiles are collected only when [`JobRunner::profile`] is enabled,
+//! stream through
 //! [`RunObserver::on_step_profile`] as each barrier completes, and land on
 //! [`RunOutcome::profiles`] / [`RunOutcome::worker_profiles`].
 //!
 //! [`JobRunner::profile`]: crate::JobRunner::profile
-//! [`JobRunner::trace_to`]: crate::JobRunner::trace_to
 //! [`RunObserver::on_step_profile`]: crate::RunObserver::on_step_profile
 //! [`RunOutcome::profiles`]: crate::RunOutcome::profiles
 //! [`RunOutcome::worker_profiles`]: crate::RunOutcome::worker_profiles

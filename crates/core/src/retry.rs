@@ -138,11 +138,10 @@ impl FaultRetry {
 /// Runs `op`, retrying transient [`KvError`]s per the policy.  Permanent
 /// errors and exhausted budgets surface unchanged.
 pub(crate) fn kv_with_retry<T>(
-    retry: Option<&FaultRetry>,
+    retry: &FaultRetry,
     part: u32,
     mut op: impl FnMut() -> Result<T, KvError>,
 ) -> Result<T, KvError> {
-    let Some(retry) = retry else { return op() };
     let mut attempt = 1u32;
     loop {
         match op() {
@@ -190,7 +189,7 @@ mod tests {
             RetryPolicy::default().base_delay(Duration::from_micros(1)),
             None,
         );
-        let out = kv_with_retry(Some(&retry), 0, || {
+        let out = kv_with_retry(&retry, 0, || {
             let mut left = fails.lock().unwrap();
             if *left > 0 {
                 *left -= 1;
@@ -210,7 +209,7 @@ mod tests {
     #[test]
     fn exhausted_budget_surfaces_the_transient() {
         let retry = FaultRetry::new(RetryPolicy::none(), None);
-        let out: Result<(), _> = kv_with_retry(Some(&retry), 1, || {
+        let out: Result<(), _> = kv_with_retry(&retry, 1, || {
             Err(KvError::Transient {
                 op: "put",
                 part: 1,
@@ -225,7 +224,7 @@ mod tests {
     fn permanent_errors_are_not_retried() {
         let calls = Mutex::new(0u32);
         let retry = FaultRetry::new(RetryPolicy::default(), None);
-        let out: Result<(), _> = kv_with_retry(Some(&retry), 2, || {
+        let out: Result<(), _> = kv_with_retry(&retry, 2, || {
             *calls.lock().unwrap() += 1;
             Err(KvError::PartFailed { part: 2 })
         });

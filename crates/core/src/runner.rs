@@ -8,7 +8,7 @@ use ripple_kv::{
 use ripple_wire::{from_wire, to_wire};
 
 use crate::engine::nosync::{run_nosync, HealFn, NosyncOptions};
-use crate::engine::sync::{run_sync, DurableOpts, RecoveryHooks, ResumePoint, SyncOptions};
+use crate::engine::sync::{run_sync, Cut, DurableOpts, RecoveryHooks, SyncOptions};
 use crate::engine::JobEnv;
 use crate::options::{AuditOpts, Basic, Durable, Heal, LaunchMode, Recover, RunOptions};
 use crate::{
@@ -119,9 +119,7 @@ pub struct JobRunner<S: KvStore> {
     retry: RetryPolicy,
     fast_recovery: bool,
     profile: bool,
-    trace_to: Option<std::path::PathBuf>,
     task_gate: Option<Arc<dyn crate::TaskGate>>,
-    pushdown: bool,
 }
 
 impl<S: KvStore> std::fmt::Debug for JobRunner<S> {
@@ -137,9 +135,7 @@ impl<S: KvStore> std::fmt::Debug for JobRunner<S> {
             .field("retry", &self.retry)
             .field("fast_recovery", &self.fast_recovery)
             .field("profile", &self.profile)
-            .field("trace_to", &self.trace_to)
             .field("task_gate", &self.task_gate.is_some())
-            .field("pushdown", &self.pushdown)
             .finish_non_exhaustive()
     }
 }
@@ -159,9 +155,7 @@ impl<S: KvStore> JobRunner<S> {
             retry: RetryPolicy::default(),
             fast_recovery: true,
             profile: false,
-            trace_to: None,
             task_gate: None,
-            pushdown: true,
         }
     }
 
@@ -178,21 +172,6 @@ impl<S: KvStore> JobRunner<S> {
         self
     }
 
-    /// Whether the engines may *push combining down* toward the data:
-    /// fold same-destination messages at the source part (via the job's
-    /// [`Job::combine_messages`](crate::Job::combine_messages)) before they
-    /// are spilled to the transport table, so combined traffic never
-    /// reaches the store — or, against a networked store, the wire.  On by
-    /// default; turning it off moves all combining back to the arrival
-    /// side (the inbox build), which is the paper's baseline behaviour and
-    /// the `--no-pushdown` A/B leg the bench suite measures.  The combiner
-    /// license ("the platform may combine ... at arbitrary times and
-    /// places") makes either choice correct for a law-abiding job.
-    pub fn pushdown(&mut self, enabled: bool) -> &mut Self {
-        self.pushdown = enabled;
-        self
-    }
-
     /// Collects step-level profiles: synchronized runs yield one
     /// [`StepProfile`](crate::StepProfile) per step (per-part compute and
     /// inbox-build wall times, barrier skew, per-step store deltas),
@@ -204,15 +183,6 @@ impl<S: KvStore> JobRunner<S> {
     /// [`RunOutcome::worker_profiles`].  Off by default.
     pub fn profile(&mut self, enabled: bool) -> &mut Self {
         self.profile = enabled;
-        self
-    }
-
-    /// Writes a Chrome trace-event JSON file (loadable in
-    /// `chrome://tracing` or Perfetto) to `path` when a run finishes.
-    /// Implies [`JobRunner::profile`]; composes with any user
-    /// [`JobRunner::observer`].
-    pub fn trace_to(&mut self, path: impl Into<std::path::PathBuf>) -> &mut Self {
-        self.trace_to = Some(path.into());
         self
     }
 
@@ -235,7 +205,16 @@ impl<S: KvStore> JobRunner<S> {
     }
 
     /// Attaches a [`RunObserver`](crate::RunObserver) receiving per-step,
-    /// checkpoint, and recovery callbacks from synchronized runs.
+    /// checkpoint, and recovery callbacks from synchronized runs.  It is
+    /// also installed as the store's event sink, so store-level failure
+    /// detection (part down, replica promotion) surfaces through
+    /// [`RunObserver::on_part_down`](crate::RunObserver::on_part_down) /
+    /// [`RunObserver::on_failover`](crate::RunObserver::on_failover)
+    /// instead of being visible only as latency; in-process stores ignore
+    /// the sink.  To write a Chrome trace, attach a
+    /// [`TraceRecorder`](crate::TraceRecorder) (with
+    /// [`JobRunner::profile`] on) and call its `write_to` after the launch
+    /// — which also keeps the trace of a failed run.
     pub fn observer(&mut self, observer: Arc<dyn crate::RunObserver>) -> &mut Self {
         self.observer = Some(observer);
         self
@@ -312,12 +291,11 @@ impl<S: KvStore> JobRunner<S> {
         job: Arc<J>,
         options: RunOptions<J, M>,
     ) -> Result<RunOutcome, EbspError> {
-        if let Some(deadline) = options.op_deadline_opt() {
-            self.store.set_op_deadline(Some(deadline));
-        }
         M::launch_on(self, job, options)
     }
 
+    /// The launch path of the modes that take no checkpoints: the plan (or
+    /// [`JobRunner::force_mode`]) picks the engine.
     fn run_inner<J: Job>(
         &self,
         job: Arc<J>,
@@ -334,102 +312,68 @@ impl<S: KvStore> JobRunner<S> {
             });
         }
         let (env, mode) = self.prepare(job)?;
+        if mode == ExecMode::Synchronized {
+            return self.run_synchronized(&env, extra_loaders, audit, None, None);
+        }
         let mut loaders = env.job.loaders();
         loaders.extend(extra_loaders);
-        let (profile, observer, recorder) = self.profiling_setup();
-        let result = match mode {
-            ExecMode::Synchronized => run_sync(
-                &env,
-                loaders,
-                &SyncOptions {
-                    max_steps: self.max_steps,
-                    checkpoint_interval: None,
-                    agg_table_threshold: self.agg_table_threshold,
-                    observer,
-                    retry: self.retry,
-                    fast_recovery: self.fast_recovery,
-                    profile,
-                    probe: audit.probe.clone(),
-                    shuffle: audit.shuffle_seed,
-                    task_gate: self.task_gate.clone(),
-                    pushdown: self.pushdown,
-                },
-                None,
-                None,
-            ),
-            ExecMode::Unsynchronized => run_nosync(
-                &env,
-                loaders,
-                &NosyncOptions {
-                    quiescence_timeout: self.quiescence_timeout,
-                    retry: self.retry,
-                    observer,
-                    heal,
-                    profile,
-                    probe: audit.probe.clone(),
-                    ..NosyncOptions::default()
-                },
-                self.queue_kind,
-            ),
-        };
-        // A trace of a failed run is still worth having, but the run's own
-        // error takes precedence over a trace-write error.
-        let trace_result = self.write_trace(recorder.as_deref());
-        let outcome = result?;
-        trace_result?;
+        let outcome = run_nosync(
+            &env,
+            loaders,
+            &NosyncOptions {
+                quiescence_timeout: self.quiescence_timeout,
+                retry: self.retry,
+                observer: self.installed_observer(),
+                heal,
+                profile: self.profile,
+                probe: audit.probe,
+                ..NosyncOptions::default()
+            },
+            self.queue_kind,
+        )?;
         self.apply_state_exporters(&env)?;
         Ok(outcome)
     }
 
-    /// Resolves the effective profiling flag and observer: `trace_to`
-    /// implies profiling and splices an internal [`crate::TraceRecorder`]
-    /// in front of any user observer via [`crate::FanoutObserver`].
-    ///
-    /// When an observer exists it is also installed as the store's event
-    /// sink, so store-level failure detection (part down, replica
-    /// promotion) surfaces through [`crate::RunObserver::on_part_down`] /
-    /// [`crate::RunObserver::on_failover`] instead of being visible only
-    /// as latency.  In-process stores ignore the sink.
-    #[allow(clippy::type_complexity)]
-    fn profiling_setup(
+    /// The one synchronized launch tail, shared by the basic, recovery and
+    /// durable modes: they differ only in the hooks they hand the engine.
+    /// Checkpointing modes default the cadence to every barrier.
+    fn run_synchronized<J: Job>(
         &self,
-    ) -> (
-        bool,
-        Option<Arc<dyn crate::RunObserver>>,
-        Option<Arc<crate::TraceRecorder>>,
-    ) {
-        let profile = self.profile || self.trace_to.is_some();
-        let recorder = self
-            .trace_to
-            .as_ref()
-            .map(|_| Arc::new(crate::TraceRecorder::new()));
-        let observer = match (&self.observer, &recorder) {
-            (Some(user), Some(rec)) => Some(Arc::new(crate::FanoutObserver::new(vec![
-                Arc::clone(user),
-                Arc::clone(rec) as Arc<dyn crate::RunObserver>,
-            ])) as Arc<dyn crate::RunObserver>),
-            (Some(user), None) => Some(Arc::clone(user)),
-            (None, Some(rec)) => Some(Arc::clone(rec) as Arc<dyn crate::RunObserver>),
-            (None, None) => None,
+        env: &JobEnv<S, J>,
+        extra_loaders: Vec<Box<dyn Loader<J>>>,
+        audit: AuditOpts,
+        recovery: Option<RecoveryHooks>,
+        durable: Option<DurableOpts>,
+    ) -> Result<RunOutcome, EbspError> {
+        let mut loaders = env.job.loaders();
+        loaders.extend(extra_loaders);
+        let options = SyncOptions {
+            max_steps: self.max_steps,
+            checkpoint_interval: recovery
+                .as_ref()
+                .map(|_| self.checkpoint_interval.unwrap_or(1)),
+            agg_table_threshold: self.agg_table_threshold,
+            observer: self.installed_observer(),
+            retry: self.retry,
+            fast_recovery: self.fast_recovery,
+            profile: self.profile,
+            probe: audit.probe,
+            shuffle: audit.shuffle_seed,
+            task_gate: self.task_gate.clone(),
         };
-        if let Some(obs) = &observer {
-            self.store
-                .set_event_sink(Arc::new(ObserverEventSink(Arc::clone(obs))));
-        }
-        (profile, observer, recorder)
+        let outcome = run_sync(env, loaders, &options, recovery, durable)?;
+        self.apply_state_exporters(env)?;
+        Ok(outcome)
     }
 
-    /// Writes the run's trace to the configured path, if both exist.
-    fn write_trace(&self, recorder: Option<&crate::TraceRecorder>) -> Result<(), EbspError> {
-        if let (Some(recorder), Some(path)) = (recorder, &self.trace_to) {
-            recorder
-                .write_to(path)
-                .map_err(|e| EbspError::ConfigUnsupported {
-                    option: "trace_to",
-                    reason: format!("cannot write trace to {}: {e}", path.display()),
-                })?;
+    /// The run's observer, installed on the way as the store's event sink.
+    fn installed_observer(&self) -> Option<Arc<dyn crate::RunObserver>> {
+        if let Some(observer) = &self.observer {
+            self.store
+                .set_event_sink(Arc::new(ObserverEventSink(Arc::clone(observer))));
         }
-        Ok(())
+        self.observer.clone()
     }
 
     /// Runs the job's `state_exporters` over the final table contents.
@@ -632,35 +576,8 @@ impl<S: RecoverableStore + HealableStore> JobRunner<S> {
         audit: AuditOpts,
     ) -> Result<RunOutcome, EbspError> {
         let (env, _) = self.prepare(job)?;
-        let mut loaders = env.job.loaders();
-        loaders.extend(extra_loaders);
         let hooks = self.recovery_hooks(&env.reference);
-        let interval = self.checkpoint_interval.unwrap_or(1);
-        let (profile, observer, recorder) = self.profiling_setup();
-        let result = run_sync(
-            &env,
-            loaders,
-            &SyncOptions {
-                max_steps: self.max_steps,
-                checkpoint_interval: Some(interval),
-                agg_table_threshold: self.agg_table_threshold,
-                observer,
-                retry: self.retry,
-                fast_recovery: self.fast_recovery,
-                profile,
-                probe: audit.probe,
-                shuffle: audit.shuffle_seed,
-                task_gate: self.task_gate.clone(),
-                pushdown: self.pushdown,
-            },
-            Some(hooks),
-            None,
-        );
-        let trace_result = self.write_trace(recorder.as_deref());
-        let outcome = result?;
-        trace_result?;
-        self.apply_state_exporters(&env)?;
-        Ok(outcome)
+        self.run_synchronized(&env, extra_loaders, audit, Some(hooks), None)
     }
 }
 
@@ -705,8 +622,6 @@ impl<S: RecoverableStore + HealableStore + DurableStore> JobRunner<S> {
         audit: AuditOpts,
     ) -> Result<RunOutcome, EbspError> {
         let (env, _) = self.prepare(job)?;
-        let mut loaders = env.job.loaders();
-        loaders.extend(extra_loaders);
         let reference_name = env.reference.name().to_owned();
         let nonce = format!("dur_{reference_name}");
 
@@ -722,7 +637,7 @@ impl<S: RecoverableStore + HealableStore + DurableStore> JobRunner<S> {
             Some(bytes) => {
                 let (step, enabled, entries): (u32, u64, Vec<(String, AggValue)>) =
                     from_wire(&bytes)?;
-                Some(ResumePoint {
+                Some(Cut {
                     step,
                     enabled,
                     agg: AggregateSnapshot::new(entries.into_iter().collect()),
@@ -762,11 +677,11 @@ impl<S: RecoverableStore + HealableStore + DurableStore> JobRunner<S> {
                     .commit_barrier(&commit_reference, epoch)
                     .map_err(EbspError::from)
             }),
-            journal: Box::new(move |step, enabled, agg| {
+            journal: Box::new(move |cut| {
                 let mut entries: Vec<(String, AggValue)> =
-                    agg.iter().map(|(n, v)| (n.to_owned(), v)).collect();
+                    cut.agg.iter().map(|(n, v)| (n.to_owned(), v)).collect();
                 entries.sort_by(|a, b| a.0.cmp(&b.0));
-                journal_table.put(jkey.clone(), to_wire(&(step, enabled, entries)))?;
+                journal_table.put(jkey.clone(), to_wire(&(cut.step, cut.enabled, entries)))?;
                 journal_store.flush()?;
                 Ok(())
             }),
@@ -784,32 +699,7 @@ impl<S: RecoverableStore + HealableStore + DurableStore> JobRunner<S> {
             nonce,
         };
 
-        let interval = self.checkpoint_interval.unwrap_or(1);
-        let (profile, observer, recorder) = self.profiling_setup();
-        let result = run_sync(
-            &env,
-            loaders,
-            &SyncOptions {
-                max_steps: self.max_steps,
-                checkpoint_interval: Some(interval),
-                agg_table_threshold: self.agg_table_threshold,
-                observer,
-                retry: self.retry,
-                fast_recovery: self.fast_recovery,
-                profile,
-                probe: audit.probe,
-                shuffle: audit.shuffle_seed,
-                task_gate: self.task_gate.clone(),
-                pushdown: self.pushdown,
-            },
-            Some(hooks),
-            Some(durable),
-        );
-        let trace_result = self.write_trace(recorder.as_deref());
-        let outcome = result?;
-        trace_result?;
-        self.apply_state_exporters(&env)?;
-        Ok(outcome)
+        self.run_synchronized(&env, extra_loaders, audit, Some(hooks), Some(durable))
     }
 }
 

@@ -1,8 +1,9 @@
 //! Trace export: serializing the profile stream to Chrome trace-event
 //! JSON, loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //!
-//! [`TraceRecorder`] is a [`RunObserver`]: attach it (or just call
-//! [`JobRunner::trace_to`](crate::JobRunner::trace_to)) and every
+//! [`TraceRecorder`] is a [`RunObserver`]: attach it through
+//! [`JobRunner::observer`](crate::JobRunner::observer) with
+//! [`JobRunner::profile`](crate::JobRunner::profile) on and every
 //! [`StepProfile`] becomes a set of complete (`"ph": "X"`) duration events
 //! — one lane per part plus a controller lane — with counter tracks for
 //! enablement and marshalled bytes.  Unsynchronized workers contribute one

@@ -10,7 +10,7 @@ use ripple_core::{
     RunOptions, SumI64,
 };
 use ripple_kv::KvStore;
-use ripple_store_mem::MemStore;
+use ripple_store_mem::{FaultOp, FaultPlan, MemStore};
 
 const AGGS: usize = 24;
 
@@ -48,7 +48,10 @@ impl Job for ManyAggregators {
 }
 
 fn run_with_threshold(threshold: usize) -> ripple_core::RunOutcome {
-    let store = MemStore::builder().default_parts(4).build();
+    run_on(MemStore::builder().default_parts(4).build(), threshold)
+}
+
+fn run_on(store: MemStore, threshold: usize) -> ripple_core::RunOutcome {
     JobRunner::new(store)
         .aggregator_table_threshold(threshold)
         .launch(
@@ -125,6 +128,36 @@ fn table_path_costs_more_store_traffic() {
         via_tables.metrics.store.total_ops(),
         via_controller.metrics.store.total_ops()
     );
+}
+
+/// A part's partials go to the auxiliary table as one idempotent batch
+/// under the retry policy, so transient faults on that write heal like
+/// those on its spills.
+#[test]
+fn table_path_heals_transient_faults_on_the_aux_table() {
+    let store = MemStore::builder()
+        .default_parts(4)
+        .fault_plan(FaultPlan::seeded(3).transient_batches(2))
+        .build();
+    let faulted = run_on(store.clone(), 1);
+    let clean = run_with_threshold(1);
+    for (name, _) in ManyAggregators.aggregators() {
+        assert_eq!(
+            faulted.aggregates.get(&name),
+            clean.aggregates.get(&name),
+            "{name}"
+        );
+    }
+    // Each part's first two batches to each table it writes fail: its
+    // spills to the transport table, and its partials to the aux table.
+    let trace = store.fault_trace();
+    for part in 0..4 {
+        let batches = trace
+            .iter()
+            .filter(|r| r.part == part && r.op == FaultOp::Batch);
+        assert_eq!(batches.count(), 4, "part {part}: {trace:?}");
+    }
+    assert_eq!(faulted.metrics.retries, trace.len() as u64);
 }
 
 #[test]

@@ -82,7 +82,10 @@ impl Job for FaultyCountDown {
         }
     }
     fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
-        if ctx.step() == 2 && !self.injected.swap(true, Ordering::SeqCst) {
+        // Injected from part 0's own task, so the part always fails as
+        // itself mid-compute, never after its task already finished.
+        if ctx.step() == 2 && ctx.part() == PartId(0) && !self.injected.swap(true, Ordering::SeqCst)
+        {
             let t = ripple_kv::KvStore::lookup_table(&self.store, "f_countdown").unwrap();
             self.store.fail_part(&t, PartId(0)).unwrap();
         }

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use ripple_core::{
     ComputeContext, EbspError, ExecMode, FnLoader, Job, JobProperties, JobRunner, LoadSink,
-    ObservedEvent, RecordingObserver, RunOptions, StepProfile,
+    ObservedEvent, RecordingObserver, RunOptions, StepProfile, TraceRecorder,
 };
 use ripple_store_mem::MemStore;
 
@@ -198,10 +198,11 @@ fn profiles_are_absent_when_disabled() {
 fn trace_file_is_valid_chrome_trace_json() {
     let path = std::env::temp_dir().join(format!("ripple_trace_test_{}.json", std::process::id()));
     let store = MemStore::builder().default_parts(PARTS).build();
+    let recorder = Arc::new(TraceRecorder::new());
     let mut runner = JobRunner::new(store);
-    runner.trace_to(&path); // implies profiling
-    let outcome = run_ring(&runner);
-    assert!(outcome.profiles.is_some(), "trace_to implies profile");
+    runner.profile(true).observer(recorder.clone());
+    run_ring(&runner);
+    recorder.write_to(&path).unwrap();
 
     let text = std::fs::read_to_string(&path).unwrap();
     let _ = std::fs::remove_file(&path);

@@ -1,7 +1,7 @@
 //! The repo-grounded rule set.
 //!
 //! Each rule encodes an invariant the codebase has actually been burned
-//! by (or deliberately hardened against); see `DESIGN.md` §18 for the
+//! by (or deliberately hardened against); see `DESIGN.md` §6 for the
 //! rule table and the policy on allowlists versus inline waivers.
 
 pub mod error_class;

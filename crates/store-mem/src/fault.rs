@@ -2,7 +2,8 @@
 //!
 //! A [`FaultPlan`] describes *what* can go wrong — probabilistic transient
 //! get/put/delete failures, a scripted part crash at the Nth operation,
-//! artificial latency — and a seed that makes every decision reproducible.
+//! scripted transient drain and table-handle batch failures, artificial
+//! latency — and a seed that makes every decision reproducible.
 //! The store consults the plan on each part-view operation (the path mobile
 //! code and the EBSP engines use) and records every injected fault in a
 //! trace, so a chaos test can assert that the same seed produces the same
@@ -19,7 +20,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 /// The operation kinds faults can be injected into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultOp {
     /// A part-view read.
     Get,
@@ -27,6 +28,10 @@ pub enum FaultOp {
     Put,
     /// A part-view delete.
     Delete,
+    /// A part-view drain ([`FaultPlan::transient_drains`]).
+    Drain,
+    /// A table-handle `put_batch` ([`FaultPlan::transient_batches`]).
+    Batch,
 }
 
 impl FaultOp {
@@ -38,6 +43,8 @@ impl FaultOp {
             FaultOp::Get => "get",
             FaultOp::Put => "put",
             FaultOp::Delete => "delete",
+            FaultOp::Drain => "drain",
+            FaultOp::Batch => "put_batch",
         }
     }
 
@@ -46,6 +53,8 @@ impl FaultOp {
             FaultOp::Get => 0x67,
             FaultOp::Put => 0x70,
             FaultOp::Delete => 0x64,
+            FaultOp::Drain => 0x72,
+            FaultOp::Batch => 0x62,
         }
     }
 }
@@ -66,7 +75,10 @@ pub enum FaultKind {
 pub struct FaultRecord {
     /// The part issuing the faulted operation.
     pub part: u32,
-    /// The part's operation index (1-based) at the fault.
+    /// The part's operation index (1-based) at the fault; for the
+    /// scripted [`FaultOp::Drain`] and [`FaultOp::Batch`] faults, the
+    /// ordinal of the operation among the issuer's operations of that kind
+    /// against the same table.
     pub op_index: u64,
     /// The operation kind.
     pub op: FaultOp,
@@ -95,6 +107,8 @@ pub struct FaultPlan {
     get_fail: f64,
     put_fail: f64,
     delete_fail: f64,
+    drain_fails: u32,
+    batch_fails: u32,
     crash: Option<(u32, u64)>,
     latency_prob: f64,
     latency: Duration,
@@ -108,6 +122,8 @@ impl FaultPlan {
             get_fail: 0.0,
             put_fail: 0.0,
             delete_fail: 0.0,
+            drain_fails: 0,
+            batch_fails: 0,
             crash: None,
             latency_prob: 0.0,
             latency: Duration::ZERO,
@@ -146,6 +162,24 @@ impl FaultPlan {
         self.transient_gets(probability)
             .transient_puts(probability)
             .transient_deletes(probability)
+    }
+
+    /// Fails each part's first `count` part-view drains of each table
+    /// transiently, before anything is drained.  Scripted rather than
+    /// rolled, and counted apart from the per-part operation index, so
+    /// adding it to a plan moves no other fault.
+    pub fn transient_drains(mut self, count: u32) -> Self {
+        self.drain_fails = count;
+        self
+    }
+
+    /// Fails transiently, before any record is applied, the first `count`
+    /// table-handle `put_batch` calls each issuer — a part task, or the
+    /// controller (recorded as part `u32::MAX`) — makes against each
+    /// table.  Scripted and counted like [`FaultPlan::transient_drains`].
+    pub fn transient_batches(mut self, count: u32) -> Self {
+        self.batch_fails = count;
+        self
     }
 
     /// Crashes `part` (clears its primaries across the co-partitioned
@@ -196,6 +230,9 @@ pub(crate) struct FaultInjector {
     /// Per-part operation counters; decisions key off these, not off any
     /// global order, so traces are schedule-independent.
     ops: Mutex<HashMap<u32, u64>>,
+    /// How many scripted drain/batch operations each (issuer, kind, table)
+    /// has made, up to the plan's failure count.
+    scripted: Mutex<HashMap<(u32, FaultOp, String), u32>>,
     crash_fired: AtomicBool,
     trace: Mutex<Vec<FaultRecord>>,
 }
@@ -205,6 +242,7 @@ impl FaultInjector {
         Self {
             plan,
             ops: Mutex::new(HashMap::new()),
+            scripted: Mutex::new(HashMap::new()),
             crash_fired: AtomicBool::new(false),
             trace: Mutex::new(Vec::new()),
         }
@@ -231,6 +269,8 @@ impl FaultInjector {
             FaultOp::Get => self.plan.get_fail,
             FaultOp::Put => self.plan.put_fail,
             FaultOp::Delete => self.plan.delete_fail,
+            // Scripted, not rolled: see `decide_scripted`.
+            FaultOp::Drain | FaultOp::Batch => 0.0,
         };
         if fail_prob > 0.0 && roll(self.plan.seed, part, op_index, op.salt()) < fail_prob {
             self.record(part, op_index, op, FaultKind::Transient);
@@ -248,6 +288,27 @@ impl FaultInjector {
             return Some(FaultAction::Delay(self.plan.latency));
         }
         None
+    }
+
+    /// Whether this drain or table-handle batch — one more of `part`'s
+    /// operations of kind `op` against `table` — is scripted to fail.
+    pub(crate) fn decide_scripted(&self, part: u32, op: FaultOp, table: &str) -> bool {
+        let limit = match op {
+            FaultOp::Drain => self.plan.drain_fails,
+            FaultOp::Batch => self.plan.batch_fails,
+            FaultOp::Get | FaultOp::Put | FaultOp::Delete => 0,
+        };
+        if limit == 0 {
+            return false;
+        }
+        let mut scripted = self.scripted.lock();
+        let seen = scripted.entry((part, op, table.to_owned())).or_insert(0);
+        if *seen == limit {
+            return false;
+        }
+        *seen += 1;
+        self.record(part, u64::from(*seen), op, FaultKind::Transient);
+        true
     }
 
     fn record(&self, part: u32, op_index: u64, op: FaultOp, kind: FaultKind) {

@@ -224,6 +224,26 @@ impl StoreInner {
             }
         }
     }
+
+    /// Consults the fault plan (if any) about a drain or a table-handle
+    /// batch that `part` issues against `table`.
+    pub(crate) fn scripted_fault_check(
+        &self,
+        part: u32,
+        op: FaultOp,
+        table: &str,
+    ) -> Result<(), KvError> {
+        match &self.injector {
+            Some(injector) if injector.decide_scripted(part, op, table) => {
+                Err(KvError::Transient {
+                    op: op.name(),
+                    part,
+                    detail: "injected transient fault".to_owned(),
+                })
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Builder for [`MemStore`].

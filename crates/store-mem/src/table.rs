@@ -7,6 +7,7 @@ use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 use ripple_kv::{CombineFn, KvError, PartId, RoutedKey, Table};
 
+use crate::fault::FaultOp;
 use crate::store::StoreInner;
 use crate::{current_locality, Partitioning};
 
@@ -213,6 +214,9 @@ impl Table for MemTable {
         if pairs.is_empty() {
             return Ok(());
         }
+        let issuer = current_locality().map_or(u32::MAX, |(_, part)| part);
+        self.store
+            .scripted_fault_check(issuer, FaultOp::Batch, &self.inner.name)?;
         let fold = self.store.fold_for(&self.inner.name);
         let mut groups: Vec<Vec<(RoutedKey, Bytes)>> =
             (0..self.inner.parts.len()).map(|_| Vec::new()).collect();

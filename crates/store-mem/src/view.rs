@@ -118,6 +118,8 @@ impl PartView for MemPartView {
         table: &str,
         f: &mut dyn FnMut(RoutedKey, Bytes) -> ScanControl,
     ) -> Result<(), KvError> {
+        self.store
+            .scripted_fault_check(self.part.0, FaultOp::Drain, table)?;
         let (t, p) = self.resolve(table, true)?;
         self.store.counters.enumeration(self.part);
         // Take the whole map; on early stop, unconsumed entries go back.
