@@ -226,8 +226,9 @@ fn honest_job_audits_clean_and_gets_inference_suggestions() {
 /// A combiner that lies about the combiner law: [`Job::combine_messages`]
 /// must be associative + commutative (the platform "may combine some of
 /// them by one or more invocations, at arbitrary times and places"), but
-/// this one is order-dependent.  The engine's source-side pre-combine
-/// folds same-destination messages in invocation order within each part,
+/// this one is order-dependent.  The engine's outbox folds
+/// same-destination messages as they are sent, in invocation order within
+/// each part,
 /// so the auditor's shuffled invocation orders reach different folded
 /// values — order dependence the job never declared.
 struct LiarCombiner;
@@ -261,9 +262,10 @@ impl Job for LiarCombiner {
         Ok(false)
     }
 
-    fn combine_messages(&self, _key: &u32, a: &u64, b: &u64) -> Option<u64> {
+    fn combine_messages(&self, _key: &u32, into: &mut u64, msg: u64) -> Option<u64> {
         // Not commutative: f(a, b) != f(b, a).  The lie under test.
-        Some(a * 31 + b)
+        *into = *into * 31 + msg;
+        None
     }
 }
 
@@ -302,8 +304,9 @@ impl Job for HonestCombiner {
         Ok(false)
     }
 
-    fn combine_messages(&self, _key: &u32, a: &u64, b: &u64) -> Option<u64> {
-        Some(a + b)
+    fn combine_messages(&self, _key: &u32, into: &mut u64, msg: u64) -> Option<u64> {
+        *into += msg;
+        None
     }
 }
 

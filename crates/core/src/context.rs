@@ -4,6 +4,9 @@ use bytes::Bytes;
 use ripple_kv::{KvError, PartId, RoutedKey};
 use ripple_wire::{from_wire, to_wire, Decode, Encode};
 
+use crate::engine::dst_part;
+use crate::hash::KeyMap;
+use crate::metrics::PartCounters;
 use crate::{
     key_to_routed, AggValue, AggregateSnapshot, AggregatorRegistry, EbspError, Envelope, Exporter,
     Job,
@@ -28,23 +31,96 @@ pub(crate) trait StateOps {
 
 /// Everything a batch of compute invocations produces, gathered per part
 /// (or per worker) and merged by the engine.
+///
+/// The outbox is where messages are combined: a message folds into the
+/// latest surviving message for its destination *as it is sent*, so the
+/// outbox holds one envelope per distinct destination (plus one per
+/// message the combiner declined) — O(distinct destinations), not
+/// O(sends).
 pub(crate) struct Outbox<J: Job> {
-    /// Outgoing envelopes (messages, continues, creations).
-    pub(crate) envelopes: Vec<Envelope<J>>,
+    /// Surviving envelopes in send order, each with its destination part.
+    envelopes: Vec<(u32, Envelope<J>)>,
+    /// Per message destination: its part (computed once, when the key is
+    /// first seen) and where in `envelopes` its latest survivor sits.
+    latest: KeyMap<J::Key, (u32, usize)>,
+    parts: u32,
     /// Partial aggregation, folded as invocations aggregate values.
     pub(crate) agg: HashMap<String, AggValue>,
     /// Per-part metric counters.
-    pub(crate) metrics: crate::metrics::PartCounters,
+    pub(crate) metrics: PartCounters,
 }
 
 impl<J: Job> Outbox<J> {
-    pub(crate) fn new() -> Self {
+    /// An empty outbox of a run over `parts` parts.
+    pub(crate) fn new(parts: u32) -> Self {
         Self {
             envelopes: Vec::new(),
+            latest: KeyMap::default(),
+            parts,
             agg: HashMap::new(),
-            metrics: crate::metrics::PartCounters::default(),
+            metrics: PartCounters::default(),
         }
     }
+
+    /// Sends `msg` to `to`: folds it into the latest surviving message for
+    /// `to` — send order is fold order — and appends it only when there is
+    /// none yet or the job's combiner declines.
+    pub(crate) fn message(&mut self, job: &J, to: J::Key, msg: J::Message) {
+        let at = self.envelopes.len();
+        let (dst, msg) = match self.latest.get_mut(&to) {
+            Some((dst, latest)) => {
+                let Envelope::Message { msg: into, .. } = &mut self.envelopes[*latest].1 else {
+                    unreachable!("`latest` only indexes Message envelopes");
+                };
+                let Some(msg) = fold_message(job, &to, Some(into), msg, &mut self.metrics) else {
+                    return;
+                };
+                *latest = at;
+                (*dst, msg)
+            }
+            None => {
+                let dst = dst_part(&to, self.parts);
+                self.latest.insert(to.clone(), (dst, at));
+                (dst, msg)
+            }
+        };
+        self.envelopes.push((dst, Envelope::Message { to, msg }));
+    }
+
+    /// Appends a continue signal or a state creation; neither combines.
+    pub(crate) fn push(&mut self, envelope: Envelope<J>) {
+        let dst = dst_part(envelope.key(), self.parts);
+        self.envelopes.push((dst, envelope));
+    }
+
+    /// Hands over the surviving envelopes, each with its destination part,
+    /// and forgets them: what is sent next starts new survivors.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (u32, Envelope<J>)> + '_ {
+        self.latest.clear();
+        self.envelopes.drain(..)
+    }
+}
+
+/// The one call of the job's pairwise combiner, shared by send-time
+/// (outbox) and arrival-time (inbox build) folding: folds `msg` into
+/// `latest`, the most recent surviving message for `key`.  Returns the
+/// message back when it must be appended instead — there is no survivor
+/// yet, or the combiner declined.
+pub(crate) fn fold_message<J: Job>(
+    job: &J,
+    key: &J::Key,
+    latest: Option<&mut J::Message>,
+    msg: J::Message,
+    counters: &mut PartCounters,
+) -> Option<J::Message> {
+    let Some(into) = latest else {
+        return Some(msg);
+    };
+    let declined = job.combine_messages(key, into, msg);
+    if declined.is_none() {
+        counters.messages_combined += 1;
+    }
+    declined
 }
 
 /// The context handed to [`Job::compute`]: the paper's `ComputeContext`
@@ -56,6 +132,7 @@ impl<J: Job> Outbox<J> {
 /// (delivered next step), feeds and reads aggregators, reads broadcast
 /// data, and emits direct job output.
 pub struct ComputeContext<'a, J: Job> {
+    pub(crate) job: &'a J,
     pub(crate) step: u32,
     pub(crate) mode: crate::ExecMode,
     pub(crate) part: PartId,
@@ -179,7 +256,7 @@ impl<'a, J: Job> ComputeContext<'a, J> {
     ) -> Result<(), EbspError> {
         self.check_tab(tab)?;
         self.out.metrics.creates += 1;
-        self.out.envelopes.push(Envelope::Create {
+        self.out.push(Envelope::Create {
             tab: tab as u16,
             key,
             state,
@@ -188,7 +265,9 @@ impl<'a, J: Job> ComputeContext<'a, J> {
     }
 
     /// Sends `msg` to component `to`; it will be delivered in the following
-    /// step (and enable `to` for that step).
+    /// step (and enable `to` for that step).  If this part task already
+    /// holds a message for `to`, `msg` is folded into it here and now with
+    /// [`Job::combine_messages`] — unless the combiner declines.
     pub fn send(&mut self, to: J::Key, msg: J::Message) {
         self.out.metrics.messages_sent += 1;
         if let Some(probe) = self.probe {
@@ -201,7 +280,7 @@ impl<'a, J: Job> ComputeContext<'a, J> {
                 &to_wire(&msg),
             );
         }
-        self.out.envelopes.push(Envelope::Message { to, msg });
+        self.out.message(self.job, to, msg);
     }
 
     /// Feeds `value` into the aggregator named `name`; the merged result is

@@ -26,7 +26,8 @@ use bytes::Bytes;
 use ripple_kv::{KvError, KvStore, PartId, PartView, RoutedKey, ScanControl, Table};
 use ripple_wire::{from_wire, to_wire, Encode};
 
-use crate::context::{Outbox, StateOps};
+use crate::context::{fold_message, Outbox, StateOps};
+use crate::hash::KeyMap;
 use crate::metrics::PartCounters;
 use crate::retry::{kv_with_retry, FaultRetry};
 use crate::{
@@ -56,6 +57,9 @@ impl<S: KvStore, J: Job> JobEnv<S, J> {
 
 /// Encoded `(key, value)` records as the store hands them over.
 pub(crate) type Records = Vec<(RoutedKey, Bytes)>;
+
+/// A spill batch's transport tag: `(step, src, seq)`.
+type SpillTag = (u32, u32, u64);
 
 /// What one compute part task hands back to the controller: aggregator
 /// partials and work counters.
@@ -190,7 +194,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
             prev_agg,
             direct: self.direct.as_deref(),
             probe: self.probe.as_deref(),
-            out: Outbox::new(),
+            out: Outbox::new(self.parts),
         }
     }
 
@@ -200,29 +204,25 @@ impl<T: Table, J: Job> PartTask<T, J> {
         into.1.merge(&counters);
     }
 
-    /// Groups `envelopes` by destination part and writes one spill batch
-    /// per non-empty destination into the transport table, keyed
-    /// `(step, src, seq)` and routed to the destination part.  Same-key
-    /// messages are first folded at the source ([`precombine_envelopes`]),
-    /// and all destination records flush through a single
-    /// [`Table::put_batch`] call, so a batching store ships one coalesced
-    /// frame per destination server instead of one RPC per destination part.
+    /// Groups the envelopes surviving in `out` by their destination part
+    /// and writes one spill batch per non-empty destination into the
+    /// transport table, keyed `(step, src, seq)` and routed to the
+    /// destination part.  Same-key messages were already folded as they
+    /// were sent ([`Outbox::message`]), and all destination records flush
+    /// through a single [`Table::put_batch`] call, so a batching store ships
+    /// one coalesced frame per destination server instead of one RPC per
+    /// destination part.
     pub(crate) fn write_spills(
         &self,
         step: u32,
         src: u32,
-        envelopes: Vec<Envelope<J>>,
-        counters: &mut PartCounters,
+        out: &mut Outbox<J>,
     ) -> Result<(), EbspError> {
-        let envelopes = precombine_envelopes(&*self.job, envelopes, counters);
-        if envelopes.is_empty() {
-            return Ok(());
-        }
         let mut by_dst: Vec<Vec<Envelope<J>>> = (0..self.parts).map(|_| Vec::new()).collect();
-        for env in envelopes {
-            let dst = dst_part(env.key(), self.parts) as usize;
-            by_dst[dst].push(env);
+        for (dst, env) in out.drain() {
+            by_dst[dst as usize].push(env);
         }
+        let counters = &mut out.metrics;
         let mut records = Records::new();
         for (dst, batch) in by_dst.into_iter().enumerate() {
             if batch.is_empty() {
@@ -233,6 +233,9 @@ impl<T: Table, J: Job> PartTask<T, J> {
             records.push((key, to_wire(&batch)));
             counters.spill_batches += 1;
         }
+        if records.is_empty() {
+            return Ok(());
+        }
         // Keys are unique per (step, src, seq), so replaying the whole batch
         // after a transient failure is idempotent.
         let transport = &self.temps().transport;
@@ -241,12 +244,12 @@ impl<T: Table, J: Job> PartTask<T, J> {
     }
 
     /// Drains this part's slice of the transport table and builds the inbox
-    /// for the next step: per-component message lists (combined pairwise where
-    /// the job's combiner applies), continue-enabled components, and applied
-    /// state creations.  Returns the number of enabled components, the
-    /// counters, and — when `record` is set — the materialized inbox entries,
-    /// which the synchronized engine keeps controller-side as the replay log
-    /// for fast single-part recovery.
+    /// for the next step: per-component message lists (combined pairwise on
+    /// arrival where the job's combiner applies), continue-enabled
+    /// components, and applied state creations.  Returns the number of
+    /// enabled components, the counters, and — when `record` is set — the
+    /// materialized inbox entries, which the synchronized engine keeps
+    /// controller-side as the replay log for fast single-part recovery.
     pub(crate) fn build_inbox(
         &self,
         view: &dyn PartView,
@@ -255,63 +258,37 @@ impl<T: Table, J: Job> PartTask<T, J> {
         let temps = self.temps();
         let part = view.part().0;
         let mut counters = PartCounters::default();
-        // Order spills deterministically by (step, src, seq) so that replay
-        // after recovery sees identical message orders.
-        let mut batches: Vec<((u32, u32, u64), Bytes)> = self
-            .drain(view, temps.transport.name())?
-            .into_iter()
-            .filter_map(|(key, value)| Some((from_wire(key.body()).ok()?, value)))
-            .collect();
-        batches.sort_by_key(|(tag, _)| *tag);
+        let batches = sorted_spills(self.drain(view, temps.transport.name())?)?;
         // Spills tagged with step s are delivered for step s + 1; loader
         // spills (tagged 0) feed step 1.
-        let deliver_step = batches
-            .iter()
-            .map(|((s, _, _), _)| s + 1)
-            .max()
-            .unwrap_or(1);
+        let deliver_step = batches.last().map_or(1, |((s, _, _), _)| s + 1);
 
-        // Fold envelopes into per-component inboxes, preserving arrival order
-        // and applying the pairwise combiner opportunistically.
-        let mut inbox: HashMap<J::Key, Vec<J::Message>> = HashMap::new();
+        // Fold envelopes into per-component inboxes in arrival order, each
+        // message into the latest survivor of its list.  "The platform may
+        // combine some of them by one or more invocations (at arbitrary
+        // times and places)"; adjacent pairs on arrival is one such choice.
+        let mut inbox: KeyMap<J::Key, Vec<J::Message>> = KeyMap::default();
         let mut creates: Vec<(u16, J::Key, J::State)> = Vec::new();
         for (_, bytes) in batches {
             let envelopes: Vec<Envelope<J>> = from_wire(&bytes)?;
             for env in envelopes {
                 match env {
-                    Envelope::Message { to, msg } => {
-                        inbox.entry(to).or_default().push(msg);
-                    }
+                    Envelope::Message { to, msg } => match inbox.get_mut(&to) {
+                        Some(list) => {
+                            let latest = list.last_mut();
+                            let kept = fold_message(&*self.job, &to, latest, msg, &mut counters);
+                            list.extend(kept);
+                        }
+                        None => {
+                            inbox.insert(to, vec![msg]);
+                        }
+                    },
                     Envelope::Continue { key } => {
                         inbox.entry(key).or_default();
                     }
                     Envelope::Create { tab, key, state } => creates.push((tab, key, state)),
                 }
             }
-        }
-
-        // Apply the pairwise combiner per component.  "The platform may combine
-        // some of them by one or more invocations (at arbitrary times and
-        // places)"; a single adjacent-pair pass over the arrival-ordered list
-        // is one such choice.
-        for (key, list) in inbox.iter_mut() {
-            if list.len() < 2 {
-                continue;
-            }
-            let mut combined: Vec<J::Message> = Vec::with_capacity(list.len());
-            for msg in list.drain(..) {
-                match combined.last_mut() {
-                    Some(last) => match self.job.combine_messages(key, last, &msg) {
-                        Some(merged) => {
-                            *last = merged;
-                            counters.messages_combined += 1;
-                        }
-                        None => combined.push(msg),
-                    },
-                    None => combined.push(msg),
-                }
-            }
-            *list = combined;
         }
 
         self.apply_creates(view, creates)?;
@@ -513,8 +490,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
         part: u32,
         mut out: Outbox<J>,
     ) -> Result<PartOutput, EbspError> {
-        let envelopes = std::mem::take(&mut out.envelopes);
-        self.write_spills(step, part, envelopes, &mut out.metrics)?;
+        self.write_spills(step, part, &mut out)?;
         // Large-aggregator path (§IV-A): rather than returning partials to the
         // table client, write them into an auxiliary table keyed (and routed)
         // by aggregator name; a later enumeration round merges them.
@@ -604,6 +580,7 @@ impl<J: Job> Invoker<'_, J> {
             routed.body().clone()
         });
         let mut ctx = crate::ComputeContext {
+            job: self.job,
             step,
             mode: self.mode,
             part,
@@ -631,7 +608,7 @@ impl<J: Job> Invoker<'_, J> {
                 });
             }
             if self.mode == ExecMode::Synchronized {
-                self.out.envelopes.push(Envelope::Continue { key });
+                self.out.push(Envelope::Continue { key });
             }
         }
         Ok(())
@@ -723,40 +700,17 @@ pub(crate) fn dst_part<K: Encode>(key: &K, parts: u32) -> u32 {
     key_to_routed(key).part_for(parts).0
 }
 
-/// Folds same-destination messages at the *source* part before they are
-/// spilled, using the job's pairwise combiner — the "arbitrary times and
-/// places" license applied as early as possible, so combined traffic never
-/// reaches the transport table (or, against a networked store, the wire).
-/// Each message folds into the most recent surviving message for its key,
-/// mirroring the adjacent-pair pass the inbox build applies on arrival;
-/// `Continue` and `Create` envelopes pass through untouched.
-fn precombine_envelopes<J: Job>(
-    job: &J,
-    envelopes: Vec<Envelope<J>>,
-    counters: &mut PartCounters,
-) -> Vec<Envelope<J>> {
-    let mut out: Vec<Envelope<J>> = Vec::with_capacity(envelopes.len());
-    let mut last_at: HashMap<J::Key, usize> = HashMap::new();
-    for env in envelopes {
-        match env {
-            Envelope::Message { to, msg } => {
-                if let Some(&i) = last_at.get(&to) {
-                    let Envelope::Message { msg: resident, .. } = &mut out[i] else {
-                        unreachable!("last_at only indexes Message envelopes");
-                    };
-                    if let Some(merged) = job.combine_messages(&to, resident, &msg) {
-                        *resident = merged;
-                        counters.messages_combined += 1;
-                        continue;
-                    }
-                }
-                last_at.insert(to.clone(), out.len());
-                out.push(Envelope::Message { to, msg });
-            }
-            other => out.push(other),
-        }
+/// Decodes the `(step, src, seq)` tags of drained transport records and
+/// orders the spills by them, so that replay after recovery sees identical
+/// message orders.  A tag that does not decode fails the step: dropping
+/// the spill would lose its messages silently.
+pub(crate) fn sorted_spills(records: Records) -> Result<Vec<(SpillTag, Bytes)>, EbspError> {
+    let mut batches = Vec::with_capacity(records.len());
+    for (key, value) in records {
+        batches.push((from_wire::<SpillTag>(key.body())?, value));
     }
-    out
+    batches.sort_by_key(|(tag, _)| *tag);
+    Ok(batches)
 }
 
 /// The creations one key of one state table received, in arrival order.
@@ -766,26 +720,19 @@ struct Creations<J: Job> {
     states: Vec<J::State>,
 }
 
-/// Loader output buffered at the controller before the run starts.
-pub(crate) struct LoadBuffer<J: Job> {
-    pub(crate) envelopes: Vec<Envelope<J>>,
-    pub(crate) agg: HashMap<String, AggValue>,
-}
-
 /// Runs the loaders of a job: initial states go straight to the state
-/// tables, everything else comes back buffered.
+/// tables, everything else comes back in an outbox — initial messages
+/// folded like any others.
 pub(crate) fn run_loaders<S: KvStore, J: Job>(
     env: &JobEnv<S, J>,
     loaders: Vec<Box<dyn Loader<J>>>,
     retry: &FaultRetry,
-) -> Result<LoadBuffer<J>, EbspError> {
+) -> Result<Outbox<J>, EbspError> {
     let mut sink = EngineLoadSink {
+        job: &*env.job,
         tables: &env.tables,
         registry: &env.registry,
-        buffer: LoadBuffer {
-            envelopes: Vec::new(),
-            agg: HashMap::new(),
-        },
+        buffer: Outbox::new(env.parts()),
         retry,
         writes: plane::WriteBehind::new(env.tables.len()),
     };
@@ -804,9 +751,10 @@ pub(crate) fn run_loaders<S: KvStore, J: Job>(
 /// fail transiently like any other operation); messages and enables
 /// buffer as step-0 envelopes.
 struct EngineLoadSink<'a, T: Table, J: Job> {
+    job: &'a J,
     tables: &'a [T],
     registry: &'a AggregatorRegistry,
-    buffer: LoadBuffer<J>,
+    buffer: Outbox<J>,
     retry: &'a FaultRetry,
     writes: plane::WriteBehind,
 }
@@ -837,12 +785,12 @@ impl<T: Table, J: Job> LoadSink<J> for EngineLoadSink<'_, T, J> {
     }
 
     fn message(&mut self, to: J::Key, msg: J::Message) -> Result<(), EbspError> {
-        self.buffer.envelopes.push(Envelope::Message { to, msg });
+        self.buffer.message(self.job, to, msg);
         Ok(())
     }
 
     fn enable(&mut self, key: J::Key) -> Result<(), EbspError> {
-        self.buffer.envelopes.push(Envelope::Continue { key });
+        self.buffer.push(Envelope::Continue { key });
         Ok(())
     }
 

@@ -190,10 +190,12 @@ fn drive<S: KvStore, J: Job, Q: QueueSet>(
     });
 
     // ----- Initial condition ------------------------------------------------
-    let buffer = run_loaders(env, loaders, &retry)?;
-    let seeded = buffer.envelopes.len() as u64;
-    for envelope in buffer.envelopes {
-        send(&worker_env, qs, envelope)?;
+    let mut buffer = run_loaders(env, loaders, &retry)?;
+    // Every loader send is a message sent, folded or not.
+    let mut seeded = buffer.metrics.messages_combined;
+    for (dst, envelope) in buffer.drain() {
+        send(&worker_env, qs, dst, envelope)?;
+        seeded += 1;
     }
 
     // ----- Quiescence watcher -----------------------------------------------
@@ -240,6 +242,7 @@ fn drive<S: KvStore, J: Job, Q: QueueSet>(
     }
 
     let mut metrics = RunMetrics::default();
+    metrics.absorb(&buffer.metrics);
     let mut worker_profiles: Vec<WorkerProfile> = Vec::new();
     for (c, profile) in results.into_iter().flatten() {
         metrics.absorb(&c);
@@ -395,7 +398,7 @@ fn redeliver_ledger<T: Table, J: Job, Q: QueueSet>(
             NosyncMsg::Stop => {}
             NosyncMsg::Env { weight, env } => {
                 old_weight += weight;
-                send(wenv, qs, env)?;
+                send(wenv, qs, dst_part(env.key(), wenv.task.parts), env)?;
             }
         }
     }
@@ -403,13 +406,13 @@ fn redeliver_ledger<T: Table, J: Job, Q: QueueSet>(
     Ok(())
 }
 
-/// Enqueues `env` at its destination part under freshly minted weight.
+/// Enqueues `env` at its destination part `dst` under freshly minted weight.
 fn send<T: Table, J: Job, Q: QueueSet>(
     wenv: &WorkerEnv<T, J>,
     qs: &Q,
+    dst: u32,
     env: Envelope<J>,
 ) -> Result<(), EbspError> {
-    let dst = dst_part(env.key(), wenv.task.parts);
     let weight = wenv.detector.mint(1);
     qs.put(PartId(dst), to_wire(&NosyncMsg::Env { weight, env }))?;
     Ok(())
@@ -500,9 +503,10 @@ fn worker_inner<T: Table, J: Job, Q: QueueSet>(
             *seq += 1;
             let routed = crate::key_to_routed(&key);
             invoker.invoke(*seq, key, routed, messages)?;
-            // Forward this invocation's output immediately (pipelining).
-            for envelope in invoker.out.envelopes.drain(..) {
-                send(wenv, qs, envelope)?;
+            // Forward this invocation's output immediately (pipelining):
+            // messages fold within an invocation, never across two.
+            for (dst, envelope) in invoker.out.drain() {
+                send(wenv, qs, dst, envelope)?;
             }
         }
         state.counters.merge(&invoker.out.metrics);

@@ -467,12 +467,10 @@ impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
     /// step 0, and builds the inbox for step 1.
     fn initial_cut(&mut self, loaders: Vec<Box<dyn Loader<J>>>) -> Result<Cut, EbspError> {
         let registry = &self.env.registry;
-        let buffer = run_loaders(self.env, loaders, &self.task.retry)?;
-        let mut counters = PartCounters::default();
+        let mut buffer = run_loaders(self.env, loaders, &self.task.retry)?;
         // The controller spills as a pseudo-source.
-        self.task
-            .write_spills(0, u32::MAX, buffer.envelopes, &mut counters)?;
-        self.metrics.absorb(&counters);
+        self.task.write_spills(0, u32::MAX, &mut buffer)?;
+        self.metrics.absorb(&buffer.metrics);
 
         let mut agg_values = registry.identities();
         registry.merge(&mut agg_values, buffer.agg);

@@ -23,7 +23,7 @@ pub type StateExporters<J> = Vec<(usize, Arc<dyn Exporter<<J as Job>::Key, <J as
 /// | `getStateTableNames`         | [`Job::state_tables`]                      |
 /// | `getReferenceTable`          | [`Job::reference_table`]                   |
 /// | `getCompute` / `compute`     | [`Job::compute`]                           |
-/// | `combine2msgs`               | [`Job::combine_messages`]                  |
+/// | `combine2msgs`               | [`Job::combine_messages`] (folds `b` into `a` in place) |
 /// | `combine2states`             | [`Job::combine_states`]                    |
 /// | `getAggregators` + `getComputeAggregate` | [`Job::aggregators`]          |
 /// | broadcast table              | [`Job::broadcast_table`]                   |
@@ -74,17 +74,21 @@ pub trait Job: Send + Sync + Sized + 'static {
     /// is on.
     fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, crate::EbspError>;
 
-    /// Pairwise message combiner: return `Some(combined)` to replace `a`
-    /// and `b` with one message, or `None` to keep both (the default: no
-    /// combining).  May be invoked at arbitrary times and places.
+    /// Pairwise message combiner, in place and by value: fold `msg` into
+    /// `into` and return `None`, or decline by handing `msg` back as
+    /// `Some(msg)` with `into` untouched, which keeps both (the default:
+    /// no combining).  `into` is always the earlier of the two and folds
+    /// happen in send order at the sender and in arrival order at the
+    /// receiver; beyond that the platform may invoke the combiner at
+    /// arbitrary times and places, any number of times.
     fn combine_messages(
         &self,
         key: &Self::Key,
-        a: &Self::Message,
-        b: &Self::Message,
+        into: &mut Self::Message,
+        msg: Self::Message,
     ) -> Option<Self::Message> {
-        let _ = (key, a, b);
-        None
+        let _ = (key, into);
+        Some(msg)
     }
 
     /// Merges conflicting component states when two creations (or a

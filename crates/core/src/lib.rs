@@ -51,6 +51,7 @@ mod cost;
 mod envelope;
 mod error;
 mod export;
+mod hash;
 mod job;
 mod loader;
 mod metrics;
@@ -66,6 +67,9 @@ mod termination;
 mod trace;
 
 pub(crate) mod engine;
+
+#[cfg(test)]
+mod message_plane_tests;
 
 pub use aggregate::{
     AggValue, Aggregate, AggregateSnapshot, AggregatorRegistry, CountAgg, MaxI64, MinI64, SumF64,

@@ -1,0 +1,168 @@
+//! Specifications of the engine-internal message plane, as tests: the
+//! folding outbox against the log-then-fold model it replaced, and the
+//! transport-tag decode step of the inbox build.
+
+use bytes::Bytes;
+use proptest::collection::vec;
+use proptest::prelude::*;
+use ripple_kv::RoutedKey;
+use ripple_wire::{to_wire, WireError};
+
+use crate::context::Outbox;
+use crate::engine::{dst_part, sorted_spills};
+use crate::{ComputeContext, EbspError, Envelope, Job};
+
+/// A job whose combiner is a *non-commutative* digest — any fold applied
+/// out of send order changes the value — and which declines a seeded
+/// subset of `(key, resident, message)` triples.  (`Clone` only because
+/// `Envelope`'s derived `Clone` asks it of its job parameter.)
+#[derive(Clone)]
+struct Digest {
+    decline_seed: u64,
+}
+
+impl Job for Digest {
+    type Key = u32;
+    type State = u64;
+    type Message = u64;
+    type OutKey = ();
+    type OutValue = ();
+
+    fn state_tables(&self) -> Vec<String> {
+        vec!["digest".to_owned()]
+    }
+
+    fn compute(&self, _ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
+        Ok(false)
+    }
+
+    fn combine_messages(&self, key: &u32, into: &mut u64, msg: u64) -> Option<u64> {
+        let draw = (self.decline_seed ^ u64::from(*key) ^ *into ^ msg.rotate_left(17))
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        if draw >> 62 == 0 {
+            return Some(msg);
+        }
+        *into = into.wrapping_mul(31).wrapping_add(msg);
+        None
+    }
+}
+
+/// One thing a part task does to its outbox.
+#[derive(Debug, Clone)]
+enum Op {
+    Send(u32, u64),
+    Continue(u32),
+    Create(u32, u64),
+    /// The unsynchronized engine forwards after every invocation.
+    Drain,
+}
+
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    let key = 0u32..6;
+    vec(
+        // Uniform over its arms, so three of the six make half the ops sends.
+        prop_oneof![
+            (key.clone(), any::<u64>()).prop_map(|(k, m)| Op::Send(k, m)),
+            (key.clone(), any::<u64>()).prop_map(|(k, m)| Op::Send(k, m)),
+            (key.clone(), any::<u64>()).prop_map(|(k, m)| Op::Send(k, m)),
+            key.clone().prop_map(Op::Continue),
+            (key, any::<u64>()).prop_map(|(k, s)| Op::Create(k, s)),
+            Just(Op::Drain),
+        ],
+        0..120,
+    )
+}
+
+/// The specification — the deleted `precombine_envelopes`: log every
+/// envelope, then walk the log folding each message into the latest
+/// surviving message for its key; a declined message becomes the latest
+/// survivor, continues and creations pass through.  Returns the survivors
+/// and how many messages folded away.
+fn log_then_fold(job: &Digest, log: Vec<Envelope<Digest>>) -> (Vec<Envelope<Digest>>, u64) {
+    let mut survivors: Vec<Envelope<Digest>> = Vec::new();
+    let mut latest: std::collections::BTreeMap<u32, usize> = std::collections::BTreeMap::new();
+    let mut combined = 0;
+    for envelope in log {
+        if let Envelope::Message { to, msg } = envelope {
+            if let Some(&at) = latest.get(&to) {
+                let Envelope::Message { msg: into, .. } = &mut survivors[at] else {
+                    unreachable!("`latest` only indexes messages");
+                };
+                if job.combine_messages(&to, into, msg).is_none() {
+                    combined += 1;
+                    continue;
+                }
+            }
+            latest.insert(to, survivors.len());
+            survivors.push(Envelope::Message { to, msg });
+        } else {
+            survivors.push(envelope);
+        }
+    }
+    (survivors, combined)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn folding_outbox_equals_log_then_fold(ops in ops(), decline_seed: u64, parts in 1u32..5) {
+        let job = Digest { decline_seed };
+        let mut out = Outbox::<Digest>::new(parts);
+        let mut log = Vec::new();
+        let mut expected_combined = 0;
+        for op in ops.into_iter().chain([Op::Drain]) {
+            let envelope = match op {
+                Op::Send(to, msg) => Envelope::Message { to, msg },
+                Op::Continue(key) => Envelope::Continue { key },
+                Op::Create(key, state) => Envelope::Create { tab: 0, key, state },
+                Op::Drain => {
+                    let (survivors, combined) = log_then_fold(&job, std::mem::take(&mut log));
+                    expected_combined += combined;
+                    let expected: Vec<(u32, Bytes)> = survivors
+                        .iter()
+                        .map(|e| (dst_part(e.key(), parts), to_wire(e)))
+                        .collect();
+                    // Order, destination and encoded value of every survivor.
+                    let got: Vec<(u32, Bytes)> =
+                        out.drain().map(|(dst, e)| (dst, to_wire(&e))).collect();
+                    prop_assert_eq!(got, expected);
+                    prop_assert_eq!(out.metrics.messages_combined, expected_combined);
+                    continue;
+                }
+            };
+            log.push(envelope.clone());
+            match envelope {
+                Envelope::Message { to, msg } => out.message(&job, to, msg),
+                other => out.push(other),
+            }
+        }
+    }
+}
+
+#[test]
+fn a_spill_whose_tag_does_not_decode_fails_the_inbox_build() {
+    let tagged = |tag: (u32, u32, u64)| RoutedKey::with_route(0, to_wire(&tag).to_vec().into());
+    let good = vec![
+        (tagged((2, 1, 0)), Bytes::from_static(b"late")),
+        (tagged((1, 3, 1)), Bytes::from_static(b"early")),
+    ];
+    let order: Vec<_> = sorted_spills(good.clone())
+        .expect("well-formed tags decode")
+        .into_iter()
+        .map(|(tag, _)| tag)
+        .collect();
+    assert_eq!(order, vec![(1, 3, 1), (2, 1, 0)]);
+
+    // A truncated tag among good ones: the step must fail, not quietly
+    // deliver the rest.
+    let mut planted = good;
+    planted.push((
+        RoutedKey::with_route(0, Bytes::from_static(&[0x80])),
+        Bytes::from_static(b"lost"),
+    ));
+    assert!(matches!(
+        sorted_spills(planted),
+        Err(EbspError::Wire(WireError::UnexpectedEof { .. }))
+    ));
+}

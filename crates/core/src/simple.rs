@@ -13,7 +13,7 @@ use crate::{Aggregate, ComputeContext, EbspError, Job, JobProperties};
 
 type ComputeFn<K, S, M> =
     dyn Fn(&mut ComputeContext<'_, SimpleJob<K, S, M>>) -> Result<bool, EbspError> + Send + Sync;
-type CombineFn<K, M> = dyn Fn(&K, &M, &M) -> Option<M> + Send + Sync;
+type CombineFn<K, M> = dyn Fn(&K, &mut M, M) -> Option<M> + Send + Sync;
 
 /// A job assembled from closures.  Direct output and state writers are not
 /// supported here — implement [`Job`] directly when you need them.
@@ -120,10 +120,12 @@ where
         self
     }
 
-    /// Sets the pairwise message combiner.
+    /// Sets the pairwise message combiner, shaped like
+    /// [`Job::combine_messages`]: fold the message into `&mut M` and return
+    /// `None`, or hand it back as `Some` to keep both.
     pub fn combine<F>(mut self, f: F) -> Self
     where
-        F: Fn(&K, &M, &M) -> Option<M> + Send + Sync + 'static,
+        F: Fn(&K, &mut M, M) -> Option<M> + Send + Sync + 'static,
     {
         self.combine = Some(Box::new(f));
         self
@@ -196,7 +198,10 @@ where
         (self.compute)(ctx)
     }
 
-    fn combine_messages(&self, key: &K, a: &M, b: &M) -> Option<M> {
-        self.combine.as_ref().and_then(|f| f(key, a, b))
+    fn combine_messages(&self, key: &K, into: &mut M, msg: M) -> Option<M> {
+        match &self.combine {
+            Some(f) => f(key, into, msg),
+            None => Some(msg),
+        }
     }
 }

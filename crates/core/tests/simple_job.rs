@@ -12,7 +12,10 @@ fn closure_job_with_combiner_and_aggregator() {
     // Gossip a maximum through a clique, counting active vertices.
     let job = SimpleJob::<u32, u32, u32>::builder("gossip_max")
         .aggregator("active", Arc::new(SumI64))
-        .combine(|_k, a, b| Some(*a.max(b)))
+        .combine(|_k, into, msg| {
+            *into = msg.max(*into);
+            None
+        })
         .compute(|ctx| {
             ctx.aggregate("active", AggValue::I64(1))?;
             let best = ctx.messages().iter().copied().max().unwrap_or(0);

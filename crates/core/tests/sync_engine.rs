@@ -192,8 +192,12 @@ impl Job for SumFanIn {
         Ok(false)
     }
 
-    fn combine_messages(&self, _key: &u32, a: &i64, b: &i64) -> Option<i64> {
-        self.combine.then_some(a + b)
+    fn combine_messages(&self, _key: &u32, into: &mut i64, msg: i64) -> Option<i64> {
+        if !self.combine {
+            return Some(msg);
+        }
+        *into += msg;
+        None
     }
 }
 

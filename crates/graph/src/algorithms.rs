@@ -39,8 +39,9 @@ impl VertexProgram for MinLabelComponents {
         Ok(())
     }
 
-    fn combine(&self, a: &VertexId, b: &VertexId) -> Option<VertexId> {
-        Some(*a.min(b))
+    fn combine(&self, into: &mut VertexId, msg: VertexId) -> Option<VertexId> {
+        *into = msg.min(*into);
+        None
     }
 }
 
@@ -85,8 +86,9 @@ impl VertexProgram for BfsDistances {
         Ok(())
     }
 
-    fn combine(&self, a: &u32, b: &u32) -> Option<u32> {
-        Some(*a.min(b))
+    fn combine(&self, into: &mut u32, msg: u32) -> Option<u32> {
+        *into = msg.min(*into);
+        None
     }
 }
 

@@ -166,11 +166,15 @@ impl Decode for PrMsg {
     }
 }
 
-fn combine_pr(a: &PrMsg, b: &PrMsg) -> PrMsg {
-    PrMsg {
-        state: a.state.clone().or_else(|| b.state.clone()),
-        contrib: a.contrib + b.contrib,
+/// Folds `msg` into `into`: contributions add (in fold order — the f64
+/// sum is not associative, which is why the jobs declare `needs-order`),
+/// and the earlier self-state wins.
+fn combine_pr(into: &mut PrMsg, msg: PrMsg) -> Option<PrMsg> {
+    into.contrib += msg.contrib;
+    if into.state.is_none() {
+        into.state = msg.state;
     }
+    None
 }
 
 /// Shared per-invocation arithmetic: fold messages, apply the equations.
@@ -277,8 +281,8 @@ impl Job for DirectPageRank {
         }
     }
 
-    fn combine_messages(&self, _k: &VertexId, a: &PrMsg, b: &PrMsg) -> Option<PrMsg> {
-        Some(combine_pr(a, b))
+    fn combine_messages(&self, _k: &VertexId, into: &mut PrMsg, msg: PrMsg) -> Option<PrMsg> {
+        combine_pr(into, msg)
     }
 
     fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
@@ -373,8 +377,8 @@ impl Job for MapReducePageRank {
         }
     }
 
-    fn combine_messages(&self, _k: &VertexId, a: &PrMsg, b: &PrMsg) -> Option<PrMsg> {
-        Some(combine_pr(a, b))
+    fn combine_messages(&self, _k: &VertexId, into: &mut PrMsg, msg: PrMsg) -> Option<PrMsg> {
+        combine_pr(into, msg)
     }
 
     fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
@@ -641,8 +645,8 @@ impl Job for AdaptivePageRank {
         next_step > 2 && aggregates.get(DELTA).map_or(0.0, |v| v.as_f64()) < self.epsilon
     }
 
-    fn combine_messages(&self, _k: &VertexId, a: &PrMsg, b: &PrMsg) -> Option<PrMsg> {
-        Some(combine_pr(a, b))
+    fn combine_messages(&self, _k: &VertexId, into: &mut PrMsg, msg: PrMsg) -> Option<PrMsg> {
+        combine_pr(into, msg)
     }
 
     fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
@@ -728,11 +732,10 @@ mod tests {
 
     #[test]
     fn combine_merges_state_and_sums_contribs() {
-        let a = PrMsg::contribution(0.25);
-        let b = PrMsg::self_state(vec![4], 0.1);
-        let c = combine_pr(&a, &b);
-        assert_eq!(c.contrib, 0.25);
-        assert_eq!(c.state.unwrap().edges, vec![4]);
+        let mut into = PrMsg::contribution(0.25);
+        assert!(combine_pr(&mut into, PrMsg::self_state(vec![4], 0.1)).is_none());
+        assert_eq!(into.contrib, 0.25);
+        assert_eq!(into.state.unwrap().edges, vec![4]);
     }
 
     #[test]

@@ -761,14 +761,15 @@ impl Job for FullScanSssp {
         }
     }
 
-    fn combine_messages(&self, _k: &VertexId, a: &FsMsg, b: &FsMsg) -> Option<FsMsg> {
+    fn combine_messages(&self, _k: &VertexId, into: &mut FsMsg, msg: FsMsg) -> Option<FsMsg> {
         // "This job has a combiner with an obvious implementation."
-        Some(FsMsg {
-            state: a.state.clone().or_else(|| b.state.clone()),
-            min_neighbor: a.min_neighbor.min(b.min_neighbor),
-            support: a.support || b.support,
-            supported_value: a.supported_value.min(b.supported_value),
-        })
+        if into.state.is_none() {
+            into.state = msg.state;
+        }
+        into.min_neighbor = into.min_neighbor.min(msg.min_neighbor);
+        into.support |= msg.support;
+        into.supported_value = into.supported_value.min(msg.supported_value);
+        None
     }
 
     fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
@@ -804,9 +805,11 @@ impl Job for FullScanSssp {
         } else {
             // Reduce: recompute the distance from the folded messages.
             let msgs = ctx.take_messages();
-            let folded = msgs
-                .into_iter()
-                .reduce(|a, b| self.combine_messages(&me, &a, &b).expect("always combines"));
+            let folded = msgs.into_iter().reduce(|mut into, msg| {
+                let declined = self.combine_messages(&me, &mut into, msg);
+                assert!(declined.is_none(), "always combines");
+                into
+            });
             let Some(folded) = folded else {
                 return Ok(false);
             };

@@ -60,10 +60,12 @@ pub trait VertexProgram: Send + Sync + Sized + 'static {
     /// Propagate context errors.
     fn compute(&self, ctx: &mut VertexContext<'_, '_, Self>) -> Result<(), EbspError>;
 
-    /// Optional pairwise message combiner.
-    fn combine(&self, a: &Self::Message, b: &Self::Message) -> Option<Self::Message> {
-        let _ = (a, b);
-        None
+    /// Optional pairwise message combiner, shaped like
+    /// [`Job::combine_messages`]: fold `msg` into `into` and return `None`,
+    /// or hand it back as `Some(msg)` to keep both (the default).
+    fn combine(&self, into: &mut Self::Message, msg: Self::Message) -> Option<Self::Message> {
+        let _ = into;
+        Some(msg)
     }
 
     /// Named aggregators, as in Pregel; fed via
@@ -225,10 +227,10 @@ impl<P: VertexProgram> Job for VertexJob<P> {
     fn combine_messages(
         &self,
         _key: &VertexId,
-        a: &P::Message,
-        b: &P::Message,
+        into: &mut P::Message,
+        msg: P::Message,
     ) -> Option<P::Message> {
-        self.program.combine(a, b)
+        self.program.combine(into, msg)
     }
 
     fn aggregators(&self) -> Vec<(String, Arc<dyn Aggregate>)> {

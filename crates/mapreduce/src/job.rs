@@ -91,12 +91,12 @@ impl<M: MapReduce> Job for MapReduceJob<M> {
     fn combine_messages(
         &self,
         key: &Self::Key,
-        a: &Self::Message,
-        b: &Self::Message,
+        into: &mut Self::Message,
+        msg: Self::Message,
     ) -> Option<Self::Message> {
         match key {
-            MrKey::Mid(mk) => self.mr.combine(mk, a, b),
-            MrKey::In(_) => None,
+            MrKey::Mid(mk) => self.mr.combine(mk, into, msg),
+            MrKey::In(_) => Some(msg),
         }
     }
 }

@@ -49,8 +49,9 @@
 //!         Some(counts.into_iter().sum())
 //!     }
 //!
-//!     fn combine(&self, _word: &String, a: &u64, b: &u64) -> Option<u64> {
-//!         Some(a + b)
+//!     fn combine(&self, _word: &String, into: &mut u64, n: u64) -> Option<u64> {
+//!         *into += n;
+//!         None
 //!     }
 //! }
 //!
@@ -110,15 +111,16 @@ pub trait MapReduce: Send + Sync + 'static {
     /// Reduces all intermediate values of one key; `None` emits nothing.
     fn reduce(&self, key: &Self::MidKey, values: Vec<Self::MidValue>) -> Option<Self::OutValue>;
 
-    /// Optional pairwise combiner applied during the shuffle; the default
-    /// combines nothing.
+    /// Optional pairwise combiner applied during the shuffle: fold `value`
+    /// into `into` and return `None`, or hand it back as `Some(value)` to
+    /// keep both — the default, which combines nothing.
     fn combine(
         &self,
         key: &Self::MidKey,
-        a: &Self::MidValue,
-        b: &Self::MidValue,
+        into: &mut Self::MidValue,
+        value: Self::MidValue,
     ) -> Option<Self::MidValue> {
-        let _ = (key, a, b);
-        None
+        let _ = (key, into);
+        Some(value)
     }
 }

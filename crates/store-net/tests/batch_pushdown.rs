@@ -137,7 +137,10 @@ fn engine_spills_travel_as_batches() {
             }
             Ok(false)
         })
-        .combine(|_, a, b| Some(a + b))
+        .combine(|_, into, msg| {
+            *into += msg;
+            None
+        })
         .build();
     let cluster = LoopbackCluster::spawn(2, 4);
     let outcome = JobRunner::new(cluster.store.clone())

@@ -39,6 +39,17 @@ impl<'a> ByteReader<'a> {
         self.rest.is_empty()
     }
 
+    /// The unread bytes, not consumed.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+
+    /// Consumes `len` bytes the caller has inspected through
+    /// [`ByteReader::rest`].
+    pub(crate) fn advance(&mut self, len: usize) {
+        self.rest = &self.rest[len..];
+    }
+
     /// Reads one byte.
     ///
     /// # Errors

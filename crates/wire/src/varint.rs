@@ -11,6 +11,17 @@ pub const MAX_VARINT_LEN: usize = 10;
 
 /// Appends `value` to `w` as a LEB128 varint.
 pub fn write_u64(w: &mut ByteWriter, mut value: u64) {
+    // Lengths, tags and small keys: one byte, one push.
+    if value < 0x80 {
+        w.push((value & 0x7f) as u8);
+        return;
+    }
+    // Two bytes (ids and lengths below 16 384): one fixed-width append,
+    // so one capacity check and one length update.
+    if value < 0x4000 {
+        w.extend(&[(value & 0x7f) as u8 | 0x80, ((value >> 7) & 0x7f) as u8]);
+        return;
+    }
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
@@ -29,6 +40,30 @@ pub fn write_u64(w: &mut ByteWriter, mut value: u64) {
 /// Returns [`WireError::VarintOverflow`] if the varint runs past 10 bytes
 /// and [`WireError::UnexpectedEof`] if the input ends mid-varint.
 pub fn read_u64(r: &mut ByteReader<'_>) -> Result<u64, WireError> {
+    // With a whole maximum-width varint in view the input cannot end
+    // mid-varint: decode from the slice, with no end-of-input check per
+    // byte.
+    if let Some(window) = r.rest().get(..MAX_VARINT_LEN) {
+        let mut value: u64 = 0;
+        for (i, &byte) in window.iter().enumerate() {
+            let low = u64::from(byte & 0x7f);
+            if i == MAX_VARINT_LEN - 1 && low > 1 {
+                break;
+            }
+            value |= low << (7 * i);
+            if byte & 0x80 == 0 {
+                r.advance(i + 1);
+                return Ok(value);
+            }
+        }
+        return Err(WireError::VarintOverflow);
+    }
+    read_u64_bytewise(r)
+}
+
+/// [`read_u64`] one checked byte at a time: the path for the last few
+/// bytes of an input, and the reference the slice path is tested against.
+fn read_u64_bytewise(r: &mut ByteReader<'_>) -> Result<u64, WireError> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
     for _ in 0..MAX_VARINT_LEN {
@@ -143,6 +178,57 @@ mod tests {
         let bytes = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02];
         let mut r = ByteReader::new(&bytes);
         assert_eq!(read_u64(&mut r), Err(WireError::VarintOverflow));
+    }
+
+    /// [`write_u64`] as it was before the fast paths, one push per byte:
+    /// the format's reference.
+    fn write_u64_bytewise(w: &mut ByteWriter, mut value: u64) {
+        loop {
+            let byte = (value & 0x7f) as u8;
+            value >>= 7;
+            if value == 0 {
+                w.push(byte);
+                return;
+            }
+            w.push(byte | 0x80);
+        }
+    }
+
+    proptest::proptest! {
+        /// The fast paths emit the bytewise loop's bytes for any value of
+        /// any width.
+        #[test]
+        fn write_equals_bytewise(value: u64, width in 0u32..64) {
+            let value = value >> width;
+            let (mut fast, mut slow) = (ByteWriter::new(), ByteWriter::new());
+            fast.push(0xAA);
+            write_u64(&mut fast, value);
+            slow.push(0xAA);
+            write_u64_bytewise(&mut slow, value);
+            proptest::prop_assert_eq!(fast.as_slice(), slow.as_slice());
+        }
+
+        /// The slice path decodes what the bytewise loop decodes — values,
+        /// overflows, truncations — from arbitrary bytes at any distance
+        /// from the end of the input, and leaves the cursor where it does.
+        #[test]
+        fn read_equals_bytewise(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24),
+            stop in 0usize..24,
+        ) {
+            // Arbitrary bytes rarely end a varint early; clear one
+            // continuation bit so every length occurs.
+            let mut bytes = bytes;
+            if let Some(byte) = bytes.get_mut(stop) {
+                *byte &= 0x7f;
+            }
+            let (mut fast, mut slow) = (ByteReader::new(&bytes), ByteReader::new(&bytes));
+            let (got, expected) = (read_u64(&mut fast), read_u64_bytewise(&mut slow));
+            proptest::prop_assert_eq!(&got, &expected);
+            if expected.is_ok() {
+                proptest::prop_assert_eq!(fast.remaining(), slow.remaining());
+            }
+        }
     }
 
     #[test]

@@ -28,8 +28,9 @@ impl MapReduce for WordCount {
         Some(counts.into_iter().sum())
     }
 
-    fn combine(&self, _word: &String, a: &u64, b: &u64) -> Option<u64> {
-        Some(a + b)
+    fn combine(&self, _word: &String, into: &mut u64, n: u64) -> Option<u64> {
+        *into += n;
+        None
     }
 }
 

@@ -3,7 +3,9 @@
 //! runs, so the same deterministic, `no-continue`, one-message job must
 //! invoke the same components, fire the audit probes the same way, and
 //! leave the same state behind under each — and the run-anywhere scheduler
-//! must heal transient store faults like the pinned one does.
+//! must heal transient store faults like the pinned one does.  A second
+//! job carries a combiner: its messages fold where they are sent, and the
+//! three schedulers must still agree on every table.
 
 use std::sync::{Arc, Mutex};
 
@@ -143,6 +145,117 @@ fn three_schedulers_share_one_invocation_core() {
             "{schedule:?}: on_continue fires once per invocation"
         );
         assert_eq!(outcome.metrics.invocations, expected_keys.len() as u64);
+    }
+}
+
+const SOURCES: u32 = 24;
+const SINKS: u32 = 5;
+const FAN: u32 = 7;
+
+/// A fan-in with a combiner: every source sends `FAN` values round-robin
+/// over the `SINKS` sinks — more than one per sink from a single
+/// invocation — and every sink adds what arrives to its state.  Messages
+/// fold where they are sent (and again where they arrive); sums commute,
+/// so however much each scheduler folds, the tables must agree.
+struct FanIn(Schedule);
+
+impl Job for FanIn {
+    type Key = u32;
+    type State = u64;
+    type Message = u64;
+    type OutKey = ();
+    type OutValue = ();
+
+    fn state_tables(&self) -> Vec<String> {
+        vec![TABLE.to_owned()]
+    }
+
+    fn properties(&self) -> JobProperties {
+        // The combiner always folds, so a sink sees one message per step.
+        let anywhere = self.0 == Schedule::Anywhere;
+        JobProperties {
+            one_msg: anywhere,
+            rare_state: anywhere,
+            // Adding arrivals to a running sum is order- and
+            // batching-insensitive: what the unsynchronized engine needs.
+            incremental: self.0 == Schedule::Nosync,
+            no_continue: true,
+            deterministic: true,
+            ..JobProperties::default()
+        }
+    }
+
+    fn combine_messages(&self, _key: &u32, into: &mut u64, msg: u64) -> Option<u64> {
+        *into += msg;
+        None
+    }
+
+    fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
+        let me = *ctx.key();
+        let arrived: u64 = ctx.messages().iter().sum();
+        let total = ctx.read_state(0)?.unwrap_or(0) + arrived;
+        ctx.write_state(0, &total)?;
+        if me < SOURCES {
+            for j in 0..FAN {
+                ctx.send(SOURCES + (me + j) % SINKS, u64::from(me * FAN + j));
+            }
+        }
+        Ok(false)
+    }
+}
+
+#[test]
+fn a_combiner_bearing_job_leaves_the_same_tables_under_every_scheduler() {
+    let mut expected: Vec<(u32, u64)> = (0..SOURCES).map(|k| (k, 1)).collect();
+    expected.extend((0..SINKS).map(|sink| {
+        let sum = (0..SOURCES)
+            .flat_map(|me| (0..FAN).map(move |j| (me, j)))
+            .filter(|(me, j)| (me + j) % SINKS == sink)
+            .map(|(me, j)| u64::from(me * FAN + j))
+            .sum();
+        (SOURCES + sink, sum)
+    }));
+
+    for schedule in [Schedule::Pinned, Schedule::Anywhere, Schedule::Nosync] {
+        let plan = ExecutionPlan::derive(&FanIn(schedule).properties(), true, true);
+        assert_eq!(plan.run_anywhere, schedule == Schedule::Anywhere);
+
+        let store = MemStore::builder().default_parts(PARTS).build();
+        let mut runner = JobRunner::new(store.clone());
+        if schedule == Schedule::Nosync {
+            runner.force_mode(ExecMode::Unsynchronized);
+        }
+        let options =
+            RunOptions::new().loader(Box::new(FnLoader::new(|sink: &mut dyn LoadSink<FanIn>| {
+                (0..SOURCES).try_for_each(|k| sink.message(k, 1))
+            })));
+        let outcome = runner.launch(Arc::new(FanIn(schedule)), options).unwrap();
+        let table = store.lookup_table(TABLE).unwrap();
+        let exporter = Arc::new(CollectingExporter::<u32, u64>::new());
+        export_state_table(&store, &table, Arc::clone(&exporter)).unwrap();
+        let mut state = exporter.take();
+        state.sort_unstable();
+        assert_eq!(state, expected, "{schedule:?}: final state");
+
+        // Every send is counted; FAN > SINKS, so each source's outbox folds
+        // at least FAN - SINKS of them before anything leaves the task.
+        let metrics = outcome.metrics;
+        // (Without barriers the loader's seed messages count as sent too.)
+        let seeds = if schedule == Schedule::Nosync {
+            SOURCES
+        } else {
+            0
+        };
+        assert_eq!(
+            metrics.messages_sent,
+            u64::from(SOURCES * FAN + seeds),
+            "{schedule:?}"
+        );
+        assert!(
+            metrics.messages_combined >= u64::from(SOURCES * (FAN - SINKS)),
+            "{schedule:?}: {} combined",
+            metrics.messages_combined
+        );
     }
 }
 

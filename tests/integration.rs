@@ -113,8 +113,9 @@ fn mapreduce_over_pagerank_output() {
         fn reduce(&self, _b: &u32, counts: Vec<u64>) -> Option<u64> {
             Some(counts.into_iter().sum())
         }
-        fn combine(&self, _b: &u32, a: &u64, b: &u64) -> Option<u64> {
-            Some(a + b)
+        fn combine(&self, _b: &u32, into: &mut u64, n: u64) -> Option<u64> {
+            *into += n;
+            None
         }
     }
 
@@ -148,8 +149,9 @@ fn recovery_during_a_real_application() {
                 ..Default::default()
             }
         }
-        fn combine_messages(&self, _k: &u32, a: &u32, b: &u32) -> Option<u32> {
-            Some(*a.min(b))
+        fn combine_messages(&self, _k: &u32, into: &mut u32, msg: u32) -> Option<u32> {
+            *into = msg.min(*into);
+            None
         }
         fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
             if ctx.step() == 3
