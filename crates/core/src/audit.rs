@@ -105,9 +105,9 @@ pub trait AuditProbe: Send + Sync + 'static {
         let _ = (step, part, op, table);
     }
 
-    /// The inbox build delivered `msgs` messages (counted *after* the
-    /// combiner pass — the count the `one-msg` contract is about) to `key`
-    /// for `step`.
+    /// The delivery that opens `step` handed `key` `msgs` messages (counted
+    /// *after* the combiner pass — the count the `one-msg` contract is
+    /// about).
     fn on_deliver(&self, step: u32, part: u32, key: &[u8], msgs: u32) {
         let _ = (step, part, key, msgs);
     }

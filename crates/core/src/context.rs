@@ -102,7 +102,7 @@ impl<J: Job> Outbox<J> {
 }
 
 /// The one call of the job's pairwise combiner, shared by send-time
-/// (outbox) and arrival-time (inbox build) folding: folds `msg` into
+/// (outbox) and arrival-time (delivery) folding: folds `msg` into
 /// `latest`, the most recent surviving message for `key`.  Returns the
 /// message back when it must be appended instead — there is no survivor
 /// yet, or the combiner declined.

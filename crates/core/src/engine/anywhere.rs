@@ -1,4 +1,4 @@
-//! The *run-anywhere* compute phase (§II-A): `no-collect ∧ rare-state ⇒
+//! The *run-anywhere* step (§II-A): `no-collect ∧ rare-state ⇒
 //! run-anywhere` — "the implementation can freely engage in work-stealing,
 //! for example to balance load.  As the work done by a given component in a
 //! given step requires little access to its associated state, there is
@@ -7,97 +7,89 @@
 //! need to pin a compute invocation to a rendezvous point for multiple
 //! messages."
 //!
-//! Implementation: each part drains its inbox and hands the entries to the
-//! controller, which puts them in a shared work queue; one worker per part
-//! then steals batches from that queue and invokes components *wherever it
-//! runs*, reaching state through ordinary table handles (paying remote
-//! marshalling where non-local — cheap by the `rare-state` assumption).
+//! Implementation: each part delivers what the previous step spilled to it
+//! and hands the enabled components to the controller, which puts them in
+//! a shared work queue; one worker per part then steals batches from that
+//! queue and invokes components *wherever it runs*, reaching state through
+//! ordinary table handles (paying remote marshalling where non-local —
+//! cheap by the `rare-state` assumption).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
-use ripple_kv::{KvStore, PartId, Table};
-use ripple_wire::from_wire;
+use ripple_kv::KvStore;
 
-use crate::engine::{GlobalStateOps, JobEnv, PartOutput, PartTask, Records};
-use crate::metrics::PartCounters;
+use crate::engine::{run_parts, Enabled, GlobalStateOps, JobEnv, PartOutput, PartTask};
 use crate::{AggregateSnapshot, EbspError, ExecMode, Job};
 
-/// How many inbox entries a worker steals per lock acquisition.
+/// How many enabled components a worker steals per lock acquisition.
 const STEAL_BATCH: usize = 16;
 
-/// Runs one step's compute invocations with work-stealing across all
-/// parts, returning merged aggregates and counters.
-pub(crate) fn run_compute_phase_anywhere<S: KvStore, J: Job>(
+/// Runs one step with work-stealing across all parts — a deliver round,
+/// then a steal round — returning the merged output.
+pub(crate) fn run_step_anywhere<S: KvStore, J: Job>(
     env: &JobEnv<S, J>,
     task: &Arc<PartTask<S::Table, J>>,
     step: u32,
     prev_agg: &AggregateSnapshot,
 ) -> Result<PartOutput, EbspError> {
-    // Phase A: every part drains its inbox and ships the entries to the
-    // controller (this is the "distant from the state" traffic the
+    // Round one: every part delivers and ships its enabled components to
+    // the controller (this is the "distant from the state" traffic the
     // rare-state property declares cheap).
-    let drained = {
-        let task = Arc::clone(task);
-        env.store.run_at_all(&env.reference, move |view| {
-            task.drain(view, task.temps().inbox.name())
-        })?
-    };
-    let mut queue = Records::new();
-    for entries in drained {
-        queue.extend(entries?);
+    let begun = Instant::now();
+    let mut output = PartOutput::default();
+    let mut queue: Vec<Enabled<J>> = Vec::new();
+    let delivering = run_parts(env, task, move |task, view| task.deliver(view, step, None));
+    for (delivered, _) in delivering {
+        let (enabled, counters) = delivered?;
+        queue.extend(enabled);
+        output.counters.merge(&counters);
     }
     // Deterministic stealing order (matters for deterministic replay).
-    queue.sort_by(|a, b| a.0.cmp(&b.0));
+    queue.sort_by(|a, b| a.1.cmp(&b.1));
     let queue = Arc::new(Mutex::new(queue));
+    output.delivery = begun.elapsed();
 
-    // Phase B: one stealing worker per part.
-    let handles: Vec<_> = (0..task.parts)
-        .map(|p| {
-            let task = Arc::clone(task);
-            let queue = Arc::clone(&queue);
-            let prev = prev_agg.clone();
-            let ops = GlobalStateOps {
-                tables: env.tables.clone(),
-                broadcast: env
-                    .broadcast_name
-                    .as_ref()
-                    .and_then(|n| env.store.lookup_table(n).ok()),
-            };
-            env.store.run_at(&env.reference, PartId(p), move |view| {
-                let part = view.part();
-                // run-anywhere implies no-collect implies no-continue, so
-                // the invocation core rejects every positive continue signal.
-                let mut invoker = task.invoker(ExecMode::Synchronized, part, &ops, &prev);
-                loop {
-                    let batch: Records = {
-                        let mut q = queue.lock();
-                        let take = q.len().min(STEAL_BATCH);
-                        if take == 0 {
-                            break;
-                        }
-                        let at = q.len() - take;
-                        q.split_off(at)
-                    };
-                    for (routed, bytes) in batch {
-                        let key: J::Key = from_wire(routed.body())?;
-                        let messages: Vec<J::Message> = from_wire(&bytes)?;
-                        invoker.invoke(step, key, routed, messages)?;
-                    }
-                }
-                task.finish_compute(step, part.0, invoker.out)
-            })
-        })
-        .collect();
-
-    let mut output = (env.registry.identities(), PartCounters::default());
+    // Round two: one stealing worker per part.
+    let tables = env.tables.clone();
+    let broadcast = env
+        .broadcast_name
+        .as_ref()
+        .and_then(|n| env.store.lookup_table(n).ok());
+    let prev = prev_agg.clone();
     let mut first_err: Option<EbspError> = None;
-    for handle in handles {
-        match handle
-            .join()
-            .map_err(EbspError::Kv)
-            .and_then(|result| result)
-        {
+    for (stolen, _) in run_parts(env, task, move |task, view| {
+        let part = view.part();
+        let ops = GlobalStateOps {
+            tables: tables.clone(),
+            broadcast: broadcast.clone(),
+        };
+        // run-anywhere implies no-collect implies no-continue, so the
+        // invocation core rejects every positive continue signal.
+        let mut invoker = task.invoker(ExecMode::Synchronized, part, &ops, &prev);
+        let mut enabled = 0;
+        loop {
+            let batch = {
+                let mut q = queue.lock();
+                let take = q.len().min(STEAL_BATCH);
+                if take == 0 {
+                    break;
+                }
+                let at = q.len() - take;
+                q.split_off(at)
+            };
+            enabled += batch.len() as u64;
+            for (key, routed, messages) in batch {
+                invoker.invoke(step, key, routed, messages)?;
+            }
+        }
+        Ok(PartOutput {
+            enabled,
+            ..task.finish_compute(step, part.0, invoker.out)?
+        })
+    }) {
+        match stolen {
             Ok(part) => task.merge_output(&mut output, part),
             Err(e) => first_err = first_err.or(Some(e)),
         }

@@ -4,8 +4,8 @@
 //! invocation runs.  Everything else lives here, once:
 //!
 //! * [`PartTask`] — the one context a part task carries: every value that
-//!   is constant for a run.  Its methods are the message plane (spill,
-//!   inbox build, state creations, aggregator partials) and take only what
+//!   is constant for a run.  Its methods are the message plane (deliver,
+//!   state creations, spill, aggregator partials) and take only what
 //!   varies per call.
 //! * [`Invoker`] — the one invocation core: context construction, audit
 //!   probes, `Job::compute`, continue-signal enforcement.
@@ -21,6 +21,7 @@ pub(crate) mod sync;
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use ripple_kv::{KvError, KvStore, PartId, PartView, RoutedKey, ScanControl, Table};
@@ -32,7 +33,7 @@ use crate::metrics::PartCounters;
 use crate::retry::{kv_with_retry, FaultRetry};
 use crate::{
     key_to_routed, AggValue, AggregateSnapshot, AggregatorRegistry, AuditProbe, EbspError,
-    Envelope, ExecMode, ExecutionPlan, Exporter, Job, LoadSink, Loader, TaskGate,
+    Envelope, ExecMode, ExecutionPlan, Exporter, GatePermit, Job, LoadSink, Loader, TaskGate,
 };
 
 /// Everything about one job run that the controller side of an engine
@@ -61,24 +62,52 @@ pub(crate) type Records = Vec<(RoutedKey, Bytes)>;
 /// A spill batch's transport tag: `(step, src, seq)`.
 type SpillTag = (u32, u32, u64);
 
-/// What one compute part task hands back to the controller: aggregator
-/// partials and work counters.
-pub(crate) type PartOutput = (HashMap<String, AggValue>, PartCounters);
+/// One enabled component and the messages delivered to it.
+pub(crate) type Enabled<J> = (<J as Job>::Key, RoutedKey, Vec<<J as Job>::Message>);
+
+/// What one part task of a step hands back to the controller.
+#[derive(Default)]
+pub(crate) struct PartOutput {
+    /// Aggregator partials.
+    pub(crate) agg: HashMap<String, AggValue>,
+    pub(crate) counters: PartCounters,
+    /// Components invoked for the step's own effect (a replay of a past
+    /// step counts none).
+    pub(crate) enabled: u64,
+    /// It spilled a message or a continue signal: the next step has
+    /// components to invoke.
+    pub(crate) live: bool,
+    /// It spilled a state creation, which the next delivery applies.
+    pub(crate) creates: bool,
+    /// The spill records as written — what fast recovery replays a
+    /// receiving part from.
+    pub(crate) spilled: Records,
+    /// How long the task spent delivering before its first invocation.
+    pub(crate) delivery: Duration,
+}
 
 /// The temporary tables of a synchronized run.
 pub(crate) struct TempTables<T> {
-    /// Spill batches keyed `(step, src, seq)`, routed to their destination.
-    pub(crate) transport: T,
-    /// The next step's per-component message lists.
-    pub(crate) inbox: T,
+    /// Spill batches keyed `(step, src, seq)`, routed to their destination,
+    /// in two tables used alternately so that a part running ahead cannot
+    /// mix its spills into input a slower part has yet to drain.
+    pub(crate) transport: [T; 2],
     /// Large-aggregator path (§IV-A): per-part partials, merged results.
     pub(crate) agg: Option<(T, T)>,
 }
 
+impl<T> TempTables<T> {
+    /// The transport `step` spills into and `step + 1` drains; loader spills
+    /// count as step 0.
+    pub(crate) fn transport(&self, step: u32) -> &T {
+        &self.transport[(step % 2) as usize]
+    }
+}
+
 /// The inputs of a fast-recovery replay of one part through one step.
 pub(crate) struct Replay {
-    /// The step's recorded inbox at the part, computed in place of the
-    /// inbox table.
+    /// What the senders of the previous step spilled to the part, delivered
+    /// in place of its transport slice.
     pub(crate) entries: Records,
     /// Replays a *past* step purely for its state effects: its sends,
     /// aggregator partials and direct outputs already happened in the
@@ -86,9 +115,14 @@ pub(crate) struct Replay {
     pub(crate) suppress: bool,
 }
 
+/// The start and finish instants of one part task.
+pub(crate) type Span = (Instant, Instant);
+/// One part task's result and its span (absent when the dispatch failed).
+pub(crate) type Timed<R> = (Result<R, EbspError>, Option<Span>);
+
 /// The part-task context: everything that is constant for one run, shared
-/// (behind an `Arc`) by every part task of every phase under every
-/// scheduler.  A value a part task newly needs is one field here.
+/// (behind an `Arc`) by every part task under every scheduler.  A value a
+/// part task newly needs is one field here.
 pub(crate) struct PartTask<T: Table, J: Job> {
     pub(crate) job: Arc<J>,
     pub(crate) plan: ExecutionPlan,
@@ -198,70 +232,79 @@ impl<T: Table, J: Job> PartTask<T, J> {
         }
     }
 
-    /// Folds one part task's output into the phase's running total.
-    pub(crate) fn merge_output(&self, into: &mut PartOutput, (partial, counters): PartOutput) {
-        self.registry.merge(&mut into.0, partial);
-        into.1.merge(&counters);
+    /// Folds one part task's output into the step's running total; the
+    /// delivery span of the whole is the slowest part's.
+    pub(crate) fn merge_output(&self, into: &mut PartOutput, part: PartOutput) {
+        self.registry.merge(&mut into.agg, part.agg);
+        into.counters.merge(&part.counters);
+        into.enabled += part.enabled;
+        into.live |= part.live;
+        into.creates |= part.creates;
+        into.spilled.extend(part.spilled);
+        into.delivery = into.delivery.max(part.delivery);
     }
 
-    /// Groups the envelopes surviving in `out` by their destination part
-    /// and writes one spill batch per non-empty destination into the
-    /// transport table, keyed `(step, src, seq)` and routed to the
-    /// destination part.  Same-key messages were already folded as they
-    /// were sent ([`Outbox::message`]), and all destination records flush
-    /// through a single [`Table::put_batch`] call, so a batching store ships
-    /// one coalesced frame per destination server instead of one RPC per
-    /// destination part.
+    /// Groups the envelopes surviving in `out` ([`Outbox::message`] folded
+    /// same-key messages as they were sent) by destination part and writes
+    /// one spill batch per non-empty destination into the transport of
+    /// `step`, keyed `(step, src, seq)` and routed there — all through a
+    /// single [`Table::put_batch`], so a batching store ships one coalesced
+    /// frame per destination server instead of one RPC per destination part.
     pub(crate) fn write_spills(
         &self,
         step: u32,
         src: u32,
         out: &mut Outbox<J>,
-    ) -> Result<(), EbspError> {
+    ) -> Result<PartOutput, EbspError> {
+        let mut output = PartOutput::default();
         let mut by_dst: Vec<Vec<Envelope<J>>> = (0..self.parts).map(|_| Vec::new()).collect();
         for (dst, env) in out.drain() {
+            match env {
+                Envelope::Create { .. } => output.creates = true,
+                Envelope::Message { .. } | Envelope::Continue { .. } => output.live = true,
+            }
             by_dst[dst as usize].push(env);
         }
         let counters = &mut out.metrics;
-        let mut records = Records::new();
         for (dst, batch) in by_dst.into_iter().enumerate() {
             if batch.is_empty() {
                 continue;
             }
             let body = to_wire(&(step, src, counters.spill_batches));
             let key = RoutedKey::with_route(dst as u64, body.to_vec().into());
-            records.push((key, to_wire(&batch)));
+            output.spilled.push((key, to_wire(&batch)));
             counters.spill_batches += 1;
         }
-        if records.is_empty() {
-            return Ok(());
+        if !output.spilled.is_empty() {
+            // Keys are unique per (step, src, seq), so replaying the whole
+            // batch after a transient failure is idempotent.
+            let transport = self.temps().transport(step);
+            self.retried(src, || transport.put_batch(output.spilled.clone()))?;
         }
-        // Keys are unique per (step, src, seq), so replaying the whole batch
-        // after a transient failure is idempotent.
-        let transport = &self.temps().transport;
-        self.retried(src, || transport.put_batch(records.clone()))?;
-        Ok(())
+        Ok(output)
     }
 
-    /// Drains this part's slice of the transport table and builds the inbox
-    /// for the next step: per-component message lists (combined pairwise on
-    /// arrival where the job's combiner applies), continue-enabled
-    /// components, and applied state creations.  Returns the number of
-    /// enabled components, the counters, and — when `record` is set — the
-    /// materialized inbox entries, which the synchronized engine keeps
-    /// controller-side as the replay log for fast single-part recovery.
-    pub(crate) fn build_inbox(
+    /// Delivers to this part what `step - 1` spilled to it: drains the
+    /// part's slice of that step's transport table (or takes the `replay`
+    /// records of a fast recovery), folds the envelopes into per-component
+    /// message lists (combined pairwise on arrival where the job's combiner
+    /// applies), applies the state creations, and returns the enabled
+    /// components in invocation order — sorted by key iff the plan says so
+    /// — with the counters of the folding.
+    pub(crate) fn deliver(
         &self,
         view: &dyn PartView,
-        record: bool,
-    ) -> Result<(u64, PartCounters, Records), EbspError> {
-        let temps = self.temps();
+        step: u32,
+        replay: Option<Records>,
+    ) -> Result<(Vec<Enabled<J>>, PartCounters), EbspError> {
         let part = view.part().0;
         let mut counters = PartCounters::default();
-        let batches = sorted_spills(self.drain(view, temps.transport.name())?)?;
-        // Spills tagged with step s are delivered for step s + 1; loader
-        // spills (tagged 0) feed step 1.
-        let deliver_step = batches.last().map_or(1, |((s, _, _), _)| s + 1);
+        // A replay never re-fires audit probes: that would double-count.
+        let probe = self.probe.as_ref().filter(|_| replay.is_none());
+        let records = match replay {
+            Some(records) => records,
+            None => self.drain(view, self.temps().transport(step - 1).name())?,
+        };
 
         // Fold envelopes into per-component inboxes in arrival order, each
         // message into the latest survivor of its list.  "The platform may
@@ -269,7 +312,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
         // times and places)"; adjacent pairs on arrival is one such choice.
         let mut inbox: KeyMap<J::Key, Vec<J::Message>> = KeyMap::default();
         let mut creates: Vec<(u16, J::Key, J::State)> = Vec::new();
-        for (_, bytes) in batches {
+        for (_, bytes) in sorted_spills(records)? {
             let envelopes: Vec<Envelope<J>> = from_wire(&bytes)?;
             for env in envelopes {
                 match env {
@@ -296,35 +339,52 @@ impl<T: Table, J: Job> PartTask<T, J> {
         // Audit the post-combine delivery counts — the `one-msg` contract is
         // about what arrives per (key, step) after combining, not about how
         // many raw sends targeted the key.
-        if let Some(probe) = &self.probe {
+        if let Some(probe) = probe {
             for (key, list) in &inbox {
-                probe.on_deliver(deliver_step, part, &to_wire(key), list.len() as u32);
+                probe.on_deliver(step, part, &to_wire(key), list.len() as u32);
             }
         }
 
-        // Enforce one-msg when the plan dropped collection.
-        if !self.plan.collect {
-            for (_key, list) in inbox.iter() {
-                if list.len() > 1 {
-                    return Err(EbspError::PropertyViolation {
-                        property: "one-msg",
-                        detail: format!("{} messages arrived for one key in one step", list.len()),
-                    });
-                }
+        let mut enabled: Vec<Enabled<J>> = Vec::with_capacity(inbox.len());
+        for (key, list) in inbox {
+            // Enforce one-msg when the plan dropped collection.
+            if !self.plan.collect && list.len() > 1 {
+                return Err(EbspError::PropertyViolation {
+                    property: "one-msg",
+                    detail: format!("{} messages arrived for one key in one step", list.len()),
+                });
             }
+            let routed = key_to_routed(&key);
+            enabled.push((key, routed, list));
         }
 
-        // Materialize the inbox table: one entry per enabled component, all
-        // flushed through one batched write (keys are unique, so a retried
-        // batch is idempotent).
-        let enabled = inbox.len() as u64;
-        let mut records = Records::with_capacity(inbox.len());
-        for (key, msgs) in inbox {
-            records.push((key_to_routed(&key), to_wire(&msgs)));
+        if let Some(seed) = self.shuffle {
+            // Audit mode: a deterministic Fisher–Yates permutation keyed by
+            // (seed, step, part) *replaces* the plan's ordering, so a job whose
+            // output survives several seeds demonstrably does not depend on
+            // invocation order.  Sort first: the permutation must be a pure
+            // function of (seed, step, part), not of the inbox map's
+            // iteration order, or same-seed runs would not be comparable.
+            enabled.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut state = seed
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(u64::from(step) << 32)
+                .wrapping_add(u64::from(part))
+                | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            for i in (1..enabled.len()).rev() {
+                let j = (next() % (i as u64 + 1)) as usize;
+                enabled.swap(i, j);
+            }
+        } else if self.plan.sort {
+            enabled.sort_by(|a, b| a.0.cmp(&b.0));
         }
-        self.retried(part, || view.put_batch(temps.inbox.name(), records.clone()))?;
-        let recorded = if record { records } else { Vec::new() };
-        Ok((enabled, counters, recorded))
+        Ok((enabled, counters))
     }
 
     /// Applies the state creations delivered to this part, merging each with
@@ -401,11 +461,11 @@ impl<T: Table, J: Job> PartTask<T, J> {
         Ok(())
     }
 
-    /// Runs the pinned compute invocations of one part for one step: drains
-    /// the inbox (or takes the `replay` entries of a fast recovery), invokes
-    /// the enabled components — sorted by key iff the plan says so — and
-    /// spills what they sent.
-    pub(crate) fn compute(
+    /// One part's whole step, pinned: delivers what the previous step
+    /// spilled to the part (or the `replay` records of a fast recovery),
+    /// invokes the enabled components, flushes their state and spills what
+    /// they sent.
+    pub(crate) fn step(
         &self,
         view: &dyn PartView,
         step: u32,
@@ -413,62 +473,24 @@ impl<T: Table, J: Job> PartTask<T, J> {
         replay: Option<Replay>,
     ) -> Result<PartOutput, EbspError> {
         let part = view.part();
+        let begun = Instant::now();
         let replaying = replay.is_some();
-        let (entries, suppress) = match replay {
-            Some(replay) => (replay.entries, replay.suppress),
-            None => (self.drain(view, self.temps().inbox.name())?, false),
-        };
-        let mut decoded: Vec<(J::Key, RoutedKey, Vec<J::Message>)> =
-            Vec::with_capacity(entries.len());
-        for (routed, bytes) in entries {
-            let key: J::Key = from_wire(routed.body())?;
-            let msgs: Vec<J::Message> = from_wire(&bytes)?;
-            decoded.push((key, routed, msgs));
-        }
-        if let Some(seed) = self.shuffle {
-            // Audit mode: a deterministic Fisher–Yates permutation keyed by
-            // (seed, step, part) *replaces* the plan's ordering, so a job whose
-            // output survives several seeds demonstrably does not depend on
-            // invocation order.  Sort first: the permutation must be a pure
-            // function of (seed, step, part), not of the store's iteration
-            // order, or same-seed runs would not be comparable.
-            decoded.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut state = seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(u64::from(step) << 32)
-                .wrapping_add(u64::from(part.0))
-                | 1;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            for i in (1..decoded.len()).rev() {
-                let j = (next() % (i as u64 + 1)) as usize;
-                decoded.swap(i, j);
-            }
-        } else if self.plan.sort {
-            decoded.sort_by(|a, b| a.0.cmp(&b.0));
-        }
+        let suppress = replay.as_ref().is_some_and(|replay| replay.suppress);
+        let (enabled, counters) = self.deliver(view, step, replay.map(|r| r.entries))?;
+        let delivery = begun.elapsed();
 
-        let ops = plane::StatePlane::new(
-            self.local_ops(view),
-            decoded
-                .iter()
-                .map(|(_, routed, _)| routed.clone())
-                .collect(),
-        );
+        let keys = enabled.iter().map(|entry| entry.1.clone()).collect();
+        let ops = plane::StatePlane::new(self.local_ops(view), keys);
         let mut invoker = self.invoker(ExecMode::Synchronized, part, &ops, prev_agg);
+        invoker.out.metrics = counters;
         if replaying {
-            // Replay never re-fires audit probes: it would double-count
-            // observations.
             invoker.probe = None;
         }
         if suppress {
             invoker.direct = None;
         }
-        for (at, (key, routed, messages)) in decoded.into_iter().enumerate() {
+        let invoked = enabled.len() as u64;
+        for (at, (key, routed, messages)) in enabled.into_iter().enumerate() {
             ops.begin(at);
             invoker.invoke(step, key, routed, messages)?;
         }
@@ -477,20 +499,28 @@ impl<T: Table, J: Job> PartTask<T, J> {
         // states that produced them are too.
         ops.flush()?;
         if suppress {
-            return Ok((HashMap::new(), out.metrics));
+            return Ok(PartOutput {
+                counters: out.metrics,
+                ..PartOutput::default()
+            });
         }
-        self.finish_compute(step, part.0, out)
+        Ok(PartOutput {
+            enabled: invoked,
+            delivery,
+            ..self.finish_compute(step, part.0, out)?
+        })
     }
 
-    /// Ends a compute task at `part`: spills the envelopes its invocations
-    /// produced and hands back its aggregator partials and counters.
+    /// Ends a task that invoked at `part`: spills the envelopes its
+    /// invocations produced and hands back its aggregator partials and
+    /// counters.
     pub(crate) fn finish_compute(
         &self,
         step: u32,
         part: u32,
         mut out: Outbox<J>,
     ) -> Result<PartOutput, EbspError> {
-        self.write_spills(step, part, &mut out)?;
+        let spilled = self.write_spills(step, part, &mut out)?;
         // Large-aggregator path (§IV-A): rather than returning partials to the
         // table client, write them into an auxiliary table keyed (and routed)
         // by aggregator name; a later enumeration round merges them.
@@ -510,7 +540,11 @@ impl<T: Table, J: Job> PartTask<T, J> {
             // after a transient failure is idempotent.
             self.retried(part, || partials.put_batch(records.clone()))?;
         }
-        Ok((out.agg, out.metrics))
+        Ok(PartOutput {
+            agg: out.agg,
+            counters: out.metrics,
+            ..spilled
+        })
     }
 
     /// The merge-and-redistribute round of the large-aggregator path: every
@@ -539,6 +573,45 @@ impl<T: Table, J: Job> PartTask<T, J> {
         }
         Ok(merged.into_iter().collect())
     }
+}
+
+/// Dispatches `work` to every part of the run, each task bracketed by the
+/// task gate, and joins — the barrier.  Returns each part's result, so the
+/// caller can recover a single failed part without discarding the
+/// survivors' work.
+pub(crate) fn run_parts<S, J, R, F>(
+    env: &JobEnv<S, J>,
+    task: &Arc<PartTask<S::Table, J>>,
+    work: F,
+) -> Vec<Timed<R>>
+where
+    S: KvStore,
+    J: Job,
+    R: Send + 'static,
+    F: Fn(&PartTask<S::Table, J>, &dyn PartView) -> Result<R, EbspError> + Clone + Send + 'static,
+{
+    let handles: Vec<_> = (0..task.parts)
+        .map(|p| {
+            let task = Arc::clone(task);
+            let work = work.clone();
+            env.store.run_at(&env.reference, PartId(p), move |view| {
+                // Acquire before the timed span: per-part walls then measure
+                // actual work, while scheduler queueing shows up in the
+                // gate's own accounting (and as barrier skew).
+                let _permit = task.gate.as_ref().map(GatePermit::acquire);
+                let begun = Instant::now();
+                let result = work(&task, view);
+                (begun, Instant::now(), result)
+            })
+        })
+        .collect();
+    handles
+        .into_iter()
+        .map(|handle| match handle.join() {
+            Ok((begun, finished, result)) => (result, Some((begun, finished))),
+            Err(e) => (Err(EbspError::Kv(e)), None),
+        })
+        .collect()
 }
 
 /// The one invocation core.  A part task (or an unsynchronized worker
@@ -663,8 +736,7 @@ impl StateOps for LocalStateOps<'_> {
     }
 }
 
-/// Table-handle state access for *run-anywhere* execution (used by the
-/// work-stealing compute phase): a stolen
+/// Table-handle state access for *run-anywhere* execution: a stolen
 /// invocation may run at any part, so state operations go through the
 /// ordinary table handles and pay marshalling when non-local — cheap by
 /// assumption (`rare-state`).

@@ -15,7 +15,7 @@
 //!   of the next [`READ_AHEAD_KEYS`] enabled components, in invocation
 //!   order, with one `get_batch`.  The cache is positional, not keyed: a
 //!   job that never reads state fetches nothing, and a component can only
-//!   read its own state, which nothing else writes during the phase.
+//!   read its own state, which nothing else writes during the step.
 //!
 //! Both buffers are bounded by constants, not by the size of the part, in
 //! the spirit of pseudo-streaming BSP: write-behind by bytes, read-ahead by
@@ -37,7 +37,7 @@ use crate::retry::kv_with_retry;
 /// Buffered bytes per table at which write-behind flushes: the size of one
 /// `store-net` stream chunk — large enough to amortise a round trip over
 /// thousands of small states, small enough that parts × tables of them
-/// stay a rounding error next to the inbox.
+/// stay a rounding error next to the delivered messages.
 const WRITE_BEHIND_BYTES: usize = 256 << 10;
 
 /// Most states fetched per read-ahead `get_batch`: amortises a round trip

@@ -1,55 +1,49 @@
 //! The synchronized (barrier-per-step) engine.
 //!
-//! Each step runs in two parallel-per-part phases with a controller join
-//! (the BSP barrier) between them:
-//!
-//! 1. **compute** — every part drains its inbox, invokes its enabled
-//!    components, and spills outgoing envelopes to the transport table;
-//! 2. **inbox build** — every part drains its transport slice and
-//!    constructs the next step's per-component message lists (ordered,
-//!    combined, one-msg-checked per the plan) plus state creations.
+//! A step is one round of one task per part ([`PartTask::step`]: deliver
+//! what the previous step spilled to the part, invoke, flush state, spill)
+//! with a controller join — the BSP barrier — after it.  Messages cross
+//! the barrier in two transport tables used alternately, so a step's
+//! spills never land in a slice another part is still draining.
 //!
 //! What the part tasks *do* is [`PartTask`]'s; this module is the policy:
 //! when they run, what a barrier commits, and what happens when a part
 //! fails.  Aggregator partials merge at the barrier; the aborter runs
-//! between steps; execution ends when no component is enabled.  With
-//! recovery hooks, every part is checkpointed at configured barriers and a
-//! part failure rolls the whole group back to the last checkpoint and
-//! replays — the shard-transaction discipline of §IV-A at simulation
-//! fidelity.
+//! between steps; execution ends when a step spilled no message and no
+//! continue signal.  With recovery hooks, every part is checkpointed at
+//! configured barriers and a part failure rolls the whole group back to the
+//! last checkpoint and replays — the shard-transaction discipline of §IV-A
+//! at simulation fidelity.
 //!
 //! # Fast single-part recovery
 //!
 //! Whole-group rollback re-executes every part for every rewound step.
 //! When the job is deterministic (`plan.fast_recovery`) and fast recovery
 //! is enabled, the engine instead keeps a controller-side *replay log* —
-//! the materialized inbox of every step since the last checkpoint, plus
-//! the aggregate snapshot each step observed — and runs its temporary
-//! tables replicated.  A single crashed part is then healed alone: its
-//! surviving replicas are promoted (bringing the transport and inbox back
-//! to their crash-instant contents), only its state tables rewind to the
-//! checkpoint, and the part replays the logged steps by itself — past
-//! steps for their state effects only, the failed step in full — while
-//! every surviving part keeps its state, spills, and aggregator partials.
-//! Determinism makes the replay produce byte-identical state and
-//! messages, so the group never notices.
+//! what every step's senders spilled since the last checkpoint, plus the
+//! aggregate snapshot each step observed — and runs its temporary tables
+//! replicated.  A single crashed part is then healed alone: its replicas
+//! are promoted, only its state tables rewind to the checkpoint, and it
+//! replays the logged steps by itself — past steps for their state effects
+//! only, the failed step in full — while every surviving part keeps its
+//! state, spills and partials.  Determinism makes the replay byte-identical.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ripple_kv::{KvError, KvStore, PartId, PartView, ScanControl, StoreMetrics, Table};
+use ripple_kv::{KvError, KvStore, PartId, ScanControl, StoreMetrics, Table};
 
 use crate::engine::{
-    anywhere, run_loaders, JobEnv, PartOutput, PartTask, Records, Replay, TableGuard, TempTables,
+    anywhere, run_loaders, run_parts, JobEnv, PartOutput, PartTask, Records, Replay, Span,
+    TableGuard, TempTables,
 };
-use crate::metrics::PartCounters;
 use crate::profile::{PartStepProfile, StepCounters, StepProfile};
 use crate::retry::{kv_with_retry, FaultRetry};
 use crate::{
-    AggValue, AggregateSnapshot, EbspError, ExecMode, GatePermit, Job, Loader, RetryPolicy,
-    RunMetrics, RunOutcome,
+    AggValue, AggregateSnapshot, EbspError, ExecMode, Job, Loader, RetryPolicy, RunMetrics,
+    RunOutcome,
 };
 
 /// Options for a synchronized run.
@@ -70,13 +64,13 @@ pub(crate) struct SyncOptions {
     /// Collect a [`StepProfile`] per step and emit it through the observer
     /// as each barrier completes.
     pub(crate) profile: bool,
-    /// Audit instrumentation called from every compute invocation and
-    /// inbox build ([`RunOptions::audit`](crate::RunOptions::audit)).
+    /// Audit instrumentation called from every delivery and compute
+    /// invocation ([`RunOptions::audit`](crate::RunOptions::audit)).
     pub(crate) probe: Option<Arc<dyn crate::AuditProbe>>,
     /// Replace invocation ordering with a seeded permutation
     /// ([`RunOptions::shuffle_delivery`](crate::RunOptions::shuffle_delivery)).
     pub(crate) shuffle: Option<u64>,
-    /// Permit gate bracketing every compute and inbox-build part-task
+    /// Permit gate bracketing every part-task
     /// ([`JobRunner::task_gate`](crate::JobRunner::task_gate)) — the
     /// worker-sharing hook for a resident multi-tenant job service.
     pub(crate) task_gate: Option<Arc<dyn crate::TaskGate>>,
@@ -105,15 +99,19 @@ pub(crate) struct RecoveryHooks {
     pub(crate) promote: Box<PromoteFn>,
 }
 
-/// A consistent cut of a run: the barrier at `step`, with the inbox for
-/// `step + 1` already built.  The step loop advances one, a checkpoint
-/// captures one, a rollback returns to one, and a durable run journals one
-/// and resumes from it.
+/// A consistent cut of a run: the barrier at `step`, all of it in the
+/// store — the state tables as the step left them and, in the step's
+/// transport table, what it spilled.  The step loop advances one, a
+/// checkpoint captures one, a rollback returns to one, and a durable run
+/// journals one and resumes from it.
 #[derive(Clone)]
 pub(crate) struct Cut {
     pub(crate) step: u32,
-    /// Components enabled for `step + 1`.
-    pub(crate) enabled: u64,
+    /// The spills hold a message or a continue signal: `step + 1` has
+    /// components to invoke.
+    pub(crate) live: bool,
+    /// The spills hold state creations yet to be applied.
+    pub(crate) creates: bool,
     /// The aggregates `step + 1` observes.
     pub(crate) agg: AggregateSnapshot,
 }
@@ -144,7 +142,7 @@ pub(crate) struct DurableOpts {
     /// The journalled cut to resume from, if an earlier run left one.
     pub(crate) resume: Option<Cut>,
     /// Restart-stable token for temporary table names: a resumed run must
-    /// find the same transport/inbox tables the interrupted run wrote.
+    /// find the same transport tables the interrupted run wrote.
     pub(crate) nonce: String,
 }
 
@@ -154,29 +152,10 @@ struct CheckRecord {
     parts: Vec<AnyCheckpoint>,
 }
 
-/// The start and finish instants of one part task.
-type Span = (Instant, Instant);
-
-/// One part task's result and its span (absent when the dispatch failed).
-type Timed<R> = (Result<R, EbspError>, Option<Span>);
-
-/// When one phase of a step ran, on the whole and per part.
-struct PhaseTimes {
-    begin: Instant,
-    wall: Duration,
-    parts: Vec<Option<Span>>,
-}
-
-/// What one inbox-build phase produced.
-#[derive(Default)]
-struct InboxBuilt {
-    /// Components enabled for the next step.
-    enabled: u64,
-    counters: PartCounters,
-    /// Every part's materialized inbox entries, by part, when recording.
-    recorded: Vec<Records>,
-    times: Vec<Option<Span>>,
-}
+/// Each part task's span in one step's round and how much of it was
+/// delivery; empty when the step ran work-stealing, where work has no
+/// per-part home.
+type PartTimes = Vec<Option<(Span, Duration)>>;
 
 /// The step profiles of a run and the store baselines their deltas
 /// telescope from: each emitted step's interval starts where the previous
@@ -186,8 +165,6 @@ struct InboxBuilt {
 /// stays run-level only.
 struct ProfileLog {
     started: Instant,
-    /// Whether compute tasks have a home part to attribute to.
-    per_part: bool,
     profiles: Vec<StepProfile>,
     /// The whole-store and per-part metrics at the run's start, then after
     /// each emitted profile; the last entry is the next step's baseline.
@@ -195,15 +172,15 @@ struct ProfileLog {
 }
 
 impl ProfileLog {
-    /// Assembles one step's profile from the phase timings, charging each
-    /// part its store delta since the previous emitted step.
+    /// Assembles one step's profile from its round's span and output,
+    /// charging each part its store delta since the previous emitted step.
     fn record<S: KvStore>(
         &mut self,
         store: &S,
-        cut: &Cut,
-        compute: &PhaseTimes,
-        inbox: &PhaseTimes,
-        counters: &PartCounters,
+        step: u32,
+        (begin, wall): (Instant, Duration),
+        times: &PartTimes,
+        output: &PartOutput,
     ) -> &StepProfile {
         let started = self.started;
         let now = (store.metrics(), store.part_metrics());
@@ -211,30 +188,26 @@ impl ProfileLog {
             .bases
             .last()
             .expect("the run's baseline is never popped");
-        let finishes: Vec<Instant> = compute.parts.iter().flatten().map(|&(_, f)| f).collect();
-        let barrier_skew = match (finishes.iter().min(), finishes.iter().max()) {
-            (Some(first), Some(last)) => last.duration_since(*first),
+        let finishes = || times.iter().flatten().map(|((_, f), _)| *f);
+        let barrier_skew = match (finishes().min(), finishes().max()) {
+            (Some(first), Some(last)) => last.duration_since(first),
             _ => Duration::ZERO,
         };
-        let span = |times: &PhaseTimes, p: usize| match times.parts.get(p).copied().flatten() {
-            Some((from, to)) => (from.duration_since(started), to.duration_since(from)),
-            None => (Duration::ZERO, Duration::ZERO),
-        };
-        // Work-stealing compute has no per-part home to attribute to.
-        let homes = if self.per_part {
-            compute.parts.len().max(inbox.parts.len())
-        } else {
-            0
-        };
-        let parts = (0..homes)
-            .map(|p| {
-                let (compute_start, compute) = span(compute, p);
-                let (inbox_start, inbox_build) = span(inbox, p);
+        let parts = (times.iter().enumerate())
+            .map(|(p, timed)| {
+                let (inbox_start, inbox_build, compute) = match *timed {
+                    Some(((from, to), delivery)) => (
+                        from.duration_since(started),
+                        delivery,
+                        to.duration_since(from).saturating_sub(delivery),
+                    ),
+                    None => Default::default(),
+                };
                 let part_now = now.1.get(p).copied().unwrap_or_default();
                 let base = part_base.get(p).copied().unwrap_or_default();
                 PartStepProfile {
                     part: p as u32,
-                    compute_start,
+                    compute_start: inbox_start + inbox_build,
                     compute,
                     inbox_start,
                     inbox_build,
@@ -243,14 +216,14 @@ impl ProfileLog {
             })
             .collect();
         self.profiles.push(StepProfile {
-            step: cut.step,
-            start: compute.begin.duration_since(started),
-            compute_wall: compute.wall,
-            inbox_wall: inbox.wall,
+            step,
+            start: begin.duration_since(started),
+            compute_wall: wall.saturating_sub(output.delivery),
+            inbox_wall: output.delivery,
             barrier_skew,
-            enabled_next: cut.enabled,
+            enabled: output.enabled,
             parts,
-            counters: StepCounters::from_part_counters(counters),
+            counters: StepCounters::from_part_counters(&output.counters),
             store: now.0 - *base,
         });
         self.bases.push(now);
@@ -280,8 +253,8 @@ struct SyncRun<'a, S: KvStore, J: Job> {
     metrics: RunMetrics,
     checkpoint: Option<CheckRecord>,
     /// The controller-side inputs needed to replay one part through one
-    /// step, per step fed: every part's recorded inbox entries and the
-    /// aggregate snapshot the step's compute observed.
+    /// step, per step fed: what the previous step's senders spilled, by
+    /// destination part, and the aggregate snapshot the step observed.
     replay_log: HashMap<u32, (Vec<Records>, AggregateSnapshot)>,
     profile: Option<ProfileLog>,
 }
@@ -297,7 +270,6 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
     let store_before = env.store.metrics();
     let profile = opts.profile.then(|| ProfileLog {
         started,
-        per_part: !env.plan.run_anywhere,
         profiles: Vec::new(),
         bases: vec![(store_before, env.store.part_metrics())],
     });
@@ -330,8 +302,8 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
                 }
             }
             if fast {
-                // Replicated, so a crashed part's transport/inbox slices
-                // can be promoted back to their crash-instant contents.
+                // Replicated, so a crashed part's transport slices can be
+                // promoted back to their crash-instant contents.
                 env.store
                     .create_table_like_replicated(&name, &env.reference)
             } else {
@@ -343,18 +315,16 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
         && !env.registry.is_empty()
         && !env.plan.run_anywhere;
     let temps = TempTables {
-        transport: make_table("xport")?,
-        inbox: make_table("inbox")?,
+        transport: [make_table("xport0")?, make_table("xport1")?],
         agg: if large_aggs {
             Some((make_table("agg1")?, make_table("agg2")?))
         } else {
             None
         },
     };
-    let mut temp_names = vec![
-        temps.transport.name().to_owned(),
-        temps.inbox.name().to_owned(),
-    ];
+    let mut temp_names: Vec<String> = (temps.transport.iter())
+        .map(|t| t.name().to_owned())
+        .collect();
     if let Some((partials, merged)) = &temps.agg {
         temp_names.extend([partials.name().to_owned(), merged.name().to_owned()]);
     }
@@ -383,9 +353,8 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
     };
     let mut cut = match durable.as_ref().and_then(|d| d.resume.clone()) {
         // The store was rewound to the journalled barrier: state tables
-        // hold that step's committed contents and the inbox for the next
-        // step is already built and durable.  Loaders must not run again —
-        // their effects are part of the rewound state.
+        // and transport hold that step's committed contents.  Loaders must
+        // not run again — their effects are part of the rewound state.
         Some(journalled) => journalled,
         None => run.initial_cut(loaders)?,
     };
@@ -402,24 +371,31 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
     }
 
     let mut aborted = false;
-    while cut.enabled > 0 {
-        if cut.step >= opts.max_steps {
-            return Err(EbspError::StepLimitExceeded {
-                limit: opts.max_steps,
-            });
+    while cut.live || cut.creates {
+        if cut.live {
+            if cut.step >= opts.max_steps {
+                return Err(EbspError::StepLimitExceeded {
+                    limit: opts.max_steps,
+                });
+            }
+            aborted = env.job.has_aborter() && env.job.aborter(&cut.agg, cut.step + 1);
         }
-        if env.job.has_aborter() && env.job.aborter(&cut.agg, cut.step + 1) {
-            aborted = true;
-            break;
-        }
-        match run.step(&cut) {
+        let stepping = cut.live && !aborted;
+        let advanced = match (stepping, cut.creates) {
+            (true, _) => run.step(&cut),
+            (false, true) => run.settle(&cut),
+            (false, false) => break,
+        };
+        match advanced {
             Ok(next) => cut = next,
             Err(error) => {
                 run.rollback(error, &mut cut)?;
                 continue;
             }
         }
-        if let (Some(hooks), Some(interval)) = (&run.recovery, opts.checkpoint_interval) {
+        if let (true, Some(hooks), Some(interval)) =
+            (stepping, &run.recovery, opts.checkpoint_interval)
+        {
             if cut.step.is_multiple_of(interval.max(1)) {
                 run.checkpoint = Some(take_checkpoint(hooks, parts, &cut)?);
                 // Steps at or before the checkpoint can never be replayed
@@ -463,13 +439,13 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
 }
 
 impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
-    /// The initial condition: runs the loaders, spills what they sent as
-    /// step 0, and builds the inbox for step 1.
+    /// The initial condition: runs the loaders and spills what they sent as
+    /// step 0.
     fn initial_cut(&mut self, loaders: Vec<Box<dyn Loader<J>>>) -> Result<Cut, EbspError> {
         let registry = &self.env.registry;
         let mut buffer = run_loaders(self.env, loaders, &self.task.retry)?;
         // The controller spills as a pseudo-source.
-        self.task.write_spills(0, u32::MAX, &mut buffer)?;
+        let spilled = self.task.write_spills(0, u32::MAX, &mut buffer)?;
         self.metrics.absorb(&buffer.metrics);
 
         let mut agg_values = registry.identities();
@@ -477,69 +453,68 @@ impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
         for (name, value) in self.env.job.initial_aggregates() {
             registry.fold(&mut agg_values, &name, value)?;
         }
-        let agg = AggregateSnapshot::new(agg_values);
-
-        // Nothing to recover to yet if this fails.
-        let built = self.inbox_phase()?;
-        if self.fast {
-            self.replay_log.insert(1, (built.recorded, agg.clone()));
-        }
-        Ok(Cut {
+        let cut = Cut {
             step: 0,
-            enabled: built.enabled,
-            agg,
-        })
+            live: spilled.live,
+            creates: spilled.creates,
+            agg: AggregateSnapshot::new(agg_values),
+        };
+        self.log_spills(&cut, spilled.spilled);
+        Ok(cut)
     }
 
-    /// Runs the step after `cut` — compute phase, barrier, inbox build —
-    /// and returns the cut it ends at.  Any error leaves the step undone
-    /// for [`SyncRun::rollback`] to judge.
+    /// Keeps what the step ending at `cut` spilled, by destination part,
+    /// with the aggregates the next step observes: its replay input.
+    fn log_spills(&mut self, cut: &Cut, spilled: Records) {
+        if self.fast {
+            let parts = self.task.parts;
+            let mut by_dst = vec![Records::new(); parts as usize];
+            for spill in spilled {
+                by_dst[spill.0.part_for(parts).index()].push(spill);
+            }
+            let input = (by_dst, cut.agg.clone());
+            self.replay_log.insert(cut.step + 1, input);
+        }
+    }
+
+    /// Runs the step after `cut` — one round, then the barrier — and
+    /// returns the cut it ends at.  Any error leaves the step undone for
+    /// [`SyncRun::rollback`] to judge.
     fn step(&mut self, cut: &Cut) -> Result<Cut, EbspError> {
         let registry = &self.env.registry;
         let step = cut.step + 1;
 
         let begin = Instant::now();
-        let (computed, part_times) = self.compute_phase(step, &cut.agg);
-        let compute = PhaseTimes {
-            begin,
-            wall: begin.elapsed(),
-            parts: part_times,
+        let (output, parts) = if self.env.plan.run_anywhere {
+            let output = anywhere::run_step_anywhere(self.env, &self.task, step, &cut.agg);
+            (output, Vec::new())
+        } else {
+            self.pinned_round(step, &cut.agg)
         };
-        let (mut aggs, mut counters) = computed?;
-        self.metrics.absorb(&counters);
+        let wall = begin.elapsed();
+        let mut output = output?;
+        self.metrics.absorb(&output.counters);
         if let Some((_, results)) = &self.task.temps().agg {
             // The extra enumeration round of the large path.
             self.task.retried(u32::MAX, || results.clear())?;
-            aggs = self.agg_merge_phase()?;
+            output.agg = self.agg_merge_phase()?;
         }
 
         // Barrier: merge aggregates.
         let mut merged = registry.identities();
-        registry.merge(&mut merged, aggs);
-        let agg = AggregateSnapshot::new(merged);
-
-        let begin = Instant::now();
-        let built = self.inbox_phase()?;
-        let inbox = PhaseTimes {
-            begin,
-            wall: begin.elapsed(),
-            parts: built.times,
-        };
+        registry.merge(&mut merged, std::mem::take(&mut output.agg));
         let next = Cut {
             step,
-            enabled: built.enabled,
-            agg,
+            live: output.live,
+            creates: output.creates,
+            agg: AggregateSnapshot::new(merged),
         };
-        if self.fast {
-            self.replay_log
-                .insert(step + 1, (built.recorded, next.agg.clone()));
-        }
+        self.log_spills(&next, std::mem::take(&mut output.spilled));
         if let Some(observer) = &self.opts.observer {
-            observer.on_step(step, next.enabled, &next.agg);
+            observer.on_step(step, output.enabled, &next.agg);
         }
         if let Some(log) = &mut self.profile {
-            counters.merge(&built.counters);
-            let profile = log.record(&self.env.store, &next, &compute, &inbox, &counters);
+            let profile = log.record(&self.env.store, step, (begin, wall), &parts, &output);
             if let Some(observer) = &self.opts.observer {
                 observer.on_step_profile(profile);
             }
@@ -547,64 +522,41 @@ impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
         Ok(next)
     }
 
-    /// Dispatches `work` to every part, each task bracketed by the task
-    /// gate, and joins — the barrier.  Returns each part's result, so the
-    /// caller can recover a single failed part without discarding the
-    /// survivors' work.
-    fn run_phase<R, F>(&self, work: F) -> Vec<Timed<R>>
-    where
-        R: Send + 'static,
-        F: Fn(&PartTask<S::Table, J>, &dyn PartView) -> Result<R, EbspError>
-            + Clone
-            + Send
-            + 'static,
-    {
-        let handles: Vec<_> = (0..self.task.parts)
-            .map(|p| {
-                let task = Arc::clone(&self.task);
-                let work = work.clone();
-                self.env
-                    .store
-                    .run_at(&self.env.reference, PartId(p), move |view| {
-                        // Acquire before the timed span: per-part walls then
-                        // measure actual work, while scheduler queueing shows
-                        // up in the gate's own accounting (and as barrier
-                        // skew).
-                        let _permit = task.gate.as_ref().map(GatePermit::acquire);
-                        let begun = Instant::now();
-                        let result = work(&task, view);
-                        (begun, Instant::now(), result)
-                    })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| match handle.join() {
-                Ok((begun, finished, result)) => (result, Some((begun, finished))),
-                Err(e) => (Err(EbspError::Kv(e)), None),
-            })
-            .collect()
+    /// The deliver-only round that applies the state creations the last
+    /// step spilled.  Not a step: nothing is invoked, nothing can be sent.
+    fn settle(&mut self, cut: &Cut) -> Result<Cut, EbspError> {
+        let step = cut.step + 1;
+        let delivering = run_parts(self.env, &self.task, move |task, view| {
+            Ok(task.deliver(view, step, None)?.1)
+        });
+        for (counters, _) in delivering {
+            self.metrics.absorb(&counters?);
+        }
+        Ok(Cut {
+            live: false,
+            creates: false,
+            ..cut.clone()
+        })
     }
 
-    /// The compute phase: pinned to each component's part, or stealing from
-    /// a shared queue when the plan allows run-anywhere.  A sole crashed
-    /// part is healed in place when fast recovery applies.
-    fn compute_phase(
+    /// One step's round with every invocation pinned to its component's
+    /// part.  A sole crashed part is healed in place when fast recovery
+    /// applies.
+    fn pinned_round(
         &mut self,
         step: u32,
         prev_agg: &AggregateSnapshot,
-    ) -> (Result<PartOutput, EbspError>, Vec<Option<Span>>) {
-        if self.env.plan.run_anywhere {
-            let output = anywhere::run_compute_phase_anywhere(self.env, &self.task, step, prev_agg);
-            return (output, Vec::new());
-        }
+    ) -> (Result<PartOutput, EbspError>, PartTimes) {
         let prev = prev_agg.clone();
-        let per_part = self.run_phase(move |task, view| task.compute(view, step, &prev, None));
-        let mut output = (self.env.registry.identities(), PartCounters::default());
+        let per_part = run_parts(self.env, &self.task, move |task, view| {
+            task.step(view, step, &prev, None)
+        });
+        let mut output = PartOutput::default();
         let mut failures: Vec<(u32, EbspError)> = Vec::new();
         let mut times = Vec::with_capacity(per_part.len());
         for (p, (result, span)) in per_part.into_iter().enumerate() {
-            times.push(span);
+            let delivery = result.as_ref().map_or(Duration::ZERO, |part| part.delivery);
+            times.push(span.map(|span| (span, delivery)));
             match result {
                 Ok(part) => self.task.merge_output(&mut output, part),
                 Err(e) => failures.push((p as u32, e)),
@@ -627,28 +579,6 @@ impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
             }
         }
         (Err(failures.swap_remove(0).1), times)
-    }
-
-    /// The inbox-build phase; its counters are absorbed into the run's
-    /// metrics whether or not every part succeeded.
-    fn inbox_phase(&mut self) -> Result<InboxBuilt, EbspError> {
-        let record = self.fast;
-        let per_part = self.run_phase(move |task, view| task.build_inbox(view, record));
-        let mut built = InboxBuilt::default();
-        let mut first_err = None;
-        for (result, span) in per_part {
-            built.times.push(span);
-            match result {
-                Ok((enabled, counters, entries)) => {
-                    built.enabled += enabled;
-                    built.counters.merge(&counters);
-                    built.recorded.push(entries);
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        self.metrics.absorb(&built.counters);
-        first_err.map_or(Ok(built), Err)
     }
 
     /// The large-aggregator merge round: every part folds the partials
@@ -676,8 +606,8 @@ impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
     fn fast_recover(&mut self, part: u32, failed_step: u32) -> Option<PartOutput> {
         let (hooks, record) = (self.recovery.as_ref()?, self.checkpoint.as_ref()?);
         let from = record.cut.step;
-        // Every replayed step needs its recorded inbox and the aggregate
-        // snapshot its compute observed.
+        // Every replayed step needs what its senders spilled to the part
+        // and the aggregate snapshot it observed.
         let mut inputs = Vec::new();
         for s in (from + 1)..=failed_step {
             let (entries, prev) = self.replay_log.get(&s)?;
@@ -691,25 +621,25 @@ impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
         (hooks.promote)(PartId(part)).ok()?;
         (hooks.restore_tables)(captured.as_ref(), &self.env.table_names).ok()?;
 
-        // The promoted inbox replica may hold entries the failed compute was
-        // mid-drain over; replay feeds from the controller-side log instead.
+        // The promoted replica of the transport the failed round was
+        // draining may hold any part of that input; replay feeds from the
+        // controller-side log instead.
         let (store, reference) = (&self.env.store, &self.env.reference);
         let task = Arc::clone(&self.task);
         let drained = store.run_at(reference, PartId(part), move |view| {
-            view.drain(task.temps().inbox.name(), &mut |_k, _v| {
-                ScanControl::Continue
-            })
+            let stale = task.temps().transport(failed_step - 1).name();
+            view.drain(stale, &mut |_k, _v| ScanControl::Continue)
         });
         drained.join().ok()?.ok()?;
 
-        let mut output = (self.env.registry.identities(), PartCounters::default());
+        let mut output = PartOutput::default();
         for (s, entries, prev) in inputs {
             // Past steps replay purely for their state effects; the failed
             // step replays in full (its sends and partials never happened).
             let suppress = s < failed_step;
             let task = Arc::clone(&self.task);
             let replayed = store.run_at(reference, PartId(part), move |view| {
-                task.compute(view, s, &prev, Some(Replay { entries, suppress }))
+                task.step(view, s, &prev, Some(Replay { entries, suppress }))
             });
             self.task
                 .merge_output(&mut output, replayed.join().ok()?.ok()?);

@@ -1,9 +1,10 @@
 //! The hasher of the engine's per-task key maps (the outbox index and the
-//! inbox under construction).  Those maps hold a job's own component keys,
-//! live for one part task, and nothing reads their iteration order, so
-//! SipHash's resistance to crafted keys buys nothing there while its cost
-//! is paid once per message sent.  One rotate-xor-multiply round per word,
-//! the same in every run.
+//! message lists a delivery folds).  Those maps hold a job's own component
+//! keys and live for one part task, so SipHash's resistance to crafted
+//! keys buys nothing there while its cost is paid once per message sent.
+//! One rotate-xor-multiply round per word, the same in every run — which
+//! makes the iteration order, the invocation order of a job that did not
+//! declare `needs-order`, repeat from run to run and in a replay.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -1,6 +1,6 @@
 //! Specifications of the engine-internal message plane, as tests: the
 //! folding outbox against the log-then-fold model it replaced, and the
-//! transport-tag decode step of the inbox build.
+//! transport-tag decode step of a delivery.
 
 use bytes::Bytes;
 use proptest::collection::vec;
@@ -141,7 +141,7 @@ proptest! {
 }
 
 #[test]
-fn a_spill_whose_tag_does_not_decode_fails_the_inbox_build() {
+fn a_spill_whose_tag_does_not_decode_fails_the_delivery() {
     let tagged = |tag: (u32, u32, u64)| RoutedKey::with_route(0, to_wire(&tag).to_vec().into());
     let good = vec![
         (tagged((2, 1, 0)), Bytes::from_static(b"late")),

@@ -12,10 +12,11 @@ use crate::AggregateSnapshot;
 /// Observers must be cheap — they run on the controller thread between
 /// barriers.
 pub trait RunObserver: Send + Sync + 'static {
-    /// A step completed: its number, how many components are enabled for
-    /// the *next* step, and the just-merged aggregator results.
-    fn on_step(&self, step: u32, enabled_next: u64, aggregates: &AggregateSnapshot) {
-        let _ = (step, enabled_next, aggregates);
+    /// A step completed: its number, how many components it invoked, and
+    /// the just-merged aggregator results.  Every part has flushed its
+    /// state by now.
+    fn on_step(&self, step: u32, enabled: u64, aggregates: &AggregateSnapshot) {
+        let _ = (step, enabled, aggregates);
     }
 
     /// A checkpoint was captured at the barrier after `step`.
@@ -98,9 +99,9 @@ impl FanoutObserver {
 }
 
 impl RunObserver for FanoutObserver {
-    fn on_step(&self, step: u32, enabled_next: u64, aggregates: &AggregateSnapshot) {
+    fn on_step(&self, step: u32, enabled: u64, aggregates: &AggregateSnapshot) {
         for o in &self.observers {
-            o.on_step(step, enabled_next, aggregates);
+            o.on_step(step, enabled, aggregates);
         }
     }
     fn on_checkpoint(&self, step: u32) {
@@ -164,7 +165,7 @@ pub struct RecordingObserver {
 /// One recorded engine event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObservedEvent {
-    /// `on_step(step, enabled_next)`.
+    /// `on_step(step, enabled)`.
     Step(u32, u64),
     /// `on_checkpoint(step)`.
     Checkpoint(u32),
@@ -201,10 +202,8 @@ impl RecordingObserver {
 }
 
 impl RunObserver for RecordingObserver {
-    fn on_step(&self, step: u32, enabled_next: u64, _aggregates: &AggregateSnapshot) {
-        self.events
-            .lock()
-            .push(ObservedEvent::Step(step, enabled_next));
+    fn on_step(&self, step: u32, enabled: u64, _aggregates: &AggregateSnapshot) {
+        self.events.lock().push(ObservedEvent::Step(step, enabled));
     }
     fn on_checkpoint(&self, step: u32) {
         self.events.lock().push(ObservedEvent::Checkpoint(step));

@@ -8,8 +8,9 @@
 //! only reports whole-run totals; a [`StepProfile`] is one step's term of
 //! the sum:
 //!
-//! - `wᵢ` — the per-part compute wall times ([`PartStepProfile::compute`];
-//!   the step's critical path is the maximum over parts),
+//! - `wᵢ` — the per-part compute wall times ([`PartStepProfile::compute`],
+//!   the part task's span after delivery; the step's critical path is the
+//!   maximum over parts),
 //! - `g·hᵢ` — the per-step [`StoreMetrics`] delta ([`StepProfile::store`]:
 //!   bytes marshalled, local vs remote operations),
 //! - `l` — approximated from below by [`StepProfile::barrier_skew`], the
@@ -37,7 +38,9 @@ use ripple_kv::StoreMetrics;
 
 use crate::metrics::PartCounters;
 
-/// One part's timings within one synchronized step.
+/// One part's timings within one synchronized step.  A step is one task
+/// per part: it first delivers what the previous step spilled to the part
+/// (`inbox_*`), then invokes, flushes state and spills (`compute*`).
 ///
 /// All instants are offsets from the start of the run, so profiles from
 /// one run share a single timeline (which is what a trace viewer wants).
@@ -45,16 +48,19 @@ use crate::metrics::PartCounters;
 pub struct PartStepProfile {
     /// The part.
     pub part: u32,
-    /// When this part's compute task started, as an offset from run start.
+    /// When this part's task began invoking (delivery done), as an offset
+    /// from run start.
     pub compute_start: Duration,
-    /// Wall time the part spent in the compute phase.
+    /// Wall time the part's task spent after delivery: invocations, state
+    /// flush, spills.
     pub compute: Duration,
-    /// When this part's inbox-build task started, offset from run start.
+    /// When this part's task started, offset from run start.
     pub inbox_start: Duration,
-    /// Wall time the part spent building the next step's inbox.
+    /// Wall time the part's task spent delivering: transport drain, decode,
+    /// fold, state creations, ordering.
     pub inbox_build: Duration,
-    /// This part's store-operation delta over the step (compute plus inbox
-    /// build), when the store attributes counters per part
+    /// This part's store-operation delta over the step, when the store
+    /// attributes counters per part
     /// ([`KvStore::part_metrics`](ripple_kv::KvStore::part_metrics));
     /// all-zero otherwise.
     pub store: StoreMetrics,
@@ -69,7 +75,8 @@ pub struct StepCounters {
     pub invocations: u64,
     /// Messages sent this step (before combining).
     pub messages_sent: u64,
-    /// Message pairs merged by the combiner while building the next inbox.
+    /// Message pairs merged by the combiner: as this step's invocations
+    /// sent, and on arrival of what the previous step spilled.
     pub messages_combined: u64,
     /// State-table reads.
     pub state_reads: u64,
@@ -101,7 +108,7 @@ impl StepCounters {
     }
 }
 
-/// The profile of one synchronized step: per-part compute and inbox-build
+/// The profile of one synchronized step: per-part delivery and compute
 /// wall times, barrier skew, per-step work counters, and the store's
 /// operation/marshalling delta attributable to the step.
 ///
@@ -115,18 +122,21 @@ impl StepCounters {
 pub struct StepProfile {
     /// The step number (1-based, as observed by `compute`).
     pub step: u32,
-    /// When the step's compute phase started, offset from run start.
+    /// When the step's round started, offset from run start.
     pub start: Duration,
-    /// Controller wall time of the compute phase (dispatch to barrier).
+    /// Controller wall time of the round (dispatch to barrier) past
+    /// [`StepProfile::inbox_wall`], so the two sum to the step.
     pub compute_wall: Duration,
-    /// Controller wall time of the inbox-build phase.
+    /// The critical-path delivery span: the slowest part's
+    /// [`PartStepProfile::inbox_build`] (under `run_anywhere`, the wall time
+    /// of the deliver round).
     pub inbox_wall: Duration,
-    /// Barrier skew: latest minus earliest part finish time of the compute
-    /// phase — how long the fastest part waited at the barrier.
+    /// Barrier skew: latest minus earliest part finish time — how long the
+    /// fastest part waited at the barrier.
     pub barrier_skew: Duration,
-    /// Components enabled for the *next* step.
-    pub enabled_next: u64,
-    /// Per-part timings.  Empty when the compute phase ran work-stealing
+    /// Components this step invoked.
+    pub enabled: u64,
+    /// Per-part timings.  Empty when the step ran work-stealing
     /// (`run_anywhere`), where work has no per-part home.
     pub parts: Vec<PartStepProfile>,
     /// Work counters for this step.
@@ -138,7 +148,7 @@ pub struct StepProfile {
 
 impl StepProfile {
     /// The step's critical-path compute time: the slowest part, or the
-    /// whole phase wall when per-part timings are unavailable.
+    /// whole compute wall when per-part timings are unavailable.
     pub fn critical_compute(&self) -> Duration {
         self.parts
             .iter()

@@ -160,21 +160,21 @@ impl<S: KvStore> JobRunner<S> {
     }
 
     /// Throttles this runner's synchronized part-tasks through `gate`: every
-    /// compute and inbox-build task acquires a permit before touching its
-    /// part and releases it when done.  This is the worker-sharing hook a
+    /// part-task of a step acquires a permit before touching its part and
+    /// releases it when done.  This is the worker-sharing hook a
     /// resident multi-tenant service uses to interleave part-tasks from
     /// concurrent jobs fairly over a bounded worker pool; a solo runner
     /// (the default, `None`) runs ungated.  The gate does not alter
     /// results — it only schedules *when* each part-task runs within its
-    /// phase, never reordering work across a barrier.
+    /// step, never reordering work across a barrier.
     pub fn task_gate(&mut self, gate: Arc<dyn crate::TaskGate>) -> &mut Self {
         self.task_gate = Some(gate);
         self
     }
 
     /// Collects step-level profiles: synchronized runs yield one
-    /// [`StepProfile`](crate::StepProfile) per step (per-part compute and
-    /// inbox-build wall times, barrier skew, per-step store deltas),
+    /// [`StepProfile`](crate::StepProfile) per step (per-part delivery and
+    /// compute wall times, barrier skew, per-step store deltas),
     /// streamed through
     /// [`RunObserver::on_step_profile`](crate::RunObserver::on_step_profile)
     /// as each barrier completes and collected on
@@ -599,7 +599,7 @@ impl<S: RecoverableStore + HealableStore + DurableStore> JobRunner<S> {
     /// checkpoint barrier also runs the durable commit protocol: barrier
     /// markers into the store's logs
     /// ([`DurableStore::commit_barrier`]), a resume *journal* describing
-    /// the cut (step, enabled count, aggregate snapshot) written and
+    /// the cut (step, what its spills hold, aggregate snapshot) written and
     /// flushed, then log compaction ([`DurableStore::compact_group`]).
     /// If the process dies mid-run — crash, kill, step-limit abort — a
     /// later durable launch of the same job against a reopened store finds
@@ -635,11 +635,12 @@ impl<S: RecoverableStore + HealableStore + DurableStore> JobRunner<S> {
         let resume = match journal.get(&journal_key)? {
             None => None,
             Some(bytes) => {
-                let (step, enabled, entries): (u32, u64, Vec<(String, AggValue)>) =
+                let (step, live, creates, entries): (u32, bool, bool, Vec<(String, AggValue)>) =
                     from_wire(&bytes)?;
                 Some(Cut {
                     step,
-                    enabled,
+                    live,
+                    creates,
                     agg: AggregateSnapshot::new(entries.into_iter().collect()),
                 })
             }
@@ -654,7 +655,7 @@ impl<S: RecoverableStore + HealableStore + DurableStore> JobRunner<S> {
             None => {
                 // Fresh start: sweep temporaries a cleared-but-interrupted
                 // earlier run may have left behind.
-                for kind in ["xport", "inbox", "agg1", "agg2"] {
+                for kind in ["xport0", "xport1", "agg1", "agg2"] {
                     let _ = self.store.drop_table(&format!("__ebsp_{kind}_{nonce}"));
                 }
             }
@@ -681,7 +682,8 @@ impl<S: RecoverableStore + HealableStore + DurableStore> JobRunner<S> {
                 let mut entries: Vec<(String, AggValue)> =
                     cut.agg.iter().map(|(n, v)| (n.to_owned(), v)).collect();
                 entries.sort_by(|a, b| a.0.cmp(&b.0));
-                journal_table.put(jkey.clone(), to_wire(&(cut.step, cut.enabled, entries)))?;
+                let cut = (cut.step, cut.live, cut.creates, entries);
+                journal_table.put(jkey.clone(), to_wire(&cut))?;
                 journal_store.flush()?;
                 Ok(())
             }),

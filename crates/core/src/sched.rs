@@ -2,28 +2,29 @@
 //! share a bounded worker pool fairly across concurrent jobs.
 //!
 //! A solo [`JobRunner`](crate::JobRunner) dispatches every part-task of a
-//! phase at once and lets the store's lanes sort it out — fine when the
+//! step at once and lets the store's lanes sort it out — fine when the
 //! process runs one job.  A *job service* admits many jobs over one store
 //! pool, and without arbitration a wide job would monopolize the
 //! machine while a two-part job starves behind it.  The engine therefore
 //! offers one narrow hook: when a [`TaskGate`] is installed via
 //! [`JobRunner::task_gate`](crate::JobRunner::task_gate), every
-//! synchronized compute and inbox-build part-task acquires a permit
+//! synchronized part-task — one per part and step — acquires a permit
 //! before touching its part and releases it when the task finishes.  The
 //! scheduler lives *behind* the trait (see `ripple-server`'s fair
 //! round-robin implementation); the engine only promises bracketing.
 //!
 //! Gating is deliberately scheduling-only: a gate decides *when* a
-//! part-task runs within its phase, never whether or in what data state.
-//! Every task of a phase still completes before the barrier, so gated and
-//! ungated runs of a deterministic job are byte-identical.
+//! part-task runs within its step, never whether or in what data state.
+//! Every task of a step still completes before the barrier, and a step's
+//! spills go to a transport table no task of that step drains, so gated
+//! and ungated runs of a deterministic job are byte-identical.
 
 use std::sync::Arc;
 
 /// Admission gate for one part-task.
 ///
 /// Implementations must be starvation-free — every `acquire` must
-/// eventually return once other holders release — or a phase could stall
+/// eventually return once other holders release — or a step could stall
 /// short of its barrier forever.  `acquire`/`release` calls arrive from
 /// store worker threads, one balanced pair per part-task.
 pub trait TaskGate: Send + Sync + 'static {

@@ -175,9 +175,9 @@ impl RunObserver for TraceRecorder {
             profile.start,
             profile.compute_wall + profile.inbox_wall,
             &format!(
-                "\"step\":{step},\"enabled_next\":{},\"invocations\":{},\
+                "\"step\":{step},\"enabled\":{},\"invocations\":{},\
                  \"messages_sent\":{},\"barrier_skew_us\":{:.3}",
-                profile.enabled_next,
+                profile.enabled,
                 profile.counters.invocations,
                 profile.counters.messages_sent,
                 micros(profile.barrier_skew),
@@ -192,7 +192,7 @@ impl RunObserver for TraceRecorder {
                 &format!("\"step\":{step},\"part\":{}", part.part),
             );
             self.push_span(
-                &format!("inbox s{step}"),
+                &format!("deliver s{step}"),
                 part.part + 1,
                 part.inbox_start,
                 part.inbox_build,
@@ -200,7 +200,7 @@ impl RunObserver for TraceRecorder {
             );
         }
         let end = profile.start + profile.compute_wall + profile.inbox_wall;
-        self.push_counter("enabled components", end, profile.enabled_next);
+        self.push_counter("enabled components", end, profile.enabled);
         self.push_counter("bytes marshalled", end, profile.store.bytes_marshalled);
         // Mobile-code tracks only appear when tasks actually moved.
         if profile.store.tasks_dispatched != 0 {
@@ -285,7 +285,7 @@ pub fn step_profiles_json(profiles: &[StepProfile]) -> String {
         let _ = write!(
             out,
             "{{\"step\":{},\"start_us\":{:.3},\"compute_wall_us\":{:.3},\
-             \"inbox_wall_us\":{:.3},\"barrier_skew_us\":{:.3},\"enabled_next\":{},\
+             \"inbox_wall_us\":{:.3},\"barrier_skew_us\":{:.3},\"enabled\":{},\
              \"invocations\":{},\"messages_sent\":{},\"messages_combined\":{},\
              \"state_reads\":{},\"state_writes\":{},\"state_deletes\":{},\"creates\":{},\
              \"direct_outputs\":{},\"spill_batches\":{},\"local_ops\":{},\"remote_ops\":{},\
@@ -300,7 +300,7 @@ pub fn step_profiles_json(profiles: &[StepProfile]) -> String {
             micros(p.compute_wall),
             micros(p.inbox_wall),
             micros(p.barrier_skew),
-            p.enabled_next,
+            p.enabled,
             p.counters.invocations,
             p.counters.messages_sent,
             p.counters.messages_combined,
@@ -429,7 +429,7 @@ mod tests {
             compute_wall: Duration::from_micros(50),
             inbox_wall: Duration::from_micros(25),
             barrier_skew: Duration::from_micros(5),
-            enabled_next: 7,
+            enabled: 7,
             parts: vec![PartStepProfile {
                 part: 0,
                 compute_start: Duration::from_micros(101),

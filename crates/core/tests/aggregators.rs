@@ -149,13 +149,13 @@ fn table_path_heals_transient_faults_on_the_aux_table() {
         );
     }
     // Each part's first two batches to each table it writes fail: its
-    // spills to the transport table, and its partials to the aux table.
+    // spills to the two transport tables, and its partials to the aux table.
     let trace = store.fault_trace();
     for part in 0..4 {
         let batches = trace
             .iter()
             .filter(|r| r.part == part && r.op == FaultOp::Batch);
-        assert_eq!(batches.count(), 4, "part {part}: {trace:?}");
+        assert_eq!(batches.count(), 6, "part {part}: {trace:?}");
     }
     assert_eq!(faulted.metrics.retries, trace.len() as u64);
 }

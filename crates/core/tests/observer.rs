@@ -57,8 +57,8 @@ fn observer_sees_every_step_with_enabled_counts() {
             _ => None,
         })
         .collect();
-    // After step 1 two components remain, after step 2 one, after step 3 none.
-    assert_eq!(steps, vec![(1, 2), (2, 1), (3, 0)]);
+    // Step 1 invoked all three components, step 2 two, step 3 one.
+    assert_eq!(steps, vec![(1, 3), (2, 2), (3, 1)]);
 }
 
 struct FaultyCountDown {

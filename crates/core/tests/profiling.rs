@@ -110,9 +110,9 @@ fn step_profiles_tile_the_run_metrics() {
         sum_counters(profiles, |p| p.counters.direct_outputs),
         m.direct_outputs
     );
-    // The initial load spill and the step-1 inbox build precede the first
-    // step, so these two run-level counters may exceed the per-step sum —
-    // but never by less.
+    // The initial load — its spill, and what the loaders' own sends folded
+    // — precedes the first step, so these two run-level counters may exceed
+    // the per-step sum — but never by less.
     assert!(sum_counters(profiles, |p| p.counters.spill_batches) <= m.spill_batches);
     assert!(sum_counters(profiles, |p| p.counters.messages_combined) <= m.messages_combined);
 
@@ -136,16 +136,18 @@ fn step_profiles_tile_the_run_metrics() {
     );
     assert!(m.store.remote_ops > 0, "the ring crosses part boundaries");
 
-    // Per-part structure: pinned execution attributes every part, part
-    // timings sit inside the phase wall, and the skew is the spread of
-    // part finishes, so it cannot exceed the phase wall either.
+    // Per-part structure: pinned execution attributes every part, a part
+    // task delivers then computes inside the round's wall, and the skew is
+    // the spread of part finishes, so it cannot exceed that wall either.
     for p in profiles {
         assert_eq!(p.parts.len() as u32, PARTS);
-        assert!(p.barrier_skew <= p.compute_wall, "{p:?}");
-        assert!(p.critical_compute() <= p.compute_wall, "{p:?}");
+        let wall = p.inbox_wall + p.compute_wall;
+        assert!(p.barrier_skew <= wall, "{p:?}");
         for part in &p.parts {
-            assert!(part.compute <= p.compute_wall, "{part:?}");
-            assert!(part.compute_start >= p.start, "{part:?}");
+            assert!(part.inbox_build <= p.inbox_wall, "{part:?}");
+            assert!(part.inbox_build + part.compute <= wall, "{part:?}");
+            assert!(part.inbox_start >= p.start, "{part:?}");
+            assert_eq!(part.compute_start, part.inbox_start + part.inbox_build);
             // Part-attributed store ops never exceed the step total (the
             // store leaves whole-table ops unattributed).
             assert!(part.store.local_ops <= p.store.local_ops);
@@ -162,7 +164,8 @@ fn step_profiles_tile_the_run_metrics() {
         "some part must have measurable compute time"
     );
 
-    // `enabled_next` mirrors the on_step callback's count.
+    // `enabled` mirrors the on_step callback's count: the components the
+    // step invoked.
     let steps: Vec<(u32, u64)> = observer
         .take()
         .into_iter()
@@ -174,7 +177,7 @@ fn step_profiles_tile_the_run_metrics() {
         .collect();
     for p in profiles {
         assert!(
-            steps.contains(&(p.step, p.enabled_next)),
+            steps.contains(&(p.step, p.enabled)),
             "observer missed step {}",
             p.step
         );

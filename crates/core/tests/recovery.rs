@@ -1,12 +1,12 @@
 //! Failure-injection tests of the checkpoint/rollback/replay recovery path
 //! (paper §IV-A's shard-transaction discipline).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use ripple_core::{
     export_state_table, CollectingExporter, ComputeContext, EbspError, FnLoader, Job,
-    JobProperties, JobRunner, LoadSink, RunOptions,
+    JobProperties, JobRunner, LoadSink, RunOptions, TaskGate,
 };
 use ripple_kv::{KvStore, PartId};
 use ripple_store_mem::MemStore;
@@ -209,4 +209,130 @@ fn unrecoverable_without_checkpointing() {
         ),
         "got {err:?}"
     );
+}
+
+/// A gate that admits everything and counts the part tasks that finished.
+#[derive(Default)]
+struct Finished(AtomicU32);
+
+impl TaskGate for Finished {
+    fn acquire(&self) {}
+    fn release(&self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+const GOSSIP_PARTS: u32 = 3;
+const GOSSIP_KEYS: u32 = 30;
+
+/// Every component adds what it hears to its state and tells two others,
+/// on other parts, its new state — so a part's input is what *other* parts
+/// spilled.  In step `kill_at` the first invocation at `kill_part` waits
+/// until every other part's task of the step has finished, then fails its
+/// own part: mid-round, its transport slice already drained.
+struct Gossip {
+    steps: u32,
+    store: MemStore,
+    finished: Arc<Finished>,
+    kill_at: u32,
+    kill_part: u32,
+    killed: AtomicBool,
+}
+
+impl Job for Gossip {
+    type Key = u32;
+    type State = u64;
+    type Message = u64;
+    type OutKey = ();
+    type OutValue = ();
+
+    fn state_tables(&self) -> Vec<String> {
+        vec!["gossip".to_owned()]
+    }
+
+    fn properties(&self) -> JobProperties {
+        JobProperties {
+            deterministic: true,
+            needs_order: true,
+            ..JobProperties::default()
+        }
+    }
+
+    fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
+        let (k, step) = (*ctx.key(), ctx.step());
+        if step == self.kill_at
+            && ctx.part() == PartId(self.kill_part)
+            && !self.killed.swap(true, Ordering::SeqCst)
+        {
+            // Every earlier step ran one task per part; this one has run
+            // all but ours once the count says so.
+            let others_done = step * GOSSIP_PARTS - 1;
+            while self.finished.0.load(Ordering::SeqCst) < others_done {
+                std::thread::yield_now();
+            }
+            let reference = self.store.lookup_table("gossip").unwrap();
+            self.store
+                .fail_part(&reference, PartId(self.kill_part))
+                .unwrap();
+        }
+        let heard: u64 = ctx.messages().iter().sum();
+        let state = ctx.read_state(0)?.unwrap_or(0) * 3 + heard + u64::from(step);
+        ctx.write_state(0, &state)?;
+        if step < self.steps {
+            ctx.send((k + 1) % GOSSIP_KEYS, state);
+            ctx.send((k + 11) % GOSSIP_KEYS, state);
+        }
+        Ok(false)
+    }
+}
+
+fn run_gossip(kill_at: u32) -> (Vec<(u32, u64)>, ripple_core::RunMetrics) {
+    let store = MemStore::builder().default_parts(GOSSIP_PARTS).build();
+    let finished = Arc::new(Finished::default());
+    let job = Arc::new(Gossip {
+        steps: 6,
+        store: store.clone(),
+        finished: Arc::clone(&finished),
+        kill_at,
+        kill_part: 1,
+        killed: AtomicBool::new(false),
+    });
+    let outcome = JobRunner::new(store.clone())
+        // One checkpoint, before step 1: everything since is replayed.
+        .checkpoint_interval(100)
+        .task_gate(finished)
+        .launch(
+            job,
+            RunOptions::new()
+                .loader(Box::new(FnLoader::new(
+                    |sink: &mut dyn LoadSink<Gossip>| {
+                        (0..GOSSIP_KEYS).try_for_each(|k| sink.enable(k))
+                    },
+                )))
+                .recovery(),
+        )
+        .unwrap();
+    assert_eq!(outcome.steps, 6);
+    let table = store.lookup_table("gossip").unwrap();
+    let exporter = Arc::new(CollectingExporter::<u32, u64>::new());
+    export_state_table(&store, &table, Arc::clone(&exporter)).unwrap();
+    let mut pairs = exporter.take();
+    pairs.sort_unstable();
+    (pairs, outcome.metrics)
+}
+
+/// A part killed mid-round has already drained the transport slice that
+/// fed it; fast recovery replays it alone from what the *senders* wrote,
+/// which the controller kept.
+#[test]
+fn a_part_killed_mid_round_replays_alone_from_the_senders_log() {
+    let (clean, clean_metrics) = run_gossip(u32::MAX);
+    assert_eq!(clean_metrics.recoveries, 0);
+    assert_eq!(clean.len() as u32, GOSSIP_KEYS);
+
+    let (healed, metrics) = run_gossip(4);
+    assert_eq!(healed, clean, "the healed run must end byte-identical");
+    assert_eq!(metrics.recoveries, 1);
+    // Steps 1 through 4, one part: a whole-group rollback would charge 12.
+    assert_eq!(metrics.replayed_part_steps, 4);
 }

@@ -24,12 +24,13 @@
 //! below it), which bounds the count-to-infinity behaviour a
 //! distance-vector scheme exhibits when a region is disconnected.
 
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ripple_core::{
     AggValue, Aggregate, ComputeContext, EbspError, FnLoader, Job, JobProperties, JobRunner,
-    LoadSink, RunMetrics, RunOptions, RunOutcome, SumI64,
+    LoadSink, Loader, RunMetrics, RunOptions, RunOutcome, SumI64,
 };
 use ripple_kv::{DurableStore, HealableStore, KvStore, RecoverableStore, Table};
 use ripple_wire::{ByteReader, ByteWriter, Decode, Encode, WireError};
@@ -238,30 +239,8 @@ impl<S: KvStore> SelectiveInstance<S> {
             source,
             n,
         };
-        let entries: Vec<(VertexId, Vec<VertexId>)> =
-            graph.iter().map(|(v, adj)| (v, adj.to_vec())).collect();
         let job = instance.job();
-        let outcome = runner.launch(
-            job,
-            RunOptions::new().loaders(vec![Box::new(FnLoader::new(
-                move |sink: &mut dyn LoadSink<SelectiveSssp>| {
-                    for (v, neighbors) in entries {
-                        let dists = vec![INF; neighbors.len()];
-                        sink.state(
-                            0,
-                            v,
-                            SelState {
-                                neighbors,
-                                neighbor_dists: dists,
-                                dist: INF,
-                            },
-                        )?;
-                        sink.enable(v)?;
-                    }
-                    Ok(())
-                },
-            ))]),
-        )?;
+        let outcome = runner.launch(job, RunOptions::new().loader(initial_loader(graph)))?;
         Ok((instance, outcome))
     }
 
@@ -315,7 +294,10 @@ impl<S: KvStore> SelectiveInstance<S> {
     }
 
     /// Edits the endpoint states for one batch of primitive changes and
-    /// returns the seed messages that wake the affected vertices.
+    /// returns the seed messages that wake the affected vertices.  Each
+    /// touched endpoint is read and decoded once for the batch and, if an
+    /// edit changed it, written once at the end, all through one
+    /// [`Table::put_batch`].
     #[allow(clippy::type_complexity)]
     fn seed_batch(
         &self,
@@ -329,33 +311,30 @@ impl<S: KvStore> SelectiveInstance<S> {
         // collect seed messages telling each endpoint its counterpart's
         // current distance.
         let mut seeds: Vec<(VertexId, (VertexId, u32))> = Vec::new();
-        let mut dist_cache: HashMap<VertexId, u32> = HashMap::new();
+        let mut touched = Touched::new();
         for change in changes {
             let (u, v) = change.endpoints();
             if u == v {
                 continue;
             }
-            let applied = match change {
-                GraphChange::AddEdge(..) => {
-                    let added_u = edit_state(&table, u, |s| add_neighbor(s, v))?;
-                    let added_v = edit_state(&table, v, |s| add_neighbor(s, u))?;
-                    added_u || added_v
-                }
-                GraphChange::RemoveEdge(..) => {
-                    let removed_u = edit_state(&table, u, |s| remove_neighbor(s, v))?;
-                    let removed_v = edit_state(&table, v, |s| remove_neighbor(s, u))?;
-                    removed_u || removed_v
-                }
+            let edit = match change {
+                GraphChange::AddEdge(..) => add_neighbor,
+                GraphChange::RemoveEdge(..) => remove_neighbor,
             };
+            let mut applied = false;
+            for (a, b) in [(u, v), (v, u)] {
+                if let Some((state, edited)) = endpoint(&table, &mut touched, a)? {
+                    if edit(state, b) {
+                        *edited = true;
+                        applied = true;
+                    }
+                }
+            }
             if applied {
-                for &(a, b) in &[(u, v), (v, u)] {
-                    let dist = match dist_cache.get(&a) {
-                        Some(d) => *d,
-                        None => {
-                            let d = read_dist(&table, a)?;
-                            dist_cache.insert(a, d);
-                            d
-                        }
+                for (a, b) in [(u, v), (v, u)] {
+                    let dist = match endpoint(&table, &mut touched, a)? {
+                        Some((state, _)) => state.dist,
+                        None => INF,
                     };
                     // Tell b what a's distance currently is (removals are
                     // reflected purely by the state edit; the seed makes
@@ -363,6 +342,18 @@ impl<S: KvStore> SelectiveInstance<S> {
                     seeds.push((b, (a, dist)));
                 }
             }
+        }
+        let edited: Vec<_> = touched
+            .into_iter()
+            .filter_map(|(v, entry)| match entry {
+                Some((state, true)) => {
+                    Some((ripple_core::key_to_routed(&v), ripple_wire::to_wire(&state)))
+                }
+                _ => None,
+            })
+            .collect();
+        if !edited.is_empty() {
+            table.put_batch(edited).map_err(EbspError::Kv)?;
         }
         Ok(seeds)
     }
@@ -452,33 +443,12 @@ impl<S: RecoverableStore + HealableStore> SelectiveInstance<S> {
             source,
             n,
         };
-        let entries: Vec<(VertexId, Vec<VertexId>)> =
-            graph.iter().map(|(v, adj)| (v, adj.to_vec())).collect();
         let job = instance.job();
         let outcome = JobRunner::new(store.clone())
             .checkpoint_interval(checkpoint_interval)
             .launch(
                 job,
-                RunOptions::new()
-                    .loaders(vec![Box::new(FnLoader::new(
-                        move |sink: &mut dyn LoadSink<SelectiveSssp>| {
-                            for (v, neighbors) in entries {
-                                let dists = vec![INF; neighbors.len()];
-                                sink.state(
-                                    0,
-                                    v,
-                                    SelState {
-                                        neighbors,
-                                        neighbor_dists: dists,
-                                        dist: INF,
-                                    },
-                                )?;
-                                sink.enable(v)?;
-                            }
-                            Ok(())
-                        },
-                    ))])
-                    .recovery(),
+                RunOptions::new().loader(initial_loader(graph)).recovery(),
             )?;
         Ok((instance, outcome.metrics))
     }
@@ -546,8 +516,6 @@ impl<S: RecoverableStore + HealableStore + DurableStore> SelectiveInstance<S> {
             source,
             n,
         };
-        let entries: Vec<(VertexId, Vec<VertexId>)> =
-            graph.iter().map(|(v, adj)| (v, adj.to_vec())).collect();
         let job = instance.job();
         let mut runner = JobRunner::new(store.clone());
         runner.checkpoint_interval(checkpoint_interval);
@@ -557,24 +525,7 @@ impl<S: RecoverableStore + HealableStore + DurableStore> SelectiveInstance<S> {
         let outcome = runner.launch(
             job,
             RunOptions::new()
-                .loaders(vec![Box::new(FnLoader::new(
-                    move |sink: &mut dyn LoadSink<SelectiveSssp>| {
-                        for (v, neighbors) in entries {
-                            let dists = vec![INF; neighbors.len()];
-                            sink.state(
-                                0,
-                                v,
-                                SelState {
-                                    neighbors,
-                                    neighbor_dists: dists,
-                                    dist: INF,
-                                },
-                            )?;
-                            sink.enable(v)?;
-                        }
-                        Ok(())
-                    },
-                ))])
+                .loader(initial_loader(graph))
                 .recovery()
                 .durable(),
         )?;
@@ -602,34 +553,53 @@ fn remove_neighbor(s: &mut SelState, v: VertexId) -> bool {
     }
 }
 
-fn edit_state<T: ripple_kv::Table>(
+/// The endpoints one batch of changes touched, by vertex: the decoded
+/// state and whether an edit changed it, or `None` for a vertex the table
+/// does not hold.  Ordered, so the batch's one write is the same bytes
+/// every run.
+type Touched = BTreeMap<VertexId, Option<(SelState, bool)>>;
+
+/// The entry of `v` in `touched`, read from `table` on first touch.
+fn endpoint<'a, T: Table>(
     table: &T,
+    touched: &'a mut Touched,
     v: VertexId,
-    f: impl FnOnce(&mut SelState) -> bool,
-) -> Result<bool, EbspError> {
-    let key = ripple_core::key_to_routed(&v);
-    let Some(bytes) = table.get(&key).map_err(EbspError::Kv)? else {
-        return Ok(false);
-    };
-    let mut state: SelState = ripple_wire::from_wire(&bytes)?;
-    let changed = f(&mut state);
-    if changed {
-        table
-            .put(key, ripple_wire::to_wire(&state))
-            .map_err(EbspError::Kv)?;
-    }
-    Ok(changed)
+) -> Result<&'a mut Option<(SelState, bool)>, EbspError> {
+    Ok(match touched.entry(v) {
+        Entry::Occupied(entry) => entry.into_mut(),
+        Entry::Vacant(entry) => {
+            let key = ripple_core::key_to_routed(&v);
+            entry.insert(match table.get(&key).map_err(EbspError::Kv)? {
+                Some(bytes) => Some((ripple_wire::from_wire(&bytes)?, false)),
+                None => None,
+            })
+        }
+    })
 }
 
-fn read_dist<T: ripple_kv::Table>(table: &T, v: VertexId) -> Result<u32, EbspError> {
-    let key = ripple_core::key_to_routed(&v);
-    match table.get(&key).map_err(EbspError::Kv)? {
-        None => Ok(INF),
-        Some(bytes) => {
-            let state: SelState = ripple_wire::from_wire(&bytes)?;
-            Ok(state.dist)
-        }
-    }
+/// The loader of the initial condition: every vertex of `graph` holds its
+/// neighbors, knows no distance, and is enabled.
+fn initial_loader(graph: &Graph) -> Box<dyn Loader<SelectiveSssp>> {
+    let entries: Vec<(VertexId, Vec<VertexId>)> =
+        graph.iter().map(|(v, adj)| (v, adj.to_vec())).collect();
+    Box::new(FnLoader::new(
+        move |sink: &mut dyn LoadSink<SelectiveSssp>| {
+            for (v, neighbors) in entries {
+                let dists = vec![INF; neighbors.len()];
+                sink.state(
+                    0,
+                    v,
+                    SelState {
+                        neighbors,
+                        neighbor_dists: dists,
+                        dist: INF,
+                    },
+                )?;
+                sink.enable(v)?;
+            }
+            Ok(())
+        },
+    ))
 }
 
 // ===========================================================================

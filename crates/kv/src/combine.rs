@@ -67,8 +67,8 @@ impl CombinerSpec {
 /// Folding `Vec<T>` values by concatenation is type-oblivious: the wire
 /// form is a varint element count followed by the elements, so the fold
 /// rewrites the count and splices the element bytes.  Every
-/// [`CombinerRegistry`] registers it by default, which is what lets the
-/// EBSP engine bind it to its inbox tables without per-job setup.
+/// [`CombinerRegistry`] registers it by default, so a table of message
+/// lists can be bound to it without per-job setup.
 pub const VEC_CONCAT: &str = "ripple.vec-concat";
 
 /// A registry of named combiners, shared by all handles to one store.

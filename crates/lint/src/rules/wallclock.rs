@@ -53,6 +53,14 @@ impl Rule for NoWallclockInDeterministicPaths {
                 "profiling spans time phases for StepProfile; they never steer control flow",
             ),
             (
+                "crates/core/src/engine/mod.rs",
+                "part-task and delivery spans for StepProfile; they never steer control flow",
+            ),
+            (
+                "crates/core/src/engine/anywhere.rs",
+                "the deliver round's span for StepProfile; it never steers control flow",
+            ),
+            (
                 "crates/core/src/engine/nosync.rs",
                 "profiling spans time phases for StepProfile; they never steer control flow",
             ),

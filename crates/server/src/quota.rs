@@ -39,7 +39,7 @@ impl Default for JobQuota {
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Parts the job's tables will use (also the fan-out of its
-    /// part-tasks per phase).
+    /// part-tasks per step).
     pub parts: u32,
     /// Declared state footprint in bytes, checked against
     /// [`JobQuota::max_state_bytes`].

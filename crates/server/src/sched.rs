@@ -2,7 +2,7 @@
 //! worker pool.
 //!
 //! The paper's runtime multiplexes many jobs over one resident set of
-//! part servers; when two jobs both have a phase's worth of part-tasks
+//! part servers; when two jobs both have a step's worth of part-tasks
 //! ready, *something* must decide whose tasks occupy the workers.  A
 //! plain semaphore ([`SemaphoreGate`](ripple_core::SemaphoreGate)) is
 //! FIFO-ish per the OS's whim and lets a wide job starve a narrow one.

@@ -15,8 +15,9 @@
 //!
 //! Admitted jobs always run the synchronized engine
 //! ([`ExecMode::Synchronized`]): the scheduling gate brackets the
-//! engine's phase tasks, which is exactly the unit of work a BSP barrier
-//! already delimits, so gating is sound there by construction.
+//! engine's part tasks, one per part and step, which is exactly the unit
+//! of work a BSP barrier already delimits, so gating is sound there by
+//! construction.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};

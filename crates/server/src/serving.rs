@@ -158,7 +158,7 @@ struct SnapshotRefresher<S: KvStore> {
 }
 
 impl<S: KvStore> RunObserver for SnapshotRefresher<S> {
-    fn on_step(&self, _step: u32, _enabled_next: u64, _aggregates: &AggregateSnapshot) {
+    fn on_step(&self, _step: u32, _enabled: u64, _aggregates: &AggregateSnapshot) {
         if refresh(&self.store, &self.table, &self.map, &self.shared).is_err() {
             self.shared.refresh_errors.fetch_add(1, Ordering::Relaxed);
         }

@@ -318,6 +318,40 @@ mod tests {
     }
 
     #[test]
+    fn part_tasks_run_on_one_resident_lane_per_part() {
+        let dir = TempDir::new("lanes");
+        let store = DiskStore::builder()
+            .default_parts(2)
+            .open(dir.path())
+            .unwrap();
+        let t = store.create_table(&TableSpec::new("t")).unwrap();
+        let thread_of = |table: &<DiskStore as KvStore>::Table, part: u32| {
+            store
+                .run_at(table, PartId(part), |view| {
+                    (view.part(), std::thread::current().id())
+                })
+                .join()
+                .unwrap()
+        };
+        let (part, lane) = thread_of(&t, 0);
+        assert_eq!(part, PartId(0));
+        assert_eq!(thread_of(&t, 0).1, lane, "a part's tasks share its lane");
+        assert_ne!(thread_of(&t, 1).1, lane, "each part has its own");
+
+        // A panicking task surfaces through its handle and leaves the lane
+        // serving.
+        let panicked = store.run_at(&t, PartId(0), |_| -> u32 { panic!("task panic") });
+        assert!(matches!(panicked.join(), Err(KvError::TaskPanicked { .. })));
+        assert_eq!(thread_of(&t, 0).1, lane);
+
+        // Dropping a group's last table retires its lanes; a later group
+        // starts its own.
+        store.drop_table("t").unwrap();
+        let u = store.create_table(&TableSpec::new("u")).unwrap();
+        assert_eq!(thread_of(&u, 0).0, PartId(0));
+    }
+
+    #[test]
     fn table_names_are_escaped_on_disk() {
         let dir = TempDir::new("escape");
         let store = DiskStore::open(dir.path()).unwrap();

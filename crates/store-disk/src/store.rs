@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::bounded;
+use crossbeam::channel::{bounded, unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 use ripple_kv::{
     CombineFn, CombinerRegistry, CombinerSpec, KvError, KvStore, PartId, PartView, RoutedKey,
@@ -96,6 +96,9 @@ impl TableInner {
     }
 }
 
+/// A unit of work dispatched to a part's task lane.
+type Job = Box<dyn FnOnce() + Send>;
+
 const CAT_CREATE: u8 = 1;
 const CAT_DROP: u8 = 2;
 
@@ -126,6 +129,11 @@ pub(crate) struct Inner {
     combiners: CombinerRegistry,
     /// table name → combiner name for tables bound with `bind_combiner`.
     bindings: RwLock<HashMap<String, String>>,
+    /// The resident task lane of every (partitioning group, part) that has
+    /// run mobile code: one thread each, started on first use, serving the
+    /// part's tasks in dispatch order until its group's last table is
+    /// dropped or the store closes.
+    lanes: Mutex<HashMap<(u64, u32), Sender<Job>>>,
 }
 
 impl std::fmt::Debug for Inner {
@@ -170,6 +178,26 @@ impl Inner {
             cells.push(Arc::new(Cells::default()));
         }
         Arc::clone(&cells[idx])
+    }
+
+    /// Enqueues `job` on the task lane of `part` of partitioning group
+    /// `group`, starting the lane if this is its first task.
+    fn submit(&self, group: u64, part: u32, job: Job) {
+        let mut lanes = self.lanes.lock();
+        let lane = lanes.entry((group, part)).or_insert_with(|| {
+            let (tx, rx) = unbounded::<Job>();
+            std::thread::Builder::new()
+                .name(format!("disk-store-p{group}.{part}"))
+                .spawn(move || {
+                    while let Ok(job) = rx.recv() {
+                        job();
+                    }
+                })
+                .expect("spawn disk store lane thread");
+            tx
+        });
+        // The lane outlives its sender's entry here, so the send succeeds.
+        let _ = lane.send(job);
     }
 
     fn count_op(&self, part: u32) {
@@ -368,6 +396,7 @@ impl DiskStoreBuilder {
             recovery: Mutex::new(Vec::new()),
             combiners: CombinerRegistry::new(),
             bindings: RwLock::new(HashMap::new()),
+            lanes: Mutex::new(HashMap::new()),
         });
 
         let mut live_dirs = std::collections::HashSet::new();
@@ -896,11 +925,19 @@ impl KvStore for DiskStore {
     }
 
     fn drop_table(&self, name: &str) -> Result<(), KvError> {
-        let Some(t) = self.inner.tables.write().remove(name) else {
+        let mut tables = self.inner.tables.write();
+        let Some(t) = tables.remove(name) else {
             return Err(KvError::NoSuchTable {
                 name: name.to_owned(),
             });
         };
+        let group = t.partitioning_id;
+        if !tables.values().any(|other| other.partitioning_id == group) {
+            // The group's last table: closing its lanes ends their threads
+            // once the tasks already queued have run.
+            self.inner.lanes.lock().retain(|(g, _), _| *g != group);
+        }
+        drop(tables);
         t.dropped.store(true, Ordering::Release);
         self.inner.bindings.write().remove(name);
         // Durable-first again: once the drop record is synced, a crash
@@ -936,13 +973,12 @@ impl KvStore for DiskStore {
             partitioning_id: reference.inner.partitioning_id,
             reference_name: reference.inner.name.clone(),
         };
-        std::thread::Builder::new()
-            .name(format!("disk-store-{part}"))
-            .spawn(move || {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(&view)));
-                let _ = tx.send(result);
-            })
-            .expect("spawn disk store task");
+        let job = Box::new(move || {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(&view)));
+            let _ = tx.send(result);
+        });
+        self.inner
+            .submit(reference.inner.partitioning_id, part.0, job);
         TaskHandle::from_channel(part, rx)
     }
 

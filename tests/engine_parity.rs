@@ -28,8 +28,10 @@ enum Schedule {
 
 /// `CHAINS` relay chains of `HOPS` components each: a component receives
 /// the one message of its life, stores the payload, and forwards
-/// `payload + 1` down its chain.  Which scheduler may run it depends only
-/// on the further properties it declares.
+/// `payload + 1` down its chain — the last one by creating the state of a
+/// component that never runs, so the last step sends nothing and only
+/// creates.  Which scheduler may run it depends only on the further
+/// properties it declares.
 struct Relay(Schedule);
 
 impl Job for Relay {
@@ -60,6 +62,8 @@ impl Job for Relay {
         let next = *ctx.key() + CHAINS;
         if next < CHAINS * HOPS {
             ctx.send(next, payload + 1);
+        } else {
+            ctx.create_state(0, next, payload + 1)?;
         }
         Ok(false)
     }
@@ -115,7 +119,8 @@ fn three_schedulers_share_one_invocation_core() {
         .map(|k| ripple::wire::to_wire(&k).to_vec())
         .collect();
     expected_keys.sort();
-    let expected_state: Vec<(u32, u64)> = (0..CHAINS * HOPS)
+    // The creations of the last step are applied though no step follows.
+    let expected_state: Vec<(u32, u64)> = (0..CHAINS * (HOPS + 1))
         .map(|k| (k, 100 + u64::from(k / CHAINS)))
         .collect();
 
@@ -134,6 +139,13 @@ fn three_schedulers_share_one_invocation_core() {
         let (outcome, state) = run_relay(&store, schedule, Some(Arc::clone(&calls)));
         assert_eq!(outcome.mode, mode, "{schedule:?}");
         assert_eq!(state, expected_state, "{schedule:?}: final state");
+        let steps = if schedule == Schedule::Nosync {
+            0
+        } else {
+            HOPS
+        };
+        assert_eq!(outcome.steps, steps, "{schedule:?}: delivering is no step");
+        assert_eq!(outcome.metrics.creates, u64::from(CHAINS), "{schedule:?}");
 
         let mut invoked = std::mem::take(&mut *calls.invoked.lock().unwrap());
         let mut continued = std::mem::take(&mut *calls.continued.lock().unwrap());
@@ -259,8 +271,8 @@ fn a_combiner_bearing_job_leaves_the_same_tables_under_every_scheduler() {
     }
 }
 
-/// Transient faults on the inbox drain and on the transport `put_batch`
-/// are healed by the default retry policy under run-anywhere exactly as
+/// Transient faults on the transport drains and on the transport
+/// `put_batch` are healed by the default retry policy under run-anywhere exactly as
 /// under pinned execution; the output matches the fault-free oracle.
 #[test]
 fn run_anywhere_heals_transient_drains_and_spills() {
@@ -277,8 +289,8 @@ fn run_anywhere_heals_transient_drains_and_spills() {
     assert_eq!(state, expected, "faulted run must match the oracle");
 
     // The part tasks met the faults themselves: every part's drains failed
-    // (inbox and transport, twice each), and so did the spill write of
-    // whichever stealing workers had something to spill.
+    // (of either transport table, twice each), and so did the spill write
+    // of whichever stealing workers had something to spill.
     let trace = store.fault_trace();
     assert!(trace.iter().all(|r| r.kind == FaultKind::Transient));
     for part in 0..PARTS {

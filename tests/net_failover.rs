@@ -36,7 +36,7 @@ struct PrimaryKiller {
 }
 
 impl RunObserver for PrimaryKiller {
-    fn on_step(&self, step: u32, _enabled_next: u64, _aggregates: &AggregateSnapshot) {
+    fn on_step(&self, step: u32, _enabled: u64, _aggregates: &AggregateSnapshot) {
         if step >= self.kill_at && !self.killed.swap(true, Ordering::SeqCst) {
             self.victim.abort();
         }

@@ -3,12 +3,17 @@
 //! delete-after-write), must keep state ahead of the messages it produced,
 //! must heal through the retry policy like the point operations they
 //! replace — and must actually be part-granular: the number of store calls
-//! a part task issues does not grow with the number of components.
+//! a part task issues does not grow with the number of components.  A step
+//! is one such task per part, whatever order a gate runs them in.
 
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
 use bytes::Bytes;
+use ripple::ebsp::{SemaphoreGate, TaskGate};
+use ripple::graph::generate::{power_law_graph, random_change_batch, random_undirected};
+use ripple::graph::pagerank::{run_direct_on, PageRankConfig};
+use ripple::graph::sssp::SelectiveInstance;
 use ripple::kv::{KvError, PartView, ScanControl, StoreMetrics, TaskHandle};
 use ripple::prelude::*;
 use ripple::store::{FaultKind, FaultOp, FaultPlan};
@@ -153,6 +158,7 @@ impl<S: KvStore> KvStore for Logged<S> {
         self.inner.create_table(spec).map(|t| self.wrap(t))
     }
     fn create_table_like(&self, name: &str, like: &Self::Table) -> Result<Self::Table, KvError> {
+        record(&self.log, "create_table_like", name, 0);
         self.inner
             .create_table_like(name, &like.inner)
             .map(|t| self.wrap(t))
@@ -299,7 +305,11 @@ fn load_keys<J: Job<Key = u32, State = u64>>(n: u32) -> Box<dyn Loader<J>> {
 }
 
 fn raw_table<S: KvStore>(store: &S) -> Vec<(RoutedKey, Bytes)> {
-    let table = store.lookup_table(TABLE).expect("state table");
+    raw_table_named(store, TABLE)
+}
+
+fn raw_table_named<S: KvStore>(store: &S, name: &str) -> Vec<(RoutedKey, Bytes)> {
+    let table = store.lookup_table(name).expect("state table");
     store
         .snapshot_table(&table)
         .expect("snapshot")
@@ -354,9 +364,9 @@ fn state_is_flushed_before_the_spills_it_produced() {
         )
         .expect("run");
 
-    // Per store thread (one compute task at a time runs on each): between
-    // the inbox drain that opens a compute task and the transport write
-    // that ends it, the state flush comes first — and never after.
+    // Per store thread (one part task at a time runs on each): between the
+    // transport drain that opens a part task and the transport write that
+    // ends it, the state flush comes first — and never after.
     let calls = store.calls();
     let threads: std::collections::HashSet<ThreadId> = calls.iter().map(|c| c.0).collect();
     let mut checked = 0;
@@ -365,7 +375,7 @@ fn state_is_flushed_before_the_spills_it_produced() {
         let mut spilled = false;
         for (_, op, table, _) in calls.iter().filter(|c| c.0 == thread) {
             match (*op, table.as_str()) {
-                ("drain", t) if t.starts_with("__ebsp_inbox") => {
+                ("drain", t) if t.starts_with("__ebsp_xport") => {
                     flushed_since_drain = false;
                     spilled = false;
                 }
@@ -526,4 +536,153 @@ fn transient_faults_on_state_batches_heal_to_the_reference_output() {
     assert!(injected(FaultOp::Put) >= 1, "no flush fault: {trace:?}");
     assert!(outcome.metrics.retries >= 2);
     assert_eq!(raw_table(&store), raw_table(&simple));
+}
+
+// ---------------------------------------------------------------------------
+// The single-round step
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_step_is_one_task_per_part_and_no_inbox_table_exists() {
+    let store = Logged::new(MemStore::builder().default_parts(3).build());
+    let outcome = JobRunner::new(store.clone())
+        .launch(
+            Arc::new(Ring { n: 90, steps: 4 }),
+            RunOptions::new().loader(load_keys(90)),
+        )
+        .expect("run");
+    assert_eq!(outcome.steps, 4);
+    assert_eq!(
+        outcome.metrics.store.tasks_dispatched,
+        3 * 4,
+        "parts × steps part tasks"
+    );
+
+    // The run's temporaries are the two transports, and every drain of a
+    // step reads the one the step does not spill into.
+    let calls = store.calls();
+    let mut created: Vec<&str> = calls
+        .iter()
+        .filter(|c| c.1 == "create_table_like" && c.2.starts_with("__ebsp_"))
+        .map(|c| c.2.as_str())
+        .collect();
+    created.sort_unstable();
+    assert_eq!(created.len(), 2, "{created:?}");
+    assert!(created[0].starts_with("__ebsp_xport0_"), "{created:?}");
+    assert!(created[1].starts_with("__ebsp_xport1_"), "{created:?}");
+    assert_eq!(calls.iter().filter(|c| c.1 == "drain").count(), 3 * 4);
+    for (_, op, table, _) in &calls {
+        assert!(!table.starts_with("__ebsp_inbox"), "{op} on {table}");
+    }
+}
+
+/// Every component tells two others, on other parts, which step it is in.
+/// What a step spills must reach the *next* step — never the step that
+/// spilled it, however far ahead of its neighbours a part's task runs.
+struct StepTagged {
+    n: u32,
+    steps: u32,
+}
+
+impl Job for StepTagged {
+    type Key = u32;
+    type State = u64;
+    type Message = u32;
+    type OutKey = ();
+    type OutValue = ();
+
+    fn state_tables(&self) -> Vec<String> {
+        vec![TABLE.to_owned()]
+    }
+
+    fn properties(&self) -> JobProperties {
+        JobProperties {
+            deterministic: true,
+            ..JobProperties::default()
+        }
+    }
+
+    fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
+        let (k, step) = (*ctx.key(), ctx.step());
+        if step > 1 && ctx.messages().len() != 2 {
+            return Err(EbspError::InvalidJob {
+                reason: format!("{k} got {:?} in step {step}", ctx.messages()),
+            });
+        }
+        if let Some(early) = ctx.messages().iter().find(|sent| **sent + 1 != step) {
+            return Err(EbspError::InvalidJob {
+                reason: format!("{k} got a step-{early} message in step {step}"),
+            });
+        }
+        let state = ctx.read_state(0)?.unwrap_or(0) + u64::from(step);
+        ctx.write_state(0, &state)?;
+        if step < self.steps {
+            ctx.send((k + 1) % self.n, step);
+            ctx.send((k + 7) % self.n, step);
+        }
+        Ok(false)
+    }
+}
+
+/// A runner whose part tasks run strictly one at a time: in every step
+/// some part's whole task — its spills included — finishes before another
+/// part's starts draining.
+fn one_at_a_time<S: KvStore>(store: &S) -> JobRunner<S> {
+    let mut runner = JobRunner::new(store.clone());
+    runner.task_gate(Arc::new(SemaphoreGate::new(1)) as Arc<dyn TaskGate>);
+    runner
+}
+
+#[test]
+fn a_part_running_ahead_never_delivers_a_step_its_own_spills() {
+    let job = || Arc::new(StepTagged { n: 90, steps: 6 });
+    let gated = MemStore::builder().default_parts(3).build();
+    let outcome = one_at_a_time(&gated)
+        .launch(job(), RunOptions::new().loader(load_keys(90)))
+        .expect("gated run");
+    assert_eq!(outcome.steps, 6);
+    assert_eq!(outcome.metrics.store.tasks_dispatched, 3 * 6);
+
+    let free = MemStore::builder().default_parts(3).build();
+    JobRunner::new(free.clone())
+        .launch(job(), RunOptions::new().loader(load_keys(90)))
+        .expect("ungated run");
+    assert_eq!(raw_table(&gated), raw_table(&free));
+}
+
+#[test]
+fn pagerank_and_selective_sssp_are_byte_identical_under_a_one_permit_gate() {
+    let graph = power_law_graph(300, 2_400, 0.8, 16);
+    let config = PageRankConfig {
+        iterations: 5,
+        ..PageRankConfig::default()
+    };
+    let gated = MemStore::builder().default_parts(4).build();
+    let free = MemStore::builder().default_parts(4).build();
+    let a = run_direct_on(&one_at_a_time(&gated), "ranks", &graph, config).expect("gated");
+    let b = run_direct_on(&JobRunner::new(free.clone()), "ranks", &graph, config).expect("free");
+    assert_eq!(a.steps, b.steps);
+    assert_eq!(a.metrics.messages_combined, b.metrics.messages_combined);
+    assert_eq!(
+        raw_table_named(&gated, "ranks"),
+        raw_table_named(&free, "ranks")
+    );
+
+    let evolving = random_undirected(200, 600, 0.5, 16);
+    let batch = random_change_batch(200, 40, 0.5, 17);
+    let solve = |store: &MemStore, runner: &JobRunner<MemStore>| {
+        let (instance, _) =
+            SelectiveInstance::initialize_on(runner, store, "dists", evolving.graph(), 0)
+                .expect("initial solve");
+        let wave = instance.apply_batch_on(runner, &batch).expect("wave");
+        (wave.steps, wave.metrics.invocations)
+    };
+    let gated_wave = solve(&gated, &one_at_a_time(&gated));
+    let free_wave = solve(&free, &JobRunner::new(free.clone()));
+    assert_eq!(gated_wave, free_wave);
+    assert!(gated_wave.0 >= 1, "the batch must start a wave");
+    assert_eq!(
+        raw_table_named(&gated, "dists"),
+        raw_table_named(&free, "dists")
+    );
 }
