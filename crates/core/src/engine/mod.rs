@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use ripple_kv::{KvError, KvStore, PartId, PartView, RoutedKey, ScanControl, Table};
-use ripple_wire::{from_wire, to_wire, Encode};
+use ripple_wire::{from_wire, from_wire_each, to_wire, to_wire_via, ByteWriter, Encode};
 
 use crate::context::{fold_message, Outbox, StateOps};
 use crate::hash::KeyMap;
@@ -266,13 +266,17 @@ impl<T: Table, J: Job> PartTask<T, J> {
             by_dst[dst as usize].push(env);
         }
         let counters = &mut out.metrics;
+        // One scratch for every destination: it grows to the largest batch
+        // once, with no size walk over every edge of every envelope.
+        let mut scratch = ByteWriter::new();
         for (dst, batch) in by_dst.into_iter().enumerate() {
             if batch.is_empty() {
                 continue;
             }
-            let body = to_wire(&(step, src, counters.spill_batches));
-            let key = RoutedKey::with_route(dst as u64, body.to_vec().into());
-            output.spilled.push((key, to_wire(&batch)));
+            let tag = to_wire(&(step, src, counters.spill_batches));
+            let key = RoutedKey::with_route(dst as u64, tag);
+            let blob = to_wire_via(&mut scratch, &batch);
+            output.spilled.push((key, blob));
             counters.spill_batches += 1;
         }
         if !output.spilled.is_empty() {
@@ -313,25 +317,23 @@ impl<T: Table, J: Job> PartTask<T, J> {
         let mut inbox: KeyMap<J::Key, Vec<J::Message>> = KeyMap::default();
         let mut creates: Vec<(u16, J::Key, J::State)> = Vec::new();
         for (_, bytes) in sorted_spills(records)? {
-            let envelopes: Vec<Envelope<J>> = from_wire(&bytes)?;
-            for env in envelopes {
-                match env {
-                    Envelope::Message { to, msg } => match inbox.get_mut(&to) {
-                        Some(list) => {
-                            let latest = list.last_mut();
-                            let kept = fold_message(&*self.job, &to, latest, msg, &mut counters);
-                            list.extend(kept);
-                        }
-                        None => {
-                            inbox.insert(to, vec![msg]);
-                        }
-                    },
-                    Envelope::Continue { key } => {
-                        inbox.entry(key).or_default();
+            // Each envelope is folded as it is decoded: no vector of them.
+            from_wire_each(&bytes, |env: Envelope<J>| match env {
+                Envelope::Message { to, msg } => match inbox.get_mut(&to) {
+                    Some(list) => {
+                        let latest = list.last_mut();
+                        let kept = fold_message(&*self.job, &to, latest, msg, &mut counters);
+                        list.extend(kept);
                     }
-                    Envelope::Create { tab, key, state } => creates.push((tab, key, state)),
+                    None => {
+                        inbox.insert(to, vec![msg]);
+                    }
+                },
+                Envelope::Continue { key } => {
+                    inbox.entry(key).or_default();
                 }
-            }
+                Envelope::Create { tab, key, state } => creates.push((tab, key, state)),
+            })?;
         }
 
         self.apply_creates(view, creates)?;
@@ -530,10 +532,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
                 .map(|(name, value)| {
                     let route = key_to_routed(&name).route();
                     let body = to_wire(&(name, part));
-                    (
-                        RoutedKey::with_route(route, body.to_vec().into()),
-                        to_wire(&value),
-                    )
+                    (RoutedKey::with_route(route, body), to_wire(&value))
                 })
                 .collect();
             // Keys `(name, part)` are unique, so resending the whole batch

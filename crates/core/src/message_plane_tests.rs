@@ -142,7 +142,7 @@ proptest! {
 
 #[test]
 fn a_spill_whose_tag_does_not_decode_fails_the_delivery() {
-    let tagged = |tag: (u32, u32, u64)| RoutedKey::with_route(0, to_wire(&tag).to_vec().into());
+    let tagged = |tag: (u32, u32, u64)| RoutedKey::with_route(0, to_wire(&tag));
     let good = vec![
         (tagged((2, 1, 0)), Bytes::from_static(b"late")),
         (tagged((1, 3, 1)), Bytes::from_static(b"early")),
@@ -165,4 +165,18 @@ fn a_spill_whose_tag_does_not_decode_fails_the_delivery() {
         sorted_spills(planted),
         Err(EbspError::Wire(WireError::UnexpectedEof { .. }))
     ));
+}
+
+/// The transport tag's bytes are pinned: spills written by one build are
+/// drained by the next (a durable store restarts mid-job).
+#[test]
+fn the_transport_tag_format_is_fixed() {
+    assert_eq!(
+        &to_wire(&(3u32, 1u32, 70_000u64))[..],
+        &[0x03, 0x01, 0xf0, 0xa2, 0x04]
+    );
+    assert_eq!(
+        &to_wire(&(300u32, 0u32, 0u64))[..],
+        &[0xac, 0x02, 0x00, 0x00]
+    );
 }

@@ -89,6 +89,18 @@ impl Decode for PrState {
     }
 }
 
+/// A [`PrState`] read for its rank alone: the edges are passed over, not
+/// built.
+#[derive(Clone)]
+struct RankOnly(Option<f64>);
+
+impl Decode for RankOnly {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        Vec::<VertexId>::skip(r)?;
+        Ok(Self(Option::decode(r)?))
+    }
+}
+
 /// The self-propagating part of a message: a vertex's structure and rank
 /// travelling forward to its own next invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -523,14 +535,14 @@ pub fn run_mapreduce_variant_on<S: KvStore>(
 pub fn read_ranks<S: KvStore>(store: &S, table: &str) -> Result<Vec<(VertexId, f64)>, EbspError> {
     let handle = store.lookup_table(table).map_err(EbspError::Kv)?;
     let exporter = Arc::new(ripple_core::CollectingExporter::new());
-    ripple_core::export_state_table::<S, VertexId, PrState, _>(
+    ripple_core::export_state_table::<S, VertexId, RankOnly, _>(
         store,
         &handle,
         Arc::clone(&exporter),
     )?;
     let mut ranks = Vec::new();
-    for (v, state) in exporter.take() {
-        let rank = state.rank.ok_or_else(|| EbspError::InvalidJob {
+    for (v, RankOnly(rank)) in exporter.take() {
+        let rank = rank.ok_or_else(|| EbspError::InvalidJob {
             reason: format!("vertex {v} has no rank; did the job finish?"),
         })?;
         ranks.push((v, rank));
@@ -721,6 +733,69 @@ pub fn run_adaptive<S: KvStore>(
 mod tests {
     use super::*;
     use ripple_wire::{from_wire, to_wire};
+
+    /// Golden bytes: the state and envelope formats are what durable
+    /// tables, journals and WALs written by earlier builds hold.
+    #[test]
+    fn state_and_envelope_formats_are_fixed() {
+        let state = PrState {
+            edges: vec![1, 300, 70_000],
+            rank: Some(0.25),
+        };
+        let state_bytes = [
+            0x03, 0x01, 0xac, 0x02, 0xf0, 0xa2, 0x04, 0x01, 0, 0, 0, 0, 0, 0, 0xd0, 0x3f,
+        ];
+        assert_eq!(&to_wire(&state)[..], &state_bytes);
+        assert_eq!(from_wire::<PrState>(&state_bytes).unwrap(), state);
+
+        let spill: Vec<ripple_core::Envelope<DirectPageRank>> = vec![
+            ripple_core::Envelope::Message {
+                to: 300,
+                msg: PrMsg::self_state(vec![0, 127, 128, 16_384], 0.5),
+            },
+            ripple_core::Envelope::Message {
+                to: 7,
+                msg: PrMsg::contribution(-2.0),
+            },
+            ripple_core::Envelope::Continue { key: 70_000 },
+            ripple_core::Envelope::Create {
+                tab: 0,
+                key: 9,
+                state,
+            },
+        ];
+        let mut spill_bytes = vec![
+            0x04, // four envelopes
+            0x00, 0xac, 0x02, 0x01, 0x04, 0x00, 0x7f, 0x80, 0x01, 0x80, 0x80, 0x01, //
+            0, 0, 0, 0, 0, 0, 0xe0, 0x3f, 0, 0, 0, 0, 0, 0, 0, 0, // rank 0.5, contrib 0
+            0x00, 0x07, 0x00, 0, 0, 0, 0, 0, 0, 0x00, 0xc0, // contribution -2.0
+            0x01, 0xf0, 0xa2, 0x04, // continue 70 000
+            0x02, 0x00, 0x09, // create in table 0, key 9
+        ];
+        spill_bytes.extend_from_slice(&state_bytes);
+        assert_eq!(&to_wire(&spill)[..], &spill_bytes[..]);
+        let back: Vec<ripple_core::Envelope<DirectPageRank>> = from_wire(&spill_bytes).unwrap();
+        assert_eq!(to_wire(&back), to_wire(&spill));
+    }
+
+    #[test]
+    fn reading_ranks_back_skips_the_edges() {
+        for state in [
+            PrState {
+                edges: vec![1, 300, 70_000],
+                rank: Some(0.25),
+            },
+            PrState {
+                edges: Vec::new(),
+                rank: None,
+            },
+        ] {
+            let RankOnly(rank) = from_wire(&to_wire(&state)).unwrap();
+            assert_eq!(rank, state.rank);
+        }
+        // What the full decode refuses, the projection refuses.
+        assert!(from_wire::<RankOnly>(&[0x02, 0x01]).is_err());
+    }
 
     #[test]
     fn message_codec_roundtrips() {

@@ -112,6 +112,21 @@ impl Decode for SelState {
     }
 }
 
+/// The `dist` of an encoded [`SelState`] (`LISTS` = 2) or [`FsState`]
+/// (`LISTS` = 1): the vertex lists before it are passed over, not built —
+/// reading distances back is one scalar per vertex.
+#[derive(Clone)]
+struct DistAfter<const LISTS: usize>(u32);
+
+impl<const LISTS: usize> Decode for DistAfter<LISTS> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        for _ in 0..LISTS {
+            Vec::<u32>::skip(r)?;
+        }
+        Ok(Self(u32::decode(r)?))
+    }
+}
+
 /// The selective-enablement incremental job: enabled vertices apply the
 /// (sender, distance) messages to their neighbor-distance arrays,
 /// recompute, and notify neighbors only if their own distance changed.
@@ -369,7 +384,7 @@ impl<S: KvStore> SelectiveInstance<S> {
             .lookup_table(&self.table)
             .map_err(EbspError::Kv)?;
         let exporter = Arc::new(ripple_core::CollectingExporter::new());
-        ripple_core::export_state_table::<S, VertexId, SelState, _>(
+        ripple_core::export_state_table::<S, VertexId, DistAfter<2>, _>(
             &self.store,
             &handle,
             Arc::clone(&exporter),
@@ -377,7 +392,7 @@ impl<S: KvStore> SelectiveInstance<S> {
         let mut out: Vec<(VertexId, u32)> = exporter
             .take()
             .into_iter()
-            .map(|(v, s)| (v, s.dist))
+            .map(|(v, DistAfter(dist))| (v, dist))
             .collect();
         out.sort_by_key(|(v, _)| *v);
         Ok(out)
@@ -414,8 +429,8 @@ pub fn distances_from_snapshot(
     let mut out = Vec::with_capacity(snapshot.len());
     for (key, value) in snapshot.iter() {
         let v: VertexId = ripple_wire::from_wire(key.body())?;
-        let state: SelState = ripple_wire::from_wire(value)?;
-        out.push((v, state.dist));
+        let DistAfter::<2>(dist) = ripple_wire::from_wire(value)?;
+        out.push((v, dist));
     }
     out.sort_by_key(|(v, _)| *v);
     Ok(out)
@@ -948,7 +963,7 @@ impl<S: KvStore> FullScanInstance<S> {
             .lookup_table(&self.table)
             .map_err(EbspError::Kv)?;
         let exporter = Arc::new(ripple_core::CollectingExporter::new());
-        ripple_core::export_state_table::<S, VertexId, FsState, _>(
+        ripple_core::export_state_table::<S, VertexId, DistAfter<1>, _>(
             &self.store,
             &handle,
             Arc::clone(&exporter),
@@ -956,7 +971,7 @@ impl<S: KvStore> FullScanInstance<S> {
         let mut out: Vec<(VertexId, u32)> = exporter
             .take()
             .into_iter()
-            .map(|(v, s)| (v, s.dist))
+            .map(|(v, DistAfter(dist))| (v, dist))
             .collect();
         out.sort_by_key(|(v, _)| *v);
         Ok(out)
@@ -1037,6 +1052,35 @@ pub fn bfs_oracle(graph: &MutableGraph, source: VertexId) -> Vec<u32> {
 mod tests {
     use super::*;
     use ripple_wire::{from_wire, to_wire};
+
+    /// Golden bytes: what a durable state table written by an earlier
+    /// build holds; and the distance-only read-back agrees with the full
+    /// decode on it.
+    #[test]
+    fn state_format_is_fixed_and_projects() {
+        let state = SelState {
+            neighbors: vec![2, 200, 20_000],
+            neighbor_dists: vec![0, 5, u32::MAX],
+            dist: 6,
+        };
+        let bytes = [
+            0x03, 0x02, 0xc8, 0x01, 0xa0, 0x9c, 0x01, // neighbors
+            0x03, 0x00, 0x05, 0xff, 0xff, 0xff, 0xff, 0x0f, // their distances
+            0x06,
+        ];
+        assert_eq!(&to_wire(&state)[..], &bytes);
+        assert_eq!(from_wire::<SelState>(&bytes).unwrap(), state);
+        let DistAfter::<2>(dist) = from_wire(&bytes).unwrap();
+        assert_eq!(dist, 6);
+        let full_scan = FsState {
+            neighbors: vec![2, 200, 20_000],
+            dist: INF,
+        };
+        let DistAfter::<1>(dist) = from_wire(&to_wire(&full_scan)).unwrap();
+        assert_eq!(dist, INF);
+        // Truncated lists fail the projection as they fail the decode.
+        assert!(from_wire::<DistAfter<2>>(&bytes[..9]).is_err());
+    }
 
     #[test]
     fn codecs_roundtrip() {

@@ -79,6 +79,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(crate::rules::opcode_sync::OpcodeTableSync),
         Box::new(crate::rules::metrics_telescoping::MetricsTelescoping),
         Box::new(crate::rules::error_class::ErrorClassCoverage),
+        Box::new(crate::rules::wire_inline::WireInline),
     ]
 }
 

@@ -10,3 +10,4 @@ pub mod no_sleep_poll;
 pub mod opcode_sync;
 pub mod unwrap;
 pub mod wallclock;
+pub mod wire_inline;

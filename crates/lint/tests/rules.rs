@@ -65,6 +65,21 @@ fn error_class_roundtrip() {
 }
 
 #[test]
+fn wire_inline_roundtrip() {
+    assert_rule_roundtrip("wire-inline");
+}
+
+#[test]
+fn wire_inline_names_only_the_uninlined_item() {
+    // The bad fixture also holds generic, lifetime-only, fn-pointer and
+    // #[cfg(test)] functions; only the non-generic item is reported.
+    let findings = run(&fixture("wire-inline/bad"));
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!((findings[0].rule, findings[0].line), ("wire-inline", 5));
+    assert!(findings[0].message.contains("zigzag"));
+}
+
+#[test]
 fn opcode_sync_names_both_drift_directions() {
     let findings = run(&fixture("opcode-table-sync/bad"));
     assert!(

@@ -182,9 +182,8 @@ impl Encode for DenseMatrix {
     fn encode(&self, w: &mut ByteWriter) {
         (self.rows as u32).encode(w);
         (self.cols as u32).encode(w);
-        for v in &self.data {
-            v.encode(w);
-        }
+        // No length prefix: rows × cols give it.
+        f64::encode_seq(&self.data, w);
     }
     fn size_hint(&self) -> usize {
         10 + 8 * self.data.len()
@@ -198,11 +197,8 @@ impl Decode for DenseMatrix {
         let len = rows.checked_mul(cols).ok_or(WireError::IntOutOfRange {
             target: "matrix size",
         })?;
-        r.check_len(len as u64, 8)?;
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(f64::decode(r)?);
-        }
+        let len = r.check_len(len as u64, 8)?;
+        let data = f64::decode_seq(r, len)?;
         Ok(Self { rows, cols, data })
     }
 }
@@ -211,6 +207,34 @@ impl Decode for DenseMatrix {
 mod tests {
     use super::*;
     use ripple_wire::{from_wire, to_wire};
+
+    /// Golden bytes: dimensions as varints, then the doubles little
+    /// endian with no length prefix — the block format of SUMMA messages
+    /// and states, whichever path writes the doubles.
+    #[test]
+    fn block_format_is_fixed() {
+        let m = DenseMatrix::from_vec(2, 3, vec![1.0, -0.5, 0.0, 2.5, f64::INFINITY, 1e-300]);
+        let bytes = [
+            0x02, 0x03, //
+            0, 0, 0, 0, 0, 0, 0xf0, 0x3f, //
+            0, 0, 0, 0, 0, 0, 0xe0, 0xbf, //
+            0, 0, 0, 0, 0, 0, 0, 0, //
+            0, 0, 0, 0, 0, 0, 0x04, 0x40, //
+            0, 0, 0, 0, 0, 0, 0xf0, 0x7f, //
+            0x59, 0xf3, 0xf8, 0xc2, 0x1f, 0x6e, 0xa5, 0x01,
+        ];
+        assert_eq!(&to_wire(&m)[..], &bytes);
+        assert_eq!(from_wire::<DenseMatrix>(&bytes).unwrap(), m);
+        // A block longer than the stack chunk, and a truncated one.
+        let big = DenseMatrix::random(9, 23, 5);
+        let encoded = to_wire(&big);
+        assert_eq!(encoded.len(), 2 + 8 * 9 * 23);
+        assert_eq!(from_wire::<DenseMatrix>(&encoded).unwrap(), big);
+        assert!(matches!(
+            from_wire::<DenseMatrix>(&encoded[..encoded.len() - 1]),
+            Err(WireError::LengthOverrun { .. })
+        ));
+    }
 
     #[test]
     fn multiply_matches_hand_example() {

@@ -5,121 +5,94 @@ use std::hash::{BuildHasher, Hash};
 
 use bytes::Bytes;
 
-use crate::varint::{read_u64, unzigzag, varint_len, write_u64, zigzag};
+use crate::varint::{self, read_u64, unzigzag, varint_len, write_u64, zigzag, MAX_VARINT_LEN};
 use crate::{ByteReader, ByteWriter, Decode, Encode, WireError};
 
 // ---------------------------------------------------------------------------
-// Unsigned integers (varint)
+// Integers (varint; signed ones zig-zag mapped first)
 // ---------------------------------------------------------------------------
 
-macro_rules! impl_unsigned {
-    ($($t:ty),*) => {$(
+/// `$t` as a varint of at most `$max` bytes; `$widen` maps a value to the
+/// `u64` that is written, `$narrow` maps one read back.
+macro_rules! impl_varint {
+    ($($t:ty, $max:expr, $widen:expr, $narrow:expr;)*) => {$(
         impl Encode for $t {
+            #[inline]
             fn encode(&self, w: &mut ByteWriter) {
-                write_u64(w, u64::from(*self));
+                write_u64(w, $widen(*self));
             }
+            #[inline]
             fn size_hint(&self) -> usize {
-                varint_len(u64::from(*self))
+                varint_len($widen(*self))
+            }
+            #[inline]
+            fn encode_seq(items: &[Self], w: &mut ByteWriter) {
+                varint::write_all(items.iter().map(|&v| $widen(v)), $max, w);
+            }
+            #[inline]
+            fn size_hint_seq(items: &[Self]) -> usize {
+                items.len().saturating_mul($max)
             }
         }
+
         impl Decode for $t {
+            #[inline]
             fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-                let v = read_u64(r)?;
-                <$t>::try_from(v).map_err(|_| WireError::IntOutOfRange {
-                    target: stringify!($t),
-                })
+                read_u64(r).and_then($narrow)
+            }
+            #[inline]
+            fn decode_seq(r: &mut ByteReader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+                admit_seq::<Self>(r, len, 1)?;
+                // One exact allocation, filled through a cursor that lives
+                // in registers.
+                let mut out: Vec<$t> = vec![0; len];
+                let mut rest = r.rest();
+                varint::read_all(&mut rest, &mut out, $narrow)?;
+                r.advance(r.remaining() - rest.len());
+                Ok(out)
             }
         }
     )*};
 }
 
-impl_unsigned!(u8, u16, u32);
-
-impl Encode for u64 {
-    fn encode(&self, w: &mut ByteWriter) {
-        write_u64(w, *self);
-    }
-    fn size_hint(&self) -> usize {
-        varint_len(*self)
-    }
+/// `$narrow` of [`impl_varint!`] for a type narrower than the varint.
+macro_rules! narrow_to {
+    ($t:ty) => {
+        |v| {
+            <$t>::try_from(v).map_err(|_| WireError::IntOutOfRange {
+                target: stringify!($t),
+            })
+        }
+    };
 }
 
-impl Decode for u64 {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        read_u64(r)
-    }
-}
-
-impl Encode for usize {
-    fn encode(&self, w: &mut ByteWriter) {
-        write_u64(w, *self as u64);
-    }
-    fn size_hint(&self) -> usize {
-        varint_len(*self as u64)
-    }
-}
-
-impl Decode for usize {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        let v = read_u64(r)?;
-        usize::try_from(v).map_err(|_| WireError::IntOutOfRange { target: "usize" })
-    }
+impl_varint! {
+    u8, 2, u64::from, narrow_to!(u8);
+    u16, 3, u64::from, narrow_to!(u16);
+    u32, 5, u64::from, narrow_to!(u32);
+    u64, MAX_VARINT_LEN, |v: u64| v, Ok::<u64, WireError>;
+    usize, MAX_VARINT_LEN, |v: usize| v as u64, narrow_to!(usize);
+    i8, 2, |v: i8| zigzag(i64::from(v)), |v| narrow_to!(i8)(unzigzag(v));
+    i16, 3, |v: i16| zigzag(i64::from(v)), |v| narrow_to!(i16)(unzigzag(v));
+    i32, 5, |v: i32| zigzag(i64::from(v)), |v| narrow_to!(i32)(unzigzag(v));
+    i64, MAX_VARINT_LEN, zigzag, |v| Ok::<i64, WireError>(unzigzag(v));
 }
 
 impl Encode for u128 {
+    #[inline]
     fn encode(&self, w: &mut ByteWriter) {
         w.extend(&self.to_le_bytes());
     }
+    #[inline]
     fn size_hint(&self) -> usize {
         16
     }
 }
 
 impl Decode for u128 {
+    #[inline]
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         Ok(u128::from_le_bytes(r.read_array()?))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Signed integers (zig-zag varint)
-// ---------------------------------------------------------------------------
-
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
-        impl Encode for $t {
-            fn encode(&self, w: &mut ByteWriter) {
-                write_u64(w, zigzag(i64::from(*self)));
-            }
-            fn size_hint(&self) -> usize {
-                varint_len(zigzag(i64::from(*self)))
-            }
-        }
-        impl Decode for $t {
-            fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-                let v = unzigzag(read_u64(r)?);
-                <$t>::try_from(v).map_err(|_| WireError::IntOutOfRange {
-                    target: stringify!($t),
-                })
-            }
-        }
-    )*};
-}
-
-impl_signed!(i8, i16, i32);
-
-impl Encode for i64 {
-    fn encode(&self, w: &mut ByteWriter) {
-        write_u64(w, zigzag(*self));
-    }
-    fn size_hint(&self) -> usize {
-        varint_len(zigzag(*self))
-    }
-}
-
-impl Decode for i64 {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        Ok(unzigzag(read_u64(r)?))
     }
 }
 
@@ -127,85 +100,148 @@ impl Decode for i64 {
 // Floats (fixed-width little endian, bit-exact including NaN payloads)
 // ---------------------------------------------------------------------------
 
-impl Encode for f32 {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.extend(&self.to_le_bytes());
-    }
-    fn size_hint(&self) -> usize {
-        4
-    }
+/// Floats a sequence stages on the stack between appends.
+const FLOAT_CHUNK: usize = 64;
+
+macro_rules! impl_float {
+    ($($t:ty, $width:expr;)*) => {$(
+        impl Encode for $t {
+            #[inline]
+            fn encode(&self, w: &mut ByteWriter) {
+                w.extend(&self.to_le_bytes());
+            }
+            #[inline]
+            fn size_hint(&self) -> usize {
+                $width
+            }
+            #[inline]
+            fn encode_seq(items: &[Self], w: &mut ByteWriter) {
+                w.reserve(Self::size_hint_seq(items));
+                let mut staged = [0u8; FLOAT_CHUNK * $width];
+                for group in items.chunks(FLOAT_CHUNK) {
+                    for (slot, v) in staged.chunks_exact_mut($width).zip(group) {
+                        slot.copy_from_slice(&v.to_le_bytes());
+                    }
+                    w.extend(&staged[..group.len() * $width]);
+                }
+            }
+            #[inline]
+            fn size_hint_seq(items: &[Self]) -> usize {
+                items.len().saturating_mul($width)
+            }
+        }
+
+        impl Decode for $t {
+            #[inline]
+            fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+                Ok(<$t>::from_le_bytes(r.read_array()?))
+            }
+            #[inline]
+            fn decode_seq(r: &mut ByteReader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+                admit_seq::<Self>(r, len, $width)?;
+                let bytes = r.read_slice(len * $width)?;
+                Ok(bytes
+                    .chunks_exact($width)
+                    .map(|raw| {
+                        let mut le = [0u8; $width];
+                        le.copy_from_slice(raw);
+                        <$t>::from_le_bytes(le)
+                    })
+                    .collect())
+            }
+        }
+    )*};
 }
 
-impl Decode for f32 {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        Ok(f32::from_le_bytes(r.read_array()?))
-    }
-}
-
-impl Encode for f64 {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.extend(&self.to_le_bytes());
-    }
-    fn size_hint(&self) -> usize {
-        8
-    }
-}
-
-impl Decode for f64 {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        Ok(f64::from_le_bytes(r.read_array()?))
-    }
+impl_float! {
+    f32, 4;
+    f64, 8;
 }
 
 // ---------------------------------------------------------------------------
 // bool, unit, char
 // ---------------------------------------------------------------------------
 
+/// A `bool` from its tag byte.
+#[inline]
+fn bool_from_tag(tag: u8) -> Result<bool, WireError> {
+    match tag {
+        0 => Ok(false),
+        1 => Ok(true),
+        tag => Err(WireError::InvalidTag {
+            target: "bool",
+            tag,
+        }),
+    }
+}
+
 impl Encode for bool {
+    #[inline]
     fn encode(&self, w: &mut ByteWriter) {
         w.push(u8::from(*self));
     }
+    #[inline]
     fn size_hint(&self) -> usize {
         1
+    }
+    #[inline]
+    fn encode_seq(items: &[Self], w: &mut ByteWriter) {
+        w.reserve(items.len());
+        for &item in items {
+            w.push(u8::from(item));
+        }
+    }
+    #[inline]
+    fn size_hint_seq(items: &[Self]) -> usize {
+        items.len()
     }
 }
 
 impl Decode for bool {
+    #[inline]
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        match r.read_byte()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(WireError::InvalidTag {
-                target: "bool",
-                tag,
-            }),
+        bool_from_tag(r.read_byte()?)
+    }
+    #[inline]
+    fn decode_seq(r: &mut ByteReader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+        admit_seq::<Self>(r, len, 1)?;
+        let mut out = Vec::with_capacity(len);
+        for &tag in r.read_slice(len)? {
+            out.push(bool_from_tag(tag)?);
         }
+        Ok(out)
     }
 }
 
 impl Encode for () {
+    #[inline]
     fn encode(&self, _w: &mut ByteWriter) {}
+    #[inline]
     fn size_hint(&self) -> usize {
         0
     }
 }
 
 impl Decode for () {
+    #[inline]
     fn decode(_r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         Ok(())
     }
 }
 
 impl Encode for char {
+    #[inline]
     fn encode(&self, w: &mut ByteWriter) {
         write_u64(w, u64::from(u32::from(*self)));
     }
+    #[inline]
     fn size_hint(&self) -> usize {
         4
     }
 }
 
 impl Decode for char {
+    #[inline]
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         let v = u32::decode(r)?;
         char::from_u32(v).ok_or(WireError::IntOutOfRange { target: "char" })
@@ -216,49 +252,72 @@ impl Decode for char {
 // Strings and byte buffers
 // ---------------------------------------------------------------------------
 
+/// Claims the bytes of a length-prefixed buffer.
+#[inline]
+fn read_prefixed<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], WireError> {
+    let len = read_u64(r)?;
+    let len = r.check_len(len, 1)?;
+    r.read_slice(len)
+}
+
 impl Encode for str {
+    #[inline]
     fn encode(&self, w: &mut ByteWriter) {
         write_u64(w, self.len() as u64);
         w.extend(self.as_bytes());
     }
+    #[inline]
     fn size_hint(&self) -> usize {
         varint_len(self.len() as u64) + self.len()
     }
 }
 
 impl Encode for String {
+    #[inline]
     fn encode(&self, w: &mut ByteWriter) {
         self.as_str().encode(w);
     }
+    #[inline]
     fn size_hint(&self) -> usize {
         self.as_str().size_hint()
     }
 }
 
 impl Decode for String {
+    #[inline]
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        let len = read_u64(r)?;
-        let len = r.check_len(len, 1)?;
-        let bytes = r.read_slice(len)?;
+        let bytes = read_prefixed(r)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::InvalidUtf8)
+    }
+    #[inline]
+    fn skip(r: &mut ByteReader<'_>) -> Result<(), WireError> {
+        match std::str::from_utf8(read_prefixed(r)?) {
+            Ok(_) => Ok(()),
+            Err(_) => Err(WireError::InvalidUtf8),
+        }
     }
 }
 
 impl Encode for Bytes {
+    #[inline]
     fn encode(&self, w: &mut ByteWriter) {
         write_u64(w, self.len() as u64);
         w.extend(self);
     }
+    #[inline]
     fn size_hint(&self) -> usize {
         varint_len(self.len() as u64) + self.len()
     }
 }
 
 impl Decode for Bytes {
+    #[inline]
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        let len = read_u64(r)?;
-        let len = r.check_len(len, 1)?;
-        Ok(Bytes::copy_from_slice(r.read_slice(len)?))
+        Ok(Bytes::copy_from_slice(read_prefixed(r)?))
+    }
+    #[inline]
+    fn skip(r: &mut ByteReader<'_>) -> Result<(), WireError> {
+        read_prefixed(r).map(drop)
     }
 }
 
@@ -281,16 +340,28 @@ impl<T: Encode> Encode for Option<T> {
     }
 }
 
+/// Reads an option's tag, then its payload through `payload` — decoding it
+/// or passing over it.
+fn read_option<R>(
+    r: &mut ByteReader<'_>,
+    payload: impl FnOnce(&mut ByteReader<'_>) -> Result<R, WireError>,
+) -> Result<Option<R>, WireError> {
+    match r.read_byte()? {
+        0 => Ok(None),
+        1 => Ok(Some(payload(r)?)),
+        tag => Err(WireError::InvalidTag {
+            target: "Option",
+            tag,
+        }),
+    }
+}
+
 impl<T: Decode> Decode for Option<T> {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        match r.read_byte()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(r)?)),
-            tag => Err(WireError::InvalidTag {
-                target: "Option",
-                tag,
-            }),
-        }
+        read_option(r, T::decode)
+    }
+    fn skip(r: &mut ByteReader<'_>) -> Result<(), WireError> {
+        read_option(r, T::skip).map(drop)
     }
 }
 
@@ -329,12 +400,10 @@ impl<T: Decode, E: Decode> Decode for Result<T, E> {
 impl<T: Encode> Encode for [T] {
     fn encode(&self, w: &mut ByteWriter) {
         write_u64(w, self.len() as u64);
-        for item in self {
-            item.encode(w);
-        }
+        T::encode_seq(self, w);
     }
     fn size_hint(&self) -> usize {
-        varint_len(self.len() as u64) + self.iter().map(Encode::size_hint).sum::<usize>()
+        varint_len(self.len() as u64) + T::size_hint_seq(self)
     }
 }
 
@@ -347,53 +416,125 @@ impl<T: Encode> Encode for Vec<T> {
     }
 }
 
+/// Reads a collection's declared length.
+#[inline]
+fn read_len(r: &mut ByteReader<'_>) -> Result<usize, WireError> {
+    let declared = read_u64(r)?;
+    usize::try_from(declared).map_err(|_| WireError::LengthOverrun {
+        declared,
+        available: r.remaining(),
+    })
+}
+
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        let len = read_u64(r)?;
-        let cap = usize::try_from(len)
-            .unwrap_or(usize::MAX)
-            .min(r.remaining().max(1))
-            .min(1 << 16);
-        let mut out = Vec::with_capacity(cap);
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-            // Elements that consume bytes bound the loop via EOF; guard
-            // hostile lengths of zero-size elements explicitly.
-            if r.remaining() == 0 && out.len() as u64 != len && len > ZST_LIMIT {
-                return Err(WireError::LengthOverrun {
-                    declared: len,
-                    available: 0,
-                });
-            }
+        let len = read_len(r)?;
+        T::decode_seq(r, len)
+    }
+    fn skip(r: &mut ByteReader<'_>) -> Result<(), WireError> {
+        let len = read_len(r)?;
+        for done in 1..=len {
+            T::skip(r)?;
+            check_progress(r, done, len)?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
 /// Maximum declared length for collections of zero-size elements; honest
 /// message lists stay far below this, while hostile prefixes cannot force
 /// more than this many no-op iterations.
-const ZST_LIMIT: u64 = 1 << 24;
+const ZST_LIMIT: usize = 1 << 24;
+
+/// Elements that consume bytes bound a collection's decode loop via EOF;
+/// this guards hostile lengths of elements that consume none: with `done`
+/// of `len` elements read and the input exhausted, a length past
+/// [`ZST_LIMIT`] is refused.
+#[inline]
+fn check_progress(r: &ByteReader<'_>, done: usize, len: usize) -> Result<(), WireError> {
+    if r.remaining() == 0 && done != len && len > ZST_LIMIT {
+        return Err(WireError::LengthOverrun {
+            declared: len as u64,
+            available: 0,
+        });
+    }
+    Ok(())
+}
+
+/// Decodes `len` elements from the front of `r`, handing each to `each`:
+/// the element-wise walk every sequence path is defined by.
+fn walk_seq<T: Decode>(
+    r: &mut ByteReader<'_>,
+    len: usize,
+    mut each: impl FnMut(T),
+) -> Result<(), WireError> {
+    for done in 1..=len {
+        each(T::decode(r)?);
+        check_progress(r, done, len)?;
+    }
+    Ok(())
+}
+
+/// [`Decode::decode_seq`] element by element: the trait's default, and the
+/// reference the primitives' overrides are tested against.
+pub(crate) fn decode_seq_elementwise<T: Decode>(
+    r: &mut ByteReader<'_>,
+    len: usize,
+) -> Result<Vec<T>, WireError> {
+    // An element in memory can be many times its size on the wire, so the
+    // first allocation is capped in elements as well as by the bytes that
+    // remain; an honest longer list regrows.
+    let mut out = Vec::with_capacity(len.min(r.remaining().max(1)).min(1 << 16));
+    walk_seq(r, len, |item| out.push(item))?;
+    Ok(out)
+}
+
+/// Reads an encoded sequence's length, then hands each element to `each`
+/// as it is decoded: the element-wise path with no vector at the end.
+pub(crate) fn decode_each<T: Decode>(
+    r: &mut ByteReader<'_>,
+    each: impl FnMut(T),
+) -> Result<(), WireError> {
+    let len = read_len(r)?;
+    walk_seq(r, len, each)
+}
+
+/// Admits `len` elements of at least `width` bytes each against the bytes
+/// that remain, before anything is allocated for them.  A length those
+/// bytes cannot hold is walked element by element for its error alone —
+/// the first element to fail, or the hostile-length guard — exactly as the
+/// element-wise path reports it.
+fn admit_seq<T: Decode>(r: &mut ByteReader<'_>, len: usize, width: usize) -> Result<(), WireError> {
+    if r.check_len(len as u64, width).is_ok() {
+        return Ok(());
+    }
+    walk_seq(r, len, drop::<T>)?;
+    Err(WireError::LengthOverrun {
+        declared: len as u64,
+        available: r.remaining(),
+    })
+}
 
 impl<T: Encode, const N: usize> Encode for [T; N] {
     fn encode(&self, w: &mut ByteWriter) {
-        for item in self {
-            item.encode(w);
-        }
+        T::encode_seq(self, w);
     }
     fn size_hint(&self) -> usize {
-        self.iter().map(Encode::size_hint).sum()
+        T::size_hint_seq(self)
     }
 }
 
 impl<T: Decode, const N: usize> Decode for [T; N] {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        let mut out = Vec::with_capacity(N);
-        for _ in 0..N {
-            out.push(T::decode(r)?);
-        }
-        out.try_into()
+        T::decode_seq(r, N)?
+            .try_into()
             .map_err(|_| WireError::IntOutOfRange { target: "array" })
+    }
+    fn skip(r: &mut ByteReader<'_>) -> Result<(), WireError> {
+        for _ in 0..N {
+            T::skip(r)?;
+        }
+        Ok(())
     }
 }
 
@@ -418,22 +559,14 @@ where
     S: BuildHasher + Default,
 {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        let len = read_u64(r)?;
-        let cap = usize::try_from(len)
-            .unwrap_or(usize::MAX)
-            .min(r.remaining().max(1))
-            .min(1 << 16);
+        let len = read_len(r)?;
+        let cap = len.min(r.remaining().max(1)).min(1 << 16);
         let mut out = HashMap::with_capacity_and_hasher(cap, S::default());
-        for i in 0..len {
+        for done in 1..=len {
             let k = K::decode(r)?;
             let v = V::decode(r)?;
             out.insert(k, v);
-            if r.remaining() == 0 && i + 1 != len && len > ZST_LIMIT {
-                return Err(WireError::LengthOverrun {
-                    declared: len,
-                    available: 0,
-                });
-            }
+            check_progress(r, done, len)?;
         }
         Ok(out)
     }
@@ -451,18 +584,13 @@ impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
 
 impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        let len = read_u64(r)?;
+        let len = read_len(r)?;
         let mut out = BTreeMap::new();
-        for i in 0..len {
+        for done in 1..=len {
             let k = K::decode(r)?;
             let v = V::decode(r)?;
             out.insert(k, v);
-            if r.remaining() == 0 && i + 1 != len && len > ZST_LIMIT {
-                return Err(WireError::LengthOverrun {
-                    declared: len,
-                    available: 0,
-                });
-            }
+            check_progress(r, done, len)?;
         }
         Ok(out)
     }
@@ -483,20 +611,12 @@ where
     S: BuildHasher + Default,
 {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        let len = read_u64(r)?;
-        let cap = usize::try_from(len)
-            .unwrap_or(usize::MAX)
-            .min(r.remaining().max(1))
-            .min(1 << 16);
+        let len = read_len(r)?;
+        let cap = len.min(r.remaining().max(1)).min(1 << 16);
         let mut out = HashSet::with_capacity_and_hasher(cap, S::default());
-        for i in 0..len {
+        for done in 1..=len {
             out.insert(T::decode(r)?);
-            if r.remaining() == 0 && i + 1 != len && len > ZST_LIMIT {
-                return Err(WireError::LengthOverrun {
-                    declared: len,
-                    available: 0,
-                });
-            }
+            check_progress(r, done, len)?;
         }
         Ok(out)
     }
@@ -519,6 +639,10 @@ macro_rules! impl_tuple {
         impl<$($name: Decode),+> Decode for ($($name,)+) {
             fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
                 Ok(($($name::decode(r)?,)+))
+            }
+            fn skip(r: &mut ByteReader<'_>) -> Result<(), WireError> {
+                $($name::skip(r)?;)+
+                Ok(())
             }
         }
     };
@@ -556,6 +680,9 @@ impl<T: Encode + ?Sized> Encode for Box<T> {
 impl<T: Decode> Decode for Box<T> {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         Ok(Box::new(T::decode(r)?))
+    }
+    fn skip(r: &mut ByteReader<'_>) -> Result<(), WireError> {
+        T::skip(r)
     }
 }
 
@@ -711,11 +838,47 @@ mod tests {
 
     #[test]
     fn size_hints_cover_encoding() {
-        // size_hint does not have to be exact, but for the common scalar and
-        // container cases it should match to keep buffers right-sized.
-        let v = vec![1u64, 300, 70_000];
-        assert_eq!(crate::Encode::size_hint(&v), to_wire(&v).len());
+        // A hint is only a capacity.  Scalars and strings know their size;
+        // a sequence of primitives answers in O(1) with an upper bound.
+        assert_eq!(
+            crate::Encode::size_hint(&70_000u64),
+            to_wire(&70_000u64).len()
+        );
         let s = "hello".to_owned();
         assert_eq!(crate::Encode::size_hint(&s), to_wire(&s).len());
+        let v = vec![1u64, 300, 70_000];
+        assert_eq!(crate::Encode::size_hint(&v), 1 + 3 * 10);
+        assert!(crate::Encode::size_hint(&v) >= to_wire(&v).len());
+        let f = [1.5f64, -2.0];
+        assert_eq!(crate::Encode::size_hint(&f), to_wire(&f).len());
+    }
+
+    #[test]
+    fn zero_size_elements_keep_their_guard() {
+        // Honest lists of elements that occupy no bytes decode...
+        rt(&vec![(); 5]);
+        assert_eq!(to_wire(&vec![(); 5]).len(), 1);
+        // ...and a hostile count of them is refused, not iterated.
+        let bytes = to_wire(&u64::MAX);
+        assert!(matches!(
+            from_wire::<Vec<()>>(&bytes),
+            Err(crate::WireError::LengthOverrun { .. })
+        ));
+    }
+
+    #[test]
+    fn skip_passes_over_exactly_one_value() {
+        let value = (
+            vec![300u32, 7],
+            "né".to_owned(),
+            Some(vec![1.5f64]),
+            [true, false],
+        );
+        let mut bytes = to_wire(&value).to_vec();
+        let len = bytes.len();
+        bytes.extend_from_slice(&[0xff; 3]);
+        let mut r = crate::ByteReader::new(&bytes);
+        <(Vec<u32>, String, Option<Vec<f64>>, [bool; 2]) as crate::Decode>::skip(&mut r).unwrap();
+        assert_eq!(r.remaining(), bytes.len() - len);
     }
 }

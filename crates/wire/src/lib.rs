@@ -64,10 +64,37 @@ pub trait Encode {
 
     /// A cheap guess at the encoded size in bytes, used to pre-size buffers.
     ///
-    /// The default is deliberately small; implementations for large values
-    /// (blocks, adjacency lists) should override it.
+    /// It is only a capacity: too small costs a regrowth, too large is
+    /// given back when the buffer is sealed.  The default is deliberately
+    /// small; implementations for large values (blocks, adjacency lists)
+    /// should override it, in O(1).
     fn size_hint(&self) -> usize {
         8
+    }
+
+    /// Appends the elements of `items` in order, with no length prefix:
+    /// what slices, vectors and arrays encode their contents through.
+    ///
+    /// The bytes are those of encoding each element in turn — which is the
+    /// default.  An override may only produce them faster; the primitives
+    /// do, with one reservation and one tight loop.
+    fn encode_seq(items: &[Self], w: &mut ByteWriter)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(w);
+        }
+    }
+
+    /// [`Encode::size_hint`] for what [`Encode::encode_seq`] appends.  The
+    /// default sums the elements' hints; the primitives override it with an
+    /// O(1) upper bound.
+    fn size_hint_seq(items: &[Self]) -> usize
+    where
+        Self: Sized,
+    {
+        items.iter().map(Encode::size_hint).sum()
     }
 }
 
@@ -79,6 +106,38 @@ pub trait Decode: Sized {
     ///
     /// Returns [`WireError`] if the bytes are truncated or malformed.
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError>;
+
+    /// Reads `len` consecutive values from the front of `r`: what vectors
+    /// and arrays decode their contents through, the inverse of
+    /// [`Encode::encode_seq`].
+    ///
+    /// The default decodes element by element, and is the behaviour an
+    /// override must keep: the same values, the same bytes consumed, the
+    /// same kind of error.  No declared length sizes an allocation beyond
+    /// what the remaining bytes could hold.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`WireError`] of the first element that fails, and
+    /// [`WireError::LengthOverrun`] for a hostile count of elements that
+    /// occupy no bytes.
+    fn decode_seq(r: &mut ByteReader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+        impls::decode_seq_elementwise(r, len)
+    }
+
+    /// Consumes one value from the front of `r` without keeping it: how a
+    /// reader that wants one field of a record passes over the others.
+    ///
+    /// The default decodes and drops.  Overrides consume the same bytes
+    /// and reject what decoding rejects, without building the value —
+    /// sequences, strings and options of primitives allocate nothing.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Decode::decode`].
+    fn skip(r: &mut ByteReader<'_>) -> Result<(), WireError> {
+        Self::decode(r).map(drop)
+    }
 }
 
 /// Convenience alias bound for values that travel through the platform:
@@ -99,6 +158,27 @@ pub fn to_wire<T: Encode + ?Sized>(value: &T) -> Bytes {
     let mut w = ByteWriter::with_capacity(value.size_hint());
     value.encode(&mut w);
     w.into_bytes()
+}
+
+/// [`to_wire`] through a writer the caller keeps: `scratch` is emptied,
+/// `value` encoded into it, and the bytes sealed with one exact-size copy.
+/// A loop that encodes many values pays no size hint per value and no
+/// buffer growth after the largest one.
+///
+/// # Examples
+///
+/// ```
+/// use ripple_wire::{to_wire, to_wire_via, ByteWriter};
+///
+/// let mut scratch = ByteWriter::new();
+/// for value in [vec![1u32, 2, 3], vec![70_000]] {
+///     assert_eq!(to_wire_via(&mut scratch, &value), to_wire(&value));
+/// }
+/// ```
+pub fn to_wire_via<T: Encode + ?Sized>(scratch: &mut ByteWriter, value: &T) -> Bytes {
+    scratch.clear();
+    value.encode(scratch);
+    Bytes::copy_from_slice(scratch.as_slice())
 }
 
 /// Encodes a *borrowed* value — typically a tuple of references — into a
@@ -152,6 +232,38 @@ pub fn from_wire<T: Decode>(bytes: &[u8]) -> Result<T, WireError> {
         });
     }
     Ok(value)
+}
+
+/// Decodes an encoded sequence — what a `Vec<T>` or slice encodes to —
+/// handing each element to `each` as it is read instead of building the
+/// vector: for a consumer that folds the elements away.  Accepts and
+/// rejects what [`from_wire`]`::<Vec<T>>` does; elements seen before an
+/// error have been handed over.
+///
+/// # Errors
+///
+/// As for [`from_wire`].
+///
+/// # Examples
+///
+/// ```
+/// # fn main() -> Result<(), ripple_wire::WireError> {
+/// let bytes = ripple_wire::to_wire(&vec![1u32, 2, 3]);
+/// let mut sum = 0;
+/// ripple_wire::from_wire_each(&bytes, |v: u32| sum += v)?;
+/// assert_eq!(sum, 6);
+/// # Ok(())
+/// # }
+/// ```
+pub fn from_wire_each<T: Decode>(bytes: &[u8], each: impl FnMut(T)) -> Result<(), WireError> {
+    let mut r = ByteReader::new(bytes);
+    impls::decode_each(&mut r, each)?;
+    if !r.is_empty() {
+        return Err(WireError::TrailingBytes {
+            remaining: r.remaining(),
+        });
+    }
+    Ok(())
 }
 
 /// Decodes a value from the front of a byte slice, returning the value and

@@ -65,6 +65,12 @@ macro_rules! wire_struct {
                     $( $field: $crate::Decode::decode(r)?, )*
                 })
             }
+            fn skip(
+                #[allow(unused_variables)] r: &mut $crate::ByteReader<'_>,
+            ) -> ::core::result::Result<(), $crate::WireError> {
+                $( <$ftype as $crate::Decode>::skip(r)?; )*
+                ::core::result::Result::Ok(())
+            }
         }
     };
 }

@@ -22,30 +22,35 @@ pub struct ByteReader<'a> {
 
 impl<'a> ByteReader<'a> {
     /// Creates a reader over `bytes`.
+    #[inline]
     #[must_use]
     pub fn new(bytes: &'a [u8]) -> Self {
         Self { rest: bytes }
     }
 
     /// Number of unread bytes.
+    #[inline]
     #[must_use]
     pub fn remaining(&self) -> usize {
         self.rest.len()
     }
 
     /// Whether all bytes have been consumed.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.rest.is_empty()
     }
 
     /// The unread bytes, not consumed.
+    #[inline]
     pub(crate) fn rest(&self) -> &'a [u8] {
         self.rest
     }
 
     /// Consumes `len` bytes the caller has inspected through
     /// [`ByteReader::rest`].
+    #[inline]
     pub(crate) fn advance(&mut self, len: usize) {
         self.rest = &self.rest[len..];
     }
@@ -55,6 +60,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// Returns [`WireError::UnexpectedEof`] when the reader is empty.
+    #[inline]
     pub fn read_byte(&mut self) -> Result<u8, WireError> {
         match self.rest.split_first() {
             Some((&b, rest)) => {
@@ -74,6 +80,7 @@ impl<'a> ByteReader<'a> {
     ///
     /// Returns [`WireError::UnexpectedEof`] when fewer than `len` bytes
     /// remain.
+    #[inline]
     pub fn read_slice(&mut self, len: usize) -> Result<&'a [u8], WireError> {
         if self.rest.len() < len {
             return Err(WireError::UnexpectedEof {
@@ -91,6 +98,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// Returns [`WireError::UnexpectedEof`] when fewer than `N` bytes remain.
+    #[inline]
     pub fn read_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
         let slice = self.read_slice(N)?;
         let mut out = [0u8; N];
@@ -108,6 +116,7 @@ impl<'a> ByteReader<'a> {
     ///
     /// Returns [`WireError::LengthOverrun`] when `declared * min_elem_size`
     /// exceeds the remaining bytes.
+    #[inline]
     pub fn check_len(&self, declared: u64, min_elem_size: usize) -> Result<usize, WireError> {
         let need = declared.saturating_mul(min_elem_size.max(1) as u64);
         if need > self.rest.len() as u64 {

@@ -10,6 +10,7 @@ use crate::{ByteReader, ByteWriter, WireError};
 pub const MAX_VARINT_LEN: usize = 10;
 
 /// Appends `value` to `w` as a LEB128 varint.
+#[inline]
 pub fn write_u64(w: &mut ByteWriter, mut value: u64) {
     // Lengths, tags and small keys: one byte, one push.
     if value < 0x80 {
@@ -33,36 +34,47 @@ pub fn write_u64(w: &mut ByteWriter, mut value: u64) {
     }
 }
 
+/// The continuation bit of every byte of a word.
+const CONTINUES: u64 = 0x8080_8080_8080_8080;
+
+/// The value of a varint of `len <= 8` bytes sitting in the low bytes of
+/// `word`: drops what follows it and the continuation bits, then closes the
+/// gaps between the seven-bit groups, pairwise.
+#[inline]
+fn word_value(word: u64, len: usize) -> u64 {
+    let groups = word & (u64::MAX >> (64 - 8 * len)) & !CONTINUES;
+    let pairs = (groups & 0x007f_007f_007f_007f) | ((groups & 0x7f00_7f00_7f00_7f00) >> 1);
+    let quads = (pairs & 0x0000_3fff_0000_3fff) | ((pairs & 0x3fff_0000_3fff_0000) >> 2);
+    (quads & 0x0fff_ffff) | ((quads & 0x0fff_ffff_0000_0000) >> 4)
+}
+
 /// Reads a LEB128 varint from `r`.
 ///
 /// # Errors
 ///
 /// Returns [`WireError::VarintOverflow`] if the varint runs past 10 bytes
 /// and [`WireError::UnexpectedEof`] if the input ends mid-varint.
+#[inline]
 pub fn read_u64(r: &mut ByteReader<'_>) -> Result<u64, WireError> {
-    // With a whole maximum-width varint in view the input cannot end
-    // mid-varint: decode from the slice, with no end-of-input check per
-    // byte.
-    if let Some(window) = r.rest().get(..MAX_VARINT_LEN) {
-        let mut value: u64 = 0;
-        for (i, &byte) in window.iter().enumerate() {
-            let low = u64::from(byte & 0x7f);
-            if i == MAX_VARINT_LEN - 1 && low > 1 {
-                break;
-            }
-            value |= low << (7 * i);
-            if byte & 0x80 == 0 {
-                r.advance(i + 1);
-                return Ok(value);
-            }
+    // With eight bytes in view, a varint that ends among them is cut out
+    // of one word, with no end-of-input check per byte and no branch on
+    // its width.
+    if let Some(head) = r.rest().first_chunk::<8>() {
+        let word = u64::from_le_bytes(*head);
+        let ends = !word & CONTINUES;
+        if ends != 0 {
+            let len = ends.trailing_zeros() as usize / 8 + 1;
+            r.advance(len);
+            return Ok(word_value(word, len));
         }
-        return Err(WireError::VarintOverflow);
     }
     read_u64_bytewise(r)
 }
 
 /// [`read_u64`] one checked byte at a time: the path for the last few
-/// bytes of an input, and the reference the slice path is tested against.
+/// bytes of an input and for nine- and ten-byte varints, and the reference
+/// the word paths are tested against.
+#[inline]
 fn read_u64_bytewise(r: &mut ByteReader<'_>) -> Result<u64, WireError> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
@@ -81,7 +93,110 @@ fn read_u64_bytewise(r: &mut ByteReader<'_>) -> Result<u64, WireError> {
     Err(WireError::VarintOverflow)
 }
 
+/// Bytes [`write_all`] stages on the stack between appends.
+const STAGE: usize = 256;
+
+/// Values below this limit encode in at most five bytes, which
+/// [`write_all`] lays out as one word.
+const WORD_LIMIT: u64 = 1 << 35;
+
+/// Appends `values` as consecutive varints of at most `max_len` bytes each
+/// — the bytes of one [`write_u64`] per value.  One reservation for the
+/// lot; the bytes are staged on the stack, so the loop touches the writer
+/// once per [`STAGE`] and not per byte; and a value below [`WORD_LIMIT`]
+/// is laid out without a branch on its width, which in real id lists
+/// varies from one element to the next and mispredicts.
+#[inline]
+pub(crate) fn write_all(
+    values: impl ExactSizeIterator<Item = u64>,
+    max_len: usize,
+    w: &mut ByteWriter,
+) {
+    w.reserve(values.len().saturating_mul(max_len));
+    let mut staged = [0u8; STAGE];
+    let mut at = 0;
+    for mut value in values {
+        if at > STAGE - MAX_VARINT_LEN {
+            w.extend(&staged[..at]);
+            at = 0;
+        }
+        if value < WORD_LIMIT {
+            // Seven bits to a byte, then the continuation bit on every
+            // byte but the last.
+            let groups = (value & 0x7f)
+                | ((value & (0x7f << 7)) << 1)
+                | ((value & (0x7f << 14)) << 2)
+                | ((value & (0x7f << 21)) << 3)
+                | ((value & (0x7f << 28)) << 4);
+            let len = (71 - (groups | 1).leading_zeros() as usize) / 8;
+            let word = groups | (0x80_8080_8080 & ((1 << (8 * (len - 1))) - 1));
+            staged[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            at += len;
+            continue;
+        }
+        while value >= 0x80 {
+            staged[at] = (value & 0x7f) as u8 | 0x80;
+            value >>= 7;
+            at += 1;
+        }
+        staged[at] = (value & 0x7f) as u8;
+        at += 1;
+    }
+    w.extend(&staged[..at]);
+}
+
+/// Fills `out` with consecutive varints from the front of `rest`, each
+/// mapped through `narrow`, and advances `rest` past them: one
+/// [`read_u64`] per slot, as a loop small enough to inline.
+///
+/// Where the next value starts depends on the width of this one, and that
+/// chain from load to load is what bounds a varint loop; so each load of
+/// eight bytes yields two values when it holds two whole varints.  Near
+/// the end of the input the eight bytes are zero-padded: padding reads as
+/// varints that end at once and is never consumed, so a short list at the
+/// tail of a record decodes like any other.  Varints of nine and ten
+/// bytes, and every error, go through the bytewise loop.
+#[inline]
+pub(crate) fn read_all<T>(
+    rest: &mut &[u8],
+    out: &mut [T],
+    narrow: impl Fn(u64) -> Result<T, WireError>,
+) -> Result<(), WireError> {
+    let mut at = 0;
+    while at < out.len() {
+        let (word, present) = if let Some(head) = rest.first_chunk::<8>() {
+            (u64::from_le_bytes(*head), 8)
+        } else {
+            let mut padded = [0u8; 8];
+            padded[..rest.len()].copy_from_slice(rest);
+            (u64::from_le_bytes(padded), rest.len())
+        };
+        // A word of continuation bits has no end: 64 / 8 + 1 is past it.
+        let ends = !word & CONTINUES;
+        let first = ends.trailing_zeros() as usize / 8 + 1;
+        if first > present {
+            let mut r = ByteReader::new(rest);
+            out[at] = narrow(read_u64_bytewise(&mut r)?)?;
+            at += 1;
+            *rest = r.rest();
+            continue;
+        }
+        out[at] = narrow(word_value(word, first))?;
+        at += 1;
+        let both = (ends & (ends - 1)).trailing_zeros() as usize / 8 + 1;
+        if both <= present && at < out.len() {
+            out[at] = narrow(word_value(word >> (8 * first), both - first))?;
+            at += 1;
+            *rest = &rest[both..];
+        } else {
+            *rest = &rest[first..];
+        }
+    }
+    Ok(())
+}
+
 /// Zig-zag maps a signed integer into an unsigned one.
+#[inline]
 #[must_use]
 pub fn zigzag(value: i64) -> u64 {
     // The shifts intentionally reinterpret the sign bit as a mask; the
@@ -90,12 +205,14 @@ pub fn zigzag(value: i64) -> u64 {
 }
 
 /// Inverts [`zigzag`].
+#[inline]
 #[must_use]
 pub fn unzigzag(value: u64) -> i64 {
     (value >> 1).cast_signed() ^ -(value & 1).cast_signed()
 }
 
 /// Number of bytes [`write_u64`] will emit for `value`.
+#[inline]
 #[must_use]
 pub fn varint_len(value: u64) -> usize {
     if value == 0 {
@@ -227,6 +344,62 @@ mod tests {
             proptest::prop_assert_eq!(&got, &expected);
             if expected.is_ok() {
                 proptest::prop_assert_eq!(fast.remaining(), slow.remaining());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The staged, word-at-a-time sequence writer emits one
+        /// [`write_u64`] per value: across stage flushes, and on both
+        /// sides of the word limit.
+        #[test]
+        fn write_all_equals_write_u64(
+            values in proptest::collection::vec(
+                (proptest::prelude::any::<u64>(), 0u32..64),
+                0..120,
+            ),
+        ) {
+            let values: Vec<u64> = values.into_iter().map(|(v, width)| v >> width).collect();
+            let (mut fast, mut slow) = (ByteWriter::new(), ByteWriter::new());
+            fast.push(0xAA);
+            write_all(values.iter().copied(), MAX_VARINT_LEN, &mut fast);
+            slow.push(0xAA);
+            for &value in &values {
+                write_u64(&mut slow, value);
+            }
+            proptest::prop_assert_eq!(fast.as_slice(), slow.as_slice());
+        }
+
+        /// The word-at-a-time sequence reader reads what the bytewise loop
+        /// reads, slot by slot — values, overflows, truncations — from
+        /// arbitrary bytes, and stops where it stops.
+        #[test]
+        fn read_all_equals_bytewise(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+            clear in proptest::collection::vec(0usize..64, 0..24),
+            slots in 0usize..20,
+        ) {
+            // Arbitrary bytes rarely end a varint; clear some continuation
+            // bits so that every mix of widths occurs.
+            let mut bytes = bytes;
+            for at in clear {
+                if let Some(byte) = bytes.get_mut(at) {
+                    *byte &= 0x7f;
+                }
+            }
+            let mut rest = &bytes[..];
+            let mut fast = vec![0u64; slots];
+            let got = read_all(&mut rest, &mut fast, Ok);
+            let mut r = ByteReader::new(&bytes);
+            let expected: Result<Vec<u64>, WireError> =
+                (0..slots).map(|_| read_u64_bytewise(&mut r)).collect();
+            match expected {
+                Ok(values) => {
+                    proptest::prop_assert_eq!(got, Ok(()));
+                    proptest::prop_assert_eq!(fast, values);
+                    proptest::prop_assert_eq!(rest.len(), r.remaining());
+                }
+                Err(e) => proptest::prop_assert_eq!(got, Err(e)),
             }
         }
     }

@@ -19,12 +19,14 @@ pub struct ByteWriter {
 
 impl ByteWriter {
     /// Creates an empty writer.
+    #[inline]
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Creates an empty writer pre-sized to `capacity` bytes.
+    #[inline]
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
@@ -33,45 +35,60 @@ impl ByteWriter {
     }
 
     /// Appends a single byte.
+    #[inline]
     pub fn push(&mut self, byte: u8) {
         self.buf.push(byte);
     }
 
     /// Appends a slice of bytes.
+    #[inline]
     pub fn extend(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Makes room for `additional` more bytes, so that appending up to that
+    /// many grows the buffer at most this once.
+    #[inline]
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Empties the writer, keeping its allocation for reuse.
+    #[inline]
     pub fn clear(&mut self) {
         self.buf.clear();
     }
 
     /// Number of bytes written so far.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// Whether nothing has been written yet.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// A view of the bytes written so far.
+    #[inline]
     #[must_use]
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
     }
 
     /// Consumes the writer, yielding its bytes.
+    #[inline]
     #[must_use]
     pub fn into_bytes(self) -> Bytes {
         Bytes::from(self.buf)
     }
 
     /// Consumes the writer, yielding the raw vector.
+    #[inline]
     #[must_use]
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
@@ -79,6 +96,7 @@ impl ByteWriter {
 }
 
 impl From<ByteWriter> for Bytes {
+    #[inline]
     fn from(w: ByteWriter) -> Bytes {
         w.into_bytes()
     }
