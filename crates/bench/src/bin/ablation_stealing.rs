@@ -9,17 +9,10 @@
 //! distribution below shows the mechanism regardless of cores.
 //!
 //! Usage: `cargo run --release -p ripple-bench --bin ablation_stealing --
-//! [--components 400] [--work-us 200] [--parts 4] [--trials 3]
-//! [--bench-out BENCH_<date>.json]`
-//!
-//! `--bench-out <path>` runs one extra profiled launch per variant and
-//! appends a BSP cost trajectory record for each (workloads
-//! `ablation_stealing/pinned` and `ablation_stealing/stealing`) to the
-//! JSON array at `<path>` (see `ripple-bench compare`).
+//! [--components 400] [--work-us 200] [--parts 4] [--trials 3]`
 
 use std::sync::Arc;
 
-use ripple_bench::trajectory::BenchOut;
 use ripple_bench::{timed_trials, Args, Stats};
 use ripple_core::{
     CollectingExporter, ComputeContext, EbspError, Exporter, FnLoader, Job, JobProperties,
@@ -83,7 +76,6 @@ fn main() {
     let work_us = args.get("work-us", 200u64);
     let parts = args.get("parts", 4u32);
     let trials = args.get("trials", 3usize);
-    let bench_out = BenchOut::from_args(&args, "mem", parts);
 
     println!(
         "run-anywhere ablation: {components} components, all homed in part 0 \
@@ -121,37 +113,5 @@ fn main() {
         });
         let stats = Stats::of(&times);
         println!("  {label}: {stats} s, invocations per part {distribution:?}");
-
-        if let Some(bench_out) = &bench_out {
-            let store = MemStore::builder().default_parts(parts).build();
-            let trace = Arc::new(CollectingExporter::new());
-            let job = Arc::new(SkewedWork {
-                work_us,
-                rare_state,
-                trace,
-            });
-            let keys = keys_in_part(parts, 0, components);
-            let mut runner = JobRunner::new(store);
-            runner.profile(true);
-            let out = runner
-                .launch(
-                    job,
-                    RunOptions::new().loaders(vec![Box::new(FnLoader::new(
-                        move |sink: &mut dyn LoadSink<SkewedWork>| {
-                            for k in keys {
-                                sink.message(k, 1)?;
-                            }
-                            Ok(())
-                        },
-                    ))]),
-                )
-                .expect("profiled ablation run");
-            let workload = if rare_state {
-                "ablation_stealing/stealing"
-            } else {
-                "ablation_stealing/pinned"
-            };
-            bench_out.record(workload, trials, Some(stats.mean), &out);
-        }
     }
 }

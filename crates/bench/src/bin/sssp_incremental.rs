@@ -14,20 +14,14 @@
 //! Usage: `cargo run --release -p ripple-bench --bin sssp_incremental --
 //! [--scale 50] [--batches 10] [--batch-size 1000] [--trials 3]
 //! [--parts 6] [--skip-fullscan] [--store mem|simple|disk|net]
-//! [--data-dir path] [--profile steps.json]
-//! [--bench-out BENCH_<date>.json]`
+//! [--data-dir path] [--profile steps.json]`
 //!
 //! `--profile <path>` additionally applies one extra profiled batch on the
 //! selective instance after the timed trials and writes its per-step
 //! engine profiles to `<path>` as JSON tagged with the backend
 //! (`{"store":"...","steps":[...]}`) — the step-level view of a change
 //! wave's blast radius.
-//!
-//! `--bench-out <path>` appends a BSP cost trajectory record for the same
-//! profiled change wave (per superstep `w`/`h`/`g`/`l` plus run totals)
-//! to the JSON array at `<path>` (see `ripple-bench compare`).
 
-use ripple_bench::trajectory::BenchOut;
 use ripple_bench::{dispatch, Args, Stats, StoreBench, StoreChoice};
 use ripple_core::{step_profiles_json, JobRunner};
 use ripple_graph::generate::{random_change_batch, random_undirected};
@@ -68,7 +62,6 @@ fn run<S: KvStore>(
     let trials = args.get("trials", 3usize);
     let skip_fullscan = args.has("skip-fullscan");
     let profile_path = args.get_opt::<String>("profile");
-    let bench_out = BenchOut::from_args(args, choice.name(), parts);
 
     let n = (100_000u64 / scale).max(500) as u32;
     let edges = 1_800_000u64 / scale;
@@ -155,7 +148,7 @@ fn run<S: KvStore>(
         );
     }
 
-    if profile_path.is_some() || bench_out.is_some() {
+    if let Some(path) = profile_path {
         let seed = 0xD15C0u64;
         let graph = random_undirected(n, edges, 0.8, seed);
         let store = make_store();
@@ -168,20 +161,14 @@ fn run<S: KvStore>(
             .apply_batch_on(&runner, &batch)
             .expect("profiled update");
         let profiles = out.profiles.as_deref().unwrap_or(&[]);
-        if let Some(path) = profile_path {
-            let json = format!(
-                "{{\"store\":\"{choice}\",\"steps\":{}}}",
-                step_profiles_json(profiles)
-            );
-            std::fs::write(&path, json).expect("write profile JSON");
-            println!(
-                "  wrote {} step profiles of one change wave to {path}",
-                profiles.len()
-            );
-        }
-        if let Some(bench_out) = bench_out {
-            let sel_mean = Stats::of(&selective_times).mean;
-            bench_out.record("sssp_incremental/selective", trials, Some(sel_mean), &out);
-        }
+        let json = format!(
+            "{{\"store\":\"{choice}\",\"steps\":{}}}",
+            step_profiles_json(profiles)
+        );
+        std::fs::write(&path, json).expect("write profile JSON");
+        println!(
+            "  wrote {} step profiles of one change wave to {path}",
+            profiles.len()
+        );
     }
 }

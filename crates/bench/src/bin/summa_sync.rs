@@ -10,8 +10,7 @@
 //!
 //! Usage: `cargo run --release -p ripple-bench --bin summa_sync --
 //! [--grid 3] [--block 64] [--trials 8] [--parts 3]
-//! [--store mem|simple|disk|net] [--data-dir path] [--profile profiles.json]
-//! [--bench-out BENCH_<date>.json]`
+//! [--store mem|simple|disk|net] [--data-dir path] [--profile profiles.json]`
 //!
 //! `--profile <path>` additionally runs one profiled multiply per mode and
 //! writes both profile shapes to `<path>` as JSON: per-step profiles of
@@ -19,13 +18,7 @@
 //! unsynchronized run — the two sides of the §V-B comparison — plus the
 //! backend name and the synchronized run's whole-store counter deltas
 //! (which for `--store disk` include WAL bytes and fsyncs).
-//!
-//! `--bench-out <path>` appends BSP cost trajectory records for both modes
-//! to the JSON array at `<path>`: the synchronized record carries per
-//! superstep `w`/`h`/`g`/`l`, the unsynchronized one only run totals
-//! (no supersteps to decompose).  See `ripple-bench compare`.
 
-use ripple_bench::trajectory::BenchOut;
 use ripple_bench::{dispatch, timed_trials, Args, Stats, StoreBench, StoreChoice};
 use ripple_core::{step_profiles_json, worker_profiles_json, ExecMode};
 use ripple_kv::KvStore;
@@ -53,7 +46,6 @@ fn run<S: KvStore>(args: &Args, choice: StoreChoice, mut make_store: impl FnMut(
     let block = args.get("block", 64usize);
     let trials = args.get("trials", 8usize);
     let profile_path = args.get_opt::<String>("profile");
-    let bench_out = BenchOut::from_args(args, choice.name(), args.get("parts", 3u32));
     let dim = grid as usize * block;
 
     let a = DenseMatrix::random(dim, dim, 1);
@@ -95,7 +87,7 @@ fn run<S: KvStore>(args: &Args, choice: StoreChoice, mut make_store: impl FnMut(
         with_sync.mean / without.mean
     );
 
-    if profile_path.is_some() || bench_out.is_some() {
+    if let Some(path) = profile_path {
         let mut profiled = |mode: ExecMode| {
             let store = make_store();
             let before = store.metrics();
@@ -116,23 +108,6 @@ fn run<S: KvStore>(args: &Args, choice: StoreChoice, mut make_store: impl FnMut(
         };
         let (sync_out, sync_store) = profiled(ExecMode::Synchronized);
         let (nosync_out, _) = profiled(ExecMode::Unsynchronized);
-        if let Some(bench_out) = &bench_out {
-            bench_out.record(
-                "summa_sync/synchronized",
-                trials,
-                Some(with_sync.mean),
-                &sync_out,
-            );
-            bench_out.record(
-                "summa_sync/unsynchronized",
-                trials,
-                Some(without.mean),
-                &nosync_out,
-            );
-        }
-        let Some(path) = profile_path else {
-            return;
-        };
         let json = format!(
             "{{\"store\":\"{choice}\",\
              \"store_totals\":{{\"local_ops\":{},\"remote_ops\":{},\

@@ -21,17 +21,12 @@
 //! Usage: `cargo run --release -p ripple-bench --bin table1 --
 //! [--scale 100] [--trials 5] [--iterations 10] [--parts 6]
 //! [--store mem|simple|disk|net] [--data-dir path] [--profile steps.json]
-//! [--bench-out BENCH_<date>.json] [--audit]`
+//! [--audit]`
 //!
 //! `--profile <path>` additionally runs one profiled direct ranking of the
 //! first graph shape and writes its per-step profiles (per-part compute
 //! times, barrier skew, store deltas) to `<path>` as JSON, tagged with the
 //! backend: `{"store":"...","steps":[...]}`.
-//!
-//! `--bench-out <path>` appends a schema-versioned trajectory record for
-//! the same profiled ranking — per superstep BSP cost terms `w`/`h`/`g`/`l`
-//! plus run totals — to the JSON array at `<path>` (see `ripple-bench
-//! compare`).
 //!
 //! `--audit` runs the property conformance auditor over both PageRank
 //! variants (on the first graph shape) before timing anything and prints
@@ -42,7 +37,6 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use ripple_audit::{audit_job, AuditConfig};
-use ripple_bench::trajectory::BenchOut;
 use ripple_bench::{dispatch, row, timed_trials, Args, Stats, StoreBench, StoreChoice};
 use ripple_core::{step_profiles_json, JobRunner};
 use ripple_graph::generate::power_law_graph;
@@ -83,7 +77,6 @@ fn run<S: KvStore>(
     let trials = args.get("trials", 5usize);
     let iterations = args.get("iterations", 10u32);
     let profile_path = args.get_opt::<String>("profile");
-    let bench_out = BenchOut::from_args(args, choice.name(), parts);
     let config = PageRankConfig {
         damping: 0.85,
         iterations,
@@ -151,7 +144,6 @@ fn run<S: KvStore>(
         &widths,
     );
 
-    let mut first_direct_mean = None;
     for (v_full, e_full) in shapes {
         let vertices = (v_full / scale).max(100) as u32;
         let edges = (e_full / scale).max(1000);
@@ -178,9 +170,6 @@ fn run<S: KvStore>(
 
         let d = Stats::of(&direct_times);
         let m = Stats::of(&mr_times);
-        if first_direct_mean.is_none() {
-            first_direct_mean = Some(d.mean);
-        }
         let pct = 100.0 * (m.mean - d.mean) / m.mean;
         row(
             &[
@@ -200,7 +189,7 @@ fn run<S: KvStore>(
          synchronization rounds"
     );
 
-    if profile_path.is_some() || bench_out.is_some() {
+    if let Some(path) = profile_path {
         let (v_full, e_full) = shapes[0];
         let vertices = (v_full / scale).max(100) as u32;
         let edges = (e_full / scale).max(1000);
@@ -210,19 +199,14 @@ fn run<S: KvStore>(
         runner.profile(true);
         let out = run_direct_on(&runner, "pr_profiled", &graph, config).expect("profiled run");
         let profiles = out.profiles.as_deref().unwrap_or(&[]);
-        if let Some(path) = profile_path {
-            let json = format!(
-                "{{\"store\":\"{choice}\",\"steps\":{}}}",
-                step_profiles_json(profiles)
-            );
-            std::fs::write(&path, json).expect("write profile JSON");
-            println!(
-                "wrote {} step profiles of a direct ranking to {path}",
-                profiles.len()
-            );
-        }
-        if let Some(bench_out) = bench_out {
-            bench_out.record("table1/pagerank-direct", trials, first_direct_mean, &out);
-        }
+        let json = format!(
+            "{{\"store\":\"{choice}\",\"steps\":{}}}",
+            step_profiles_json(profiles)
+        );
+        std::fs::write(&path, json).expect("write profile JSON");
+        println!(
+            "wrote {} step profiles of a direct ranking to {path}",
+            profiles.len()
+        );
     }
 }

@@ -13,17 +13,12 @@
 //!
 //! Usage: `cargo run --release -p ripple-bench --bin table2 --
 //! [--grid 3] [--block 8] [--store mem|simple|disk|net] [--data-dir path]
-//! [--profile steps.json] [--bench-out BENCH_<date>.json]`
+//! [--profile steps.json]`
 //!
 //! `--profile <path>` writes the run's per-step engine profiles (per-part
 //! compute times, barrier skew, store deltas) to `<path>` as JSON, tagged
 //! with the backend: `{"store":"...","steps":[...]}`.
-//!
-//! `--bench-out <path>` appends a schema-versioned BSP cost trajectory
-//! record (per superstep `w`/`h`/`g`/`l` plus run totals) to the JSON
-//! array at `<path>` (see `ripple-bench compare`).
 
-use ripple_bench::trajectory::BenchOut;
 use ripple_bench::{dispatch, Args, StoreBench, StoreChoice};
 use ripple_core::{step_profiles_json, ExecMode};
 use ripple_kv::KvStore;
@@ -55,7 +50,6 @@ fn main() {
 
 fn run<S: KvStore>(args: &Args, grid: u32, block: usize, choice: StoreChoice, store: S) {
     let profile_path = args.get_opt::<String>("profile");
-    let bench_out = BenchOut::from_args(args, choice.name(), grid);
     let dim = grid as usize * block;
 
     let a = DenseMatrix::random(dim, dim, 0xBEEF);
@@ -68,7 +62,7 @@ fn run<S: KvStore>(args: &Args, grid: u32, block: usize, choice: StoreChoice, st
             grid,
             mode: ExecMode::Synchronized,
             trace: true,
-            profile: profile_path.is_some() || bench_out.is_some(),
+            profile: profile_path.is_some(),
         },
     )
     .expect("SUMMA multiply");
@@ -108,8 +102,5 @@ fn run<S: KvStore>(args: &Args, grid: u32, block: usize, choice: StoreChoice, st
         );
         std::fs::write(&path, json).expect("write profile JSON");
         println!("wrote {} step profiles to {path}", profiles.len());
-    }
-    if let Some(bench_out) = bench_out {
-        bench_out.record("table2/summa-sync", 1, None, &report.outcome);
     }
 }

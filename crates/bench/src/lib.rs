@@ -1,21 +1,21 @@
-//! Shared harness for the experiment regenerators: one binary per table or
-//! figure of the paper's evaluation (see `DESIGN.md` §8 and
-//! `EXPERIMENTS.md`), plus small statistics and CLI helpers.
+//! Shared harness for the paper-table regenerators: one binary per table or
+//! figure of the paper's evaluation (`table1`, `table2`, `summa_sync`,
+//! `sssp_incremental`, `ablation_stealing`; see `EXPERIMENTS.md`), plus
+//! small statistics and CLI helpers.  Performance over time is measured by
+//! `benchmark/` (`BENCHMARK.json`), not here.
 //!
 //! Absolute numbers will not match the paper's 2013 testbed; the harness
 //! reports the *shape* — who wins, by what factor — alongside the engine's
 //! own cost metrics (synchronizations, I/O rounds, invocations), which are
 //! hardware-independent.
 
-use std::time::{Duration, Instant};
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use ripple_kv::KvStore;
-
-pub mod json;
-pub mod trajectory;
 use ripple_store_disk::DiskStore;
 use ripple_store_mem::MemStore;
-use ripple_store_net::{ChaosCluster, LoopbackCluster, NetConfig, NetFaultPlan};
+use ripple_store_net::LoopbackCluster;
 use ripple_store_simple::SimpleStore;
 
 /// Mean and (sample) standard deviation of a set of measurements.
@@ -66,11 +66,6 @@ pub fn timed_trials(trials: usize, mut f: impl FnMut(usize)) -> Vec<f64> {
             start.elapsed().as_secs_f64()
         })
         .collect()
-}
-
-/// Seconds as a `Duration`, for printing.
-pub fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
 }
 
 /// Minimal flag parser: `--name value` pairs from `std::env::args`.
@@ -204,14 +199,12 @@ pub trait StoreBench {
 /// the chosen backend — the dispatch every experiment bin used to
 /// duplicate.
 ///
-/// `disk` factories give each instance its own subdirectory of
-/// [`disk_data_dir`] (experiments may keep two stores live at once);
-/// `net` factories spawn a fresh loopback cluster with one part server
-/// per part, kept alive until the bench body returns.  The `net` backend
-/// additionally honours `--replicas <n>` (replicated part servers with
-/// failover, default 1) and `--chaos-seed <seed>` (route traffic through
-/// a deterministic fault-injecting proxy; mutually exclusive with
-/// `--replicas`).
+/// `disk` factories give each instance its own subdirectory of the data
+/// directory (experiments may keep two stores live at once): `--data-dir`
+/// if given, and left alone; otherwise a per-process directory under the
+/// system temp dir, removed when the bench body returns.  `net` factories spawn a
+/// fresh loopback cluster with one part server per part, kept alive until
+/// the bench body returns.
 pub fn dispatch<B: StoreBench>(args: &Args, bin: &str, parts: u32, bench: B) {
     let choice = StoreChoice::from_args(args);
     match choice {
@@ -219,6 +212,7 @@ pub fn dispatch<B: StoreBench>(args: &Args, bin: &str, parts: u32, bench: B) {
         StoreChoice::Simple => bench.run(choice, || SimpleStore::new(parts)),
         StoreChoice::Disk => {
             let dir = disk_data_dir(args, bin);
+            let _scratch = (!args.has("data-dir")).then(|| RemoveOnDrop(dir.clone()));
             let mut instance = 0u64;
             bench.run(choice, move || {
                 instance += 1;
@@ -231,61 +225,25 @@ pub fn dispatch<B: StoreBench>(args: &Args, bin: &str, parts: u32, bench: B) {
             });
         }
         StoreChoice::Net => {
-            let replicas: usize = args.get("replicas", 1);
-            let chaos_seed: Option<u64> = args.get_opt("chaos-seed");
-            assert!(replicas >= 1, "--replicas needs at least 1");
-            assert!(
-                chaos_seed.is_none() || replicas == 1,
-                "--chaos-seed and --replicas cannot be combined"
-            );
-            if let Some(seed) = chaos_seed {
-                println!(
-                    "chaos: seed {seed} (delay 1% 200us, corrupt 0.2% of gets, \
-                     sever 0.1% of puts); replay with --chaos-seed {seed}"
-                );
-                let mut clusters = Vec::new();
-                bench.run(choice, move || {
-                    let plan = mild_chaos_plan(seed);
-                    let cluster =
-                        ChaosCluster::spawn(parts as usize, parts, &plan, &NetConfig::default());
-                    let store = cluster.store.clone();
-                    clusters.push(cluster);
-                    store
-                });
-            } else {
-                let mut clusters = Vec::new();
-                bench.run(choice, move || {
-                    let cluster = if replicas > 1 {
-                        LoopbackCluster::spawn_replicated(
-                            parts as usize,
-                            replicas,
-                            parts,
-                            &NetConfig::default(),
-                        )
-                    } else {
-                        LoopbackCluster::spawn(parts as usize, parts)
-                    };
-                    let store = cluster.store.clone();
-                    clusters.push(cluster);
-                    store
-                });
-            }
+            let mut clusters = Vec::new();
+            bench.run(choice, move || {
+                let cluster = LoopbackCluster::spawn(parts as usize, parts);
+                let store = cluster.store.clone();
+                clusters.push(cluster);
+                store
+            });
         }
     }
 }
 
-/// The default fault mix for `--chaos-seed`: rare enough that runs finish,
-/// frequent enough that the retry and reconnect paths actually fire.
-/// Delays hit every frame; the destructive faults are scoped to the hot
-/// state read/write plane, where the engines retry — an unscoped sever
-/// can land on a one-shot control frame and fail the run outright.
-pub fn mild_chaos_plan(seed: u64) -> NetFaultPlan {
-    NetFaultPlan::seeded(seed)
-        .delay(10_000, Duration::from_micros(200))
-        .corrupt(2_000)
-        .on_kind(ripple_store_net::proto::REQ_GET)
-        .sever(1_000)
-        .on_kind(ripple_store_net::proto::REQ_PUT)
+/// Removes the directory it holds when dropped — also when the bench body
+/// panics.
+struct RemoveOnDrop(PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 impl std::fmt::Display for StoreChoice {
@@ -294,11 +252,10 @@ impl std::fmt::Display for StoreChoice {
     }
 }
 
-/// The directory a `--store disk` run keeps its files in: `--data-dir`
-/// if given, otherwise a per-process directory under the system temp dir.
-pub fn disk_data_dir(args: &Args, bin: &str) -> std::path::PathBuf {
+/// The directory a `--store disk` run keeps its files in.
+fn disk_data_dir(args: &Args, bin: &str) -> PathBuf {
     match args.get_opt::<String>("data-dir") {
-        Some(dir) => std::path::PathBuf::from(dir),
+        Some(dir) => PathBuf::from(dir),
         None => std::env::temp_dir().join(format!("ripple-bench-{bin}-{}", std::process::id())),
     }
 }
@@ -308,7 +265,7 @@ pub fn disk_data_dir(args: &Args, bin: &str) -> std::path::PathBuf {
 /// # Panics
 ///
 /// Panics if the directory cannot be recreated.
-pub fn reset_dir(dir: &std::path::Path) {
+fn reset_dir(dir: &Path) {
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| panic!("create data dir {}: {e}", dir.display()));
@@ -358,8 +315,7 @@ mod tests {
             ("disk", StoreChoice::Disk),
             ("net", StoreChoice::Net),
         ] {
-            let args = Args::from_vec(vec!["--store".into(), flag.into()]);
-            let choice = StoreChoice::from_args(&args);
+            let choice = StoreChoice::from_args(&args(&["--store", flag]));
             assert_eq!(choice, want);
             assert_eq!(choice.name(), flag);
         }
@@ -369,23 +325,60 @@ mod tests {
         );
     }
 
-    #[test]
-    fn dispatch_spawns_fresh_stores_per_call() {
-        struct Body;
-        impl StoreBench for Body {
-            fn run<S: KvStore>(self, choice: StoreChoice, mut make_store: impl FnMut() -> S) {
-                assert_eq!(choice, StoreChoice::Net);
-                for _ in 0..2 {
-                    let store = make_store();
-                    // A fresh store must accept the same table name again.
-                    store
-                        .create_table(ripple_kv::TableSpec::new("t").parts(2))
-                        .expect("fresh store");
-                }
+    /// Asserts it was handed `want` and opens two fresh stores from the
+    /// factory, each of which must accept the same table name again.
+    struct FreshTwice(StoreChoice);
+
+    impl StoreBench for FreshTwice {
+        fn run<S: KvStore>(self, choice: StoreChoice, mut make_store: impl FnMut() -> S) {
+            assert_eq!(choice, self.0);
+            for _ in 0..2 {
+                make_store()
+                    .create_table(ripple_kv::TableSpec::new("t").parts(2))
+                    .expect("fresh store");
             }
         }
-        let args = Args::from_vec(vec!["--store".into(), "net".into()]);
-        dispatch(&args, "bench-test", 2, Body);
+    }
+
+    fn args(flags: &[&str]) -> Args {
+        Args::from_vec(flags.iter().map(|f| (*f).to_owned()).collect())
+    }
+
+    #[test]
+    fn dispatch_spawns_fresh_stores_per_call() {
+        dispatch(
+            &args(&["--store", "net"]),
+            "bench-test",
+            2,
+            FreshTwice(StoreChoice::Net),
+        );
+    }
+
+    #[test]
+    fn dispatch_removes_its_disk_dir_and_keeps_a_named_one() {
+        let default = args(&["--store", "disk"]);
+        let dir = disk_data_dir(&default, "bench-test-disk");
+        dispatch(
+            &default,
+            "bench-test-disk",
+            2,
+            FreshTwice(StoreChoice::Disk),
+        );
+        assert!(!dir.exists(), "{} leaked", dir.display());
+
+        let named = std::env::temp_dir().join(format!("ripple-bench-named-{}", std::process::id()));
+        let flags = args(&[
+            "--store",
+            "disk",
+            "--data-dir",
+            named.to_str().expect("utf-8"),
+        ]);
+        dispatch(&flags, "bench-test-disk", 2, FreshTwice(StoreChoice::Disk));
+        assert!(
+            named.join("i2").is_dir(),
+            "a named --data-dir is the user's"
+        );
+        std::fs::remove_dir_all(&named).expect("clean up the named dir");
     }
 
     #[test]

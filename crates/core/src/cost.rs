@@ -31,7 +31,7 @@
 //! are the fitted platform parameters; feeding them back into
 //! [`CostModel::predicted`] reprices the run and should land near the
 //! measured wall time on a healthy run — a cheap self-test of the model
-//! that the bench trajectory records alongside the raw terms.
+//! that `benchmark/` reports as `core.cost_pred_ratio`.
 //!
 //! [`rpc_latency`]: ripple_kv::StoreMetrics::rpc_latency
 //! [`barrier_skew`]: StepProfile::barrier_skew

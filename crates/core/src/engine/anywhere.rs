@@ -62,8 +62,10 @@ pub(crate) fn run_step_anywhere<S: KvStore, J: Job>(
     for (stolen, _) in run_parts(env, task, move |task, view| {
         let part = view.part();
         let ops = GlobalStateOps {
-            tables: tables.clone(),
-            broadcast: broadcast.clone(),
+            tables: &tables,
+            broadcast: broadcast.as_ref(),
+            retry: &task.retry,
+            part: part.0,
         };
         // run-anywhere implies no-collect implies no-continue, so the
         // invocation core rejects every positive continue signal.

@@ -738,27 +738,32 @@ impl StateOps for LocalStateOps<'_> {
 /// Table-handle state access for *run-anywhere* execution: a stolen
 /// invocation may run at any part, so state operations go through the
 /// ordinary table handles and pay marshalling when non-local — cheap by
-/// assumption (`rare-state`).
-pub(crate) struct GlobalStateOps<T> {
-    pub(crate) tables: Vec<T>,
-    pub(crate) broadcast: Option<T>,
+/// assumption (`rare-state`).  Like its pinned twin, every call is retried
+/// through the run's [`FaultRetry`], attributed to the stealing `part`.
+pub(crate) struct GlobalStateOps<'a, T> {
+    pub(crate) tables: &'a [T],
+    pub(crate) broadcast: Option<&'a T>,
+    pub(crate) retry: &'a FaultRetry,
+    pub(crate) part: u32,
 }
 
-impl<T: Table> StateOps for GlobalStateOps<T> {
+impl<T: Table> StateOps for GlobalStateOps<'_, T> {
     fn get(&self, tab: usize, key: &RoutedKey) -> Result<Option<Bytes>, KvError> {
-        self.tables[tab].get(key)
+        kv_with_retry(self.retry, self.part, || self.tables[tab].get(key))
     }
     fn put(&self, tab: usize, key: RoutedKey, value: Bytes) -> Result<(), KvError> {
-        self.tables[tab].put(key, value)?;
+        kv_with_retry(self.retry, self.part, || {
+            self.tables[tab].put(key.clone(), value.clone())
+        })?;
         Ok(())
     }
     fn delete(&self, tab: usize, key: &RoutedKey) -> Result<bool, KvError> {
-        self.tables[tab].delete(key)
+        kv_with_retry(self.retry, self.part, || self.tables[tab].delete(key))
     }
     fn broadcast_get(&self, key: &RoutedKey) -> Result<Option<Option<Bytes>>, KvError> {
-        match &self.broadcast {
+        match self.broadcast {
             None => Ok(None),
-            Some(t) => Ok(Some(t.get(key)?)),
+            Some(t) => Ok(Some(kv_with_retry(self.retry, self.part, || t.get(key))?)),
         }
     }
     fn table_count(&self) -> usize {

@@ -2,23 +2,17 @@
 //! telescope all the way up the reporting stack.
 //!
 //! `StepProfile` embeds `StoreMetrics` wholesale, so a new counter is
-//! *collected* for free — but it still has to be *reported*: printed by
-//! the trace renderer (`core/src/trace.rs`) and serialized into the
-//! perf-trajectory run totals (`bench/src/trajectory.rs`).  Counters
+//! *collected* for free — but it still has to be *reported*: rendered by
+//! the step-profile JSON in the trace module (`core/src/trace.rs`), which
+//! every regenerator's `--profile` file embeds.  Counters
 //! that stop at the struct are how regressions go unnoticed; this rule
-//! makes "add a counter" mean "add it everywhere it is read".
+//! makes "add a counter" mean "render it".
 
 use crate::registry::{Finding, Rule, Severity};
 use crate::source::{brace_span, ident_tokens, Workspace};
 
 const METRICS: &str = "crates/kv/src/metrics.rs";
-const SINKS: &[(&str, &str)] = &[
-    ("crates/core/src/trace.rs", "the step-trace renderer"),
-    (
-        "crates/bench/src/trajectory.rs",
-        "the perf-trajectory run totals",
-    ),
-];
+const SINKS: &[(&str, &str)] = &[("crates/core/src/trace.rs", "the step-trace renderer")];
 
 /// The `metrics-telescoping` rule.
 pub struct MetricsTelescoping;
@@ -33,8 +27,7 @@ impl Rule for MetricsTelescoping {
     }
 
     fn description(&self) -> &'static str {
-        "every scalar StoreMetrics counter must be rendered by trace.rs and totalled \
-         by trajectory.rs, not just collected"
+        "every scalar StoreMetrics counter must be rendered by trace.rs, not just collected"
     }
 
     fn check(&self, ws: &Workspace) -> Vec<Finding> {
@@ -83,8 +76,7 @@ impl Rule for MetricsTelescoping {
                             "StoreMetrics counter `{name}` never reaches {sink_desc} ({sink_path})"
                         ),
                         hint: "a counter that is collected but not reported hides regressions; \
-                               render it in trace.rs and total it in trajectory.rs (the JSON \
-                               schema is additive)"
+                               render it in trace.rs (step_profiles_json is additive)"
                             .to_owned(),
                     });
                 }

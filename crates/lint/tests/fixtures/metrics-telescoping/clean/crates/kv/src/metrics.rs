@@ -1,4 +1,4 @@
-//! Known-clean: both counters reach both sinks.
+//! Known-clean: both counters reach the trace renderer.
 
 #[derive(Default)]
 pub struct StoreMetrics {

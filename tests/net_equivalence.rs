@@ -6,7 +6,7 @@
 //! not by the size of the graph.
 
 use ripple::ebsp::step_profiles_json;
-use ripple::graph::generate::power_law_graph;
+use ripple::graph::generate::{power_law_graph, Graph};
 use ripple::graph::pagerank::{
     read_ranks, run_direct, run_direct_on, run_mapreduce_variant, PageRankConfig,
 };
@@ -115,6 +115,12 @@ fn mapreduce_pagerank_over_loopback_matches_memstore_byte_for_byte() {
 /// so a run costs round trips in proportion to steps × parts, whatever the
 /// vertex count — as long as a part's states fit one read-ahead window and
 /// one write-behind buffer, the count is *identical* across graph sizes.
+///
+/// The counts are exact pins, taken in the `table1` smoke configuration
+/// (`--scale 2000 --iterations 3 --parts 4`: 100 vertices, 2 170 edges,
+/// and the state-table name of its profiled ranking): one more round trip
+/// or one more marshalled byte fails here.  A PR that changes a count
+/// updates it in the same diff and says why.
 #[test]
 fn pagerank_rpc_count_is_set_by_steps_and_parts_not_by_vertices() {
     let parts = 4u32;
@@ -122,23 +128,51 @@ fn pagerank_rpc_count_is_set_by_steps_and_parts_not_by_vertices() {
         damping: 0.85,
         iterations: 3,
     };
-    let rpcs_for = |vertices: u32| {
-        let graph = power_law_graph(vertices, u64::from(vertices) * 8, 0.8, 0xA11CE);
-        let cluster = LoopbackCluster::spawn(parts as usize, parts);
-        let outcome = run_direct(&cluster.store, "pr", &graph, config).expect("run");
-        assert_eq!(outcome.metrics.state_reads, u64::from(vertices));
-        assert_eq!(outcome.metrics.state_writes, u64::from(vertices));
-        (outcome.steps, outcome.metrics.store.rpcs)
-    };
-    let (steps, small) = rpcs_for(400);
-    let (_, large) = rpcs_for(1600);
-    assert_eq!(small, large, "rpcs grew with the vertex count");
-    // Per part and step: two drains (a scan and its delete ack each), the
-    // inbox batch, spills to at most `parts` servers, plus one state batch
-    // either way at the ends of the run; DDL and the loader on top.
-    let ceiling = u64::from(steps) * u64::from(parts) * 12;
-    assert!(
-        large <= ceiling && large < 200,
-        "{large} rpcs for {steps} steps x {parts} parts (ceiling {ceiling})"
+    let table1 = power_law_graph(100, 2_170, 0.8, 0xA11CE);
+
+    let mem = MemStore::builder().default_parts(parts).build();
+    let local = run_direct(&mem, "pr_profiled", &table1, config).expect("mem run");
+    let m = &local.metrics;
+    assert_eq!(
+        (
+            local.steps,
+            m.messages_sent,
+            m.store.bytes_marshalled,
+            m.store.tasks_dispatched
+        ),
+        (4, 6_810, 13_076, 16),
+        "(steps, messages, marshalled bytes, part tasks) on mem"
     );
+
+    let over_net = |graph: &Graph| {
+        let cluster = LoopbackCluster::spawn(parts as usize, parts);
+        let outcome = run_direct(&cluster.store, "pr_profiled", graph, config).expect("run");
+        let vertices = u64::from(graph.vertex_count());
+        assert_eq!(outcome.metrics.state_reads, vertices);
+        assert_eq!(outcome.metrics.state_writes, vertices);
+        assert_eq!(outcome.steps, 4);
+        outcome.metrics.store
+    };
+    let net = over_net(&table1);
+    assert_eq!(net.rpcs, 104);
+    // The transport tables are named after the engine's process-wide run
+    // counter, and 92 requests name one: the bytes grow by 92 for each
+    // decimal digit that counter has gained when this run starts, which
+    // the other tests in this binary decide.
+    let bytes = net.net_bytes_in + net.net_bytes_out;
+    assert!(
+        [62_603, 62_695, 62_787].contains(&bytes),
+        "{bytes} network bytes (in {}, out {})",
+        net.net_bytes_in,
+        net.net_bytes_out
+    );
+
+    for vertices in [400, 1_600] {
+        let graph = power_law_graph(vertices, u64::from(vertices) * 8, 0.8, 0xA11CE);
+        assert_eq!(
+            over_net(&graph).rpcs,
+            104,
+            "rpcs grew with the vertex count"
+        );
+    }
 }

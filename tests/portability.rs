@@ -60,6 +60,22 @@ fn summa_is_store_independent_in_both_modes() {
         assert!(c_mem.approx_eq(&want, 1e-9), "{mode:?} mem");
         assert!(c_simple.approx_eq(&want, 1e-9), "{mode:?} simple");
     }
+
+    // An exact pin: what the `summa_sync --grid 2 --block 8` smoke run
+    // marshals synchronized on mem.  A PR that changes it updates it here
+    // and says why.
+    let (a, b) = (
+        DenseMatrix::random(16, 16, 1),
+        DenseMatrix::random(16, 16, 2),
+    );
+    let opts = SummaOptions {
+        grid: 2,
+        mode: ExecMode::Synchronized,
+        ..SummaOptions::default()
+    };
+    let (_, report) =
+        multiply(&MemStore::builder().default_parts(3).build(), &a, &b, &opts).unwrap();
+    assert_eq!(report.outcome.metrics.store.bytes_marshalled, 9_482);
 }
 
 /// The table-backed queue sets also work over the simple store: the whole

@@ -391,6 +391,40 @@ fn serving_sssp_answers_between_barriers_while_mutations_stream() {
     }
 }
 
+/// An exact pin: one change wave through a resident tenant's gated runner
+/// (the old `serve` bench's profiled wave: 500 vertices, 25 changes, 4
+/// parts) marshals the same bytes every time, however the worker pool
+/// schedules it.  A PR that changes the count updates it here and says why.
+#[test]
+fn a_resident_change_wave_marshals_an_exact_byte_count() {
+    use ripple::graph::sssp::SelectiveInstance;
+    use ripple::server::{JobServer, JobSpec, ServerConfig};
+    let graph = random_undirected(500, 900, 0.8, 0x5E12E);
+    let store = MemStore::builder().default_parts(4).build();
+    let server = JobServer::single(ServerConfig::with_workers(4), store);
+    let resident = server
+        .admit_resident("wave", &JobSpec::new(4))
+        .expect("admit");
+    let (instance, _) = SelectiveInstance::initialize_on(
+        resident.runner(),
+        resident.store(),
+        "wave__sssp",
+        graph.graph(),
+        0,
+    )
+    .expect("initial solve");
+    let batch = random_change_batch(500, 25, 0.8, 0x5E12E * 7919);
+    let wave = instance
+        .apply_batch_on(resident.runner(), &batch)
+        .expect("wave");
+    assert_eq!(
+        (wave.steps, wave.metrics.messages_sent),
+        (4, 61),
+        "(steps, messages)"
+    );
+    assert_eq!(wave.metrics.store.bytes_marshalled, 551);
+}
+
 #[test]
 fn per_job_step_accounting_lands_in_profile_json() {
     use ripple::server::{JobServer, JobSpec, JobStatus, ServerConfig};

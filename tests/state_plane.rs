@@ -6,6 +6,7 @@
 //! a part task issues does not grow with the number of components.  A step
 //! is one such task per part, whatever order a gate runs them in.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
@@ -31,12 +32,15 @@ type Call = (ThreadId, &'static str, String, usize);
 struct Logged<S> {
     inner: S,
     log: Arc<Mutex<Vec<Call>>>,
+    /// Armed: the next point operation on a table handle fails transiently.
+    trip: Arc<AtomicBool>,
 }
 
 #[derive(Clone)]
 struct LoggedTable<T> {
     inner: T,
     log: Arc<Mutex<Vec<Call>>>,
+    trip: Arc<AtomicBool>,
 }
 
 struct LoggedView<'a> {
@@ -55,18 +59,45 @@ impl<S: KvStore> Logged<S> {
         Self {
             inner,
             log: Arc::default(),
+            trip: Arc::default(),
         }
+    }
+
+    /// The first `get`, `put` or `delete` on a table handle fails with a
+    /// transient fault; every later one goes through.
+    fn failing_first_point_op(self) -> Self {
+        self.trip.store(true, Ordering::SeqCst);
+        self
+    }
+
+    fn tripped(&self) -> bool {
+        !self.trip.load(Ordering::SeqCst)
     }
 
     fn wrap(&self, inner: S::Table) -> LoggedTable<S::Table> {
         LoggedTable {
             inner,
             log: Arc::clone(&self.log),
+            trip: Arc::clone(&self.trip),
         }
     }
 
     fn calls(&self) -> Vec<Call> {
         self.log.lock().unwrap().clone()
+    }
+}
+
+impl<T: Table> LoggedTable<T> {
+    fn point(&self, op: &'static str) -> Result<(), KvError> {
+        record(&self.log, op, self.name(), 1);
+        if self.trip.swap(false, Ordering::SeqCst) {
+            return Err(KvError::Transient {
+                op,
+                part: 0,
+                detail: "first point op".into(),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -84,11 +115,11 @@ impl<T: Table> Table for LoggedTable<T> {
         self.inner.partitioning_id()
     }
     fn get(&self, key: &RoutedKey) -> Result<Option<Bytes>, KvError> {
-        record(&self.log, "table.get", self.name(), 1);
+        self.point("table.get")?;
         self.inner.get(key)
     }
     fn put(&self, key: RoutedKey, value: Bytes) -> Result<Option<Bytes>, KvError> {
-        record(&self.log, "table.put", self.name(), 1);
+        self.point("table.put")?;
         self.inner.put(key, value)
     }
     fn put_batch(&self, pairs: Vec<(RoutedKey, Bytes)>) -> Result<(), KvError> {
@@ -96,7 +127,7 @@ impl<T: Table> Table for LoggedTable<T> {
         self.inner.put_batch(pairs)
     }
     fn delete(&self, key: &RoutedKey) -> Result<bool, KvError> {
-        record(&self.log, "table.delete", self.name(), 1);
+        self.point("table.delete")?;
         self.inner.delete(key)
     }
     fn len(&self) -> Result<usize, KvError> {
@@ -263,6 +294,10 @@ fn final_state(k: u32) -> Option<u64> {
 struct Ring {
     n: u32,
     steps: u32,
+    /// Declares `one-msg`, `no-continue` and `rare-state`, so the engine
+    /// steals invocations (*run-anywhere*) and reaches state through table
+    /// handles.
+    anywhere: bool,
 }
 
 impl Job for Ring {
@@ -279,6 +314,9 @@ impl Job for Ring {
     fn properties(&self) -> JobProperties {
         JobProperties {
             deterministic: true,
+            one_msg: self.anywhere,
+            no_continue: self.anywhere,
+            rare_state: self.anywhere,
             ..JobProperties::default()
         }
     }
@@ -359,7 +397,11 @@ fn state_is_flushed_before_the_spills_it_produced() {
     let store = Logged::new(MemStore::builder().default_parts(3).build());
     JobRunner::new(store.clone())
         .launch(
-            Arc::new(Ring { n: 90, steps: 4 }),
+            Arc::new(Ring {
+                n: 90,
+                steps: 4,
+                anywhere: false,
+            }),
             RunOptions::new().loader(load_keys(90)),
         )
         .expect("run");
@@ -405,7 +447,11 @@ fn store_calls_per_part_task_do_not_grow_with_the_component_count() {
         let store = Logged::new(MemStore::builder().default_parts(3).build());
         let outcome = JobRunner::new(store.clone())
             .launch(
-                Arc::new(Ring { n, steps: 4 }),
+                Arc::new(Ring {
+                    n,
+                    steps: 4,
+                    anywhere: false,
+                }),
                 RunOptions::new().loader(load_keys(n)),
             )
             .expect("run");
@@ -496,7 +542,13 @@ fn read_ahead_windows_shrink_to_a_byte_budget_for_large_states() {
 #[test]
 fn transient_faults_on_state_batches_heal_to_the_reference_output() {
     let n = 90u32;
-    let job = || Arc::new(Ring { n, steps: 6 });
+    let job = || {
+        Arc::new(Ring {
+            n,
+            steps: 6,
+            anywhere: false,
+        })
+    };
 
     let simple = SimpleStore::new(3);
     JobRunner::new(simple.clone())
@@ -538,6 +590,32 @@ fn transient_faults_on_state_batches_heal_to_the_reference_output() {
     assert_eq!(raw_table(&store), raw_table(&simple));
 }
 
+/// Run-anywhere state access goes through table handles, not part views,
+/// and must heal through the retry policy like its pinned twin.
+#[test]
+fn a_transient_point_fault_under_run_anywhere_heals_to_the_reference_output() {
+    let n = 90u32;
+    let job = || {
+        Arc::new(Ring {
+            n,
+            steps: 4,
+            anywhere: true,
+        })
+    };
+    let simple = SimpleStore::new(3);
+    JobRunner::new(simple.clone())
+        .launch(job(), RunOptions::new().loader(load_keys(n)))
+        .expect("reference run");
+
+    let store = Logged::new(MemStore::builder().default_parts(3).build()).failing_first_point_op();
+    let outcome = JobRunner::new(store.clone())
+        .launch(job(), RunOptions::new().loader(load_keys(n)))
+        .expect("the stolen invocation's state access is retried");
+    assert!(store.tripped(), "no point operation reached a table handle");
+    assert_eq!(outcome.metrics.retries, 1);
+    assert_eq!(raw_table(&store.inner), raw_table(&simple));
+}
+
 // ---------------------------------------------------------------------------
 // The single-round step
 // ---------------------------------------------------------------------------
@@ -547,7 +625,11 @@ fn a_step_is_one_task_per_part_and_no_inbox_table_exists() {
     let store = Logged::new(MemStore::builder().default_parts(3).build());
     let outcome = JobRunner::new(store.clone())
         .launch(
-            Arc::new(Ring { n: 90, steps: 4 }),
+            Arc::new(Ring {
+                n: 90,
+                steps: 4,
+                anywhere: false,
+            }),
             RunOptions::new().loader(load_keys(90)),
         )
         .expect("run");
