@@ -18,6 +18,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use ripple_kv::StoreMetrics;
 
 use crate::profile::{StepProfile, WorkerProfile};
 use crate::RunObserver;
@@ -274,6 +275,14 @@ impl RunObserver for TraceRecorder {
     }
 }
 
+/// Appends `,"<counter>":<value>` for every scalar store counter, in
+/// declaration order.
+fn write_store_counters(out: &mut String, store: &StoreMetrics) {
+    for (name, value) in store.counters() {
+        let _ = write!(out, ",\"{name}\":{value}");
+    }
+}
+
 /// Serializes step profiles as a plain JSON array (one object per step),
 /// for harnesses that want the raw numbers rather than a trace timeline.
 pub fn step_profiles_json(profiles: &[StepProfile]) -> String {
@@ -288,13 +297,7 @@ pub fn step_profiles_json(profiles: &[StepProfile]) -> String {
              \"inbox_wall_us\":{:.3},\"barrier_skew_us\":{:.3},\"enabled\":{},\
              \"invocations\":{},\"messages_sent\":{},\"messages_combined\":{},\
              \"state_reads\":{},\"state_writes\":{},\"state_deletes\":{},\"creates\":{},\
-             \"direct_outputs\":{},\"spill_batches\":{},\"local_ops\":{},\"remote_ops\":{},\
-             \"bytes_marshalled\":{},\"tasks_dispatched\":{},\"enumerations\":{},\
-             \"wal_bytes\":{},\"fsyncs\":{},\"replayed_records\":{},\
-             \"rpcs\":{},\"net_bytes_in\":{},\"net_bytes_out\":{},\"retries\":{},\
-             \"retry_bytes\":{},\"reconnects\":{},\"failovers\":{},\"net_batches\":{},\
-             \"combined_records\":{},\"rpc_p50_us\":{},\
-             \"rpc_p99_us\":{},\"parts\":[",
+             \"direct_outputs\":{},\"spill_batches\":{}",
             p.step,
             micros(p.start),
             micros(p.compute_wall),
@@ -310,23 +313,11 @@ pub fn step_profiles_json(profiles: &[StepProfile]) -> String {
             p.counters.creates,
             p.counters.direct_outputs,
             p.counters.spill_batches,
-            p.store.local_ops,
-            p.store.remote_ops,
-            p.store.bytes_marshalled,
-            p.store.tasks_dispatched,
-            p.store.enumerations,
-            p.store.wal_bytes,
-            p.store.fsyncs,
-            p.store.replayed_records,
-            p.store.rpcs,
-            p.store.net_bytes_in,
-            p.store.net_bytes_out,
-            p.store.retries,
-            p.store.retry_bytes,
-            p.store.reconnects,
-            p.store.failovers,
-            p.store.net_batches,
-            p.store.combined_records,
+        );
+        write_store_counters(&mut out, &p.store);
+        let _ = write!(
+            out,
+            ",\"rpc_p50_us\":{},\"rpc_p99_us\":{},\"parts\":[",
             p.store.rpc_latency.quantile_upper_us(500_000),
             p.store.rpc_latency.quantile_upper_us(990_000),
         );
@@ -336,21 +327,13 @@ pub fn step_profiles_json(profiles: &[StepProfile]) -> String {
             }
             let _ = write!(
                 out,
-                "{{\"part\":{},\"compute_us\":{:.3},\"inbox_us\":{:.3},\"local_ops\":{},\
-                 \"remote_ops\":{},\"bytes_marshalled\":{},\"wal_bytes\":{},\"fsyncs\":{},\
-                 \"rpcs\":{},\"net_bytes_in\":{},\"net_bytes_out\":{}}}",
+                "{{\"part\":{},\"compute_us\":{:.3},\"inbox_us\":{:.3}",
                 part.part,
                 micros(part.compute),
                 micros(part.inbox_build),
-                part.store.local_ops,
-                part.store.remote_ops,
-                part.store.bytes_marshalled,
-                part.store.wal_bytes,
-                part.store.fsyncs,
-                part.store.rpcs,
-                part.store.net_bytes_in,
-                part.store.net_bytes_out,
             );
+            write_store_counters(&mut out, &part.store);
+            out.push('}');
         }
         out.push_str("]}");
     }
@@ -389,6 +372,7 @@ pub fn worker_profiles_json(profiles: &[WorkerProfile]) -> String {
 mod tests {
     use super::*;
     use crate::profile::{PartStepProfile, StepCounters};
+    use ripple_kv::{Counter, StoreCounters};
 
     /// A tiny structural validator: balanced braces/brackets outside
     /// strings, no trailing garbage — enough to catch malformed emission.
@@ -502,6 +486,41 @@ mod tests {
         let workers = worker_profiles_json(&[WorkerProfile::default()]);
         assert!(json_is_balanced(&workers));
         assert_eq!(worker_profiles_json(&[]), "[]");
+    }
+
+    #[test]
+    fn every_store_counter_is_rendered_at_step_and_part_level() {
+        // Counter i (declaration order) reads 100 + i for the step and
+        // 200 + i for its one part.
+        let filled = |base| {
+            let counters = StoreCounters::new();
+            for (n, counter) in (base..).zip(Counter::ALL) {
+                counters.add(None, counter, n);
+            }
+            counters.metrics()
+        };
+        let (step_store, part_store) = (filled(100), filled(200));
+        let mut profile = sample_profile();
+        profile.store = step_store;
+        profile.parts[0].store = part_store;
+        let json = step_profiles_json(&[profile]);
+        assert!(json_is_balanced(&json), "unbalanced: {json}");
+        let (step, part) = json.split_once("\"parts\":[").expect("a parts array");
+        // Step-level keys keep their names and their place: in declaration
+        // order, after the engine counters and before the latency quantiles.
+        let mut last = step.find("\"spill_batches\":").expect("engine counters");
+        for ((name, value), (_, part_value)) in step_store.counters().zip(part_store.counters()) {
+            let at = step
+                .find(&format!("\"{name}\":{value},"))
+                .unwrap_or_else(|| panic!("step-level {name} missing: {step}"));
+            assert!(at > last, "{name} out of declaration order");
+            last = at;
+            assert!(
+                part.contains(&format!("\"{name}\":{part_value}")),
+                "part-level {name} missing: {part}"
+            );
+        }
+        assert!(step.find("\"rpc_p50_us\":").expect("latency quantiles") > last);
     }
 
     #[test]

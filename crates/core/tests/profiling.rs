@@ -120,16 +120,7 @@ fn step_profiles_tile_the_run_metrics() {
     // delta, field by field.
     let store_sum = profiles
         .iter()
-        .fold(ripple_kv::StoreMetrics::default(), |mut acc, p| {
-            acc.local_ops += p.store.local_ops;
-            acc.remote_ops += p.store.remote_ops;
-            acc.bytes_marshalled += p.store.bytes_marshalled;
-            acc.tasks_dispatched += p.store.tasks_dispatched;
-            acc.enumerations += p.store.enumerations;
-            acc.net_batches += p.store.net_batches;
-            acc.combined_records += p.store.combined_records;
-            acc
-        });
+        .fold(ripple_kv::StoreMetrics::default(), |sum, p| sum + p.store);
     assert_eq!(
         store_sum, m.store,
         "per-step store deltas must tile the run"

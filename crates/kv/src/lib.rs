@@ -50,7 +50,7 @@ pub use error::{panic_message, KvError};
 pub use handle::TaskHandle;
 pub use key::{fnv64, PartId, RoutedKey};
 pub use member::{MembershipView, ReplicaSet, StoreEventSink};
-pub use metrics::{LatencyBuckets, StoreMetrics};
+pub use metrics::{Counter, LatencyBuckets, StoreCounters, StoreMetrics};
 pub use recover::{HealableStore, RecoverableStore};
 pub use snapshot::{CollectPairs, TableSnapshot};
 pub use spec::TableSpec;

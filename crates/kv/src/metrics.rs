@@ -1,5 +1,10 @@
 use std::fmt;
-use std::ops::Sub;
+use std::ops::{Add, Sub};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::time::Instant;
+
+use crate::PartId;
 
 /// Histogram of request latencies in power-of-two microsecond buckets.
 ///
@@ -90,76 +95,140 @@ impl Sub for LatencyBuckets {
     }
 }
 
-/// Snapshot of a store's operation and marshalling counters.
-///
-/// The Ripple evaluation leans on the distinction the debugging store makes:
-/// "communication between emulated partitions involves marshalling, while
-/// local operations do not".  These counters let the engine and the
-/// experiment harnesses report exactly how much crossing happened.
-///
-/// This is a passive data snapshot, so its fields are public.  Subtracting
-/// two snapshots gives the deltas for an interval.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreMetrics {
+/// Declares the scalar store counters once.  The one invocation below
+/// expands to the [`StoreMetrics`] fields, the [`Counter`] that names each
+/// of them to a [`StoreCounters`] block, field-wise `Add`/`Sub`, and the
+/// `(name, value)` walk renderers iterate — so a counter cannot be
+/// collected and not reported, nor be added to one list and not another.
+macro_rules! store_counters {
+    ($($(#[doc = $doc:literal])+ $variant:ident: $field:ident,)+) => {
+        /// Snapshot of a store's operation and marshalling counters.
+        ///
+        /// The Ripple evaluation leans on the distinction the debugging store
+        /// makes: "communication between emulated partitions involves
+        /// marshalling, while local operations do not".  These counters let
+        /// the engine and the experiment harnesses report exactly how much
+        /// crossing happened.
+        ///
+        /// This is a passive data snapshot, so its fields are public.
+        /// Subtracting two snapshots gives the deltas for an interval; adding
+        /// part snapshots rebuilds a store-wide one.  The field names are
+        /// frozen: the out-of-tree `benchmark/` package reads them by name.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StoreMetrics {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+            /// Request-latency histogram for the networked operations counted
+            /// in [`StoreMetrics::rpcs`], measured send-to-completion.
+            pub rpc_latency: LatencyBuckets,
+        }
+
+        /// One scalar [`StoreMetrics`] counter, as a store bumps it in its
+        /// [`StoreCounters`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        const COUNTERS: usize = [$(stringify!($field)),+].len();
+
+        impl Counter {
+            /// Every counter, in declaration order.
+            pub const ALL: [Counter; COUNTERS] = [$(Counter::$variant),+];
+        }
+
+        impl StoreMetrics {
+            /// Every scalar counter as `(field name, value)`, in declaration
+            /// order — the order renderers emit them in.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field)),+].into_iter()
+            }
+
+            fn from_cell(cell: &Cell) -> StoreMetrics {
+                let [$($field),+] = cell.each_ref().map(|c| c.load(Ordering::Relaxed));
+                StoreMetrics { $($field,)+ rpc_latency: LatencyBuckets::new() }
+            }
+        }
+
+        impl Add for StoreMetrics {
+            type Output = StoreMetrics;
+
+            fn add(self, rhs: StoreMetrics) -> StoreMetrics {
+                let mut rpc_latency = self.rpc_latency;
+                rpc_latency.merge(&rhs.rpc_latency);
+                StoreMetrics { $($field: self.$field + rhs.$field,)+ rpc_latency }
+            }
+        }
+
+        impl Sub for StoreMetrics {
+            type Output = StoreMetrics;
+
+            fn sub(self, rhs: StoreMetrics) -> StoreMetrics {
+                StoreMetrics {
+                    $($field: self.$field.saturating_sub(rhs.$field),)+
+                    rpc_latency: self.rpc_latency - rhs.rpc_latency,
+                }
+            }
+        }
+    };
+}
+
+store_counters! {
     /// Operations served without crossing a part boundary.
-    pub local_ops: u64,
+    LocalOps: local_ops,
     /// Operations that crossed a part boundary (request/response marshalled).
-    pub remote_ops: u64,
+    RemoteOps: remote_ops,
     /// Bytes marshalled across part boundaries (keys + values, both ways).
-    pub bytes_marshalled: u64,
+    BytesMarshalled: bytes_marshalled,
     /// Mobile-code tasks dispatched to parts.
-    pub tasks_dispatched: u64,
+    TasksDispatched: tasks_dispatched,
     /// Long-running enumerations served by the long-operation lanes.
-    pub enumerations: u64,
+    Enumerations: enumerations,
     /// Bytes appended to write-ahead logs.  Zero on memory-only backends.
-    pub wal_bytes: u64,
+    WalBytes: wal_bytes,
     /// `fsync`-class flushes issued to make log or snapshot bytes durable.
     /// Zero on memory-only backends.
-    pub fsyncs: u64,
+    Fsyncs: fsyncs,
     /// Log records replayed while rebuilding memtables on open or rewind.
     /// Zero on memory-only backends.
-    pub replayed_records: u64,
+    ReplayedRecords: replayed_records,
     /// Requests sent over a network connection.  Zero on in-process
     /// backends.
-    pub rpcs: u64,
+    Rpcs: rpcs,
     /// Bytes received from the network (frame bytes, headers included).
     /// Zero on in-process backends.
-    pub net_bytes_in: u64,
+    NetBytesIn: net_bytes_in,
     /// Bytes written to the network (frame bytes, headers included).
     /// Zero on in-process backends.
-    pub net_bytes_out: u64,
+    NetBytesOut: net_bytes_out,
     /// Operations the store re-issued internally (fencing handshake redos,
     /// stale-epoch refreshes) — retries *below* the engine's own retry
     /// policy.  Zero on in-process backends.
-    pub retries: u64,
+    Retries: retries,
     /// Network bytes attributable to retried or reconnect traffic: frame
     /// bytes re-sent after a stale-epoch refresh, a fencing handshake redo,
     /// a standby write retry, or a reconnect handshake.  Always a subset of
     /// the traffic already counted in [`StoreMetrics::net_bytes_out`], kept
     /// separately so cost accounting can report the useful h-relation
     /// (first-attempt bytes) under chaos.  Zero on in-process backends.
-    pub retry_bytes: u64,
+    RetryBytes: retry_bytes,
     /// Connections opened to a destination beyond its first — each one is
     /// a heal after a lost or severed connection.  Zero on in-process
     /// backends.
-    pub reconnects: u64,
+    Reconnects: reconnects,
     /// Primary promotions: a replica group's primary was declared down and
     /// a standby took over at a higher epoch.  Zero on in-process and
     /// unreplicated backends.
-    pub failovers: u64,
+    Failovers: failovers,
     /// Batched writes applied (one per [`Table::put_batch`](crate::Table::put_batch)
     /// flush in-process, one per coalesced `REQ_PUT_BATCH` frame over the
     /// wire).  Each batch stands in for `len` per-record operations that
     /// were *not* issued individually.
-    pub net_batches: u64,
+    NetBatches: net_batches,
     /// Records folded away by a bound combiner
     /// ([`KvStore::bind_combiner`](crate::KvStore::bind_combiner)) instead
     /// of being stored or sent: server-side folds into the resident value
     /// plus client-side pre-combines of duplicate-key batch records.
-    pub combined_records: u64,
-    /// Request-latency histogram for the networked operations counted in
-    /// [`StoreMetrics::rpcs`], measured send-to-completion.
-    pub rpc_latency: LatencyBuckets,
+    CombinedRecords: combined_records,
 }
 
 impl StoreMetrics {
@@ -170,31 +239,117 @@ impl StoreMetrics {
     }
 }
 
-impl Sub for StoreMetrics {
-    type Output = StoreMetrics;
+/// One scope's counters, indexed by [`Counter`].
+type Cell = [AtomicU64; COUNTERS];
 
-    fn sub(self, rhs: StoreMetrics) -> StoreMetrics {
-        StoreMetrics {
-            local_ops: self.local_ops.saturating_sub(rhs.local_ops),
-            remote_ops: self.remote_ops.saturating_sub(rhs.remote_ops),
-            bytes_marshalled: self.bytes_marshalled.saturating_sub(rhs.bytes_marshalled),
-            tasks_dispatched: self.tasks_dispatched.saturating_sub(rhs.tasks_dispatched),
-            enumerations: self.enumerations.saturating_sub(rhs.enumerations),
-            wal_bytes: self.wal_bytes.saturating_sub(rhs.wal_bytes),
-            fsyncs: self.fsyncs.saturating_sub(rhs.fsyncs),
-            replayed_records: self.replayed_records.saturating_sub(rhs.replayed_records),
-            rpcs: self.rpcs.saturating_sub(rhs.rpcs),
-            net_bytes_in: self.net_bytes_in.saturating_sub(rhs.net_bytes_in),
-            net_bytes_out: self.net_bytes_out.saturating_sub(rhs.net_bytes_out),
-            retries: self.retries.saturating_sub(rhs.retries),
-            retry_bytes: self.retry_bytes.saturating_sub(rhs.retry_bytes),
-            reconnects: self.reconnects.saturating_sub(rhs.reconnects),
-            failovers: self.failovers.saturating_sub(rhs.failovers),
-            net_batches: self.net_batches.saturating_sub(rhs.net_batches),
-            combined_records: self.combined_records.saturating_sub(rhs.combined_records),
-            rpc_latency: self.rpc_latency - rhs.rpc_latency,
+/// Part `p` lives in segment `ilog2(p + 1)`; part ids are `u32`, so 33
+/// segments of doubling length hold them all.
+const SEGMENTS: usize = 33;
+
+/// The atomic counter block every store counts through.
+///
+/// It holds one cell of counters per part, created the first time the
+/// part is counted, one cell for traffic no single part served, and the
+/// store-wide [`StoreMetrics::rpc_latency`] histogram.  Every event bumps
+/// exactly one cell, and the store-wide snapshot is *derived*:
+/// [`StoreCounters::metrics`] is the unattributed cell plus the sum of
+/// [`StoreCounters::part_metrics`].  Part cells live in segments of
+/// doubling length that are allocated once and never move, so counting is
+/// one relaxed `fetch_add` with no lock.
+#[derive(Debug)]
+pub struct StoreCounters {
+    unattributed: Cell,
+    parts: [OnceLock<Box<[Cell]>>; SEGMENTS],
+    /// One past the highest part counted so far.  Relaxed: it publishes
+    /// no data — a reader that sees it before the part's segment reads
+    /// the part as all zeros.
+    touched: AtomicUsize,
+    rpc_latency: [AtomicU64; LatencyBuckets::BUCKETS],
+}
+
+impl Default for StoreCounters {
+    fn default() -> Self {
+        Self {
+            unattributed: Cell::default(),
+            parts: std::array::from_fn(|_| OnceLock::new()),
+            touched: AtomicUsize::new(0),
+            rpc_latency: Default::default(),
         }
     }
+}
+
+impl StoreCounters {
+    /// An all-zero block.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Counts `n` more of `counter` against `part`, or against no part.
+    #[inline]
+    pub fn add(&self, part: Option<PartId>, counter: Counter, n: u64) {
+        self.cell(part)[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Records one request latency measured from `start`.
+    pub fn observe_latency(&self, start: Instant) {
+        let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.rpc_latency[LatencyBuckets::bucket_for(us)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The store-wide snapshot: unattributed traffic plus every part's,
+    /// with the latency histogram.
+    #[must_use]
+    pub fn metrics(&self) -> StoreMetrics {
+        let unattributed = StoreMetrics {
+            rpc_latency: LatencyBuckets(
+                self.rpc_latency
+                    .each_ref()
+                    .map(|b| b.load(Ordering::Relaxed)),
+            ),
+            ..StoreMetrics::from_cell(&self.unattributed)
+        };
+        self.part_metrics().into_iter().fold(unattributed, Add::add)
+    }
+
+    /// One snapshot per part, indexed by part id, up to the highest part
+    /// counted so far.
+    #[must_use]
+    pub fn part_metrics(&self) -> Vec<StoreMetrics> {
+        (0..self.touched.load(Ordering::Relaxed))
+            .map(|index| {
+                let (segment, offset) = locate(index);
+                self.parts[segment]
+                    .get()
+                    .map_or_else(StoreMetrics::default, |cells| {
+                        StoreMetrics::from_cell(&cells[offset])
+                    })
+            })
+            .collect()
+    }
+
+    /// The cell `part` counts into, created on its first use.
+    #[inline]
+    fn cell(&self, part: Option<PartId>) -> &Cell {
+        let Some(part) = part else {
+            return &self.unattributed;
+        };
+        let (segment, offset) = locate(part.index());
+        let cells = self.parts[segment]
+            .get_or_init(|| (0..1usize << segment).map(|_| Cell::default()).collect());
+        if self.touched.load(Ordering::Relaxed) <= part.index() {
+            self.touched.fetch_max(part.index() + 1, Ordering::Relaxed);
+        }
+        &cells[offset]
+    }
+}
+
+/// The segment holding part `index`, and its offset there.
+#[inline]
+fn locate(index: usize) -> (usize, usize) {
+    let slot = index + 1;
+    let segment = slot.ilog2() as usize;
+    (segment, slot - (1 << segment))
 }
 
 impl fmt::Display for StoreMetrics {
@@ -258,68 +413,60 @@ impl fmt::Display for StoreMetrics {
 mod tests {
     use super::*;
 
+    /// A block with the `i`-th counter (from 1, declaration order) at
+    /// `base * i` on `part`.
+    fn distinct(part: Option<PartId>, base: u64) -> StoreCounters {
+        let counters = StoreCounters::new();
+        for (i, counter) in (1u64..).zip(Counter::ALL) {
+            counters.add(part, counter, base * i);
+        }
+        counters
+    }
+
+    #[test]
+    fn snapshot_reflects_counters() {
+        // Every counter round-trips add -> snapshot -> its own field.
+        let counters = distinct(Some(PartId(2)), 1);
+        counters.add(None, Counter::LocalOps, 100);
+        counters.add(Some(PartId(0)), Counter::Rpcs, 7);
+        counters.observe_latency(Instant::now());
+        let parts = counters.part_metrics();
+        assert_eq!(parts.len(), 3, "parts 0..=2 exist once 2 is counted");
+        assert_eq!(parts[1], StoreMetrics::default());
+        assert_eq!(parts[0].counters().filter(|(_, v)| *v != 0).count(), 1);
+        assert_eq!(parts[0].rpcs, 7);
+        for (i, (name, value)) in (1u64..).zip(parts[2].counters()) {
+            assert_eq!(value, i, "{name}");
+        }
+        // The store-wide snapshot is the unattributed cell plus every part.
+        let m = counters.metrics();
+        assert_eq!(m.rpc_latency.total(), 1);
+        assert_eq!(parts[2].rpc_latency.total(), 0, "latency is store-wide");
+        let unattributed = StoreMetrics {
+            local_ops: 100,
+            rpc_latency: m.rpc_latency,
+            ..StoreMetrics::default()
+        };
+        assert_eq!(m, parts.into_iter().fold(unattributed, Add::add));
+        // Segments double: part 6 is the last of segment 2, part 7 opens 3.
+        for part in [6, 7, 1000] {
+            counters.add(Some(PartId(part)), Counter::Fsyncs, 1);
+        }
+        let parts = counters.part_metrics();
+        assert_eq!(parts.len(), 1001);
+        assert_eq!(parts.iter().map(|p| p.fsyncs).sum::<u64>(), 7 + 3);
+        assert_eq!(parts[6].fsyncs + parts[7].fsyncs + parts[1000].fsyncs, 3);
+    }
+
     #[test]
     fn deltas_subtract_fieldwise() {
-        let a = StoreMetrics {
-            local_ops: 10,
-            remote_ops: 5,
-            bytes_marshalled: 100,
-            tasks_dispatched: 3,
-            enumerations: 2,
-            wal_bytes: 900,
-            fsyncs: 9,
-            replayed_records: 7,
-            rpcs: 20,
-            net_bytes_in: 512,
-            net_bytes_out: 256,
-            retries: 8,
-            retry_bytes: 120,
-            reconnects: 4,
-            failovers: 2,
-            net_batches: 30,
-            combined_records: 200,
-            rpc_latency: LatencyBuckets([2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
-        };
-        let b = StoreMetrics {
-            local_ops: 4,
-            remote_ops: 1,
-            bytes_marshalled: 40,
-            tasks_dispatched: 1,
-            enumerations: 2,
-            wal_bytes: 300,
-            fsyncs: 4,
-            replayed_records: 7,
-            rpcs: 5,
-            net_bytes_in: 12,
-            net_bytes_out: 56,
-            retries: 3,
-            retry_bytes: 20,
-            reconnects: 1,
-            failovers: 2,
-            net_batches: 10,
-            combined_records: 50,
-            rpc_latency: LatencyBuckets([1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
-        };
-        let d = a - b;
-        assert_eq!(d.local_ops, 6);
-        assert_eq!(d.remote_ops, 4);
-        assert_eq!(d.bytes_marshalled, 60);
-        assert_eq!(d.tasks_dispatched, 2);
-        assert_eq!(d.enumerations, 0);
-        assert_eq!(d.total_ops(), 10);
-        assert_eq!(d.wal_bytes, 600);
-        assert_eq!(d.fsyncs, 5);
-        assert_eq!(d.replayed_records, 0);
-        assert_eq!(d.rpcs, 15);
-        assert_eq!(d.net_bytes_in, 500);
-        assert_eq!(d.net_bytes_out, 200);
-        assert_eq!(d.retries, 5);
-        assert_eq!(d.retry_bytes, 100);
-        assert_eq!(d.reconnects, 3);
-        assert_eq!(d.failovers, 0);
-        assert_eq!(d.net_batches, 20);
-        assert_eq!(d.combined_records, 150);
-        assert_eq!(d.rpc_latency.total(), 1);
+        let [a, b, later] = [10, 4, 30].map(|base| distinct(None, base).metrics());
+        let deltas = (later - a).counters().zip((b - a).counters());
+        for (i, ((name, d), (_, back))) in (1u64..).zip(deltas) {
+            assert_eq!(d, 20 * i, "{name} subtracts");
+            assert_eq!(back, 0, "{name} saturates");
+        }
+        assert_eq!(a + (later - a), later);
     }
 
     #[test]

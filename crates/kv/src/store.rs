@@ -181,9 +181,10 @@ pub trait KvStore: Clone + Send + Sync + Sized + 'static {
     ///
     /// Stores that do not attribute operations to parts return an empty
     /// vector (the default); callers must treat per-part attribution as
-    /// best-effort.  Where supported, the field-wise sum over parts is
-    /// bounded by [`KvStore::metrics`] (operations issued outside any part
-    /// scope are counted store-wide only).
+    /// best-effort.  Where supported, [`KvStore::metrics`] decomposes
+    /// exactly: it equals the traffic no single part served (whole-table
+    /// operations, catalog writes) plus the field-wise sum of this vector —
+    /// which is how [`StoreCounters`](crate::StoreCounters) derives it.
     fn part_metrics(&self) -> Vec<crate::StoreMetrics> {
         Vec::new()
     }

@@ -52,7 +52,7 @@ impl fmt::Display for Finding {
 /// A workspace-invariant check.
 ///
 /// Rules see the whole [`Workspace`] so cross-file invariants (opcode
-/// tables, metrics telescoping) are first-class, not special cases.
+/// tables, error classes) are first-class, not special cases.
 pub trait Rule {
     /// Stable kebab-case id, used in reports and waivers.
     fn id(&self) -> &'static str;
@@ -77,7 +77,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(crate::rules::wallclock::NoWallclockInDeterministicPaths),
         Box::new(crate::rules::unwrap::NoUnwrapInHotPaths),
         Box::new(crate::rules::opcode_sync::OpcodeTableSync),
-        Box::new(crate::rules::metrics_telescoping::MetricsTelescoping),
         Box::new(crate::rules::error_class::ErrorClassCoverage),
         Box::new(crate::rules::wire_inline::WireInline),
     ]

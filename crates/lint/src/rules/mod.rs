@@ -5,7 +5,6 @@
 //! rule table and the policy on allowlists versus inline waivers.
 
 pub mod error_class;
-pub mod metrics_telescoping;
 pub mod no_sleep_poll;
 pub mod opcode_sync;
 pub mod unwrap;

@@ -55,21 +55,6 @@ fn opcode_sync_roundtrip() {
 }
 
 #[test]
-fn metrics_telescoping_roundtrip() {
-    assert_rule_roundtrip("metrics-telescoping");
-}
-
-#[test]
-fn metrics_telescoping_has_one_sink() {
-    // The bad fixture drops `lost_ops` from the trace renderer, the only
-    // sink: one finding, naming trace.rs.
-    let findings = run(&fixture("metrics-telescoping/bad"));
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(findings[0].message.contains("lost_ops"));
-    assert!(findings[0].message.contains("crates/core/src/trace.rs"));
-}
-
-#[test]
 fn error_class_roundtrip() {
     assert_rule_roundtrip("error-class-coverage");
 }

@@ -77,7 +77,7 @@ impl DiskStore {
             // or flush lands them.
             Ok(())
         } else {
-            shard.wal.write_out(true, &*self.inner)
+            shard.wal.write_out(true, &self.inner.counters)
         }
     }
 }
@@ -149,7 +149,7 @@ impl DurableStore for DiskStore {
         let tables: Vec<_> = self.inner.tables.read().values().cloned().collect();
         for t in tables {
             for shard in &t.shards {
-                shard.lock().wal.write_out(true, &*self.inner)?;
+                shard.lock().wal.write_out(true, &self.inner.counters)?;
             }
         }
         Ok(())
@@ -166,7 +166,7 @@ impl DurableStore for DiskStore {
             for shard in &t.shards {
                 let mut shard = shard.lock();
                 shard.wal.append(&WalRecord::Barrier { epoch });
-                shard.wal.write_out(fsync, &*self.inner)?;
+                shard.wal.write_out(fsync, &self.inner.counters)?;
             }
         }
         Ok(())
@@ -182,7 +182,8 @@ impl DurableStore for DiskStore {
                     continue;
                 }
                 let part = u32::try_from(part).expect("part counts are u32");
-                wal::write_snapshot(&t.dir, part, shard.wal.gen, epoch, &shard.map, &*self.inner)?;
+                let counters = &self.inner.counters;
+                wal::write_snapshot(&t.dir, part, shard.wal.gen, epoch, &shard.map, counters)?;
                 // The snapshot folds every generation up to the writer's;
                 // list_shard_files now classifies them (and older
                 // snapshots) as stale.
@@ -203,7 +204,7 @@ impl DurableStore for DiskStore {
             for (part, shard) in t.shards.iter().enumerate() {
                 let part_u32 = u32::try_from(part).expect("part counts are u32");
                 let (map, writer) =
-                    wal::rewind_shard(&t.dir, &t.name, part_u32, epoch, &*self.inner)?;
+                    wal::rewind_shard(&t.dir, &t.name, part_u32, epoch, &self.inner.counters)?;
                 *shard.lock() = Shard { map, wal: writer };
             }
         }

@@ -13,12 +13,12 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 use ripple_kv::{
-    CombineFn, CombinerRegistry, CombinerSpec, KvError, KvStore, PartId, PartView, RoutedKey,
-    ScanControl, StoreMetrics, SyncPolicy, Table, TableSpec, TaskHandle,
+    CombineFn, CombinerRegistry, CombinerSpec, Counter, KvError, KvStore, PartId, PartView,
+    RoutedKey, ScanControl, StoreCounters, StoreMetrics, SyncPolicy, Table, TableSpec, TaskHandle,
 };
 use ripple_wire::{read_frame, write_frame, ByteReader, ByteWriter, Decode, Encode, FrameRead};
 
-use crate::wal::{io_err, replay_shard, WalRecord, WalSink, WalWriter};
+use crate::wal::{io_err, replay_shard, WalRecord, WalWriter};
 
 /// Escapes a table name into a file-system-safe directory name.
 ///
@@ -34,37 +34,6 @@ pub(crate) fn escape_table_name(name: &str) -> String {
         }
     }
     out
-}
-
-/// Per-scope operation counters (one global set plus one per part).
-#[derive(Debug, Default)]
-pub(crate) struct Cells {
-    ops: AtomicU64,
-    tasks: AtomicU64,
-    enumerations: AtomicU64,
-    wal_bytes: AtomicU64,
-    fsyncs: AtomicU64,
-    replayed: AtomicU64,
-    batches: AtomicU64,
-    combined: AtomicU64,
-}
-
-impl Cells {
-    fn snapshot(&self) -> StoreMetrics {
-        StoreMetrics {
-            local_ops: self.ops.load(Ordering::Relaxed),
-            remote_ops: 0,
-            bytes_marshalled: 0,
-            tasks_dispatched: self.tasks.load(Ordering::Relaxed),
-            enumerations: self.enumerations.load(Ordering::Relaxed),
-            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            replayed_records: self.replayed.load(Ordering::Relaxed),
-            net_batches: self.batches.load(Ordering::Relaxed),
-            combined_records: self.combined.load(Ordering::Relaxed),
-            ..StoreMetrics::default()
-        }
-    }
 }
 
 /// One part of one table: its memtable plus its log writer.
@@ -118,8 +87,9 @@ pub(crate) struct Inner {
     /// before the in-memory table map changes.
     catalog: Mutex<File>,
     next_partitioning: AtomicU64,
-    cells: Cells,
-    part_cells: RwLock<Vec<Arc<Cells>>>,
+    /// Operation and durability counters, attributed to the shard's part;
+    /// catalog traffic belongs to no part.
+    pub(crate) counters: StoreCounters,
     /// Notes collected while opening: one [`KvError::WalTailDiscarded`]
     /// per shard (or catalog) whose damaged log tail was truncated.
     recovery: Mutex<Vec<KvError>>,
@@ -145,39 +115,15 @@ impl std::fmt::Debug for Inner {
     }
 }
 
-impl WalSink for Inner {
-    fn wal_bytes(&self, part: u32, bytes: u64) {
-        self.cells.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.part_cell(part)
-            .wal_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-    }
-    fn fsync(&self, part: u32) {
-        self.cells.fsyncs.fetch_add(1, Ordering::Relaxed);
-        self.part_cell(part).fsyncs.fetch_add(1, Ordering::Relaxed);
-    }
-    fn replayed(&self, part: u32, records: u64) {
-        self.cells.replayed.fetch_add(records, Ordering::Relaxed);
-        self.part_cell(part)
-            .replayed
-            .fetch_add(records, Ordering::Relaxed);
-    }
-}
-
 impl Inner {
-    pub(crate) fn part_cell(&self, part: u32) -> Arc<Cells> {
-        let idx = part as usize;
-        {
-            let cells = self.part_cells.read();
-            if let Some(c) = cells.get(idx) {
-                return Arc::clone(c);
-            }
-        }
-        let mut cells = self.part_cells.write();
-        while cells.len() <= idx {
-            cells.push(Arc::new(Cells::default()));
-        }
-        Arc::clone(&cells[idx])
+    /// Counts `n` of `counter` against `part`.
+    fn count(&self, part: u32, counter: Counter, n: u64) {
+        self.counters.add(Some(PartId(part)), counter, n);
+    }
+
+    /// Applies the store's sync policy after one buffered mutation of `wal`.
+    fn after_mutation(&self, wal: &mut WalWriter) -> Result<(), KvError> {
+        wal.after_mutation(self.policy, &self.counters)
     }
 
     /// Enqueues `job` on the task lane of `part` of partitioning group
@@ -198,18 +144,6 @@ impl Inner {
         });
         // The lane outlives its sender's entry here, so the send succeeds.
         let _ = lane.send(job);
-    }
-
-    fn count_op(&self, part: u32) {
-        self.cells.ops.fetch_add(1, Ordering::Relaxed);
-        self.part_cell(part).ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn count_enumeration(&self, part: u32) {
-        self.cells.enumerations.fetch_add(1, Ordering::Relaxed);
-        self.part_cell(part)
-            .enumerations
-            .fetch_add(1, Ordering::Relaxed);
     }
 
     fn table(&self, name: &str) -> Result<Arc<TableInner>, KvError> {
@@ -239,7 +173,7 @@ impl Inner {
         fold: Option<&CombineFn>,
         count_part: u32,
     ) -> Result<(), KvError> {
-        self.count_op(count_part);
+        self.count(count_part, Counter::LocalOps, 1);
         let mut combined = 0u64;
         let mut shard = t.shards[shard_idx].lock();
         for (key, value) in pairs {
@@ -256,13 +190,10 @@ impl Inner {
             });
             shard.map.insert(key, value);
         }
-        shard.wal.after_mutation(self.policy, self)?;
+        self.after_mutation(&mut shard.wal)?;
         drop(shard);
-        self.cells.batches.fetch_add(1, Ordering::Relaxed);
-        self.cells.combined.fetch_add(combined, Ordering::Relaxed);
-        let cell = self.part_cell(count_part);
-        cell.batches.fetch_add(1, Ordering::Relaxed);
-        cell.combined.fetch_add(combined, Ordering::Relaxed);
+        self.count(count_part, Counter::NetBatches, 1);
+        self.count(count_part, Counter::CombinedRecords, combined);
         Ok(())
     }
 
@@ -286,10 +217,9 @@ impl Inner {
             .map_err(|e| io_err("append catalog", &path, &e))?;
         file.sync_data()
             .map_err(|e| io_err("fsync catalog", &path, &e))?;
-        self.cells
-            .wal_bytes
-            .fetch_add(framed.len() as u64, Ordering::Relaxed);
-        self.cells.fsyncs.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .add(None, Counter::WalBytes, framed.len() as u64);
+        self.counters.add(None, Counter::Fsyncs, 1);
         Ok(())
     }
 
@@ -391,8 +321,7 @@ impl DiskStoreBuilder {
             tables: RwLock::new(HashMap::new()),
             catalog: Mutex::new(catalog_file),
             next_partitioning: AtomicU64::new(next_partitioning),
-            cells: Cells::default(),
-            part_cells: RwLock::new(Vec::new()),
+            counters: StoreCounters::new(),
             recovery: Mutex::new(Vec::new()),
             combiners: CombinerRegistry::new(),
             bindings: RwLock::new(HashMap::new()),
@@ -409,7 +338,7 @@ impl DiskStoreBuilder {
                 live_dirs.insert(table_path.clone());
                 let mut shards = Vec::with_capacity(meta.parts as usize);
                 for part in 0..meta.parts {
-                    let replayed = replay_shard(&table_path, name, part, &*inner)?;
+                    let replayed = replay_shard(&table_path, name, part, &inner.counters)?;
                     if let Some(note) = replayed.tail_note {
                         recovery.push(note);
                     }
@@ -652,7 +581,7 @@ impl Table for DiskTable {
     fn get(&self, key: &RoutedKey) -> Result<Option<Bytes>, KvError> {
         self.inner.check_live()?;
         let part = self.shard_for(key);
-        self.store.count_op(part);
+        self.store.count(part, Counter::LocalOps, 1);
         Ok(self.inner.shards[part as usize]
             .lock()
             .map
@@ -662,14 +591,14 @@ impl Table for DiskTable {
     fn put(&self, key: RoutedKey, value: Bytes) -> Result<Option<Bytes>, KvError> {
         self.inner.check_live()?;
         let part = self.shard_for(&key);
-        self.store.count_op(part);
+        self.store.count(part, Counter::LocalOps, 1);
         let mut shard = self.inner.shards[part as usize].lock();
         shard.wal.append(&WalRecord::Put {
             key: key.clone(),
             value: value.clone(),
         });
         let prev = shard.map.insert(key, value);
-        shard.wal.after_mutation(self.store.policy, &*self.store)?;
+        self.store.after_mutation(&mut shard.wal)?;
         Ok(prev)
     }
     /// One shard lock and one sync per destination shard instead of one
@@ -702,12 +631,12 @@ impl Table for DiskTable {
     fn delete(&self, key: &RoutedKey) -> Result<bool, KvError> {
         self.inner.check_live()?;
         let part = self.shard_for(key);
-        self.store.count_op(part);
+        self.store.count(part, Counter::LocalOps, 1);
         let mut shard = self.inner.shards[part as usize].lock();
         let present = shard.map.remove(key).is_some();
         if present {
             shard.wal.append(&WalRecord::Delete { key: key.clone() });
-            shard.wal.after_mutation(self.store.policy, &*self.store)?;
+            self.store.after_mutation(&mut shard.wal)?;
         }
         Ok(present)
     }
@@ -721,7 +650,7 @@ impl Table for DiskTable {
             let mut shard = shard.lock();
             shard.map.clear();
             shard.wal.append(&WalRecord::Clear);
-            shard.wal.after_mutation(self.store.policy, &*self.store)?;
+            self.store.after_mutation(&mut shard.wal)?;
         }
         Ok(())
     }
@@ -780,14 +709,14 @@ impl PartView for DiskPartView {
     }
     fn get(&self, table: &str, key: &RoutedKey) -> Result<Option<Bytes>, KvError> {
         let t = self.resolve(table, false)?;
-        self.store.count_op(self.part.0);
+        self.store.count(self.part.0, Counter::LocalOps, 1);
         let shard = Self::key_shard(&t, key);
         let out = t.shards[shard].lock().map.get(key).cloned();
         Ok(out)
     }
     fn put(&self, table: &str, key: RoutedKey, value: Bytes) -> Result<Option<Bytes>, KvError> {
         let t = self.resolve(table, true)?;
-        self.store.count_op(self.part.0);
+        self.store.count(self.part.0, Counter::LocalOps, 1);
         let shard = Self::key_shard(&t, &key);
         let mut shard = t.shards[shard].lock();
         shard.wal.append(&WalRecord::Put {
@@ -795,7 +724,7 @@ impl PartView for DiskPartView {
             value: value.clone(),
         });
         let prev = shard.map.insert(key, value);
-        shard.wal.after_mutation(self.store.policy, &*self.store)?;
+        self.store.after_mutation(&mut shard.wal)?;
         Ok(prev)
     }
     /// One shard lock and one sync per destination shard instead of one
@@ -823,13 +752,13 @@ impl PartView for DiskPartView {
     }
     fn delete(&self, table: &str, key: &RoutedKey) -> Result<bool, KvError> {
         let t = self.resolve(table, true)?;
-        self.store.count_op(self.part.0);
+        self.store.count(self.part.0, Counter::LocalOps, 1);
         let shard = Self::key_shard(&t, key);
         let mut shard = t.shards[shard].lock();
         let present = shard.map.remove(key).is_some();
         if present {
             shard.wal.append(&WalRecord::Delete { key: key.clone() });
-            shard.wal.after_mutation(self.store.policy, &*self.store)?;
+            self.store.after_mutation(&mut shard.wal)?;
         }
         Ok(present)
     }
@@ -839,7 +768,7 @@ impl PartView for DiskPartView {
         f: &mut dyn FnMut(&RoutedKey, &[u8]) -> ScanControl,
     ) -> Result<(), KvError> {
         let t = self.resolve(table, false)?;
-        self.store.count_enumeration(self.part.0);
+        self.store.count(self.part.0, Counter::Enumerations, 1);
         let shard = t.shards[self.view_shard(&t)].lock();
         for (k, v) in &shard.map {
             if !f(k, v).should_continue() {
@@ -854,7 +783,7 @@ impl PartView for DiskPartView {
         f: &mut dyn FnMut(RoutedKey, Bytes) -> ScanControl,
     ) -> Result<(), KvError> {
         let t = self.resolve(table, true)?;
-        self.store.count_enumeration(self.part.0);
+        self.store.count(self.part.0, Counter::Enumerations, 1);
         let idx = self.view_shard(&t);
         // Snapshot the keys, then remove one at a time so the callback
         // runs outside the shard lock; unconsumed entries survive an
@@ -867,7 +796,7 @@ impl PartView for DiskPartView {
                     continue;
                 };
                 shard.wal.append(&WalRecord::Delete { key: key.clone() });
-                shard.wal.after_mutation(self.store.policy, &*self.store)?;
+                self.store.after_mutation(&mut shard.wal)?;
                 value
             };
             if !f(key, value).should_continue() {
@@ -961,11 +890,7 @@ impl KvStore for DiskStore {
             "part {part} out of range for {:?}",
             reference.name()
         );
-        self.inner.cells.tasks.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .part_cell(part.0)
-            .tasks
-            .fetch_add(1, Ordering::Relaxed);
+        self.inner.count(part.0, Counter::TasksDispatched, 1);
         let (tx, rx) = bounded(1);
         let view = DiskPartView {
             store: Arc::clone(&self.inner),
@@ -996,15 +921,10 @@ impl KvStore for DiskStore {
     }
 
     fn metrics(&self) -> StoreMetrics {
-        self.inner.cells.snapshot()
+        self.inner.counters.metrics()
     }
 
     fn part_metrics(&self) -> Vec<StoreMetrics> {
-        self.inner
-            .part_cells
-            .read()
-            .iter()
-            .map(|c| c.snapshot())
-            .collect()
+        self.inner.counters.part_metrics()
     }
 }

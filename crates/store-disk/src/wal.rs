@@ -23,7 +23,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
-use ripple_kv::{KvError, RoutedKey, SyncPolicy};
+use ripple_kv::{Counter, KvError, PartId, RoutedKey, StoreCounters, SyncPolicy};
 use ripple_wire::{
     read_frame, write_frame, ByteReader, ByteWriter, Decode, Encode, FrameRead, WireError,
 };
@@ -114,14 +114,9 @@ pub(crate) fn io_err(context: &str, path: &Path, e: &std::io::Error) -> KvError 
     }
 }
 
-/// Counters a [`WalWriter`] reports physical activity into.
-pub(crate) trait WalSink {
-    /// `bytes` were appended to a log or snapshot file of `part`.
-    fn wal_bytes(&self, part: u32, bytes: u64);
-    /// One `fsync`-class flush was issued for `part`.
-    fn fsync(&self, part: u32);
-    /// `records` log records were replayed into the memtable of `part`.
-    fn replayed(&self, part: u32, records: u64);
+/// Counts `n` of `counter` against shard `part`.
+fn count(counters: &StoreCounters, part: u32, counter: Counter, n: u64) {
+    counters.add(Some(PartId(part)), counter, n);
 }
 
 /// The buffered appender for one shard's current log generation.
@@ -186,7 +181,11 @@ impl WalWriter {
     /// Writes buffered bytes to the current log file and optionally
     /// fsyncs it.  No-op when there is nothing buffered and nothing
     /// unsynced.
-    pub(crate) fn write_out(&mut self, fsync: bool, sink: &dyn WalSink) -> Result<(), KvError> {
+    pub(crate) fn write_out(
+        &mut self,
+        fsync: bool,
+        counters: &StoreCounters,
+    ) -> Result<(), KvError> {
         if self.buf.is_empty() && !(fsync && self.unsynced_file) {
             return Ok(());
         }
@@ -200,8 +199,9 @@ impl WalWriter {
             (&file)
                 .write_all(&self.buf)
                 .map_err(|e| io_err("append wal", &path, &e))?;
-            sink.wal_bytes(self.part, self.buf.len() as u64);
-            self.file_bytes += self.buf.len() as u64;
+            let written = self.buf.len() as u64;
+            count(counters, self.part, Counter::WalBytes, written);
+            self.file_bytes += written;
             self.buf.clear();
             self.unsynced_file = true;
         }
@@ -209,7 +209,7 @@ impl WalWriter {
         if fsync {
             file.sync_data()
                 .map_err(|e| io_err("fsync wal", &path, &e))?;
-            sink.fsync(self.part);
+            count(counters, self.part, Counter::Fsyncs, 1);
             self.unsynced_file = false;
         }
         Ok(())
@@ -230,13 +230,13 @@ impl WalWriter {
     pub(crate) fn after_mutation(
         &mut self,
         policy: SyncPolicy,
-        sink: &dyn WalSink,
+        counters: &StoreCounters,
     ) -> Result<(), KvError> {
         match policy {
-            SyncPolicy::Always => self.write_out(true, sink),
+            SyncPolicy::Always => self.write_out(true, counters),
             SyncPolicy::EveryN(n) => {
                 if self.pending >= n.max(1) {
-                    self.write_out(true, sink)
+                    self.write_out(true, counters)
                 } else {
                     Ok(())
                 }
@@ -340,7 +340,7 @@ pub(crate) fn write_snapshot(
     gen: u64,
     epoch: u64,
     map: &HashMap<RoutedKey, Bytes>,
-    sink: &dyn WalSink,
+    counters: &StoreCounters,
 ) -> Result<u64, KvError> {
     let mut out = Vec::new();
     let mut header = ByteWriter::new();
@@ -361,20 +361,20 @@ pub(crate) fn write_snapshot(
             .map_err(|e| io_err("write snapshot", &tmp, &e))?;
         file.sync_data()
             .map_err(|e| io_err("fsync snapshot", &tmp, &e))?;
-        sink.fsync(part);
+        count(counters, part, Counter::Fsyncs, 1);
     }
     std::fs::rename(&tmp, &final_path).map_err(|e| io_err("rename snapshot", &tmp, &e))?;
-    sync_dir(table_dir, sink, part)?;
+    sync_dir(table_dir, counters, part)?;
     Ok(out.len() as u64)
 }
 
 /// Fsyncs a directory so a rename/unlink within it is durable.
-pub(crate) fn sync_dir(dir: &Path, sink: &dyn WalSink, part: u32) -> Result<(), KvError> {
+pub(crate) fn sync_dir(dir: &Path, counters: &StoreCounters, part: u32) -> Result<(), KvError> {
     let handle = File::open(dir).map_err(|e| io_err("open dir", dir, &e))?;
     handle
         .sync_all()
         .map_err(|e| io_err("fsync dir", dir, &e))?;
-    sink.fsync(part);
+    count(counters, part, Counter::Fsyncs, 1);
     Ok(())
 }
 
@@ -388,7 +388,7 @@ pub(crate) fn replay_shard(
     table_dir: &Path,
     table_name: &str,
     part: u32,
-    sink: &dyn WalSink,
+    counters: &StoreCounters,
 ) -> Result<ReplayedShard, KvError> {
     let files = list_shard_files(table_dir, part)?;
     for path in &files.stale {
@@ -398,7 +398,8 @@ pub(crate) fn replay_shard(
     let mut snap_gen = 0u64;
     if let Some((gen, path)) = &files.snap {
         let (_, entries) = read_snapshot(path)?;
-        sink.replayed(part, entries.len() as u64);
+        let replayed = entries.len() as u64;
+        count(counters, part, Counter::ReplayedRecords, replayed);
         map = entries;
         snap_gen = *gen;
     }
@@ -418,7 +419,7 @@ pub(crate) fn replay_shard(
             valid += 1;
             offset = next;
         }
-        sink.replayed(part, valid);
+        count(counters, part, Counter::ReplayedRecords, valid);
         gen = *wal_gen;
         if offset < bytes.len() {
             // Damaged tail: truncate the file there and stop replaying.
@@ -430,7 +431,7 @@ pub(crate) fn replay_shard(
                 .map_err(|e| io_err("truncate wal", path, &e))?;
             file.sync_data()
                 .map_err(|e| io_err("fsync wal", path, &e))?;
-            sink.fsync(part);
+            count(counters, part, Counter::Fsyncs, 1);
             tail_note = Some(KvError::WalTailDiscarded {
                 table: table_name.to_owned(),
                 part,
@@ -488,7 +489,7 @@ pub(crate) fn rewind_shard(
     table_name: &str,
     part: u32,
     epoch: u64,
-    sink: &dyn WalSink,
+    counters: &StoreCounters,
 ) -> Result<(HashMap<RoutedKey, Bytes>, WalWriter), KvError> {
     let files = list_shard_files(table_dir, part)?;
     for path in &files.stale {
@@ -507,7 +508,8 @@ pub(crate) fn rewind_shard(
                 ),
             });
         }
-        sink.replayed(part, entries.len() as u64);
+        let replayed = entries.len() as u64;
+        count(counters, part, Counter::ReplayedRecords, replayed);
         map = entries;
         snap_gen = *gen;
         snap_epoch = Some(e);
@@ -538,7 +540,7 @@ pub(crate) fn rewind_shard(
                 .map_err(|e| io_err("truncate wal", path, &e))?;
             file.sync_data()
                 .map_err(|e| io_err("fsync wal", path, &e))?;
-            sink.fsync(part);
+            count(counters, part, Counter::Fsyncs, 1);
             for (_, later) in &files.wals[i + 1..] {
                 std::fs::remove_file(later).map_err(|e| io_err("remove wal", later, &e))?;
             }
@@ -571,13 +573,6 @@ pub(crate) fn rewind_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct NullSink;
-    impl WalSink for NullSink {
-        fn wal_bytes(&self, _: u32, _: u64) {}
-        fn fsync(&self, _: u32) {}
-        fn replayed(&self, _: u32, _: u64) {}
-    }
 
     fn key(route: u64, body: &str) -> RoutedKey {
         RoutedKey::with_route(route, Bytes::copy_from_slice(body.as_bytes()))
@@ -613,8 +608,8 @@ mod tests {
             value: Bytes::from_static(b"2"),
         });
         w.append(&WalRecord::Delete { key: key(0, "a") });
-        w.write_out(true, &NullSink).unwrap();
-        let replayed = replay_shard(dir.path(), "t", 0, &NullSink).unwrap();
+        w.write_out(true, &StoreCounters::new()).unwrap();
+        let replayed = replay_shard(dir.path(), "t", 0, &StoreCounters::new()).unwrap();
         assert!(replayed.tail_note.is_none());
         assert_eq!(replayed.map.len(), 1);
         assert_eq!(
@@ -636,8 +631,8 @@ mod tests {
             key: key(2, "mid-step"),
             value: Bytes::from_static(b"2"),
         });
-        w.write_out(true, &NullSink).unwrap();
-        let (map, writer) = rewind_shard(dir.path(), "t", 2, 7, &NullSink).unwrap();
+        w.write_out(true, &StoreCounters::new()).unwrap();
+        let (map, writer) = rewind_shard(dir.path(), "t", 2, 7, &StoreCounters::new()).unwrap();
         assert_eq!(map.len(), 1);
         assert!(map.contains_key(&key(2, "committed")));
         // The mid-step record is gone from the durable log too.
@@ -647,7 +642,7 @@ mod tests {
                     .map(|m| m.len() + 1)
                     .unwrap()
         );
-        let replayed = replay_shard(dir.path(), "t", 2, &NullSink).unwrap();
+        let replayed = replay_shard(dir.path(), "t", 2, &StoreCounters::new()).unwrap();
         assert_eq!(replayed.map.len(), 1);
     }
 
@@ -659,8 +654,8 @@ mod tests {
             key: key(0, "x"),
             value: Bytes::from_static(b"1"),
         });
-        w.write_out(true, &NullSink).unwrap();
-        assert!(rewind_shard(dir.path(), "t", 0, 3, &NullSink).is_err());
+        w.write_out(true, &StoreCounters::new()).unwrap();
+        assert!(rewind_shard(dir.path(), "t", 0, 3, &StoreCounters::new()).is_err());
     }
 
     #[test]
@@ -669,11 +664,11 @@ mod tests {
         let mut map = HashMap::new();
         map.insert(key(0, "a"), Bytes::from_static(b"1"));
         map.insert(key(0, "b"), Bytes::from_static(b"2"));
-        write_snapshot(dir.path(), 0, 3, 11, &map, &NullSink).unwrap();
+        write_snapshot(dir.path(), 0, 3, 11, &map, &StoreCounters::new()).unwrap();
         let (epoch, back) = read_snapshot(&WalWriter::snap_path(dir.path(), 0, 3)).unwrap();
         assert_eq!(epoch, 11);
         assert_eq!(back, map);
-        let replayed = replay_shard(dir.path(), "t", 0, &NullSink).unwrap();
+        let replayed = replay_shard(dir.path(), "t", 0, &StoreCounters::new()).unwrap();
         assert_eq!(replayed.map, map);
         assert_eq!(replayed.writer.gen, 4);
     }

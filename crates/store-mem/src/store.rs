@@ -6,8 +6,8 @@ use std::sync::Arc;
 use crossbeam::channel::bounded;
 use parking_lot::RwLock;
 use ripple_kv::{
-    CombineFn, CombinerRegistry, CombinerSpec, KvError, KvStore, PartId, PartView, StoreMetrics,
-    Table, TableSpec, TaskHandle,
+    CombineFn, CombinerRegistry, CombinerSpec, Counter, KvError, KvStore, PartId, PartView,
+    StoreCounters, StoreMetrics, Table, TableSpec, TaskHandle,
 };
 
 use crate::fault::{FaultAction, FaultInjector, FaultOp, FaultPlan, FaultRecord};
@@ -15,139 +15,13 @@ use crate::table::{MemTable, TableInner};
 use crate::view::MemPartView;
 use crate::Partitioning;
 
-/// One part's slice of the operation counters.
-#[derive(Debug, Default)]
-struct PartCells {
-    local_ops: AtomicU64,
-    remote_ops: AtomicU64,
-    bytes_marshalled: AtomicU64,
-    tasks: AtomicU64,
-    enumerations: AtomicU64,
-    batches: AtomicU64,
-    combined: AtomicU64,
-}
-
-impl PartCells {
-    fn snapshot(&self) -> StoreMetrics {
-        StoreMetrics {
-            local_ops: self.local_ops.load(Ordering::Relaxed),
-            remote_ops: self.remote_ops.load(Ordering::Relaxed),
-            bytes_marshalled: self.bytes_marshalled.load(Ordering::Relaxed),
-            tasks_dispatched: self.tasks.load(Ordering::Relaxed),
-            enumerations: self.enumerations.load(Ordering::Relaxed),
-            net_batches: self.batches.load(Ordering::Relaxed),
-            combined_records: self.combined.load(Ordering::Relaxed),
-            // Memory-only: no log, no fsync, no replay.
-            ..StoreMetrics::default()
-        }
-    }
-}
-
-/// Operation counters, updated lock-free, both store-wide and attributed
-/// to the part that served the operation (the per-part vector grows on
-/// first touch; whole-table operations such as `len`/`clear` count
-/// store-wide only).
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    local_ops: AtomicU64,
-    remote_ops: AtomicU64,
-    bytes_marshalled: AtomicU64,
-    tasks: AtomicU64,
-    enumerations: AtomicU64,
-    batches: AtomicU64,
-    combined: AtomicU64,
-    per_part: RwLock<Vec<PartCells>>,
-}
-
-impl Counters {
-    /// Bumps one part cell, growing the vector on first touch of a part.
-    fn at_part(&self, part: PartId, bump: impl Fn(&PartCells)) {
-        {
-            let cells = self.per_part.read();
-            if let Some(cell) = cells.get(part.index()) {
-                bump(cell);
-                return;
-            }
-        }
-        let mut cells = self.per_part.write();
-        while cells.len() <= part.index() {
-            cells.push(PartCells::default());
-        }
-        bump(&cells[part.index()]);
-    }
-
-    pub(crate) fn local_op(&self, part: PartId) {
-        self.local_ops.fetch_add(1, Ordering::Relaxed);
-        self.at_part(part, |c| {
-            c.local_ops.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    /// A local operation with no single serving part (whole-table scans).
-    pub(crate) fn local_op_unattributed(&self) {
-        self.local_ops.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn remote_op(&self, part: PartId, bytes: u64) {
-        self.remote_ops.fetch_add(1, Ordering::Relaxed);
-        self.bytes_marshalled.fetch_add(bytes, Ordering::Relaxed);
-        self.at_part(part, |c| {
-            c.remote_ops.fetch_add(1, Ordering::Relaxed);
-            c.bytes_marshalled.fetch_add(bytes, Ordering::Relaxed);
-        });
-    }
-    pub(crate) fn reply_bytes(&self, part: PartId, bytes: u64) {
-        self.bytes_marshalled.fetch_add(bytes, Ordering::Relaxed);
-        self.at_part(part, |c| {
-            c.bytes_marshalled.fetch_add(bytes, Ordering::Relaxed);
-        });
-    }
-    pub(crate) fn task(&self, part: PartId) {
-        self.tasks.fetch_add(1, Ordering::Relaxed);
-        self.at_part(part, |c| {
-            c.tasks.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    /// One batched write applied at `part`, folding away `combined` records.
-    pub(crate) fn batch(&self, part: PartId, combined: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.combined.fetch_add(combined, Ordering::Relaxed);
-        self.at_part(part, |c| {
-            c.batches.fetch_add(1, Ordering::Relaxed);
-            c.combined.fetch_add(combined, Ordering::Relaxed);
-        });
-    }
-    pub(crate) fn enumeration(&self, part: PartId) {
-        self.enumerations.fetch_add(1, Ordering::Relaxed);
-        self.at_part(part, |c| {
-            c.enumerations.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    fn snapshot(&self) -> StoreMetrics {
-        StoreMetrics {
-            local_ops: self.local_ops.load(Ordering::Relaxed),
-            remote_ops: self.remote_ops.load(Ordering::Relaxed),
-            bytes_marshalled: self.bytes_marshalled.load(Ordering::Relaxed),
-            tasks_dispatched: self.tasks.load(Ordering::Relaxed),
-            enumerations: self.enumerations.load(Ordering::Relaxed),
-            net_batches: self.batches.load(Ordering::Relaxed),
-            combined_records: self.combined.load(Ordering::Relaxed),
-            // Memory-only: no log, no fsync, no replay.
-            ..StoreMetrics::default()
-        }
-    }
-    fn part_snapshots(&self) -> Vec<StoreMetrics> {
-        self.per_part
-            .read()
-            .iter()
-            .map(PartCells::snapshot)
-            .collect()
-    }
-}
-
 /// Store-wide shared state.
 #[derive(Debug)]
 pub(crate) struct StoreInner {
     tables: RwLock<HashMap<String, Arc<TableInner>>>,
-    pub(crate) counters: Counters,
+    /// Operation counters, attributed to the part that served each
+    /// operation; whole-table operations (`len`/`clear`) count unattributed.
+    pub(crate) counters: StoreCounters,
     default_parts: u32,
     next_partitioning: AtomicU64,
     /// Fault-decision engine, present when the store was built with a
@@ -280,7 +154,7 @@ impl MemStoreBuilder {
         MemStore {
             inner: Arc::new(StoreInner {
                 tables: RwLock::new(HashMap::new()),
-                counters: Counters::default(),
+                counters: StoreCounters::new(),
                 default_parts: self.default_parts,
                 next_partitioning: AtomicU64::new(1),
                 injector: self
@@ -449,7 +323,9 @@ impl KvStore for MemStore {
             reference.name(),
             reference.part_count()
         );
-        self.inner.counters.task(part);
+        self.inner
+            .counters
+            .add(Some(part), Counter::TasksDispatched, 1);
         let (tx, rx) = bounded(1);
         let view = MemPartView {
             store: Arc::clone(&self.inner),
@@ -482,11 +358,11 @@ impl KvStore for MemStore {
     }
 
     fn metrics(&self) -> StoreMetrics {
-        self.inner.counters.snapshot()
+        self.inner.counters.metrics()
     }
 
     fn part_metrics(&self) -> Vec<StoreMetrics> {
-        self.inner.counters.part_snapshots()
+        self.inner.counters.part_metrics()
     }
 
     /// Unlike the default scan-based implementation, this holds every part
@@ -497,7 +373,9 @@ impl KvStore for MemStore {
         let guards: Vec<_> = table.inner.parts.iter().map(|m| m.lock()).collect();
         let mut entries = Vec::new();
         for (p, guard) in guards.iter().enumerate() {
-            self.inner.counters.enumeration(PartId(p as u32));
+            self.inner
+                .counters
+                .add(Some(PartId(p as u32)), Counter::Enumerations, 1);
             entries.extend(guard.iter().map(|(k, v)| (k.clone(), v.clone())));
         }
         drop(guards);

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use crossbeam::channel::bounded;
 use parking_lot::Mutex;
-use ripple_kv::{CombineFn, KvError, PartId, RoutedKey, Table};
+use ripple_kv::{CombineFn, Counter, KvError, PartId, RoutedKey, Table};
 
 use crate::fault::FaultOp;
 use crate::store::StoreInner;
@@ -151,10 +151,12 @@ impl MemTable {
         self.inner.check_live()?;
         self.inner.check_part_healthy(part)?;
         if self.is_local(part) {
-            self.store.counters.local_op(part);
+            self.store.counters.add(Some(part), Counter::LocalOps, 1);
             return Ok(op(&self.inner, part));
         }
-        self.store.counters.remote_op(part, req_bytes as u64);
+        let counters = &self.store.counters;
+        counters.add(Some(part), Counter::RemoteOps, 1);
+        counters.add(Some(part), Counter::BytesMarshalled, req_bytes as u64);
         let (tx, rx) = bounded(1);
         let inner = Arc::clone(&self.inner);
         self.inner
@@ -193,7 +195,9 @@ impl Table for MemTable {
             inner.parts[p.index()].lock().get(&k).cloned()
         })?;
         if let (Some(v), false) = (&value, self.is_local(part)) {
-            self.store.counters.reply_bytes(part, v.len() as u64);
+            self.store
+                .counters
+                .add(Some(part), Counter::BytesMarshalled, v.len() as u64);
         }
         Ok(value)
     }
@@ -233,7 +237,9 @@ impl Table for MemTable {
             let combined = self.at_part(part, req, move |inner, p| {
                 inner.apply_batch(p, group, fold.as_ref())
             })??;
-            self.store.counters.batch(part, combined);
+            let counters = &self.store.counters;
+            counters.add(Some(part), Counter::NetBatches, 1);
+            counters.add(Some(part), Counter::CombinedRecords, combined);
         }
         Ok(())
     }
@@ -254,7 +260,7 @@ impl Table for MemTable {
             self.inner.check_part_healthy(PartId(i as u32))?;
             total += part.lock().len();
         }
-        self.store.counters.local_op_unattributed();
+        self.store.counters.add(None, Counter::LocalOps, 1);
         Ok(total)
     }
 
@@ -265,7 +271,7 @@ impl Table for MemTable {
             part.lock().clear();
             self.inner.resync_backup(PartId(i as u32));
         }
-        self.store.counters.local_op_unattributed();
+        self.store.counters.add(None, Counter::LocalOps, 1);
         Ok(())
     }
 }

@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use ripple_kv::{KvError, PartId, PartView, RoutedKey, ScanControl};
+use ripple_kv::{Counter, KvError, PartId, PartView, RoutedKey, ScanControl};
 
 use crate::fault::FaultOp;
 use crate::store::StoreInner;
@@ -44,6 +44,11 @@ impl MemPartView {
         t.check_part_healthy(self.part)?;
         Ok((t, self.part))
     }
+
+    /// Counts `n` of `counter` against this view's part.
+    fn count(&self, counter: Counter, n: u64) {
+        self.store.counters.add(Some(self.part), counter, n);
+    }
 }
 
 impl PartView for MemPartView {
@@ -55,7 +60,7 @@ impl PartView for MemPartView {
         self.store
             .fault_check(self.partitioning_id, self.part, FaultOp::Get)?;
         let (t, p) = self.resolve(table, false)?;
-        self.store.counters.local_op(self.part);
+        self.count(Counter::LocalOps, 1);
         let out = t.parts[p.index()].lock().get(key).cloned();
         Ok(out)
     }
@@ -64,7 +69,7 @@ impl PartView for MemPartView {
         self.store
             .fault_check(self.partitioning_id, self.part, FaultOp::Put)?;
         let (t, p) = self.resolve(table, true)?;
-        self.store.counters.local_op(self.part);
+        self.count(Counter::LocalOps, 1);
         t.mirror_insert(p, &key, &value);
         let out = t.parts[p.index()].lock().insert(key, value);
         Ok(out)
@@ -80,10 +85,11 @@ impl PartView for MemPartView {
         self.store
             .fault_check(self.partitioning_id, self.part, FaultOp::Put)?;
         let (t, p) = self.resolve(table, true)?;
-        self.store.counters.local_op(self.part);
+        self.count(Counter::LocalOps, 1);
         let fold = self.store.fold_for(table);
         let combined = t.apply_batch(p, pairs, fold.as_ref())?;
-        self.store.counters.batch(self.part, combined);
+        self.count(Counter::NetBatches, 1);
+        self.count(Counter::CombinedRecords, combined);
         Ok(())
     }
 
@@ -91,7 +97,7 @@ impl PartView for MemPartView {
         self.store
             .fault_check(self.partitioning_id, self.part, FaultOp::Delete)?;
         let (t, p) = self.resolve(table, true)?;
-        self.store.counters.local_op(self.part);
+        self.count(Counter::LocalOps, 1);
         t.mirror_remove(p, key);
         let out = t.parts[p.index()].lock().remove(key).is_some();
         Ok(out)
@@ -103,7 +109,7 @@ impl PartView for MemPartView {
         f: &mut dyn FnMut(&RoutedKey, &[u8]) -> ScanControl,
     ) -> Result<(), KvError> {
         let (t, p) = self.resolve(table, false)?;
-        self.store.counters.enumeration(self.part);
+        self.count(Counter::Enumerations, 1);
         let map = t.parts[p.index()].lock();
         for (k, v) in map.iter() {
             if !f(k, v).should_continue() {
@@ -121,7 +127,7 @@ impl PartView for MemPartView {
         self.store
             .scripted_fault_check(self.part.0, FaultOp::Drain, table)?;
         let (t, p) = self.resolve(table, true)?;
-        self.store.counters.enumeration(self.part);
+        self.count(Counter::Enumerations, 1);
         // Take the whole map; on early stop, unconsumed entries go back.
         let drained = std::mem::take(&mut *t.parts[p.index()].lock());
         let mut iter = drained.into_iter();

@@ -462,3 +462,102 @@ fn part_view_put_batch_folds_locally() {
     assert_eq!(folded, vec![7, 8]);
     assert_eq!(store.metrics().combined_records, 1);
 }
+
+#[test]
+fn a_fixed_script_counts_exactly_and_decomposes_by_part() {
+    use ripple_kv::{CombinerSpec, StoreMetrics, VEC_CONCAT};
+    use ripple_wire::to_wire;
+
+    let store = MemStore::builder().default_parts(4).build();
+    let t = store.create_table(&TableSpec::new("t")).unwrap();
+    let c = store.create_table_like("c", &t).unwrap();
+    store
+        .bind_combiner("c", &CombinerSpec::new(VEC_CONCAT))
+        .unwrap();
+    let key = |route: u64| RoutedKey::with_route(route, bval(&format!("k{route}")));
+    // Point operations from outside any part: remote, marshalled.
+    for r in 0..6 {
+        t.put(key(r), bval("value")).unwrap();
+    }
+    t.get(&key(1)).unwrap();
+    t.get(&key(9)).unwrap();
+    t.delete(&key(2)).unwrap();
+    // Cross-part batches, unbound and bound to a combiner.
+    t.put_batch((10..18).map(|r| (key(r), bval("b"))).collect())
+        .unwrap();
+    c.put_batch(
+        (0..8u32)
+            .map(|i| (key(u64::from(i % 3)), to_wire(&vec![i])))
+            .collect(),
+    )
+    .unwrap();
+    // Mobile code at part 1: view operations, then table-handle reads at
+    // its own part (local) and at another (remote).
+    let t2 = t.clone();
+    let scanned = store
+        .run_at(&t, PartId(1), move |view| {
+            view.put("t", key(5), bval("local")).unwrap();
+            view.get("t", &key(5)).unwrap();
+            view.put_batch("c", vec![(key(1), to_wire(&vec![9u32]))])
+                .unwrap();
+            let mut scanned = 0;
+            view.scan("t", &mut |_, _| {
+                scanned += 1;
+                ScanControl::Continue
+            })
+            .unwrap();
+            view.drain("c", &mut |_, _| ScanControl::Continue).unwrap();
+            t2.get(&key(1)).unwrap();
+            t2.get(&key(2)).unwrap();
+            scanned
+        })
+        .join()
+        .unwrap();
+    assert_eq!(scanned, 4);
+    // Whole-table operations belong to no part.
+    assert_eq!(t.len().unwrap(), 13);
+    t.clear().unwrap();
+    store.snapshot_table(&c).unwrap();
+
+    let part = |remote_ops, bytes_marshalled, net_batches, combined_records| StoreMetrics {
+        remote_ops,
+        bytes_marshalled,
+        enumerations: 1,
+        net_batches,
+        combined_records,
+        ..StoreMetrics::default()
+    };
+    let parts = vec![
+        part(4, 90, 2, 2),
+        StoreMetrics {
+            local_ops: 4,
+            tasks_dispatched: 1,
+            enumerations: 3,
+            ..part(6, 115, 3, 3)
+        },
+        part(5, 83, 2, 1),
+        part(2, 39, 1, 0),
+    ];
+    assert_eq!(store.part_metrics(), parts);
+    let unattributed = StoreMetrics {
+        local_ops: 2,
+        ..StoreMetrics::default()
+    };
+    assert_eq!(
+        store.metrics(),
+        StoreMetrics {
+            local_ops: 6,
+            remote_ops: 17,
+            bytes_marshalled: 327,
+            tasks_dispatched: 1,
+            enumerations: 6,
+            net_batches: 8,
+            combined_records: 6,
+            ..StoreMetrics::default()
+        }
+    );
+    assert_eq!(
+        store.metrics(),
+        parts.into_iter().fold(unattributed, |sum, p| sum + p)
+    );
+}

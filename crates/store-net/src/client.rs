@@ -67,13 +67,13 @@ use std::time::Duration;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use ripple_kv::{
-    CombineFn, CombinerRegistry, CombinerSpec, KvError, KvStore, MembershipView, PartId, PartView,
-    RoutedKey, ScanControl, StoreEventSink, StoreMetrics, Table, TableSpec, TaskHandle,
+    CombineFn, CombinerRegistry, CombinerSpec, Counter, KvError, KvStore, MembershipView, PartId,
+    PartView, RoutedKey, ScanControl, StoreCounters, StoreEventSink, StoreMetrics, Table,
+    TableSpec, TaskHandle,
 };
 use ripple_wire::{from_wire, msg_len, to_wire, to_wire_ref};
 
 use crate::membership::Membership;
-use crate::metrics::NetCounters;
 use crate::pool::{Pending, Pool, CONNECT_TIMEOUT, RESPONSE_TIMEOUT};
 use crate::proto::{self, TableMeta};
 use crate::rpc::{CallClass, Routing, Rpc};
@@ -116,7 +116,7 @@ fn decode<T: ripple_wire::Decode>(payload: &[u8]) -> Result<T, KvError> {
 #[derive(Debug)]
 struct Shared {
     pool: Pool,
-    metrics: Arc<NetCounters>,
+    metrics: Arc<StoreCounters>,
     catalog: Mutex<HashMap<String, TableMeta>>,
     /// Serializes DDL broadcasts so all servers see them in one order.
     ddl: Mutex<()>,
@@ -150,8 +150,9 @@ impl Shared {
     /// counters here, so no call site accounts by hand.
     fn call(&self, rpc: Rpc, payload: &[u8]) -> Result<Bytes, KvError> {
         if rpc.class() == CallClass::Data {
-            NetCounters::add(&self.metrics.remote_ops, 1);
-            NetCounters::add(&self.metrics.bytes_marshalled, payload.len() as u64);
+            self.metrics.add(None, Counter::RemoteOps, 1);
+            self.metrics
+                .add(None, Counter::BytesMarshalled, payload.len() as u64);
         }
         match rpc.routing() {
             Routing::Slot(slot) => self.pool.unary(slot, rpc.kind(), payload),
@@ -180,10 +181,11 @@ impl Shared {
         if membership.replicated(slot) {
             for member in membership.live_standbys(slot) {
                 if self.pool.unary_member(slot, member, kind, payload).is_err() {
-                    NetCounters::add(&self.metrics.retries, 1);
+                    self.metrics.add(None, Counter::Retries, 1);
                     // The retry re-sends the whole frame; that second send
                     // is heal traffic, not useful h-relation bytes.
-                    NetCounters::add(&self.metrics.retry_bytes, msg_len(payload.len()) as u64);
+                    self.metrics
+                        .add(None, Counter::RetryBytes, msg_len(payload.len()) as u64);
                     if self.pool.unary_member(slot, member, kind, payload).is_err() {
                         membership.mark_standby_down(slot, member);
                     }
@@ -236,8 +238,9 @@ impl Shared {
             Some((name, f)) => {
                 let before = group.len();
                 group = precombine(group, f)?;
-                NetCounters::add(
-                    &self.metrics.combined_records,
+                self.metrics.add(
+                    None,
+                    Counter::CombinedRecords,
                     (before - group.len()) as u64,
                 );
                 Some(name.clone())
@@ -245,11 +248,12 @@ impl Shared {
             None => None,
         };
         // Every record is one data-plane op; `call` charges the first.
-        NetCounters::add(
-            &self.metrics.remote_ops,
+        self.metrics.add(
+            None,
+            Counter::RemoteOps,
             (group.len() as u64).saturating_sub(1),
         );
-        NetCounters::add(&self.metrics.net_batches, 1);
+        self.metrics.add(None, Counter::NetBatches, 1);
         let payload = to_wire_ref(&(table, &combiner, &group));
         self.call(Rpc::data(proto::REQ_PUT_BATCH, routing), &payload)?;
         Ok(())
@@ -269,7 +273,8 @@ impl Shared {
             let frame = pending.recv()?;
             match frame.kind {
                 proto::RESP_CHUNK => {
-                    NetCounters::add(&self.metrics.bytes_marshalled, frame.payload.len() as u64);
+                    self.metrics
+                        .add(None, Counter::BytesMarshalled, frame.payload.len() as u64);
                     for (k, v) in proto::decode_pairs(&frame.payload)? {
                         if stopped {
                             leftover.push((k, v));
@@ -359,7 +364,7 @@ impl NetStore {
     #[must_use]
     pub fn connect_replicated_with(groups: Vec<Vec<SocketAddr>>, config: &NetConfig) -> Self {
         assert!(!groups.is_empty(), "a NetStore needs at least one server");
-        let metrics = Arc::new(NetCounters::default());
+        let metrics = Arc::new(StoreCounters::new());
         let membership = Arc::new(Membership::new(groups, Arc::clone(&metrics)));
         let mut heartbeat = None;
         let stop_tx = config.heartbeat_interval.map(|interval| {
@@ -708,7 +713,7 @@ impl KvStore for NetStore {
             reference.name(),
             reference.part_count()
         );
-        NetCounters::add(&self.inner.metrics.tasks, 1);
+        self.inner.metrics.add(None, Counter::TasksDispatched, 1);
         let view = RemotePartView {
             shared: Arc::clone(&self.inner),
             part,
@@ -739,7 +744,7 @@ impl KvStore for NetStore {
             reference.name(),
             reference.part_count()
         );
-        NetCounters::add(&self.inner.metrics.tasks, 1);
+        self.inner.metrics.add(None, Counter::TasksDispatched, 1);
         let shared = Arc::clone(&self.inner);
         let server = if reference.meta.ubiquitous {
             0
@@ -786,7 +791,7 @@ impl KvStore for NetStore {
     }
 
     fn metrics(&self) -> StoreMetrics {
-        self.inner.metrics.snapshot()
+        self.inner.metrics.metrics()
     }
 
     fn set_event_sink(&self, sink: Arc<dyn StoreEventSink>) {
@@ -892,7 +897,9 @@ impl PartView for RemotePartView {
                 continue;
             }
             // Every key is one data-plane op; `call` charges the first.
-            NetCounters::add(&self.shared.metrics.remote_ops, group.len() as u64 - 1);
+            self.shared
+                .metrics
+                .add(None, Counter::RemoteOps, group.len() as u64 - 1);
             let payload = to_wire_ref(&(table, &group));
             let resp = self.shared.call(
                 Rpc::data(proto::REQ_GET_BATCH, Routing::Slot(slot)),
@@ -968,7 +975,7 @@ impl PartView for RemotePartView {
         f: &mut dyn FnMut(&RoutedKey, &[u8]) -> ScanControl,
     ) -> Result<(), KvError> {
         let meta = self.resolve(table, false)?;
-        NetCounters::add(&self.shared.metrics.enumerations, 1);
+        self.shared.metrics.add(None, Counter::Enumerations, 1);
         let (server, part) = self.scan_target(meta);
         let payload = to_wire_ref(&(table, part));
         let pending = self
@@ -986,7 +993,7 @@ impl PartView for RemotePartView {
         f: &mut dyn FnMut(RoutedKey, Bytes) -> ScanControl,
     ) -> Result<(), KvError> {
         let meta = self.resolve(table, true)?;
-        NetCounters::add(&self.shared.metrics.enumerations, 1);
+        self.shared.metrics.add(None, Counter::Enumerations, 1);
         let (server, part) = self.scan_target(meta);
         let payload = to_wire_ref(&(table, part));
         // Enumerate non-destructively and buffer the whole stream first:
@@ -1018,7 +1025,9 @@ impl PartView for RemotePartView {
         }
         if !ops.is_empty() {
             // Each deletion is one data-plane op; `call` charges the first.
-            NetCounters::add(&self.shared.metrics.remote_ops, ops.len() as u64 - 1);
+            self.shared
+                .metrics
+                .add(None, Counter::RemoteOps, ops.len() as u64 - 1);
             let payload = to_wire_ref(&(table, &ops));
             self.shared.call(
                 Rpc::data(proto::REQ_APPLY, Routing::Replicated(server)),

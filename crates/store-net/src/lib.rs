@@ -50,7 +50,6 @@ pub mod chaos;
 mod client;
 pub mod dispatch;
 mod membership;
-mod metrics;
 mod pool;
 pub mod proto;
 mod rpc;
@@ -62,7 +61,6 @@ pub use chaos::{ChaosProxy, Direction, NetFault, NetFaultPlan, NetFaultRecord, P
 pub use client::{NetConfig, NetStore, NetTable};
 pub use loopback::{ChaosCluster, LoopbackCluster};
 pub use membership::Membership;
-pub use metrics::NetCounters;
 pub use pool::{Pending, Pool, CONNECT_TIMEOUT, RESPONSE_TIMEOUT};
 pub use rpc::{CallClass, Routing, Rpc};
 pub use server::{PartServer, ServerHandle, STOP_GRACE};

@@ -27,9 +27,7 @@
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use ripple_kv::{MembershipView, ReplicaSet, StoreEventSink};
-
-use crate::metrics::NetCounters;
+use ripple_kv::{Counter, MembershipView, ReplicaSet, StoreCounters, StoreEventSink};
 
 /// Established-connection failures tolerated against a primary before a
 /// standby is promoted.
@@ -64,7 +62,7 @@ impl GroupState {
 /// connection pool, the store facade, and the failure detector.
 pub struct Membership {
     groups: Vec<GroupState>,
-    metrics: Arc<NetCounters>,
+    metrics: Arc<StoreCounters>,
     sink: Mutex<Option<Arc<dyn StoreEventSink>>>,
 }
 
@@ -84,7 +82,7 @@ impl Membership {
     /// # Panics
     ///
     /// Panics if `groups` is empty or any group is empty.
-    pub fn new(groups: Vec<Vec<SocketAddr>>, metrics: Arc<NetCounters>) -> Self {
+    pub fn new(groups: Vec<Vec<SocketAddr>>, metrics: Arc<StoreCounters>) -> Self {
         assert!(!groups.is_empty(), "membership needs at least one group");
         let groups = groups
             .into_iter()
@@ -295,7 +293,7 @@ impl Membership {
         core.suspicion = 0;
         core.hb_misses = 0;
         let epoch = core.epoch;
-        NetCounters::add(&self.metrics.failovers, 1);
+        self.metrics.add(None, Counter::Failovers, 1);
         self.notify(|s| s.on_failover(slot_part(slot), epoch));
         true
     }
@@ -339,7 +337,7 @@ mod tests {
     fn replicated3() -> Membership {
         Membership::new(
             vec![vec![addr(1), addr(2), addr(3)]],
-            Arc::new(NetCounters::default()),
+            Arc::new(StoreCounters::new()),
         )
     }
 
@@ -376,7 +374,7 @@ mod tests {
 
     #[test]
     fn single_member_groups_never_promote_or_mark_down() {
-        let m = Membership::new(vec![vec![addr(9)]], Arc::new(NetCounters::default()));
+        let m = Membership::new(vec![vec![addr(9)]], Arc::new(StoreCounters::new()));
         assert!(!m.member_unreachable(0, 0));
         assert!(!m.record_failure(0, 0));
         assert!(!m.record_failure(0, 0));
@@ -387,10 +385,7 @@ mod tests {
 
     #[test]
     fn promotion_exhaustion_leaves_group_lost() {
-        let m = Membership::new(
-            vec![vec![addr(1), addr(2)]],
-            Arc::new(NetCounters::default()),
-        );
+        let m = Membership::new(vec![vec![addr(1), addr(2)]], Arc::new(StoreCounters::new()));
         assert!(m.member_unreachable(0, 0));
         assert!(!m.member_unreachable(0, 1), "no standby left to promote");
         let view = m.view();
@@ -424,7 +419,7 @@ mod tests {
                 self.fails.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let metrics = Arc::new(NetCounters::default());
+        let metrics = Arc::new(StoreCounters::new());
         let m = Membership::new(vec![vec![addr(1), addr(2)]], Arc::clone(&metrics));
         let sink = Arc::new(Counting {
             downs: AtomicU64::new(0),
@@ -434,6 +429,6 @@ mod tests {
         assert!(m.member_unreachable(0, 0));
         assert_eq!(sink.downs.load(Ordering::Relaxed), 1);
         assert_eq!(sink.fails.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.snapshot().failovers, 1);
+        assert_eq!(metrics.metrics().failovers, 1);
     }
 }

@@ -33,12 +33,11 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use ripple_kv::KvError;
+use ripple_kv::{Counter, KvError, StoreCounters};
 use ripple_wire::{from_wire, msg_len, read_msg_from, to_wire, write_msg, MsgFrame};
 
 use crate::dispatch::Dispatch;
 use crate::membership::Membership;
-use crate::metrics::NetCounters;
 use crate::proto::{self, RESP_CHUNK, RESP_ERR, RESP_OK};
 
 /// Default bound on waiting for a response frame before reporting the
@@ -95,7 +94,7 @@ pub struct Pending {
     deadline: Duration,
     conn: Arc<Connection>,
     membership: Arc<Membership>,
-    metrics: Arc<NetCounters>,
+    metrics: Arc<StoreCounters>,
     /// Frame bytes the request put on the wire, so a transiently failed
     /// request can attribute its wasted send to `retry_bytes` (the retry
     /// re-sends an equivalent frame).
@@ -121,7 +120,7 @@ impl Pending {
                 // The connection died under this request; its send was
                 // wasted and the engine's retry re-sends an equivalent
                 // frame, so attribute the bytes to retry traffic.
-                NetCounters::add(&self.metrics.retry_bytes, self.req_bytes);
+                self.metrics.add(None, Counter::RetryBytes, self.req_bytes);
                 return Err(e);
             }
             Err(_) => {
@@ -131,7 +130,7 @@ impl Pending {
                 let _ = self.conn.stream.shutdown(Shutdown::Both);
                 self.conn.fail_all("response deadline exceeded");
                 self.conn.report_failure(&self.membership);
-                NetCounters::add(&self.metrics.retry_bytes, self.req_bytes);
+                self.metrics.add(None, Counter::RetryBytes, self.req_bytes);
                 return Err(KvError::Transient {
                     op: "recv",
                     part: 0,
@@ -148,8 +147,8 @@ impl Pending {
                     // epoch, retire this stale connection, and let the
                     // retried operation re-handshake at the current fence.
                     self.membership.observe_epoch(self.conn.slot, current);
-                    NetCounters::add(&self.metrics.retries, 1);
-                    NetCounters::add(&self.metrics.retry_bytes, self.req_bytes);
+                    self.metrics.add(None, Counter::Retries, 1);
+                    self.metrics.add(None, Counter::RetryBytes, self.req_bytes);
                     let _ = self.conn.stream.shutdown(Shutdown::Both);
                     self.conn.fail_all("stale-epoch connection retired");
                     return Err(KvError::Transient {
@@ -183,7 +182,7 @@ pub struct Pool {
     /// counter.
     ever_connected: Vec<Vec<AtomicBool>>,
     next_id: AtomicU64,
-    metrics: Arc<NetCounters>,
+    metrics: Arc<StoreCounters>,
     connect_timeout: Duration,
     /// Response deadline in microseconds; mutable at runtime via
     /// [`Pool::set_deadline`].
@@ -203,7 +202,7 @@ impl Pool {
     /// lazily.
     pub fn new(
         membership: Arc<Membership>,
-        metrics: Arc<NetCounters>,
+        metrics: Arc<StoreCounters>,
         connect_timeout: Duration,
         response_timeout: Duration,
     ) -> Self {
@@ -371,8 +370,9 @@ impl Pool {
                 detail: format!("writing to part server: {e}"),
             });
         }
-        NetCounters::add(&self.metrics.rpcs, 1);
-        NetCounters::add(&self.metrics.bytes_out, buf.len() as u64);
+        self.metrics.add(None, Counter::Rpcs, 1);
+        self.metrics
+            .add(None, Counter::NetBytesOut, buf.len() as u64);
         Ok(Pending {
             rx,
             started,
@@ -439,7 +439,7 @@ impl Pool {
         })?;
         let reconnected = self.ever_connected[slot][member].swap(true, Ordering::Relaxed);
         if reconnected {
-            NetCounters::add(&self.metrics.reconnects, 1);
+            self.metrics.add(None, Counter::Reconnects, 1);
         }
         let _ = stream.set_nodelay(true);
         let clone_err = |e: std::io::Error| KvError::Transient {
@@ -480,7 +480,8 @@ impl Pool {
             let epoch = self.membership.epoch(conn.slot);
             let pending = self.start_request(conn, proto::REQ_HELLO, &to_wire(&epoch), false)?;
             if reconnect || redo > 0 {
-                NetCounters::add(&self.metrics.retry_bytes, pending.req_bytes);
+                self.metrics
+                    .add(None, Counter::RetryBytes, pending.req_bytes);
             }
             match pending.recv() {
                 Ok(frame) => {
@@ -490,7 +491,7 @@ impl Pool {
                 }
                 Err(KvError::StaleEpoch { current, .. }) if redo == 0 => {
                     self.membership.observe_epoch(conn.slot, current);
-                    NetCounters::add(&self.metrics.retries, 1);
+                    self.metrics.add(None, Counter::Retries, 1);
                 }
                 Err(e) => {
                     let _ = conn.stream.shutdown(Shutdown::Both);
@@ -515,7 +516,7 @@ fn duration_us(d: Duration) -> u64 {
 fn spawn_reader(
     conn: Arc<Connection>,
     mut stream: TcpStream,
-    metrics: Arc<NetCounters>,
+    metrics: Arc<StoreCounters>,
     membership: Arc<Membership>,
 ) {
     std::thread::Builder::new()
@@ -529,7 +530,11 @@ fn spawn_reader(
                     return;
                 }
             };
-            NetCounters::add(&metrics.bytes_in, msg_len(frame.payload.len()) as u64);
+            metrics.add(
+                None,
+                Counter::NetBytesIn,
+                msg_len(frame.payload.len()) as u64,
+            );
             let id = frame.id;
             if frame.kind == RESP_CHUNK {
                 let abandoned = conn.dispatch.with(id, |tx| tx.send(Ok(frame)).is_err());

@@ -78,27 +78,9 @@ fn assert_conserves(outcome: &RunOutcome) {
     // begins and the first begins at the run baseline, so the sum is the
     // run-level delta exactly — including the network counters, which is
     // what makes the per-step h-relation trustworthy.
-    let sum = profiles.iter().fold(StoreMetrics::default(), |mut acc, p| {
-        acc.local_ops += p.store.local_ops;
-        acc.remote_ops += p.store.remote_ops;
-        acc.bytes_marshalled += p.store.bytes_marshalled;
-        acc.tasks_dispatched += p.store.tasks_dispatched;
-        acc.enumerations += p.store.enumerations;
-        acc.wal_bytes += p.store.wal_bytes;
-        acc.fsyncs += p.store.fsyncs;
-        acc.replayed_records += p.store.replayed_records;
-        acc.rpcs += p.store.rpcs;
-        acc.net_bytes_in += p.store.net_bytes_in;
-        acc.net_bytes_out += p.store.net_bytes_out;
-        acc.retries += p.store.retries;
-        acc.retry_bytes += p.store.retry_bytes;
-        acc.reconnects += p.store.reconnects;
-        acc.failovers += p.store.failovers;
-        acc.net_batches += p.store.net_batches;
-        acc.combined_records += p.store.combined_records;
-        acc.rpc_latency.merge(&p.store.rpc_latency);
-        acc
-    });
+    let sum = profiles
+        .iter()
+        .fold(StoreMetrics::default(), |sum, p| sum + p.store);
     assert_eq!(sum, m.store, "per-step store deltas must tile the run");
 
     // The derived cost model's h totals are the same sums, so they are

@@ -21,8 +21,8 @@ use bytes::Bytes;
 use crossbeam::channel::bounded;
 use parking_lot::{Mutex, RwLock};
 use ripple_kv::{
-    CombineFn, CombinerRegistry, CombinerSpec, KvError, KvStore, PartId, PartView, RoutedKey,
-    ScanControl, StoreMetrics, Table, TableSpec, TaskHandle,
+    CombineFn, CombinerRegistry, CombinerSpec, Counter, KvError, KvStore, PartId, PartView,
+    RoutedKey, ScanControl, StoreCounters, StoreMetrics, Table, TableSpec, TaskHandle,
 };
 
 #[derive(Debug)]
@@ -49,17 +49,18 @@ impl TableInner {
 #[derive(Debug, Default)]
 struct Inner {
     tables: RwLock<HashMap<String, Arc<TableInner>>>,
-    ops: AtomicU64,
-    tasks: AtomicU64,
-    enumerations: AtomicU64,
-    batches: AtomicU64,
-    combined: AtomicU64,
+    counters: StoreCounters,
     next_partitioning: AtomicU64,
     combiners: CombinerRegistry,
     bindings: RwLock<HashMap<String, String>>,
 }
 
 impl Inner {
+    /// Counts `n` of `counter`; this store attributes nothing to parts.
+    fn count(&self, counter: Counter, n: u64) {
+        self.counters.add(None, counter, n);
+    }
+
     /// The fold function bound to `table`, if any.
     fn fold_for(&self, table: &str) -> Option<CombineFn> {
         let name = self.bindings.read().get(table).cloned()?;
@@ -74,8 +75,8 @@ impl Inner {
             return Ok(());
         }
         let fold = self.fold_for(&t.name);
-        self.ops.fetch_add(1, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::LocalOps, 1);
+        self.count(Counter::NetBatches, 1);
         let mut combined = 0u64;
         let mut data = t.data.lock();
         for (key, value) in pairs {
@@ -89,7 +90,7 @@ impl Inner {
             data.insert(key, value);
         }
         drop(data);
-        self.combined.fetch_add(combined, Ordering::Relaxed);
+        self.count(Counter::CombinedRecords, combined);
         Ok(())
     }
 }
@@ -161,12 +162,12 @@ impl Table for SimpleTable {
     }
     fn get(&self, key: &RoutedKey) -> Result<Option<Bytes>, KvError> {
         self.inner.check_live()?;
-        self.store.ops.fetch_add(1, Ordering::Relaxed);
+        self.store.count(Counter::LocalOps, 1);
         Ok(self.inner.data.lock().get(key).cloned())
     }
     fn put(&self, key: RoutedKey, value: Bytes) -> Result<Option<Bytes>, KvError> {
         self.inner.check_live()?;
-        self.store.ops.fetch_add(1, Ordering::Relaxed);
+        self.store.count(Counter::LocalOps, 1);
         Ok(self.inner.data.lock().insert(key, value))
     }
     fn put_batch(&self, pairs: Vec<(RoutedKey, Bytes)>) -> Result<(), KvError> {
@@ -175,7 +176,7 @@ impl Table for SimpleTable {
     }
     fn delete(&self, key: &RoutedKey) -> Result<bool, KvError> {
         self.inner.check_live()?;
-        self.store.ops.fetch_add(1, Ordering::Relaxed);
+        self.store.count(Counter::LocalOps, 1);
         Ok(self.inner.data.lock().remove(key).is_some())
     }
     fn len(&self) -> Result<usize, KvError> {
@@ -236,13 +237,13 @@ impl PartView for SimplePartView {
     }
     fn get(&self, table: &str, key: &RoutedKey) -> Result<Option<Bytes>, KvError> {
         let t = self.resolve(table, false)?;
-        self.store.ops.fetch_add(1, Ordering::Relaxed);
+        self.store.count(Counter::LocalOps, 1);
         let out = t.data.lock().get(key).cloned();
         Ok(out)
     }
     fn put(&self, table: &str, key: RoutedKey, value: Bytes) -> Result<Option<Bytes>, KvError> {
         let t = self.resolve(table, true)?;
-        self.store.ops.fetch_add(1, Ordering::Relaxed);
+        self.store.count(Counter::LocalOps, 1);
         let out = t.data.lock().insert(key, value);
         Ok(out)
     }
@@ -252,7 +253,7 @@ impl PartView for SimplePartView {
     }
     fn delete(&self, table: &str, key: &RoutedKey) -> Result<bool, KvError> {
         let t = self.resolve(table, true)?;
-        self.store.ops.fetch_add(1, Ordering::Relaxed);
+        self.store.count(Counter::LocalOps, 1);
         let out = t.data.lock().remove(key).is_some();
         Ok(out)
     }
@@ -262,7 +263,7 @@ impl PartView for SimplePartView {
         f: &mut dyn FnMut(&RoutedKey, &[u8]) -> ScanControl,
     ) -> Result<(), KvError> {
         let t = self.resolve(table, false)?;
-        self.store.enumerations.fetch_add(1, Ordering::Relaxed);
+        self.store.count(Counter::Enumerations, 1);
         let data = t.data.lock();
         for (k, v) in data.iter() {
             if self.in_part(&t, k) && !f(k, v).should_continue() {
@@ -277,7 +278,7 @@ impl PartView for SimplePartView {
         f: &mut dyn FnMut(RoutedKey, Bytes) -> ScanControl,
     ) -> Result<(), KvError> {
         let t = self.resolve(table, true)?;
-        self.store.enumerations.fetch_add(1, Ordering::Relaxed);
+        self.store.count(Counter::Enumerations, 1);
         // Extract this part's slice, then feed it out; unconsumed entries
         // return on early stop.
         let mine: Vec<RoutedKey> = {
@@ -373,7 +374,7 @@ impl KvStore for SimpleStore {
             "part {part} out of range for {:?}",
             reference.name()
         );
-        self.inner.tasks.fetch_add(1, Ordering::Relaxed);
+        self.inner.count(Counter::TasksDispatched, 1);
         let (tx, rx) = bounded(1);
         let view = SimplePartView {
             store: Arc::clone(&self.inner),
@@ -405,24 +406,14 @@ impl KvStore for SimpleStore {
     }
 
     fn metrics(&self) -> StoreMetrics {
-        StoreMetrics {
-            local_ops: self.inner.ops.load(Ordering::Relaxed),
-            remote_ops: 0,
-            bytes_marshalled: 0,
-            tasks_dispatched: self.inner.tasks.load(Ordering::Relaxed),
-            enumerations: self.inner.enumerations.load(Ordering::Relaxed),
-            net_batches: self.inner.batches.load(Ordering::Relaxed),
-            combined_records: self.inner.combined.load(Ordering::Relaxed),
-            // Memory-only: no log, no fsync, no replay.
-            ..StoreMetrics::default()
-        }
+        self.inner.counters.metrics()
     }
 
     /// One map, one mutex: a single lock acquisition is a consistent cut
     /// even against concurrent writers.
     fn snapshot_table(&self, table: &SimpleTable) -> Result<ripple_kv::TableSnapshot, KvError> {
         table.inner.check_live()?;
-        self.inner.enumerations.fetch_add(1, Ordering::Relaxed);
+        self.inner.count(Counter::Enumerations, 1);
         let entries = table
             .inner
             .data
