@@ -1,16 +1,14 @@
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use ripple_kv::{KvError, PartId, RoutedKey};
-use ripple_wire::{from_wire, to_wire, Decode, Encode};
+use ripple_kv::{fnv64, KvError, PartId, RoutedKey};
+use ripple_wire::{from_wire, to_wire, to_wire_via, ByteWriter, Decode, Encode};
 
-use crate::engine::dst_part;
+use crate::encode_via;
 use crate::hash::KeyMap;
 use crate::metrics::PartCounters;
-use crate::{
-    key_to_routed, AggValue, AggregateSnapshot, AggregatorRegistry, EbspError, Envelope, Exporter,
-    Job,
-};
+use crate::{AggValue, AggregateSnapshot, AggregatorRegistry, EbspError, Envelope, Exporter, Job};
 
 /// Object-safe access to the job's state tables (and broadcast table) for
 /// one compute invocation.  The engine provides a collocated implementation
@@ -36,14 +34,16 @@ pub(crate) trait StateOps {
 /// latest surviving message for its destination *as it is sent*, so the
 /// outbox holds one envelope per distinct destination (plus one per
 /// message the combiner declined) — O(distinct destinations), not
-/// O(sends).
+/// O(sends).  Survivors are bucketed by destination part as they are sent;
+/// a part's outbox serves every step of a run.
 pub(crate) struct Outbox<J: Job> {
-    /// Surviving envelopes in send order, each with its destination part.
-    envelopes: Vec<(u32, Envelope<J>)>,
+    /// Surviving envelopes in send order, one bucket per destination part.
+    buckets: Vec<Vec<Envelope<J>>>,
     /// Per message destination: its part (computed once, when the key is
-    /// first seen) and where in `envelopes` its latest survivor sits.
-    latest: KeyMap<J::Key, (u32, usize)>,
-    parts: u32,
+    /// first seen) and where in that bucket its latest survivor sits.
+    latest: KeyMap<J::Key, (u32, u32)>,
+    /// Where keys are encoded to be routed and spills to be written.
+    scratch: RefCell<ByteWriter>,
     /// Partial aggregation, folded as invocations aggregate values.
     pub(crate) agg: HashMap<String, AggValue>,
     /// Per-part metric counters.
@@ -54,50 +54,91 @@ impl<J: Job> Outbox<J> {
     /// An empty outbox of a run over `parts` parts.
     pub(crate) fn new(parts: u32) -> Self {
         Self {
-            envelopes: Vec::new(),
+            buckets: (0..parts).map(|_| Vec::new()).collect(),
             latest: KeyMap::default(),
-            parts,
+            scratch: RefCell::default(),
             agg: HashMap::new(),
             metrics: PartCounters::default(),
         }
+    }
+
+    /// [`key_to_routed`](crate::key_to_routed) through the scratch: no
+    /// allocation for a key of at most 16 encoded bytes.
+    pub(crate) fn routed<K: Encode + ?Sized>(&self, key: &K) -> RoutedKey {
+        RoutedKey::from_slice(encode_via(&mut self.scratch.borrow_mut(), key))
+    }
+
+    /// The part [`Outbox::routed`] would place `key` in, with no key built.
+    fn dst(&mut self, key: &J::Key) -> u32 {
+        let parts = self.buckets.len() as u64;
+        (fnv64(encode_via(self.scratch.get_mut(), key)) % parts) as u32
     }
 
     /// Sends `msg` to `to`: folds it into the latest surviving message for
     /// `to` — send order is fold order — and appends it only when there is
     /// none yet or the job's combiner declines.
     pub(crate) fn message(&mut self, job: &J, to: J::Key, msg: J::Message) {
-        let at = self.envelopes.len();
         let (dst, msg) = match self.latest.get_mut(&to) {
             Some((dst, latest)) => {
-                let Envelope::Message { msg: into, .. } = &mut self.envelopes[*latest].1 else {
+                let bucket = &mut self.buckets[*dst as usize];
+                let Envelope::Message { msg: into, .. } = &mut bucket[*latest as usize] else {
                     unreachable!("`latest` only indexes Message envelopes");
                 };
                 let Some(msg) = fold_message(job, &to, Some(into), msg, &mut self.metrics) else {
                     return;
                 };
-                *latest = at;
+                *latest = bucket.len() as u32;
                 (*dst, msg)
             }
             None => {
-                let dst = dst_part(&to, self.parts);
+                let dst = self.dst(&to);
+                let at = self.buckets[dst as usize].len() as u32;
                 self.latest.insert(to.clone(), (dst, at));
                 (dst, msg)
             }
         };
-        self.envelopes.push((dst, Envelope::Message { to, msg }));
+        self.buckets[dst as usize].push(Envelope::Message { to, msg });
     }
 
     /// Appends a continue signal or a state creation; neither combines.
     pub(crate) fn push(&mut self, envelope: Envelope<J>) {
-        let dst = dst_part(envelope.key(), self.parts);
-        self.envelopes.push((dst, envelope));
+        let dst = self.dst(envelope.key());
+        self.buckets[dst as usize].push(envelope);
     }
 
-    /// Hands over the surviving envelopes, each with its destination part,
+    /// Hands over the surviving envelopes, in send order per destination,
     /// and forgets them: what is sent next starts new survivors.
     pub(crate) fn drain(&mut self) -> impl Iterator<Item = (u32, Envelope<J>)> + '_ {
         self.latest.clear();
-        self.envelopes.drain(..)
+        (self.buckets.iter_mut().zip(0..))
+            .flat_map(|(bucket, dst)| bucket.drain(..).map(move |envelope| (dst, envelope)))
+    }
+
+    /// Encodes each non-empty bucket as one spill blob for `spill` and
+    /// forgets the survivors.  Returns whether a message or continue signal
+    /// went out (`live`) and whether a state creation did.
+    pub(crate) fn spill(&mut self, mut spill: impl FnMut(u32, Bytes)) -> (bool, bool) {
+        self.latest.clear();
+        let (mut live, mut creates) = (false, false);
+        let scratch = self.scratch.get_mut();
+        let buckets = self.buckets.iter_mut().zip(0..);
+        for (bucket, dst) in buckets.filter(|(bucket, _)| !bucket.is_empty()) {
+            let create = |envelope: &Envelope<J>| matches!(envelope, Envelope::Create { .. });
+            live |= !bucket.iter().all(create);
+            creates |= bucket.iter().any(create);
+            // The survivors go with their encoding; the index and the
+            // scratch stay.
+            spill(dst, to_wire_via(scratch, &std::mem::take(bucket)));
+        }
+        (live, creates)
+    }
+
+    /// Forgets every survivor, partial and count; keeps the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.latest.clear();
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.agg.clear();
+        self.metrics = PartCounters::default();
     }
 }
 
@@ -306,8 +347,7 @@ impl<'a, J: Job> ComputeContext<'a, J> {
     /// Fails with [`EbspError::InvalidJob`] if the job declared no
     /// broadcast table, or a store/codec error.
     pub fn broadcast<Q: Encode, T: Decode>(&self, key: &Q) -> Result<Option<T>, EbspError> {
-        let routed = key_to_routed(key);
-        match self.ops.broadcast_get(&routed)? {
+        match self.ops.broadcast_get(&self.out.routed(key))? {
             None => Err(EbspError::InvalidJob {
                 reason: "job declared no broadcast table".to_owned(),
             }),

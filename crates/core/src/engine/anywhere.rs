@@ -40,7 +40,9 @@ pub(crate) fn run_step_anywhere<S: KvStore, J: Job>(
     let begun = Instant::now();
     let mut output = PartOutput::default();
     let mut queue: Vec<Enabled<J>> = Vec::new();
-    let delivering = run_parts(env, task, move |task, view| task.deliver(view, step, None));
+    let delivering = run_parts(env, task, move |task, view| {
+        task.deliver(view, step, None, &mut task.slot(view.part().0))
+    });
     for (delivered, _) in delivering {
         let (enabled, counters) = delivered?;
         queue.extend(enabled);
@@ -69,7 +71,8 @@ pub(crate) fn run_step_anywhere<S: KvStore, J: Job>(
         };
         // run-anywhere implies no-collect implies no-continue, so the
         // invocation core rejects every positive continue signal.
-        let mut invoker = task.invoker(ExecMode::Synchronized, part, &ops, &prev);
+        let mut slot = task.slot(part.0);
+        let mut invoker = task.invoker(ExecMode::Synchronized, part, &ops, &prev, &mut slot.out);
         let mut enabled = 0;
         loop {
             let batch = {
@@ -88,7 +91,7 @@ pub(crate) fn run_step_anywhere<S: KvStore, J: Job>(
         }
         Ok(PartOutput {
             enabled,
-            ..task.finish_compute(step, part.0, invoker.out)?
+            ..task.finish_compute(step, part.0, &mut slot.out)?
         })
     }) {
         match stolen {

@@ -24,8 +24,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use parking_lot::{Mutex, MutexGuard};
 use ripple_kv::{KvError, KvStore, PartId, PartView, RoutedKey, ScanControl, Table};
-use ripple_wire::{from_wire, from_wire_each, to_wire, to_wire_via, ByteWriter, Encode};
+use ripple_wire::{from_wire, from_wire_each, to_wire};
 
 use crate::context::{fold_message, Outbox, StateOps};
 use crate::hash::KeyMap;
@@ -144,6 +145,17 @@ pub(crate) struct PartTask<T: Table, J: Job> {
     /// Set by the synchronized engine; unsynchronized runs exchange
     /// messages through a queue set instead.
     pub(crate) temps: Option<TempTables<T>>,
+    slots: Vec<Mutex<Slot<J>>>,
+}
+
+/// What one part keeps from step to step: its outbox (the survivor index
+/// and the scratch; survivors are given back as they are spilled) and its
+/// delivery's key index.  Each step of the part empties it first — of a
+/// failed step's leftovers too — keeping the capacity.
+pub(crate) struct Slot<J: Job> {
+    pub(crate) out: Outbox<J>,
+    /// Each enabled key's position in the delivery's vector.
+    index: KeyMap<J::Key, u32>,
 }
 
 impl<T: Table, J: Job> PartTask<T, J> {
@@ -166,7 +178,21 @@ impl<T: Table, J: Job> PartTask<T, J> {
             shuffle: None,
             gate: None,
             temps: None,
+            slots: (0..env.parts())
+                .map(|_| {
+                    let (out, index) = (Outbox::new(env.parts()), KeyMap::default());
+                    Mutex::new(Slot { out, index })
+                })
+                .collect(),
         }
+    }
+
+    /// `part`'s slot, locked for one step and emptied.
+    pub(crate) fn slot(&self, part: u32) -> MutexGuard<'_, Slot<J>> {
+        let mut slot = self.slots[part as usize].lock();
+        slot.out.clear();
+        slot.index.clear();
+        slot
     }
 
     pub(crate) fn temps(&self) -> &TempTables<T> {
@@ -217,6 +243,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
         part: PartId,
         ops: &'a dyn StateOps,
         prev_agg: &'a AggregateSnapshot,
+        out: &'a mut Outbox<J>,
     ) -> Invoker<'a, J> {
         Invoker {
             job: &self.job,
@@ -228,7 +255,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
             prev_agg,
             direct: self.direct.as_deref(),
             probe: self.probe.as_deref(),
-            out: Outbox::new(self.parts),
+            out,
         }
     }
 
@@ -244,12 +271,12 @@ impl<T: Table, J: Job> PartTask<T, J> {
         into.delivery = into.delivery.max(part.delivery);
     }
 
-    /// Groups the envelopes surviving in `out` ([`Outbox::message`] folded
-    /// same-key messages as they were sent) by destination part and writes
-    /// one spill batch per non-empty destination into the transport of
-    /// `step`, keyed `(step, src, seq)` and routed there — all through a
-    /// single [`Table::put_batch`], so a batching store ships one coalesced
-    /// frame per destination server instead of one RPC per destination part.
+    /// Writes each destination's envelopes surviving in `out` (folded as
+    /// they were sent, bucketed by destination part) as one spill batch into
+    /// the transport of `step`, keyed `(step, src, seq)` and routed there —
+    /// all through a single [`Table::put_batch`], so a batching store ships
+    /// one coalesced frame per destination server instead of one RPC per
+    /// destination part.
     pub(crate) fn write_spills(
         &self,
         step: u32,
@@ -257,28 +284,13 @@ impl<T: Table, J: Job> PartTask<T, J> {
         out: &mut Outbox<J>,
     ) -> Result<PartOutput, EbspError> {
         let mut output = PartOutput::default();
-        let mut by_dst: Vec<Vec<Envelope<J>>> = (0..self.parts).map(|_| Vec::new()).collect();
-        for (dst, env) in out.drain() {
-            match env {
-                Envelope::Create { .. } => output.creates = true,
-                Envelope::Message { .. } | Envelope::Continue { .. } => output.live = true,
-            }
-            by_dst[dst as usize].push(env);
-        }
-        let counters = &mut out.metrics;
-        // One scratch for every destination: it grows to the largest batch
-        // once, with no size walk over every edge of every envelope.
-        let mut scratch = ByteWriter::new();
-        for (dst, batch) in by_dst.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let tag = to_wire(&(step, src, counters.spill_batches));
-            let key = RoutedKey::with_route(dst as u64, tag);
-            let blob = to_wire_via(&mut scratch, &batch);
+        let seq = out.metrics.spill_batches;
+        (output.live, output.creates) = out.spill(|dst, blob| {
+            let seq = seq + output.spilled.len() as u64;
+            let key = RoutedKey::with_route(dst.into(), to_wire(&(step, src, seq)));
             output.spilled.push((key, blob));
-            counters.spill_batches += 1;
-        }
+        });
+        out.metrics.spill_batches += output.spilled.len() as u64;
         if !output.spilled.is_empty() {
             // Keys are unique per (step, src, seq), so replaying the whole
             // batch after a transient failure is idempotent.
@@ -293,13 +305,15 @@ impl<T: Table, J: Job> PartTask<T, J> {
     /// records of a fast recovery), folds the envelopes into per-component
     /// message lists (combined pairwise on arrival where the job's combiner
     /// applies), applies the state creations, and returns the enabled
-    /// components in invocation order — sorted by key iff the plan says so
-    /// — with the counters of the folding.
+    /// components in invocation order — first arrival in `(step, src, seq)`
+    /// order, or by key iff the plan says so — with the counters of the
+    /// folding.  It routes and indexes them through the part's `slot`.
     pub(crate) fn deliver(
         &self,
         view: &dyn PartView,
         step: u32,
         replay: Option<Records>,
+        slot: &mut Slot<J>,
     ) -> Result<(Vec<Enabled<J>>, PartCounters), EbspError> {
         let part = view.part().0;
         let mut counters = PartCounters::default();
@@ -314,50 +328,46 @@ impl<T: Table, J: Job> PartTask<T, J> {
         // message into the latest survivor of its list.  "The platform may
         // combine some of them by one or more invocations (at arbitrary
         // times and places)"; adjacent pairs on arrival is one such choice.
-        let mut inbox: KeyMap<J::Key, Vec<J::Message>> = KeyMap::default();
+        let Slot { out, index } = slot;
+        let mut enabled: Vec<Enabled<J>> = Vec::with_capacity(index.capacity());
         let mut creates: Vec<(u16, J::Key, J::State)> = Vec::new();
         for (_, bytes) in sorted_spills(records)? {
             // Each envelope is folded as it is decoded: no vector of them.
-            from_wire_each(&bytes, |env: Envelope<J>| match env {
-                Envelope::Message { to, msg } => match inbox.get_mut(&to) {
-                    Some(list) => {
-                        let latest = list.last_mut();
-                        let kept = fold_message(&*self.job, &to, latest, msg, &mut counters);
-                        list.extend(kept);
-                    }
-                    None => {
-                        inbox.insert(to, vec![msg]);
-                    }
-                },
-                Envelope::Continue { key } => {
-                    inbox.entry(key).or_default();
+            from_wire_each(&bytes, |env: Envelope<J>| {
+                let (key, msg) = match env {
+                    Envelope::Message { to, msg } => (to, Some(msg)),
+                    Envelope::Continue { key } => (key, None),
+                    Envelope::Create { tab, key, state } => return creates.push((tab, key, state)),
+                };
+                let Some(&at) = index.get(&key) else {
+                    let routed = out.routed(&key);
+                    index.insert(key.clone(), enabled.len() as u32);
+                    return enabled.push((key, routed, msg.into_iter().collect()));
+                };
+                let list = &mut enabled[at as usize].2;
+                if let Some(msg) = msg {
+                    let kept = fold_message(&*self.job, &key, list.last_mut(), msg, &mut counters);
+                    list.extend(kept);
                 }
-                Envelope::Create { tab, key, state } => creates.push((tab, key, state)),
             })?;
         }
 
-        self.apply_creates(view, creates)?;
+        self.apply_creates(view, creates, out)?;
 
         // Audit the post-combine delivery counts — the `one-msg` contract is
         // about what arrives per (key, step) after combining, not about how
         // many raw sends targeted the key.
         if let Some(probe) = probe {
-            for (key, list) in &inbox {
-                probe.on_deliver(step, part, &to_wire(key), list.len() as u32);
+            for (_, routed, list) in &enabled {
+                probe.on_deliver(step, part, routed.body(), list.len() as u32);
             }
         }
-
-        let mut enabled: Vec<Enabled<J>> = Vec::with_capacity(inbox.len());
-        for (key, list) in inbox {
-            // Enforce one-msg when the plan dropped collection.
-            if !self.plan.collect && list.len() > 1 {
-                return Err(EbspError::PropertyViolation {
-                    property: "one-msg",
-                    detail: format!("{} messages arrived for one key in one step", list.len()),
-                });
-            }
-            let routed = key_to_routed(&key);
-            enabled.push((key, routed, list));
+        // Enforce one-msg when the plan dropped collection.
+        if let Some((_, _, list)) = enabled.iter().find(|e| !self.plan.collect && e.2.len() > 1) {
+            return Err(EbspError::PropertyViolation {
+                property: "one-msg",
+                detail: format!("{} messages arrived for one key in one step", list.len()),
+            });
         }
 
         if let Some(seed) = self.shuffle {
@@ -365,8 +375,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
             // (seed, step, part) *replaces* the plan's ordering, so a job whose
             // output survives several seeds demonstrably does not depend on
             // invocation order.  Sort first: the permutation must be a pure
-            // function of (seed, step, part), not of the inbox map's
-            // iteration order, or same-seed runs would not be comparable.
+            // function of (seed, step, part) and of the delivered keys.
             enabled.sort_by(|a, b| a.0.cmp(&b.0));
             let mut state = seed
                 .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -399,31 +408,29 @@ impl<T: Table, J: Job> PartTask<T, J> {
         &self,
         view: &dyn PartView,
         creates: Vec<(u16, J::Key, J::State)>,
+        out: &Outbox<J>,
     ) -> Result<(), EbspError> {
         if creates.is_empty() {
             return Ok(());
         }
         let table_names = &self.table_names[..];
         let part = view.part().0;
-        // Per table, the distinct keys in first-seen order with their states.
-        let mut slots: HashMap<(usize, RoutedKey), usize> = HashMap::new();
-        let mut by_table: Vec<Vec<Creations<J>>> = table_names.iter().map(|_| Vec::new()).collect();
+        // Per table, the distinct keys in first-seen order, each with the
+        // states created for it in arrival order.
+        let mut seen: HashMap<(usize, RoutedKey), usize> = HashMap::new();
+        let mut by_table: Vec<Vec<_>> = table_names.iter().map(|_| Vec::new()).collect();
         for (tab, key, state) in creates {
             let tab = tab as usize;
             let targets = by_table.get_mut(tab).ok_or(EbspError::StateTableIndex {
                 index: tab,
                 tables: table_names.len(),
             })?;
-            let routed = key_to_routed(&key);
-            let slot = *slots.entry((tab, routed.clone())).or_insert_with(|| {
-                targets.push(Creations {
-                    routed,
-                    key,
-                    states: Vec::new(),
-                });
+            let routed = out.routed(&key);
+            let at = *seen.entry((tab, routed.clone())).or_insert_with(|| {
+                targets.push((routed, key, Vec::new()));
                 targets.len() - 1
             });
-            targets[slot].states.push(state);
+            targets[at].2.push(state);
         }
         let put_batch = |tab: usize, records: Records| {
             self.retried(part, || view.put_batch(&table_names[tab], records.clone()))
@@ -435,23 +442,15 @@ impl<T: Table, J: Job> PartTask<T, J> {
             while !rest.is_empty() {
                 let (window, tail) = rest.split_at_mut(next.min(rest.len()));
                 rest = tail;
-                let keys: Vec<RoutedKey> = window.iter().map(|c| c.routed.clone()).collect();
+                let keys: Vec<RoutedKey> = window.iter().map(|c| c.0.clone()).collect();
                 let resident = self.retried(part, || view.get_batch(&table_names[tab], &keys))?;
                 next = plane::next_window(&resident);
-                for (creations, resident) in window.iter_mut().zip(resident) {
-                    let mut merged: Option<J::State> = match resident {
-                        Some(bytes) => Some(from_wire(&bytes)?),
-                        None => None,
-                    };
-                    for state in creations.states.drain(..) {
-                        merged = Some(match merged {
-                            Some(old) => self.job.combine_states(&creations.key, old, state),
-                            None => state,
-                        });
-                    }
-                    let merged = merged.expect("every slot holds at least one creation");
-                    if let Some(full) = writes.push(tab, creations.routed.clone(), to_wire(&merged))
-                    {
+                for ((routed, key, states), resident) in window.iter_mut().zip(resident) {
+                    let resident = resident.map(|bytes| from_wire(&bytes)).transpose()?;
+                    let merged = (resident.into_iter().chain(states.drain(..)))
+                        .reduce(|old, state| self.job.combine_states(key, old, state))
+                        .expect("every key holds at least one creation");
+                    if let Some(full) = writes.push(tab, routed.clone(), to_wire(&merged)) {
                         put_batch(tab, full)?;
                     }
                 }
@@ -478,12 +477,14 @@ impl<T: Table, J: Job> PartTask<T, J> {
         let begun = Instant::now();
         let replaying = replay.is_some();
         let suppress = replay.as_ref().is_some_and(|replay| replay.suppress);
-        let (enabled, counters) = self.deliver(view, step, replay.map(|r| r.entries))?;
+        let mut slot = self.slot(part.0);
+        let (enabled, counters) = self.deliver(view, step, replay.map(|r| r.entries), &mut slot)?;
         let delivery = begun.elapsed();
 
         let keys = enabled.iter().map(|entry| entry.1.clone()).collect();
         let ops = plane::StatePlane::new(self.local_ops(view), keys);
-        let mut invoker = self.invoker(ExecMode::Synchronized, part, &ops, prev_agg);
+        let out = &mut slot.out;
+        let mut invoker = self.invoker(ExecMode::Synchronized, part, &ops, prev_agg, &mut *out);
         invoker.out.metrics = counters;
         if replaying {
             invoker.probe = None;
@@ -496,13 +497,12 @@ impl<T: Table, J: Job> PartTask<T, J> {
             ops.begin(at);
             invoker.invoke(step, key, routed, messages)?;
         }
-        let out = invoker.out;
         // State before messages: once this step's spills are visible, the
         // states that produced them are too.
         ops.flush()?;
         if suppress {
             return Ok(PartOutput {
-                counters: out.metrics,
+                counters: std::mem::take(&mut out.metrics),
                 ..PartOutput::default()
             });
         }
@@ -520,9 +520,9 @@ impl<T: Table, J: Job> PartTask<T, J> {
         &self,
         step: u32,
         part: u32,
-        mut out: Outbox<J>,
+        out: &mut Outbox<J>,
     ) -> Result<PartOutput, EbspError> {
-        let spilled = self.write_spills(step, part, &mut out)?;
+        let spilled = self.write_spills(step, part, out)?;
         // Large-aggregator path (§IV-A): rather than returning partials to the
         // table client, write them into an auxiliary table keyed (and routed)
         // by aggregator name; a later enumeration round merges them.
@@ -540,8 +540,8 @@ impl<T: Table, J: Job> PartTask<T, J> {
             self.retried(part, || partials.put_batch(records.clone()))?;
         }
         Ok(PartOutput {
-            agg: out.agg,
-            counters: out.metrics,
+            agg: std::mem::take(&mut out.agg),
+            counters: std::mem::take(&mut out.metrics),
             ..spilled
         })
     }
@@ -627,7 +627,7 @@ pub(crate) struct Invoker<'a, J: Job> {
     prev_agg: &'a AggregateSnapshot,
     direct: Option<&'a dyn Exporter<J::OutKey, J::OutValue>>,
     probe: Option<&'a dyn AuditProbe>,
-    pub(crate) out: Outbox<J>,
+    pub(crate) out: &'a mut Outbox<J>,
 }
 
 impl<J: Job> Invoker<'_, J> {
@@ -649,7 +649,7 @@ impl<J: Job> Invoker<'_, J> {
         // `routed` itself moves into the context.
         let key_bytes = self.probe.map(|p| {
             p.on_invocation(step, part.0, routed.body());
-            routed.body().clone()
+            routed.clone()
         });
         let mut ctx = crate::ComputeContext {
             job: self.job,
@@ -660,7 +660,7 @@ impl<J: Job> Invoker<'_, J> {
             routed,
             messages,
             ops: self.ops,
-            out: &mut self.out,
+            out: &mut *self.out,
             registry: self.registry,
             prev_agg: self.prev_agg,
             direct: self.direct,
@@ -670,7 +670,7 @@ impl<J: Job> Invoker<'_, J> {
         if let (Some(p), Some(kb)) = (self.probe, &key_bytes) {
             // Before the no-continue enforcement below, so the audit
             // recorder holds the evidence when the engine aborts the run.
-            p.on_continue(step, part.0, kb, cont);
+            p.on_continue(step, part.0, kb.body(), cont);
         }
         if cont {
             if self.no_continue {
@@ -771,11 +771,6 @@ impl<T: Table> StateOps for GlobalStateOps<'_, T> {
     }
 }
 
-/// The destination part of an envelope addressed to `key`.
-pub(crate) fn dst_part<K: Encode>(key: &K, parts: u32) -> u32 {
-    key_to_routed(key).part_for(parts).0
-}
-
 /// Decodes the `(step, src, seq)` tags of drained transport records and
 /// orders the spills by them, so that replay after recovery sees identical
 /// message orders.  A tag that does not decode fails the step: dropping
@@ -787,13 +782,6 @@ pub(crate) fn sorted_spills(records: Records) -> Result<Vec<(SpillTag, Bytes)>, 
     }
     batches.sort_by_key(|(tag, _)| *tag);
     Ok(batches)
-}
-
-/// The creations one key of one state table received, in arrival order.
-struct Creations<J: Job> {
-    routed: RoutedKey,
-    key: J::Key,
-    states: Vec<J::State>,
 }
 
 /// Runs the loaders of a job: initial states go straight to the state
@@ -854,7 +842,8 @@ impl<T: Table, J: Job> LoadSink<J> for EngineLoadSink<'_, T, J> {
                 tables: self.tables.len(),
             });
         }
-        match self.writes.push(tab, key_to_routed(&key), to_wire(&state)) {
+        let routed = self.buffer.routed(&key);
+        match self.writes.push(tab, routed, to_wire(&state)) {
             Some(full) => self.put_batch(tab, full),
             None => Ok(()),
         }

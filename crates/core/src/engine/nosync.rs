@@ -40,7 +40,8 @@ use ripple_kv::{KvError, KvStore, PartId, PartView, Table};
 use ripple_mq::{ChannelQueueSet, QueueReceiver, QueueSet, TableQueueSet};
 use ripple_wire::{from_wire, to_wire, ByteReader, ByteWriter, Decode, Encode, WireError};
 
-use crate::engine::{dst_part, run_loaders, JobEnv, PartTask};
+use crate::context::Outbox;
+use crate::engine::{run_loaders, JobEnv, PartTask};
 use crate::metrics::PartCounters;
 use crate::retry::FaultRetry;
 use crate::{
@@ -398,7 +399,8 @@ fn redeliver_ledger<T: Table, J: Job, Q: QueueSet>(
             NosyncMsg::Stop => {}
             NosyncMsg::Env { weight, env } => {
                 old_weight += weight;
-                send(wenv, qs, dst_part(env.key(), wenv.task.parts), env)?;
+                let dst = crate::key_to_routed(env.key()).part_for(wenv.task.parts);
+                send(wenv, qs, dst.0, env)?;
             }
         }
     }
@@ -425,7 +427,8 @@ fn worker_inner<T: Table, J: Job, Q: QueueSet>(
     rx: &mut dyn QueueReceiver,
     state: &mut WorkerState<J>,
 ) -> Result<(), EbspError> {
-    let ops = wenv.task.local_ops(view);
+    let task = &wenv.task;
+    let ops = task.local_ops(view);
     let no_aggregates = AggregateSnapshot::default();
     let profile = &mut state.profile;
 
@@ -492,16 +495,16 @@ fn worker_inner<T: Table, J: Job, Q: QueueSet>(
             });
             list.extend(msg);
         }
-        wenv.task.apply_creates(view, creates)?;
+        let mut out = Outbox::new(task.parts);
+        task.apply_creates(view, creates, &out)?;
 
-        let mut invoker =
-            wenv.task
-                .invoker(ExecMode::Unsynchronized, view.part(), &ops, &no_aggregates);
+        let mode = ExecMode::Unsynchronized;
+        let mut invoker = task.invoker(mode, view.part(), &ops, &no_aggregates, &mut out);
         for key in order {
             let messages = grouped.remove(&key).expect("grouped by the same keys");
             let seq = state.invocation_seq.entry(key.clone()).or_insert(0);
             *seq += 1;
-            let routed = crate::key_to_routed(&key);
+            let routed = invoker.out.routed(&key);
             invoker.invoke(*seq, key, routed, messages)?;
             // Forward this invocation's output immediately (pipelining):
             // messages fold within an invocation, never across two.

@@ -527,7 +527,8 @@ impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
     fn settle(&mut self, cut: &Cut) -> Result<Cut, EbspError> {
         let step = cut.step + 1;
         let delivering = run_parts(self.env, &self.task, move |task, view| {
-            Ok(task.deliver(view, step, None)?.1)
+            let (_, counters) = task.deliver(view, step, None, &mut task.slot(view.part().0))?;
+            Ok(counters)
         });
         for (counters, _) in delivering {
             self.metrics.absorb(&counters?);

@@ -1,10 +1,12 @@
-//! The hasher of the engine's per-task key maps (the outbox index and the
-//! message lists a delivery folds).  Those maps hold a job's own component
-//! keys and live for one part task, so SipHash's resistance to crafted
-//! keys buys nothing there while its cost is paid once per message sent.
-//! One rotate-xor-multiply round per word, the same in every run — which
-//! makes the iteration order, the invocation order of a job that did not
-//! declare `needs-order`, repeat from run to run and in a replay.
+//! The hasher of the engine's key indexes (the outbox's latest-survivor
+//! index and a delivery's key → position index).  They hold a job's own
+//! component keys and are emptied every step, so SipHash's resistance to
+//! crafted keys buys nothing there while its cost is paid once per message
+//! sent.  One rotate-xor-multiply round per word.  Nothing iterates these
+//! maps: a delivery keeps its components in a vector in first-arrival
+//! order, which depends only on the spills — the invocation order of a job
+//! that did not declare `needs-order`, the same in a clean run, on a reused
+//! index and in a replay.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -96,11 +96,21 @@ pub use termination::WeightThrow;
 pub use trace::{step_profiles_json, worker_profiles_json, TraceRecorder};
 
 use ripple_kv::RoutedKey;
-use ripple_wire::{to_wire, Encode};
+use ripple_wire::{ByteWriter, Encode};
 
 /// Routes a component key: encode, hash, place — the one true mapping from
 /// component keys to store keys used by state tables, messages, and the
 /// transport table, so that everything about one component is collocated.
+/// A key of at most 16 encoded bytes is held inline.
 pub fn key_to_routed<K: Encode>(key: &K) -> RoutedKey {
-    RoutedKey::from_body(to_wire(key))
+    let mut scratch = ByteWriter::with_capacity(key.size_hint());
+    RoutedKey::from_slice(encode_via(&mut scratch, key))
+}
+
+/// `key`'s encoding, written into `scratch` after emptying it: how the
+/// engine routes a key with no allocation once `scratch` has grown.
+pub(crate) fn encode_via<'a, K: Encode + ?Sized>(scratch: &'a mut ByteWriter, key: &K) -> &'a [u8] {
+    scratch.clear();
+    key.encode(scratch);
+    scratch.as_slice()
 }

@@ -176,11 +176,11 @@ where
 {
     fn load(self: Box<Self>, sink: &mut dyn LoadSink<J>) -> Result<(), EbspError> {
         let consumer = FnPairConsumer::new(|key: &RoutedKey, value: &[u8]| {
-            (key.body().clone(), bytes::Bytes::copy_from_slice(value))
+            (key.clone(), bytes::Bytes::copy_from_slice(value))
         });
         let pairs = self.store.enumerate_pairs(&self.source, consumer)?;
-        for (key_body, state_bytes) in pairs {
-            let key: J::Key = from_wire(&key_body)?;
+        for (routed, state_bytes) in pairs {
+            let key: J::Key = from_wire(routed.body())?;
             let state: J::State = from_wire(&state_bytes)?;
             if self.enable {
                 sink.enable(key.clone())?;

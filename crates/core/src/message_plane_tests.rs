@@ -1,16 +1,25 @@
 //! Specifications of the engine-internal message plane, as tests: the
-//! folding outbox against the log-then-fold model it replaced, and the
-//! transport-tag decode step of a delivery.
+//! folding outbox against the log-then-fold model it replaced, its routing
+//! against the store's, and the transport-tag decode step of a delivery.
+
+use std::hash::Hash;
+use std::marker::PhantomData;
 
 use bytes::Bytes;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use ripple_kv::RoutedKey;
-use ripple_wire::{to_wire, WireError};
+use ripple_wire::{to_wire, Encode, Wire, WireError};
 
 use crate::context::Outbox;
-use crate::engine::{dst_part, sorted_spills};
+use crate::engine::sorted_spills;
 use crate::{ComputeContext, EbspError, Envelope, Job};
+
+/// The part the store places `key` in: what every envelope addressed to
+/// `key` must be spilled to.
+fn store_part<K: Encode>(key: &K, parts: u32) -> u32 {
+    RoutedKey::from_body(to_wire(key)).part_for(parts).0
+}
 
 /// A job whose combiner is a *non-commutative* digest — any fold applied
 /// out of send order changes the value — and which declines a seeded
@@ -77,7 +86,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 /// envelope, then walk the log folding each message into the latest
 /// surviving message for its key; a declined message becomes the latest
 /// survivor, continues and creations pass through.  Returns the survivors
-/// and how many messages folded away.
+/// in send order and how many messages folded away.
 fn log_then_fold(job: &Digest, log: Vec<Envelope<Digest>>) -> (Vec<Envelope<Digest>>, u64) {
     let mut survivors: Vec<Envelope<Digest>> = Vec::new();
     let mut latest: std::collections::BTreeMap<u32, usize> = std::collections::BTreeMap::new();
@@ -119,11 +128,13 @@ proptest! {
                 Op::Drain => {
                     let (survivors, combined) = log_then_fold(&job, std::mem::take(&mut log));
                     expected_combined += combined;
-                    let expected: Vec<(u32, Bytes)> = survivors
+                    // Per destination part, in send order.
+                    let mut expected: Vec<(u32, Bytes)> = survivors
                         .iter()
-                        .map(|e| (dst_part(e.key(), parts), to_wire(e)))
+                        .map(|e| (store_part(e.key(), parts), to_wire(e)))
                         .collect();
-                    // Order, destination and encoded value of every survivor.
+                    expected.sort_by_key(|(dst, _)| *dst);
+                    // Destination, order and encoded value of every survivor.
                     let got: Vec<(u32, Bytes)> =
                         out.drain().map(|(dst, e)| (dst, to_wire(&e))).collect();
                     prop_assert_eq!(got, expected);
@@ -137,6 +148,67 @@ proptest! {
                 other => out.push(other),
             }
         }
+    }
+}
+
+/// A job whose keys are `K`: enough to route envelopes.
+struct Keyed<K>(PhantomData<K>);
+
+impl<K: Wire + Eq + Hash + Ord + Sync> Job for Keyed<K> {
+    type Key = K;
+    type State = u8;
+    type Message = u8;
+    type OutKey = ();
+    type OutValue = ();
+
+    fn state_tables(&self) -> Vec<String> {
+        Vec::new()
+    }
+
+    fn compute(&self, _ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
+        Ok(false)
+    }
+}
+
+/// The part the outbox spills a message for `key` to, and the store key
+/// [`Outbox::routed`] builds for it.
+fn outbox_routes<K: Wire + Eq + Hash + Ord + Sync>(key: K, parts: u32) -> (u32, RoutedKey) {
+    let mut out = Outbox::<Keyed<K>>::new(parts);
+    let routed = out.routed(&key);
+    out.message(&Keyed(PhantomData), key, 0);
+    let (dst, _) = out.drain().next().expect("one survivor");
+    (dst, routed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Keys of every shape, encodings on both sides of `RoutedKey`'s
+    /// inline limit: the outbox hashes a key's encoding in its scratch and
+    /// must land every key on the part the store would, and build the
+    /// store's key.
+    #[test]
+    fn the_outbox_routes_every_key_as_the_store_does(
+        small: u32,
+        wide: u64,
+        text: String,
+        pair: (u32, u32),
+        blob in vec(any::<u8>(), 0..40),
+        parts in 1u32..65,
+    ) {
+        fn check<K: Wire + Eq + Hash + Ord + Sync>(key: K, parts: u32) -> Result<(), TestCaseError> {
+            let expected = RoutedKey::from_body(to_wire(&key));
+            let want = store_part(&key, parts);
+            let (dst, routed) = outbox_routes(key, parts);
+            prop_assert_eq!(dst, want);
+            prop_assert_eq!(routed, expected);
+            Ok(())
+        }
+        check(small, parts)?;
+        check(wide, parts)?;
+        check(text, parts)?;
+        check(pair, parts)?;
+        check(blob, parts)?;
     }
 }
 

@@ -335,4 +335,55 @@ fn a_part_killed_mid_round_replays_alone_from_the_senders_log() {
     assert_eq!(metrics.recoveries, 1);
     // Steps 1 through 4, one part: a whole-group rollback would charge 12.
     assert_eq!(metrics.replayed_part_steps, 4);
+    assert_counts_replay(&metrics, &clean_metrics, 4);
+}
+
+/// A replay of a *past* step runs for its state effects only: its sends are
+/// dropped, and so must be everything it left in the part's message-plane
+/// buffers, which the part keeps from step to step — a leftover would be
+/// spilled by the next step the part runs.  Killed at step `kill_at`, the
+/// part replays `kill_at - 1` past steps before the failed one.
+#[test]
+fn replays_of_past_steps_leave_nothing_for_the_next_step() {
+    let (clean, clean_metrics) = run_gossip(u32::MAX);
+    for kill_at in [2, 5, 6] {
+        let (healed, metrics) = run_gossip(kill_at);
+        assert_eq!(healed, clean, "killed at step {kill_at}");
+        assert_eq!(metrics.replayed_part_steps, u64::from(kill_at));
+        assert_counts_replay(&metrics, &clean_metrics, kill_at);
+    }
+}
+
+/// A run healed from a kill at step `kill_at` did the clean run's work plus,
+/// once more, the killed part's past steps (the failed step's first attempt
+/// counts nothing): each invokes every key of the part, and each of those
+/// sends twice.  Nothing combines, and the replays spill nothing.
+fn assert_counts_replay(
+    healed: &ripple_core::RunMetrics,
+    clean: &ripple_core::RunMetrics,
+    kill_at: u32,
+) {
+    let on_killed = (0..GOSSIP_KEYS)
+        .filter(|k| ripple_core::key_to_routed(k).part_for(GOSSIP_PARTS) == PartId(1))
+        .count() as u64;
+    let past = u64::from(kill_at - 1);
+    let counts = |m: &ripple_core::RunMetrics| {
+        [
+            m.invocations,
+            m.messages_sent,
+            m.messages_combined,
+            m.spill_batches,
+        ]
+    };
+    let [invocations, sent, combined, spills] = counts(clean);
+    assert_eq!(
+        counts(healed),
+        [
+            invocations + past * on_killed,
+            sent + 2 * past * on_killed,
+            combined,
+            spills
+        ],
+        "killed at step {kill_at}"
+    );
 }

@@ -211,7 +211,7 @@ fn enumerate_pairs_visits_everything_once() {
         t.put(bkey(&format!("k{i}")), bval(&format!("{i}")))
             .unwrap();
     }
-    let consumer = FnPairConsumer::new(|k: &RoutedKey, _v: &[u8]| k.body().clone());
+    let consumer = FnPairConsumer::new(|k: &RoutedKey, _v: &[u8]| k.body().to_vec());
     let mut seen = store.enumerate_pairs(&t, consumer).unwrap();
     seen.sort();
     assert_eq!(seen.len(), 250);

@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
 use bytes::Bytes;
-use ripple::ebsp::{SemaphoreGate, TaskGate};
+use ripple::ebsp::{RunMetrics, SemaphoreGate, TaskGate};
 use ripple::graph::generate::{power_law_graph, random_change_batch, random_undirected};
 use ripple::graph::pagerank::{run_direct_on, PageRankConfig};
 use ripple::graph::sssp::SelectiveInstance;
@@ -767,4 +767,148 @@ fn pagerank_and_selective_sssp_are_byte_identical_under_a_one_permit_gate() {
         raw_table_named(&gated, "dists"),
         raw_table_named(&free, "dists")
     );
+}
+
+// ---------------------------------------------------------------------------
+// Slot hygiene: the buffers a part keeps from step to step carry nothing over
+// ---------------------------------------------------------------------------
+
+const FAN: u32 = 90;
+
+/// Every component adds what it heard to its state and tells two others;
+/// a summing combiner folds what meets, at the sender or on arrival.
+struct Fan {
+    /// Declares what lets the engine steal invocations (*run-anywhere*):
+    /// the combiner always folds, so one message per key arrives.
+    anywhere: bool,
+}
+
+impl Job for Fan {
+    type Key = u32;
+    type State = u64;
+    type Message = u64;
+    type OutKey = ();
+    type OutValue = ();
+
+    fn state_tables(&self) -> Vec<String> {
+        vec![TABLE.to_owned()]
+    }
+
+    fn properties(&self) -> JobProperties {
+        JobProperties {
+            deterministic: true,
+            one_msg: self.anywhere,
+            no_continue: self.anywhere,
+            rare_state: self.anywhere,
+            ..JobProperties::default()
+        }
+    }
+
+    fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
+        let (k, step) = (*ctx.key(), ctx.step());
+        let heard: u64 = ctx.messages().iter().sum();
+        let state = ctx.read_state(0)?.unwrap_or(0) * 3 + heard + u64::from(step);
+        ctx.write_state(0, &state)?;
+        if step < 5 {
+            ctx.send((k + 1) % FAN, state);
+            ctx.send((k + 7) % FAN, state);
+        }
+        Ok(false)
+    }
+
+    fn combine_messages(&self, _key: &u32, into: &mut u64, msg: u64) -> Option<u64> {
+        *into += msg;
+        None
+    }
+}
+
+/// The counts a leftover in a part's buffers would change.
+fn plane_counts(metrics: &RunMetrics) -> [u64; 4] {
+    [
+        metrics.messages_sent,
+        metrics.messages_combined,
+        metrics.spill_batches,
+        metrics.invocations,
+    ]
+}
+
+/// `Fan` on the store-simple oracle, one part task at a time (so a
+/// run-anywhere step has one stealing worker and spills the same batches
+/// every run): its state table and its counts.
+fn fan_reference(anywhere: bool) -> (Vec<(RoutedKey, Bytes)>, [u64; 4]) {
+    let simple = SimpleStore::new(3);
+    let outcome = one_at_a_time(&simple)
+        .launch(
+            Arc::new(Fan { anywhere }),
+            RunOptions::new().loader(load_keys(FAN)),
+        )
+        .expect("reference run");
+    assert_eq!(outcome.steps, 5);
+    (raw_table(&simple), plane_counts(&outcome.metrics))
+}
+
+/// A transport `put_batch` that fails after the outbox was encoded and
+/// emptied is retried from the spills already written out, not from the
+/// outbox.
+#[test]
+fn a_transport_batch_failing_after_the_outbox_drained_heals_to_the_reference() {
+    let (table, counts) = fan_reference(false);
+    // Each issuer's first table-handle batch into each table fails once:
+    // the loader's, and every part's first spill into either transport.
+    let plan = FaultPlan::seeded(0x5107).transient_batches(1);
+    let store = MemStore::builder()
+        .default_parts(3)
+        .fault_plan(plan)
+        .build();
+    let outcome = JobRunner::new(store.clone())
+        .launch(
+            Arc::new(Fan { anywhere: false }),
+            RunOptions::new().loader(load_keys(FAN)),
+        )
+        .expect("the faulted run heals");
+    let spill_faults = (store.fault_trace().iter())
+        .filter(|r| r.op == FaultOp::Batch && r.part != u32::MAX)
+        .count();
+    assert_eq!(
+        spill_faults,
+        3 * 2,
+        "every part's first spill into each transport"
+    );
+    assert_eq!(plane_counts(&outcome.metrics), counts);
+    assert_eq!(raw_table(&store), table);
+}
+
+/// Launches of one job on one runner share nothing: each counts and ends
+/// as the reference does.
+#[test]
+fn a_second_launch_on_one_runner_counts_and_ends_like_the_first() {
+    let (table, counts) = fan_reference(false);
+    let store = MemStore::builder().default_parts(3).build();
+    let runner = JobRunner::new(store.clone());
+    for launch in 1..=2 {
+        let outcome = runner
+            .launch(
+                Arc::new(Fan { anywhere: false }),
+                RunOptions::new().loader(load_keys(FAN)),
+            )
+            .expect("run");
+        assert_eq!(plane_counts(&outcome.metrics), counts, "launch {launch}");
+        assert_eq!(raw_table(&store), table, "launch {launch}");
+    }
+}
+
+/// Run-anywhere delivers through each part's buffers in one round and
+/// spills from them in the next.
+#[test]
+fn run_anywhere_rounds_count_and_end_like_the_reference() {
+    let (table, counts) = fan_reference(true);
+    let store = MemStore::builder().default_parts(3).build();
+    let outcome = one_at_a_time(&store)
+        .launch(
+            Arc::new(Fan { anywhere: true }),
+            RunOptions::new().loader(load_keys(FAN)),
+        )
+        .expect("run");
+    assert_eq!(plane_counts(&outcome.metrics), counts);
+    assert_eq!(raw_table(&store), table);
 }
