@@ -126,9 +126,10 @@ impl<J: Job> Outbox<J> {
             let create = |envelope: &Envelope<J>| matches!(envelope, Envelope::Create { .. });
             live |= !bucket.iter().all(create);
             creates |= bucket.iter().any(create);
-            // The survivors go with their encoding; the index and the
-            // scratch stay.
-            spill(dst, to_wire_via(scratch, &std::mem::take(bucket)));
+            // The survivors go with their encoding; the bucket keeps its
+            // capacity, as the index and the scratch do.
+            spill(dst, to_wire_via(scratch, bucket.as_slice()));
+            bucket.clear();
         }
         (live, creates)
     }

@@ -41,7 +41,9 @@ pub(crate) fn run_step_anywhere<S: KvStore, J: Job>(
     let mut output = PartOutput::default();
     let mut queue: Vec<Enabled<J>> = Vec::new();
     let delivering = run_parts(env, task, move |task, view| {
-        task.deliver(view, step, None, &mut task.slot(view.part().0))
+        let mut slot = task.slot(view.part().0);
+        let counters = task.deliver(view, step, None, &mut slot)?;
+        Ok((std::mem::take(&mut slot.inbox), counters))
     });
     for (delivered, _) in delivering {
         let (enabled, counters) = delivered?;

@@ -88,6 +88,7 @@ pub(crate) struct PartOutput {
 }
 
 /// The temporary tables of a synchronized run.
+#[derive(Clone)]
 pub(crate) struct TempTables<T> {
     /// Spill batches keyed `(step, src, seq)`, routed to their destination,
     /// in two tables used alternately so that a part running ahead cannot
@@ -102,6 +103,73 @@ impl<T> TempTables<T> {
     /// count as step 0.
     pub(crate) fn transport(&self, step: u32) -> &T {
         &self.transport[(step % 2) as usize]
+    }
+
+    /// Makes the set, one table per kind, with the aggregator pair iff `agg`.
+    pub(crate) fn make<E>(
+        agg: bool,
+        mut make: impl FnMut(&str) -> Result<T, E>,
+    ) -> Result<Self, E> {
+        let transport = [make("xport0")?, make("xport1")?];
+        let agg = if agg {
+            Some((make("agg1")?, make("agg2")?))
+        } else {
+            None
+        };
+        Ok(Self { transport, agg })
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        let agg = self
+            .agg
+            .iter()
+            .flat_map(|(partials, merged)| [partials, merged]);
+        self.transport.iter().chain(agg)
+    }
+}
+
+/// A set of synchronized-run temporaries and what it was made for: the
+/// reference table's partitioning group, whether it is replicated, and
+/// whether it has the aggregator pair.  Dropping it drops its tables;
+/// failures at teardown are not actionable.
+pub(crate) struct Temps<S: KvStore> {
+    pub(crate) store: S,
+    pub(crate) key: (u64, bool, bool),
+    pub(crate) tables: TempTables<S::Table>,
+}
+
+impl<S: KvStore> Drop for Temps<S> {
+    fn drop(&mut self) {
+        for table in self.tables.iter() {
+            let _ = self.store.drop_table(table.name());
+        }
+    }
+}
+
+/// The one idle set a [`JobRunner`](crate::JobRunner) and its clones keep
+/// between launches; it goes with the last clone.
+pub(crate) type TempSlot<S> = Mutex<Option<Temps<S>>>;
+
+/// A launch's hold on its temporaries, handed back to `slot` however the
+/// run ends: as they are if the run left them `drained`, cleared otherwise,
+/// and dropped when a clear fails or another set is idle already.
+pub(crate) struct Lease<'a, S: KvStore> {
+    pub(crate) slot: &'a TempSlot<S>,
+    pub(crate) temps: Option<Temps<S>>,
+    pub(crate) drained: bool,
+}
+
+impl<S: KvStore> Drop for Lease<'_, S> {
+    fn drop(&mut self) {
+        let Some(temps) = self.temps.take() else {
+            return;
+        };
+        if self.drained || temps.tables.iter().all(|table| table.clear().is_ok()) {
+            let mut idle = self.slot.lock();
+            if idle.is_none() {
+                *idle = Some(temps);
+            }
+        }
     }
 }
 
@@ -148,13 +216,16 @@ pub(crate) struct PartTask<T: Table, J: Job> {
     slots: Vec<Mutex<Slot<J>>>,
 }
 
-/// What one part keeps from step to step: its outbox (the survivor index
-/// and the scratch; survivors are given back as they are spilled) and its
-/// delivery's key index.  Each step of the part empties it first — of a
-/// failed step's leftovers too — keeping the capacity.
+/// What one part keeps from step to step: its outbox (the survivor buckets,
+/// their index and the scratch) and its delivery (the enabled components
+/// and their index).  Each step of the part empties it first — of a failed
+/// step's leftovers too — keeping the capacity.
 pub(crate) struct Slot<J: Job> {
     pub(crate) out: Outbox<J>,
-    /// Each enabled key's position in the delivery's vector.
+    /// The enabled components the last delivery produced, in invocation
+    /// order.
+    pub(crate) inbox: Vec<Enabled<J>>,
+    /// Each enabled key's position in `inbox`.
     index: KeyMap<J::Key, u32>,
 }
 
@@ -181,7 +252,11 @@ impl<T: Table, J: Job> PartTask<T, J> {
             slots: (0..env.parts())
                 .map(|_| {
                     let (out, index) = (Outbox::new(env.parts()), KeyMap::default());
-                    Mutex::new(Slot { out, index })
+                    Mutex::new(Slot {
+                        out,
+                        inbox: Vec::new(),
+                        index,
+                    })
                 })
                 .collect(),
         }
@@ -191,6 +266,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
     pub(crate) fn slot(&self, part: u32) -> MutexGuard<'_, Slot<J>> {
         let mut slot = self.slots[part as usize].lock();
         slot.out.clear();
+        slot.inbox.clear();
         slot.index.clear();
         slot
     }
@@ -304,17 +380,17 @@ impl<T: Table, J: Job> PartTask<T, J> {
     /// part's slice of that step's transport table (or takes the `replay`
     /// records of a fast recovery), folds the envelopes into per-component
     /// message lists (combined pairwise on arrival where the job's combiner
-    /// applies), applies the state creations, and returns the enabled
-    /// components in invocation order — first arrival in `(step, src, seq)`
-    /// order, or by key iff the plan says so — with the counters of the
-    /// folding.  It routes and indexes them through the part's `slot`.
+    /// applies), applies the state creations, and leaves the enabled
+    /// components in the `slot`'s inbox in invocation order — first arrival
+    /// in `(step, src, seq)` order, or by key iff the plan says so.  Returns
+    /// the counters of the folding.
     pub(crate) fn deliver(
         &self,
         view: &dyn PartView,
         step: u32,
         replay: Option<Records>,
         slot: &mut Slot<J>,
-    ) -> Result<(Vec<Enabled<J>>, PartCounters), EbspError> {
+    ) -> Result<PartCounters, EbspError> {
         let part = view.part().0;
         let mut counters = PartCounters::default();
         // A replay never re-fires audit probes: that would double-count.
@@ -328,8 +404,11 @@ impl<T: Table, J: Job> PartTask<T, J> {
         // message into the latest survivor of its list.  "The platform may
         // combine some of them by one or more invocations (at arbitrary
         // times and places)"; adjacent pairs on arrival is one such choice.
-        let Slot { out, index } = slot;
-        let mut enabled: Vec<Enabled<J>> = Vec::with_capacity(index.capacity());
+        let Slot {
+            out,
+            inbox: enabled,
+            index,
+        } = slot;
         let mut creates: Vec<(u16, J::Key, J::State)> = Vec::new();
         for (_, bytes) in sorted_spills(records)? {
             // Each envelope is folded as it is decoded: no vector of them.
@@ -358,7 +437,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
         // about what arrives per (key, step) after combining, not about how
         // many raw sends targeted the key.
         if let Some(probe) = probe {
-            for (_, routed, list) in &enabled {
+            for (_, routed, list) in enabled.iter() {
                 probe.on_deliver(step, part, routed.body(), list.len() as u32);
             }
         }
@@ -395,7 +474,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
         } else if self.plan.sort {
             enabled.sort_by(|a, b| a.0.cmp(&b.0));
         }
-        Ok((enabled, counters))
+        Ok(counters)
     }
 
     /// Applies the state creations delivered to this part, merging each with
@@ -478,12 +557,16 @@ impl<T: Table, J: Job> PartTask<T, J> {
         let replaying = replay.is_some();
         let suppress = replay.as_ref().is_some_and(|replay| replay.suppress);
         let mut slot = self.slot(part.0);
-        let (enabled, counters) = self.deliver(view, step, replay.map(|r| r.entries), &mut slot)?;
+        let counters = self.deliver(view, step, replay.map(|r| r.entries), &mut slot)?;
         let delivery = begun.elapsed();
 
+        let Slot {
+            out,
+            inbox: enabled,
+            ..
+        } = &mut *slot;
         let keys = enabled.iter().map(|entry| entry.1.clone()).collect();
         let ops = plane::StatePlane::new(self.local_ops(view), keys);
-        let out = &mut slot.out;
         let mut invoker = self.invoker(ExecMode::Synchronized, part, &ops, prev_agg, &mut *out);
         invoker.out.metrics = counters;
         if replaying {
@@ -493,7 +576,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
             invoker.direct = None;
         }
         let invoked = enabled.len() as u64;
-        for (at, (key, routed, messages)) in enabled.into_iter().enumerate() {
+        for (at, (key, routed, messages)) in enabled.drain(..).enumerate() {
             ops.begin(at);
             invoker.invoke(step, key, routed, messages)?;
         }
@@ -861,20 +944,5 @@ impl<T: Table, J: Job> LoadSink<J> for EngineLoadSink<'_, T, J> {
 
     fn aggregate(&mut self, name: &str, value: AggValue) -> Result<(), EbspError> {
         self.registry.fold(&mut self.buffer.agg, name, value)
-    }
-}
-
-/// Drops the named tables when the run ends, however it ends.
-pub(crate) struct TableGuard<S: KvStore> {
-    pub(crate) store: S,
-    pub(crate) names: Vec<String>,
-}
-
-impl<S: KvStore> Drop for TableGuard<S> {
-    fn drop(&mut self) {
-        for name in &self.names {
-            // Cleanup failures at teardown are not actionable.
-            let _ = self.store.drop_table(name);
-        }
     }
 }

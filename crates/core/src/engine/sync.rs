@@ -36,8 +36,8 @@ use std::time::{Duration, Instant};
 use ripple_kv::{KvError, KvStore, PartId, ScanControl, StoreMetrics, Table};
 
 use crate::engine::{
-    anywhere, run_loaders, run_parts, JobEnv, PartOutput, PartTask, Records, Replay, Span,
-    TableGuard, TempTables,
+    anywhere, run_loaders, run_parts, JobEnv, Lease, PartOutput, PartTask, Records, Replay, Span,
+    TempSlot, TempTables, Temps,
 };
 use crate::profile::{PartStepProfile, StepCounters, StepProfile};
 use crate::retry::{kv_with_retry, FaultRetry};
@@ -141,9 +141,6 @@ pub(crate) struct DurableOpts {
     pub(crate) clear: ClearFn,
     /// The journalled cut to resume from, if an earlier run left one.
     pub(crate) resume: Option<Cut>,
-    /// Restart-stable token for temporary table names: a resumed run must
-    /// find the same transport tables the interrupted run wrote.
-    pub(crate) nonce: String,
 }
 
 /// A cut the run can rewind to, with every part captured at it.
@@ -265,6 +262,7 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
     opts: &SyncOptions,
     recovery: Option<RecoveryHooks>,
     durable: Option<DurableOpts>,
+    slot: &TempSlot<S>,
 ) -> Result<RunOutcome, EbspError> {
     let started = Instant::now();
     let store_before = env.store.metrics();
@@ -282,58 +280,66 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
         && recovery.is_some()
         && opts.checkpoint_interval.is_some()
         && !env.plan.run_anywhere;
-    let nonce = match &durable {
-        Some(d) => d.nonce.clone(),
-        None => run_nonce().to_string(),
-    };
     let resuming = durable.as_ref().is_some_and(|d| d.resume.is_some());
     // Temp-table DDL is retried like every other store operation: against
     // a networked store a transient fault here would otherwise kill the
     // run before the first step.
-    let make_table = |kind: &str| {
-        let name = format!("__ebsp_{kind}_{nonce}");
+    let create = |name: &str| {
         kv_with_retry(&retry, 0, || {
             if resuming {
                 // The interrupted run's durable temporaries carry the
                 // messages the resume continues from; rewind has already
                 // cut them to the journalled barrier.
-                if let Ok(t) = env.store.lookup_table(&name) {
+                if let Ok(t) = env.store.lookup_table(name) {
                     return Ok(t);
                 }
             }
             if fast {
                 // Replicated, so a crashed part's transport slices can be
                 // promoted back to their crash-instant contents.
-                env.store
-                    .create_table_like_replicated(&name, &env.reference)
+                env.store.create_table_like_replicated(name, &env.reference)
             } else {
-                env.store.create_table_like(&name, &env.reference)
+                env.store.create_table_like(name, &env.reference)
             }
         })
     };
     let large_aggs = env.registry.names().count() >= opts.agg_table_threshold.max(1)
         && !env.registry.is_empty()
         && !env.plan.run_anywhere;
-    let temps = TempTables {
-        transport: [make_table("xport0")?, make_table("xport1")?],
-        agg: if large_aggs {
-            Some((make_table("agg1")?, make_table("agg2")?))
-        } else {
-            None
-        },
+    // A plain run leases its runner's temporaries, named for the reference
+    // table with the lowest free index.  A durable run's are its resume
+    // state: named for the journal, kept on failure, and dropped at a
+    // successful finish.
+    let reference = env.reference.name();
+    let (temps, mut lease) = if durable.is_some() {
+        let make = |kind: &str| create(&format!("__ebsp_{kind}_dur_{reference}"));
+        (TempTables::make(large_aggs, make)?, None)
+    } else {
+        let key = (env.reference.partitioning_id(), fast, large_aggs);
+        // A set made for another key is dropped here.
+        let kept = slot.lock().take().filter(|temps| temps.key == key);
+        let temps = match kept {
+            Some(temps) => temps,
+            None => {
+                let make = |kind: &str| {
+                    (0u32..)
+                        .map(|n| create(&format!("__ebsp_{kind}_{reference}_{n}")))
+                        .find(|made| !matches!(made, Err(KvError::TableExists { .. })))
+                        .expect("some index is free")
+                };
+                let tables = TempTables::make(large_aggs, make)?;
+                let store = env.store.clone();
+                Temps { store, key, tables }
+            }
+        };
+        let tables = temps.tables.clone();
+        let lease = Lease {
+            slot,
+            temps: Some(temps),
+            drained: false,
+        };
+        (tables, Some(lease))
     };
-    let mut temp_names: Vec<String> = (temps.transport.iter())
-        .map(|t| t.name().to_owned())
-        .collect();
-    if let Some((partials, merged)) = &temps.agg {
-        temp_names.extend([partials.name().to_owned(), merged.name().to_owned()]);
-    }
-    // Durable runs keep their temporaries on failure — they *are* the
-    // resume state — and clean up manually at a successful finish.
-    let _guard = durable.is_none().then(|| TableGuard {
-        store: env.store.clone(),
-        names: temp_names.clone(),
-    });
 
     let mut run = SyncRun {
         env,
@@ -416,9 +422,13 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
         // between leaves a fresh start (stale temporaries are swept by the
         // next durable run), never a resume pointing at missing tables.
         (d.clear)()?;
-        for name in &temp_names {
-            let _ = env.store.drop_table(name);
+        for table in run.task.temps().iter() {
+            let _ = env.store.drop_table(table.name());
         }
+    }
+    if let Some(lease) = &mut lease {
+        // A run that stepped to its end left both transports empty.
+        lease.drained = !aborted;
     }
 
     let mut metrics = run.metrics;
@@ -527,8 +537,7 @@ impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
     fn settle(&mut self, cut: &Cut) -> Result<Cut, EbspError> {
         let step = cut.step + 1;
         let delivering = run_parts(self.env, &self.task, move |task, view| {
-            let (_, counters) = task.deliver(view, step, None, &mut task.slot(view.part().0))?;
-            Ok(counters)
+            task.deliver(view, step, None, &mut task.slot(view.part().0))
         });
         for (counters, _) in delivering {
             self.metrics.absorb(&counters?);
@@ -706,10 +715,4 @@ fn take_checkpoint(hooks: &RecoveryHooks, parts: u32, cut: &Cut) -> Result<Check
         cut: cut.clone(),
         parts: captured,
     })
-}
-
-fn run_nonce() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NONCE: AtomicU64 = AtomicU64::new(1);
-    NONCE.fetch_add(1, Ordering::Relaxed)
 }

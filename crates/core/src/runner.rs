@@ -9,7 +9,7 @@ use ripple_wire::{from_wire, to_wire};
 
 use crate::engine::nosync::{run_nosync, HealFn, NosyncOptions};
 use crate::engine::sync::{run_sync, Cut, DurableOpts, RecoveryHooks, SyncOptions};
-use crate::engine::JobEnv;
+use crate::engine::{JobEnv, TempSlot};
 use crate::options::{AuditOpts, Basic, Durable, Heal, LaunchMode, Recover, RunOptions};
 use crate::{
     AggValue, AggregateSnapshot, AggregatorRegistry, EbspError, ExecMode, ExecutionPlan, Job,
@@ -120,6 +120,8 @@ pub struct JobRunner<S: KvStore> {
     fast_recovery: bool,
     profile: bool,
     task_gate: Option<Arc<dyn crate::TaskGate>>,
+    /// The synchronized runs' temporaries between launches.
+    temps: Arc<TempSlot<S>>,
 }
 
 impl<S: KvStore> std::fmt::Debug for JobRunner<S> {
@@ -144,6 +146,7 @@ impl<S: KvStore> JobRunner<S> {
     /// Creates a runner over `store` with default options.
     pub fn new(store: S) -> Self {
         Self {
+            temps: Arc::default(),
             store,
             max_steps: 1_000_000,
             checkpoint_interval: None,
@@ -362,7 +365,7 @@ impl<S: KvStore> JobRunner<S> {
             shuffle: audit.shuffle_seed,
             task_gate: self.task_gate.clone(),
         };
-        let outcome = run_sync(env, loaders, &options, recovery, durable)?;
+        let outcome = run_sync(env, loaders, &options, recovery, durable, &self.temps)?;
         self.apply_state_exporters(env)?;
         Ok(outcome)
     }
@@ -623,7 +626,6 @@ impl<S: RecoverableStore + HealableStore + DurableStore> JobRunner<S> {
     ) -> Result<RunOutcome, EbspError> {
         let (env, _) = self.prepare(job)?;
         let reference_name = env.reference.name().to_owned();
-        let nonce = format!("dur_{reference_name}");
 
         let journal_name = format!("__durable_journal_{reference_name}");
         let journal = match self.store.lookup_table(&journal_name) {
@@ -656,7 +658,9 @@ impl<S: RecoverableStore + HealableStore + DurableStore> JobRunner<S> {
                 // Fresh start: sweep temporaries a cleared-but-interrupted
                 // earlier run may have left behind.
                 for kind in ["xport0", "xport1", "agg1", "agg2"] {
-                    let _ = self.store.drop_table(&format!("__ebsp_{kind}_{nonce}"));
+                    let _ = self
+                        .store
+                        .drop_table(&format!("__ebsp_{kind}_dur_{reference_name}"));
                 }
             }
         }
@@ -698,7 +702,6 @@ impl<S: RecoverableStore + HealableStore + DurableStore> JobRunner<S> {
                 Ok(())
             }),
             resume,
-            nonce,
         };
 
         self.run_synchronized(&env, extra_loaders, audit, Some(hooks), Some(durable))

@@ -32,6 +32,7 @@ mod combine;
 mod consumer;
 mod durable;
 mod error;
+mod executor;
 mod handle;
 mod key;
 mod member;
@@ -47,6 +48,7 @@ pub use combine::{CombineFn, CombinerRegistry, CombinerSpec, VEC_CONCAT};
 pub use consumer::{FnPairConsumer, PairConsumer, PartConsumer, ScanControl};
 pub use durable::{DurableStore, SyncPolicy};
 pub use error::{panic_message, KvError};
+pub use executor::PartExecutor;
 pub use handle::TaskHandle;
 pub use key::{fnv64, PartId, RoutedKey};
 pub use member::{MembershipView, ReplicaSet, StoreEventSink};

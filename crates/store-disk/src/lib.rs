@@ -318,8 +318,8 @@ mod tests {
     }
 
     #[test]
-    fn part_tasks_run_on_one_resident_lane_per_part() {
-        let dir = TempDir::new("lanes");
+    fn part_tasks_run_on_resident_part_threads() {
+        let dir = TempDir::new("threads");
         let store = DiskStore::builder()
             .default_parts(2)
             .open(dir.path())
@@ -333,22 +333,27 @@ mod tests {
                 .join()
                 .unwrap()
         };
-        let (part, lane) = thread_of(&t, 0);
+        let (part, thread) = thread_of(&t, 0);
         assert_eq!(part, PartId(0));
-        assert_eq!(thread_of(&t, 0).1, lane, "a part's tasks share its lane");
-        assert_ne!(thread_of(&t, 1).1, lane, "each part has its own");
+        assert_eq!(
+            thread_of(&t, 0).1,
+            thread,
+            "a part's tasks reuse its thread"
+        );
+        assert_ne!(thread_of(&t, 1).1, thread, "each part has its own");
 
-        // A panicking task surfaces through its handle and leaves the lane
-        // serving.
+        // A panicking task surfaces through its handle and leaves the
+        // thread serving.
         let panicked = store.run_at(&t, PartId(0), |_| -> u32 { panic!("task panic") });
         assert!(matches!(panicked.join(), Err(KvError::TaskPanicked { .. })));
-        assert_eq!(thread_of(&t, 0).1, lane);
+        assert_eq!(thread_of(&t, 0).1, thread);
 
-        // Dropping a group's last table retires its lanes; a later group
-        // starts its own.
+        // Threads belong to the store, not to a group: a later group's
+        // tasks run on the same ones.
         store.drop_table("t").unwrap();
         let u = store.create_table(&TableSpec::new("u")).unwrap();
-        assert_eq!(thread_of(&u, 0).0, PartId(0));
+        assert_eq!(thread_of(&u, 0), (PartId(0), thread));
+        assert_eq!(store.inner.executor.threads(), 2);
     }
 
     #[test]

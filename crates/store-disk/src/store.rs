@@ -10,11 +10,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 use ripple_kv::{
-    CombineFn, CombinerRegistry, CombinerSpec, Counter, KvError, KvStore, PartId, PartView,
-    RoutedKey, ScanControl, StoreCounters, StoreMetrics, SyncPolicy, Table, TableSpec, TaskHandle,
+    CombineFn, CombinerRegistry, CombinerSpec, Counter, KvError, KvStore, PartExecutor, PartId,
+    PartView, RoutedKey, ScanControl, StoreCounters, StoreMetrics, SyncPolicy, Table, TableSpec,
+    TaskHandle,
 };
 use ripple_wire::{read_frame, write_frame, ByteReader, ByteWriter, Decode, Encode, FrameRead};
 
@@ -65,9 +65,6 @@ impl TableInner {
     }
 }
 
-/// A unit of work dispatched to a part's task lane.
-type Job = Box<dyn FnOnce() + Send>;
-
 const CAT_CREATE: u8 = 1;
 const CAT_DROP: u8 = 2;
 
@@ -99,11 +96,8 @@ pub(crate) struct Inner {
     combiners: CombinerRegistry,
     /// table name → combiner name for tables bound with `bind_combiner`.
     bindings: RwLock<HashMap<String, String>>,
-    /// The resident task lane of every (partitioning group, part) that has
-    /// run mobile code: one thread each, started on first use, serving the
-    /// part's tasks in dispatch order until its group's last table is
-    /// dropped or the store closes.
-    lanes: Mutex<HashMap<(u64, u32), Sender<Job>>>,
+    /// The part threads every group's mobile code runs on.
+    pub(crate) executor: PartExecutor,
 }
 
 impl std::fmt::Debug for Inner {
@@ -124,26 +118,6 @@ impl Inner {
     /// Applies the store's sync policy after one buffered mutation of `wal`.
     fn after_mutation(&self, wal: &mut WalWriter) -> Result<(), KvError> {
         wal.after_mutation(self.policy, &self.counters)
-    }
-
-    /// Enqueues `job` on the task lane of `part` of partitioning group
-    /// `group`, starting the lane if this is its first task.
-    fn submit(&self, group: u64, part: u32, job: Job) {
-        let mut lanes = self.lanes.lock();
-        let lane = lanes.entry((group, part)).or_insert_with(|| {
-            let (tx, rx) = unbounded::<Job>();
-            std::thread::Builder::new()
-                .name(format!("disk-store-p{group}.{part}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        job();
-                    }
-                })
-                .expect("spawn disk store lane thread");
-            tx
-        });
-        // The lane outlives its sender's entry here, so the send succeeds.
-        let _ = lane.send(job);
     }
 
     fn table(&self, name: &str) -> Result<Arc<TableInner>, KvError> {
@@ -325,7 +299,7 @@ impl DiskStoreBuilder {
             recovery: Mutex::new(Vec::new()),
             combiners: CombinerRegistry::new(),
             bindings: RwLock::new(HashMap::new()),
-            lanes: Mutex::new(HashMap::new()),
+            executor: PartExecutor::new("disk-store"),
         });
 
         let mut live_dirs = std::collections::HashSet::new();
@@ -860,12 +834,6 @@ impl KvStore for DiskStore {
                 name: name.to_owned(),
             });
         };
-        let group = t.partitioning_id;
-        if !tables.values().any(|other| other.partitioning_id == group) {
-            // The group's last table: closing its lanes ends their threads
-            // once the tasks already queued have run.
-            self.inner.lanes.lock().retain(|(g, _), _| *g != group);
-        }
         drop(tables);
         t.dropped.store(true, Ordering::Release);
         self.inner.bindings.write().remove(name);
@@ -891,20 +859,13 @@ impl KvStore for DiskStore {
             reference.name()
         );
         self.inner.count(part.0, Counter::TasksDispatched, 1);
-        let (tx, rx) = bounded(1);
         let view = DiskPartView {
             store: Arc::clone(&self.inner),
             part,
             partitioning_id: reference.inner.partitioning_id,
             reference_name: reference.inner.name.clone(),
         };
-        let job = Box::new(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(&view)));
-            let _ = tx.send(result);
-        });
-        self.inner
-            .submit(reference.inner.partitioning_id, part.0, job);
-        TaskHandle::from_channel(part, rx)
+        self.inner.executor.run(part, move || task(&view))
     }
 
     fn combiner_registry(&self) -> Option<&CombinerRegistry> {

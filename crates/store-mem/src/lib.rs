@@ -3,19 +3,20 @@
 //!
 //! [`MemStore`] implements the [`ripple_kv`] SPI with:
 //!
-//! - N **parts** per table lineage, each served by **two worker threads**:
-//!   a *short lane* for request/response operations (get, put, delete) and a
-//!   *long lane* for long-running requests (enumerations and mobile code) —
-//!   exactly the two-thread-per-partition structure the paper describes;
+//! - N **parts** per table lineage, served by **resident part threads**
+//!   that belong to the store, not to a table: mobile code runs on a part's
+//!   long lane, and a remote request/response operation (get, put, delete)
+//!   hops to its short lane — the two-threads-per-partition structure the
+//!   paper describes, each lane a [`ripple_kv::PartExecutor`];
 //! - **marshalling accounting**: "communication between emulated partitions
 //!   involves marshalling, while local operations do not".  An operation
 //!   issued from mobile code running at the addressed part touches the data
 //!   directly; any other operation is counted as remote, its key/value bytes
 //!   added to [`StoreMetrics::bytes_marshalled`](ripple_kv::StoreMetrics),
-//!   and served through the short lane;
+//!   and served on a thread of the part;
 //! - **co-partitioning**: [`create_table_like`](ripple_kv::KvStore::create_table_like)
-//!   shares the partitioning (and worker lanes) of an existing table so
-//!   equal-routed keys are collocated;
+//!   shares the partitioning group of an existing table so equal-routed
+//!   keys are collocated;
 //! - **ubiquitous tables**: single-part, readable locally from anywhere;
 //! - **fault injection**: shard-granularity checkpoints
 //!   ([`MemStore::checkpoint_part`]), failures ([`MemStore::fail_part`],
@@ -51,5 +52,5 @@ pub use snapshot::PartCheckpoint;
 pub use store::{MemStore, MemStoreBuilder};
 pub use table::MemTable;
 
-pub(crate) use partitioning::{current_locality, Partitioning};
+pub(crate) use partitioning::{at_locality, current_locality, Partitioning};
 pub(crate) use table::TableInner;

@@ -1,78 +1,41 @@
-//! Worker lanes and locality tracking for one partitioning group.
+//! Locality tracking and failure flags for one partitioning group.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use crossbeam::channel::{unbounded, Sender};
 use ripple_kv::PartId;
-
-/// A unit of work dispatched to a lane.
-pub(crate) type Job = Box<dyn FnOnce() + Send>;
 
 thread_local! {
     /// Which (partitioning id, part) the current thread is executing at,
-    /// set while a lane runs a job.  `Table` operations consult this to
-    /// decide local vs remote.
+    /// set while a store thread runs a task.  `Table` operations consult
+    /// this to decide local vs remote.
     static CURRENT: Cell<Option<(u64, u32)>> = const { Cell::new(None) };
 }
 
 /// The (partitioning id, part) the calling thread is collocated with, if it
-/// is a store worker thread currently running a job.
+/// is a store thread currently running a task.
 pub(crate) fn current_locality() -> Option<(u64, u32)> {
     CURRENT.with(Cell::get)
 }
 
-/// The two service lanes of one part: short request/response operations on
-/// one thread, long-running requests (enumerations, mobile code) on the
-/// other — the structure the paper ascribes to its debugging store.
-#[derive(Debug, Clone)]
-pub(crate) struct Lanes {
-    short: Sender<Job>,
-    long: Sender<Job>,
+/// Runs `task` collocated with `part` of partitioning group `id`.  Part
+/// threads serve every group of their part index, so the locality is set
+/// around each task, not once per thread.
+pub(crate) fn at_locality<R>(id: u64, part: PartId, task: impl FnOnce() -> R) -> R {
+    CURRENT.with(|c| c.set(Some((id, part.0))));
+    let out = task();
+    CURRENT.with(|c| c.set(None));
+    out
 }
 
-impl Lanes {
-    fn start(partitioning_id: u64, part: u32) -> Self {
-        let short = spawn_lane("short", partitioning_id, part);
-        let long = spawn_lane("long", partitioning_id, part);
-        Self { short, long }
-    }
-
-    /// Enqueues a short request/response operation.
-    pub(crate) fn submit_short(&self, job: Job) {
-        // A send can only fail after shutdown, when results no longer matter.
-        let _ = self.short.send(job);
-    }
-
-    /// Enqueues a long-running request.
-    pub(crate) fn submit_long(&self, job: Job) {
-        let _ = self.long.send(job);
-    }
-}
-
-fn spawn_lane(kind: &str, partitioning_id: u64, part: u32) -> Sender<Job> {
-    let (tx, rx) = unbounded::<Job>();
-    std::thread::Builder::new()
-        .name(format!("ripple-store-p{partitioning_id}.{part}-{kind}"))
-        .spawn(move || {
-            while let Ok(job) = rx.recv() {
-                CURRENT.with(|c| c.set(Some((partitioning_id, part))));
-                job();
-                CURRENT.with(|c| c.set(None));
-            }
-        })
-        .expect("spawn store lane thread");
-    tx
-}
-
-/// One partitioning group: a part count, the per-part lanes, and per-part
-/// failure flags.  Tables created `like` another share its `Partitioning`,
-/// which is what makes them co-placed.
+/// One partitioning group: a part count and per-part failure flags.
+/// Tables created `like` another share its `Partitioning`, which is what
+/// makes them co-placed; the threads that serve a part belong to the store
+/// (see [`ripple_kv::PartExecutor`]), not to the group.
 #[derive(Debug)]
 pub(crate) struct Partitioning {
     pub(crate) id: u64,
     pub(crate) parts: u32,
-    lanes: Vec<Lanes>,
     failed: Vec<AtomicBool>,
 }
 
@@ -82,13 +45,8 @@ impl Partitioning {
         Self {
             id,
             parts,
-            lanes: (0..parts).map(|p| Lanes::start(id, p)).collect(),
             failed: (0..parts).map(|_| AtomicBool::new(false)).collect(),
         }
-    }
-
-    pub(crate) fn lanes(&self, part: PartId) -> &Lanes {
-        &self.lanes[part.index()]
     }
 
     pub(crate) fn is_failed(&self, part: PartId) -> bool {
@@ -103,35 +61,20 @@ impl Partitioning {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::bounded;
+    use ripple_kv::PartExecutor;
 
     #[test]
-    fn lanes_report_locality_to_jobs() {
-        let p = Partitioning::new(7, 2);
-        let (tx, rx) = bounded(1);
-        p.lanes(PartId(1)).submit_short(Box::new(move || {
-            tx.send(current_locality()).unwrap();
-        }));
-        assert_eq!(rx.recv().unwrap(), Some((7, 1)));
+    fn part_threads_report_locality_to_tasks() {
+        let exec = PartExecutor::new("mem-test");
+        let seen = exec
+            .run(PartId(1), || at_locality(7, PartId(1), current_locality))
+            .join()
+            .unwrap();
+        assert_eq!(seen, Some((7, 1)));
+        // The next task on the same thread sees its own group, not the last.
+        let seen = exec.run(PartId(1), current_locality).join().unwrap();
+        assert_eq!(seen, None);
         assert_eq!(current_locality(), None);
-    }
-
-    #[test]
-    fn short_and_long_lanes_are_distinct_threads() {
-        let p = Partitioning::new(1, 1);
-        let (tx, rx) = bounded(2);
-        let tx2 = tx.clone();
-        p.lanes(PartId(0)).submit_short(Box::new(move || {
-            tx.send(std::thread::current().name().unwrap().to_owned())
-                .unwrap();
-        }));
-        p.lanes(PartId(0)).submit_long(Box::new(move || {
-            tx2.send(std::thread::current().name().unwrap().to_owned())
-                .unwrap();
-        }));
-        let a = rx.recv().unwrap();
-        let b = rx.recv().unwrap();
-        assert_ne!(a, b);
     }
 
     #[test]

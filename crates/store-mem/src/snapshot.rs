@@ -102,12 +102,14 @@ impl MemStore {
     /// Fails with [`KvError::TableDropped`] if `reference` was dropped.
     pub fn fail_part(&self, reference: &MemTable, part: PartId) -> Result<(), KvError> {
         reference.inner.check_live()?;
+        // Failed first: an operation that finds the shard emptied also
+        // finds it failed.
+        reference.inner.partitioning.set_failed(part, true);
         for t in self.group_tables(reference) {
             // The primary shard is lost; a backup replica (if the table
             // was created `replicated()`) survives on its own "container".
             t.parts[part.index()].lock().clear();
         }
-        reference.inner.partitioning.set_failed(part, true);
         Ok(())
     }
 

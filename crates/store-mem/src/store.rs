@@ -1,19 +1,17 @@
 use std::collections::HashMap;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::bounded;
 use parking_lot::RwLock;
 use ripple_kv::{
-    CombineFn, CombinerRegistry, CombinerSpec, Counter, KvError, KvStore, PartId, PartView,
-    StoreCounters, StoreMetrics, Table, TableSpec, TaskHandle,
+    CombineFn, CombinerRegistry, CombinerSpec, Counter, KvError, KvStore, PartExecutor, PartId,
+    PartView, StoreCounters, StoreMetrics, Table, TableSpec, TaskHandle,
 };
 
 use crate::fault::{FaultAction, FaultInjector, FaultOp, FaultPlan, FaultRecord};
 use crate::table::{MemTable, TableInner};
 use crate::view::MemPartView;
-use crate::Partitioning;
+use crate::{at_locality, Partitioning};
 
 /// Store-wide shared state.
 #[derive(Debug)]
@@ -31,6 +29,11 @@ pub(crate) struct StoreInner {
     combiners: CombinerRegistry,
     /// table name → combiner name for tables bound with `bind_combiner`.
     bindings: RwLock<HashMap<String, String>>,
+    /// The part threads every group's tasks run on (the long lanes), and
+    /// those remote operations hop to (the short lanes): apart, so that
+    /// each role keeps a malloc arena of its own.
+    pub(crate) executor: PartExecutor,
+    pub(crate) hops: PartExecutor,
 }
 
 impl StoreInner {
@@ -163,6 +166,8 @@ impl MemStoreBuilder {
                     .map(|plan| Arc::new(FaultInjector::new(plan))),
                 combiners: CombinerRegistry::new(),
                 bindings: RwLock::new(HashMap::new()),
+                executor: PartExecutor::new("ripple-store"),
+                hops: PartExecutor::new("ripple-store-hop"),
             }),
         }
     }
@@ -306,8 +311,8 @@ impl KvStore for MemStore {
         self.inner.tables.read().keys().cloned().collect()
     }
 
-    /// Dispatches `task` onto the long-operation lane of `part` of
-    /// `reference`'s partitioning group.
+    /// Dispatches `task` onto the long-operation lane of `part`, collocated
+    /// with `reference`'s partitioning group.
     ///
     /// # Panics
     ///
@@ -326,22 +331,16 @@ impl KvStore for MemStore {
         self.inner
             .counters
             .add(Some(part), Counter::TasksDispatched, 1);
-        let (tx, rx) = bounded(1);
+        let id = reference.inner.partitioning.id;
         let view = MemPartView {
             store: Arc::clone(&self.inner),
-            partitioning_id: reference.inner.partitioning.id,
+            partitioning_id: id,
             part,
             reference_name: reference.inner.name.clone(),
         };
-        reference
-            .inner
-            .partitioning
-            .lanes(part)
-            .submit_long(Box::new(move || {
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| task(&view)));
-                let _ = tx.send(result);
-            }));
-        TaskHandle::from_channel(part, rx)
+        self.inner
+            .executor
+            .run(part, move || at_locality(id, part, || task(&view)))
     }
 
     fn combiner_registry(&self) -> Option<&CombinerRegistry> {
@@ -380,5 +379,55 @@ impl KvStore for MemStore {
         }
         drop(guards);
         Ok(ripple_kv::TableSnapshot::from_entries(entries))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ripple_kv::RoutedKey;
+
+    #[test]
+    fn tables_and_launches_after_the_first_start_no_thread() {
+        let store = MemStore::builder().default_parts(3).build();
+        let threads = || store.inner.executor.threads() + store.inner.hops.threads();
+        let launch = |table: &MemTable| {
+            store
+                .run_at_all(table, |view| view.put_batch("a", Vec::new()))
+                .unwrap();
+        };
+        assert_eq!(threads(), 0, "a store starts idle");
+        let a = store.create_table(&TableSpec::new("a")).unwrap();
+        launch(&a);
+        assert_eq!(threads(), 3, "one thread per part");
+        launch(&a);
+        let b = store.create_table(&TableSpec::new("b")).unwrap();
+        launch(&b);
+        assert_eq!(threads(), 3, "a second table and launch start nothing");
+        // A remote operation hops to a thread of its part's own.
+        let hop = || b.put(RoutedKey::from_slice(b"k"), bytes::Bytes::new());
+        hop().unwrap();
+        hop().unwrap();
+        assert_eq!(threads(), 4);
+        assert_ne!(
+            a.partitioning_id(),
+            b.partitioning_id(),
+            "groups stay apart"
+        );
+    }
+
+    #[test]
+    fn short_and_long_lanes_are_distinct_threads() {
+        let store = MemStore::builder().default_parts(1).build();
+        let t = store.create_table(&TableSpec::new("t")).unwrap();
+        let id = || std::thread::current().id();
+        let long = store.run_at(&t, PartId(0), move |_| id()).join().unwrap();
+        let short = store.inner.hops.run(PartId(0), id).join().unwrap();
+        assert_ne!(long, short);
+        // A remote put takes the short lane's idle thread.
+        t.put(RoutedKey::from_slice(b"k"), bytes::Bytes::new())
+            .unwrap();
+        let threads = (store.inner.executor.threads(), store.inner.hops.threads());
+        assert_eq!(threads, (1, 1));
     }
 }

@@ -3,13 +3,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 use ripple_kv::{CombineFn, Counter, KvError, PartId, RoutedKey, Table};
 
 use crate::fault::FaultOp;
 use crate::store::StoreInner;
-use crate::{current_locality, Partitioning};
+use crate::{at_locality, current_locality, Partitioning};
 
 /// The shared state of one table.
 #[derive(Debug)]
@@ -157,16 +156,12 @@ impl MemTable {
         let counters = &self.store.counters;
         counters.add(Some(part), Counter::RemoteOps, 1);
         counters.add(Some(part), Counter::BytesMarshalled, req_bytes as u64);
-        let (tx, rx) = bounded(1);
         let inner = Arc::clone(&self.inner);
-        self.inner
-            .partitioning
-            .lanes(part)
-            .submit_short(Box::new(move || {
-                let out = op(&inner, part);
-                let _ = tx.send(out);
-            }));
-        rx.recv().map_err(|_| KvError::StoreClosed)
+        let id = inner.partitioning.id;
+        self.store
+            .hops
+            .run(part, move || at_locality(id, part, || op(&inner, part)))
+            .join()
     }
 }
 

@@ -128,8 +128,10 @@ impl PartView for MemPartView {
             .scripted_fault_check(self.part.0, FaultOp::Drain, table)?;
         let (t, p) = self.resolve(table, true)?;
         self.count(Counter::Enumerations, 1);
-        // Take the whole map; on early stop, unconsumed entries go back.
+        // Take the whole map; on early stop, unconsumed entries go back.  A
+        // part that failed since `resolve` may have lost them already.
         let drained = std::mem::take(&mut *t.parts[p.index()].lock());
+        t.check_part_healthy(p)?;
         let mut iter = drained.into_iter();
         for (k, v) in iter.by_ref() {
             if !f(k, v).should_continue() {

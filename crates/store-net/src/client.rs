@@ -60,16 +60,15 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::Duration;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use ripple_kv::{
-    CombineFn, CombinerRegistry, CombinerSpec, Counter, KvError, KvStore, MembershipView, PartId,
-    PartView, RoutedKey, ScanControl, StoreCounters, StoreEventSink, StoreMetrics, Table,
-    TableSpec, TaskHandle,
+    CombineFn, CombinerRegistry, CombinerSpec, Counter, KvError, KvStore, MembershipView,
+    PartExecutor, PartId, PartView, RoutedKey, ScanControl, StoreCounters, StoreEventSink,
+    StoreMetrics, Table, TableSpec, TaskHandle,
 };
 use ripple_wire::{from_wire, msg_len, to_wire, to_wire_ref};
 
@@ -124,6 +123,9 @@ struct Shared {
     combiners: CombinerRegistry,
     /// table → combiner-name bindings, for client-side pre-combining.
     bindings: Mutex<HashMap<String, String>>,
+    /// The client-side part threads `run_at` closures and named-task
+    /// requests wait on.
+    executor: PartExecutor,
     /// Held only so dropping the store disconnects the heartbeat thread's
     /// receiver, waking it out of its interval sleep immediately.
     _heartbeat_stop: Option<Sender<()>>,
@@ -385,6 +387,7 @@ impl NetStore {
                 ddl: Mutex::new(()),
                 combiners: CombinerRegistry::new(),
                 bindings: Mutex::new(HashMap::new()),
+                executor: PartExecutor::new("net-store"),
                 _heartbeat_stop: stop_tx,
             }),
         };
@@ -720,15 +723,7 @@ impl KvStore for NetStore {
             partitioning_id: reference.meta.partitioning_id,
             reference_name: reference.name.clone(),
         };
-        let (tx, rx) = bounded(1);
-        std::thread::Builder::new()
-            .name(format!("net-store-task-p{}", part.0))
-            .spawn(move || {
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| task(&view)));
-                let _ = tx.send(result);
-            })
-            .expect("spawn task thread");
-        TaskHandle::from_channel(part, rx)
+        self.inner.executor.run(part, move || task(&view))
     }
 
     fn run_named_at(
@@ -752,18 +747,12 @@ impl KvStore for NetStore {
             shared.owner(part.0)
         };
         let payload = to_wire_ref(&(&reference.name, part.0, task, &arg));
-        let (tx, rx) = bounded(1);
-        std::thread::Builder::new()
-            .name(format!("net-store-named-p{}", part.0))
-            .spawn(move || {
-                let result = shared.call(
-                    Rpc::control(proto::REQ_RUN_TASK, Routing::Slot(server)),
-                    &payload,
-                );
-                let _ = tx.send(Ok(result));
-            })
-            .expect("spawn named-task thread");
-        TaskHandle::from_channel(part, rx)
+        self.inner.executor.run(part, move || {
+            shared.call(
+                Rpc::control(proto::REQ_RUN_TASK, Routing::Slot(server)),
+                &payload,
+            )
+        })
     }
 
     fn combiner_registry(&self) -> Option<&CombinerRegistry> {

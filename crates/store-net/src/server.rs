@@ -35,6 +35,7 @@
 
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -42,7 +43,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use ripple_kv::{
-    CombinerSpec, KvError, KvStore, PartId, RoutedKey, ScanControl, Table, TableSpec, TaskRegistry,
+    panic_message, CombinerSpec, KvError, KvStore, PartId, RoutedKey, ScanControl, Table,
+    TableSpec, TaskRegistry,
 };
 use ripple_wire::{from_wire, msg_len, read_msg_from, to_wire, write_msg};
 
@@ -376,18 +378,15 @@ fn serve_conn<S: KvStore>(server: &PartServer<S>, state: &Arc<ServerState>, mut 
             }
             proto::REQ_RUN_TASK => {
                 // Tasks may block on other parts (even ones on this same
-                // connection), so they must not occupy the service loop.
+                // connection), so they run on the inner store's part
+                // threads and answer from there, never on the service loop.
                 let guard = InflightGuard::enter(state);
-                let server = server.clone();
                 let writer = Arc::clone(&writer);
                 let id = frame.id;
-                let payload = frame.payload;
-                let _ = std::thread::Builder::new()
-                    .name("part-server-task".to_owned())
-                    .spawn(move || {
-                        let _guard = guard;
-                        send_result(&writer, id, run_task(&server, &payload));
-                    });
+                run_task(server, &frame.payload, move |result| {
+                    let _guard = guard;
+                    send_result(&writer, id, result);
+                });
             }
             kind => {
                 let _guard = InflightGuard::enter(state);
@@ -672,17 +671,33 @@ fn stream_pairs(writer: &Mutex<TcpStream>, id: u64, pairs: &[(RoutedKey, Bytes)]
 }
 
 /// Dispatches one registered task and returns its byte result.
-fn run_task<S: KvStore>(server: &PartServer<S>, payload: &[u8]) -> Result<Bytes, KvError> {
-    let (reference, part, task, arg): (String, u32, String, Bytes) = decode(payload)?;
-    let t = server.store.lookup_table(&reference)?;
-    check_part(&t, part)?;
-    let f = server
-        .registry
-        .get(&task)
-        .or_else(|| server.store.task_registry().and_then(|reg| reg.get(&task)))
-        .ok_or(KvError::NoSuchTask { name: task })?;
-    server
-        .store
-        .run_at(&t, PartId(part), move |view| f(view, arg))
-        .join()?
+/// Dispatches a registered task to its part, where it answers through
+/// `reply`, a panic included; a request that fails before dispatch answers
+/// here.
+fn run_task<S: KvStore>(
+    server: &PartServer<S>,
+    payload: &[u8],
+    reply: impl FnOnce(Result<Bytes, KvError>) + Send + 'static,
+) {
+    let found = decode(payload).and_then(
+        |(reference, part, task, arg): (String, u32, String, Bytes)| {
+            let t = server.store.lookup_table(&reference)?;
+            check_part(&t, part)?;
+            let f = (server.registry.get(&task))
+                .or_else(|| server.store.task_registry().and_then(|reg| reg.get(&task)))
+                .ok_or(KvError::NoSuchTask { name: task })?;
+            Ok((t, part, f, arg))
+        },
+    );
+    let (t, part, f, arg) = match found {
+        Ok(found) => found,
+        Err(e) => return reply(Err(e)),
+    };
+    let _ = server.store.run_at(&t, PartId(part), move |view| {
+        let result = catch_unwind(AssertUnwindSafe(|| f(view, arg)));
+        reply(result.unwrap_or_else(|panic| {
+            let message = panic_message(panic.as_ref());
+            Err(KvError::TaskPanicked { part, message })
+        }));
+    });
 }

@@ -7,13 +7,13 @@
 //! is one such task per part, whatever order a gate runs them in.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread::ThreadId;
 
 use bytes::Bytes;
 use ripple::ebsp::{RunMetrics, SemaphoreGate, TaskGate};
 use ripple::graph::generate::{power_law_graph, random_change_batch, random_undirected};
-use ripple::graph::pagerank::{run_direct_on, PageRankConfig};
+use ripple::graph::pagerank::{run_direct_on, structure_loader, AdaptivePageRank, PageRankConfig};
 use ripple::graph::sssp::SelectiveInstance;
 use ripple::kv::{KvError, PartView, ScanControl, StoreMetrics, TaskHandle};
 use ripple::prelude::*;
@@ -198,6 +198,7 @@ impl<S: KvStore> KvStore for Logged<S> {
         self.inner.lookup_table(name).map(|t| self.wrap(t))
     }
     fn drop_table(&self, name: &str) -> Result<(), KvError> {
+        record(&self.log, "drop_table", name, 0);
         self.inner.drop_table(name)
     }
     fn table_names(&self) -> Vec<String> {
@@ -911,4 +912,171 @@ fn run_anywhere_rounds_count_and_end_like_the_reference() {
         .expect("run");
     assert_eq!(plane_counts(&outcome.metrics), counts);
     assert_eq!(raw_table(&store), table);
+}
+
+// ---------------------------------------------------------------------------
+// Runner-owned temporaries: a launch leases its runner's transports
+// ---------------------------------------------------------------------------
+
+/// The engine temporaries a logged store saw `op` on, in call order.
+fn temp_calls(store: &Logged<MemStore>, op: &str) -> Vec<String> {
+    (store.calls().into_iter())
+        .filter(|c| c.1 == op && c.2.starts_with("__ebsp_"))
+        .map(|c| c.2)
+        .collect()
+}
+
+fn no_temporaries_left<S: KvStore>(store: &S) {
+    let left: Vec<_> = (store.table_names().into_iter())
+        .filter(|name| name.starts_with("__ebsp_"))
+        .collect();
+    assert!(left.is_empty(), "{left:?}");
+}
+
+#[test]
+fn launches_on_one_runner_create_the_transports_once_and_its_drop_drops_them() {
+    let store = Logged::new(MemStore::builder().default_parts(3).build());
+    let runner = JobRunner::new(store.clone());
+    for _ in 0..3 {
+        let ring = Ring {
+            n: 90,
+            steps: 4,
+            anywhere: false,
+        };
+        (runner.launch(Arc::new(ring), RunOptions::new().loader(load_keys(90)))).expect("run");
+    }
+    let pair = ["__ebsp_xport0_plane_0", "__ebsp_xport1_plane_0"];
+    assert_eq!(temp_calls(&store, "create_table_like"), pair);
+    assert!(temp_calls(&store, "drop_table").is_empty());
+    let clone = runner.clone();
+    drop(runner);
+    assert!(
+        temp_calls(&store, "drop_table").is_empty(),
+        "a clone holds them"
+    );
+    drop(clone);
+    assert_eq!(temp_calls(&store, "drop_table"), pair);
+    no_temporaries_left(&store);
+}
+
+#[test]
+fn a_launch_after_an_aborted_one_ends_like_a_fresh_runners() {
+    let graph = power_law_graph(300, 2_400, 0.8, 21);
+    let job = || Arc::new(AdaptivePageRank::new("adaptive", 300, 0.85, 1e-3));
+    let launch = |runner: &JobRunner<MemStore>| {
+        (runner.launch(job(), RunOptions::new().loader(structure_loader(&graph)))).expect("run")
+    };
+    let fresh = MemStore::builder().default_parts(3).build();
+    let want = launch(&JobRunner::new(fresh.clone()));
+    assert!(
+        want.aborted,
+        "the aborter ends the run, spills still in flight"
+    );
+
+    let store = MemStore::builder().default_parts(3).build();
+    let runner = JobRunner::new(store.clone());
+    assert!(launch(&runner).aborted);
+    let again = launch(&runner);
+    assert_eq!(again.steps, want.steps);
+    assert_eq!(
+        raw_table_named(&store, "adaptive"),
+        raw_table_named(&fresh, "adaptive")
+    );
+}
+
+#[test]
+fn a_clean_launch_after_a_failed_one_on_the_same_runner_matches_the_oracle() {
+    let ring = || {
+        Arc::new(Ring {
+            n: 90,
+            steps: 4,
+            anywhere: false,
+        })
+    };
+    let simple = SimpleStore::new(3);
+    JobRunner::new(simple.clone())
+        .launch(ring(), RunOptions::new().loader(load_keys(90)))
+        .expect("reference run");
+
+    let plan = FaultPlan::seeded(0xC4A5).crash_part(1, 4);
+    let store = MemStore::builder()
+        .default_parts(3)
+        .fault_plan(plan)
+        .build();
+    let runner = JobRunner::new(store.clone());
+    let failed = runner.launch(ring(), RunOptions::new().loader(load_keys(90)));
+    assert!(failed.is_err(), "the crash fails a run without recovery");
+    let reference = store.lookup_table(TABLE).unwrap();
+    store.promote_replicas(&reference, PartId(1)).unwrap();
+    runner
+        .launch(ring(), RunOptions::new().loader(load_keys(90)))
+        .expect("clean run");
+    assert_eq!(raw_table(&store), raw_table(&simple));
+}
+
+/// Parks each launch at its first invocation of key 0 until `meet` has
+/// seen every launch there, so the launches overlap.
+struct Meeting {
+    meet: Arc<Barrier>,
+}
+
+impl Job for Meeting {
+    type Key = u32;
+    type State = u64;
+    type Message = ();
+    type OutKey = ();
+    type OutValue = ();
+
+    fn state_tables(&self) -> Vec<String> {
+        vec![TABLE.to_owned()]
+    }
+
+    fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
+        if *ctx.key() == 0 {
+            self.meet.wait();
+        }
+        Ok(false)
+    }
+}
+
+#[test]
+fn concurrent_launches_on_two_clones_use_distinct_pairs() {
+    let store = Logged::new(MemStore::builder().default_parts(3).build());
+    let runner = JobRunner::new(store.clone());
+    // Made up front, so the two launches do not race to create it.
+    store
+        .create_table(&TableSpec::new(TABLE))
+        .expect("state table");
+    let meet = Arc::new(Barrier::new(2));
+    let launches: Vec<_> = [runner.clone(), runner]
+        .into_iter()
+        .map(|runner| {
+            let job = Arc::new(Meeting {
+                meet: Arc::clone(&meet),
+            });
+            std::thread::spawn(move || {
+                (runner.launch(job, RunOptions::new().loader(load_keys(9)))).expect("run");
+                runner
+            })
+        })
+        .collect();
+    let runners: Vec<_> = launches.into_iter().map(|l| l.join().unwrap()).collect();
+    // The launch that came second found index 0 taken and took 1.
+    let mut created = temp_calls(&store, "create_table_like");
+    created.sort();
+    created.dedup();
+    assert_eq!(
+        created,
+        [
+            "__ebsp_xport0_plane_0",
+            "__ebsp_xport0_plane_1",
+            "__ebsp_xport1_plane_0",
+            "__ebsp_xport1_plane_1"
+        ]
+    );
+    // One pair went back to the slot; the other found it full.
+    assert_eq!(temp_calls(&store, "drop_table").len(), 2);
+    drop(runners);
+    assert_eq!(temp_calls(&store, "drop_table").len(), 4);
+    no_temporaries_left(&store);
 }
