@@ -123,37 +123,35 @@ impl SummaJob {
 /// block.  Public so external harnesses (e.g. the property auditor) can
 /// drive [`SummaJob`] directly; [`multiply`] validates dimensions before
 /// calling this.
+#[must_use]
 pub fn block_loader(
     a: &DenseMatrix,
     b: &DenseMatrix,
     grid: u8,
 ) -> Box<dyn ripple_core::Loader<SummaJob>> {
-    let n = grid as usize;
-    let a_blocks = a.split(n);
-    let b_blocks = b.split(n);
+    let n = usize::from(grid);
     let (c_rows, c_cols) = (a.rows() / n, b.cols() / n);
     let mut entries = Vec::with_capacity(n * n);
-    for (bi, row) in a_blocks.into_iter().enumerate() {
-        for (bj, a_block) in row.into_iter().enumerate() {
-            let b_block = b_blocks[bi][bj].clone();
-            entries.push(((bi as u32, bj as u32), a_block, b_block));
+    for ((i, a_row), b_row) in (0..grid).zip(a.split(n)).zip(b.split(n)) {
+        for ((j, a_block), b_block) in (0..grid).zip(a_row).zip(b_row) {
+            entries.push(((i, j), a_block, b_block));
         }
     }
     Box::new(FnLoader::new(move |sink: &mut dyn LoadSink<SummaJob>| {
         for ((i, j), a_block, b_block) in entries {
             sink.state(
                 0,
-                (i, j),
+                (u32::from(i), u32::from(j)),
                 SummaState {
                     c: DenseMatrix::zeros(c_rows, c_cols),
-                    a_have: vec![(j as u8, a_block)],
-                    b_have: vec![(i as u8, b_block)],
+                    a_have: vec![(j, a_block)],
+                    b_have: vec![(i, b_block)],
                     next_mul: 0,
                     h_sent: 0,
                     v_sent: 0,
                 },
             )?;
-            sink.enable((i, j))?;
+            sink.enable((u32::from(i), u32::from(j)))?;
         }
         Ok(())
     }))
@@ -199,8 +197,9 @@ impl Job for SummaJob {
             }
         }
 
-        let h_queue = panel_queue(j as u8, n);
-        let v_queue = panel_queue(i as u8, n);
+        let coordinate = |x: u32| u8::try_from(x).expect("grid coordinates are below the u8 grid");
+        let h_queue = panel_queue(coordinate(j), n);
+        let v_queue = panel_queue(coordinate(i), n);
         // Per-step budgets: the BSPification allows one multiply and one
         // send per direction per step; without barriers a component deals
         // with blocks as they arrive, so it drains everything it can.
@@ -250,11 +249,10 @@ impl Job for SummaJob {
             // Multiply-add: strictly in panel order.
             if mul_budget > 0 && state.next_mul < n {
                 let k = state.next_mul;
-                if peek_block(&state.a_have, k).is_some() && peek_block(&state.b_have, k).is_some()
+                if let (Some(a), Some(b)) =
+                    (peek_block(&state.a_have, k), peek_block(&state.b_have, k))
                 {
-                    let a = peek_block(&state.a_have, k).expect("checked").clone();
-                    let b = peek_block(&state.b_have, k).expect("checked").clone();
-                    state.c.add_assign(&a.multiply(&b));
+                    state.c.mul_add(a, b);
                     state.next_mul += 1;
                     mul_budget -= 1;
                     progressed = true;
@@ -342,7 +340,6 @@ pub fn multiply<S: KvStore>(
     b: &DenseMatrix,
     options: &SummaOptions,
 ) -> Result<(DenseMatrix, SummaReport), EbspError> {
-    let n = options.grid as usize;
     if a.cols() != b.rows() {
         return Err(EbspError::InvalidJob {
             reason: format!(
@@ -354,12 +351,15 @@ pub fn multiply<S: KvStore>(
             ),
         });
     }
+    // Panel indices are `u8`s: a larger grid is rejected like an empty one.
+    let grid = u8::try_from(options.grid).unwrap_or(0);
+    let n = usize::from(grid);
     if n == 0
-        || n > u8::MAX as usize
         || !a.rows().is_multiple_of(n)
         || !a.cols().is_multiple_of(n)
         || !b.cols().is_multiple_of(n)
     {
+        let n = options.grid;
         return Err(EbspError::InvalidJob {
             reason: format!("matrices do not divide into a {n}x{n} grid"),
         });
@@ -368,17 +368,50 @@ pub fn multiply<S: KvStore>(
     let trace = options.trace.then(|| Arc::new(CollectingExporter::new()));
     let job = Arc::new(SummaJob {
         table: table.clone(),
-        n: n as u8,
+        n: grid,
         trace: trace.clone(),
     });
-    let loader = block_loader(a, b, n as u8);
+    let loader = block_loader(a, b, grid);
+    let run = launch_and_gather(store, &table, job, loader, options);
+    // The state table goes on every exit path, a failed run's included; a
+    // run that failed before creating it reports its own error first.
+    let dropped = store.drop_table(&table).map_err(EbspError::Kv);
+    let (c, outcome) = run?;
+    dropped?;
 
+    let multiplies_per_step = trace.map(|t| {
+        let pairs = t.take();
+        let max_step = pairs.iter().map(|(s, _)| *s).max().unwrap_or(0) as usize;
+        let mut hist = vec![0u64; max_step];
+        for (step, count) in pairs {
+            hist[step as usize - 1] += u64::from(count);
+        }
+        hist
+    });
+    Ok((
+        c,
+        SummaReport {
+            outcome,
+            multiplies_per_step,
+        },
+    ))
+}
+
+/// Runs `job` and assembles the product from the `C` blocks its state
+/// table holds afterwards.
+fn launch_and_gather<S: KvStore>(
+    store: &S,
+    table: &str,
+    job: Arc<SummaJob>,
+    loader: Box<dyn ripple_core::Loader<SummaJob>>,
+    options: &SummaOptions,
+) -> Result<(DenseMatrix, RunOutcome), EbspError> {
+    let n = usize::from(job.n);
     let mut runner = JobRunner::new(store.clone());
     runner.force_mode(options.mode).profile(options.profile);
     let outcome = runner.launch(job, RunOptions::new().loaders(vec![loader]))?;
 
-    // Gather and assemble the C blocks.
-    let handle = store.lookup_table(&table).map_err(EbspError::Kv)?;
+    let handle = store.lookup_table(table).map_err(EbspError::Kv)?;
     let exporter = Arc::new(CollectingExporter::new());
     ripple_core::export_state_table::<S, (u32, u32), SummaState, _>(
         store,
@@ -397,25 +430,7 @@ pub fn multiply<S: KvStore>(
                 .collect()
         })
         .collect();
-    let c = DenseMatrix::assemble(&blocks);
-    store.drop_table(&table).map_err(EbspError::Kv)?;
-
-    let multiplies_per_step = trace.map(|t| {
-        let pairs = t.take();
-        let max_step = pairs.iter().map(|(s, _)| *s).max().unwrap_or(0) as usize;
-        let mut hist = vec![0u64; max_step];
-        for (step, count) in pairs {
-            hist[step as usize - 1] += u64::from(count);
-        }
-        hist
-    });
-    Ok((
-        c,
-        SummaReport {
-            outcome,
-            multiplies_per_step,
-        },
-    ))
+    Ok((DenseMatrix::assemble(&blocks), outcome))
 }
 
 fn fresh_table_name() -> String {

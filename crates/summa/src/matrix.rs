@@ -16,6 +16,7 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
+    #[must_use]
     pub fn zeros(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
         Self {
@@ -26,6 +27,7 @@ impl DenseMatrix {
     }
 
     /// A matrix of uniform random values in [-1, 1), seeded.
+    #[must_use]
     pub fn random(rows: usize, cols: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut m = Self::zeros(rows, cols);
@@ -40,6 +42,7 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
+    #[must_use]
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "data length mismatch");
         assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
@@ -47,11 +50,13 @@ impl DenseMatrix {
     }
 
     /// Row count.
+    #[must_use]
     pub fn rows(&self) -> usize {
         self.rows
     }
 
     /// Column count.
+    #[must_use]
     pub fn cols(&self) -> usize {
         self.cols
     }
@@ -61,6 +66,7 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics when out of bounds.
+    #[must_use]
     pub fn get(&self, r: usize, c: usize) -> f64 {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
         self.data[r * self.cols + c]
@@ -76,29 +82,70 @@ impl DenseMatrix {
         self.data[r * self.cols + c] = v;
     }
 
-    /// Naive `self × rhs` — the sequential reference and the per-block
-    /// kernel.
+    /// `self × rhs` — the sequential reference: a zero matrix plus
+    /// [`mul_add`](Self::mul_add).
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
+    #[must_use]
     pub fn multiply(&self, rhs: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
         let mut out = DenseMatrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.data[i * self.cols + k];
-                if aik == 0.0 {
-                    continue;
-                }
-                let row = k * rhs.cols;
-                let orow = i * rhs.cols;
-                for j in 0..rhs.cols {
-                    out.data[orow + j] += aik * rhs.data[row + j];
+        out.mul_add(self, rhs);
+        out
+    }
+
+    /// `self += a × b` — the per-block kernel of SUMMA.
+    ///
+    /// For each 8-column panel of `b`, the panel is copied once into a
+    /// contiguous `inner × 8` scratch of aligned column pairs (zero padded
+    /// past the last column), and every 3-row stripe of `a` is swept over
+    /// it: a 3 × 8 tile of the result is accumulated in registers across
+    /// the whole inner dimension and added into `self` once.  Each element's products are summed in inner-index order from
+    /// zero before that one addition, so the result is bitwise repeatable.
+    /// No term is skipped: `0 × ∞` contributes NaN.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `a.cols() == b.rows()` and `self` is
+    /// `a.rows() × b.cols()`.
+    pub fn mul_add(&mut self, a: &DenseMatrix, b: &DenseMatrix) {
+        assert_eq!(a.cols, b.rows, "inner dimensions must agree");
+        assert_eq!(
+            (self.rows, self.cols),
+            (a.rows, b.cols),
+            "the accumulator must have the product's shape"
+        );
+        let (inner, cols) = (a.cols, self.cols);
+        if inner == 0 {
+            return;
+        }
+        let mut panel = vec![Pair::default(); inner * TILE_PAIRS];
+        for j0 in (0..cols).step_by(TILE_COLS) {
+            let width = TILE_COLS.min(cols - j0);
+            for (dst, src) in panel
+                .chunks_exact_mut(TILE_PAIRS)
+                .zip(b.data.chunks_exact(cols))
+            {
+                let mut row = [0.0; TILE_COLS];
+                row[..width].copy_from_slice(&src[j0..j0 + width]);
+                for (pair, x) in dst.iter_mut().zip(row.chunks_exact(2)) {
+                    *pair = Pair([x[0], x[1]]);
                 }
             }
+            let mut a_stripes = a.data.chunks_exact(TILE_ROWS * inner);
+            let mut c_stripes = self.data.chunks_exact_mut(TILE_ROWS * cols);
+            for (a_stripe, c_stripe) in (&mut a_stripes).zip(&mut c_stripes) {
+                tile::<TILE_ROWS>(a_stripe, &panel, c_stripe, j0, width);
+            }
+            let tail_rows = a_stripes
+                .remainder()
+                .chunks_exact(inner)
+                .zip(c_stripes.into_remainder().chunks_exact_mut(cols));
+            for (a_row, c_row) in tail_rows {
+                tile::<1>(a_row, &panel, c_row, j0, width);
+            }
         }
-        out
     }
 
     /// `self += rhs`, elementwise.
@@ -114,6 +161,7 @@ impl DenseMatrix {
     }
 
     /// Elementwise approximate equality.
+    #[must_use]
     pub fn approx_eq(&self, rhs: &DenseMatrix, tol: f64) -> bool {
         self.rows == rhs.rows
             && self.cols == rhs.cols
@@ -129,6 +177,7 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics unless both dimensions are divisible by `n`.
+    #[must_use]
     pub fn split(&self, n: usize) -> Vec<Vec<DenseMatrix>> {
         assert!(
             n > 0 && self.rows.is_multiple_of(n) && self.cols.is_multiple_of(n),
@@ -142,10 +191,9 @@ impl DenseMatrix {
                 (0..n)
                     .map(|bj| {
                         let mut block = DenseMatrix::zeros(br, bc);
-                        for r in 0..br {
-                            for c in 0..bc {
-                                block.data[r * bc + c] = self.get(bi * br + r, bj * bc + c);
-                            }
+                        let rows = self.data[bi * br * self.cols..].chunks_exact(self.cols);
+                        for (dst, src) in block.data.chunks_exact_mut(bc).zip(rows) {
+                            dst.copy_from_slice(&src[bj * bc..(bj + 1) * bc]);
                         }
                         block
                     })
@@ -159,6 +207,7 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if the grid is ragged.
+    #[must_use]
     pub fn assemble(blocks: &[Vec<DenseMatrix>]) -> DenseMatrix {
         let n = blocks.len();
         assert!(n > 0 && blocks.iter().all(|row| row.len() == n));
@@ -167,10 +216,9 @@ impl DenseMatrix {
         for (bi, row) in blocks.iter().enumerate() {
             for (bj, block) in row.iter().enumerate() {
                 assert_eq!((block.rows, block.cols), (br, bc), "ragged grid");
-                for r in 0..br {
-                    for c in 0..bc {
-                        out.set(bi * br + r, bj * bc + c, block.get(r, c));
-                    }
+                let rows = out.data[bi * br * out.cols..].chunks_exact_mut(out.cols);
+                for (dst, src) in rows.zip(block.data.chunks_exact(bc)) {
+                    dst[bj * bc..(bj + 1) * bc].copy_from_slice(src);
                 }
             }
         }
@@ -178,10 +226,59 @@ impl DenseMatrix {
     }
 }
 
+/// Rows of the result one register tile covers.
+const TILE_ROWS: usize = 3;
+
+/// Column pairs one register tile covers: with [`TILE_ROWS`], 12 pairs of
+/// accumulators in the 16 SSE2 registers of baseline x86-64, beside a
+/// panel row and the broadcast element of `a`.
+const TILE_PAIRS: usize = 4;
+
+/// Columns of the result one register tile covers, and the width of a
+/// packed panel of `b`.
+const TILE_COLS: usize = 2 * TILE_PAIRS;
+
+/// Two adjacent columns of a packed panel or of a register tile, aligned
+/// so that one SSE2 register holds them.  Keeping the pairs explicit lets
+/// the compiler give each accumulator pair its own register; a flat
+/// `[f64; 8]` row ran 15–20 % slower, its pairs re-aligned by shuffles.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(16))]
+struct Pair([f64; 2]);
+
+/// Accumulates `a × panel` for one stripe of `R` rows into columns
+/// `j0..j0 + width` of `c`.  `a` holds the stripe's `R` rows of the left
+/// operand, `panel` one packed `inner × TILE_COLS` panel of the right one,
+/// and `c` the stripe's `R` full rows of the result.
+fn tile<const R: usize>(a: &[f64], panel: &[Pair], c: &mut [f64], j0: usize, width: usize) {
+    let inner = panel.len() / TILE_PAIRS;
+    let rows: [&[f64]; R] = std::array::from_fn(|r| &a[r * inner..(r + 1) * inner]);
+    let mut acc = [[Pair::default(); TILE_PAIRS]; R];
+    for (p, b) in panel.chunks_exact(TILE_PAIRS).enumerate() {
+        // Indexed on purpose: the iterator form of this loop keeps `acc`
+        // in memory instead of in registers and runs at half the speed.
+        for (acc_row, a_row) in acc.iter_mut().zip(&rows) {
+            let x = a_row[p];
+            for l in 0..TILE_PAIRS {
+                acc_row[l].0[0] += x * b[l].0[0];
+                acc_row[l].0[1] += x * b[l].0[1];
+            }
+        }
+    }
+    let cols = c.len() / R;
+    for (c_row, acc_row) in c.chunks_exact_mut(cols).zip(&acc) {
+        let sums = acc_row.iter().flat_map(|pair| pair.0);
+        for (dst, sum) in c_row[j0..j0 + width].iter_mut().zip(sums) {
+            *dst += sum;
+        }
+    }
+}
+
 impl Encode for DenseMatrix {
     fn encode(&self, w: &mut ByteWriter) {
-        (self.rows as u32).encode(w);
-        (self.cols as u32).encode(w);
+        let dimension = |d: usize| u32::try_from(d).expect("a matrix dimension fits a u32");
+        dimension(self.rows).encode(w);
+        dimension(self.cols).encode(w);
         // No length prefix: rows × cols give it.
         f64::encode_seq(&self.data, w);
     }
@@ -291,7 +388,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "divisible")]
     fn ragged_split_panics() {
-        DenseMatrix::zeros(5, 5).split(2);
+        let _ = DenseMatrix::zeros(5, 5).split(2);
     }
 
     #[test]

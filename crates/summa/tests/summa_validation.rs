@@ -2,7 +2,8 @@
 //! modes, the Table II schedule trace, and the sync-vs-nosync cost shape.
 
 use ripple_core::ExecMode;
-use ripple_store_mem::MemStore;
+use ripple_kv::KvStore;
+use ripple_store_mem::{FaultPlan, MemStore};
 use ripple_summa::{multiply, DenseMatrix, SummaOptions};
 
 fn store() -> MemStore {
@@ -121,4 +122,25 @@ fn identity_multiplication() {
     let a = DenseMatrix::random(n, n, 13);
     let (c, _) = multiply(&store(), &a, &eye, &opts(3, ExecMode::Unsynchronized)).unwrap();
     assert!(c.approx_eq(&a, 1e-12));
+}
+
+#[test]
+fn failed_run_drops_its_state_table() {
+    let a = DenseMatrix::random(6, 6, 14);
+    let b = DenseMatrix::random(6, 6, 15);
+    for mode in [ExecMode::Synchronized, ExecMode::Unsynchronized] {
+        // A part that crashes on its second operation fails the run (no
+        // recovery is asked for); a crash fires once per store.
+        let store = MemStore::builder()
+            .default_parts(3)
+            .fault_plan(FaultPlan::seeded(1).crash_part(1, 2))
+            .build();
+        let err = multiply(&store, &a, &b, &opts(3, mode)).expect_err("a crashed part");
+        let leaked: Vec<String> = store
+            .table_names()
+            .into_iter()
+            .filter(|t| t.starts_with("__summa_"))
+            .collect();
+        assert!(leaked.is_empty(), "{mode:?} ({err}) left {leaked:?}");
+    }
 }
