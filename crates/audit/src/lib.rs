@@ -1,7 +1,7 @@
 //! **ripple-audit** — the property conformance auditor.
 //!
 //! The engines *trust* a job's declared
-//! [`JobProperties`](ripple_core::JobProperties): a job that wrongly
+//! [`JobProperties`]: a job that wrongly
 //! declares `one-msg` gets no-collect semantics and silently drops
 //! messages; one that wrongly declares `deterministic` gets fast recovery
 //! that replays into a different world.  Where cheap the engines check at
@@ -10,7 +10,7 @@
 //! [`audit_job`] checks them from *outside*: it executes the job several
 //! times against fresh stores with an [`AuditProbe`](ripple_core::AuditProbe)
 //! installed, compares the runs, and reports structured
-//! [`AuditFinding`](ripple_core::AuditFinding)s —
+//! [`AuditFinding`]s —
 //!
 //! - **`one-msg`** — the probe counts post-combine deliveries per
 //!   (key, step); a second message is a violation of a declaration and an
@@ -30,7 +30,7 @@
 //!
 //! Properties that *held* but were not declared come back as the
 //! [`AuditReport::suggested`] set together with the stronger
-//! [`ExecutionPlan`](ripple_core::ExecutionPlan) declaring them would
+//! [`ExecutionPlan`] declaring them would
 //! unlock.  Inference is evidence, not proof: it says the property held in
 //! every audited run.
 

@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use ripple_core::{AuditFinding, ExecMode, ExecutionPlan, FindingKind, JobProperties, RunObserver};
+use ripple_core::{AuditFinding, ExecMode, ExecutionPlan, FindingKind, JobProperties};
 
 /// The outcome of auditing one job: every established finding, plus the
 /// strongest property set the audited runs are consistent with and what
@@ -46,16 +46,6 @@ impl AuditReport {
         self.findings
             .iter()
             .filter(|f| f.kind == FindingKind::Violation)
-    }
-
-    /// Replays every finding into `observer`'s
-    /// [`on_audit_finding`](RunObserver::on_audit_finding) hook, so audit
-    /// results flow through the same observer pipeline as step profiles
-    /// and recovery events.
-    pub fn emit_to(&self, observer: &dyn RunObserver) {
-        for finding in &self.findings {
-            observer.on_audit_finding(finding);
-        }
     }
 
     /// The optimizations the suggested properties would unlock over the

@@ -7,7 +7,7 @@ use ripple_wire::{from_wire, to_wire, to_wire_via, ByteWriter, Decode, Encode};
 
 use crate::encode_via;
 use crate::hash::KeyMap;
-use crate::metrics::PartCounters;
+use crate::metrics::StepCounters;
 use crate::{AggValue, AggregateSnapshot, AggregatorRegistry, EbspError, Envelope, Exporter, Job};
 
 /// Object-safe access to the job's state tables (and broadcast table) for
@@ -47,7 +47,7 @@ pub(crate) struct Outbox<J: Job> {
     /// Partial aggregation, folded as invocations aggregate values.
     pub(crate) agg: HashMap<String, AggValue>,
     /// Per-part metric counters.
-    pub(crate) metrics: PartCounters,
+    pub(crate) metrics: StepCounters,
 }
 
 impl<J: Job> Outbox<J> {
@@ -58,7 +58,7 @@ impl<J: Job> Outbox<J> {
             latest: KeyMap::default(),
             scratch: RefCell::default(),
             agg: HashMap::new(),
-            metrics: PartCounters::default(),
+            metrics: StepCounters::default(),
         }
     }
 
@@ -139,7 +139,7 @@ impl<J: Job> Outbox<J> {
         self.latest.clear();
         self.buckets.iter_mut().for_each(Vec::clear);
         self.agg.clear();
-        self.metrics = PartCounters::default();
+        self.metrics = StepCounters::default();
     }
 }
 
@@ -153,7 +153,7 @@ pub(crate) fn fold_message<J: Job>(
     key: &J::Key,
     latest: Option<&mut J::Message>,
     msg: J::Message,
-    counters: &mut PartCounters,
+    counters: &mut StepCounters,
 ) -> Option<J::Message> {
     let Some(into) = latest else {
         return Some(msg);

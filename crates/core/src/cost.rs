@@ -225,7 +225,7 @@ fn step_cost(p: &StepProfile) -> StepCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{PartStepProfile, StepCounters};
+    use crate::{PartStepProfile, StepCounters};
 
     fn mem_step(step: u32, compute_ms: u64, bytes: u64, msgs: u64) -> StepProfile {
         StepProfile {

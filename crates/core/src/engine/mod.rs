@@ -30,7 +30,7 @@ use ripple_wire::{from_wire, from_wire_each, to_wire};
 
 use crate::context::{fold_message, Outbox, StateOps};
 use crate::hash::KeyMap;
-use crate::metrics::PartCounters;
+use crate::metrics::StepCounters;
 use crate::retry::{kv_with_retry, FaultRetry};
 use crate::{
     key_to_routed, AggValue, AggregateSnapshot, AggregatorRegistry, AuditProbe, EbspError,
@@ -71,7 +71,7 @@ pub(crate) type Enabled<J> = (<J as Job>::Key, RoutedKey, Vec<<J as Job>::Messag
 pub(crate) struct PartOutput {
     /// Aggregator partials.
     pub(crate) agg: HashMap<String, AggValue>,
-    pub(crate) counters: PartCounters,
+    pub(crate) counters: StepCounters,
     /// Components invoked for the step's own effect (a replay of a past
     /// step counts none).
     pub(crate) enabled: u64,
@@ -390,9 +390,9 @@ impl<T: Table, J: Job> PartTask<T, J> {
         step: u32,
         replay: Option<Records>,
         slot: &mut Slot<J>,
-    ) -> Result<PartCounters, EbspError> {
+    ) -> Result<StepCounters, EbspError> {
         let part = view.part().0;
-        let mut counters = PartCounters::default();
+        let mut counters = StepCounters::default();
         // A replay never re-fires audit probes: that would double-count.
         let probe = self.probe.as_ref().filter(|_| replay.is_none());
         let records = match replay {

@@ -42,11 +42,10 @@ use ripple_wire::{from_wire, to_wire, ByteReader, ByteWriter, Decode, Encode, Wi
 
 use crate::context::Outbox;
 use crate::engine::{run_loaders, JobEnv, PartTask};
-use crate::metrics::PartCounters;
 use crate::retry::FaultRetry;
 use crate::{
     AggregateSnapshot, EbspError, Envelope, ExecMode, Job, Loader, QueueKind, RetryPolicy,
-    RunMetrics, RunOutcome, WeightThrow, WorkerProfile,
+    RunEvent, RunMetrics, RunOutcome, StepCounters, WeightThrow, WorkerProfile,
 };
 
 /// Heals one failed part (e.g. by promoting surviving replicas); returns
@@ -65,7 +64,7 @@ pub(crate) struct NosyncOptions {
     pub(crate) batch_limit: usize,
     /// How transient store faults are retried before surfacing.
     pub(crate) retry: RetryPolicy,
-    /// Retry/fault callbacks.
+    /// Receives retry, fault and worker-profile events.
     pub(crate) observer: Option<Arc<dyn crate::RunObserver>>,
     /// Store-side part healing for worker self-recovery.
     pub(crate) heal: Option<Arc<HealFn>>,
@@ -249,7 +248,7 @@ fn drive<S: KvStore, J: Job, Q: QueueSet>(
         metrics.absorb(&c);
         if opts.profile {
             if let Some(observer) = &opts.observer {
-                observer.on_worker_profile(&profile);
+                observer.on_event(&RunEvent::WorkerProfile(&profile));
             }
             worker_profiles.push(profile);
         }
@@ -301,7 +300,7 @@ struct WorkerState<J: Job> {
     /// The weighted envelopes of the round in flight, as received, so they
     /// can be redelivered.
     ledger: Vec<Bytes>,
-    counters: PartCounters,
+    counters: StepCounters,
     /// Per-component invocation counter: it feeds `ctx.step`, which must
     /// stay monotone for a component across heal-respawns, not reset to 1.
     invocation_seq: HashMap<J::Key, u32>,
@@ -325,11 +324,11 @@ fn worker_loop<T: Table, J: Job, Q: QueueSet>(
     qs: &Q,
     view: &dyn PartView,
     rx: &mut dyn QueueReceiver,
-) -> Option<(PartCounters, WorkerProfile)> {
+) -> Option<(StepCounters, WorkerProfile)> {
     let own_part = view.part().0;
     let mut state = WorkerState::<J> {
         ledger: Vec::new(),
-        counters: PartCounters::default(),
+        counters: StepCounters::default(),
         invocation_seq: HashMap::new(),
         profile: WorkerProfile {
             part: own_part,

@@ -39,11 +39,11 @@ use crate::engine::{
     anywhere, run_loaders, run_parts, JobEnv, Lease, PartOutput, PartTask, Records, Replay, Span,
     TempSlot, TempTables, Temps,
 };
-use crate::profile::{PartStepProfile, StepCounters, StepProfile};
+use crate::profile::{PartStepProfile, StepProfile};
 use crate::retry::{kv_with_retry, FaultRetry};
 use crate::{
-    AggValue, AggregateSnapshot, EbspError, ExecMode, Job, Loader, RetryPolicy, RunMetrics,
-    RunOutcome,
+    AggValue, AggregateSnapshot, EbspError, ExecMode, Job, Loader, RetryPolicy, RunEvent,
+    RunMetrics, RunOutcome,
 };
 
 /// Options for a synchronized run.
@@ -54,7 +54,7 @@ pub(crate) struct SyncOptions {
     /// tables plus an enumeration round instead of returning to the
     /// controller (§IV-A).
     pub(crate) agg_table_threshold: usize,
-    /// Optional per-step/checkpoint/recovery callbacks.
+    /// Receives step, checkpoint, recovery and profile events.
     pub(crate) observer: Option<std::sync::Arc<dyn crate::RunObserver>>,
     /// How transient store faults are retried before surfacing.
     pub(crate) retry: RetryPolicy,
@@ -220,7 +220,7 @@ impl ProfileLog {
             barrier_skew,
             enabled: output.enabled,
             parts,
-            counters: StepCounters::from_part_counters(&output.counters),
+            counters: output.counters,
             store: now.0 - *base,
         });
         self.bases.push(now);
@@ -411,7 +411,7 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
                     commit_durable(d, &cut, &mut run.metrics)?;
                 }
                 if let Some(observer) = &opts.observer {
-                    observer.on_checkpoint(cut.step);
+                    observer.on_event(&RunEvent::Checkpoint { step: cut.step });
                 }
             }
         }
@@ -521,12 +521,16 @@ impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
         };
         self.log_spills(&next, std::mem::take(&mut output.spilled));
         if let Some(observer) = &self.opts.observer {
-            observer.on_step(step, output.enabled, &next.agg);
+            observer.on_event(&RunEvent::Step {
+                step,
+                enabled: output.enabled,
+                aggregates: &next.agg,
+            });
         }
         if let Some(log) = &mut self.profile {
             let profile = log.record(&self.env.store, step, (begin, wall), &parts, &output);
             if let Some(observer) = &self.opts.observer {
-                observer.on_step_profile(profile);
+                observer.on_event(&RunEvent::StepProfile(profile));
             }
         }
         Ok(next)
@@ -659,7 +663,10 @@ impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
         self.metrics.recoveries += 1;
         self.metrics.replayed_part_steps += u64::from(replayed);
         if let Some(observer) = &self.opts.observer {
-            observer.on_fast_recovery(part, replayed);
+            observer.on_event(&RunEvent::FastRecovery {
+                part,
+                replayed_steps: replayed,
+            });
         }
         Some(output)
     }
@@ -688,7 +695,9 @@ impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
             log.rewind(cut.step);
         }
         if let Some(observer) = &self.opts.observer {
-            observer.on_recovery(cut.step);
+            observer.on_event(&RunEvent::Recovery {
+                rewound_to_step: cut.step,
+            });
         }
         Ok(())
     }

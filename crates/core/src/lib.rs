@@ -83,10 +83,10 @@ pub use error::EbspError;
 pub use export::{export_state_table, CollectingExporter, DiscardExporter, Exporter};
 pub use job::{Job, StateExporters};
 pub use loader::{FnLoader, LoadSink, Loader, PairsLoader, TableLoader};
-pub use metrics::RunMetrics;
-pub use observer::{FanoutObserver, ObservedEvent, RecordingObserver, RunObserver};
+pub use metrics::{RunMetrics, StepCounters};
+pub use observer::{ObservedEvent, RecordingObserver, RunEvent, RunObserver};
 pub use options::{Basic, Durable, Heal, LaunchMode, Recover, RunOptions};
-pub use profile::{PartStepProfile, StepCounters, StepProfile, WorkerProfile};
+pub use profile::{PartStepProfile, StepProfile, WorkerProfile};
 pub use properties::{ExecMode, ExecutionPlan, JobProperties};
 pub use retry::RetryPolicy;
 pub use runner::{JobRunner, QueueKind, RunOutcome};

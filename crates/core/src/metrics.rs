@@ -3,32 +3,63 @@ use std::time::Duration;
 
 use ripple_kv::StoreMetrics;
 
-/// Per-part (or per-worker) counters gathered while invoking components.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct PartCounters {
-    pub(crate) invocations: u64,
-    pub(crate) messages_sent: u64,
-    pub(crate) messages_combined: u64,
-    pub(crate) state_reads: u64,
-    pub(crate) state_writes: u64,
-    pub(crate) state_deletes: u64,
-    pub(crate) creates: u64,
-    pub(crate) direct_outputs: u64,
-    pub(crate) spill_batches: u64,
+/// Declares the engine's work counters once: the [`StepCounters`] fields,
+/// their merge, their `(name, value)` listing, and how [`RunMetrics`]
+/// absorbs them into its same-named fields.
+macro_rules! step_counters {
+    ($($(#[doc = $doc:literal])+ $field:ident,)+) => {
+        /// The engine's work counters: what compute invocations and
+        /// delivery did within one step of one part (or one unsynchronized
+        /// worker), merged across parts into a step's
+        /// [`StepProfile::counters`](crate::StepProfile::counters).  They
+        /// are the quantities [`RunMetrics`] totals over the run, so summing
+        /// the steps of a run reproduces the run-level numbers.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StepCounters {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+        }
+
+        impl StepCounters {
+            /// Adds `other` field by field.
+            pub fn merge(&mut self, other: &StepCounters) {
+                $(self.$field += other.$field;)+
+            }
+
+            /// Every counter as a `(name, value)` pair, in declaration
+            /// order; the names are the field names.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field)),+].into_iter()
+            }
+        }
+
+        impl RunMetrics {
+            pub(crate) fn absorb(&mut self, c: &StepCounters) {
+                $(self.$field += c.$field;)+
+            }
+        }
+    };
 }
 
-impl PartCounters {
-    pub(crate) fn merge(&mut self, other: &PartCounters) {
-        self.invocations += other.invocations;
-        self.messages_sent += other.messages_sent;
-        self.messages_combined += other.messages_combined;
-        self.state_reads += other.state_reads;
-        self.state_writes += other.state_writes;
-        self.state_deletes += other.state_deletes;
-        self.creates += other.creates;
-        self.direct_outputs += other.direct_outputs;
-        self.spill_batches += other.spill_batches;
-    }
+step_counters! {
+    /// Compute invocations.
+    invocations,
+    /// Messages sent (before combining).
+    messages_sent,
+    /// Message pairs merged by the combiner: as invocations sent, and on
+    /// arrival of what the previous step spilled.
+    messages_combined,
+    /// State-table reads.
+    state_reads,
+    /// State-table writes.
+    state_writes,
+    /// State-table deletes.
+    state_deletes,
+    /// Component-state creations requested.
+    creates,
+    /// Direct job output pairs emitted.
+    direct_outputs,
+    /// Spill batches written to the transport table.
+    spill_batches,
 }
 
 /// What a completed job run did: the observable cost model of the paper's
@@ -79,20 +110,6 @@ pub struct RunMetrics {
     pub elapsed: Duration,
 }
 
-impl RunMetrics {
-    pub(crate) fn absorb(&mut self, c: &PartCounters) {
-        self.invocations += c.invocations;
-        self.messages_sent += c.messages_sent;
-        self.messages_combined += c.messages_combined;
-        self.state_reads += c.state_reads;
-        self.state_writes += c.state_writes;
-        self.state_deletes += c.state_deletes;
-        self.creates += c.creates;
-        self.direct_outputs += c.direct_outputs;
-        self.spill_batches += c.spill_batches;
-    }
-}
-
 impl fmt::Display for RunMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -128,12 +145,12 @@ mod tests {
 
     #[test]
     fn counters_merge_fieldwise() {
-        let mut a = PartCounters {
+        let mut a = StepCounters {
             invocations: 1,
             messages_sent: 2,
             ..Default::default()
         };
-        let b = PartCounters {
+        let b = StepCounters {
             invocations: 10,
             state_writes: 3,
             ..Default::default()
@@ -147,12 +164,12 @@ mod tests {
     #[test]
     fn run_metrics_absorbs_counters() {
         let mut m = RunMetrics::default();
-        m.absorb(&PartCounters {
+        m.absorb(&StepCounters {
             invocations: 5,
             direct_outputs: 2,
             ..Default::default()
         });
-        m.absorb(&PartCounters {
+        m.absorb(&StepCounters {
             invocations: 3,
             ..Default::default()
         });

@@ -6,187 +6,88 @@
 use crate::profile::{StepProfile, WorkerProfile};
 use crate::AggregateSnapshot;
 
-/// Callbacks invoked by the synchronized engine at run boundaries.
-///
-/// All methods have empty defaults; implement only what you need.
-/// Observers must be cheap — they run on the controller thread between
-/// barriers.
-pub trait RunObserver: Send + Sync + 'static {
-    /// A step completed: its number, how many components it invoked, and
-    /// the just-merged aggregator results.  Every part has flushed its
-    /// state by now.
-    fn on_step(&self, step: u32, enabled: u64, aggregates: &AggregateSnapshot) {
-        let _ = (step, enabled, aggregates);
-    }
-
+/// One thing that happened during a run, borrowed for the duration of the
+/// [`RunObserver::on_event`] call.
+#[derive(Debug, Clone, Copy)]
+#[non_exhaustive]
+pub enum RunEvent<'a> {
+    /// Step `step` completed, having invoked `enabled` components;
+    /// `aggregates` are the results just merged at its barrier.  Every part
+    /// has flushed its state by now.
+    Step {
+        step: u32,
+        enabled: u64,
+        aggregates: &'a AggregateSnapshot,
+    },
     /// A checkpoint was captured at the barrier after `step`.
-    fn on_checkpoint(&self, step: u32) {
-        let _ = step;
-    }
-
+    Checkpoint { step: u32 },
     /// A part failure was detected and the run rolled back to the
     /// checkpoint taken after `rewound_to_step`.
-    fn on_recovery(&self, rewound_to_step: u32) {
-        let _ = rewound_to_step;
-    }
-
-    /// A single failed part was restored and replayed alone (fast
-    /// recovery) instead of rolling the whole group back; `replayed_steps`
-    /// is how many steps the part re-executed.
-    fn on_fast_recovery(&self, part: u32, replayed_steps: u32) {
-        let _ = (part, replayed_steps);
-    }
-
-    /// The engine observed a transient store fault at `part`; `detail`
-    /// describes it.  Fired before any retry decision.
-    fn on_fault_injected(&self, part: u32, detail: &str) {
-        let _ = (part, detail);
-    }
-
-    /// The engine is about to retry a transient fault at `part`;
-    /// `attempt` is the 1-based number of the attempt that just failed.
-    fn on_retry(&self, part: u32, attempt: u32) {
-        let _ = (part, attempt);
-    }
-
+    Recovery { rewound_to_step: u32 },
+    /// The failed `part` was restored and replayed alone (fast recovery)
+    /// instead of rolling the whole group back; `replayed_steps` is how
+    /// many steps it re-executed.
+    FastRecovery { part: u32, replayed_steps: u32 },
+    /// The engine observed a transient store fault at `part`, described by
+    /// `detail`.  Fired before any retry decision.
+    FaultInjected { part: u32, detail: &'a str },
+    /// The engine is about to retry a transient fault at `part`; `attempt`
+    /// is the 1-based number of the attempt that just failed.
+    Retry { part: u32, attempt: u32 },
     /// The store's failure detector declared the server hosting `part`
     /// down while its replica group was fenced at `epoch`.  Fired by
     /// networked backends; in-process stores never emit it.
-    fn on_part_down(&self, part: u32, epoch: u64) {
-        let _ = (part, epoch);
-    }
-
+    PartDown { part: u32, epoch: u64 },
     /// The store promoted a standby to primary for the group hosting
     /// `part`; `epoch` is the new fencing epoch after promotion.
-    fn on_failover(&self, part: u32, epoch: u64) {
-        let _ = (part, epoch);
-    }
-
+    Failover { part: u32, epoch: u64 },
     /// A synchronized step's profile, emitted right after the step's
     /// barrier when profiling is enabled
     /// ([`JobRunner::profile`](crate::JobRunner::profile)).
-    fn on_step_profile(&self, profile: &StepProfile) {
-        let _ = profile;
-    }
-
+    StepProfile(&'a StepProfile),
     /// One unsynchronized worker's run-level profile, emitted as the run
     /// drains when profiling is enabled.
-    fn on_worker_profile(&self, profile: &WorkerProfile) {
-        let _ = profile;
-    }
-
-    /// The property auditor reported a finding — a declared-property
-    /// violation, or an inference-mode advisory.  Fired by the audit
-    /// harness (`ripple-audit`) as findings are established, not by the
-    /// engines themselves.
-    fn on_audit_finding(&self, finding: &crate::AuditFinding) {
-        let _ = finding;
-    }
+    WorkerProfile(&'a WorkerProfile),
 }
 
-/// Forwards every callback to each of a list of observers, in order — how
-/// the runner composes a user observer with an internal
-/// [`TraceRecorder`](crate::TraceRecorder).
-pub struct FanoutObserver {
-    observers: Vec<std::sync::Arc<dyn RunObserver>>,
+/// Receives the [`RunEvent`]s of a run.
+///
+/// Observers must be cheap — they run on the controller thread between
+/// barriers, and store failure events may arrive from store threads.
+pub trait RunObserver: Send + Sync + 'static {
+    /// Handles one event; ignore the variants you do not need.
+    fn on_event(&self, event: &RunEvent<'_>);
 }
 
-impl FanoutObserver {
-    /// Creates a fan-out over `observers`.
-    pub fn new(observers: Vec<std::sync::Arc<dyn RunObserver>>) -> Self {
-        Self { observers }
-    }
-}
-
-impl RunObserver for FanoutObserver {
-    fn on_step(&self, step: u32, enabled: u64, aggregates: &AggregateSnapshot) {
-        for o in &self.observers {
-            o.on_step(step, enabled, aggregates);
-        }
-    }
-    fn on_checkpoint(&self, step: u32) {
-        for o in &self.observers {
-            o.on_checkpoint(step);
-        }
-    }
-    fn on_recovery(&self, rewound_to_step: u32) {
-        for o in &self.observers {
-            o.on_recovery(rewound_to_step);
-        }
-    }
-    fn on_fast_recovery(&self, part: u32, replayed_steps: u32) {
-        for o in &self.observers {
-            o.on_fast_recovery(part, replayed_steps);
-        }
-    }
-    fn on_fault_injected(&self, part: u32, detail: &str) {
-        for o in &self.observers {
-            o.on_fault_injected(part, detail);
-        }
-    }
-    fn on_retry(&self, part: u32, attempt: u32) {
-        for o in &self.observers {
-            o.on_retry(part, attempt);
-        }
-    }
-    fn on_part_down(&self, part: u32, epoch: u64) {
-        for o in &self.observers {
-            o.on_part_down(part, epoch);
-        }
-    }
-    fn on_failover(&self, part: u32, epoch: u64) {
-        for o in &self.observers {
-            o.on_failover(part, epoch);
-        }
-    }
-    fn on_step_profile(&self, profile: &StepProfile) {
-        for o in &self.observers {
-            o.on_step_profile(profile);
-        }
-    }
-    fn on_worker_profile(&self, profile: &WorkerProfile) {
-        for o in &self.observers {
-            o.on_worker_profile(profile);
-        }
-    }
-    fn on_audit_finding(&self, finding: &crate::AuditFinding) {
-        for o in &self.observers {
-            o.on_audit_finding(finding);
-        }
-    }
-}
-
-/// An observer that records every callback, for tests and diagnostics.
+/// An observer that records every event, for tests and diagnostics.
 #[derive(Debug, Default)]
 pub struct RecordingObserver {
     events: parking_lot::Mutex<Vec<ObservedEvent>>,
 }
 
-/// One recorded engine event.
+/// One recorded engine event: the owned summary of a [`RunEvent`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObservedEvent {
-    /// `on_step(step, enabled)`.
+    /// [`RunEvent::Step`]: step, enabled.
     Step(u32, u64),
-    /// `on_checkpoint(step)`.
+    /// [`RunEvent::Checkpoint`]: step.
     Checkpoint(u32),
-    /// `on_recovery(rewound_to_step)`.
+    /// [`RunEvent::Recovery`]: rewound-to step.
     Recovery(u32),
-    /// `on_fast_recovery(part, replayed_steps)`.
+    /// [`RunEvent::FastRecovery`]: part, replayed steps.
     FastRecovery(u32, u32),
-    /// `on_fault_injected(part, detail)`.
+    /// [`RunEvent::FaultInjected`]: part, detail.
     FaultInjected(u32, String),
-    /// `on_retry(part, attempt)`.
+    /// [`RunEvent::Retry`]: part, attempt.
     Retry(u32, u32),
-    /// `on_part_down(part, epoch)`.
+    /// [`RunEvent::PartDown`]: part, epoch.
     PartDown(u32, u64),
-    /// `on_failover(part, epoch)`.
+    /// [`RunEvent::Failover`]: part, epoch.
     Failover(u32, u64),
-    /// `on_step_profile(profile)` — the step number.
+    /// [`RunEvent::StepProfile`]: the step number.
     StepProfile(u32),
-    /// `on_worker_profile(profile)` — the part.
+    /// [`RunEvent::WorkerProfile`]: the part.
     WorkerProfile(u32),
-    /// `on_audit_finding(finding)` — the property and step.
-    AuditFinding(&'static str, u32),
 }
 
 impl RecordingObserver {
@@ -202,53 +103,24 @@ impl RecordingObserver {
 }
 
 impl RunObserver for RecordingObserver {
-    fn on_step(&self, step: u32, enabled: u64, _aggregates: &AggregateSnapshot) {
-        self.events.lock().push(ObservedEvent::Step(step, enabled));
-    }
-    fn on_checkpoint(&self, step: u32) {
-        self.events.lock().push(ObservedEvent::Checkpoint(step));
-    }
-    fn on_recovery(&self, rewound_to_step: u32) {
-        self.events
-            .lock()
-            .push(ObservedEvent::Recovery(rewound_to_step));
-    }
-    fn on_fast_recovery(&self, part: u32, replayed_steps: u32) {
-        self.events
-            .lock()
-            .push(ObservedEvent::FastRecovery(part, replayed_steps));
-    }
-    fn on_fault_injected(&self, part: u32, detail: &str) {
-        self.events
-            .lock()
-            .push(ObservedEvent::FaultInjected(part, detail.to_owned()));
-    }
-    fn on_retry(&self, part: u32, attempt: u32) {
-        self.events.lock().push(ObservedEvent::Retry(part, attempt));
-    }
-    fn on_part_down(&self, part: u32, epoch: u64) {
-        self.events
-            .lock()
-            .push(ObservedEvent::PartDown(part, epoch));
-    }
-    fn on_failover(&self, part: u32, epoch: u64) {
-        self.events
-            .lock()
-            .push(ObservedEvent::Failover(part, epoch));
-    }
-    fn on_step_profile(&self, profile: &StepProfile) {
-        self.events
-            .lock()
-            .push(ObservedEvent::StepProfile(profile.step));
-    }
-    fn on_worker_profile(&self, profile: &WorkerProfile) {
-        self.events
-            .lock()
-            .push(ObservedEvent::WorkerProfile(profile.part));
-    }
-    fn on_audit_finding(&self, finding: &crate::AuditFinding) {
-        self.events
-            .lock()
-            .push(ObservedEvent::AuditFinding(finding.property, finding.step));
+    fn on_event(&self, event: &RunEvent<'_>) {
+        let recorded = match *event {
+            RunEvent::Step { step, enabled, .. } => ObservedEvent::Step(step, enabled),
+            RunEvent::Checkpoint { step } => ObservedEvent::Checkpoint(step),
+            RunEvent::Recovery { rewound_to_step } => ObservedEvent::Recovery(rewound_to_step),
+            RunEvent::FastRecovery {
+                part,
+                replayed_steps,
+            } => ObservedEvent::FastRecovery(part, replayed_steps),
+            RunEvent::FaultInjected { part, detail } => {
+                ObservedEvent::FaultInjected(part, detail.to_owned())
+            }
+            RunEvent::Retry { part, attempt } => ObservedEvent::Retry(part, attempt),
+            RunEvent::PartDown { part, epoch } => ObservedEvent::PartDown(part, epoch),
+            RunEvent::Failover { part, epoch } => ObservedEvent::Failover(part, epoch),
+            RunEvent::StepProfile(profile) => ObservedEvent::StepProfile(profile.step),
+            RunEvent::WorkerProfile(profile) => ObservedEvent::WorkerProfile(profile.part),
+        };
+        self.events.lock().push(recorded);
     }
 }

@@ -22,12 +22,11 @@
 //! whole run.
 //!
 //! Profiles are collected only when [`JobRunner::profile`] is enabled,
-//! stream through
-//! [`RunObserver::on_step_profile`] as each barrier completes, and land on
-//! [`RunOutcome::profiles`] / [`RunOutcome::worker_profiles`].
+//! stream through [`RunEvent::StepProfile`] as each barrier completes, and
+//! land on [`RunOutcome::profiles`] / [`RunOutcome::worker_profiles`].
 //!
 //! [`JobRunner::profile`]: crate::JobRunner::profile
-//! [`RunObserver::on_step_profile`]: crate::RunObserver::on_step_profile
+//! [`RunEvent::StepProfile`]: crate::RunEvent::StepProfile
 //! [`RunOutcome::profiles`]: crate::RunOutcome::profiles
 //! [`RunOutcome::worker_profiles`]: crate::RunOutcome::worker_profiles
 //! [`RunMetrics`]: crate::RunMetrics
@@ -36,7 +35,7 @@ use std::time::Duration;
 
 use ripple_kv::StoreMetrics;
 
-use crate::metrics::PartCounters;
+use crate::StepCounters;
 
 /// One part's timings within one synchronized step.  A step is one task
 /// per part: it first delivers what the previous step spilled to the part
@@ -64,48 +63,6 @@ pub struct PartStepProfile {
     /// ([`KvStore::part_metrics`](ripple_kv::KvStore::part_metrics));
     /// all-zero otherwise.
     pub store: StoreMetrics,
-}
-
-/// Aggregate work counters for one step — the same quantities
-/// [`RunMetrics`](crate::RunMetrics) totals over the run, so summing the
-/// steps of a run reproduces the run-level numbers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StepCounters {
-    /// Compute invocations this step.
-    pub invocations: u64,
-    /// Messages sent this step (before combining).
-    pub messages_sent: u64,
-    /// Message pairs merged by the combiner: as this step's invocations
-    /// sent, and on arrival of what the previous step spilled.
-    pub messages_combined: u64,
-    /// State-table reads.
-    pub state_reads: u64,
-    /// State-table writes.
-    pub state_writes: u64,
-    /// State-table deletes.
-    pub state_deletes: u64,
-    /// Component-state creations requested.
-    pub creates: u64,
-    /// Direct job output pairs emitted.
-    pub direct_outputs: u64,
-    /// Spill batches written to the transport table.
-    pub spill_batches: u64,
-}
-
-impl StepCounters {
-    pub(crate) fn from_part_counters(c: &PartCounters) -> Self {
-        Self {
-            invocations: c.invocations,
-            messages_sent: c.messages_sent,
-            messages_combined: c.messages_combined,
-            state_reads: c.state_reads,
-            state_writes: c.state_writes,
-            state_deletes: c.state_deletes,
-            creates: c.creates,
-            direct_outputs: c.direct_outputs,
-            spill_batches: c.spill_batches,
-        }
-    }
 }
 
 /// The profile of one synchronized step: per-part delivery and compute
@@ -202,22 +159,6 @@ impl WorkerProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn step_counters_mirror_part_counters() {
-        let c = PartCounters {
-            invocations: 3,
-            messages_sent: 5,
-            creates: 2,
-            direct_outputs: 7,
-            ..Default::default()
-        };
-        let s = StepCounters::from_part_counters(&c);
-        assert_eq!(s.invocations, 3);
-        assert_eq!(s.messages_sent, 5);
-        assert_eq!(s.creates, 2);
-        assert_eq!(s.direct_outputs, 7);
-    }
 
     #[test]
     fn critical_compute_prefers_part_maximum() {

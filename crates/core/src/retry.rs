@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use ripple_kv::KvError;
 
-use crate::RunObserver;
+use crate::{RunEvent, RunObserver};
 
 /// How the engines respond to transient store faults: up to
 /// `max_attempts` tries per operation with exponentially growing,
@@ -148,8 +148,12 @@ pub(crate) fn kv_with_retry<T>(
             Ok(value) => return Ok(value),
             Err(e) if e.is_transient() && attempt < retry.policy.max_attempts => {
                 if let Some(observer) = &retry.observer {
-                    observer.on_fault_injected(part, &e.to_string());
-                    observer.on_retry(part, attempt);
+                    let detail = e.to_string();
+                    observer.on_event(&RunEvent::FaultInjected {
+                        part,
+                        detail: &detail,
+                    });
+                    observer.on_event(&RunEvent::Retry { part, attempt });
                 }
                 retry.retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(retry.policy.delay_for(attempt, u64::from(part)));
@@ -157,7 +161,11 @@ pub(crate) fn kv_with_retry<T>(
             }
             Err(e) => {
                 if let (Some(observer), true) = (&retry.observer, e.is_transient()) {
-                    observer.on_fault_injected(part, &e.to_string());
+                    let detail = e.to_string();
+                    observer.on_event(&RunEvent::FaultInjected {
+                        part,
+                        detail: &detail,
+                    });
                 }
                 return Err(e);
             }

@@ -178,8 +178,7 @@ impl<S: KvStore> JobRunner<S> {
     /// Collects step-level profiles: synchronized runs yield one
     /// [`StepProfile`](crate::StepProfile) per step (per-part delivery and
     /// compute wall times, barrier skew, per-step store deltas),
-    /// streamed through
-    /// [`RunObserver::on_step_profile`](crate::RunObserver::on_step_profile)
+    /// streamed as [`RunEvent::StepProfile`](crate::RunEvent::StepProfile)
     /// as each barrier completes and collected on
     /// [`RunOutcome::profiles`]; unsynchronized runs yield one
     /// [`WorkerProfile`](crate::WorkerProfile) per worker on
@@ -207,12 +206,13 @@ impl<S: KvStore> JobRunner<S> {
         self
     }
 
-    /// Attaches a [`RunObserver`](crate::RunObserver) receiving per-step,
-    /// checkpoint, and recovery callbacks from synchronized runs.  It is
+    /// Attaches a [`RunObserver`](crate::RunObserver) receiving the run's
+    /// [`RunEvent`](crate::RunEvent)s: steps, checkpoints, recoveries,
+    /// retries and, when profiling, profiles.  It is
     /// also installed as the store's event sink, so store-level failure
     /// detection (part down, replica promotion) surfaces through
-    /// [`RunObserver::on_part_down`](crate::RunObserver::on_part_down) /
-    /// [`RunObserver::on_failover`](crate::RunObserver::on_failover)
+    /// [`RunEvent::PartDown`](crate::RunEvent::PartDown) /
+    /// [`RunEvent::Failover`](crate::RunEvent::Failover)
     /// instead of being visible only as latency; in-process stores ignore
     /// the sink.  To write a Chrome trace, attach a
     /// [`TraceRecorder`](crate::TraceRecorder) (with
@@ -487,10 +487,10 @@ struct ObserverEventSink(Arc<dyn crate::RunObserver>);
 
 impl ripple_kv::StoreEventSink for ObserverEventSink {
     fn on_part_down(&self, part: u32, epoch: u64) {
-        self.0.on_part_down(part, epoch);
+        self.0.on_event(&crate::RunEvent::PartDown { part, epoch });
     }
     fn on_failover(&self, part: u32, epoch: u64) {
-        self.0.on_failover(part, epoch);
+        self.0.on_event(&crate::RunEvent::Failover { part, epoch });
     }
 }
 

@@ -18,10 +18,9 @@ use std::path::Path;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use ripple_kv::StoreMetrics;
 
 use crate::profile::{StepProfile, WorkerProfile};
-use crate::RunObserver;
+use crate::{RunEvent, RunObserver};
 
 /// Lane (Chrome `tid`) used for controller-scope events; part `p` maps to
 /// lane `p + 1`.
@@ -168,7 +167,17 @@ impl TraceRecorder {
 }
 
 impl RunObserver for TraceRecorder {
-    fn on_step_profile(&self, profile: &StepProfile) {
+    fn on_event(&self, event: &RunEvent<'_>) {
+        match event {
+            RunEvent::StepProfile(profile) => self.record_step(profile),
+            RunEvent::WorkerProfile(profile) => self.record_worker(profile),
+            _ => {}
+        }
+    }
+}
+
+impl TraceRecorder {
+    fn record_step(&self, profile: &StepProfile) {
         let step = profile.step;
         self.push_span(
             &format!("step {step}"),
@@ -235,27 +244,15 @@ impl RunObserver for TraceRecorder {
         }
     }
 
-    fn on_worker_profile(&self, profile: &WorkerProfile) {
+    fn record_worker(&self, profile: &WorkerProfile) {
         // Unsynchronized workers report run-level aggregates, not
         // interleaved spans: one parent span per worker lane, anchored at
         // the worker's first activity on the run timeline, with the
         // busy/idle split as two aggregate sub-spans inside it.  (The
         // aggregates compress the real interleaving — busy first, idle
         // after — but the anchor and extents are faithful.)
-        let args = format!(
-            "\"part\":{},\"start_us\":{:.3},\"busy_us\":{:.3},\"idle_us\":{:.3},\
-             \"utilization\":{:.4},\"batches\":{},\"envelopes\":{},\"max_batch\":{},\
-             \"empty_polls\":{}",
-            profile.part,
-            micros(profile.start),
-            micros(profile.busy),
-            micros(profile.idle),
-            profile.utilization(),
-            profile.batches,
-            profile.envelopes,
-            profile.max_batch,
-            profile.empty_polls,
-        );
+        let mut args = String::new();
+        write_worker_fields(&mut args, profile);
         let lane = profile.part + 1;
         self.push_span(
             "worker (aggregate)",
@@ -275,12 +272,31 @@ impl RunObserver for TraceRecorder {
     }
 }
 
-/// Appends `,"<counter>":<value>` for every scalar store counter, in
-/// declaration order.
-fn write_store_counters(out: &mut String, store: &StoreMetrics) {
-    for (name, value) in store.counters() {
+/// Appends `,"<counter>":<value>` for every `(name, value)` pair, in order.
+fn write_counters(out: &mut String, counters: impl Iterator<Item = (&'static str, u64)>) {
+    for (name, value) in counters {
         let _ = write!(out, ",\"{name}\":{value}");
     }
+}
+
+/// Appends a worker profile's fields as `"<field>":<value>` pairs, the
+/// shape both the trace's worker spans and [`worker_profiles_json`] carry.
+fn write_worker_fields(out: &mut String, w: &WorkerProfile) {
+    let _ = write!(
+        out,
+        "\"part\":{},\"start_us\":{:.3},\"busy_us\":{:.3},\"idle_us\":{:.3},\
+         \"utilization\":{:.4},\"batches\":{},\"envelopes\":{},\"max_batch\":{},\
+         \"empty_polls\":{}",
+        w.part,
+        micros(w.start),
+        micros(w.busy),
+        micros(w.idle),
+        w.utilization(),
+        w.batches,
+        w.envelopes,
+        w.max_batch,
+        w.empty_polls,
+    );
 }
 
 /// Serializes step profiles as a plain JSON array (one object per step),
@@ -294,27 +310,16 @@ pub fn step_profiles_json(profiles: &[StepProfile]) -> String {
         let _ = write!(
             out,
             "{{\"step\":{},\"start_us\":{:.3},\"compute_wall_us\":{:.3},\
-             \"inbox_wall_us\":{:.3},\"barrier_skew_us\":{:.3},\"enabled\":{},\
-             \"invocations\":{},\"messages_sent\":{},\"messages_combined\":{},\
-             \"state_reads\":{},\"state_writes\":{},\"state_deletes\":{},\"creates\":{},\
-             \"direct_outputs\":{},\"spill_batches\":{}",
+             \"inbox_wall_us\":{:.3},\"barrier_skew_us\":{:.3},\"enabled\":{}",
             p.step,
             micros(p.start),
             micros(p.compute_wall),
             micros(p.inbox_wall),
             micros(p.barrier_skew),
             p.enabled,
-            p.counters.invocations,
-            p.counters.messages_sent,
-            p.counters.messages_combined,
-            p.counters.state_reads,
-            p.counters.state_writes,
-            p.counters.state_deletes,
-            p.counters.creates,
-            p.counters.direct_outputs,
-            p.counters.spill_batches,
         );
-        write_store_counters(&mut out, &p.store);
+        write_counters(&mut out, p.counters.counters());
+        write_counters(&mut out, p.store.counters());
         let _ = write!(
             out,
             ",\"rpc_p50_us\":{},\"rpc_p99_us\":{},\"parts\":[",
@@ -332,7 +337,7 @@ pub fn step_profiles_json(profiles: &[StepProfile]) -> String {
                 micros(part.compute),
                 micros(part.inbox_build),
             );
-            write_store_counters(&mut out, &part.store);
+            write_counters(&mut out, part.store.counters());
             out.push('}');
         }
         out.push_str("]}");
@@ -348,21 +353,9 @@ pub fn worker_profiles_json(profiles: &[WorkerProfile]) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "{{\"part\":{},\"start_us\":{:.3},\"busy_us\":{:.3},\"idle_us\":{:.3},\
-             \"utilization\":{:.4},\
-             \"batches\":{},\"envelopes\":{},\"max_batch\":{},\"empty_polls\":{}}}",
-            w.part,
-            micros(w.start),
-            micros(w.busy),
-            micros(w.idle),
-            w.utilization(),
-            w.batches,
-            w.envelopes,
-            w.max_batch,
-            w.empty_polls,
-        );
+        out.push('{');
+        write_worker_fields(&mut out, w);
+        out.push('}');
     }
     out.push(']');
     out
@@ -371,7 +364,7 @@ pub fn worker_profiles_json(profiles: &[WorkerProfile]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{PartStepProfile, StepCounters};
+    use crate::{PartStepProfile, StepCounters};
     use ripple_kv::{Counter, StoreCounters};
 
     /// A tiny structural validator: balanced braces/brackets outside
@@ -433,12 +426,12 @@ mod tests {
     #[test]
     fn recorder_emits_balanced_trace_json() {
         let r = TraceRecorder::new();
-        r.on_step_profile(&sample_profile());
-        r.on_worker_profile(&WorkerProfile {
+        r.on_event(&RunEvent::StepProfile(&sample_profile()));
+        r.on_event(&RunEvent::WorkerProfile(&WorkerProfile {
             part: 1,
             busy: Duration::from_micros(10),
             ..Default::default()
-        });
+        }));
         let json = r.to_json();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json_is_balanced(&json), "unbalanced: {json}");
@@ -452,13 +445,13 @@ mod tests {
     #[test]
     fn worker_spans_anchor_at_first_activity() {
         let r = TraceRecorder::new();
-        r.on_worker_profile(&WorkerProfile {
+        r.on_event(&RunEvent::WorkerProfile(&WorkerProfile {
             part: 2,
             start: Duration::from_micros(500),
             busy: Duration::from_micros(40),
             idle: Duration::from_micros(60),
             ..Default::default()
-        });
+        }));
         let json = r.to_json();
         assert!(json_is_balanced(&json), "unbalanced: {json}");
         // The parent and busy spans anchor at the first-activity offset,
@@ -521,6 +514,58 @@ mod tests {
             );
         }
         assert!(step.find("\"rpc_p50_us\":").expect("latency quantiles") > last);
+    }
+
+    /// A worker with every field distinct, for the pinned outputs below.
+    fn sample_worker() -> WorkerProfile {
+        WorkerProfile {
+            part: 2,
+            start: Duration::from_micros(500),
+            busy: Duration::from_micros(40),
+            idle: Duration::from_micros(60),
+            batches: 3,
+            envelopes: 17,
+            max_batch: 8,
+            empty_polls: 4,
+        }
+    }
+
+    /// The JSON the exporters produced before the step counters and the
+    /// worker fields were each listed in one place; key names and key
+    /// order are part of their contract with harnesses and trace viewers.
+    #[test]
+    fn exported_json_is_pinned() {
+        assert_eq!(
+            step_profiles_json(&[sample_profile()]),
+            r#"[{"step":3,"start_us":100.000,"compute_wall_us":50.000,"inbox_wall_us":25.000,"barrier_skew_us":5.000,"enabled":7,"invocations":9,"messages_sent":0,"messages_combined":0,"state_reads":0,"state_writes":0,"state_deletes":0,"creates":0,"direct_outputs":0,"spill_batches":0,"local_ops":0,"remote_ops":0,"bytes_marshalled":0,"tasks_dispatched":0,"enumerations":0,"wal_bytes":0,"fsyncs":0,"replayed_records":0,"rpcs":0,"net_bytes_in":0,"net_bytes_out":0,"retries":0,"retry_bytes":0,"reconnects":0,"failovers":0,"net_batches":0,"combined_records":0,"rpc_p50_us":0,"rpc_p99_us":0,"parts":[{"part":0,"compute_us":40.000,"inbox_us":20.000,"local_ops":0,"remote_ops":0,"bytes_marshalled":0,"tasks_dispatched":0,"enumerations":0,"wal_bytes":0,"fsyncs":0,"replayed_records":0,"rpcs":0,"net_bytes_in":0,"net_bytes_out":0,"retries":0,"retry_bytes":0,"reconnects":0,"failovers":0,"net_batches":0,"combined_records":0}]}]"#
+        );
+        let mut profile = sample_profile();
+        profile.counters = StepCounters {
+            invocations: 1,
+            messages_sent: 2,
+            messages_combined: 3,
+            state_reads: 4,
+            state_writes: 5,
+            state_deletes: 6,
+            creates: 7,
+            direct_outputs: 8,
+            spill_batches: 9,
+        };
+        assert_eq!(
+            step_profiles_json(&[profile]),
+            r#"[{"step":3,"start_us":100.000,"compute_wall_us":50.000,"inbox_wall_us":25.000,"barrier_skew_us":5.000,"enabled":7,"invocations":1,"messages_sent":2,"messages_combined":3,"state_reads":4,"state_writes":5,"state_deletes":6,"creates":7,"direct_outputs":8,"spill_batches":9,"local_ops":0,"remote_ops":0,"bytes_marshalled":0,"tasks_dispatched":0,"enumerations":0,"wal_bytes":0,"fsyncs":0,"replayed_records":0,"rpcs":0,"net_bytes_in":0,"net_bytes_out":0,"retries":0,"retry_bytes":0,"reconnects":0,"failovers":0,"net_batches":0,"combined_records":0,"rpc_p50_us":0,"rpc_p99_us":0,"parts":[{"part":0,"compute_us":40.000,"inbox_us":20.000,"local_ops":0,"remote_ops":0,"bytes_marshalled":0,"tasks_dispatched":0,"enumerations":0,"wal_bytes":0,"fsyncs":0,"replayed_records":0,"rpcs":0,"net_bytes_in":0,"net_bytes_out":0,"retries":0,"retry_bytes":0,"reconnects":0,"failovers":0,"net_batches":0,"combined_records":0}]}]"#
+        );
+        assert_eq!(
+            worker_profiles_json(&[sample_worker()]),
+            r#"[{"part":2,"start_us":500.000,"busy_us":40.000,"idle_us":60.000,"utilization":0.4000,"batches":3,"envelopes":17,"max_batch":8,"empty_polls":4}]"#
+        );
+        let r = TraceRecorder::new();
+        r.on_event(&RunEvent::StepProfile(&sample_profile()));
+        r.on_event(&RunEvent::WorkerProfile(&sample_worker()));
+        assert_eq!(
+            r.to_json(),
+            r#"{"traceEvents":[{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"controller"}},{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"part 0"}},{"name":"thread_name","ph":"M","pid":0,"tid":3,"args":{"name":"part 2"}},{"name":"step 3","cat":"ripple","ph":"X","ts":100.000,"dur":75.000,"pid":0,"tid":0,"args":{"step":3,"enabled":7,"invocations":9,"messages_sent":0,"barrier_skew_us":5.000}},{"name":"compute s3","cat":"ripple","ph":"X","ts":101.000,"dur":40.000,"pid":0,"tid":1,"args":{"step":3,"part":0}},{"name":"deliver s3","cat":"ripple","ph":"X","ts":151.000,"dur":20.000,"pid":0,"tid":1,"args":{"step":3,"part":0}},{"name":"enabled components","cat":"ripple","ph":"C","ts":175.000,"pid":0,"tid":0,"args":{"value":7}},{"name":"bytes marshalled","cat":"ripple","ph":"C","ts":175.000,"pid":0,"tid":0,"args":{"value":0}},{"name":"worker (aggregate)","cat":"ripple","ph":"X","ts":500.000,"dur":100.000,"pid":0,"tid":3,"args":{"part":2,"start_us":500.000,"busy_us":40.000,"idle_us":60.000,"utilization":0.4000,"batches":3,"envelopes":17,"max_batch":8,"empty_polls":4}},{"name":"busy (aggregate)","cat":"ripple","ph":"X","ts":500.000,"dur":40.000,"pid":0,"tid":3,"args":{"part":2,"start_us":500.000,"busy_us":40.000,"idle_us":60.000,"utilization":0.4000,"batches":3,"envelopes":17,"max_batch":8,"empty_polls":4}},{"name":"idle (aggregate)","cat":"ripple","ph":"X","ts":540.000,"dur":60.000,"pid":0,"tid":3,"args":{"part":2,"start_us":500.000,"busy_us":40.000,"idle_us":60.000,"utilization":0.4000,"batches":3,"envelopes":17,"max_batch":8,"empty_polls":4}}],"displayTimeUnit":"ms"}"#
+        );
     }
 
     #[test]

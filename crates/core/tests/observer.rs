@@ -1,11 +1,12 @@
-//! Tests of [`RunObserver`]: per-step, checkpoint, and recovery callbacks.
+//! Tests of [`RunObserver`]: per-step, checkpoint, and recovery events.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ripple_core::{
-    ComputeContext, EbspError, FnLoader, Job, JobProperties, JobRunner, LoadSink, ObservedEvent,
-    RecordingObserver, RunOptions,
+    AggregateSnapshot, ComputeContext, EbspError, FnLoader, Job, JobProperties, JobRunner,
+    LoadSink, ObservedEvent, RecordingObserver, RunEvent, RunObserver, RunOptions, StepProfile,
+    WorkerProfile,
 };
 use ripple_kv::PartId;
 use ripple_store_mem::MemStore;
@@ -175,4 +176,62 @@ fn observer_sees_whole_group_recovery_when_fast_is_disabled() {
             .any(|e| matches!(e, ObservedEvent::FastRecovery(..))),
         "{events:?}"
     );
+}
+
+#[test]
+fn recording_observer_summarizes_every_event_variant() {
+    let aggregates = AggregateSnapshot::default();
+    let step_profile = StepProfile {
+        step: 4,
+        ..Default::default()
+    };
+    let worker_profile = WorkerProfile {
+        part: 3,
+        ..Default::default()
+    };
+    let events = [
+        RunEvent::Step {
+            step: 1,
+            enabled: 5,
+            aggregates: &aggregates,
+        },
+        RunEvent::Checkpoint { step: 2 },
+        RunEvent::Recovery { rewound_to_step: 2 },
+        RunEvent::FastRecovery {
+            part: 1,
+            replayed_steps: 3,
+        },
+        RunEvent::FaultInjected {
+            part: 0,
+            detail: "transient",
+        },
+        RunEvent::Retry {
+            part: 0,
+            attempt: 1,
+        },
+        RunEvent::PartDown { part: 2, epoch: 7 },
+        RunEvent::Failover { part: 2, epoch: 8 },
+        RunEvent::StepProfile(&step_profile),
+        RunEvent::WorkerProfile(&worker_profile),
+    ];
+    let recorder = RecordingObserver::new();
+    for event in &events {
+        recorder.on_event(event);
+    }
+    assert_eq!(
+        recorder.take(),
+        vec![
+            ObservedEvent::Step(1, 5),
+            ObservedEvent::Checkpoint(2),
+            ObservedEvent::Recovery(2),
+            ObservedEvent::FastRecovery(1, 3),
+            ObservedEvent::FaultInjected(0, "transient".to_owned()),
+            ObservedEvent::Retry(0, 1),
+            ObservedEvent::PartDown(2, 7),
+            ObservedEvent::Failover(2, 8),
+            ObservedEvent::StepProfile(4),
+            ObservedEvent::WorkerProfile(3),
+        ]
+    );
+    assert!(recorder.take().is_empty(), "take drains the recording");
 }

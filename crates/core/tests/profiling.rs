@@ -155,7 +155,7 @@ fn step_profiles_tile_the_run_metrics() {
         "some part must have measurable compute time"
     );
 
-    // `enabled` mirrors the on_step callback's count: the components the
+    // `enabled` mirrors the step event's count: the components the
     // step invoked.
     let steps: Vec<(u32, u64)> = observer
         .take()

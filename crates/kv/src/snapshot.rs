@@ -7,7 +7,7 @@ use crate::{fnv64, PairConsumer, PartId, RoutedKey, ScanControl};
 /// Snapshots exist for *consistent-cut reads*: a resident job service
 /// answers point queries from the last barrier snapshot while the engine
 /// keeps mutating live tables between barriers.  Taken while writers are
-/// quiescent (e.g. from a `RunObserver::on_step` callback, where the
+/// quiescent (e.g. from a `RunEvent::Step` observer, where the
 /// engine is paused at the barrier), the snapshot is a consistent cut of
 /// the whole table; taken concurrently with writers it is only per-part
 /// atomic at best, and stores that cannot even promise that document it.

@@ -262,8 +262,8 @@ pub trait KvStore: Clone + Send + Sync + Sized + 'static {
     ///
     /// The default implementation scans via [`KvStore::enumerate_pairs`],
     /// which is per-part atomic but only a consistent cross-part cut when
-    /// writers are quiescent — e.g. taken from a `RunObserver::on_step`
-    /// callback, where the engine is paused at the barrier.  Stores whose
+    /// writers are quiescent — e.g. taken from a `RunEvent::Step`
+    /// observer, where the engine is paused at the barrier.  Stores whose
     /// locking allows it (single global lock, or all-part lock acquisition)
     /// may override this with a cut that is consistent even against
     /// concurrent writers.

@@ -81,10 +81,6 @@ impl Rule for NoWallclockInDeterministicPaths {
                 "wait_drain's grace deadline bounds shutdown, not step results",
             ),
             (
-                "crates/store-net/src/metrics.rs",
-                "RPC latency measurement is the module's whole purpose",
-            ),
-            (
                 "crates/store-net/src/pool.rs",
                 "times RPCs for the latency histogram; never steers control flow",
             ),

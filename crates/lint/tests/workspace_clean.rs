@@ -3,14 +3,18 @@
 
 use std::path::PathBuf;
 
-use ripple_lint::{run, Workspace};
+use ripple_lint::{all_rules, run, Workspace};
+
+fn workspace_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root resolves")
+}
 
 #[test]
 fn the_workspace_lints_clean() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root resolves");
+    let root = workspace_root();
     let ws = Workspace::load(&root).expect("workspace loads");
     assert!(
         ws.files.len() > 100,
@@ -23,5 +27,25 @@ fn the_workspace_lints_clean() {
         findings.is_empty(),
         "ripple-lint must be clean on its own workspace:\n{}",
         rendered.join("\n")
+    );
+}
+
+/// An allowlist entry for a file that no longer exists exempts nothing
+/// today and silently exempts whatever file later takes its name.
+#[test]
+fn every_allowlisted_path_exists() {
+    let root = workspace_root();
+    let mut stale = Vec::new();
+    for rule in all_rules() {
+        for (path, _) in rule.allowlist() {
+            if !root.join(path).is_file() {
+                stale.push(format!("{}: {path}", rule.id()));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "allowlisted paths missing from the workspace:\n{}",
+        stale.join("\n")
     );
 }

@@ -77,5 +77,5 @@ pub mod serving;
 
 pub use quota::{AdmitError, JobQuota, JobSpec, ServerConfig};
 pub use sched::{FairScheduler, JobGate, SchedAccount};
-pub use server::{JobAccount, JobHandle, JobServer, JobStatus, ResidentJob, StorePool};
+pub use server::{JobAccount, JobHandle, JobServer, JobStatus, ResidentJob};
 pub use serving::{QueryAnswer, ServeError, ServingReport, ServingSssp};

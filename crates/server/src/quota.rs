@@ -49,9 +49,6 @@ pub struct JobSpec {
     /// Collect per-step profiles for this job (on by default — the
     /// server's accounting is built from them).
     pub profile: bool,
-    /// Pin the job to a specific store in the server's pool; `None`
-    /// places it round-robin.
-    pub placement: Option<usize>,
 }
 
 impl JobSpec {
@@ -64,7 +61,6 @@ impl JobSpec {
             est_state_bytes: 0,
             quota: None,
             profile: true,
-            placement: None,
         }
     }
 
@@ -86,14 +82,6 @@ impl JobSpec {
     #[must_use]
     pub fn no_profile(mut self) -> Self {
         self.profile = false;
-        self
-    }
-
-    /// Pins the job to store `index` of the server's pool (modulo pool
-    /// size).
-    #[must_use]
-    pub fn placement(mut self, index: usize) -> Self {
-        self.placement = Some(index);
         self
     }
 }

@@ -5,7 +5,7 @@
 //! driver that owns a store, runs a job, and exits.  The paper's runtime
 //! is the opposite shape: part servers are *resident*, and many analytics
 //! jobs come and go against them (§III).  [`JobServer`] reproduces that
-//! shape in-process: it owns a [`StorePool`] and a worker pool of
+//! shape in-process: it owns one shared store and a worker pool of
 //! [`ServerConfig::workers`] compute slots, admits jobs under quota
 //! ([`AdmitError`] when it refuses), runs each admitted job on its own
 //! controller thread with a [`FairScheduler`] gate interleaving
@@ -30,51 +30,6 @@ use ripple_kv::KvStore;
 
 use crate::quota::{AdmitError, JobSpec, ServerConfig};
 use crate::sched::FairScheduler;
-
-/// The stores a server places jobs onto.  A pool of one is the common
-/// case (every job shares the store — maximal contention, which is what
-/// the isolation tests want); a larger pool spreads jobs round-robin.
-#[derive(Debug, Clone)]
-pub struct StorePool<S: KvStore> {
-    stores: Vec<S>,
-}
-
-impl<S: KvStore> StorePool<S> {
-    /// A pool over `stores`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stores` is empty.
-    #[must_use]
-    pub fn new(stores: Vec<S>) -> Self {
-        assert!(!stores.is_empty(), "StorePool needs at least one store");
-        Self { stores }
-    }
-
-    /// A pool of one shared store.
-    #[must_use]
-    pub fn single(store: S) -> Self {
-        Self::new(vec![store])
-    }
-
-    /// Pool size.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.stores.len()
-    }
-
-    /// True when the pool is empty (never, by construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.stores.is_empty()
-    }
-
-    /// The store at `index` (modulo pool size).
-    #[must_use]
-    pub fn store(&self, index: usize) -> &S {
-        &self.stores[index % self.stores.len()]
-    }
-}
 
 /// How far a job got.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,15 +181,14 @@ fn json_string(s: &str) -> String {
 struct ServerInner {
     shutting_down: bool,
     admitted: HashSet<String>,
-    next_placement: usize,
     accounts: Vec<JobAccount>,
 }
 
-/// A resident multi-tenant job service over a pool of stores.
+/// A resident multi-tenant job service over one shared store.
 ///
 /// Cheap to clone; clones share the server.
 pub struct JobServer<S: KvStore> {
-    pool: StorePool<S>,
+    store: S,
     sched: Arc<FairScheduler>,
     config: ServerConfig,
     inner: Arc<Mutex<ServerInner>>,
@@ -243,7 +197,7 @@ pub struct JobServer<S: KvStore> {
 impl<S: KvStore> Clone for JobServer<S> {
     fn clone(&self) -> Self {
         Self {
-            pool: self.pool.clone(),
+            store: self.store.clone(),
             sched: Arc::clone(&self.sched),
             config: self.config.clone(),
             inner: Arc::clone(&self.inner),
@@ -257,7 +211,6 @@ impl<S: KvStore> std::fmt::Debug for JobServer<S> {
         f.debug_struct("JobServer")
             .field("workers", &self.config.workers)
             .field("max_jobs", &self.config.max_jobs)
-            .field("stores", &self.pool.len())
             .field("admitted", &inner.admitted.len())
             .field("accounts", &inner.accounts.len())
             .finish_non_exhaustive()
@@ -268,7 +221,6 @@ impl<S: KvStore> std::fmt::Debug for JobServer<S> {
 #[derive(Debug)]
 pub struct JobHandle {
     name: String,
-    store_index: usize,
     thread: std::thread::JoinHandle<Result<RunOutcome, EbspError>>,
 }
 
@@ -277,12 +229,6 @@ impl JobHandle {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Index of the pool store the job was placed on.
-    #[must_use]
-    pub fn store_index(&self) -> usize {
-        self.store_index
     }
 
     /// Blocks until the job's controller thread finishes and returns its
@@ -304,26 +250,19 @@ impl JobHandle {
 }
 
 impl<S: KvStore> JobServer<S> {
-    /// A server over `pool` with `config`.
+    /// A server whose every job shares `store`, with `config`.
     #[must_use]
-    pub fn new(config: ServerConfig, pool: StorePool<S>) -> Self {
+    pub fn single(config: ServerConfig, store: S) -> Self {
         Self {
             sched: Arc::new(FairScheduler::new(config.workers)),
-            pool,
+            store,
             config,
             inner: Arc::new(Mutex::new(ServerInner {
                 shutting_down: false,
                 admitted: HashSet::new(),
-                next_placement: 0,
                 accounts: Vec::new(),
             })),
         }
-    }
-
-    /// A server whose pool is one shared store.
-    #[must_use]
-    pub fn single(config: ServerConfig, store: S) -> Self {
-        Self::new(config, StorePool::single(store))
     }
 
     /// The server's configuration.
@@ -338,21 +277,21 @@ impl<S: KvStore> JobServer<S> {
         &self.sched
     }
 
-    /// The store at pool `index`.
+    /// The store every job runs on.
     #[must_use]
-    pub fn store(&self, index: usize) -> &S {
-        self.pool.store(index)
+    pub fn store(&self) -> &S {
+        &self.store
     }
 
     /// Runs the admission checks and, on success, reserves the job's
-    /// name, picks its placement, registers a scheduler slot, and opens
+    /// name, registers a scheduler slot, and opens
     /// its account.
     fn admit(
         &self,
         name: &str,
         spec: &JobSpec,
         status: JobStatus,
-    ) -> Result<(u64, usize, usize), AdmitError> {
+    ) -> Result<(u64, usize), AdmitError> {
         let quota = spec.quota.unwrap_or(self.config.default_quota);
         let mut inner = self.lock();
         if inner.shutting_down {
@@ -382,24 +321,17 @@ impl<S: KvStore> JobServer<S> {
             });
         }
         inner.admitted.insert(name.to_owned());
-        let store_index = if let Some(i) = spec.placement {
-            i % self.pool.len()
-        } else {
-            let i = inner.next_placement % self.pool.len();
-            inner.next_placement += 1;
-            i
-        };
         let sched_id = self.sched.register();
         let account_index = inner.accounts.len();
         inner.accounts.push(JobAccount::new(name, sched_id, status));
-        Ok((sched_id, store_index, account_index))
+        Ok((sched_id, account_index))
     }
 
     /// The gated, step-capped, profiled runner an admitted job executes
     /// on.
-    fn build_runner(&self, store: &S, sched_id: u64, spec: &JobSpec) -> JobRunner<S> {
+    fn build_runner(&self, sched_id: u64, spec: &JobSpec) -> JobRunner<S> {
         let quota = spec.quota.unwrap_or(self.config.default_quota);
-        let mut runner = JobRunner::new(store.clone());
+        let mut runner = JobRunner::new(self.store.clone());
         runner
             .task_gate(self.sched.gate(sched_id))
             .max_steps(quota.max_supersteps)
@@ -430,8 +362,8 @@ impl<S: KvStore> JobServer<S> {
         J: Job,
         M: LaunchMode<S> + Send + 'static,
     {
-        let (sched_id, store_index, account_index) = self.admit(name, spec, JobStatus::Running)?;
-        let runner = self.build_runner(self.pool.store(store_index), sched_id, spec);
+        let (sched_id, account_index) = self.admit(name, spec, JobStatus::Running)?;
+        let runner = self.build_runner(sched_id, spec);
         let server = self.clone();
         let job_name = name.to_owned();
         let thread = std::thread::Builder::new()
@@ -444,7 +376,6 @@ impl<S: KvStore> JobServer<S> {
             .expect("spawn job controller thread");
         Ok(JobHandle {
             name: name.to_owned(),
-            store_index,
             thread,
         })
     }
@@ -458,16 +389,15 @@ impl<S: KvStore> JobServer<S> {
     ///
     /// Returns the typed [`AdmitError`] when admission refuses the spec.
     pub fn admit_resident(&self, name: &str, spec: &JobSpec) -> Result<ResidentJob<S>, AdmitError> {
-        let (sched_id, store_index, account_index) = self.admit(name, spec, JobStatus::Resident)?;
-        let runner = self.build_runner(self.pool.store(store_index), sched_id, spec);
+        let (sched_id, account_index) = self.admit(name, spec, JobStatus::Resident)?;
+        let runner = self.build_runner(sched_id, spec);
         Ok(ResidentJob {
             server: self.clone(),
             name: name.to_owned(),
             sched_id,
-            store_index,
             account_index,
             runner,
-            store: self.pool.store(store_index).clone(),
+            store: self.store.clone(),
         })
     }
 
@@ -556,7 +486,6 @@ pub struct ResidentJob<S: KvStore> {
     server: JobServer<S>,
     name: String,
     sched_id: u64,
-    store_index: usize,
     account_index: usize,
     runner: JobRunner<S>,
     store: S,
@@ -567,7 +496,6 @@ impl<S: KvStore> std::fmt::Debug for ResidentJob<S> {
         f.debug_struct("ResidentJob")
             .field("name", &self.name)
             .field("sched_id", &self.sched_id)
-            .field("store_index", &self.store_index)
             .finish_non_exhaustive()
     }
 }
@@ -577,12 +505,6 @@ impl<S: KvStore> ResidentJob<S> {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Index of the pool store the job was placed on.
-    #[must_use]
-    pub fn store_index(&self) -> usize {
-        self.store_index
     }
 
     /// The gated runner launches must go through.
@@ -597,7 +519,7 @@ impl<S: KvStore> ResidentJob<S> {
         &mut self.runner
     }
 
-    /// The pool store the job was placed on.
+    /// The store the job runs on.
     #[must_use]
     pub fn store(&self) -> &S {
         &self.store

@@ -8,7 +8,7 @@
 //! a serving loop drains them into batches and applies each batch as one
 //! wave on a [`ResidentJob`]'s gated runner, and point queries are
 //! answered at any time from the **last consistent barrier snapshot**:
-//! an observer hooked on [`RunObserver::on_step`] (the engine is paused
+//! an observer hooked on [`RunEvent::Step`] (the engine is paused
 //! at the barrier, so the cut is writer-consistent) snapshots the state
 //! table, decodes it into a versioned distance map behind an `RwLock`,
 //! and queries read only that map — they never touch the live table, so
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use ripple_core::{AggregateSnapshot, EbspError, RunObserver};
+use ripple_core::{EbspError, RunEvent, RunObserver};
 use ripple_graph::generate::{Graph, GraphChange};
 use ripple_graph::sssp::{distances_from_snapshot, SelectiveInstance};
 use ripple_graph::{MutationQueue, VertexId, INF};
@@ -158,8 +158,10 @@ struct SnapshotRefresher<S: KvStore> {
 }
 
 impl<S: KvStore> RunObserver for SnapshotRefresher<S> {
-    fn on_step(&self, _step: u32, _enabled: u64, _aggregates: &AggregateSnapshot) {
-        if refresh(&self.store, &self.table, &self.map, &self.shared).is_err() {
+    fn on_event(&self, event: &RunEvent<'_>) {
+        if matches!(event, RunEvent::Step { .. })
+            && refresh(&self.store, &self.table, &self.map, &self.shared).is_err()
+        {
             self.shared.refresh_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -226,7 +228,7 @@ impl ServingSssp {
             }
         };
         resident.record(&outcome);
-        // A zero-step solve (empty graph) never fired on_step; make sure
+        // A zero-step solve (empty graph) never fired a step event; make sure
         // at least one consistent snapshot is queryable before returning.
         refresh(resident.store(), &table, &map, &shared)?;
 

@@ -207,7 +207,7 @@ impl Membership {
     /// Soft evidence against `member` of `slot`: an established connection
     /// died under a request.  Counts one strike against a primary (the
     /// caller must rate-limit to one call per connection); at
-    /// [`SUSPICION_THRESHOLD`] strikes the primary is deposed.  Standbys
+    /// `SUSPICION_THRESHOLD` strikes the primary is deposed.  Standbys
     /// get no strikes here — the replicated-write path retries and marks
     /// them down itself.  No-op for single-member groups.  Returns `true`
     /// if a promotion happened.

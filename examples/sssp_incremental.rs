@@ -126,8 +126,8 @@ fn serving_mode(n: u32) -> Result<(), EbspError> {
     );
 
     // The served distances agree with a BFS oracle over the mutated graph.
-    let table = server.store(0).lookup_table("serve__sssp")?;
-    let snapshot = server.store(0).snapshot_table(&table)?;
+    let table = server.store().lookup_table("serve__sssp")?;
+    let snapshot = server.store().snapshot_table(&table)?;
     let oracle = bfs_oracle(&graph, source);
     for (v, d) in ripple::graph::sssp::distances_from_snapshot(&snapshot)? {
         assert_eq!(d, oracle[v as usize]);

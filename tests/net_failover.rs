@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ripple::ebsp::{step_profiles_json, AggregateSnapshot, RunObserver};
+use ripple::ebsp::{step_profiles_json, RunEvent, RunObserver};
 use ripple::graph::generate::power_law_graph;
 use ripple::graph::pagerank::{read_ranks, run_direct, run_direct_on, PageRankConfig};
 use ripple::prelude::*;
@@ -26,7 +26,7 @@ fn rank_bits<S: KvStore>(store: &S, table: &str) -> Vec<(u32, u64)> {
 }
 
 /// Aborts a primary part server at a fixed step, and records the
-/// failure-detector callbacks the store surfaces through the observer.
+/// failure-detector events the store surfaces through the observer.
 struct PrimaryKiller {
     victim: Arc<ripple::store_net::ServerHandle>,
     kill_at: u32,
@@ -36,16 +36,21 @@ struct PrimaryKiller {
 }
 
 impl RunObserver for PrimaryKiller {
-    fn on_step(&self, step: u32, _enabled: u64, _aggregates: &AggregateSnapshot) {
-        if step >= self.kill_at && !self.killed.swap(true, Ordering::SeqCst) {
-            self.victim.abort();
+    fn on_event(&self, event: &RunEvent<'_>) {
+        match *event {
+            RunEvent::Step { step, .. }
+                if step >= self.kill_at && !self.killed.swap(true, Ordering::SeqCst) =>
+            {
+                self.victim.abort();
+            }
+            RunEvent::PartDown { .. } => {
+                self.part_downs.fetch_add(1, Ordering::SeqCst);
+            }
+            RunEvent::Failover { .. } => {
+                self.failovers.fetch_add(1, Ordering::SeqCst);
+            }
+            _ => {}
         }
-    }
-    fn on_part_down(&self, _part: u32, _epoch: u64) {
-        self.part_downs.fetch_add(1, Ordering::SeqCst);
-    }
-    fn on_failover(&self, _part: u32, _epoch: u64) {
-        self.failovers.fetch_add(1, Ordering::SeqCst);
     }
 }
 

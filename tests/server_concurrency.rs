@@ -85,7 +85,7 @@ fn concurrent_digests<S: KvStore>(shared: S, jobs: usize) -> Vec<(u64, u32, u64)
         .enumerate()
         .map(|(j, handle)| {
             let outcome = handle.wait().expect("tenant run");
-            let d = digest(server.store(0), &format!("mix{j}"));
+            let d = digest(server.store(), &format!("mix{j}"));
             (d, outcome.steps, outcome.metrics.invocations)
         })
         .collect()
@@ -382,10 +382,10 @@ fn serving_sssp_answers_between_barriers_while_mutations_stream() {
     // converge to.
     let oracle = bfs_oracle(&graph, source);
     let table = server
-        .store(0)
+        .store()
         .lookup_table("serve__sssp")
         .expect("serving table");
-    let snapshot = server.store(0).snapshot_table(&table).expect("snapshot");
+    let snapshot = server.store().snapshot_table(&table).expect("snapshot");
     for (v, d) in distances_from_snapshot(&snapshot).expect("decode") {
         assert_eq!(d, oracle[v as usize], "served distance diverged at {v}");
     }
