@@ -2,7 +2,9 @@
 //! figure of the paper's evaluation (`table1`, `table2`, `summa_sync`,
 //! `sssp_incremental`, `ablation_stealing`; see `EXPERIMENTS.md`), plus
 //! small statistics and CLI helpers.  Performance over time is measured by
-//! `benchmark/` (`BENCHMARK.json`), not here.
+//! `benchmark/` (`BENCHMARK.json`), not here; the `pairs` bin runs it
+//! alternately on a parent and a change and judges the difference
+//! ([`pairs`]).
 //!
 //! Absolute numbers will not match the paper's 2013 testbed; the harness
 //! reports the *shape* — who wins, by what factor — alongside the engine's
@@ -11,6 +13,8 @@
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+pub mod pairs;
 
 use ripple_kv::KvStore;
 use ripple_store_disk::DiskStore;

@@ -35,7 +35,9 @@ pub(crate) trait StateOps {
 /// outbox holds one envelope per distinct destination (plus one per
 /// message the combiner declined) — O(distinct destinations), not
 /// O(sends).  Survivors are bucketed by destination part as they are sent;
-/// a part's outbox serves every step of a run.
+/// a part's outbox serves every step of a run.  At the end of a step every
+/// bucket is encoded and spilled, except, where the launch allows it, the
+/// one addressed to the sending part itself (see [`Outbox::spill`]).
 pub(crate) struct Outbox<J: Job> {
     /// Surviving envelopes in send order, one bucket per destination part.
     buckets: Vec<Vec<Envelope<J>>>,
@@ -115,9 +117,16 @@ impl<J: Job> Outbox<J> {
     }
 
     /// Encodes each non-empty bucket as one spill blob for `spill` and
-    /// forgets the survivors.  Returns whether a message or continue signal
-    /// went out (`live`) and whether a state creation did.
-    pub(crate) fn spill(&mut self, mut spill: impl FnMut(u32, Bytes)) -> (bool, bool) {
+    /// forgets the survivors — except the bucket `keep` names, the sending
+    /// part's own: it crosses no partition boundary, so it is swapped,
+    /// unencoded, with `keep`'s (empty) vector.  Returns whether a message
+    /// or continue signal went out (`live`) and whether a state creation
+    /// did, the kept bucket included.
+    pub(crate) fn spill(
+        &mut self,
+        mut keep: Option<(u32, &mut Vec<Envelope<J>>)>,
+        mut spill: impl FnMut(u32, Bytes),
+    ) -> (bool, bool) {
         self.latest.clear();
         let (mut live, mut creates) = (false, false);
         let scratch = self.scratch.get_mut();
@@ -126,10 +135,18 @@ impl<J: Job> Outbox<J> {
             let create = |envelope: &Envelope<J>| matches!(envelope, Envelope::Create { .. });
             live |= !bucket.iter().all(create);
             creates |= bucket.iter().any(create);
-            // The survivors go with their encoding; the bucket keeps its
-            // capacity, as the index and the scratch do.
-            spill(dst, to_wire_via(scratch, bucket.as_slice()));
-            bucket.clear();
+            match &mut keep {
+                Some((own, local)) if *own == dst => {
+                    debug_assert!(local.is_empty(), "the last hand-off was delivered");
+                    std::mem::swap(bucket, *local);
+                }
+                // The survivors go with their encoding; the bucket keeps its
+                // capacity, as the index and the scratch do.
+                _ => {
+                    spill(dst, to_wire_via(scratch, bucket.as_slice()));
+                    bucket.clear();
+                }
+            }
         }
         (live, creates)
     }

@@ -12,7 +12,8 @@
 //! a shared work queue; one worker per part then steals batches from that
 //! queue and invokes components *wherever it runs*, reaching state through
 //! ordinary table handles (paying remote marshalling where non-local —
-//! cheap by the `rare-state` assumption).
+//! cheap by the `rare-state` assumption).  The worker running at part `p`
+//! spills as `p`, so what it sends to `p` is `p`'s hand-off.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -93,7 +94,7 @@ pub(crate) fn run_step_anywhere<S: KvStore, J: Job>(
         }
         Ok(PartOutput {
             enabled,
-            ..task.finish_compute(step, part.0, &mut slot.out)?
+            ..task.finish_compute(step, part.0, &mut slot)?
         })
     }) {
         match stolen {

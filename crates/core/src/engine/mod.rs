@@ -19,7 +19,7 @@ pub(crate) mod nosync;
 pub(crate) mod plane;
 pub(crate) mod sync;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -213,13 +213,18 @@ pub(crate) struct PartTask<T: Table, J: Job> {
     /// Set by the synchronized engine; unsynchronized runs exchange
     /// messages through a queue set instead.
     pub(crate) temps: Option<TempTables<T>>,
+    /// A part keeps the envelopes it sends to itself in its slot instead of
+    /// spilling them: set for a launch whose barriers need not be in the
+    /// store ([`Cut`](sync::Cut)).
+    pub(crate) hand_off: bool,
     slots: Vec<Mutex<Slot<J>>>,
 }
 
 /// What one part keeps from step to step: its outbox (the survivor buckets,
-/// their index and the scratch) and its delivery (the enabled components
-/// and their index).  Each step of the part empties it first — of a failed
-/// step's leftovers too — keeping the capacity.
+/// their index and the scratch), its delivery (the enabled components and
+/// their index) and its hand-off.  Each step of the part empties the first
+/// two first — of a failed step's leftovers too — keeping the capacity;
+/// the hand-off is emptied by the delivery that consumes it.
 pub(crate) struct Slot<J: Job> {
     pub(crate) out: Outbox<J>,
     /// The enabled components the last delivery produced, in invocation
@@ -227,6 +232,10 @@ pub(crate) struct Slot<J: Job> {
     pub(crate) inbox: Vec<Enabled<J>>,
     /// Each enabled key's position in `inbox`.
     index: KeyMap<J::Key, u32>,
+    /// What the part's last step sent to the part itself, unencoded, when
+    /// the run hands off ([`PartTask::hand_off`]); the next delivery folds
+    /// it in where its spill would have sorted.
+    local: Vec<Envelope<J>>,
 }
 
 impl<T: Table, J: Job> PartTask<T, J> {
@@ -249,6 +258,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
             shuffle: None,
             gate: None,
             temps: None,
+            hand_off: false,
             slots: (0..env.parts())
                 .map(|_| {
                     let (out, index) = (Outbox::new(env.parts()), KeyMap::default());
@@ -256,6 +266,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
                         out,
                         inbox: Vec::new(),
                         index,
+                        local: Vec::new(),
                     })
                 })
                 .collect(),
@@ -286,19 +297,27 @@ impl<T: Table, J: Job> PartTask<T, J> {
         kv_with_retry(&self.retry, part, op)
     }
 
-    /// Drains this part's slice of `table`.  The accumulator lives inside
-    /// the retry closure so a drain that fails transiently (e.g. a severed
-    /// connection mid-stream) starts each attempt from a clean slate — no
-    /// pair is delivered twice.
+    /// Drains this part's slice of `table`, every pair once however the
+    /// attempts fail.  A retry after a failure mid-stream feeds pairs an
+    /// earlier attempt already holds again, and a retry after the deletes
+    /// landed but their acknowledgement was lost (a severed connection)
+    /// finds them gone; so the pairs accumulate across attempts, each key
+    /// kept once — a drained table's keys are unique.  A retry looks the
+    /// fed keys up in a set of the held ones, so a retried drain of a large
+    /// slice (the partials table's) stays linear; a first attempt holds
+    /// nothing and builds no set.
     pub(crate) fn drain(&self, view: &dyn PartView, table: &str) -> Result<Records, KvError> {
+        let mut acc = Records::new();
         self.retried(view.part().0, || {
-            let mut acc = Records::new();
+            let held: HashSet<RoutedKey> = acc.iter().map(|(kept, _)| kept.clone()).collect();
             view.drain(table, &mut |key, value| {
-                acc.push((key, value));
+                if !held.contains(&key) {
+                    acc.push((key, value));
+                }
                 ScanControl::Continue
-            })?;
-            Ok(acc)
-        })
+            })
+        })?;
+        Ok(acc)
     }
 
     /// Collocated state access through `view`.
@@ -352,16 +371,20 @@ impl<T: Table, J: Job> PartTask<T, J> {
     /// the transport of `step`, keyed `(step, src, seq)` and routed there —
     /// all through a single [`Table::put_batch`], so a batching store ships
     /// one coalesced frame per destination server instead of one RPC per
-    /// destination part.
+    /// destination part.  When the run hands off, the envelopes `src` sent
+    /// to itself go to `local` instead, unencoded: only what crosses a
+    /// partition boundary is marshalled.
     pub(crate) fn write_spills(
         &self,
         step: u32,
         src: u32,
         out: &mut Outbox<J>,
+        local: Option<&mut Vec<Envelope<J>>>,
     ) -> Result<PartOutput, EbspError> {
         let mut output = PartOutput::default();
         let seq = out.metrics.spill_batches;
-        (output.live, output.creates) = out.spill(|dst, blob| {
+        let keep = local.filter(|_| self.hand_off).map(|local| (src, local));
+        (output.live, output.creates) = out.spill(keep, |dst, blob| {
             let seq = seq + output.spilled.len() as u64;
             let key = RoutedKey::with_route(dst.into(), to_wire(&(step, src, seq)));
             output.spilled.push((key, blob));
@@ -378,11 +401,12 @@ impl<T: Table, J: Job> PartTask<T, J> {
 
     /// Delivers to this part what `step - 1` spilled to it: drains the
     /// part's slice of that step's transport table (or takes the `replay`
-    /// records of a fast recovery), folds the envelopes into per-component
-    /// message lists (combined pairwise on arrival where the job's combiner
-    /// applies), applies the state creations, and leaves the enabled
-    /// components in the `slot`'s inbox in invocation order — first arrival
-    /// in `(step, src, seq)` order, or by key iff the plan says so.  Returns
+    /// records of a fast recovery) and the `slot`'s hand-off, folds the
+    /// envelopes into per-component message lists (combined pairwise on
+    /// arrival where the job's combiner applies), applies the state
+    /// creations, and leaves the enabled components in the `slot`'s inbox in
+    /// invocation order — first arrival in `(step, src, seq)` order, the
+    /// hand-off at `src = part`, or by key iff the plan says so.  Returns
     /// the counters of the folding.
     pub(crate) fn deliver(
         &self,
@@ -393,6 +417,12 @@ impl<T: Table, J: Job> PartTask<T, J> {
     ) -> Result<StepCounters, EbspError> {
         let part = view.part().0;
         let mut counters = StepCounters::default();
+        // Fast recovery needs every spill in the store, so it runs without
+        // hand-offs.
+        debug_assert!(
+            replay.is_none() || slot.local.is_empty(),
+            "a replay has no hand-off"
+        );
         // A replay never re-fires audit probes: that would double-count.
         let probe = self.probe.as_ref().filter(|_| replay.is_none());
         let records = match replay {
@@ -408,28 +438,40 @@ impl<T: Table, J: Job> PartTask<T, J> {
             out,
             inbox: enabled,
             index,
+            local,
         } = slot;
         let mut creates: Vec<(u16, J::Key, J::State)> = Vec::new();
-        for (_, bytes) in sorted_spills(records)? {
+        let mut fold = |env: Envelope<J>| {
+            let (key, msg) = match env {
+                Envelope::Message { to, msg } => (to, Some(msg)),
+                Envelope::Continue { key } => (key, None),
+                Envelope::Create { tab, key, state } => return creates.push((tab, key, state)),
+            };
+            let Some(&at) = index.get(&key) else {
+                let routed = out.routed(&key);
+                index.insert(key.clone(), enabled.len() as u32);
+                return enabled.push((key, routed, msg.into_iter().collect()));
+            };
+            let list = &mut enabled[at as usize].2;
+            if let Some(msg) = msg {
+                let kept = fold_message(&*self.job, &key, list.last_mut(), msg, &mut counters);
+                list.extend(kept);
+            }
+        };
+        // The hand-off is what this part spilled to itself, tagged
+        // `(step - 1, part, _)`: it folds in where that tag sorts.
+        let mut kept = (!local.is_empty()).then_some(local);
+        for (tag, bytes) in sorted_spills(records)? {
+            if (tag.0, tag.1) > (step - 1, part) {
+                kept.take()
+                    .into_iter()
+                    .flat_map(|l| l.drain(..))
+                    .for_each(&mut fold);
+            }
             // Each envelope is folded as it is decoded: no vector of them.
-            from_wire_each(&bytes, |env: Envelope<J>| {
-                let (key, msg) = match env {
-                    Envelope::Message { to, msg } => (to, Some(msg)),
-                    Envelope::Continue { key } => (key, None),
-                    Envelope::Create { tab, key, state } => return creates.push((tab, key, state)),
-                };
-                let Some(&at) = index.get(&key) else {
-                    let routed = out.routed(&key);
-                    index.insert(key.clone(), enabled.len() as u32);
-                    return enabled.push((key, routed, msg.into_iter().collect()));
-                };
-                let list = &mut enabled[at as usize].2;
-                if let Some(msg) = msg {
-                    let kept = fold_message(&*self.job, &key, list.last_mut(), msg, &mut counters);
-                    list.extend(kept);
-                }
-            })?;
+            from_wire_each(&bytes, &mut fold)?;
         }
+        kept.into_iter().flat_map(|l| l.drain(..)).for_each(fold);
 
         self.apply_creates(view, creates, out)?;
 
@@ -592,20 +634,21 @@ impl<T: Table, J: Job> PartTask<T, J> {
         Ok(PartOutput {
             enabled: invoked,
             delivery,
-            ..self.finish_compute(step, part.0, out)?
+            ..self.finish_compute(step, part.0, &mut slot)?
         })
     }
 
     /// Ends a task that invoked at `part`: spills the envelopes its
-    /// invocations produced and hands back its aggregator partials and
-    /// counters.
+    /// invocations produced (handing off the part's own) and hands back its
+    /// aggregator partials and counters.
     pub(crate) fn finish_compute(
         &self,
         step: u32,
         part: u32,
-        out: &mut Outbox<J>,
+        slot: &mut Slot<J>,
     ) -> Result<PartOutput, EbspError> {
-        let spilled = self.write_spills(step, part, out)?;
+        let Slot { out, local, .. } = slot;
+        let spilled = self.write_spills(step, part, out, Some(local))?;
         // Large-aggregator path (§IV-A): rather than returning partials to the
         // table client, write them into an auxiliary table keyed (and routed)
         // by aggregator name; a later enumeration round merges them.

@@ -99,9 +99,11 @@ pub(crate) struct RecoveryHooks {
     pub(crate) promote: Box<PromoteFn>,
 }
 
-/// A consistent cut of a run: the barrier at `step`, all of it in the
-/// store — the state tables as the step left them and, in the step's
-/// transport table, what it spilled.  The step loop advances one, a
+/// A consistent cut of a run: the barrier at `step` — the state tables as
+/// the step left them and what it sent.  A recovery or durable launch keeps
+/// all of it in the store, everything sent in the step's transport table;
+/// any other launch keeps what each part sent to itself in the part's slot
+/// instead ([`PartTask::hand_off`]).  The step loop advances one, a
 /// checkpoint captures one, a rollback returns to one, and a durable run
 /// journals one and resumes from it.
 #[derive(Clone)]
@@ -280,6 +282,10 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
         && recovery.is_some()
         && opts.checkpoint_interval.is_some()
         && !env.plan.run_anywhere;
+    // Checkpoints capture the transport, fast recovery replays from what
+    // was spilled, and a resume reads the durable temporaries: only a
+    // launch with none of them keeps a part's own envelopes in memory.
+    let hand_off = recovery.is_none() && durable.is_none();
     let resuming = durable.as_ref().is_some_and(|d| d.resume.is_some());
     // Temp-table DDL is retried like every other store operation: against
     // a networked store a transient fault here would otherwise kill the
@@ -348,6 +354,7 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
             shuffle: opts.shuffle,
             gate: opts.task_gate.clone(),
             temps: Some(temps),
+            hand_off,
             ..PartTask::new(env, retry, opts.probe.clone())
         }),
         recovery,
@@ -455,7 +462,7 @@ impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
         let registry = &self.env.registry;
         let mut buffer = run_loaders(self.env, loaders, &self.task.retry)?;
         // The controller spills as a pseudo-source.
-        let spilled = self.task.write_spills(0, u32::MAX, &mut buffer)?;
+        let spilled = self.task.write_spills(0, u32::MAX, &mut buffer, None)?;
         self.metrics.absorb(&buffer.metrics);
 
         let mut agg_values = registry.identities();

@@ -4,12 +4,18 @@
 //! handling, never the converged result.  So: the same countdown job must
 //! take the same number of steps and do the same work through every
 //! launch mode the store supports, and a gated launch must match an
-//! ungated one byte-for-byte.
+//! ungated one byte-for-byte.  A plain launch keeps what a part sends to
+//! itself in memory where a recovery launch spills it; that too must
+//! change nothing but the spill count.
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use ripple_core::{FnLoader, JobRunner, LoadSink, RunOptions, SemaphoreGate, SimpleJob};
-use ripple_kv::KvStore;
+use ripple_core::{
+    ComputeContext, EbspError, FnLoader, Job, JobRunner, LoadSink, RunMetrics, RunOptions,
+    SemaphoreGate, SimpleJob,
+};
+use ripple_kv::{KvStore, StoreMetrics};
 use ripple_store_mem::MemStore;
 
 type CountDown = SimpleJob<u32, u32, u32>;
@@ -147,4 +153,110 @@ fn gated_launch_is_byte_identical_to_ungated() {
         state_digest(&gated_store, "d"),
         "a task gate must schedule work, not change it"
     );
+}
+
+const BRAID_KEYS: u32 = 60;
+
+/// A job whose every byte depends on the order messages arrive and are
+/// sent in: its combiner is a non-commutative digest that declines a
+/// seeded share of folds, and a component folds the list it receives, in
+/// order, into its state.  Each component messages itself and two others
+/// every step, so a part hears from itself and from other parts.  It does
+/// not declare `needs-order`: a part invokes in first-arrival order, which
+/// is also the order its sends fold in.
+struct Braid;
+
+impl Job for Braid {
+    type Key = u32;
+    type State = u64;
+    type Message = u64;
+    type OutKey = ();
+    type OutValue = ();
+
+    fn state_tables(&self) -> Vec<String> {
+        vec!["braid".to_owned()]
+    }
+
+    fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
+        let (k, step) = (*ctx.key(), ctx.step());
+        let mut state = ctx.read_state(0)?.unwrap_or(0);
+        for msg in ctx.messages() {
+            state = state.wrapping_mul(31).wrapping_add(*msg);
+        }
+        ctx.write_state(0, &state)?;
+        if step < 6 {
+            ctx.send(k, state ^ u64::from(step));
+            ctx.send((k * 7 + step) % BRAID_KEYS, state.rotate_left(step));
+            ctx.send((k + 1) % BRAID_KEYS, state.wrapping_add(u64::from(k)));
+        }
+        Ok(false)
+    }
+
+    fn combine_messages(&self, key: &u32, into: &mut u64, msg: u64) -> Option<u64> {
+        let draw =
+            (u64::from(*key) ^ *into ^ msg.rotate_left(17)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        if draw >> 62 == 0 {
+            return Some(msg);
+        }
+        *into = into.wrapping_mul(31).wrapping_add(msg);
+        None
+    }
+}
+
+fn braid_loader() -> Box<dyn ripple_core::Loader<Braid>> {
+    Box::new(FnLoader::new(|sink: &mut dyn LoadSink<Braid>| {
+        for k in 0..BRAID_KEYS {
+            sink.state(0, k, u64::from(k) * 0x51ed)?;
+            sink.enable(k)?;
+        }
+        Ok(())
+    }))
+}
+
+/// The run's counts, all but the spill batches, the store's delta (which
+/// the recovery launch's checkpoints add to) and the wall time.
+fn counts_but_spills(metrics: &RunMetrics) -> String {
+    let metrics = RunMetrics {
+        spill_batches: 0,
+        store: StoreMetrics::default(),
+        elapsed: Duration::ZERO,
+        ..metrics.clone()
+    };
+    format!("{metrics:?}")
+}
+
+#[test]
+fn own_part_messages_kept_in_memory_fold_where_their_spill_would() {
+    for parts in [3, 5] {
+        let launch = |recovery: bool| {
+            let store = MemStore::builder().default_parts(parts).build();
+            let runner = JobRunner::new(store.clone());
+            let options = RunOptions::new().loader(braid_loader());
+            let outcome = if recovery {
+                runner.launch(Arc::new(Braid), options.recovery())
+            } else {
+                runner.launch(Arc::new(Braid), options)
+            }
+            .expect("run");
+            let table = store.lookup_table("braid").expect("state table");
+            let state = store.snapshot_table(&table).expect("snapshot");
+            (outcome, state.entries().to_vec())
+        };
+        let (kept, kept_state) = launch(false);
+        let (spilled, spilled_state) = launch(true);
+        assert_eq!(kept.steps, 6, "{parts} parts");
+        assert_eq!(kept_state, spilled_state, "{parts} parts: state bytes");
+        assert_eq!(
+            counts_but_spills(&kept.metrics),
+            counts_but_spills(&spilled.metrics),
+            "{parts} parts"
+        );
+        // Every part messages itself in each of the five sending steps, and
+        // only the recovery launch spills those buckets.
+        assert_eq!(
+            spilled.metrics.spill_batches - kept.metrics.spill_batches,
+            u64::from(parts) * 5,
+            "{parts} parts"
+        );
+    }
 }

@@ -19,6 +19,7 @@ use ripple::kv::{KvError, PartView, ScanControl, StoreMetrics, TaskHandle};
 use ripple::prelude::*;
 use ripple::store::{FaultKind, FaultOp, FaultPlan};
 use ripple::store_simple::SimpleStore;
+use ripple::wire::from_wire;
 
 // ---------------------------------------------------------------------------
 // A store decorator that logs which SPI calls reach the inner store
@@ -34,6 +35,8 @@ struct Logged<S> {
     log: Arc<Mutex<Vec<Call>>>,
     /// Armed: the next point operation on a table handle fails transiently.
     trip: Arc<AtomicBool>,
+    /// Armed: the next part-view drain fails transiently after it drained.
+    lose_ack: Arc<AtomicBool>,
 }
 
 #[derive(Clone)]
@@ -46,6 +49,7 @@ struct LoggedTable<T> {
 struct LoggedView<'a> {
     inner: &'a dyn PartView,
     log: &'a Mutex<Vec<Call>>,
+    lose_ack: &'a AtomicBool,
 }
 
 fn record(log: &Mutex<Vec<Call>>, op: &'static str, table: &str, records: usize) {
@@ -60,6 +64,7 @@ impl<S: KvStore> Logged<S> {
             inner,
             log: Arc::default(),
             trip: Arc::default(),
+            lose_ack: Arc::default(),
         }
     }
 
@@ -72,6 +77,14 @@ impl<S: KvStore> Logged<S> {
 
     fn tripped(&self) -> bool {
         !self.trip.load(Ordering::SeqCst)
+    }
+
+    /// The first part-view drain takes its pairs and deletes them, then
+    /// fails transiently — as a networked drain does when the connection
+    /// drops before the deletes are acknowledged.
+    fn losing_first_drain_ack(self) -> Self {
+        self.lose_ack.store(true, Ordering::SeqCst);
+        self
     }
 
     fn wrap(&self, inner: S::Table) -> LoggedTable<S::Table> {
@@ -175,7 +188,15 @@ impl PartView for LoggedView<'_> {
         f: &mut dyn FnMut(RoutedKey, Bytes) -> ScanControl,
     ) -> Result<(), KvError> {
         record(self.log, "drain", table, 0);
-        self.inner.drain(table, f)
+        self.inner.drain(table, f)?;
+        if self.lose_ack.swap(false, Ordering::SeqCst) {
+            return Err(KvError::Transient {
+                op: "drain",
+                part: self.part().0,
+                detail: "acknowledgement lost".into(),
+            });
+        }
+        Ok(())
     }
     fn len(&self, table: &str) -> Result<usize, KvError> {
         self.inner.len(table)
@@ -209,11 +230,12 @@ impl<S: KvStore> KvStore for Logged<S> {
         R: Send + 'static,
         F: FnOnce(&dyn PartView) -> R + Send + 'static,
     {
-        let log = Arc::clone(&self.log);
+        let (log, lose_ack) = (Arc::clone(&self.log), Arc::clone(&self.lose_ack));
         self.inner.run_at(&reference.inner, part, move |view| {
             task(&LoggedView {
                 inner: view,
                 log: &log,
+                lose_ack: &lose_ack,
             })
         })
     }
@@ -782,6 +804,8 @@ struct Fan {
     /// Declares what lets the engine steal invocations (*run-anywhere*):
     /// the combiner always folds, so one message per key arrives.
     anywhere: bool,
+    /// The step before which the aborter ends the run, if any.
+    abort_at: Option<u32>,
 }
 
 impl Job for Fan {
@@ -821,6 +845,14 @@ impl Job for Fan {
         *into += msg;
         None
     }
+
+    fn has_aborter(&self) -> bool {
+        self.abort_at.is_some()
+    }
+
+    fn aborter(&self, _aggregates: &AggregateSnapshot, next_step: u32) -> bool {
+        self.abort_at == Some(next_step)
+    }
 }
 
 /// The counts a leftover in a part's buffers would change.
@@ -840,7 +872,10 @@ fn fan_reference(anywhere: bool) -> (Vec<(RoutedKey, Bytes)>, [u64; 4]) {
     let simple = SimpleStore::new(3);
     let outcome = one_at_a_time(&simple)
         .launch(
-            Arc::new(Fan { anywhere }),
+            Arc::new(Fan {
+                anywhere,
+                abort_at: None,
+            }),
             RunOptions::new().loader(load_keys(FAN)),
         )
         .expect("reference run");
@@ -863,7 +898,10 @@ fn a_transport_batch_failing_after_the_outbox_drained_heals_to_the_reference() {
         .build();
     let outcome = JobRunner::new(store.clone())
         .launch(
-            Arc::new(Fan { anywhere: false }),
+            Arc::new(Fan {
+                anywhere: false,
+                abort_at: None,
+            }),
             RunOptions::new().loader(load_keys(FAN)),
         )
         .expect("the faulted run heals");
@@ -880,22 +918,96 @@ fn a_transport_batch_failing_after_the_outbox_drained_heals_to_the_reference() {
 }
 
 /// Launches of one job on one runner share nothing: each counts and ends
-/// as the reference does.
+/// as the reference does — also after a first launch that was aborted with
+/// what its parts sent themselves still in their slots.
 #[test]
 fn a_second_launch_on_one_runner_counts_and_ends_like_the_first() {
     let (table, counts) = fan_reference(false);
-    let store = MemStore::builder().default_parts(3).build();
-    let runner = JobRunner::new(store.clone());
-    for launch in 1..=2 {
-        let outcome = runner
-            .launch(
-                Arc::new(Fan { anywhere: false }),
-                RunOptions::new().loader(load_keys(FAN)),
-            )
-            .expect("run");
-        assert_eq!(plane_counts(&outcome.metrics), counts, "launch {launch}");
-        assert_eq!(raw_table(&store), table, "launch {launch}");
+    for abort_first in [false, true] {
+        let store = MemStore::builder().default_parts(3).build();
+        let runner = JobRunner::new(store.clone());
+        for launch in 1..=2 {
+            let abort_at = (abort_first && launch == 1).then_some(3);
+            let fan = Fan {
+                anywhere: false,
+                abort_at,
+            };
+            let outcome = (runner.launch(Arc::new(fan), RunOptions::new().loader(load_keys(FAN))))
+                .expect("run");
+            let launch = format!("launch {launch}, abort_first {abort_first}");
+            if abort_at.is_some() {
+                assert!(outcome.aborted && outcome.steps == 2, "{launch}");
+                continue;
+            }
+            assert_eq!(plane_counts(&outcome.metrics), counts, "{launch}");
+            assert_eq!(raw_table(&store), table, "{launch}");
+        }
     }
+}
+
+/// Components that message and re-enable only themselves, so every
+/// envelope a part sends is its own.
+struct SelfTalk;
+
+impl Job for SelfTalk {
+    type Key = u32;
+    type State = u64;
+    type Message = u64;
+    type OutKey = ();
+    type OutValue = ();
+
+    fn state_tables(&self) -> Vec<String> {
+        vec![TABLE.to_owned()]
+    }
+
+    fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
+        let heard: u64 = ctx.messages().iter().sum();
+        let state = ctx.read_state(0)?.unwrap_or(0) + heard;
+        ctx.write_state(0, &state)?;
+        if ctx.step() < 4 {
+            ctx.send(*ctx.key(), state + 1);
+        }
+        Ok(ctx.step() < 3)
+    }
+}
+
+/// What a part sends to itself stays in its memory: after the loader's
+/// step-0 spill, a run of only self-addressed traffic writes no transport.
+#[test]
+fn self_addressed_traffic_writes_no_transport_after_step_zero() {
+    let store = Logged::new(MemStore::builder().default_parts(3).build());
+    let outcome = JobRunner::new(store.clone())
+        .launch(Arc::new(SelfTalk), RunOptions::new().loader(load_keys(90)))
+        .expect("run");
+    assert_eq!(outcome.steps, 4);
+    let spills = (store.calls().into_iter())
+        .filter(|c| c.1 == "table.put_batch" && c.2.starts_with("__ebsp_xport"))
+        .map(|c| (c.0, c.2))
+        .collect::<Vec<_>>();
+    let loader = (
+        std::thread::current().id(),
+        "__ebsp_xport0_plane_0".to_owned(),
+    );
+    assert_eq!(spills, [loader], "only the loader spills");
+    assert_eq!(
+        outcome.metrics.spill_batches, 3,
+        "one loader batch per part"
+    );
+    // Step 1 hears nothing; steps 2 to 4 each add what the last sent.
+    let want: Vec<u64> = (0..90u64)
+        .map(|k| (0..3).fold(k * 10, |state, _| 2 * state + 1))
+        .collect();
+    let got: Vec<u64> = {
+        let table = store.lookup_table(TABLE).expect("state table");
+        let mut pairs: Vec<(u32, u64)> = (store.snapshot_table(&table).expect("snapshot"))
+            .entries()
+            .iter()
+            .map(|(k, v)| (from_wire(k.body()).unwrap(), from_wire(v).unwrap()))
+            .collect();
+        pairs.sort_unstable();
+        pairs.into_iter().map(|(_, v)| v).collect()
+    };
+    assert_eq!(got, want);
 }
 
 /// Run-anywhere delivers through each part's buffers in one round and
@@ -906,7 +1018,10 @@ fn run_anywhere_rounds_count_and_end_like_the_reference() {
     let store = MemStore::builder().default_parts(3).build();
     let outcome = one_at_a_time(&store)
         .launch(
-            Arc::new(Fan { anywhere: true }),
+            Arc::new(Fan {
+                anywhere: true,
+                abort_at: None,
+            }),
             RunOptions::new().loader(load_keys(FAN)),
         )
         .expect("run");
@@ -982,6 +1097,34 @@ fn a_launch_after_an_aborted_one_ends_like_a_fresh_runners() {
         raw_table_named(&store, "adaptive"),
         raw_table_named(&fresh, "adaptive")
     );
+}
+
+/// A drain retried after its deletes landed finds its slice empty; what
+/// the failed attempt drained is still delivered, once.
+#[test]
+fn a_drain_retried_after_its_deletes_landed_loses_nothing() {
+    let ring = || {
+        Arc::new(Ring {
+            n: 90,
+            steps: 4,
+            anywhere: false,
+        })
+    };
+    let simple = SimpleStore::new(3);
+    JobRunner::new(simple.clone())
+        .launch(ring(), RunOptions::new().loader(load_keys(90)))
+        .expect("reference run");
+    let store = Logged::new(MemStore::builder().default_parts(3).build()).losing_first_drain_ack();
+    let outcome = JobRunner::new(store.clone())
+        .launch(ring(), RunOptions::new().loader(load_keys(90)))
+        .expect("the run heals");
+    assert!(
+        !store.lose_ack.load(Ordering::SeqCst),
+        "a drain lost its ack"
+    );
+    assert_eq!(outcome.metrics.retries, 1);
+    assert_eq!(outcome.steps, 4);
+    assert_eq!(raw_table(&store.inner), raw_table(&simple));
 }
 
 #[test]
