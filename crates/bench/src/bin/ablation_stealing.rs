@@ -11,6 +11,8 @@
 //! Usage: `cargo run --release -p ripple-bench --bin ablation_stealing --
 //! [--components 400] [--work-us 200] [--parts 4] [--trials 3]`
 
+#![expect(clippy::disallowed_methods, reason = "components simulate work")]
+
 use std::sync::Arc;
 
 use ripple_bench::{timed_trials, Args, Stats};

@@ -5,7 +5,9 @@
 //! source; ~1.8 million random power-law edges added; initial distances
 //! solved; then, ten times, a batch of 1,000 random primitive changes is
 //! generated and applied, and the distance annotations are updated.  The
-//! elapsed time for the ten batch-updates is summed per trial.
+//! elapsed time for the ten batch-updates is summed per trial, and split
+//! into the engine runs' time (`RunMetrics::elapsed`) and the rest:
+//! applying the batch's changes to the stored graph before each launch.
 //!
 //! Paper: selective enablement took **0.21 ± 0.03 s** for the ten batches,
 //! full scanning took **78 ± 5 s** — roughly 370×, even though the
@@ -22,8 +24,10 @@
 //! (`{"store":"...","steps":[...]}`) — the step-level view of a change
 //! wave's blast radius.
 
+use std::time::Instant;
+
 use ripple_bench::{dispatch, Args, Stats, StoreBench, StoreChoice};
-use ripple_core::{step_profiles_json, JobRunner};
+use ripple_core::{step_profiles_json, EbspError, JobRunner, RunMetrics};
 use ripple_graph::generate::{random_change_batch, random_undirected};
 use ripple_graph::sssp::{bfs_oracle, FullScanInstance, SelectiveInstance};
 use ripple_kv::KvStore;
@@ -71,10 +75,8 @@ fn run<S: KvStore>(
          {parts} parts, {choice} store (paper scale /{scale})"
     );
 
-    let mut selective_times = Vec::new();
-    let mut fullscan_times = Vec::new();
-    let mut sel_invocations = 0u64;
-    let mut fs_invocations = 0u64;
+    let mut selective = Leg::default();
+    let mut fullscan = Leg::default();
 
     for trial in 0..trials {
         let seed = 0xD15C0 + trial as u64;
@@ -95,22 +97,18 @@ fn run<S: KvStore>(
             )
         };
 
-        let mut sel_elapsed = 0.0;
-        let mut fs_elapsed = 0.0;
+        selective.trials.push((0.0, 0.0));
+        if fs.is_some() {
+            fullscan.trials.push((0.0, 0.0));
+        }
         for b in 0..batches {
             let batch = random_change_batch(n, batch_size, 0.8, seed * 1000 + b as u64);
             for c in &batch {
                 graph.apply(*c);
             }
-            let t = std::time::Instant::now();
-            let m = sel.apply_batch(&batch).expect("selective update");
-            sel_elapsed += t.elapsed().as_secs_f64();
-            sel_invocations += m.invocations;
+            selective.time(|| sel.apply_batch(&batch));
             if let Some(fs) = &fs {
-                let t = std::time::Instant::now();
-                let m = fs.apply_batch(&batch).expect("full-scan update");
-                fs_elapsed += t.elapsed().as_secs_f64();
-                fs_invocations += m.invocations;
+                fullscan.time(|| fs.apply_batch(&batch));
             }
         }
         // Verify against the oracle at end of trial.
@@ -123,25 +121,13 @@ fn run<S: KvStore>(
                 assert_eq!(d, oracle[v as usize], "full-scan diverged at vertex {v}");
             }
         }
-        selective_times.push(sel_elapsed);
-        if fs.is_some() {
-            fullscan_times.push(fs_elapsed);
-        }
     }
 
-    let sel = Stats::of(&selective_times);
-    println!(
-        "  selective enablement: {sel} s for {batches} batches \
-         ({sel_invocations} component invocations total)"
-    );
-    if fullscan_times.is_empty() {
+    let sel = selective.report("selective enablement", batches);
+    if fullscan.trials.is_empty() {
         println!("  full scan: skipped (--skip-fullscan)");
     } else {
-        let fs = Stats::of(&fullscan_times);
-        println!(
-            "  full scan:            {fs} s for {batches} batches \
-             ({fs_invocations} component invocations total)"
-        );
+        let fs = fullscan.report("full scan", batches);
         println!(
             "  speedup: {:.0}x (paper: 78 / 0.21 = ~370x)",
             fs.mean / sel.mean
@@ -170,5 +156,44 @@ fn run<S: KvStore>(
             "  wrote {} step profiles of one change wave to {path}",
             profiles.len()
         );
+    }
+}
+
+/// One leg's batch updates: `(wall, run)` seconds per trial, `run` being
+/// the engine runs' share (`RunMetrics::elapsed`), and the invocations of
+/// all trials.
+#[derive(Default)]
+struct Leg {
+    trials: Vec<(f64, f64)>,
+    invocations: u64,
+}
+
+impl Leg {
+    /// Applies one batch through `apply`, adding to the last trial.
+    fn time(&mut self, apply: impl FnOnce() -> Result<RunMetrics, EbspError>) {
+        #[expect(clippy::disallowed_methods, reason = "the bench reports wall time")]
+        let started = Instant::now();
+        let metrics = apply().expect("batch update");
+        let (wall, run) = self.trials.last_mut().expect("a trial is open");
+        *wall += started.elapsed().as_secs_f64();
+        *run += metrics.elapsed.as_secs_f64();
+        self.invocations += metrics.invocations;
+    }
+
+    /// Prints the leg's per-trial times and invocations; returns its wall
+    /// time.
+    fn report(&self, name: &str, batches: usize) -> Stats {
+        let stats =
+            |f: fn(&(f64, f64)) -> f64| Stats::of(&self.trials.iter().map(f).collect::<Vec<_>>());
+        let wall = stats(|t| t.0);
+        let label = format!("{name}:");
+        println!(
+            "  {label:<21} {wall} s for {batches} batches = run {} s + apply changes {} s \
+             ({:.0} component invocations per trial)",
+            stats(|t| t.1),
+            stats(|t| t.0 - t.1),
+            self.invocations as f64 / self.trials.len() as f64,
+        );
+        wall
     }
 }

@@ -65,6 +65,7 @@ impl std::fmt::Display for Stats {
 pub fn timed_trials(trials: usize, mut f: impl FnMut(usize)) -> Vec<f64> {
     (0..trials)
         .map(|t| {
+            #[expect(clippy::disallowed_methods, reason = "timed_trials reports wall time")]
             let start = Instant::now();
             f(t);
             start.elapsed().as_secs_f64()

@@ -38,6 +38,7 @@ pub(crate) fn run_step_anywhere<S: KvStore, J: Job>(
     // Round one: every part delivers and ships its enabled components to
     // the controller (this is the "distant from the state" traffic the
     // rare-state property declares cheap).
+    #[expect(clippy::disallowed_methods, reason = "times the deliver round only")]
     let begun = Instant::now();
     let mut output = PartOutput::default();
     let mut queue: Vec<Enabled<J>> = Vec::new();

@@ -595,6 +595,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
         replay: Option<Replay>,
     ) -> Result<PartOutput, EbspError> {
         let part = view.part();
+        #[expect(clippy::disallowed_methods, reason = "times a part-task span only")]
         let begun = Instant::now();
         let replaying = replay.is_some();
         let suppress = replay.as_ref().is_some_and(|replay| replay.suppress);
@@ -724,9 +725,12 @@ where
                 // actual work, while scheduler queueing shows up in the
                 // gate's own accounting (and as barrier skew).
                 let _permit = task.gate.as_ref().map(GatePermit::acquire);
+                #[expect(clippy::disallowed_methods, reason = "times a part-task span only")]
                 let begun = Instant::now();
                 let result = work(&task, view);
-                (begun, Instant::now(), result)
+                #[expect(clippy::disallowed_methods, reason = "times a part-task span only")]
+                let finished = Instant::now();
+                (begun, finished, result)
             })
         })
         .collect();

@@ -172,6 +172,7 @@ fn drive<S: KvStore, J: Job, Q: QueueSet>(
     opts: &NosyncOptions,
     qs: &Q,
 ) -> Result<RunOutcome, EbspError> {
+    #[expect(clippy::disallowed_methods, reason = "times a StepProfile span only")]
     let started = Instant::now();
     let store_before = env.store.metrics();
     let detector = Arc::new(WeightThrow::new());
@@ -213,6 +214,7 @@ fn drive<S: KvStore, J: Job, Q: QueueSet>(
         std::thread::Builder::new()
             .name("ripple-nosync-watch".to_owned())
             .spawn(move || -> Option<Duration> {
+                #[expect(clippy::disallowed_methods, reason = "quiescence timeout (liveness)")]
                 let watch_started = Instant::now();
                 let deadline = watch_started + timeout;
                 let done = detector.wait_until(deadline, &|| {
@@ -432,6 +434,7 @@ fn worker_inner<T: Table, J: Job, Q: QueueSet>(
     let profile = &mut state.profile;
 
     'main: loop {
+        #[expect(clippy::disallowed_methods, reason = "times a StepProfile span only")]
         let wait_started = Instant::now();
         let Some(first) = rx.recv_timeout(wenv.idle)? else {
             // Idle poll; all weight already returned.
@@ -440,6 +443,7 @@ fn worker_inner<T: Table, J: Job, Q: QueueSet>(
             continue;
         };
         profile.idle += wait_started.elapsed();
+        #[expect(clippy::disallowed_methods, reason = "times a StepProfile span only")]
         let busy_started = Instant::now();
         if profile.batches == 0 && profile.start.is_zero() {
             // First activity: anchor this worker's lane on the run

@@ -266,6 +266,7 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
     durable: Option<DurableOpts>,
     slot: &TempSlot<S>,
 ) -> Result<RunOutcome, EbspError> {
+    #[expect(clippy::disallowed_methods, reason = "times a StepProfile span only")]
     let started = Instant::now();
     let store_before = env.store.metrics();
     let profile = opts.profile.then(|| ProfileLog {
@@ -501,6 +502,7 @@ impl<S: KvStore, J: Job> SyncRun<'_, S, J> {
         let registry = &self.env.registry;
         let step = cut.step + 1;
 
+        #[expect(clippy::disallowed_methods, reason = "times a StepProfile span only")]
         let begin = Instant::now();
         let (output, parts) = if self.env.plan.run_anywhere {
             let output = anywhere::run_step_anywhere(self.env, &self.task, step, &cut.agg);

@@ -44,6 +44,8 @@
 //! `examples/` directory for PageRank, SUMMA matrix multiplication, and
 //! incremental single-source shortest paths.
 
+#![deny(clippy::unwrap_used)]
+
 mod aggregate;
 mod audit;
 mod context;

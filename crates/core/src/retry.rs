@@ -156,6 +156,7 @@ pub(crate) fn kv_with_retry<T>(
                     observer.on_event(&RunEvent::Retry { part, attempt });
                 }
                 retry.retries.fetch_add(1, Ordering::Relaxed);
+                #[expect(clippy::disallowed_methods, reason = "the documented retry backoff")]
                 std::thread::sleep(retry.policy.delay_for(attempt, u64::from(part)));
                 attempt += 1;
             }

@@ -113,6 +113,7 @@ impl TaskGate for SemaphoreGate {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "permit holders must overlap")]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};

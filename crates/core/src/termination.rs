@@ -107,6 +107,7 @@ impl WeightThrow {
             if condition() {
                 return true;
             }
+            #[expect(clippy::disallowed_methods, reason = "quiescence timeout (liveness)")]
             let now = Instant::now();
             if now >= deadline {
                 return condition();
@@ -139,6 +140,7 @@ impl WeightThrow {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests run under deadlines")]
 mod tests {
     use super::*;
     use std::sync::Arc;

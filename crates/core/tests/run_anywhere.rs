@@ -1,6 +1,8 @@
 //! Tests of the run-anywhere (work-stealing) compute phase, enabled by
 //! `one-msg ∧ no-continue ∧ rare-state`.
 
+#![expect(clippy::disallowed_methods, reason = "components simulate work")]
+
 use std::sync::Arc;
 
 use ripple_core::{

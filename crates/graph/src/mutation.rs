@@ -79,8 +79,10 @@ impl MutationQueue {
     pub fn wait_drain(&self, max: usize, timeout: Duration) -> Vec<GraphChange> {
         let (lock, cv) = &*self.inner;
         let mut state = lock.lock().expect("mutation queue poisoned");
+        #[expect(clippy::disallowed_methods, reason = "wait_drain's shutdown deadline")]
         let deadline = std::time::Instant::now() + timeout;
         while state.pending.is_empty() && !state.closed {
+            #[expect(clippy::disallowed_methods, reason = "wait_drain's shutdown deadline")]
             let now = std::time::Instant::now();
             if now >= deadline {
                 return Vec::new();
@@ -139,6 +141,7 @@ impl MutationQueue {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "waiters must block first")]
 mod tests {
     use super::*;
 

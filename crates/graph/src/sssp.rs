@@ -313,7 +313,10 @@ impl<S: KvStore> SelectiveInstance<S> {
     /// touched endpoint is read and decoded once for the batch and, if an
     /// edit changed it, written once at the end, all through one
     /// [`Table::put_batch`].
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "a seed is (vertex, (neighbor, its distance)); an alias would hide that"
+    )]
     fn seed_batch(
         &self,
         changes: &[GraphChange],

@@ -173,10 +173,12 @@ impl KvError {
     /// structural fix, not a retry.
     ///
     /// The match is deliberately exhaustive, variant by variant, with no
-    /// wildcard arm: every error class must take a position in the
-    /// transient/permanent split, and adding a variant without classifying
-    /// it fails both the compile and the `error-class-coverage` lint.
+    /// wildcard arm (clippy's `wildcard_enum_match_arm` is denied here):
+    /// every error class must take a position in the transient/permanent
+    /// split, and adding a variant without classifying it fails the
+    /// compile.
     #[must_use]
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn is_transient(&self) -> bool {
         match self {
             // Retryable as-is: the fault is momentary (injected fault,

@@ -108,6 +108,7 @@ impl Drop for PartExecutor {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the wait has a deadline")]
 mod tests {
     use std::thread::ThreadId;
     use std::time::{Duration, Instant};

@@ -28,6 +28,8 @@
 //!   with [`KvStore::run_at`]; inside that code, operations against locally
 //!   placed data skip marshalling while remote operations pay it.
 
+#![deny(clippy::unwrap_used)]
+
 mod combine;
 mod consumer;
 mod durable;

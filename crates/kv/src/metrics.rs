@@ -410,6 +410,7 @@ impl fmt::Display for StoreMetrics {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "latency needs a real instant")]
 mod tests {
     use super::*;
 

@@ -34,7 +34,10 @@ use crate::MapReduce;
 pub struct ClosureMapReduce<IK, IV, MK, MV, OV, M, R> {
     map: M,
     reduce: R,
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "the marker only names the five type parameters"
+    )]
     _marker: std::marker::PhantomData<fn() -> (IK, IV, MK, MV, OV)>,
 }
 

@@ -121,15 +121,18 @@ impl QueueReceiver for TableReceiver<'_> {
         if let Some(msg) = self.buffer.pop_front() {
             return Ok(Some(msg));
         }
+        #[expect(clippy::disallowed_methods, reason = "recv_timeout's own deadline")]
         let deadline = Instant::now() + timeout;
         loop {
             self.refill()?;
             if let Some(msg) = self.buffer.pop_front() {
                 return Ok(Some(msg));
             }
+            #[expect(clippy::disallowed_methods, reason = "recv_timeout's own deadline")]
             if Instant::now() >= deadline {
                 return Ok(None);
             }
+            #[expect(clippy::disallowed_methods, reason = "SPI has no cross-part wakeup")]
             std::thread::sleep(POLL_INTERVAL);
         }
     }

@@ -134,6 +134,7 @@ impl FairScheduler {
     /// Panics if `id` was never registered, or if the scheduler lock is
     /// poisoned (a grant-holder panicked).
     pub fn acquire(&self, id: u64) {
+        #[expect(clippy::disallowed_methods, reason = "queue-wait accounting only")]
         let start = Instant::now();
         let mut inner = self.lock();
         let idx = inner

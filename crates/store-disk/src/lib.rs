@@ -41,6 +41,8 @@
 //! design, so tests (and the differential proptest) can model a hard
 //! crash with an ordinary drop.
 
+#![deny(clippy::unwrap_used)]
+
 mod snapshot;
 mod store;
 mod wal;

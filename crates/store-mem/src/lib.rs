@@ -40,6 +40,8 @@
 //! # }
 //! ```
 
+#![deny(clippy::unwrap_used)]
+
 mod fault;
 mod partitioning;
 mod snapshot;

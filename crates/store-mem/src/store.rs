@@ -87,6 +87,7 @@ impl StoreInner {
         match injector.decide(part.0, op) {
             None => Ok(()),
             Some(FaultAction::Delay(d)) => {
+                #[expect(clippy::disallowed_methods, reason = "FaultAction::Delay by design")]
                 std::thread::sleep(d);
                 Ok(())
             }

@@ -431,6 +431,7 @@ fn spawn_pump(
                         return;
                     }
                     Some(NetFault::Delay(d)) => {
+                        #[expect(clippy::disallowed_methods, reason = "NetFault::Delay by design")]
                         std::thread::sleep(d);
                         if dst.write_all(&buf).is_err() {
                             let _ = src.shutdown(Shutdown::Both);

@@ -46,6 +46,8 @@
 //! assert!(cluster.store.metrics().rpcs > 0);
 //! ```
 
+#![deny(clippy::unwrap_used)]
+
 pub mod chaos;
 mod client;
 pub mod dispatch;

@@ -352,6 +352,7 @@ impl Pool {
                 detail: "connection lost before send".to_owned(),
             });
         }
+        #[expect(clippy::disallowed_methods, reason = "times RPCs for the histogram")]
         let started = Instant::now();
 
         let mut buf = Vec::with_capacity(msg_len(payload.len()));

@@ -47,63 +47,78 @@ use bytes::Bytes;
 use ripple_kv::{KvError, RoutedKey};
 use ripple_wire::{from_wire, to_wire};
 
-/// Create a table from a spec.
-pub const REQ_CREATE_TABLE: u8 = 0x01;
-/// Create a table co-partitioned with an existing one.
-pub const REQ_CREATE_LIKE: u8 = 0x02;
-/// Create a co-partitioned table with per-part replicas.
-pub const REQ_CREATE_LIKE_REPLICATED: u8 = 0x03;
-/// Look up a table's metadata.
-pub const REQ_LOOKUP: u8 = 0x04;
-/// Drop a table.
-pub const REQ_DROP: u8 = 0x05;
-/// List live table names.
-pub const REQ_TABLE_NAMES: u8 = 0x06;
-/// Read one key.
-pub const REQ_GET: u8 = 0x10;
-/// Write one key, returning the previous value.
-pub const REQ_PUT: u8 = 0x11;
-/// Delete one key, returning whether it was present.
-pub const REQ_DELETE: u8 = 0x12;
-/// Server-local entry count of a table.
-pub const REQ_LEN: u8 = 0x13;
-/// Remove every entry of a table.
-pub const REQ_CLEAR: u8 = 0x14;
-/// Entry count of one part of a table.
-pub const REQ_PART_LEN: u8 = 0x15;
-/// Stream the pairs of one part.
-pub const REQ_SCAN: u8 = 0x20;
-/// Apply a batch of puts/deletes in one round trip.
-pub const REQ_APPLY: u8 = 0x30;
-/// Coalesced put batch: `(table, Option<combiner>, Vec<(key, value)>)`.
-/// When a combiner name travels with the batch, the server folds each
-/// record into the resident value instead of overwriting it; the combiner
-/// must be registered in the server store's combiner registry.
-pub const REQ_PUT_BATCH: u8 = 0x31;
-/// Bind a registered combiner to a table for server-side folding:
-/// `(table, combiner)`.
-pub const REQ_BIND_COMBINER: u8 = 0x32;
-/// Read many keys of one table in one round trip: `(table, Vec<key>)`;
-/// the response is one `Option<value>` per key, in request order.
-pub const REQ_GET_BATCH: u8 = 0x33;
-/// Dispatch a registered named task adjacent to a part.
-pub const REQ_RUN_TASK: u8 = 0x40;
-/// Fencing handshake: the client announces the replica-group epoch it is
-/// operating at; the server remembers the highest epoch it has seen and
-/// refuses the handshake (and all later data-plane requests on the
-/// connection) when the announced epoch is stale.
-pub const REQ_HELLO: u8 = 0x50;
-/// Liveness probe; the response carries the server's fencing epoch.
-pub const REQ_PING: u8 = 0x51;
+/// Declares each frame kind as a `pub const NAME: u8` and lists them all,
+/// by name, in [`FRAME_KINDS`]; a kind declared here is listed by
+/// construction.
+macro_rules! frame_kinds {
+    ($($(#[doc = $doc:literal])+ $name:ident = $value:literal,)+) => {
+        $($(#[doc = $doc])+ pub const $name: u8 = $value;)+
 
-/// Success response; payload depends on the request kind.
-pub const RESP_OK: u8 = 0x80;
-/// Failure response; payload is an encoded [`KvError`].
-pub const RESP_ERR: u8 = 0x81;
-/// One slice of a streamed scan: `Vec<(RoutedKey, Bytes)>`.
-pub const RESP_CHUNK: u8 = 0x82;
-/// End of a streamed response.
-pub const RESP_END: u8 = 0x83;
+        /// Every frame kind of the protocol, requests and responses, as
+        /// `(name, kind)` in declaration order.
+        pub const FRAME_KINDS: &[(&str, u8)] = &[$((stringify!($name), $name)),+];
+    };
+}
+
+frame_kinds! {
+    /// Create a table from a spec.
+    REQ_CREATE_TABLE = 0x01,
+    /// Create a table co-partitioned with an existing one.
+    REQ_CREATE_LIKE = 0x02,
+    /// Create a co-partitioned table with per-part replicas.
+    REQ_CREATE_LIKE_REPLICATED = 0x03,
+    /// Look up a table's metadata.
+    REQ_LOOKUP = 0x04,
+    /// Drop a table.
+    REQ_DROP = 0x05,
+    /// List live table names.
+    REQ_TABLE_NAMES = 0x06,
+    /// Read one key.
+    REQ_GET = 0x10,
+    /// Write one key, returning the previous value.
+    REQ_PUT = 0x11,
+    /// Delete one key, returning whether it was present.
+    REQ_DELETE = 0x12,
+    /// Server-local entry count of a table.
+    REQ_LEN = 0x13,
+    /// Remove every entry of a table.
+    REQ_CLEAR = 0x14,
+    /// Entry count of one part of a table.
+    REQ_PART_LEN = 0x15,
+    /// Stream the pairs of one part.
+    REQ_SCAN = 0x20,
+    /// Apply a batch of puts/deletes in one round trip.
+    REQ_APPLY = 0x30,
+    /// Coalesced put batch: `(table, Option<combiner>, Vec<(key, value)>)`.
+    /// When a combiner name travels with the batch, the server folds each
+    /// record into the resident value instead of overwriting it; the combiner
+    /// must be registered in the server store's combiner registry.
+    REQ_PUT_BATCH = 0x31,
+    /// Bind a registered combiner to a table for server-side folding:
+    /// `(table, combiner)`.
+    REQ_BIND_COMBINER = 0x32,
+    /// Read many keys of one table in one round trip: `(table, Vec<key>)`;
+    /// the response is one `Option<value>` per key, in request order.
+    REQ_GET_BATCH = 0x33,
+    /// Dispatch a registered named task adjacent to a part.
+    REQ_RUN_TASK = 0x40,
+    /// Fencing handshake: the client announces the replica-group epoch it is
+    /// operating at; the server remembers the highest epoch it has seen and
+    /// refuses the handshake (and all later data-plane requests on the
+    /// connection) when the announced epoch is stale.
+    REQ_HELLO = 0x50,
+    /// Liveness probe; the response carries the server's fencing epoch.
+    REQ_PING = 0x51,
+
+    /// Success response; payload depends on the request kind.
+    RESP_OK = 0x80,
+    /// Failure response; payload is an encoded [`KvError`].
+    RESP_ERR = 0x81,
+    /// One slice of a streamed scan: `Vec<(RoutedKey, Bytes)>`.
+    RESP_CHUNK = 0x82,
+    /// End of a streamed response.
+    RESP_END = 0x83,
+}
 
 /// A batched write in a [`REQ_APPLY`] payload.
 pub const APPLY_PUT: u8 = 0;
@@ -377,6 +392,19 @@ mod tests {
             partitioning_id: 42,
         };
         assert_eq!(TableMeta::decode(&m.encode()).unwrap(), m);
+    }
+
+    /// The frame catalogue in the module doc has one row per declared
+    /// kind, and no row for anything else.
+    #[test]
+    fn the_frame_catalogue_lists_every_kind() {
+        let rows: Vec<&str> = include_str!("proto.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! | [`"))
+            .filter_map(|row| row.split_once("`]").map(|(name, _)| name))
+            .collect();
+        let kinds: Vec<&str> = FRAME_KINDS.iter().map(|&(name, _)| name).collect();
+        assert_eq!(rows, kinds, "the frame catalogue and FRAME_KINDS differ");
     }
 
     #[test]

@@ -87,9 +87,11 @@ impl ServerState {
 
     /// Blocks until the in-flight count reaches zero or `grace` elapses.
     fn wait_drained(&self, grace: Duration) {
+        #[expect(clippy::disallowed_methods, reason = "stop_with_grace's deadline")]
         let deadline = Instant::now() + grace;
         let mut inflight = self.lock_inflight();
         while *inflight > 0 {
+            #[expect(clippy::disallowed_methods, reason = "stop_with_grace's deadline")]
             let Some(left) = deadline.checked_duration_since(Instant::now()) else {
                 return;
             };

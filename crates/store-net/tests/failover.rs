@@ -2,6 +2,8 @@
 //! fencing against deposed primaries (zombie defence), heartbeat-driven
 //! failure detection, and the drain semantics of a planned stop.
 
+#![expect(clippy::disallowed_methods, reason = "failover runs on real time")]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

@@ -2,6 +2,8 @@
 //! — the class both engines retry — and the store heals on the next
 //! attempt by reconnecting lazily.
 
+#![expect(clippy::disallowed_methods, reason = "a slow task must be cut")]
+
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -6,9 +6,13 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use ripple_core::{FnLoader, JobRunner, LoadSink, RunOptions, SimpleJob};
-use ripple_kv::{KvError, KvStore, PartId, RoutedKey, ScanControl, Table, TableSpec, TaskRegistry};
+use ripple_kv::{
+    KvError, KvStore, PartId, RoutedKey, ScanControl, StoreCounters, Table, TableSpec, TaskRegistry,
+};
 use ripple_store_mem::MemStore;
-use ripple_store_net::LoopbackCluster;
+use ripple_store_net::{
+    proto, LoopbackCluster, Membership, Pool, CONNECT_TIMEOUT, RESPONSE_TIMEOUT,
+};
 
 fn key(s: &str) -> RoutedKey {
     RoutedKey::from_body(Bytes::copy_from_slice(s.as_bytes()))
@@ -271,4 +275,36 @@ fn engine_runs_jobs_against_remote_parts() {
     assert_eq!(remote.steps, local.steps);
     assert_eq!(remote.metrics.invocations, local.metrics.invocations);
     assert!(cluster.store.metrics().rpcs > 0);
+}
+
+/// The server handles exactly the request kinds the protocol declares:
+/// every byte is sent once as a request kind with an empty payload, and
+/// only the undeclared ones (responses included) come back as an unknown
+/// request kind.
+#[test]
+fn the_server_handles_exactly_the_declared_request_kinds() {
+    let cluster = LoopbackCluster::spawn(1, 2);
+    let metrics = Arc::new(StoreCounters::new());
+    let server = vec![vec![cluster.handles[0].addr()]];
+    let membership = Arc::new(Membership::new(server, Arc::clone(&metrics)));
+    let pool = Pool::new(membership, metrics, CONNECT_TIMEOUT, RESPONSE_TIMEOUT);
+    // Epoch 0, an unreplicated client's: the sweep's own empty `REQ_HELLO`
+    // announces 0 too, and must not fence the connection.
+    let epoch = ripple_wire::to_wire(&0u64);
+    pool.unary(0, proto::REQ_HELLO, &epoch).expect("handshake");
+
+    for kind in 0..=u8::MAX {
+        let request = proto::FRAME_KINDS
+            .iter()
+            .any(|&(name, k)| k == kind && name.starts_with("REQ_"));
+        let unknown_kind = format!("unknown request kind {kind:#04x}");
+        let unknown = pool
+            .unary(0, kind, &[])
+            .is_err_and(|e| matches!(e, KvError::Backend { detail } if detail == unknown_kind));
+        assert_ne!(
+            request, unknown,
+            "{kind:#04x}: declared request kind {request}, handled {}",
+            !unknown
+        );
+    }
 }

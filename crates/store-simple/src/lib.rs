@@ -13,6 +13,8 @@
 //! views only see their slice, co-partitioning is honoured) — they are
 //! just not backed by separate threads or storage.
 
+#![deny(clippy::unwrap_used)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

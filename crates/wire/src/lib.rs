@@ -34,6 +34,8 @@
 //! # }
 //! ```
 
+#![deny(clippy::unwrap_used)]
+
 mod batch;
 mod error;
 mod frame;

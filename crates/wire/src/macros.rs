@@ -49,7 +49,11 @@ macro_rules! wire_struct {
         }
 
         impl $crate::Encode for $name {
-            fn encode(&self, #[allow(unused_variables)] w: &mut $crate::ByteWriter) {
+            fn encode(
+                &self,
+                #[allow(unused_variables, reason = "a struct without fields never uses the codec")]
+                w: &mut $crate::ByteWriter,
+            ) {
                 $( $crate::Encode::encode(&self.$field, w); )*
             }
             fn size_hint(&self) -> usize {
@@ -59,14 +63,16 @@ macro_rules! wire_struct {
 
         impl $crate::Decode for $name {
             fn decode(
-                #[allow(unused_variables)] r: &mut $crate::ByteReader<'_>,
+                #[allow(unused_variables, reason = "a struct without fields never uses the codec")]
+                r: &mut $crate::ByteReader<'_>,
             ) -> ::core::result::Result<Self, $crate::WireError> {
                 ::core::result::Result::Ok(Self {
                     $( $field: $crate::Decode::decode(r)?, )*
                 })
             }
             fn skip(
-                #[allow(unused_variables)] r: &mut $crate::ByteReader<'_>,
+                #[allow(unused_variables, reason = "a struct without fields never uses the codec")]
+                r: &mut $crate::ByteReader<'_>,
             ) -> ::core::result::Result<(), $crate::WireError> {
                 $( <$ftype as $crate::Decode>::skip(r)?; )*
                 ::core::result::Result::Ok(())

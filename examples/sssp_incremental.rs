@@ -8,6 +8,8 @@
 //!
 //! Run: `cargo run --release --example sssp_incremental`
 
+#![expect(clippy::disallowed_methods, reason = "the example times its queries")]
+
 use ripple::graph::generate::{random_change_batch, random_undirected};
 use ripple::graph::sssp::{bfs_oracle, FullScanInstance, SelectiveInstance};
 use ripple::prelude::*;

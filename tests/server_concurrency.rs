@@ -6,6 +6,8 @@
 //! queries between barriers while mutations stream in, and per-job step
 //! accounting must land in the server's profile JSON.
 
+#![expect(clippy::disallowed_methods, reason = "waits for changes to drain")]
+
 use std::sync::Arc;
 
 use ripple::graph::generate::{random_change_batch, random_undirected};
