@@ -716,18 +716,37 @@ where
     R: Send + 'static,
     F: Fn(&PartTask<S::Table, J>, &dyn PartView) -> Result<R, EbspError> + Clone + Send + 'static,
 {
-    let handles: Vec<_> = (0..task.parts)
+    let gated = Arc::clone(task);
+    gated_round(&env.store, &env.reference, task.gate.clone(), move |view| {
+        work(&gated, view)
+    })
+}
+
+/// Dispatches `work` to every part of `reference`, each task bracketed by
+/// `gate`, and joins: one round of part tasks, the barrier's and any other.
+pub(crate) fn gated_round<S, R, F>(
+    store: &S,
+    reference: &S::Table,
+    gate: Option<Arc<dyn TaskGate>>,
+    work: F,
+) -> Vec<Timed<R>>
+where
+    S: KvStore,
+    R: Send + 'static,
+    F: Fn(&dyn PartView) -> Result<R, EbspError> + Clone + Send + 'static,
+{
+    let handles: Vec<_> = (0..reference.part_count())
         .map(|p| {
-            let task = Arc::clone(task);
+            let gate = gate.clone();
             let work = work.clone();
-            env.store.run_at(&env.reference, PartId(p), move |view| {
+            store.run_at(reference, PartId(p), move |view| {
                 // Acquire before the timed span: per-part walls then measure
                 // actual work, while scheduler queueing shows up in the
                 // gate's own accounting (and as barrier skew).
-                let _permit = task.gate.as_ref().map(GatePermit::acquire);
+                let _permit = gate.as_ref().map(GatePermit::acquire);
                 #[expect(clippy::disallowed_methods, reason = "times a part-task span only")]
                 let begun = Instant::now();
-                let result = work(&task, view);
+                let result = work(view);
                 #[expect(clippy::disallowed_methods, reason = "times a part-task span only")]
                 let finished = Instant::now();
                 (begun, finished, result)

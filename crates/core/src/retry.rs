@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ripple_kv::KvError;
+use bytes::Bytes;
+use ripple_kv::{KvError, PartId, PartView, RoutedKey, ScanControl};
 
 use crate::{RunEvent, RunObserver};
 
@@ -174,6 +175,62 @@ pub(crate) fn kv_with_retry<T>(
     }
 }
 
+/// A part view whose point and batch calls each retry transient faults
+/// under a run's policy, one call at a time — so a task that reads, edits
+/// and writes back never redoes a read after its write landed.  `put`
+/// answers what its last attempt replaced, and a retried `put_batch` folds
+/// twice into a table bound to a combiner: the writes a caller retries
+/// this way are absolute.  Scans and drains pass through unretried, since
+/// a failed attempt may have fed pairs already.
+pub(crate) struct RetriedView<'a> {
+    pub(crate) view: &'a dyn PartView,
+    pub(crate) retry: &'a FaultRetry,
+}
+
+impl RetriedView<'_> {
+    fn retried<T>(&self, op: impl FnMut() -> Result<T, KvError>) -> Result<T, KvError> {
+        kv_with_retry(self.retry, self.view.part().0, op)
+    }
+}
+
+impl PartView for RetriedView<'_> {
+    fn part(&self) -> PartId {
+        self.view.part()
+    }
+    fn get(&self, table: &str, key: &RoutedKey) -> Result<Option<Bytes>, KvError> {
+        self.retried(|| self.view.get(table, key))
+    }
+    fn get_batch(&self, table: &str, keys: &[RoutedKey]) -> Result<Vec<Option<Bytes>>, KvError> {
+        self.retried(|| self.view.get_batch(table, keys))
+    }
+    fn put(&self, table: &str, key: RoutedKey, value: Bytes) -> Result<Option<Bytes>, KvError> {
+        self.retried(|| self.view.put(table, key.clone(), value.clone()))
+    }
+    fn put_batch(&self, table: &str, pairs: Vec<(RoutedKey, Bytes)>) -> Result<(), KvError> {
+        self.retried(|| self.view.put_batch(table, pairs.clone()))
+    }
+    fn delete(&self, table: &str, key: &RoutedKey) -> Result<bool, KvError> {
+        self.retried(|| self.view.delete(table, key))
+    }
+    fn scan(
+        &self,
+        table: &str,
+        f: &mut dyn FnMut(&RoutedKey, &[u8]) -> ScanControl,
+    ) -> Result<(), KvError> {
+        self.view.scan(table, f)
+    }
+    fn drain(
+        &self,
+        table: &str,
+        f: &mut dyn FnMut(RoutedKey, Bytes) -> ScanControl,
+    ) -> Result<(), KvError> {
+        self.view.drain(table, f)
+    }
+    fn len(&self, table: &str) -> Result<usize, KvError> {
+        self.retried(|| self.view.len(table))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,6 +284,86 @@ mod tests {
         });
         assert!(matches!(out, Err(KvError::Transient { .. })));
         assert_eq!(retry.count(), 0);
+    }
+
+    /// A one-part view over a map whose first `put_batch` lands but
+    /// reports a transient fault, as when its reply is lost.
+    #[derive(Default)]
+    struct LostReply {
+        map: Mutex<std::collections::HashMap<RoutedKey, Bytes>>,
+        gets: Mutex<u32>,
+        puts: Mutex<u32>,
+    }
+
+    impl PartView for LostReply {
+        fn part(&self) -> PartId {
+            PartId(0)
+        }
+        fn get(&self, _: &str, key: &RoutedKey) -> Result<Option<Bytes>, KvError> {
+            *self.gets.lock().unwrap() += 1;
+            Ok(self.map.lock().unwrap().get(key).cloned())
+        }
+        fn put(&self, _: &str, key: RoutedKey, value: Bytes) -> Result<Option<Bytes>, KvError> {
+            Ok(self.map.lock().unwrap().insert(key, value))
+        }
+        fn put_batch(&self, _: &str, pairs: Vec<(RoutedKey, Bytes)>) -> Result<(), KvError> {
+            self.map.lock().unwrap().extend(pairs);
+            let mut puts = self.puts.lock().unwrap();
+            *puts += 1;
+            if *puts == 1 {
+                return Err(KvError::Transient {
+                    op: "put_batch",
+                    part: 0,
+                    detail: "reply lost".into(),
+                });
+            }
+            Ok(())
+        }
+        fn delete(&self, _: &str, key: &RoutedKey) -> Result<bool, KvError> {
+            Ok(self.map.lock().unwrap().remove(key).is_some())
+        }
+        fn scan(
+            &self,
+            _: &str,
+            _: &mut dyn FnMut(&RoutedKey, &[u8]) -> ScanControl,
+        ) -> Result<(), KvError> {
+            Ok(())
+        }
+        fn drain(
+            &self,
+            _: &str,
+            _: &mut dyn FnMut(RoutedKey, Bytes) -> ScanControl,
+        ) -> Result<(), KvError> {
+            Ok(())
+        }
+        fn len(&self, _: &str) -> Result<usize, KvError> {
+            Ok(self.map.lock().unwrap().len())
+        }
+    }
+
+    #[test]
+    fn a_lost_reply_retries_the_write_alone() {
+        let inner = LostReply::default();
+        let retry = FaultRetry::new(
+            RetryPolicy::default().base_delay(Duration::from_micros(1)),
+            None,
+        );
+        let view = RetriedView {
+            view: &inner,
+            retry: &retry,
+        };
+        let key = RoutedKey::from_slice(b"k");
+        let read = view.get_batch("t", std::slice::from_ref(&key)).unwrap();
+        assert_eq!(read, vec![None]);
+        view.put_batch("t", vec![(key.clone(), Bytes::from_static(b"edited"))])
+            .unwrap();
+        assert_eq!(*inner.gets.lock().unwrap(), 1, "the read is not redone");
+        assert_eq!(*inner.puts.lock().unwrap(), 2);
+        assert_eq!(retry.count(), 1);
+        assert_eq!(
+            view.get("t", &key).unwrap(),
+            Some(Bytes::from_static(b"edited"))
+        );
     }
 
     #[test]

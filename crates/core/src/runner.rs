@@ -3,14 +3,15 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use ripple_kv::{
-    DurableStore, HealableStore, KvStore, RecoverableStore, RoutedKey, Table, TableSpec,
+    DurableStore, HealableStore, KvStore, PartView, RecoverableStore, RoutedKey, Table, TableSpec,
 };
 use ripple_wire::{from_wire, to_wire};
 
 use crate::engine::nosync::{run_nosync, HealFn, NosyncOptions};
 use crate::engine::sync::{run_sync, Cut, DurableOpts, RecoveryHooks, SyncOptions};
-use crate::engine::{JobEnv, TempSlot};
+use crate::engine::{gated_round, JobEnv, TempSlot};
 use crate::options::{AuditOpts, Basic, Durable, Heal, LaunchMode, Recover, RunOptions};
+use crate::retry::{FaultRetry, RetriedView};
 use crate::{
     AggValue, AggregateSnapshot, AggregatorRegistry, EbspError, ExecMode, ExecutionPlan, Job,
     Loader, RetryPolicy, RunMetrics,
@@ -268,6 +269,35 @@ impl<S: KvStore> JobRunner<S> {
     pub fn quiescence_timeout(&mut self, timeout: Duration) -> &mut Self {
         self.quiescence_timeout = timeout;
         self
+    }
+
+    /// Runs `work` once at every part of `table` in one round of collocated
+    /// part tasks — the store SPI's mobile code, outside any launch — and
+    /// returns each part's result in part order, so a caller can redo one
+    /// failed part alone.
+    ///
+    /// The round is the runner's like its steps are: each task holds a
+    /// permit of the [`JobRunner::task_gate`], and each store call `work`
+    /// makes through its view retries transient faults under the
+    /// [`JobRunner::retry_policy`], one call at a time (scans and drains
+    /// excepted).  A write `work` makes this way must therefore be
+    /// absolute, never a fold into a combiner.  Retries are reported to
+    /// the [`JobRunner::observer`].
+    pub fn run_at_parts<R, F>(&self, table: &S::Table, work: F) -> Vec<Result<R, EbspError>>
+    where
+        R: Send + 'static,
+        F: Fn(&dyn PartView) -> Result<R, EbspError> + Clone + Send + 'static,
+    {
+        let retry = Arc::new(FaultRetry::new(self.retry, self.observer.clone()));
+        gated_round(&self.store, table, self.task_gate.clone(), move |view| {
+            work(&RetriedView {
+                view,
+                retry: &retry,
+            })
+        })
+        .into_iter()
+        .map(|(result, _)| result)
+        .collect()
     }
 
     /// Runs `job` as configured by `options` — the one entry point for

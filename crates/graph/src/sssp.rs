@@ -24,15 +24,16 @@
 //! below it), which bounds the count-to-infinity behaviour a
 //! distance-vector scheme exhibits when a region is disconnected.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ripple_core::{
     AggValue, Aggregate, ComputeContext, EbspError, FnLoader, Job, JobProperties, JobRunner,
     LoadSink, Loader, RunMetrics, RunOptions, RunOutcome, SumI64,
 };
-use ripple_kv::{DurableStore, HealableStore, KvStore, RecoverableStore, Table};
+use ripple_kv::{
+    DurableStore, HealableStore, KvError, KvStore, PartId, PartView, RecoverableStore, Table,
+};
 use ripple_wire::{ByteReader, ByteWriter, Decode, Encode, WireError};
 
 use crate::generate::{Graph, GraphChange, MutableGraph};
@@ -212,6 +213,9 @@ pub struct SelectiveInstance<S: KvStore> {
     table: String,
     source: VertexId,
     n: u32,
+    /// Runs [`SelectiveInstance::apply_batch`]: one runner for the
+    /// instance's life, so its temporaries outlive a batch.
+    runner: JobRunner<S>,
 }
 
 impl<S: KvStore> SelectiveInstance<S> {
@@ -228,8 +232,9 @@ impl<S: KvStore> SelectiveInstance<S> {
         source: VertexId,
     ) -> Result<(Self, RunMetrics), EbspError> {
         let runner = JobRunner::new(store.clone());
-        Self::initialize_on(&runner, store, table, graph, source)
-            .map(|(instance, outcome)| (instance, outcome.metrics))
+        let (mut instance, outcome) = Self::initialize_on(&runner, store, table, graph, source)?;
+        instance.runner = runner;
+        Ok((instance, outcome.metrics))
     }
 
     /// As [`SelectiveInstance::initialize`], but runs the initial solve on
@@ -247,16 +252,20 @@ impl<S: KvStore> SelectiveInstance<S> {
         graph: &Graph,
         source: VertexId,
     ) -> Result<(Self, RunOutcome), EbspError> {
-        let n = graph.vertex_count();
-        let instance = Self {
-            store: store.clone(),
-            table: table.to_owned(),
-            source,
-            n,
-        };
+        let instance = Self::new(store, table, graph, source);
         let job = instance.job();
         let outcome = runner.launch(job, RunOptions::new().loader(initial_loader(graph)))?;
         Ok((instance, outcome))
+    }
+
+    fn new(store: &S, table: &str, graph: &Graph, source: VertexId) -> Self {
+        Self {
+            store: store.clone(),
+            table: table.to_owned(),
+            source,
+            n: graph.vertex_count(),
+            runner: JobRunner::new(store.clone()),
+        }
     }
 
     fn job(&self) -> Arc<SelectiveSssp> {
@@ -269,15 +278,15 @@ impl<S: KvStore> SelectiveInstance<S> {
 
     /// Applies one batch of primitive changes and updates the distance
     /// annotations: the bookkeeping arrays of the touched endpoints are
-    /// edited directly, the endpoints are seeded with each other's current
-    /// distances, and the job runs — enabling only the wave of vertices the
-    /// change actually affects.
+    /// edited where they live, the endpoints are seeded with each other's
+    /// current distances, and the job runs — enabling only the wave of
+    /// vertices the change actually affects.
     ///
     /// # Errors
     ///
     /// Propagates engine and store errors.
     pub fn apply_batch(&self, changes: &[GraphChange]) -> Result<RunMetrics, EbspError> {
-        self.apply_batch_on(&JobRunner::new(self.store.clone()), changes)
+        self.apply_batch_on(&self.runner, changes)
             .map(|outcome| outcome.metrics)
     }
 
@@ -294,86 +303,29 @@ impl<S: KvStore> SelectiveInstance<S> {
         runner: &JobRunner<S>,
         changes: &[GraphChange],
     ) -> Result<RunOutcome, EbspError> {
-        let seeds = self.seed_batch(changes)?;
-        runner.launch(
-            self.job(),
-            RunOptions::new().loaders(vec![Box::new(FnLoader::new(
-                move |sink: &mut dyn LoadSink<SelectiveSssp>| {
-                    for (to, msg) in seeds {
-                        sink.message(to, msg)?;
-                    }
-                    Ok(())
-                },
-            ))]),
-        )
+        let seeds = self.apply_changes_on(runner, changes)?;
+        runner.launch(self.job(), seeded(seeds))
     }
 
-    /// Edits the endpoint states for one batch of primitive changes and
-    /// returns the seed messages that wake the affected vertices.  Each
-    /// touched endpoint is read and decoded once for the batch and, if an
-    /// edit changed it, written once at the end, all through one
-    /// [`Table::put_batch`].
-    #[allow(
-        clippy::type_complexity,
-        reason = "a seed is (vertex, (neighbor, its distance)); an alias would hide that"
-    )]
-    fn seed_batch(
+    /// The first half of [`SelectiveInstance::apply_batch_on`]: edits the
+    /// bookkeeping arrays of the batch's endpoints in one round of
+    /// `runner`'s part tasks and returns the seed messages that wake the
+    /// affected vertices — per change that edited an endpoint, in change
+    /// order, `(v, (u, dist u))` then `(u, (v, dist v))`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates store and decoding errors.
+    pub fn apply_changes_on(
         &self,
+        runner: &JobRunner<S>,
         changes: &[GraphChange],
-    ) -> Result<Vec<(VertexId, (VertexId, u32))>, EbspError> {
-        let table = self
-            .store
-            .lookup_table(&self.table)
-            .map_err(EbspError::Kv)?;
-        // Edit endpoint states directly (the incremental bookkeeping), and
-        // collect seed messages telling each endpoint its counterpart's
-        // current distance.
-        let mut seeds: Vec<(VertexId, (VertexId, u32))> = Vec::new();
-        let mut touched = Touched::new();
-        for change in changes {
-            let (u, v) = change.endpoints();
-            if u == v {
-                continue;
-            }
-            let edit = match change {
-                GraphChange::AddEdge(..) => add_neighbor,
-                GraphChange::RemoveEdge(..) => remove_neighbor,
-            };
-            let mut applied = false;
-            for (a, b) in [(u, v), (v, u)] {
-                if let Some((state, edited)) = endpoint(&table, &mut touched, a)? {
-                    if edit(state, b) {
-                        *edited = true;
-                        applied = true;
-                    }
-                }
-            }
-            if applied {
-                for (a, b) in [(u, v), (v, u)] {
-                    let dist = match endpoint(&table, &mut touched, a)? {
-                        Some((state, _)) => state.dist,
-                        None => INF,
-                    };
-                    // Tell b what a's distance currently is (removals are
-                    // reflected purely by the state edit; the seed makes
-                    // both endpoints recompute either way).
-                    seeds.push((b, (a, dist)));
-                }
-            }
-        }
-        let edited: Vec<_> = touched
-            .into_iter()
-            .filter_map(|(v, entry)| match entry {
-                Some((state, true)) => {
-                    Some((ripple_core::key_to_routed(&v), ripple_wire::to_wire(&state)))
-                }
-                _ => None,
-            })
-            .collect();
-        if !edited.is_empty() {
-            table.put_batch(edited).map_err(EbspError::Kv)?;
-        }
-        Ok(seeds)
+    ) -> Result<Vec<Seed>, EbspError> {
+        let table = self.store.lookup_table(&self.table)?;
+        let (effects, _) = apply_changes::<S, SelState>(runner, &table, changes, |part| {
+            Err(KvError::PartFailed { part }.into())
+        })?;
+        Ok(seeds_of(changes, &effects))
     }
 
     /// Reads all distance annotations, sorted by vertex.
@@ -454,13 +406,7 @@ impl<S: RecoverableStore + HealableStore> SelectiveInstance<S> {
         source: VertexId,
         checkpoint_interval: u32,
     ) -> Result<(Self, RunMetrics), EbspError> {
-        let n = graph.vertex_count();
-        let instance = Self {
-            store: store.clone(),
-            table: table.to_owned(),
-            source,
-            n,
-        };
+        let instance = Self::new(store, table, graph, source);
         let job = instance.job();
         let outcome = JobRunner::new(store.clone())
             .checkpoint_interval(checkpoint_interval)
@@ -472,7 +418,10 @@ impl<S: RecoverableStore + HealableStore> SelectiveInstance<S> {
     }
 
     /// Like [`SelectiveInstance::apply_batch`], but the update wave runs
-    /// under barrier checkpointing with automatic part recovery.
+    /// under barrier checkpointing with automatic part recovery — and so do
+    /// the edits: every part is checkpointed before the edit round, and a
+    /// part that fails in it is restored and edited again.  Those restores
+    /// count among the returned recoveries.
     ///
     /// # Errors
     ///
@@ -482,22 +431,18 @@ impl<S: RecoverableStore + HealableStore> SelectiveInstance<S> {
         changes: &[GraphChange],
         checkpoint_interval: u32,
     ) -> Result<RunMetrics, EbspError> {
-        let seeds = self.seed_batch(changes)?;
-        let outcome = JobRunner::new(self.store.clone())
-            .checkpoint_interval(checkpoint_interval)
-            .launch(
-                self.job(),
-                RunOptions::new()
-                    .loaders(vec![Box::new(FnLoader::new(
-                        move |sink: &mut dyn LoadSink<SelectiveSssp>| {
-                            for (to, msg) in seeds {
-                                sink.message(to, msg)?;
-                            }
-                            Ok(())
-                        },
-                    ))])
-                    .recovery(),
-            )?;
+        let mut runner = JobRunner::new(self.store.clone());
+        runner.checkpoint_interval(checkpoint_interval);
+        let table = self.store.lookup_table(&self.table)?;
+        let checkpoints = (0..table.part_count())
+            .map(|p| self.store.checkpoint_part(&table, PartId(p)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (effects, restored) = apply_changes::<S, SelState>(&runner, &table, changes, |part| {
+            Ok(self.store.restore_part(&checkpoints[part as usize])?)
+        })?;
+        let mut outcome =
+            runner.launch(self.job(), seeded(seeds_of(changes, &effects)).recovery())?;
+        outcome.metrics.recoveries += restored;
         Ok(outcome.metrics)
     }
 }
@@ -527,13 +472,7 @@ impl<S: RecoverableStore + HealableStore + DurableStore> SelectiveInstance<S> {
         checkpoint_interval: u32,
         max_steps: Option<u32>,
     ) -> Result<(Self, RunMetrics), EbspError> {
-        let n = graph.vertex_count();
-        let instance = Self {
-            store: store.clone(),
-            table: table.to_owned(),
-            source,
-            n,
-        };
+        let instance = Self::new(store, table, graph, source);
         let job = instance.job();
         let mut runner = JobRunner::new(store.clone());
         runner.checkpoint_interval(checkpoint_interval);
@@ -551,48 +490,62 @@ impl<S: RecoverableStore + HealableStore + DurableStore> SelectiveInstance<S> {
     }
 }
 
-fn add_neighbor(s: &mut SelState, v: VertexId) -> bool {
-    if s.neighbors.contains(&v) {
-        return false;
+impl Adjacency for SelState {
+    fn add(&mut self, v: VertexId) -> bool {
+        if self.neighbors.contains(&v) {
+            return false;
+        }
+        self.neighbors.push(v);
+        self.neighbor_dists.push(INF);
+        true
     }
-    s.neighbors.push(v);
-    s.neighbor_dists.push(INF);
-    true
+
+    fn remove(&mut self, v: VertexId) -> bool {
+        match self.neighbors.iter().position(|&x| x == v) {
+            Some(i) => {
+                self.neighbors.swap_remove(i);
+                self.neighbor_dists.swap_remove(i);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn dist(&self) -> u32 {
+        self.dist
+    }
 }
 
-fn remove_neighbor(s: &mut SelState, v: VertexId) -> bool {
-    match s.neighbors.iter().position(|&x| x == v) {
-        Some(i) => {
-            s.neighbors.swap_remove(i);
-            s.neighbor_dists.swap_remove(i);
-            true
+/// A seed message of a change wave: a vertex, and the neighbor and
+/// distance it is told about.
+pub type Seed = (VertexId, (VertexId, u32));
+
+/// The seeds of a batch: per change that edited an endpoint, each endpoint
+/// is told its counterpart's current distance (removals are reflected
+/// purely by the state edit; the seed makes both endpoints recompute
+/// either way).
+fn seeds_of(changes: &[GraphChange], effects: &[Effect]) -> Vec<Seed> {
+    let mut seeds = Vec::new();
+    for (change, effect) in changes.iter().zip(effects) {
+        if effect.applied.contains(&true) {
+            let (u, v) = change.endpoints();
+            seeds.push((v, (u, effect.dist[0])));
+            seeds.push((u, (v, effect.dist[1])));
         }
-        None => false,
     }
+    seeds
 }
 
-/// The endpoints one batch of changes touched, by vertex: the decoded
-/// state and whether an edit changed it, or `None` for a vertex the table
-/// does not hold.  Ordered, so the batch's one write is the same bytes
-/// every run.
-type Touched = BTreeMap<VertexId, Option<(SelState, bool)>>;
-
-/// The entry of `v` in `touched`, read from `table` on first touch.
-fn endpoint<'a, T: Table>(
-    table: &T,
-    touched: &'a mut Touched,
-    v: VertexId,
-) -> Result<&'a mut Option<(SelState, bool)>, EbspError> {
-    Ok(match touched.entry(v) {
-        Entry::Occupied(entry) => entry.into_mut(),
-        Entry::Vacant(entry) => {
-            let key = ripple_core::key_to_routed(&v);
-            entry.insert(match table.get(&key).map_err(EbspError::Kv)? {
-                Some(bytes) => Some((ripple_wire::from_wire(&bytes)?, false)),
-                None => None,
-            })
-        }
-    })
+/// Launch options whose loader sends `seeds`, in order.
+fn seeded(seeds: Vec<Seed>) -> RunOptions<SelectiveSssp> {
+    RunOptions::new().loaders(vec![Box::new(FnLoader::new(
+        move |sink: &mut dyn LoadSink<SelectiveSssp>| {
+            for (to, msg) in seeds {
+                sink.message(to, msg)?;
+            }
+            Ok(())
+        },
+    ))])
 }
 
 /// The loader of the initial condition: every vertex of `graph` holds its
@@ -842,6 +795,8 @@ pub struct FullScanInstance<S: KvStore> {
     table: String,
     source: VertexId,
     n: u32,
+    /// Runs every edit round and scan of the instance.
+    runner: JobRunner<S>,
 }
 
 impl<S: KvStore> FullScanInstance<S> {
@@ -861,6 +816,7 @@ impl<S: KvStore> FullScanInstance<S> {
             table: table.to_owned(),
             source,
             n: graph.vertex_count(),
+            runner: JobRunner::new(store.clone()),
         };
         // Install states directly.
         let handle = match store.lookup_table(table) {
@@ -891,29 +847,26 @@ impl<S: KvStore> FullScanInstance<S> {
     ///
     /// Propagates engine and store errors.
     pub fn apply_batch(&self, changes: &[GraphChange]) -> Result<RunMetrics, EbspError> {
-        let table = self
-            .store
-            .lookup_table(&self.table)
-            .map_err(EbspError::Kv)?;
-        let mut any_removal = false;
-        for change in changes {
-            let (u, v) = change.endpoints();
-            if u == v {
-                continue;
-            }
-            match change {
-                GraphChange::AddEdge(..) => {
-                    edit_fs(&table, u, |s| fs_add(s, v))?;
-                    edit_fs(&table, v, |s| fs_add(s, u))?;
-                }
-                GraphChange::RemoveEdge(..) => {
-                    let a = edit_fs(&table, u, |s| fs_remove(s, v))?;
-                    let b = edit_fs(&table, v, |s| fs_remove(s, u))?;
-                    any_removal |= a || b;
-                }
-            }
-        }
+        let any_removal = self.apply_changes(changes)?;
         self.run_waves(any_removal)
+    }
+
+    /// The first half of [`FullScanInstance::apply_batch`]: edits the
+    /// neighbor arrays of the batch's endpoints in one round of part tasks,
+    /// through the same routine as the selective variant, and returns
+    /// whether a removal changed any of them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates store and decoding errors.
+    pub fn apply_changes(&self, changes: &[GraphChange]) -> Result<bool, EbspError> {
+        let table = self.store.lookup_table(&self.table)?;
+        let (effects, _) = apply_changes::<S, FsState>(&self.runner, &table, changes, |part| {
+            Err(KvError::PartFailed { part }.into())
+        })?;
+        Ok(changes.iter().zip(&effects).any(|(change, effect)| {
+            matches!(change, GraphChange::RemoveEdge(..)) && effect.applied.contains(&true)
+        }))
     }
 
     fn run_waves(&self, with_invalidate: bool) -> Result<RunMetrics, EbspError> {
@@ -936,7 +889,7 @@ impl<S: KvStore> FullScanInstance<S> {
                 wave,
                 n,
             });
-            let outcome = JobRunner::new(self.store.clone()).launch(
+            let outcome = self.runner.launch(
                 job,
                 RunOptions::new().loaders(vec![Box::new(FnLoader::new(
                     move |sink: &mut dyn LoadSink<FullScanSssp>| {
@@ -981,41 +934,201 @@ impl<S: KvStore> FullScanInstance<S> {
     }
 }
 
-fn fs_add(s: &mut FsState, v: VertexId) -> bool {
-    if s.neighbors.contains(&v) {
-        return false;
-    }
-    s.neighbors.push(v);
-    true
-}
-
-fn fs_remove(s: &mut FsState, v: VertexId) -> bool {
-    match s.neighbors.iter().position(|&x| x == v) {
-        Some(i) => {
-            s.neighbors.swap_remove(i);
-            true
+impl Adjacency for FsState {
+    fn add(&mut self, v: VertexId) -> bool {
+        if self.neighbors.contains(&v) {
+            return false;
         }
-        None => false,
+        self.neighbors.push(v);
+        true
+    }
+
+    fn remove(&mut self, v: VertexId) -> bool {
+        match self.neighbors.iter().position(|&x| x == v) {
+            Some(i) => {
+                self.neighbors.swap_remove(i);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn dist(&self) -> u32 {
+        self.dist
     }
 }
 
-fn edit_fs<T: ripple_kv::Table>(
-    table: &T,
-    v: VertexId,
-    f: impl FnOnce(&mut FsState) -> bool,
-) -> Result<bool, EbspError> {
-    let key = ripple_core::key_to_routed(&v);
-    let Some(bytes) = table.get(&key).map_err(EbspError::Kv)? else {
-        return Ok(false);
-    };
-    let mut state: FsState = ripple_wire::from_wire(&bytes)?;
-    let changed = f(&mut state);
-    if changed {
-        table
-            .put(key, ripple_wire::to_wire(&state))
-            .map_err(EbspError::Kv)?;
+// ===========================================================================
+// Applying a batch of changes where the endpoints live
+// ===========================================================================
+
+/// A vertex state whose neighbor list a change batch edits.
+trait Adjacency: Encode + Decode + 'static {
+    /// Adds neighbor `v`; false if it is one already.
+    fn add(&mut self, v: VertexId) -> bool;
+    /// Removes neighbor `v`; false if it is none.
+    fn remove(&mut self, v: VertexId) -> bool;
+    /// The current distance, which no edit changes.
+    fn dist(&self) -> u32;
+}
+
+/// What one change did at its endpoints `(u, v)`: whether the edit changed
+/// each, and each one's distance ([`INF`] for a vertex the table does not
+/// hold).  A self-loop does nothing.
+#[derive(Clone, Copy)]
+struct Effect {
+    applied: [bool; 2],
+    dist: [u32; 2],
+}
+
+/// One endpoint's edit: the change it belongs to, which endpoint it is
+/// (0 for `u`, 1 for `v`), whether it adds, the vertex and its counterpart.
+#[derive(Clone, Copy)]
+struct Edit {
+    change: usize,
+    end: usize,
+    add: bool,
+    at: VertexId,
+    other: VertexId,
+}
+
+/// Applies `changes` to the vertex states of `table` in one round of
+/// `runner`'s part tasks and returns each change's [`Effect`], in change
+/// order, plus how many parts were restored on the way.
+///
+/// Each part reads its touched endpoints with one `get_batch`, edits them
+/// in change order — a vertex lives in one part, so every vertex sees its
+/// edits in the order the driver would apply them — and writes the edited
+/// ones back with one `put_batch`.  The runner retries each of those calls
+/// alone: a retried task could re-read states its lost-reply write had
+/// already edited and drop their changes.  A part whose task fails with
+/// [`KvError::PartFailed`] is handed to `restore` once; if that succeeds,
+/// its edits run again.
+fn apply_changes<S: KvStore, A: Adjacency>(
+    runner: &JobRunner<S>,
+    table: &S::Table,
+    changes: &[GraphChange],
+    mut restore: impl FnMut(u32) -> Result<(), EbspError>,
+) -> Result<(Vec<Effect>, u32), EbspError> {
+    let parts = table.part_count();
+    let mut pending = vec![Vec::new(); parts as usize];
+    for (change, c) in changes.iter().enumerate() {
+        let (u, v) = c.endpoints();
+        if u == v {
+            continue;
+        }
+        let add = matches!(c, GraphChange::AddEdge(..));
+        for (end, (at, other)) in [(u, v), (v, u)].into_iter().enumerate() {
+            let part = ripple_core::key_to_routed(&at).part_for(parts);
+            pending[part.index()].push(Edit {
+                change,
+                end,
+                add,
+                at,
+                other,
+            });
+        }
     }
-    Ok(changed)
+    let mut effects = vec![
+        Effect {
+            applied: [false; 2],
+            dist: [INF; 2],
+        };
+        changes.len()
+    ];
+    let mut restored = vec![false; parts as usize];
+    loop {
+        let groups = Arc::new(std::mem::replace(
+            &mut pending,
+            vec![Vec::new(); parts as usize],
+        ));
+        let outcomes = runner.run_at_parts(table, {
+            let (groups, name) = (Arc::clone(&groups), table.name().to_owned());
+            move |view| edit_part::<A>(view, &name, &groups[view.part().index()])
+        });
+        let mut redo = false;
+        for (part, (edits, outcome)) in groups.iter().zip(outcomes).enumerate() {
+            match outcome {
+                Ok(done) => {
+                    for (edit, (applied, dist)) in edits.iter().zip(done) {
+                        let effect = &mut effects[edit.change];
+                        effect.applied[edit.end] = applied;
+                        effect.dist[edit.end] = dist;
+                    }
+                }
+                Err(EbspError::Kv(KvError::PartFailed { part: p }))
+                    if p as usize == part && !restored[part] =>
+                {
+                    restore(p)?;
+                    restored[part] = true;
+                    pending[part].clone_from(edits);
+                    redo = true;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        if !redo {
+            let restores = restored.iter().filter(|&&r| r).count() as u32;
+            return Ok((effects, restores));
+        }
+    }
+}
+
+/// One part's task of [`apply_changes`]: per edit, whether it changed its
+/// vertex and the vertex's distance.
+fn edit_part<A: Adjacency>(
+    view: &dyn PartView,
+    table: &str,
+    edits: &[Edit],
+) -> Result<Vec<(bool, u32)>, EbspError> {
+    if edits.is_empty() {
+        return Ok(Vec::new());
+    }
+    // Each touched vertex is read once, in first-touch order.
+    let mut slot: HashMap<VertexId, usize> = HashMap::new();
+    let mut keys = Vec::new();
+    for edit in edits {
+        slot.entry(edit.at).or_insert_with(|| {
+            keys.push(ripple_core::key_to_routed(&edit.at));
+            keys.len() - 1
+        });
+    }
+    let mut states = view
+        .get_batch(table, &keys)?
+        .into_iter()
+        .map(|bytes| {
+            bytes
+                .map(|b| ripple_wire::from_wire::<A>(&b).map(|state| (state, false)))
+                .transpose()
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let done = edits
+        .iter()
+        .map(|edit| match &mut states[slot[&edit.at]] {
+            Some((state, edited)) => {
+                let applied = if edit.add {
+                    state.add(edit.other)
+                } else {
+                    state.remove(edit.other)
+                };
+                *edited |= applied;
+                (applied, state.dist())
+            }
+            None => (false, INF),
+        })
+        .collect();
+    let writes: Vec<_> = keys
+        .into_iter()
+        .zip(states)
+        .filter_map(|(key, state)| match state {
+            Some((state, true)) => Some((key, ripple_wire::to_wire(&state))),
+            _ => None,
+        })
+        .collect();
+    if !writes.is_empty() {
+        view.put_batch(table, writes)?;
+    }
+    Ok(done)
 }
 
 fn accumulate(total: &mut RunMetrics, part: &RunMetrics) {
@@ -1114,11 +1227,11 @@ mod tests {
             neighbor_dists: vec![5],
             dist: 6,
         };
-        assert!(add_neighbor(&mut s, 2));
-        assert!(!add_neighbor(&mut s, 2));
+        assert!(s.add(2));
+        assert!(!s.add(2));
         assert_eq!(s.neighbors.len(), s.neighbor_dists.len());
-        assert!(remove_neighbor(&mut s, 1));
-        assert!(!remove_neighbor(&mut s, 1));
+        assert!(s.remove(1));
+        assert!(!s.remove(1));
         assert_eq!(s.neighbors, vec![2]);
         assert_eq!(s.neighbor_dists, vec![INF]);
     }

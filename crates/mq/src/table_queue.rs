@@ -95,19 +95,25 @@ struct TableReceiver<'a> {
     table: &'a str,
     view: &'a dyn PartView,
     buffer: VecDeque<Bytes>,
+    /// What drains removed and fed but did not finish: a failed drain's
+    /// entries wait here for the next one, to be delivered in sequence
+    /// with what it drains.
+    held: Vec<(u64, Bytes)>,
 }
 
 impl TableReceiver<'_> {
     /// Drains whatever is locally queued into the buffer, in sequence order.
     fn refill(&mut self) -> Result<(), MqError> {
-        let mut batch: Vec<(u64, Bytes)> = Vec::new();
-        self.view.drain(self.table, &mut |key, value| {
+        let Self {
+            table, view, held, ..
+        } = self;
+        view.drain(table, &mut |key, value| {
             let seq = ripple_wire::from_wire::<u64>(key.body()).unwrap_or(u64::MAX);
-            batch.push((seq, value));
+            held.push((seq, value));
             ScanControl::Continue
         })?;
-        batch.sort_by_key(|(seq, _)| *seq);
-        self.buffer.extend(batch.into_iter().map(|(_, v)| v));
+        held.sort_by_key(|(seq, _)| *seq);
+        self.buffer.extend(held.drain(..).map(|(_, v)| v));
         Ok(())
     }
 }
@@ -179,6 +185,7 @@ impl<S: KvStore> QueueSet for TableQueueSet<S> {
                             table: &table_name,
                             view,
                             buffer: VecDeque::new(),
+                            held: Vec::new(),
                         };
                         worker(view, &mut receiver)
                     })
@@ -204,5 +211,110 @@ impl<S: KvStore> QueueSet for TableQueueSet<S> {
         }
         self.inner.store.drop_table(&self.inner.table_name)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use ripple_kv::TableSpec;
+    use ripple_store_mem::MemStore;
+
+    use super::*;
+
+    /// A view whose first drain fails after feeding `feed` entries — the
+    /// entries it fed are gone from the table, as when a streamed drain
+    /// loses its connection midway.
+    struct FailingDrain<'a> {
+        inner: &'a dyn PartView,
+        feed: Cell<Option<usize>>,
+    }
+
+    impl PartView for FailingDrain<'_> {
+        fn part(&self) -> PartId {
+            self.inner.part()
+        }
+        fn get(&self, table: &str, key: &RoutedKey) -> Result<Option<Bytes>, KvError> {
+            self.inner.get(table, key)
+        }
+        fn put(&self, table: &str, key: RoutedKey, value: Bytes) -> Result<Option<Bytes>, KvError> {
+            self.inner.put(table, key, value)
+        }
+        fn delete(&self, table: &str, key: &RoutedKey) -> Result<bool, KvError> {
+            self.inner.delete(table, key)
+        }
+        fn scan(
+            &self,
+            table: &str,
+            f: &mut dyn FnMut(&RoutedKey, &[u8]) -> ScanControl,
+        ) -> Result<(), KvError> {
+            self.inner.scan(table, f)
+        }
+        fn drain(
+            &self,
+            table: &str,
+            f: &mut dyn FnMut(RoutedKey, Bytes) -> ScanControl,
+        ) -> Result<(), KvError> {
+            let Some(mut left) = self.feed.take() else {
+                return self.inner.drain(table, f);
+            };
+            self.inner.drain(table, &mut |key, value| {
+                f(key, value);
+                left -= 1;
+                if left == 0 {
+                    ScanControl::Stop
+                } else {
+                    ScanControl::Continue
+                }
+            })?;
+            Err(KvError::Transient {
+                op: "drain",
+                part: self.part().0,
+                detail: "severed midway".to_owned(),
+            })
+        }
+        fn len(&self, table: &str) -> Result<usize, KvError> {
+            self.inner.len(table)
+        }
+    }
+
+    #[test]
+    fn a_drain_that_fails_midway_loses_nothing_and_keeps_order() {
+        let store = MemStore::builder().default_parts(2).build();
+        let reference = store.create_table(&TableSpec::new("ref")).unwrap();
+        let queue = TableQueueSet::create(&store, &reference, "midway").unwrap();
+        let sent: Vec<Bytes> = (0..20).map(|i| Bytes::from(format!("m{i}"))).collect();
+        for msg in &sent {
+            queue.put(PartId(1), msg.clone()).unwrap();
+        }
+        let table = queue.table_name().to_owned();
+        let (got, failures) = store
+            .run_at(&reference, PartId(1), move |view| {
+                let failing = FailingDrain {
+                    inner: view,
+                    feed: Cell::new(Some(7)),
+                };
+                let mut receiver = TableReceiver {
+                    part: PartId(1),
+                    table: &table,
+                    view: &failing,
+                    buffer: VecDeque::new(),
+                    held: Vec::new(),
+                };
+                let (mut got, mut failures) = (Vec::new(), 0);
+                loop {
+                    match receiver.recv_timeout(Duration::from_millis(5)) {
+                        Ok(Some(msg)) => got.push(msg),
+                        Ok(None) => break,
+                        Err(_) => failures += 1,
+                    }
+                }
+                (got, failures)
+            })
+            .join()
+            .unwrap();
+        assert_eq!(failures, 1);
+        assert_eq!(got, sent, "every message once, in sequence order");
     }
 }

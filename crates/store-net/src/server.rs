@@ -322,10 +322,11 @@ fn serve_conn<S: KvStore>(server: &PartServer<S>, state: &Arc<ServerState>, mut 
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
     };
-    // The epoch this connection announced via `REQ_HELLO`; connections
-    // that never handshake (unreplicated clients) stay at 0, which is
-    // never stale because the server's watermark also starts at 0.
-    let mut hello_epoch = 0u64;
+    // The epoch this connection announced via `REQ_HELLO`.  Connections
+    // that never handshake (unreplicated clients) announce none and are
+    // never fenced: only a replica group moves an epoch, and its clients
+    // always handshake.
+    let mut hello_epoch: Option<u64> = None;
     loop {
         // A read error means the peer is gone or the stream is corrupt;
         // either way the connection is done.  Shut the socket down
@@ -355,16 +356,16 @@ fn serve_conn<S: KvStore>(server: &PartServer<S>, state: &Arc<ServerState>, mut 
                     };
                     let _ = send(&writer, proto::RESP_ERR, frame.id, &proto::encode_err(&err));
                 } else {
-                    hello_epoch = announced;
+                    hello_epoch = Some(announced);
                     let _ = send(&writer, proto::RESP_OK, frame.id, &to_wire(&announced));
                 }
             }
-            _ if hello_epoch < state.epoch.load(Ordering::SeqCst) => {
+            _ if hello_epoch.is_some_and(|seen| seen < state.epoch.load(Ordering::SeqCst)) => {
                 // This connection was fenced at an epoch the group has
                 // moved past: refuse without touching state, so a zombie
                 // primary's clients cannot corrupt a promoted replica.
                 let err = KvError::StaleEpoch {
-                    seen: hello_epoch,
+                    seen: hello_epoch.unwrap_or_default(),
                     current: state.epoch.load(Ordering::SeqCst),
                 };
                 let _ = send(&writer, proto::RESP_ERR, frame.id, &proto::encode_err(&err));

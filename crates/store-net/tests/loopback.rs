@@ -308,3 +308,27 @@ fn the_server_handles_exactly_the_declared_request_kinds() {
         );
     }
 }
+
+/// A client that announces an epoch moves the server's watermark, and a
+/// connection that announced none — an unreplicated client's — is not
+/// fenced by it: its requests are served as before.
+#[test]
+fn an_announced_epoch_does_not_fence_unreplicated_clients() {
+    let cluster = LoopbackCluster::spawn(1, 2);
+    let metrics = Arc::new(StoreCounters::new());
+    let server = vec![vec![cluster.handles[0].addr()]];
+    let membership = Arc::new(Membership::new(server, Arc::clone(&metrics)));
+    let pool = Pool::new(membership, metrics, CONNECT_TIMEOUT, RESPONSE_TIMEOUT);
+    pool.unary(0, proto::REQ_HELLO, &ripple_wire::to_wire(&1u64))
+        .expect("handshake at epoch 1");
+
+    let fresh = ripple_store_net::NetStore::connect(vec![cluster.handles[0].addr()]);
+    let t = fresh
+        .create_table(TableSpec::new("unfenced").parts(2))
+        .unwrap();
+    assert_eq!(t.put(key("a"), val("1")).unwrap(), None);
+    assert_eq!(t.get(&key("a")).unwrap(), Some(val("1")));
+    // The announcing connection is current at the epoch it announced.
+    pool.unary(0, proto::REQ_PING, &ripple_wire::to_wire(&()))
+        .expect("the announcing connection is current");
+}

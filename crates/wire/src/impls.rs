@@ -12,10 +12,11 @@ use crate::{ByteReader, ByteWriter, Decode, Encode, WireError};
 // Integers (varint; signed ones zig-zag mapped first)
 // ---------------------------------------------------------------------------
 
-/// `$t` as a varint of at most `$max` bytes; `$widen` maps a value to the
-/// `u64` that is written, `$narrow` maps one read back.
+/// `$t` as a varint of at most `$max` bytes, the last of which holds
+/// `$top` value bits; `$widen` maps a value to the `u64` that is written,
+/// `$narrow` maps one read back.
 macro_rules! impl_varint {
-    ($($t:ty, $max:expr, $widen:expr, $narrow:expr;)*) => {$(
+    ($($t:ty, $max:expr, $top:expr, $widen:expr, $narrow:expr;)*) => {$(
         impl Encode for $t {
             #[inline]
             fn encode(&self, w: &mut ByteWriter) {
@@ -51,6 +52,13 @@ macro_rules! impl_varint {
                 r.advance(r.remaining() - rest.len());
                 Ok(out)
             }
+            #[inline]
+            fn skip_seq(r: &mut ByteReader<'_>, len: usize) -> Result<(), WireError> {
+                let mut rest = r.rest();
+                let done = varint::skip_all(&mut rest, len, $max, $top);
+                r.advance(r.remaining() - rest.len());
+                skip_seq_from::<Self>(r, done, len)
+            }
         }
     )*};
 }
@@ -66,16 +74,20 @@ macro_rules! narrow_to {
     };
 }
 
+/// The varint bytes of a `usize`, and the value bits of the last.
+const USIZE_LEN: usize = (usize::BITS as usize).div_ceil(7);
+const USIZE_TOP: u32 = usize::BITS - 7 * (USIZE_LEN as u32 - 1);
+
 impl_varint! {
-    u8, 2, u64::from, narrow_to!(u8);
-    u16, 3, u64::from, narrow_to!(u16);
-    u32, 5, u64::from, narrow_to!(u32);
-    u64, MAX_VARINT_LEN, |v: u64| v, Ok::<u64, WireError>;
-    usize, MAX_VARINT_LEN, |v: usize| v as u64, narrow_to!(usize);
-    i8, 2, |v: i8| zigzag(i64::from(v)), |v| narrow_to!(i8)(unzigzag(v));
-    i16, 3, |v: i16| zigzag(i64::from(v)), |v| narrow_to!(i16)(unzigzag(v));
-    i32, 5, |v: i32| zigzag(i64::from(v)), |v| narrow_to!(i32)(unzigzag(v));
-    i64, MAX_VARINT_LEN, zigzag, |v| Ok::<i64, WireError>(unzigzag(v));
+    u8, 2, 1, u64::from, narrow_to!(u8);
+    u16, 3, 2, u64::from, narrow_to!(u16);
+    u32, 5, 4, u64::from, narrow_to!(u32);
+    u64, MAX_VARINT_LEN, 1, |v: u64| v, Ok::<u64, WireError>;
+    usize, USIZE_LEN, USIZE_TOP, |v: usize| v as u64, narrow_to!(usize);
+    i8, 2, 1, |v: i8| zigzag(i64::from(v)), |v| narrow_to!(i8)(unzigzag(v));
+    i16, 3, 2, |v: i16| zigzag(i64::from(v)), |v| narrow_to!(i16)(unzigzag(v));
+    i32, 5, 4, |v: i32| zigzag(i64::from(v)), |v| narrow_to!(i32)(unzigzag(v));
+    i64, MAX_VARINT_LEN, 1, zigzag, |v| Ok::<i64, WireError>(unzigzag(v));
 }
 
 impl Encode for u128 {
@@ -433,11 +445,7 @@ impl<T: Decode> Decode for Vec<T> {
     }
     fn skip(r: &mut ByteReader<'_>) -> Result<(), WireError> {
         let len = read_len(r)?;
-        for done in 1..=len {
-            T::skip(r)?;
-            check_progress(r, done, len)?;
-        }
-        Ok(())
+        T::skip_seq(r, len)
     }
 }
 
@@ -457,6 +465,25 @@ fn check_progress(r: &ByteReader<'_>, done: usize, len: usize) -> Result<(), Wir
             declared: len as u64,
             available: 0,
         });
+    }
+    Ok(())
+}
+
+/// Skips elements `done + 1 ..= len` of a sequence whose first `done`
+/// were passed over already: the element-wise walk of
+/// [`Decode::skip_seq`], the trait's default, and where the integers'
+/// word-at-a-time pass hands over whatever it could not settle.
+pub(crate) fn skip_seq_from<T: Decode>(
+    r: &mut ByteReader<'_>,
+    done: usize,
+    len: usize,
+) -> Result<(), WireError> {
+    if done > 0 {
+        check_progress(r, done, len)?;
+    }
+    for done in done + 1..=len {
+        T::skip(r)?;
+        check_progress(r, done, len)?;
     }
     Ok(())
 }
@@ -531,10 +558,7 @@ impl<T: Decode, const N: usize> Decode for [T; N] {
             .map_err(|_| WireError::IntOutOfRange { target: "array" })
     }
     fn skip(r: &mut ByteReader<'_>) -> Result<(), WireError> {
-        for _ in 0..N {
-            T::skip(r)?;
-        }
-        Ok(())
+        T::skip_seq(r, N)
     }
 }
 

@@ -140,6 +140,21 @@ pub trait Decode: Sized {
     fn skip(r: &mut ByteReader<'_>) -> Result<(), WireError> {
         Self::decode(r).map(drop)
     }
+
+    /// Consumes `len` consecutive values from the front of `r` without
+    /// keeping them: what vectors and arrays pass over their contents
+    /// through, the skipping counterpart of [`Decode::decode_seq`].
+    ///
+    /// The default skips element by element, and is the behaviour an
+    /// override must keep: the same bytes consumed, the same kind of error.
+    /// The integers override it to pass over a word of varints at a time.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Decode::decode_seq`].
+    fn skip_seq(r: &mut ByteReader<'_>, len: usize) -> Result<(), WireError> {
+        impls::skip_seq_from::<Self>(r, 0, len)
+    }
 }
 
 /// Convenience alias bound for values that travel through the platform:

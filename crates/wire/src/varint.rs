@@ -195,6 +195,61 @@ pub(crate) fn read_all<T>(
     Ok(())
 }
 
+/// Passes over up to `len` consecutive varints at the front of `rest` and
+/// returns how many it passed: a word of eight bytes at a time, counting
+/// the bytes that end a varint and stepping past the last of them it
+/// keeps.  It passes only varints that a type of at most `max_len` bytes,
+/// whose last byte holds `top` value bits, decodes: a longer varint, a
+/// last byte out of range or a varint the input does not end stops the
+/// pass before the word that holds it.  The caller skips what is left one
+/// value at a time, which reports any error as decoding does.
+#[inline]
+pub(crate) fn skip_all(rest: &mut &[u8], len: usize, max_len: usize, top: u32) -> usize {
+    // The value bits a last byte must not carry.
+    let high = 0x7f & !((1u64 << top) - 1);
+    let mut done = 0;
+    while done < len && !rest.is_empty() {
+        let (word, present) = if let Some(head) = rest.first_chunk::<8>() {
+            (u64::from_le_bytes(*head), 8)
+        } else {
+            let mut padded = [0u8; 8];
+            padded[..rest.len()].copy_from_slice(rest);
+            (u64::from_le_bytes(padded), rest.len())
+        };
+        let mut ends = !word & CONTINUES & (u64::MAX >> (64 - 8 * present));
+        let wanted = len - done;
+        if ends.count_ones() as usize > wanted {
+            // Keep the first `wanted` ends only (fewer than eight).
+            let mut keep = ends;
+            for _ in 1..wanted {
+                keep &= keep - 1;
+            }
+            let last = keep & keep.wrapping_neg();
+            ends &= (last << 1).wrapping_sub(1);
+        }
+        if ends == 0 {
+            break;
+        }
+        let used = (64 - ends.leading_zeros() as usize) / 8;
+        if max_len <= 8 {
+            // Mark each varint's `max_len`-th byte: it must end the varint
+            // and carry no value bit above `top`.
+            let more = word & CONTINUES & (u64::MAX >> (64 - 8 * used));
+            let mut run = more;
+            for k in 1..max_len - 1 {
+                run &= more << (8 * k);
+            }
+            let last = run << 8;
+            if last & more != 0 || word & ((last >> 7) * high) != 0 {
+                break;
+            }
+        }
+        done += ends.count_ones() as usize;
+        *rest = &rest[used..];
+    }
+    done
+}
+
 /// Zig-zag maps a signed integer into an unsigned one.
 #[inline]
 #[must_use]
@@ -401,6 +456,73 @@ mod tests {
                 }
                 Err(e) => proptest::prop_assert_eq!(got, Err(e)),
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// The word-at-a-time pass only passes varints the bytewise loop
+        /// reads within the type's width, stops where they end, and leaves
+        /// at most one word's worth unsettled before an error.
+        #[test]
+        fn skip_all_passes_what_decodes(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+            clear in proptest::collection::vec(0usize..64, 0..40),
+            len in 0usize..40,
+            pick in 0usize..4,
+        ) {
+            let mut bytes = bytes;
+            for at in clear {
+                if let Some(byte) = bytes.get_mut(at) {
+                    *byte &= 0x7f;
+                }
+            }
+            // The widths of u8, u16, u32 and u64: bytes, last byte's bits.
+            let (max_len, top) = [(2, 1), (3, 2), (5, 4), (10, 1)][pick];
+            let bits = 7 * (max_len - 1) + top as usize;
+            let limit = u64::MAX >> (64 - bits);
+            let mut rest = &bytes[..];
+            let passed = skip_all(&mut rest, len, max_len, top);
+            proptest::prop_assert!(passed <= len);
+            let mut r = ByteReader::new(&bytes);
+            for _ in 0..passed {
+                let value = read_u64_bytewise(&mut r);
+                proptest::prop_assert!(matches!(value, Ok(v) if v <= limit));
+            }
+            proptest::prop_assert_eq!(rest.len(), r.remaining());
+        }
+    }
+
+    #[test]
+    fn skip_all_passes_whole_words_of_wide_values() {
+        // u32::MAX is five bytes; 2^32 is five bytes and out of range.
+        let mut w = ByteWriter::new();
+        for v in [
+            1u64,
+            u64::from(u32::MAX),
+            300,
+            u64::from(u32::MAX),
+            7,
+            1 << 32,
+            5,
+        ] {
+            write_u64(&mut w, v);
+        }
+        let bytes = w.into_bytes();
+        let mut rest = &bytes[..];
+        let passed = skip_all(&mut rest, 7, 5, 4);
+        assert_eq!(passed, 5, "stops at the word of the out-of-range value");
+        let mut rest = &bytes[..];
+        assert_eq!(skip_all(&mut rest, 7, 10, 1), 7, "a u64 list passes whole");
+        assert!(rest.is_empty());
+        // Longer than the type allows, with an in-range byte where the
+        // last would be: 2^35 as a u32, 2^14 as a u8.
+        for (bytes, max_len, top) in [
+            (&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01][..], 5, 4),
+            (&[0x80, 0x80, 0x01][..], 2, 1),
+        ] {
+            let mut rest = bytes;
+            assert_eq!(skip_all(&mut rest, 1, max_len, top), 0);
+            assert_eq!(rest.len(), bytes.len());
         }
     }
 
