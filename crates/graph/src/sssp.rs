@@ -28,8 +28,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ripple_core::{
-    AggValue, Aggregate, ComputeContext, EbspError, FnLoader, Job, JobProperties, JobRunner,
-    LoadSink, Loader, RunMetrics, RunOptions, RunOutcome, SumI64,
+    AggValue, Aggregate, ComputeContext, EbspError, Exporter, FnLoader, Job, JobProperties,
+    JobRunner, LoadSink, Loader, RunMetrics, RunOptions, RunOutcome, SumI64,
 };
 use ripple_kv::{
     DurableStore, HealableStore, KvError, KvStore, PartId, PartView, RecoverableStore, Table,
@@ -128,13 +128,26 @@ impl<const LISTS: usize> Decode for DistAfter<LISTS> {
     }
 }
 
+/// Where a [`SelectiveSssp`] reports its distance changes.
+pub type ChangeSink = Arc<dyn Exporter<VertexId, u32>>;
+
 /// The selective-enablement incremental job: enabled vertices apply the
 /// (sender, distance) messages to their neighbor-distance arrays,
 /// recompute, and notify neighbors only if their own distance changed.
+///
+/// **Direct output.** Given a change sink ([`SelectiveSssp::reporting`]),
+/// the job reports every distance change as one `(vertex, new distance)`
+/// pair of direct job output, from the invocation that made it, so a
+/// reader that applies each step's reports at that step's barrier holds
+/// exactly the state table's distances there (a vertex runs at most once
+/// a step, so the order among parts does not matter).  The values are
+/// absolute, so a report seen twice is harmless.  Without a sink the job
+/// reports nothing and produces no direct output.
 pub struct SelectiveSssp {
     table: String,
     source: VertexId,
     n: u32,
+    changes: Option<ChangeSink>,
 }
 
 impl SelectiveSssp {
@@ -145,7 +158,15 @@ impl SelectiveSssp {
             table: table.into(),
             source,
             n,
+            changes: None,
         }
+    }
+
+    /// Reports every distance change to `sink` as direct job output.
+    #[must_use]
+    pub fn reporting(mut self, sink: ChangeSink) -> Self {
+        self.changes = Some(sink);
+        self
     }
 }
 
@@ -153,8 +174,8 @@ impl Job for SelectiveSssp {
     type Key = VertexId;
     type State = SelState;
     type Message = (VertexId, u32); // (sender, sender's distance)
-    type OutKey = ();
-    type OutValue = ();
+    type OutKey = VertexId;
+    type OutValue = u32; // the vertex's new distance
 
     fn state_tables(&self) -> Vec<String> {
         vec![self.table.clone()]
@@ -173,6 +194,10 @@ impl Job for SelectiveSssp {
             no_continue: true,
             ..JobProperties::default()
         }
+    }
+
+    fn direct_output(&self) -> Option<ChangeSink> {
+        self.changes.clone()
     }
 
     // No combiner: "the job's combiner does not combine these messages".
@@ -199,6 +224,9 @@ impl Job for SelectiveSssp {
             for i in 0..state.neighbors.len() {
                 ctx.send(state.neighbors[i], (me, new_dist));
             }
+            if self.changes.is_some() {
+                ctx.output(me, new_dist)?;
+            }
         }
         if state_changed {
             ctx.write_state(0, &state)?;
@@ -213,6 +241,8 @@ pub struct SelectiveInstance<S: KvStore> {
     table: String,
     source: VertexId,
     n: u32,
+    /// Handed to every launch's job ([`SelectiveSssp::reporting`]).
+    changes: Option<ChangeSink>,
     /// Runs [`SelectiveInstance::apply_batch`]: one runner for the
     /// instance's life, so its temporaries outlive a batch.
     runner: JobRunner<S>,
@@ -252,10 +282,39 @@ impl<S: KvStore> SelectiveInstance<S> {
         graph: &Graph,
         source: VertexId,
     ) -> Result<(Self, RunOutcome), EbspError> {
-        let instance = Self::new(store, table, graph, source);
-        let job = instance.job();
-        let outcome = runner.launch(job, RunOptions::new().loader(initial_loader(graph)))?;
-        Ok((instance, outcome))
+        Self::new(store, table, graph, source).launch_initial(runner, graph)
+    }
+
+    /// As [`SelectiveInstance::initialize_on`], but every launch of the
+    /// instance — the initial solve and each update wave — reports its
+    /// distance changes to `changes` ([`SelectiveSssp::reporting`]).  The
+    /// loader starts every vertex of `graph` at [`INF`], so a reader that
+    /// starts from `graph.vertex_count()` entries of [`INF`] and applies
+    /// the reports in order holds the instance's distances.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine and store errors.
+    pub fn initialize_reporting_on(
+        runner: &JobRunner<S>,
+        store: &S,
+        table: &str,
+        graph: &Graph,
+        source: VertexId,
+        changes: ChangeSink,
+    ) -> Result<(Self, RunOutcome), EbspError> {
+        let mut instance = Self::new(store, table, graph, source);
+        instance.changes = Some(changes);
+        instance.launch_initial(runner, graph)
+    }
+
+    fn launch_initial(
+        self,
+        runner: &JobRunner<S>,
+        graph: &Graph,
+    ) -> Result<(Self, RunOutcome), EbspError> {
+        let outcome = runner.launch(self.job(), RunOptions::new().loader(initial_loader(graph)))?;
+        Ok((self, outcome))
     }
 
     fn new(store: &S, table: &str, graph: &Graph, source: VertexId) -> Self {
@@ -264,6 +323,7 @@ impl<S: KvStore> SelectiveInstance<S> {
             table: table.to_owned(),
             source,
             n: graph.vertex_count(),
+            changes: None,
             runner: JobRunner::new(store.clone()),
         }
     }
@@ -273,6 +333,7 @@ impl<S: KvStore> SelectiveInstance<S> {
             table: self.table.clone(),
             source: self.source,
             n: self.n,
+            changes: self.changes.clone(),
         })
     }
 
@@ -370,9 +431,9 @@ impl<S: KvStore> SelectiveInstance<S> {
 }
 
 /// Decodes the distance annotations out of a raw state-table snapshot
-/// ([`KvStore::snapshot_table`]), sorted by vertex — how a serving loop
-/// turns the last barrier's consistent cut into a queryable distance map
-/// without touching the live table again.
+/// ([`KvStore::snapshot_table`]), sorted by vertex — an oracle for what a
+/// reader of the job's reported changes ([`SelectiveSssp::reporting`])
+/// should hold at the same cut.
 ///
 /// # Errors
 ///

@@ -27,8 +27,9 @@
 //!   ([`ServingSssp`]): mutations stream through a
 //!   [`MutationQueue`](ripple_graph::MutationQueue), each drained batch
 //!   runs as one selective-enablement wave, and point queries are
-//!   answered from the last barrier's consistent snapshot without
-//!   stopping the job.
+//!   answered from the last barrier's cut without stopping the job: the
+//!   job reports its distance changes, each barrier applies only those,
+//!   and a query takes no lock.
 //!
 //! # Example
 //!

@@ -7,26 +7,34 @@
 //! control flow — mutations arrive continuously on a [`MutationQueue`],
 //! a serving loop drains them into batches and applies each batch as one
 //! wave on a [`ResidentJob`]'s gated runner, and point queries are
-//! answered at any time from the **last consistent barrier snapshot**:
-//! an observer hooked on [`RunEvent::Step`] (the engine is paused
-//! at the barrier, so the cut is writer-consistent) snapshots the state
-//! table, decodes it into a versioned distance map behind an `RwLock`,
-//! and queries read only that map — they never touch the live table, so
-//! they neither block nor observe a half-applied wave.
+//! answered at any time from the **last barrier's cut**.
+//!
+//! The distance map is fed by the job itself, not read back from its
+//! table: [`SelectiveSssp`](ripple_graph::sssp::SelectiveSssp) reports
+//! every distance change through its direct output (K/V EBSP's *direct
+//! job output* channel), the serving tier buffers what a step reports,
+//! and an observer hooked on [`RunEvent::Step`] applies those changes in
+//! place — the engine is paused at the barrier, so the map then holds
+//! exactly the writer-consistent cut — plus once more when a launch
+//! completes.  A barrier costs what its step changed, never a snapshot of
+//! the table.  Queries read the map through a sequence counter and take
+//! no lock: they never touch the live table, so they neither block a
+//! wave nor observe a half-applied one.
 //!
 //! The version counter makes staleness observable: it bumps once per
-//! refresh, so a client comparing versions across queries can tell "same
-//! barrier" from "newer barrier".
+//! barrier and once per completed launch, so a client comparing versions
+//! across queries can tell "same barrier" from "newer barrier", and
+//! [`ServingSssp::visible`] tells a client whether a wave has landed.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ripple_core::{EbspError, RunEvent, RunObserver};
+use ripple_core::{EbspError, Exporter, RunEvent, RunObserver};
 use ripple_graph::generate::{Graph, GraphChange};
-use ripple_graph::sssp::{distances_from_snapshot, SelectiveInstance};
+use ripple_graph::sssp::SelectiveInstance;
 use ripple_graph::{MutationQueue, VertexId, INF};
-use ripple_kv::KvStore;
+use ripple_kv::{KvStore, PartId};
 
 use crate::quota::{AdmitError, JobSpec};
 use crate::server::{JobServer, ResidentJob};
@@ -73,21 +81,90 @@ impl From<EbspError> for ServeError {
     }
 }
 
-/// The queryable product of the last refresh: dense distances indexed by
-/// vertex, stamped with a monotonic version.
-#[derive(Debug, Default)]
+/// Spins a query makes on a write in progress before it yields its time
+/// slice — a writer preempted on the reader's own CPU must get to run.
+const SPINS_BEFORE_YIELD: u32 = 64;
+
+/// The queryable distances, indexed by vertex and stamped with a
+/// monotonic version: a sequence lock over a fixed array.  Readers take
+/// no lock; writers serialize on a mutex.
+#[derive(Debug)]
 struct DistanceMap {
-    version: u64,
-    dists: Vec<u32>,
+    /// Twice the version; odd while a writer stores entries.
+    seq: AtomicU64,
+    dists: Box<[AtomicU32]>,
+    writer: Mutex<()>,
+}
+
+impl DistanceMap {
+    /// `n` vertices, all unreachable, at version 0.
+    fn new(n: u32) -> Self {
+        Self {
+            seq: AtomicU64::new(0),
+            dists: (0..n).map(|_| AtomicU32::new(INF)).collect(),
+            writer: Mutex::new(()),
+        }
+    }
+
+    /// Stores `changes` in order and bumps the version; returns how many
+    /// named a vertex outside the map (and were dropped).
+    fn apply(&self, changes: &[(VertexId, u32)]) -> u64 {
+        let _writer = self.writer.lock().expect("distance map writer poisoned");
+        let seq = self.seq.load(Ordering::Relaxed);
+        self.seq.store(seq + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        let mut outside = 0;
+        for &(v, dist) in changes {
+            match self.dists.get(v as usize) {
+                Some(entry) => entry.store(dist, Ordering::Relaxed),
+                None => outside += 1,
+            }
+        }
+        self.seq.store(seq + 2, Ordering::Release);
+        outside
+    }
+
+    /// `v`'s distance and the version it belongs to.
+    fn read(&self, v: VertexId) -> QueryAnswer {
+        let mut spins = 0;
+        loop {
+            let before = self.seq.load(Ordering::Acquire);
+            if before.is_multiple_of(2) {
+                let dist = self
+                    .dists
+                    .get(v as usize)
+                    .map(|entry| entry.load(Ordering::Relaxed));
+                fence(Ordering::Acquire);
+                if self.seq.load(Ordering::Relaxed) == before {
+                    return QueryAnswer {
+                        dist,
+                        version: before / 2,
+                    };
+                }
+            }
+            spins += 1;
+            if spins < SPINS_BEFORE_YIELD {
+                std::hint::spin_loop();
+            } else {
+                spins = 0;
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// The last completed version.
+    fn version(&self) -> u64 {
+        self.seq.load(Ordering::Acquire) / 2
+    }
 }
 
 /// One point query's answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryAnswer {
-    /// Distance from the source at the answering snapshot; `None` when
+    /// Distance from the source at the answering cut; `None` when
     /// the vertex is outside the loaded graph, [`INF`] when unreachable.
     pub dist: Option<u32>,
-    /// The snapshot's version (0 = no barrier has refreshed yet).
+    /// The cut's version (0 = no barrier has refreshed yet).
     pub version: u64,
 }
 
@@ -118,51 +195,51 @@ pub struct ServingReport {
     pub mutations_applied: u64,
     /// Point queries answered.
     pub queries: u64,
-    /// Snapshot refreshes performed (≥ one per barrier plus one per
-    /// wave's tail).
+    /// Distance-map refreshes (one per barrier plus one per completed
+    /// launch), each applying the changes reported since the last.
     pub refreshes: u64,
-    /// Refreshes that failed (snapshot or decode error).
+    /// Reported changes that named a vertex outside the map, and were
+    /// dropped (none from a well-formed job).
     pub refresh_errors: u64,
-    /// The final snapshot version.
+    /// The final map version.
     pub final_version: u64,
 }
 
-/// Refreshes the distance map from the state table's current consistent
-/// cut.  Called at barriers (engine paused) and after each wave.
-fn refresh<S: KvStore>(
-    store: &S,
-    table: &str,
-    map: &RwLock<DistanceMap>,
-    shared: &ServingShared,
-) -> Result<(), EbspError> {
-    let handle = store.lookup_table(table).map_err(EbspError::Kv)?;
-    let snapshot = store.snapshot_table(&handle).map_err(EbspError::Kv)?;
-    let dists = distances_from_snapshot(&snapshot)?;
-    let mut dense = vec![INF; dists.last().map_or(0, |&(v, _)| v as usize + 1)];
-    for (v, d) in dists {
-        dense[v as usize] = d;
+/// The job's change sink: what the steps since the last refresh reported,
+/// in report order.
+#[derive(Debug, Default)]
+struct Reports(Mutex<Vec<(VertexId, u32)>>);
+
+impl Exporter<VertexId, u32> for Reports {
+    fn export(&self, _part: PartId, v: &VertexId, dist: &u32) {
+        self.0.lock().expect("reports poisoned").push((*v, *dist));
     }
-    let mut map = map.write().expect("distance map poisoned");
-    map.version += 1;
-    map.dists = dense;
-    shared.refreshes.fetch_add(1, Ordering::Relaxed);
-    Ok(())
 }
 
-/// The barrier hook: refresh on every completed step.
-struct SnapshotRefresher<S: KvStore> {
-    store: S,
-    table: String,
-    map: Arc<RwLock<DistanceMap>>,
+/// The refresh: applies what was reported since the last one and bumps
+/// the version.  Called at barriers (engine paused) and after each launch.
+#[derive(Debug)]
+struct Refresher {
+    reports: Arc<Reports>,
+    map: Arc<DistanceMap>,
     shared: Arc<ServingShared>,
 }
 
-impl<S: KvStore> RunObserver for SnapshotRefresher<S> {
+impl Refresher {
+    fn refresh(&self) {
+        let changes = std::mem::take(&mut *self.reports.0.lock().expect("reports poisoned"));
+        let outside = self.map.apply(&changes);
+        self.shared.refreshes.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .refresh_errors
+            .fetch_add(outside, Ordering::Relaxed);
+    }
+}
+
+impl RunObserver for Refresher {
     fn on_event(&self, event: &RunEvent<'_>) {
-        if matches!(event, RunEvent::Step { .. })
-            && refresh(&self.store, &self.table, &self.map, &self.shared).is_err()
-        {
-            self.shared.refresh_errors.fetch_add(1, Ordering::Relaxed);
+        if matches!(event, RunEvent::Step { .. }) {
+            self.refresh();
         }
     }
 }
@@ -175,7 +252,7 @@ impl<S: KvStore> RunObserver for SnapshotRefresher<S> {
 #[derive(Debug)]
 pub struct ServingSssp {
     queue: MutationQueue,
-    map: Arc<RwLock<DistanceMap>>,
+    map: Arc<DistanceMap>,
     shared: Arc<ServingShared>,
     worker: Option<std::thread::JoinHandle<()>>,
 }
@@ -202,23 +279,26 @@ impl ServingSssp {
     ) -> Result<Self, ServeError> {
         let mut resident = server.admit_resident(name, spec)?;
         let table = format!("{name}__sssp");
-        let map = Arc::new(RwLock::new(DistanceMap::default()));
+        // Edits never create a vertex and the job creates no state, so the
+        // initial load's key set, `0..n`, is the map's for good.
+        let map = Arc::new(DistanceMap::new(graph.vertex_count()));
         let shared = Arc::new(ServingShared::default());
+        let reports = Arc::new(Reports::default());
 
-        let refresher = Arc::new(SnapshotRefresher {
-            store: resident.store().clone(),
-            table: table.clone(),
+        let refresher = Arc::new(Refresher {
+            reports: Arc::clone(&reports),
             map: Arc::clone(&map),
             shared: Arc::clone(&shared),
         });
-        resident.runner_mut().observer(refresher);
+        resident.runner_mut().observer(Arc::clone(&refresher) as _);
 
-        let init = SelectiveInstance::initialize_on(
+        let init = SelectiveInstance::initialize_reporting_on(
             resident.runner(),
             resident.store(),
             &table,
             graph,
             source,
+            reports,
         );
         let (instance, outcome) = match init {
             Ok(pair) => pair,
@@ -228,27 +308,17 @@ impl ServingSssp {
             }
         };
         resident.record(&outcome);
-        // A zero-step solve (empty graph) never fired a step event; make sure
-        // at least one consistent snapshot is queryable before returning.
-        refresh(resident.store(), &table, &map, &shared)?;
+        // The launch's refresh: a zero-step solve (empty graph) fired no
+        // step event, and the version counts launches too.
+        refresher.refresh();
 
         let queue = MutationQueue::new();
         let poll = server.config().serve_poll;
         let loop_queue = queue.clone();
-        let loop_map = Arc::clone(&map);
-        let loop_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name(format!("ripple-serve-{name}"))
             .spawn(move || {
-                serve_loop(
-                    &resident,
-                    &instance,
-                    &table,
-                    &loop_queue,
-                    &loop_map,
-                    &loop_shared,
-                    poll,
-                );
+                serve_loop(&resident, &instance, &loop_queue, &refresher, poll);
                 // `resident` drops here, settling the account and freeing
                 // the admission slot.
             })
@@ -281,38 +351,33 @@ impl ServingSssp {
         self.queue.len()
     }
 
-    /// Answers a point query from the last consistent barrier snapshot —
-    /// never blocks on a running wave.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the distance-map lock is poisoned (a refresher
-    /// panicked).
+    /// Answers a point query from the last barrier's cut — takes no lock
+    /// and never blocks on a running wave.
     #[must_use]
     pub fn query(&self, v: VertexId) -> QueryAnswer {
         self.shared.queries.fetch_add(1, Ordering::Relaxed);
-        let map = self.map.read().expect("distance map poisoned");
-        QueryAnswer {
-            dist: map.dists.get(v as usize).copied(),
-            version: map.version,
-        }
+        self.map.read(v)
     }
 
-    /// The current snapshot version (bumps once per refresh).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the distance-map lock is poisoned (a refresher
-    /// panicked).
+    /// The current map version (bumps once per refresh).
     #[must_use]
     pub fn version(&self) -> u64 {
-        self.map.read().expect("distance map poisoned").version
+        self.map.version()
     }
 
-    /// Waves applied so far.
+    /// Waves applied so far; a wave counts once its closing refresh is
+    /// visible to queries.
     #[must_use]
     pub fn waves(&self) -> u64 {
-        self.shared.waves.load(Ordering::Relaxed)
+        self.shared.waves.load(Ordering::Acquire)
+    }
+
+    /// Whether wave number `wave` (the first is 1) has landed: every query
+    /// issued after this returns `true` answers from a cut that includes
+    /// that wave's changes.
+    #[must_use]
+    pub fn visible(&self, wave: u64) -> bool {
+        self.waves() >= wave
     }
 
     /// Closes the mutation queue, drains what is pending, stops the
@@ -336,12 +401,12 @@ impl ServingSssp {
             return Err(e);
         }
         Ok(ServingReport {
-            waves: self.shared.waves.load(Ordering::Relaxed),
+            waves: self.waves(),
             mutations_applied: self.shared.mutations_applied.load(Ordering::Relaxed),
             queries: self.shared.queries.load(Ordering::Relaxed),
             refreshes: self.shared.refreshes.load(Ordering::Relaxed),
             refresh_errors: self.shared.refresh_errors.load(Ordering::Relaxed),
-            final_version: self.map.read().expect("distance map poisoned").version,
+            final_version: self.map.version(),
         })
     }
 }
@@ -360,12 +425,11 @@ impl Drop for ServingSssp {
 fn serve_loop<S: KvStore>(
     resident: &ResidentJob<S>,
     instance: &SelectiveInstance<S>,
-    table: &str,
     queue: &MutationQueue,
-    map: &RwLock<DistanceMap>,
-    shared: &ServingShared,
+    refresher: &Refresher,
     poll: Duration,
 ) {
+    let shared = &refresher.shared;
     loop {
         let batch = queue.wait_drain(WAVE_BATCH_MAX, poll);
         if batch.is_empty() {
@@ -377,16 +441,15 @@ fn serve_loop<S: KvStore>(
         match instance.apply_batch_on(resident.runner(), &batch) {
             Ok(outcome) => {
                 resident.record(&outcome);
-                shared.waves.fetch_add(1, Ordering::Relaxed);
                 shared
                     .mutations_applied
                     .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                // A wave whose changes were all no-ops runs zero steps and
-                // fires no barrier; refresh so direct state edits (the
-                // incremental bookkeeping) still become visible.
-                if refresh(resident.store(), table, map, shared).is_err() {
-                    shared.refresh_errors.fetch_add(1, Ordering::Relaxed);
-                }
+                // The launch's refresh: its steps' changes are applied
+                // already (a wave whose changes were all no-ops ran none),
+                // and the version counts launches too.
+                refresher.refresh();
+                // Counted after its refresh, so `visible` needs nothing else.
+                shared.waves.fetch_add(1, Ordering::Release);
             }
             Err(e) => {
                 resident.mark_failed();
@@ -394,5 +457,68 @@ fn serve_loop<S: KvStore>(
                 break;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A reader never pairs an entry with a version it does not belong
+    /// to: the writer sets every entry to the version it is writing, so a
+    /// torn read answers a distance other than its version.  Each reader
+    /// keeps reading until it has seen the writer complete a few versions,
+    /// so the two have run at the same time.
+    #[test]
+    fn queries_never_see_a_torn_map() {
+        const N: u32 = 4_096;
+        const READS: u32 = 100_000;
+        let map = Arc::new(DistanceMap::new(N));
+        let stamp = |version: u64| -> Vec<(VertexId, u32)> {
+            let dist = u32::try_from(version).expect("test versions fit a u32");
+            (0..N).map(|v| (v, dist)).collect()
+        };
+        assert_eq!(map.apply(&stamp(1)), 0);
+        let readers: Vec<_> = (0..2u32)
+            .map(|r| {
+                let map = Arc::clone(&map);
+                std::thread::spawn(move || {
+                    let (mut last, mut i) = (0, 0u32);
+                    while i < READS || last < 4 {
+                        i = i.wrapping_add(1);
+                        let v = (i.wrapping_mul(2_654_435_761) ^ r) % N;
+                        let answer = map.read(v);
+                        assert_eq!(answer.dist.map(u64::from), Some(answer.version));
+                        assert!(answer.version >= last, "versions must be monotonic");
+                        last = answer.version;
+                    }
+                    last
+                })
+            })
+            .collect();
+        let mut written = 1;
+        while !readers.iter().all(std::thread::JoinHandle::is_finished) {
+            written += 1;
+            assert_eq!(map.apply(&stamp(written)), 0);
+        }
+        for reader in readers {
+            assert!(reader.join().expect("reader panicked") <= written);
+        }
+        assert_eq!(map.version(), written);
+    }
+
+    #[test]
+    fn a_change_outside_the_map_is_counted_and_dropped() {
+        let map = DistanceMap::new(3);
+        assert_eq!(map.apply(&[(1, 4), (3, 7), (9, 1)]), 2);
+        assert_eq!(
+            map.read(1),
+            QueryAnswer {
+                dist: Some(4),
+                version: 1
+            }
+        );
+        assert_eq!(map.read(0).dist, Some(INF));
+        assert_eq!(map.read(3).dist, None);
     }
 }
