@@ -34,7 +34,7 @@ use ripple_core::{
 use ripple_kv::{
     DurableStore, HealableStore, KvError, KvStore, PartId, PartView, RecoverableStore, Table,
 };
-use ripple_wire::{ByteReader, ByteWriter, Decode, Encode, WireError};
+use ripple_wire::{from_wire, to_wire, ByteReader, ByteWriter, Decode, Encode, WireError};
 
 use crate::generate::{Graph, GraphChange, MutableGraph};
 use crate::{VertexId, INF};
@@ -63,9 +63,14 @@ fn cap(d: u32, n: u32) -> u32 {
 // Selective-enablement variant
 // ===========================================================================
 
-/// Selective-variant vertex state: parallel neighbor and neighbor-distance
-/// arrays (the bookkeeping that buys incrementality) plus the current
-/// distance.
+/// Selective-variant vertex state, joined: parallel neighbor and
+/// neighbor-distance arrays (the bookkeeping that buys incrementality) plus
+/// the current distance.
+///
+/// The job keeps it in two co-partitioned state tables, as the two
+/// [`SelRecord`]s of [`SelState::into_records`]; this joined view is what
+/// the edit round edits.  Its own codec is the single-record format of
+/// earlier builds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelState {
     /// Neighbor ids.
@@ -78,18 +83,47 @@ pub struct SelState {
 }
 
 impl SelState {
-    fn recompute(&self, me: VertexId, source: VertexId, n: u32) -> u32 {
-        if me == source {
-            return 0;
-        }
-        let best = self
-            .neighbor_dists
-            .iter()
-            .copied()
-            .min()
-            .map_or(INF, saturating_inc);
-        cap(best, n)
+    /// Splits the joined view into its records: the one for the
+    /// instance's own table, then the one for [`adjacency_table`].
+    #[must_use]
+    pub fn into_records(self) -> [SelRecord; 2] {
+        [
+            SelRecord::Dists {
+                neighbor_dists: self.neighbor_dists,
+                dist: self.dist,
+            },
+            SelRecord::Adj(self.neighbors),
+        ]
     }
+
+    /// Joins a vertex's two records.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`WireError::InvalidTag`] if `dists` is not a
+    /// [`SelRecord::Dists`] or `adj` not a [`SelRecord::Adj`].
+    pub fn from_records(dists: SelRecord, adj: SelRecord) -> Result<Self, WireError> {
+        let (neighbor_dists, dist) = dists.into_dists()?;
+        Ok(Self {
+            neighbors: adj.into_adj()?,
+            neighbor_dists,
+            dist,
+        })
+    }
+}
+
+/// A vertex's distance from what it last heard from its neighbors: one more
+/// than the least, capped at the vertex count `n`; 0 at the source.
+fn recompute(neighbor_dists: &[u32], me: VertexId, source: VertexId, n: u32) -> u32 {
+    if me == source {
+        return 0;
+    }
+    let best = neighbor_dists
+        .iter()
+        .copied()
+        .min()
+        .map_or(INF, saturating_inc);
+    cap(best, n)
 }
 
 impl Encode for SelState {
@@ -113,18 +147,149 @@ impl Decode for SelState {
     }
 }
 
-/// The `dist` of an encoded [`SelState`] (`LISTS` = 2) or [`FsState`]
-/// (`LISTS` = 1): the vertex lists before it are passed over, not built —
+/// What [`adjacency_table`] appends to the instance's table name.
+const ADJ_SUFFIX: &str = "__adj";
+
+/// The name of the table holding the neighbor ids of the selective
+/// instance that lives in `table`.
+#[must_use]
+pub fn adjacency_table(table: &str) -> String {
+    format!("{table}{ADJ_SUFFIX}")
+}
+
+/// A record of the selective variant's state: a vertex has one in each of
+/// the job's two co-partitioned tables (K/V EBSP factors a component's
+/// state into several key/value tables).  A message changes what a vertex
+/// last heard, never who its neighbors are, so an invocation rewrites only
+/// its [`SelRecord::Dists`].  One type serves both tables because a job
+/// has one state type; the leading tag byte says which record it is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SelRecord {
+    /// The record in the instance's own table: the distance most recently
+    /// received from each neighbor (parallel to the neighbor ids of the
+    /// vertex's [`SelRecord::Adj`]) and the vertex's own distance, as
+    /// varints — hop counts are small, and [`INF`] is the only wide one.
+    /// Every invocation that heard news rewrites it.
+    Dists {
+        /// The distance most recently received from each neighbor.
+        neighbor_dists: Vec<u32>,
+        /// This vertex's current distance from the source.
+        dist: u32,
+    },
+    /// The record in [`adjacency_table`]: the neighbor ids, a length
+    /// varint then little-endian `u32`s, so every invocation reads it back
+    /// as one bulk copy.  Written only by the loader and the edit round.
+    Adj(Vec<VertexId>),
+}
+
+const DISTS_TAG: u8 = 0;
+const ADJ_TAG: u8 = 1;
+
+impl SelRecord {
+    fn into_dists(self) -> Result<(Vec<u32>, u32), WireError> {
+        match self {
+            Self::Dists {
+                neighbor_dists,
+                dist,
+            } => Ok((neighbor_dists, dist)),
+            Self::Adj(_) => Err(misplaced(ADJ_TAG)),
+        }
+    }
+
+    fn into_adj(self) -> Result<Vec<VertexId>, WireError> {
+        match self {
+            Self::Adj(neighbors) => Ok(neighbors),
+            Self::Dists { .. } => Err(misplaced(DISTS_TAG)),
+        }
+    }
+}
+
+/// A record found in the other table.
+fn misplaced(tag: u8) -> WireError {
+    WireError::InvalidTag {
+        target: "SelRecord (in the other table)",
+        tag,
+    }
+}
+
+impl Encode for SelRecord {
+    fn encode(&self, w: &mut ByteWriter) {
+        match self {
+            Self::Dists {
+                neighbor_dists,
+                dist,
+            } => {
+                w.push(DISTS_TAG);
+                neighbor_dists.encode(w);
+                dist.encode(w);
+            }
+            Self::Adj(neighbors) => {
+                w.push(ADJ_TAG);
+                (neighbors.len() as u64).encode(w);
+                w.reserve(4 * neighbors.len());
+                for v in neighbors {
+                    w.extend(&v.to_le_bytes());
+                }
+            }
+        }
+    }
+    fn size_hint(&self) -> usize {
+        match self {
+            Self::Dists { neighbor_dists, .. } => 1 + neighbor_dists.size_hint() + 5,
+            Self::Adj(neighbors) => 1 + 10 + 4 * neighbors.len(),
+        }
+    }
+}
+
+impl Decode for SelRecord {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        match r.read_byte()? {
+            DISTS_TAG => Ok(Self::Dists {
+                neighbor_dists: Vec::decode(r)?,
+                dist: u32::decode(r)?,
+            }),
+            ADJ_TAG => {
+                let declared = u64::decode(r)?;
+                let len = r.check_len(declared, 4)?;
+                let words = r.read_slice(4 * len)?;
+                Ok(Self::Adj(
+                    words
+                        .chunks_exact(4)
+                        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                        .collect(),
+                ))
+            }
+            tag => Err(WireError::InvalidTag {
+                target: "SelRecord",
+                tag,
+            }),
+        }
+    }
+}
+
+/// The `dist` of an encoded [`FsState`], or of a [`SelRecord::Dists`]
+/// once its tag is read: the list before it is passed over, not built —
 /// reading distances back is one scalar per vertex.
 #[derive(Clone)]
-struct DistAfter<const LISTS: usize>(u32);
+struct DistAfterList(u32);
 
-impl<const LISTS: usize> Decode for DistAfter<LISTS> {
+impl Decode for DistAfterList {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        for _ in 0..LISTS {
-            Vec::<u32>::skip(r)?;
-        }
+        Vec::<u32>::skip(r)?;
         Ok(Self(u32::decode(r)?))
+    }
+}
+
+/// The `dist` of an encoded [`SelRecord::Dists`].
+#[derive(Clone)]
+struct SelDist(u32);
+
+impl Decode for SelDist {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        match r.read_byte()? {
+            DISTS_TAG => Ok(Self(DistAfterList::decode(r)?.0)),
+            tag => Err(misplaced(tag)),
+        }
     }
 }
 
@@ -134,6 +299,11 @@ pub type ChangeSink = Arc<dyn Exporter<VertexId, u32>>;
 /// The selective-enablement incremental job: enabled vertices apply the
 /// (sender, distance) messages to their neighbor-distance arrays,
 /// recompute, and notify neighbors only if their own distance changed.
+///
+/// **State.** Two co-partitioned tables: the instance's own, holding each
+/// vertex's [`SelRecord::Dists`], and [`adjacency_table`], holding its
+/// [`SelRecord::Adj`].  An invocation reads both and writes only the
+/// first, and only when what it heard or its distance changed.
 ///
 /// **Direct output.** Given a change sink ([`SelectiveSssp::reporting`]),
 /// the job reports every distance change as one `(vertex, new distance)`
@@ -170,15 +340,20 @@ impl SelectiveSssp {
     }
 }
 
+/// Index of the distance table among [`SelectiveSssp`]'s state tables.
+const DISTS: usize = 0;
+/// Index of the [`adjacency_table`].
+const ADJ: usize = 1;
+
 impl Job for SelectiveSssp {
     type Key = VertexId;
-    type State = SelState;
+    type State = SelRecord;
     type Message = (VertexId, u32); // (sender, sender's distance)
     type OutKey = VertexId;
     type OutValue = u32; // the vertex's new distance
 
     fn state_tables(&self) -> Vec<String> {
-        vec![self.table.clone()]
+        vec![self.table.clone(), adjacency_table(&self.table)]
     }
 
     fn properties(&self) -> JobProperties {
@@ -204,32 +379,40 @@ impl Job for SelectiveSssp {
 
     fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<bool, EbspError> {
         let me = *ctx.key();
-        let Some(mut state) = ctx.read_state(0)? else {
+        let (Some(dists), Some(adj)) = (ctx.read_state(DISTS)?, ctx.read_state(ADJ)?) else {
             return Ok(false); // vertex was removed
         };
-        let mut state_changed = false;
-        for (sender, dist) in ctx.take_messages() {
-            if let Some(i) = state.neighbors.iter().position(|&v| v == sender) {
-                if state.neighbor_dists[i] != dist {
-                    state.neighbor_dists[i] = dist;
-                    state_changed = true;
+        let (mut neighbor_dists, dist) = dists.into_dists()?;
+        let neighbors = adj.into_adj()?;
+        let mut heard = false;
+        for (sender, d) in ctx.take_messages() {
+            let slot = neighbors
+                .iter()
+                .position(|&v| v == sender)
+                .and_then(|i| neighbor_dists.get_mut(i));
+            if let Some(slot) = slot {
+                if *slot != d {
+                    *slot = d;
+                    heard = true;
                 }
             }
         }
-        let new_dist = state.recompute(me, self.source, self.n);
-        let dist_changed = new_dist != state.dist;
+        let new_dist = recompute(&neighbor_dists, me, self.source, self.n);
+        let dist_changed = new_dist != dist;
         if dist_changed {
-            state.dist = new_dist;
-            state_changed = true;
-            for i in 0..state.neighbors.len() {
-                ctx.send(state.neighbors[i], (me, new_dist));
+            for &v in &neighbors {
+                ctx.send(v, (me, new_dist));
             }
             if self.changes.is_some() {
                 ctx.output(me, new_dist)?;
             }
         }
-        if state_changed {
-            ctx.write_state(0, &state)?;
+        if heard || dist_changed {
+            let record = SelRecord::Dists {
+                neighbor_dists,
+                dist: new_dist,
+            };
+            ctx.write_state(DISTS, &record)?;
         }
         Ok(false)
     }
@@ -389,29 +572,17 @@ impl<S: KvStore> SelectiveInstance<S> {
         Ok(seeds_of(changes, &effects))
     }
 
-    /// Reads all distance annotations, sorted by vertex.
+    /// Reads all distance annotations, sorted by vertex — from the
+    /// instance's own table only.
     ///
     /// # Errors
     ///
     /// Propagates store errors.
     pub fn distances(&self) -> Result<Vec<(VertexId, u32)>, EbspError> {
-        let handle = self
-            .store
-            .lookup_table(&self.table)
-            .map_err(EbspError::Kv)?;
-        let exporter = Arc::new(ripple_core::CollectingExporter::new());
-        ripple_core::export_state_table::<S, VertexId, DistAfter<2>, _>(
-            &self.store,
-            &handle,
-            Arc::clone(&exporter),
-        )?;
-        let mut out: Vec<(VertexId, u32)> = exporter
-            .take()
+        Ok(export_sorted::<S, SelDist>(&self.store, &self.table)?
             .into_iter()
-            .map(|(v, DistAfter(dist))| (v, dist))
-            .collect();
-        out.sort_by_key(|(v, _)| *v);
-        Ok(out)
+            .map(|(v, SelDist(dist))| (v, dist))
+            .collect())
     }
 
     /// The state table this instance's annotated graph lives in.
@@ -430,24 +601,37 @@ impl<S: KvStore> SelectiveInstance<S> {
     }
 }
 
-/// Decodes the distance annotations out of a raw state-table snapshot
-/// ([`KvStore::snapshot_table`]), sorted by vertex — an oracle for what a
-/// reader of the job's reported changes ([`SelectiveSssp::reporting`])
-/// should hold at the same cut.
+/// Decodes the distance annotations out of a raw snapshot
+/// ([`KvStore::snapshot_table`]) of a selective instance's own table,
+/// sorted by vertex — an oracle for what a reader of the job's reported
+/// changes ([`SelectiveSssp::reporting`]) should hold at the same cut.
 ///
 /// # Errors
 ///
-/// Fails with a wire error if an entry is not a `(VertexId, SelState)`
-/// pair — i.e. the snapshot is of some other table.
+/// Fails with a wire error if an entry is not a vertex and its
+/// [`SelRecord::Dists`] — i.e. the snapshot is of some other table.
 pub fn distances_from_snapshot(
     snapshot: &ripple_kv::TableSnapshot,
 ) -> Result<Vec<(VertexId, u32)>, EbspError> {
     let mut out = Vec::with_capacity(snapshot.len());
     for (key, value) in snapshot.iter() {
-        let v: VertexId = ripple_wire::from_wire(key.body())?;
-        let DistAfter::<2>(dist) = ripple_wire::from_wire(value)?;
+        let v: VertexId = from_wire(key.body())?;
+        let SelDist(dist) = from_wire(value)?;
         out.push((v, dist));
     }
+    out.sort_by_key(|(v, _)| *v);
+    Ok(out)
+}
+
+/// Every pair of `table`, its values decoded as `V`, sorted by vertex.
+fn export_sorted<S: KvStore, V: Decode + Clone + Send + 'static>(
+    store: &S,
+    table: &str,
+) -> Result<Vec<(VertexId, V)>, EbspError> {
+    let handle = store.lookup_table(table)?;
+    let exporter = Arc::new(ripple_core::CollectingExporter::new());
+    ripple_core::export_state_table::<S, VertexId, V, _>(store, &handle, Arc::clone(&exporter))?;
+    let mut out = exporter.take();
     out.sort_by_key(|(v, _)| *v);
     Ok(out)
 }
@@ -552,6 +736,18 @@ impl<S: RecoverableStore + HealableStore + DurableStore> SelectiveInstance<S> {
 }
 
 impl Adjacency for SelState {
+    type Record = SelRecord;
+    const TABLES: &'static [&'static str] = &["", ADJ_SUFFIX];
+
+    fn from_records<B: AsRef<[u8]>>(records: &[B]) -> Result<Self, WireError> {
+        let dists = from_wire(records[DISTS].as_ref())?;
+        Self::from_records(dists, from_wire(records[ADJ].as_ref())?)
+    }
+
+    fn into_records(self) -> Vec<SelRecord> {
+        self.into_records().into()
+    }
+
     fn add(&mut self, v: VertexId) -> bool {
         if self.neighbors.contains(&v) {
             return false;
@@ -617,16 +813,12 @@ fn initial_loader(graph: &Graph) -> Box<dyn Loader<SelectiveSssp>> {
     Box::new(FnLoader::new(
         move |sink: &mut dyn LoadSink<SelectiveSssp>| {
             for (v, neighbors) in entries {
-                let dists = vec![INF; neighbors.len()];
-                sink.state(
-                    0,
-                    v,
-                    SelState {
-                        neighbors,
-                        neighbor_dists: dists,
-                        dist: INF,
-                    },
-                )?;
+                let dists = SelRecord::Dists {
+                    neighbor_dists: vec![INF; neighbors.len()],
+                    dist: INF,
+                };
+                sink.state(DISTS, v, dists)?;
+                sink.state(ADJ, v, SelRecord::Adj(neighbors))?;
                 sink.enable(v)?;
             }
             Ok(())
@@ -892,7 +1084,7 @@ impl<S: KvStore> FullScanInstance<S> {
                 dist: if v == source { 0 } else { INF },
             };
             handle
-                .put(ripple_core::key_to_routed(&v), ripple_wire::to_wire(&state))
+                .put(ripple_core::key_to_routed(&v), to_wire(&state))
                 .map_err(EbspError::Kv)?;
         }
         let metrics = instance.run_waves(false)?;
@@ -975,27 +1167,25 @@ impl<S: KvStore> FullScanInstance<S> {
     ///
     /// Propagates store errors.
     pub fn distances(&self) -> Result<Vec<(VertexId, u32)>, EbspError> {
-        let handle = self
-            .store
-            .lookup_table(&self.table)
-            .map_err(EbspError::Kv)?;
-        let exporter = Arc::new(ripple_core::CollectingExporter::new());
-        ripple_core::export_state_table::<S, VertexId, DistAfter<1>, _>(
-            &self.store,
-            &handle,
-            Arc::clone(&exporter),
-        )?;
-        let mut out: Vec<(VertexId, u32)> = exporter
-            .take()
+        Ok(export_sorted::<S, DistAfterList>(&self.store, &self.table)?
             .into_iter()
-            .map(|(v, DistAfter(dist))| (v, dist))
-            .collect();
-        out.sort_by_key(|(v, _)| *v);
-        Ok(out)
+            .map(|(v, DistAfterList(dist))| (v, dist))
+            .collect())
     }
 }
 
 impl Adjacency for FsState {
+    type Record = FsState;
+    const TABLES: &'static [&'static str] = &[""];
+
+    fn from_records<B: AsRef<[u8]>>(records: &[B]) -> Result<Self, WireError> {
+        from_wire(records[0].as_ref())
+    }
+
+    fn into_records(self) -> Vec<FsState> {
+        vec![self]
+    }
+
     fn add(&mut self, v: VertexId) -> bool {
         if self.neighbors.contains(&v) {
             return false;
@@ -1024,7 +1214,17 @@ impl Adjacency for FsState {
 // ===========================================================================
 
 /// A vertex state whose neighbor list a change batch edits.
-trait Adjacency: Encode + Decode + 'static {
+trait Adjacency: Sized + 'static {
+    /// What the state's tables hold.
+    type Record: Encode;
+    /// The suffixes, appended to the instance's table name, of the tables
+    /// the state is stored across, one record in each.
+    const TABLES: &'static [&'static str];
+    /// Decodes the state from its encoded records, in
+    /// [`Adjacency::TABLES`] order.
+    fn from_records<B: AsRef<[u8]>>(records: &[B]) -> Result<Self, WireError>;
+    /// Splits the state into its records, in [`Adjacency::TABLES`] order.
+    fn into_records(self) -> Vec<Self::Record>;
     /// Adds neighbor `v`; false if it is one already.
     fn add(&mut self, v: VertexId) -> bool;
     /// Removes neighbor `v`; false if it is none.
@@ -1053,14 +1253,15 @@ struct Edit {
     other: VertexId,
 }
 
-/// Applies `changes` to the vertex states of `table` in one round of
-/// `runner`'s part tasks and returns each change's [`Effect`], in change
-/// order, plus how many parts were restored on the way.
+/// Applies `changes` to the vertex states of `table` (and of the tables
+/// beside it that [`Adjacency::TABLES`] names) in one round of `runner`'s
+/// part tasks and returns each change's [`Effect`], in change order, plus
+/// how many parts were restored on the way.
 ///
-/// Each part reads its touched endpoints with one `get_batch`, edits them
-/// in change order — a vertex lives in one part, so every vertex sees its
-/// edits in the order the driver would apply them — and writes the edited
-/// ones back with one `put_batch`.  The runner retries each of those calls
+/// Each part reads its touched endpoints with one `get_batch` per table,
+/// edits them in change order — a vertex lives in one part, so every vertex
+/// sees its edits in the order the driver would apply them — and writes the
+/// edited ones back with one `put_batch` per table.  The runner retries each of those calls
 /// alone: a retried task could re-read states its lost-reply write had
 /// already edited and drop their changes.  A part whose task fails with
 /// [`KvError::PartFailed`] is handed to `restore` once; if that succeeds,
@@ -1104,8 +1305,12 @@ fn apply_changes<S: KvStore, A: Adjacency>(
             vec![Vec::new(); parts as usize],
         ));
         let outcomes = runner.run_at_parts(table, {
-            let (groups, name) = (Arc::clone(&groups), table.name().to_owned());
-            move |view| edit_part::<A>(view, &name, &groups[view.part().index()])
+            let groups = Arc::clone(&groups);
+            let names: Vec<String> = A::TABLES
+                .iter()
+                .map(|suffix| format!("{}{suffix}", table.name()))
+                .collect();
+            move |view| edit_part::<A>(view, &names, &groups[view.part().index()])
         });
         let mut redo = false;
         for (part, (edits, outcome)) in groups.iter().zip(outcomes).enumerate() {
@@ -1139,7 +1344,7 @@ fn apply_changes<S: KvStore, A: Adjacency>(
 /// vertex and the vertex's distance.
 fn edit_part<A: Adjacency>(
     view: &dyn PartView,
-    table: &str,
+    tables: &[String],
     edits: &[Edit],
 ) -> Result<Vec<(bool, u32)>, EbspError> {
     if edits.is_empty() {
@@ -1154,12 +1359,16 @@ fn edit_part<A: Adjacency>(
             keys.len() - 1
         });
     }
-    let mut states = view
-        .get_batch(table, &keys)?
-        .into_iter()
-        .map(|bytes| {
-            bytes
-                .map(|b| ripple_wire::from_wire::<A>(&b).map(|state| (state, false)))
+    // A vertex is present when every table holds a record of it.
+    let mut columns = tables
+        .iter()
+        .map(|table| view.get_batch(table, &keys))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut states = (0..keys.len())
+        .map(|i| {
+            let records: Option<Vec<_>> = columns.iter_mut().map(|c| c[i].take()).collect();
+            records
+                .map(|records| A::from_records(&records).map(|state| (state, false)))
                 .transpose()
         })
         .collect::<Result<Vec<_>, _>>()?;
@@ -1178,16 +1387,18 @@ fn edit_part<A: Adjacency>(
             None => (false, INF),
         })
         .collect();
-    let writes: Vec<_> = keys
-        .into_iter()
-        .zip(states)
-        .filter_map(|(key, state)| match state {
-            Some((state, true)) => Some((key, ripple_wire::to_wire(&state))),
-            _ => None,
-        })
-        .collect();
-    if !writes.is_empty() {
-        view.put_batch(table, writes)?;
+    let mut writes = vec![Vec::new(); tables.len()];
+    for (key, state) in keys.into_iter().zip(states) {
+        if let Some((state, true)) = state {
+            for (column, record) in writes.iter_mut().zip(state.into_records()) {
+                column.push((key.clone(), to_wire(&record)));
+            }
+        }
+    }
+    for (table, records) in tables.iter().zip(writes) {
+        if !records.is_empty() {
+            view.put_batch(table, records)?;
+        }
     }
     Ok(done)
 }
@@ -1228,7 +1439,6 @@ pub fn bfs_oracle(graph: &MutableGraph, source: VertexId) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ripple_wire::{from_wire, to_wire};
 
     /// Golden bytes: what a durable state table written by an earlier
     /// build holds; and the distance-only read-back agrees with the full
@@ -1247,16 +1457,72 @@ mod tests {
         ];
         assert_eq!(&to_wire(&state)[..], &bytes);
         assert_eq!(from_wire::<SelState>(&bytes).unwrap(), state);
-        let DistAfter::<2>(dist) = from_wire(&bytes).unwrap();
-        assert_eq!(dist, 6);
         let full_scan = FsState {
             neighbors: vec![2, 200, 20_000],
             dist: INF,
         };
-        let DistAfter::<1>(dist) = from_wire(&to_wire(&full_scan)).unwrap();
+        let DistAfterList(dist) = from_wire(&to_wire(&full_scan)).unwrap();
         assert_eq!(dist, INF);
-        // Truncated lists fail the projection as they fail the decode.
-        assert!(from_wire::<DistAfter<2>>(&bytes[..9]).is_err());
+    }
+
+    /// Golden bytes of the two records a selective instance stores, and
+    /// the join that gives back the state they were split from.
+    #[test]
+    fn record_formats_are_fixed_and_join() {
+        let state = SelState {
+            neighbors: vec![2, 200, 20_000],
+            neighbor_dists: vec![0, 5, u32::MAX],
+            dist: 6,
+        };
+        let [dists, adj] = state.clone().into_records();
+        let dists_bytes = [
+            0x00, // tag
+            0x03, 0x00, 0x05, 0xff, 0xff, 0xff, 0xff, 0x0f, // neighbor distances
+            0x06,
+        ];
+        let adj_bytes = [
+            0x01, // tag
+            0x03, // length
+            0x02, 0x00, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00, 0x20, 0x4e, 0x00, 0x00,
+        ];
+        assert_eq!(&to_wire(&dists)[..], &dists_bytes);
+        assert_eq!(&to_wire(&adj)[..], &adj_bytes);
+        assert_eq!(from_wire::<SelRecord>(&dists_bytes).unwrap(), dists);
+        assert_eq!(from_wire::<SelRecord>(&adj_bytes).unwrap(), adj);
+        let SelDist(dist) = from_wire(&dists_bytes).unwrap();
+        assert_eq!(dist, 6);
+        assert_eq!(
+            SelState::from_records(dists.clone(), adj.clone()).unwrap(),
+            state
+        );
+        // Each record belongs to its own table.
+        assert!(SelState::from_records(adj.clone(), dists.clone()).is_err());
+        assert!(from_wire::<SelDist>(&adj_bytes).is_err());
+        assert!(from_wire::<SelRecord>(&[0x02]).is_err());
+    }
+
+    /// A truncated record or a hostile declared length fails to decode, in
+    /// the fixed-width list as in the varint one.
+    #[test]
+    fn damaged_records_fail_to_decode() {
+        let adj = to_wire(&SelRecord::Adj(vec![7, 8, 9]));
+        for cut in 0..adj.len() {
+            assert!(from_wire::<SelRecord>(&adj[..cut]).is_err(), "cut {cut}");
+        }
+        // A million neighbors declared, none present.
+        let hostile = [0x01, 0xc0, 0x84, 0x3d];
+        assert!(matches!(
+            from_wire::<SelRecord>(&hostile),
+            Err(WireError::LengthOverrun { .. })
+        ));
+        let dists = to_wire(&SelRecord::Dists {
+            neighbor_dists: vec![1, INF],
+            dist: 2,
+        });
+        for cut in 0..dists.len() {
+            assert!(from_wire::<SelRecord>(&dists[..cut]).is_err(), "cut {cut}");
+            assert!(from_wire::<SelDist>(&dists[..cut]).is_err(), "cut {cut}");
+        }
     }
 
     #[test]
@@ -1299,20 +1565,10 @@ mod tests {
 
     #[test]
     fn recompute_respects_source_and_cap() {
-        let s = SelState {
-            neighbors: vec![1],
-            neighbor_dists: vec![7],
-            dist: INF,
-        };
-        assert_eq!(s.recompute(0, 0, 100), 0, "source is always 0");
-        assert_eq!(s.recompute(2, 0, 100), 8);
-        assert_eq!(s.recompute(2, 0, 8), INF, "capped at n");
-        let empty = SelState {
-            neighbors: vec![],
-            neighbor_dists: vec![],
-            dist: 3,
-        };
-        assert_eq!(empty.recompute(2, 0, 100), INF);
+        assert_eq!(recompute(&[7], 0, 0, 100), 0, "source is always 0");
+        assert_eq!(recompute(&[7], 2, 0, 100), 8);
+        assert_eq!(recompute(&[7], 2, 0, 8), INF, "capped at n");
+        assert_eq!(recompute(&[], 2, 0, 100), INF);
     }
 
     #[test]

@@ -1,13 +1,29 @@
 //! Cross-restart resume: a durable SSSP solve hard-interrupted between
 //! barriers picks up from its last durable commit after the store is
 //! reopened, and finishes in exactly the state an uninterrupted solve
-//! reaches.
+//! reaches: the same distances and both state tables byte for byte.
 
 use ripple_core::EbspError;
 use ripple_graph::generate::Graph;
-use ripple_graph::sssp::SelectiveInstance;
-use ripple_kv::SyncPolicy;
+use ripple_graph::sssp::{adjacency_table, SelectiveInstance};
+use ripple_kv::{KvStore, SyncPolicy};
 use ripple_store_disk::{testutil::TempDir, DiskStore};
+
+/// The pairs of the instance in `table`'s two state tables, as bytes,
+/// sorted.
+fn tables(store: &DiskStore, table: &str) -> [Vec<(Vec<u8>, Vec<u8>)>; 2] {
+    [table.to_owned(), adjacency_table(table)].map(|name| {
+        let handle = store.lookup_table(&name).expect("table exists");
+        let mut pairs: Vec<_> = store
+            .snapshot_table(&handle)
+            .expect("snapshot")
+            .iter()
+            .map(|(key, value)| (key.body().to_vec(), value.to_vec()))
+            .collect();
+        pairs.sort();
+        pairs
+    })
+}
 
 /// A path graph: the solve needs one step per hop, so a line of `n`
 /// vertices guarantees a long multi-barrier run to interrupt.
@@ -34,7 +50,7 @@ fn interrupted_durable_solve_resumes_to_identical_distances() {
     let graph = line_graph(n);
 
     // Reference: one uninterrupted durable solve.
-    let (expected, full_metrics) = {
+    let (expected, expected_tables, full_metrics) = {
         let tmp = TempDir::new("durable-ref");
         let store = open(tmp.path());
         let (sssp, metrics) =
@@ -44,7 +60,8 @@ fn interrupted_durable_solve_resumes_to_identical_distances() {
             metrics.durable_barriers > 0,
             "durable runs must commit barriers"
         );
-        (sssp.distances().expect("read distances"), metrics)
+        let distances = sssp.distances().expect("read distances");
+        (distances, tables(&store, "sssp"), metrics)
     };
     assert_eq!(expected.len(), n as usize);
     assert_eq!(expected[n as usize - 1], (n - 1, n - 1), "line distances");
@@ -99,6 +116,11 @@ fn interrupted_durable_solve_resumes_to_identical_distances() {
         sssp.distances().expect("read distances"),
         expected,
         "resumed distances must be identical to an uninterrupted solve"
+    );
+    assert_eq!(
+        tables(&store, "sssp"),
+        expected_tables,
+        "resumed state tables must be identical to an uninterrupted solve's"
     );
 
     // Running once more after success starts fresh (journal cleared) and

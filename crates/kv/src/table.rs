@@ -117,10 +117,10 @@ pub trait PartView {
     /// bulk counterpart of [`PartView::get`].  The result holds one entry
     /// per key, in `keys` order.
     ///
-    /// The default loops over [`PartView::get`], which is what the
-    /// in-process stores use: inside a part task their gets are already
-    /// collocated.  Only `store-net`'s remote view overrides it, as one RPC
-    /// per owning slot.
+    /// The default loops over [`PartView::get`]: inside a part task an
+    /// in-process store's gets are already collocated.  `store-mem`
+    /// overrides it to take its lock once and roll its fault plan once per
+    /// call, `store-net`'s remote view as one RPC per owning slot.
     ///
     /// # Errors
     ///

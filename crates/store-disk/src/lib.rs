@@ -102,6 +102,7 @@ mod tests {
     };
 
     use crate::testutil::TempDir;
+    use crate::wal::SEGMENT_BYTES;
     use crate::DiskStore;
 
     fn key(route: u64, body: &str) -> RoutedKey {
@@ -356,6 +357,170 @@ mod tests {
         let u = store.create_table(&TableSpec::new("u")).unwrap();
         assert_eq!(thread_of(&u, 0), (PartId(0), thread));
         assert_eq!(store.inner.executor.threads(), 2);
+    }
+
+    /// The log generations of shard 0 of table `t` and their sizes, in
+    /// generation order.
+    fn log_files(dir: &std::path::Path) -> Vec<(u64, u64)> {
+        let mut files: Vec<(u64, u64)> = std::fs::read_dir(dir.join("tables").join("t"))
+            .unwrap()
+            .filter_map(|entry| {
+                let entry = entry.unwrap();
+                let name = entry.file_name().into_string().unwrap();
+                let gen = name.strip_prefix("p0000.wal.")?.parse().ok()?;
+                Some((gen, entry.metadata().unwrap().len()))
+            })
+            .collect();
+        files.sort_unstable();
+        files
+    }
+
+    /// A table's pairs, as bytes, sorted.
+    type Contents = Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// Every pair of `t`.
+    fn contents(store: &DiskStore, t: &crate::store::DiskTable) -> Contents {
+        let mut pairs: Vec<_> = store
+            .snapshot_table(t)
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.body().to_vec(), v.to_vec()))
+            .collect();
+        pairs.sort();
+        pairs
+    }
+
+    /// Barriers `epochs` of a one-part table `t` under `SyncPolicy::Never`:
+    /// each rewrites 64 keys with ~200-byte values, so each barrier's
+    /// commit is one write-out of ~14 KB.  Returns the contents at each
+    /// barrier and the largest write-out.
+    fn barrier_rounds(
+        store: &DiskStore,
+        t: &crate::store::DiskTable,
+        epochs: std::ops::RangeInclusive<u64>,
+    ) -> (Vec<Contents>, u64) {
+        let (mut cuts, mut largest) = (Vec::new(), 0);
+        for epoch in epochs {
+            let pairs = (0..64u64)
+                .map(|i| {
+                    let value = format!("{epoch}:{i}:{}", "x".repeat(190 + (i % 7) as usize));
+                    (key(0, &format!("k{i}")), val(&value))
+                })
+                .collect();
+            let before = store.metrics().wal_bytes;
+            t.put_batch(pairs).unwrap();
+            store.commit_barrier(t, epoch).unwrap();
+            largest = largest.max(store.metrics().wal_bytes - before);
+            cuts.push(contents(store, t));
+        }
+        (cuts, largest)
+    }
+
+    fn one_part_never(dir: &std::path::Path) -> DiskStore {
+        DiskStore::builder()
+            .default_parts(1)
+            .sync_policy(SyncPolicy::Never)
+            .open(dir)
+            .unwrap()
+    }
+
+    #[test]
+    fn log_segments_stay_bounded_and_replay_identically() {
+        let dir = TempDir::new("segments");
+        let store = one_part_never(dir.path());
+        let t = store.create_table(&TableSpec::new("t")).unwrap();
+        let (cuts, write_out) = barrier_rounds(&store, &t, 1..=60);
+        let files = log_files(dir.path());
+        assert!(
+            files.len() >= 4,
+            "60 barriers must cross the bound: {files:?}"
+        );
+        for (gen, len) in &files {
+            assert!(
+                *len <= SEGMENT_BYTES + write_out,
+                "generation {gen} holds {len} bytes"
+            );
+        }
+        // Reopening replays every segment in order.
+        store.flush().unwrap();
+        drop(t);
+        drop(store);
+        let store = one_part_never(dir.path());
+        assert!(store.recovery_report().is_empty());
+        let t = store.lookup_table("t").unwrap();
+        assert_eq!(&contents(&store, &t), cuts.last().unwrap());
+        // Later writes go to the newest segment or past it, never into a
+        // sealed one.
+        barrier_rounds(&store, &t, 61..=61);
+        let after = log_files(dir.path());
+        let sealed = files.len() - 1;
+        assert_eq!(after[..sealed], files[..sealed]);
+        assert!(
+            after.len() > sealed
+                && after
+                    .iter()
+                    .all(|(_, len)| *len <= SEGMENT_BYTES + write_out)
+        );
+    }
+
+    #[test]
+    fn rewind_to_a_marker_in_an_earlier_segment_drops_the_later_ones() {
+        let dir = TempDir::new("segments-rewind");
+        let store = one_part_never(dir.path());
+        let t = store.create_table(&TableSpec::new("t")).unwrap();
+        let (early, _) = barrier_rounds(&store, &t, 1..=5);
+        let marker_gen = log_files(dir.path()).last().unwrap().0;
+        barrier_rounds(&store, &t, 6..=40);
+        store.flush().unwrap();
+        assert!(log_files(dir.path()).last().unwrap().0 > marker_gen + 1);
+
+        store.rewind_group(&t, 5).unwrap();
+        assert_eq!(&contents(&store, &t), early.last().unwrap());
+        let files = log_files(dir.path());
+        assert_eq!(
+            files.last().unwrap().0,
+            marker_gen,
+            "later segments removed"
+        );
+        // The rewound log replays to the same cut, and grows from it.
+        drop(t);
+        drop(store);
+        let store = one_part_never(dir.path());
+        let t = store.lookup_table("t").unwrap();
+        assert_eq!(&contents(&store, &t), early.last().unwrap());
+        let (cuts, _) = barrier_rounds(&store, &t, 6..=8);
+        store.flush().unwrap();
+        drop(t);
+        drop(store);
+        let store = one_part_never(dir.path());
+        let t = store.lookup_table("t").unwrap();
+        assert_eq!(&contents(&store, &t), cuts.last().unwrap());
+    }
+
+    #[test]
+    fn compaction_counts_every_live_segment() {
+        let dir = TempDir::new("segments-compact");
+        let store = DiskStore::builder()
+            .default_parts(1)
+            .sync_policy(SyncPolicy::Never)
+            .snapshot_threshold(2 * SEGMENT_BYTES)
+            .open(dir.path())
+            .unwrap();
+        let t = store.create_table(&TableSpec::new("t")).unwrap();
+        let (cuts, _) = barrier_rounds(&store, &t, 1..=30);
+        let files = log_files(dir.path());
+        assert!(files.iter().all(|(_, len)| *len < 2 * SEGMENT_BYTES));
+        assert!(files.iter().map(|(_, len)| len).sum::<u64>() >= 2 * SEGMENT_BYTES);
+        store.compact_group(&t, 30).unwrap();
+        assert!(
+            log_files(dir.path()).is_empty(),
+            "the snapshot folds them all"
+        );
+        drop(t);
+        drop(store);
+        let store = one_part_never(dir.path());
+        let t = store.lookup_table("t").unwrap();
+        assert_eq!(&contents(&store, &t), cuts.last().unwrap());
     }
 
     #[test]

@@ -177,8 +177,7 @@ impl DurableStore for DiskStore {
         for t in self.group_tables(reference) {
             for (part, shard) in t.shards.iter().enumerate() {
                 let mut shard = shard.lock();
-                let log_size = shard.wal.file_bytes + shard.wal.buffered() as u64;
-                if log_size < self.inner.snapshot_threshold {
+                if shard.wal.live_bytes() < self.inner.snapshot_threshold {
                     continue;
                 }
                 let part = u32::try_from(part).expect("part counts are u32");

@@ -485,7 +485,7 @@ impl DiskStore {
             .map(|part| {
                 Mutex::new(Shard {
                     map: HashMap::new(),
-                    wal: WalWriter::new(table_dir.clone(), part, 1, 0),
+                    wal: WalWriter::new(table_dir.clone(), part, 1, 0, 0),
                 })
             })
             .collect();

@@ -10,6 +10,12 @@
 //! pNNNN.snap.<gen>   snapshot folding every log generation <= <gen>
 //! ```
 //!
+//! A log generation is also a bounded *segment*: once the current file
+//! holds [`SEGMENT_BYTES`], the next write-out starts generation
+//! `<gen> + 1`, so no file grows past the bound plus one write-out however
+//! long a shard goes without compaction.  Replay and rewind read the
+//! generations in order, so a log split across segments reads as one.
+//!
 //! A snapshot is written under a temporary name, fsynced, renamed into
 //! place, and only then are the folded logs deleted; the current log
 //! generation is then `<gen> + 1`.  Opening a shard therefore loads the
@@ -114,6 +120,11 @@ pub(crate) fn io_err(context: &str, path: &Path, e: &std::io::Error) -> KvError 
     }
 }
 
+/// Bytes past which a shard's current log file is sealed and the next
+/// write-out starts the next generation.  (Unit tests use a small bound so
+/// that they cross it many times without writing hundreds of megabytes.)
+pub(crate) const SEGMENT_BYTES: u64 = if cfg!(test) { 64 << 10 } else { 64 << 20 };
+
 /// Counts `n` of `counter` against shard `part`.
 fn count(counters: &StoreCounters, part: u32, counter: Counter, n: u64) {
     counters.add(Some(PartId(part)), counter, n);
@@ -136,12 +147,24 @@ pub(crate) struct WalWriter {
     pending: u32,
     /// Bytes already written to the current log file.
     pub(crate) file_bytes: u64,
+    /// Bytes in the sealed segments before the current one, back to the
+    /// last snapshot: with `file_bytes`, what a compaction would fold.
+    sealed_bytes: u64,
     /// Whether written file bytes are not yet known to be fsynced.
     unsynced_file: bool,
+    /// Sealed segments not yet known to be fsynced: the next fsyncing
+    /// write-out syncs them before the current file.
+    unsynced_sealed: Vec<u64>,
 }
 
 impl WalWriter {
-    pub(crate) fn new(table_dir: PathBuf, part: u32, gen: u64, file_bytes: u64) -> Self {
+    pub(crate) fn new(
+        table_dir: PathBuf,
+        part: u32,
+        gen: u64,
+        file_bytes: u64,
+        sealed_bytes: u64,
+    ) -> Self {
         Self {
             table_dir,
             part,
@@ -149,9 +172,11 @@ impl WalWriter {
             buf: Vec::new(),
             pending: 0,
             file_bytes,
+            sealed_bytes,
             // Replayed bytes may predate a crash-unsynced write; one
             // conservative fsync at the first flush costs little.
             unsynced_file: file_bytes > 0,
+            unsynced_sealed: Vec::new(),
         }
     }
 
@@ -173,19 +198,32 @@ impl WalWriter {
         self.pending += 1;
     }
 
-    /// Unwritten buffered bytes (for compaction thresholds).
-    pub(crate) fn buffered(&self) -> usize {
-        self.buf.len()
+    /// Log bytes since the last snapshot — every live segment's, written
+    /// or still buffered (for compaction thresholds).
+    pub(crate) fn live_bytes(&self) -> u64 {
+        self.sealed_bytes + self.file_bytes + self.buf.len() as u64
     }
 
     /// Writes buffered bytes to the current log file and optionally
-    /// fsyncs it.  No-op when there is nothing buffered and nothing
-    /// unsynced.
+    /// fsyncs it, first starting the next segment if the current file is
+    /// full.  No-op when there is nothing buffered and nothing unsynced.
     pub(crate) fn write_out(
         &mut self,
         fsync: bool,
         counters: &StoreCounters,
     ) -> Result<(), KvError> {
+        if !self.buf.is_empty() && self.file_bytes >= SEGMENT_BYTES {
+            self.seal();
+        }
+        if fsync {
+            for gen in std::mem::take(&mut self.unsynced_sealed) {
+                let path = Self::wal_path(&self.table_dir, self.part, gen);
+                File::open(&path)
+                    .and_then(|file| file.sync_data())
+                    .map_err(|e| io_err("fsync wal", &path, &e))?;
+                count(counters, self.part, Counter::Fsyncs, 1);
+            }
+        }
         if self.buf.is_empty() && !(fsync && self.unsynced_file) {
             return Ok(());
         }
@@ -215,15 +253,29 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Starts the next log generation after a snapshot folded this one.
-    /// Buffered bytes are discarded: the snapshot captured their effects
-    /// from the memtable.
+    /// Seals the current segment: later writes go to the next generation.
+    /// Its fsync, if it owes one, waits for the next fsyncing write-out.
+    fn seal(&mut self) {
+        if self.unsynced_file {
+            self.unsynced_sealed.push(self.gen);
+        }
+        self.sealed_bytes += self.file_bytes;
+        self.gen += 1;
+        self.file_bytes = 0;
+        self.unsynced_file = false;
+    }
+
+    /// Starts the next log generation after a snapshot folded this one
+    /// and every sealed segment before it.  Buffered bytes are discarded:
+    /// the snapshot captured their effects from the memtable.
     pub(crate) fn reset_after_snapshot(&mut self) {
         self.gen += 1;
         self.buf.clear();
         self.pending = 0;
         self.file_bytes = 0;
+        self.sealed_bytes = 0;
         self.unsynced_file = false;
+        self.unsynced_sealed.clear();
     }
 
     /// Applies the store's fsync policy after one buffered mutation.
@@ -405,9 +457,12 @@ pub(crate) fn replay_shard(
     }
     let mut gen = snap_gen.max(1);
     let mut file_bytes = 0u64;
+    let mut sealed_bytes = 0u64;
     let mut tail_note = None;
     let mut truncated_at: Option<usize> = None;
     for (i, (wal_gen, path)) in files.wals.iter().enumerate() {
+        // The previous generation is a sealed segment of this one's log.
+        sealed_bytes += file_bytes;
         let bytes = std::fs::read(path).map_err(|e| io_err("read wal", path, &e))?;
         let mut offset = 0usize;
         let mut valid = 0u64;
@@ -459,7 +514,7 @@ pub(crate) fn replay_shard(
     }
     Ok(ReplayedShard {
         map,
-        writer: WalWriter::new(table_dir.to_owned(), part, gen, file_bytes),
+        writer: WalWriter::new(table_dir.to_owned(), part, gen, file_bytes, sealed_bytes),
         tail_note,
     })
 }
@@ -514,6 +569,7 @@ pub(crate) fn rewind_shard(
         snap_gen = *gen;
         snap_epoch = Some(e);
     }
+    let mut sealed_bytes = 0u64;
     for (i, (wal_gen, path)) in files.wals.iter().enumerate() {
         let bytes = std::fs::read(path).map_err(|e| io_err("read wal", path, &e))?;
         let mut offset = 0usize;
@@ -546,9 +602,16 @@ pub(crate) fn rewind_shard(
             }
             return Ok((
                 map,
-                WalWriter::new(table_dir.to_owned(), part, *wal_gen, cut as u64),
+                WalWriter::new(
+                    table_dir.to_owned(),
+                    part,
+                    *wal_gen,
+                    cut as u64,
+                    sealed_bytes,
+                ),
             ));
         }
+        sealed_bytes += bytes.len() as u64;
     }
     if snap_epoch == Some(epoch) {
         // The snapshot *is* the barrier state (a crash interrupted
@@ -559,7 +622,7 @@ pub(crate) fn rewind_shard(
         }
         return Ok((
             entries,
-            WalWriter::new(table_dir.to_owned(), part, snap_gen + 1, 0),
+            WalWriter::new(table_dir.to_owned(), part, snap_gen + 1, 0, 0),
         ));
     }
     Err(KvError::Backend {
@@ -598,7 +661,7 @@ mod tests {
     #[test]
     fn writer_replay_roundtrip() {
         let dir = crate::testutil::TempDir::new("wal-roundtrip");
-        let mut w = WalWriter::new(dir.path().to_owned(), 0, 1, 0);
+        let mut w = WalWriter::new(dir.path().to_owned(), 0, 1, 0, 0);
         w.append(&WalRecord::Put {
             key: key(0, "a"),
             value: Bytes::from_static(b"1"),
@@ -621,7 +684,7 @@ mod tests {
     #[test]
     fn rewind_cuts_past_the_barrier() {
         let dir = crate::testutil::TempDir::new("wal-rewind");
-        let mut w = WalWriter::new(dir.path().to_owned(), 2, 1, 0);
+        let mut w = WalWriter::new(dir.path().to_owned(), 2, 1, 0, 0);
         w.append(&WalRecord::Put {
             key: key(2, "committed"),
             value: Bytes::from_static(b"1"),
@@ -649,7 +712,7 @@ mod tests {
     #[test]
     fn rewind_without_marker_fails() {
         let dir = crate::testutil::TempDir::new("wal-nomarker");
-        let mut w = WalWriter::new(dir.path().to_owned(), 0, 1, 0);
+        let mut w = WalWriter::new(dir.path().to_owned(), 0, 1, 0, 0);
         w.append(&WalRecord::Put {
             key: key(0, "x"),
             value: Bytes::from_static(b"1"),

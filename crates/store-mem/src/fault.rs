@@ -7,7 +7,8 @@
 //! The store consults the plan on each part-view operation (the path mobile
 //! code and the EBSP engines use) and records every injected fault in a
 //! trace, so a chaos test can assert that the same seed produces the same
-//! faults run after run.
+//! faults run after run.  A batched read or write is one operation: it
+//! rolls once, as the engine retries it once, whatever its length.
 //!
 //! Decisions are a pure function of `(seed, part, per-part op index, op)`:
 //! each part keeps its own operation counter, so a plan replays identically
@@ -135,8 +136,8 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Probability in `[0, 1]` that any one part-view get fails
-    /// transiently.
+    /// Probability in `[0, 1]` that any one part-view get or `get_batch`
+    /// fails transiently.
     pub fn transient_gets(mut self, probability: f64) -> Self {
         self.get_fail = probability.clamp(0.0, 1.0);
         self

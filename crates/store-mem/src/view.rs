@@ -65,6 +65,21 @@ impl PartView for MemPartView {
         Ok(out)
     }
 
+    /// One fault-check and one lock acquisition for the whole batch, as
+    /// for [`PartView::put_batch`]: a fault plan's rate is per store call,
+    /// and the engine retries a batched read as one call.
+    fn get_batch(&self, table: &str, keys: &[RoutedKey]) -> Result<Vec<Option<Bytes>>, KvError> {
+        if keys.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.store
+            .fault_check(self.partitioning_id, self.part, FaultOp::Get)?;
+        let (t, p) = self.resolve(table, false)?;
+        self.count(Counter::LocalOps, keys.len() as u64);
+        let map = t.parts[p.index()].lock();
+        Ok(keys.iter().map(|key| map.get(key).cloned()).collect())
+    }
+
     fn put(&self, table: &str, key: RoutedKey, value: Bytes) -> Result<Option<Bytes>, KvError> {
         self.store
             .fault_check(self.partitioning_id, self.part, FaultOp::Put)?;

@@ -124,15 +124,14 @@ fn selective_sssp_audits_clean() {
                 |sink: &mut dyn LoadSink<SelectiveSssp>| {
                     for v in 0..RING {
                         let neighbors = ring_neighbors(v, RING);
-                        sink.state(
-                            0,
-                            v,
-                            SelState {
-                                neighbor_dists: vec![INF; neighbors.len()],
-                                neighbors,
-                                dist: INF,
-                            },
-                        )?;
+                        let state = SelState {
+                            neighbor_dists: vec![INF; neighbors.len()],
+                            neighbors,
+                            dist: INF,
+                        };
+                        for (tab, record) in state.into_records().into_iter().enumerate() {
+                            sink.state(tab, v, record)?;
+                        }
                         sink.enable(v)?;
                     }
                     Ok(())

@@ -1,17 +1,34 @@
 //! Seeded chaos testing (the ISSUE's differential-oracle criterion):
 //! incremental SSSP runs to completion under a randomized [`FaultPlan`] —
 //! transient store faults absorbed by the retry policy, a scripted part
-//! crash absorbed by checkpoint recovery — and its output is compared
-//! against a fault-free run on the minimal reference store.  The same seed
-//! must also reproduce the exact same injected-fault trace.
+//! crash absorbed by checkpoint recovery — and its output, and both of
+//! its state tables byte for byte, are compared against a fault-free run
+//! on the minimal reference store.  The same seed must also reproduce the
+//! exact same injected-fault trace.
 
 use proptest::prelude::*;
 use ripple::graph::generate::{GraphChange, MutableGraph};
-use ripple::graph::sssp::{bfs_oracle, SelectiveInstance};
+use ripple::graph::sssp::{adjacency_table, bfs_oracle, SelectiveInstance};
+use ripple::kv::KvStore;
 use ripple::store::{FaultPlan, MemStore};
 use ripple::store_simple::SimpleStore;
 
 const TABLE: &str = "sel_chaos";
+
+/// The pairs of the instance's two state tables, as bytes, sorted.
+fn tables<S: KvStore>(store: &S) -> [Vec<(Vec<u8>, Vec<u8>)>; 2] {
+    [TABLE.to_owned(), adjacency_table(TABLE)].map(|name| {
+        let handle = store.lookup_table(&name).unwrap();
+        let mut pairs: Vec<_> = store
+            .snapshot_table(&handle)
+            .unwrap()
+            .iter()
+            .map(|(key, value)| (key.body().to_vec(), value.to_vec()))
+            .collect();
+        pairs.sort();
+        pairs
+    })
+}
 
 /// A store whose views fail transiently at a low rate and whose part 0
 /// crashes at the `crash_at`-th operation, all derived from `seed`.
@@ -51,6 +68,7 @@ fn chaos_machinery_engages_on_a_dense_run() {
         SelectiveInstance::initialize_recoverable(&store, TABLE, &initial_graph, 0, 1).unwrap();
     let update_metrics = inst.apply_batch_recoverable(&batch, 1).unwrap();
     assert_eq!(inst.distances().unwrap(), expected);
+    assert_eq!(tables(&store), tables(&simple));
 
     let trace = store.fault_trace();
     assert!(
@@ -123,12 +141,13 @@ proptest! {
             )
             .unwrap();
             inst.apply_batch_recoverable(&batch, 1).unwrap();
-            (inst.distances().unwrap(), store.fault_trace())
+            (inst.distances().unwrap(), store.fault_trace(), tables(&store))
         };
-        let (got, trace) = run();
-        let (got_again, trace_again) = run();
+        let (got, trace, got_tables) = run();
+        let (got_again, trace_again, _) = run();
 
         prop_assert_eq!(&got, &expected, "chaos run diverged from the reference store");
+        prop_assert_eq!(got_tables, tables(&simple), "state tables diverged");
         let oracle = bfs_oracle(&graph, 0);
         for (v, d) in &got {
             prop_assert_eq!(*d, oracle[*v as usize], "vertex {} off the BFS oracle", v);

@@ -1,19 +1,21 @@
 //! The edit round that applies a change batch at the parts, held to the
 //! driver-side edits it replaced.  `spec_seed_batch` and `spec_edit_fs`
 //! below are those edits as they were — one `Table::get` per touched
-//! endpoint, edits in change order, and one `put_batch` (selective) or a
-//! `put` per edit (full scan) — and every backend must give, batch after
-//! batch, the same seed messages in the same order, byte-identical state
-//! tables, and the same "a removal applied" answer.
+//! endpoint and table, edits in change order on the joined `SelState`, and
+//! one `put_batch` per table (selective) or a `put` per edit (full scan) —
+//! and every backend must give, batch after batch, the same seed messages
+//! in the same order, byte-identical state (the selective variant's two
+//! tables joined into `SelState`s), and the same "a removal applied"
+//! answer.
 
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use ripple::ebsp::{key_to_routed, FnLoader, JobRunner, LoadSink, RunOptions};
 use ripple::graph::generate::{random_change_batch, random_undirected, GraphChange};
 use ripple::graph::sssp::{
-    FsState, FullScanInstance, Seed, SelState, SelectiveInstance, SelectiveSssp,
+    adjacency_table, FsState, FullScanInstance, Seed, SelState, SelectiveInstance, SelectiveSssp,
 };
 use ripple::graph::{VertexId, INF};
 use ripple::kv::{KvStore, Table};
@@ -27,16 +29,23 @@ const N: u32 = 60;
 const PARTS: u32 = 4;
 
 /// The selective variant's driver-side edit: reads each touched endpoint
-/// once, edits in change order, writes the edited ones with one
-/// `put_batch`, and returns the seeds.
+/// once from both tables, edits the joined state in change order, writes
+/// the edited ones with one `put_batch` per table, and returns the seeds.
 fn spec_seed_batch<S: KvStore>(store: &S, table: &str, changes: &[GraphChange]) -> Vec<Seed> {
-    let table = store.lookup_table(table).unwrap();
+    let tables = [
+        store.lookup_table(table).unwrap(),
+        store.lookup_table(&adjacency_table(table)).unwrap(),
+    ];
     let mut seeds = Vec::new();
     let mut touched: BTreeMap<VertexId, Option<(SelState, bool)>> = BTreeMap::new();
     let endpoint = |touched: &mut BTreeMap<VertexId, Option<(SelState, bool)>>, v| {
         if let Entry::Vacant(entry) = touched.entry(v) {
-            let bytes = table.get(&key_to_routed(&v)).unwrap();
-            entry.insert(bytes.map(|b| (from_wire::<SelState>(&b).unwrap(), false)));
+            let key = key_to_routed(&v);
+            let [dists, adj] = [0, 1].map(|t| tables[t].get(&key).unwrap());
+            entry.insert(dists.zip(adj).map(|(dists, adj)| {
+                let (dists, adj) = (from_wire(&dists).unwrap(), from_wire(&adj).unwrap());
+                (SelState::from_records(dists, adj).unwrap(), false)
+            }));
         }
     };
     for change in changes {
@@ -70,15 +79,18 @@ fn spec_seed_batch<S: KvStore>(store: &S, table: &str, changes: &[GraphChange]) 
             }
         }
     }
-    let edited: Vec<_> = touched
-        .into_iter()
-        .filter_map(|(v, entry)| match entry {
-            Some((state, true)) => Some((key_to_routed(&v), to_wire(&state))),
-            _ => None,
-        })
-        .collect();
-    if !edited.is_empty() {
-        table.put_batch(edited).unwrap();
+    let mut edited = [Vec::new(), Vec::new()];
+    for (v, entry) in touched {
+        if let Some((state, true)) = entry {
+            for (column, record) in edited.iter_mut().zip(state.into_records()) {
+                column.push((key_to_routed(&v), to_wire(&record)));
+            }
+        }
+    }
+    for (table, records) in tables.iter().zip(edited) {
+        if !records.is_empty() {
+            table.put_batch(records).unwrap();
+        }
     }
     seeds
 }
@@ -171,6 +183,30 @@ fn contents<S: KvStore>(store: &S, table: &str) -> Vec<(Vec<u8>, Vec<u8>)> {
     pairs
 }
 
+/// A selective instance living in `table`, as the driver sees it: the
+/// records of `table` joined with those of its adjacency table, each pair
+/// encoded as one `SelState`, sorted by key.
+fn joined<S: KvStore>(store: &S, table: &str) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let dists = contents(store, table);
+    let adj: HashMap<_, _> = contents(store, &adjacency_table(table))
+        .into_iter()
+        .collect();
+    assert_eq!(
+        dists.len(),
+        adj.len(),
+        "{table}: one record per vertex in each table"
+    );
+    dists
+        .into_iter()
+        .map(|(key, dists)| {
+            let state =
+                SelState::from_records(from_wire(&dists).unwrap(), from_wire(&adj[&key]).unwrap())
+                    .unwrap();
+            (key, to_wire(&state).to_vec())
+        })
+        .collect()
+}
+
 /// Random batches with, mixed in, one edge added and removed over and
 /// over, self-loops, and endpoints the table does not hold.
 fn batches(seed: u64) -> Vec<Vec<GraphChange>> {
@@ -228,16 +264,16 @@ fn edits_match_the_driver_side_spec<S: KvStore>(mut make: impl FnMut() -> S) {
             let want = spec_seed_batch(&spec, "sel", batch);
             assert_eq!(got, want, "seed {seed} batch {b}: seed messages");
             assert_eq!(
-                contents(&ours, "sel"),
-                contents(&spec, "sel"),
-                "seed {seed} batch {b}: edited table"
+                joined(&ours, "sel"),
+                joined(&spec, "sel"),
+                "seed {seed} batch {b}: edited tables"
             );
             let ran = ours_runner.launch(job(), seeded(got)).unwrap();
             let spec_ran = spec_runner.launch(job(), seeded(want)).unwrap();
             assert_eq!(ran.metrics.invocations, spec_ran.metrics.invocations);
             assert_eq!(
-                contents(&ours, "sel"),
-                contents(&spec, "sel"),
+                joined(&ours, "sel"),
+                joined(&spec, "sel"),
                 "seed {seed} batch {b}: wave"
             );
         }
@@ -317,7 +353,7 @@ fn edits_retry_transient_faults() {
         runner
             .launch(Arc::new(SelectiveSssp::new("sel", 0, N)), seeded(seeds))
             .unwrap();
-        assert_eq!(contents(&flaky, "sel"), contents(&clean, "sel"));
+        assert_eq!(joined(&flaky, "sel"), joined(&clean, "sel"));
     }
     let injected = flaky.fault_trace()[before..]
         .iter()

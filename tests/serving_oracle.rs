@@ -117,10 +117,9 @@ fn served_answers_match_the_oracle_on_net() {
 
 /// Store calls that fail transiently are retried one call at a time, so
 /// a serving tenant whose waves meet such faults must still answer the
-/// oracle's distances.  The rate is per key while a batched read is
-/// retried as a whole, so it stays low enough for the initial load's
-/// batches of a few dozen keys to get through in five attempts; this
-/// seed puts six of its sixteen faults into the waves.
+/// oracle's distances.  The rate is per store call, a batched read being
+/// one call as it is retried as one; the test asserts that some of the
+/// faults land in the waves, not all in the initial load.
 #[test]
 fn served_answers_match_the_oracle_when_store_calls_are_retried() {
     let store = MemStore::builder()

@@ -14,7 +14,7 @@ use bytes::Bytes;
 use ripple::ebsp::{RunMetrics, SemaphoreGate, TaskGate};
 use ripple::graph::generate::{power_law_graph, random_change_batch, random_undirected};
 use ripple::graph::pagerank::{run_direct_on, structure_loader, AdaptivePageRank, PageRankConfig};
-use ripple::graph::sssp::SelectiveInstance;
+use ripple::graph::sssp::{adjacency_table, SelectiveInstance, SelectiveSssp};
 use ripple::kv::{KvError, PartView, ScanControl, StoreMetrics, TaskHandle};
 use ripple::prelude::*;
 use ripple::store::{FaultKind, FaultOp, FaultPlan};
@@ -578,10 +578,12 @@ fn transient_faults_on_state_batches_heal_to_the_reference_output() {
         .launch(job(), RunOptions::new().loader(load_keys(n)))
         .expect("reference run");
 
-    // Part views fail one get in fifty (a read-ahead batch loops over
-    // ~30) and two flushes in five.
+    // Part views fail about one read-ahead batch in two and two flushes
+    // in five.  A fault plan's rate is per store call, and a batched read
+    // is one call: 0.45 is what a rate of one get in fifty gave a batch of
+    // ~30 keys when the batch rolled once per key.
     let plan = FaultPlan::seeded(0x5EED)
-        .transient_gets(0.02)
+        .transient_gets(0.45)
         .transient_puts(0.4);
     let store = MemStore::builder()
         .default_parts(3)
@@ -786,9 +788,68 @@ fn pagerank_and_selective_sssp_are_byte_identical_under_a_one_permit_gate() {
     let free_wave = solve(&free, &JobRunner::new(free.clone()));
     assert_eq!(gated_wave, free_wave);
     assert!(gated_wave.0 >= 1, "the batch must start a wave");
+    for table in ["dists".to_owned(), adjacency_table("dists")] {
+        assert_eq!(
+            raw_table_named(&gated, &table),
+            raw_table_named(&free, &table)
+        );
+    }
+}
+
+/// Records written to `table` by the `put`s and `put_batch`es in `calls`.
+fn records_put(calls: &[Call], table: &str) -> usize {
+    calls
+        .iter()
+        .filter(|(_, op, t, _)| op.contains("put") && t == table)
+        .map(|(.., records)| records)
+        .sum()
+}
+
+/// The selective variant keeps each vertex's neighbor ids in a table of
+/// their own because a wave changes what vertices heard, never who their
+/// neighbors are: the edit round rewrites adjacency records, the wave it
+/// starts writes none — only distance records, one per state write.
+#[test]
+fn a_selective_wave_writes_no_adjacency_record() {
+    let graph = random_undirected(200, 600, 0.5, 16);
+    let batch = random_change_batch(200, 40, 0.5, 17);
+    let store = Logged::new(MemStore::builder().default_parts(4).build());
+    let runner = JobRunner::new(store.clone());
+    let (instance, _) =
+        SelectiveInstance::initialize_on(&runner, &store, "dists", graph.graph(), 0)
+            .expect("initial solve");
+    let adj = adjacency_table("dists");
+
+    let before = store.calls().len();
+    let seeds = instance
+        .apply_changes_on(&runner, &batch)
+        .expect("edit round");
+    let edits = store.calls()[before..].to_vec();
+    assert!(
+        records_put(&edits, &adj) > 0,
+        "edits rewrite neighbor lists"
+    );
+    assert_eq!(records_put(&edits, &adj), records_put(&edits, "dists"));
+
+    let before = store.calls().len();
+    let loader = FnLoader::new(move |sink: &mut dyn LoadSink<SelectiveSssp>| {
+        for (to, msg) in seeds {
+            sink.message(to, msg)?;
+        }
+        Ok(())
+    });
+    let wave = runner
+        .launch(
+            Arc::new(SelectiveSssp::new("dists", 0, 200)),
+            RunOptions::new().loader(Box::new(loader)),
+        )
+        .expect("wave");
+    let launched = store.calls()[before..].to_vec();
+    assert!(wave.metrics.state_writes > 0, "the batch must start a wave");
+    assert_eq!(records_put(&launched, &adj), 0);
     assert_eq!(
-        raw_table_named(&gated, "dists"),
-        raw_table_named(&free, "dists")
+        records_put(&launched, "dists") as u64,
+        wave.metrics.state_writes
     );
 }
 
