@@ -6,7 +6,7 @@ use ripple_kv::{fnv64, KvError, PartId, RoutedKey};
 use ripple_wire::{from_wire, to_wire, to_wire_via, ByteWriter, Decode, Encode};
 
 use crate::encode_via;
-use crate::hash::KeyMap;
+use crate::hash::KeyIndex;
 use crate::metrics::StepCounters;
 use crate::{AggValue, AggregateSnapshot, AggregatorRegistry, EbspError, Envelope, Exporter, Job};
 
@@ -42,8 +42,9 @@ pub(crate) struct Outbox<J: Job> {
     /// Surviving envelopes in send order, one bucket per destination part.
     buckets: Vec<Vec<Envelope<J>>>,
     /// Per message destination: its part (computed once, when the key is
-    /// first seen) and where in that bucket its latest survivor sits.
-    latest: KeyMap<J::Key, (u32, u32)>,
+    /// first seen — for a direct key, once per run) and where in that
+    /// bucket its latest survivor sits.
+    latest: KeyIndex<J::Key, (u32, u32)>,
     /// Where keys are encoded to be routed and spills to be written.
     scratch: RefCell<ByteWriter>,
     /// Partial aggregation, folded as invocations aggregate values.
@@ -57,7 +58,7 @@ impl<J: Job> Outbox<J> {
     pub(crate) fn new(parts: u32) -> Self {
         Self {
             buckets: (0..parts).map(|_| Vec::new()).collect(),
-            latest: KeyMap::default(),
+            latest: KeyIndex::default(),
             scratch: RefCell::default(),
             agg: HashMap::new(),
             metrics: StepCounters::default(),
@@ -70,8 +71,12 @@ impl<J: Job> Outbox<J> {
         RoutedKey::from_slice(encode_via(&mut self.scratch.borrow_mut(), key))
     }
 
-    /// The part [`Outbox::routed`] would place `key` in, with no key built.
+    /// The part [`Outbox::routed`] would place `key` in, with no key built
+    /// (or, where the index still knows it, none encoded).
     fn dst(&mut self, key: &J::Key) -> u32 {
+        if let Some(&(dst, _)) = self.latest.last(key) {
+            return dst;
+        }
         let parts = self.buckets.len() as u64;
         (fnv64(encode_via(self.scratch.get_mut(), key)) % parts) as u32
     }
@@ -95,7 +100,7 @@ impl<J: Job> Outbox<J> {
             None => {
                 let dst = self.dst(&to);
                 let at = self.buckets[dst as usize].len() as u32;
-                self.latest.insert(to.clone(), (dst, at));
+                self.latest.insert(&to, (dst, at));
                 (dst, msg)
             }
         };

@@ -29,7 +29,7 @@ use ripple_kv::{KvError, KvStore, PartId, PartView, RoutedKey, ScanControl, Tabl
 use ripple_wire::{from_wire, from_wire_each, to_wire};
 
 use crate::context::{fold_message, Outbox, StateOps};
-use crate::hash::KeyMap;
+use crate::hash::KeyIndex;
 use crate::metrics::StepCounters;
 use crate::retry::{kv_with_retry, FaultRetry};
 use crate::{
@@ -231,7 +231,7 @@ pub(crate) struct Slot<J: Job> {
     /// order.
     pub(crate) inbox: Vec<Enabled<J>>,
     /// Each enabled key's position in `inbox`.
-    index: KeyMap<J::Key, u32>,
+    index: KeyIndex<J::Key, u32>,
     /// What the part's last step sent to the part itself, unencoded, when
     /// the run hands off ([`PartTask::hand_off`]); the next delivery folds
     /// it in where its spill would have sorted.
@@ -261,7 +261,7 @@ impl<T: Table, J: Job> PartTask<T, J> {
             hand_off: false,
             slots: (0..env.parts())
                 .map(|_| {
-                    let (out, index) = (Outbox::new(env.parts()), KeyMap::default());
+                    let (out, index) = (Outbox::new(env.parts()), KeyIndex::default());
                     Mutex::new(Slot {
                         out,
                         inbox: Vec::new(),
@@ -447,9 +447,9 @@ impl<T: Table, J: Job> PartTask<T, J> {
                 Envelope::Continue { key } => (key, None),
                 Envelope::Create { tab, key, state } => return creates.push((tab, key, state)),
             };
-            let Some(&at) = index.get(&key) else {
+            let Some(&mut at) = index.get_mut(&key) else {
                 let routed = out.routed(&key);
-                index.insert(key.clone(), enabled.len() as u32);
+                index.insert(&key, enabled.len() as u32);
                 return enabled.push((key, routed, msg.into_iter().collect()));
             };
             let list = &mut enabled[at as usize].2;
@@ -514,7 +514,20 @@ impl<T: Table, J: Job> PartTask<T, J> {
                 enabled.swap(i, j);
             }
         } else if self.plan.sort {
-            enabled.sort_by(|a, b| a.0.cmp(&b.0));
+            if index.rank() {
+                // Each swap puts one component at its rank.
+                for at in 0..enabled.len() {
+                    loop {
+                        let rank = index.get_mut(&enabled[at].0).expect("an enabled key");
+                        if *rank as usize == at {
+                            break;
+                        }
+                        enabled.swap(at, *rank as usize);
+                    }
+                }
+            } else {
+                enabled.sort_by(|a, b| a.0.cmp(&b.0));
+            }
         }
         Ok(counters)
     }

@@ -76,7 +76,7 @@ macro_rules! narrow_to {
 
 /// The varint bytes of a `usize`, and the value bits of the last.
 const USIZE_LEN: usize = (usize::BITS as usize).div_ceil(7);
-const USIZE_TOP: u32 = usize::BITS - 7 * (USIZE_LEN as u32 - 1);
+const USIZE_TOP: u32 = (usize::BITS - 1) % 7 + 1;
 
 impl_varint! {
     u8, 2, 1, u64::from, narrow_to!(u8);
